@@ -5,8 +5,8 @@
 //! quick [output-path]     # default: BENCH.json in the current directory
 //! ```
 //!
-//! The criterion benches in `benches/` remain the statistically careful
-//! runs; this binary exists so CI (and the PR log) can archive numbers
+//! This is the repo's only microbenchmark harness: a calibrated-batch
+//! median per benchmark, so CI (and the PR log) can archive numbers
 //! without parsing stdout. Each benchmark takes ~25 ms, the whole pass a
 //! few seconds.
 

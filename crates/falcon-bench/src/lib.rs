@@ -1,6 +1,7 @@
-//! Criterion benchmark crate for the Falcon reproduction.
+//! Benchmark crate for the Falcon reproduction.
 //!
-//! The statistical benchmarks live in `benches/`:
+//! This library is the lightweight timing harness behind the `quick`
+//! binary, the repo's one microbenchmark pass. Its groups include:
 //!
 //! - `utility` — cost of evaluating Eq 1–4/7 per probe.
 //! - `gp` — Gaussian-process fit/predict at the paper's 20-observation
@@ -11,10 +12,8 @@
 //!   (the Figure 7 quantity, benchmarked).
 //! - `figures` — wall-clock cost of regenerating key paper figures.
 //!
-//! This library provides the lightweight timing harness behind the `quick`
-//! binary: a reduced-iteration pass over the same six groups that writes a
-//! machine-readable `BENCH.json` (the vendored criterion stub only prints
-//! to stdout), giving the repo a perf trajectory that CI can archive.
+//! `quick` writes a machine-readable `BENCH.json`, giving the repo a perf
+//! trajectory that CI can archive.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -26,7 +25,7 @@ use std::time::{Duration, Instant};
 /// batches of `batch` iterations each.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Bench group (one of the six `benches/` groups).
+    /// Bench group (`utility`, `gp`, `simulator`, …).
     pub group: String,
     /// Benchmark label within the group.
     pub name: String,
@@ -46,7 +45,7 @@ pub struct BenchResult {
 
 /// Quick-bench harness: calibrates a batch size per benchmark, then takes
 /// a fixed number of timed samples. Tuned for a CI smoke pass (tens of
-/// milliseconds per benchmark), not for criterion-grade rigor.
+/// milliseconds per benchmark), not for statistical rigor.
 #[derive(Debug)]
 pub struct QuickBench {
     results: Vec<BenchResult>,

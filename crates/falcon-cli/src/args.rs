@@ -2,41 +2,21 @@
 
 use std::fmt;
 
-/// Which search algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Optimizer {
-    /// Online gradient descent (the paper's recommendation for shared nets).
-    Gd,
-    /// Bayesian optimization.
-    Bo,
-    /// Hill climbing.
-    Hc,
-    /// Multi-parameter conjugate gradient descent (Falcon_MP).
-    Mp,
-}
+use falcon_fleet::FleetTuner;
 
-impl Optimizer {
-    fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "gd" | "gradient-descent" => Ok(Optimizer::Gd),
-            "bo" | "bayesian" => Ok(Optimizer::Bo),
-            "hc" | "hill-climbing" => Ok(Optimizer::Hc),
-            "mp" | "multi-parameter" => Ok(Optimizer::Mp),
-            other => Err(ParseError(format!(
-                "unknown optimizer {other:?} (expected gd|bo|hc|mp)"
-            ))),
+/// `--optimizer` short and long forms, as registry entries.
+fn optimizer(v: &str) -> Result<FleetTuner, ParseError> {
+    Ok(match v {
+        "gd" | "gradient-descent" => FleetTuner::GradientDescent,
+        "bo" | "bayesian" => FleetTuner::Bayesian,
+        "hc" | "hill-climbing" => FleetTuner::HillClimbing,
+        "mp" | "multi-parameter" => FleetTuner::MultiParameter,
+        other => {
+            return Err(ParseError(format!(
+                "unknown optimizer {other:?} (one of gd|bo|hc|mp)"
+            )))
         }
-    }
-
-    /// Name for output headers.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Optimizer::Gd => "gradient-descent",
-            Optimizer::Bo => "bayesian-optimization",
-            Optimizer::Hc => "hill-climbing",
-            Optimizer::Mp => "conjugate-gradient (multi-parameter)",
-        }
-    }
+    })
 }
 
 /// Arguments of `falcon simulate`.
@@ -44,8 +24,8 @@ impl Optimizer {
 pub struct SimulateArgs {
     /// Environment preset name (see `falcon envs`).
     pub env: String,
-    /// Search algorithm.
-    pub optimizer: Optimizer,
+    /// Search algorithm (`--optimizer gd|bo|hc|mp`).
+    pub optimizer: FleetTuner,
     /// Simulated duration (seconds).
     pub duration_s: f64,
     /// Gigabytes to transfer (1 GB files).
@@ -58,7 +38,7 @@ impl Default for SimulateArgs {
     fn default() -> Self {
         SimulateArgs {
             env: "xsede".to_string(),
-            optimizer: Optimizer::Gd,
+            optimizer: FleetTuner::GradientDescent,
             duration_s: 300.0,
             gigabytes: 1000,
             seed: 42,
@@ -69,9 +49,9 @@ impl Default for SimulateArgs {
 /// Arguments of `falcon loopback`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopbackArgs {
-    /// Search algorithm (`Mp` is rejected: pipelining has no wire effect
+    /// Search algorithm (`mp` is rejected: pipelining has no wire effect
     /// on loopback).
-    pub optimizer: Optimizer,
+    pub optimizer: FleetTuner,
     /// Per-worker token-bucket rate (Mbps) — the emulated per-process cap.
     pub per_worker_mbps: f64,
     /// Probe interval (seconds).
@@ -85,7 +65,7 @@ pub struct LoopbackArgs {
 impl Default for LoopbackArgs {
     fn default() -> Self {
         LoopbackArgs {
-            optimizer: Optimizer::Gd,
+            optimizer: FleetTuner::GradientDescent,
             per_worker_mbps: 60.0,
             interval_s: 1.0,
             probes: 20,
@@ -166,7 +146,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             for (k, v) in take_pairs(rest)? {
                 match k {
                     "env" => a.env = v.to_string(),
-                    "optimizer" => a.optimizer = Optimizer::parse(v)?,
+                    "optimizer" => a.optimizer = optimizer(v)?,
                     "duration" => a.duration_s = num(k, v)?,
                     "gigabytes" => a.gigabytes = num(k, v)?,
                     "seed" => a.seed = num(k, v)?,
@@ -182,7 +162,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut a = LoopbackArgs::default();
             for (k, v) in take_pairs(rest)? {
                 match k {
-                    "optimizer" => a.optimizer = Optimizer::parse(v)?,
+                    "optimizer" => a.optimizer = optimizer(v)?,
                     "per-worker-mbps" => a.per_worker_mbps = num(k, v)?,
                     "interval" => a.interval_s = num(k, v)?,
                     "probes" => a.probes = num(k, v)?,
@@ -190,7 +170,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     other => return Err(ParseError(format!("unknown flag --{other}"))),
                 }
             }
-            if a.optimizer == Optimizer::Mp {
+            if a.optimizer == FleetTuner::MultiParameter {
                 return Err(ParseError(
                     "multi-parameter tuning has no effect on loopback (no control channel); use gd|bo|hc".into(),
                 ));
@@ -289,7 +269,7 @@ mod tests {
             panic!("wrong command");
         };
         assert_eq!(a.env, "hpclab");
-        assert_eq!(a.optimizer, Optimizer::Bo);
+        assert_eq!(a.optimizer, FleetTuner::Bayesian);
         assert_eq!(a.duration_s, 120.0);
         assert_eq!(a.gigabytes, 50);
         assert_eq!(a.seed, 7);
@@ -325,11 +305,11 @@ mod tests {
     #[test]
     fn optimizer_aliases() {
         for (alias, expect) in [
-            ("gd", Optimizer::Gd),
-            ("gradient-descent", Optimizer::Gd),
-            ("bayesian", Optimizer::Bo),
-            ("hc", Optimizer::Hc),
-            ("multi-parameter", Optimizer::Mp),
+            ("gd", FleetTuner::GradientDescent),
+            ("gradient-descent", FleetTuner::GradientDescent),
+            ("bayesian", FleetTuner::Bayesian),
+            ("hc", FleetTuner::HillClimbing),
+            ("multi-parameter", FleetTuner::MultiParameter),
         ] {
             let Command::Simulate(a) =
                 parse(&argv(&format!("simulate --optimizer {alias}"))).unwrap()

@@ -20,4 +20,4 @@ pub mod args;
 pub mod run;
 pub mod scenario;
 
-pub use args::{Command, LoopbackArgs, Optimizer, ParseError, SimulateArgs};
+pub use args::{Command, LoopbackArgs, ParseError, SimulateArgs};

@@ -9,7 +9,8 @@ fn scenario_cmd(a: &ScenarioArgs) -> Result<String, String> {
     if a.trace_out.is_none() && !a.trace_summary {
         return scenario::run(&sc).map_err(|e| e.to_string());
     }
-    let (mut out, log) = scenario::run_traced_rendered(&sc).map_err(|e| e.to_string())?;
+    let (outcome, log) = scenario::run_traced(&sc).map_err(|e| e.to_string())?;
+    let mut out = scenario::render(&sc, &outcome).map_err(|e| e.to_string())?;
     if let Some(path) = &a.trace_out {
         std::fs::write(path, log.to_jsonl()).map_err(|e| format!("writing trace {path}: {e}"))?;
         out.push_str(&format!("structured trace written to {path}\n"));

@@ -1,11 +1,12 @@
 //! Command implementations.
 
-use falcon_core::{FalconAgent, SearchBounds};
+use falcon_core::FalconAgent;
+use falcon_fleet::FleetTuner;
 use falcon_sim::{Environment, EnvironmentKind, Simulation};
 use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::{SimHarness, TransferHarness};
 
-use crate::args::{LoopbackArgs, Optimizer, SimulateArgs};
+use crate::args::{LoopbackArgs, SimulateArgs};
 
 /// Resolve a preset name (accepts the CLI-friendly short names).
 pub fn resolve_env(name: &str) -> Option<Environment> {
@@ -22,13 +23,12 @@ pub fn resolve_env(name: &str) -> Option<Environment> {
     Some(env)
 }
 
-fn make_agent(optimizer: Optimizer, max_cc: u32, seed: u64) -> FalconAgent {
-    match optimizer {
-        Optimizer::Gd => FalconAgent::gradient_descent(max_cc),
-        Optimizer::Bo => FalconAgent::bayesian(max_cc, seed),
-        Optimizer::Hc => FalconAgent::hill_climbing(max_cc),
-        Optimizer::Mp => FalconAgent::multi_parameter(SearchBounds::multi_parameter(max_cc, 8, 32)),
-    }
+/// The `--optimizer` entry as a bare agent. The flag only names Falcon
+/// entries, so the error is for library callers passing a baseline.
+fn falcon_agent(optimizer: FleetTuner, max_cc: u32, seed: u64) -> Result<FalconAgent, String> {
+    optimizer
+        .agent(max_cc, seed)
+        .ok_or_else(|| format!("{} is not a Falcon optimizer", optimizer.name()))
 }
 
 /// `falcon envs`: one line per preset.
@@ -59,13 +59,13 @@ pub fn simulate(args: &SimulateArgs) -> Result<String, String> {
 
     let mut harness = SimHarness::new(Simulation::new(env, args.seed));
     let slot = harness.join(Dataset::uniform_1gb(args.gigabytes as usize));
-    let mut agent = make_agent(args.optimizer, max_cc, args.seed);
+    let mut agent = falcon_agent(args.optimizer, max_cc, args.seed)?;
     harness.apply(slot, agent.initial_settings());
 
     let mut out = format!(
         "# simulate env={} optimizer={} capacity={:.1}Gbps\n{:>8} {:>22} {:>10}\n",
         args.env,
-        args.optimizer.name(),
+        agent.optimizer_name(),
         capacity / 1000.0,
         "time_s",
         "setting",
@@ -108,6 +108,7 @@ pub fn simulate(args: &SimulateArgs) -> Result<String, String> {
 pub fn loopback(args: &LoopbackArgs) -> Result<String, String> {
     use falcon_net::{LoopbackConfig, LoopbackTransfer, Receiver};
 
+    let mut agent = falcon_agent(args.optimizer, args.max_workers, 0xF41C0)?;
     let receiver = Receiver::start().map_err(|e| format!("receiver: {e}"))?;
     let transfer = LoopbackTransfer::start(LoopbackConfig {
         port: receiver.port(),
@@ -115,14 +116,12 @@ pub fn loopback(args: &LoopbackArgs) -> Result<String, String> {
         total_bytes: u64::MAX,
         max_workers: args.max_workers,
     });
-
-    let mut agent = make_agent(args.optimizer, args.max_workers, 0xF41C0);
     transfer.apply_settings(agent.initial_settings());
 
     let mut out = format!(
         "# loopback port={} optimizer={} per_worker={}Mbps\n{:>6} {:>6} {:>12} {:>10}\n",
         receiver.port(),
-        args.optimizer.name(),
+        agent.optimizer_name(),
         args.per_worker_mbps,
         "probe",
         "cc",

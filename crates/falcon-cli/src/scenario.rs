@@ -39,21 +39,27 @@
 //! Comments start with `#`; keys are `key = value`; `[agent]`,
 //! `[background]` and `[event]` open repeated sections.
 //!
+//! Every `tuner =` value is a spelling of the one tuner registry
+//! ([`falcon_fleet::FleetTuner`]; README §"Tuner names" is the table) and
+//! is checked against it at parse time. An optional `[optimizer]` section
+//! tunes the `rl:*` knobs (`epsilon`, `alpha`, `gamma`, `warm_gbps`) of
+//! `[agent]` tuners; fleet transfers always run the registry defaults, so
+//! `[optimizer]` next to `[fleet]` is rejected.
+//!
 //! A `[fleet]` section replaces hand-listed agents with a generated
 //! multi-bottleneck campaign (see [`falcon_fleet`]): `links` is a
 //! comma-separated list of backbone capacities in Mbps, and `transfers`,
 //! `arrivals_per_min`, `mean_file_mb`, `anchor_gb`, `tuner` parameterize
 //! the workload. `duration` and `seed` still come from the top level.
-//! Fleet tuners include the learning family (`rl:bandit`, `rl:q`,
-//! `rl:warm`); an optional `[optimizer]` section tunes their knobs
-//! (`epsilon`, `alpha`, `gamma`, `warm_gbps`), applying to `rl:*`
-//! `[agent]` tuners too.
 //! Adding `topology = fat-tree:<k>[:local] | dumbbell:<pairs>x<classes> |
 //! dtn:<hubs>x<spokes>` switches the section to the fleet-*scale* engine
 //! (10⁵+ transfers, sharded incremental max-min); the scale-only keys
 //! `diurnal` (arrival amplitude in `[0,1)`), `failures` (correlated
 //! link-failure waves), `tenants` (churn groups), and `shards` then
 //! shape the soak workload, while `links` and `anchor_gb` are ignored.
+//! The scale engine runs `fixed:<cc>` (the default, at
+//! `ScaleWorkload::default().concurrency`) and `rl:*` only; any other
+//! explicit tuner is a parse error.
 //!
 //! `[event]` actions (see [`falcon_sim::EventAction`]):
 //!
@@ -66,17 +72,19 @@
 //! | `kill`          | `agent`                        | crash an agent's transfer process    |
 //! | `revive`        | `agent`                        | bring a killed agent back            |
 
-use falcon_baselines::{GlobusTuner, HarpHistory, HarpTuner};
-use falcon_core::{FalconAgent, SearchBounds, TransferSettings, UtilityFunction};
 use falcon_fleet::{
-    CampaignOutcome, CampaignSpec, FleetTopology, FleetTuner, RlKind, ScaleTuner, Workload,
+    CampaignSpec, FleetReport, FleetTopology, FleetTuner, ScaleCampaignSpec, ScaleReport,
+    ScaleTopology, ScaleWorkload, Workload,
 };
-use falcon_rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction, Simulation};
 use falcon_trace::{TraceLog, Tracer};
 use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
-use falcon_transfer::runner::{AgentPlan, FixedTuner, Runner, Tuner};
+use falcon_transfer::runner::{AgentPlan, RunTrace, Runner, Tuner};
+
+/// The `[optimizer]` section. A scenario without it runs the defaults, as
+/// [`FleetTuner::make`] does; serialization emits only off-default keys.
+pub use falcon_fleet::RlKnobs;
 
 use crate::args::ParseError;
 use crate::run::resolve_env;
@@ -84,9 +92,7 @@ use crate::run::resolve_env;
 /// One agent line of a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AgentSpec {
-    /// Tuner name (`falcon-gd`, `falcon-bo`, `falcon-hc`, `falcon-mp`,
-    /// `rl:bandit`, `rl:q`, `rl:warm`, `globus`, `harp`, `harp-rt`, or
-    /// `fixed:<cc>`).
+    /// Tuner: any registry spelling (README §"Tuner names").
     pub tuner: String,
     /// Join time (seconds).
     pub start_s: f64,
@@ -123,8 +129,8 @@ pub struct FleetSpec {
     pub mean_file_mb: f64,
     /// Per-route anchor transfer size (GB); 0 disables anchors.
     pub anchor_gb: f64,
-    /// Tuner for every transfer (`falcon-gd`, `falcon-hc`, `falcon-bo`,
-    /// `fixed:<cc>`).
+    /// Tuner for every transfer: any registry spelling (README §"Tuner
+    /// names"); with `topology` set, only `fixed:<cc>` and `rl:*`.
     pub tuner: String,
     /// Generated-fabric spec (`fat-tree:<k>[:local]`,
     /// `dumbbell:<pairs>x<classes>`, `dtn:<hubs>x<spokes>`). When set the
@@ -161,36 +167,6 @@ impl Default for FleetSpec {
     }
 }
 
-/// The `[optimizer]` section: knobs for the `rl:*` learning tuners.
-/// Defaults match the `falcon-rl` crate's parameters, so a scenario
-/// without the section behaves exactly like the library constructors;
-/// serialization emits only off-default keys (the canonical form).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizerSpec {
-    /// Bandit exploration-jump probability (`BanditParams::epsilon`).
-    pub epsilon: f64,
-    /// Bandit recency-blend floor (`BanditParams::alpha_floor`).
-    pub alpha: f64,
-    /// Q-learner discount factor (`QParams::gamma`).
-    pub gamma: f64,
-    /// Warm-start corpus capacity in Gbps
-    /// (`HarpHistory::for_capacity_gbps`).
-    pub warm_gbps: f64,
-}
-
-impl Default for OptimizerSpec {
-    fn default() -> Self {
-        let b = BanditParams::new(2, 0);
-        let q = QParams::new(2, 0);
-        OptimizerSpec {
-            epsilon: b.epsilon,
-            alpha: b.alpha_floor,
-            gamma: q.gamma,
-            warm_gbps: 10.0,
-        }
-    }
-}
-
 /// A parsed scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -213,7 +189,7 @@ pub struct Scenario {
     pub fleet: Option<FleetSpec>,
     /// Learning-tuner knobs, when the scenario has an `[optimizer]`
     /// section.
-    pub optimizer: Option<OptimizerSpec>,
+    pub optimizer: Option<RlKnobs>,
 }
 
 impl Default for Scenario {
@@ -312,6 +288,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     };
 
     let mut ev = EventSpec::default();
+    // Line of the current `[fleet]` section's `tuner` key, if it has one.
+    let mut fleet_tuner_line = None;
 
     let err = |line_no: usize, msg: String| ParseError(format!("line {}: {msg}", line_no + 1));
     let flush_bg = |sc: &mut Scenario, bg: &BackgroundFlow| {
@@ -358,14 +336,19 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 }
                 "fleet" => {
                     sc.fleet = Some(FleetSpec::default());
+                    fleet_tuner_line = None;
                     Section::Fleet
                 }
                 "optimizer" => {
-                    sc.optimizer = Some(OptimizerSpec::default());
+                    sc.optimizer = Some(RlKnobs::default());
                     Section::Optimizer
                 }
                 other => return Err(err(line_no, format!("unknown section [{other}]"))),
             };
+            if sc.fleet.is_some() && sc.optimizer.is_some() {
+                let msg = "[optimizer] applies to `[agent]` tuners only, never to [fleet]";
+                return Err(err(line_no, msg.into()));
+            }
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
@@ -389,7 +372,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     return Err(err(line_no, "agent key outside an [agent] section".into()));
                 };
                 match key {
-                    "tuner" => a.tuner = value.to_string(),
+                    "tuner" => {
+                        FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
+                        a.tuner = value.to_string();
+                    }
                     "start" => a.start_s = num(value)?,
                     "leave" => a.leave_s = Some(num(value)?),
                     "dataset" => a.dataset = value.to_string(),
@@ -434,9 +420,13 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     "arrivals_per_min" => f.arrivals_per_min = num(value)?,
                     "mean_file_mb" => f.mean_file_mb = num(value)?,
                     "anchor_gb" => f.anchor_gb = num(value)?,
-                    "tuner" => f.tuner = value.to_string(),
+                    "tuner" => {
+                        FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
+                        f.tuner = value.to_string();
+                        fleet_tuner_line = Some(line_no);
+                    }
                     "topology" => {
-                        if falcon_fleet::ScaleTopology::from_spec(value).is_none() {
+                        if ScaleTopology::from_spec(value).is_none() {
                             return Err(err(
                                 line_no,
                                 format!(
@@ -520,6 +510,16 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         Section::Background => flush_bg(&mut sc, &bg),
         Section::Event => flush_ev(&mut sc, &ev)?,
         _ => {}
+    }
+    if let Some(f) = sc.fleet.as_mut().filter(|f| f.topology.is_some()) {
+        match fleet_tuner_line {
+            // No `tuner` key: the scale engine's own default, spelled out so
+            // the canonical form round-trips.
+            None => f.tuner = FleetTuner::Fixed(ScaleWorkload::default().concurrency).name(),
+            Some(line_no) => {
+                scale_workload(f).map_err(|e| err(line_no, e.0))?;
+            }
+        }
     }
     if sc.agents.is_empty() && sc.fleet.is_none() {
         return Err(ParseError(
@@ -626,7 +626,7 @@ pub fn serialize(sc: &Scenario) -> String {
     }
     if let Some(o) = &sc.optimizer {
         let _ = writeln!(w, "\n[optimizer]");
-        let d = OptimizerSpec::default();
+        let d = RlKnobs::default();
         if o.epsilon != d.epsilon {
             let _ = writeln!(w, "epsilon = {}", o.epsilon);
         }
@@ -660,224 +660,16 @@ fn make_dataset(spec: &str) -> Result<Dataset, ParseError> {
     }
 }
 
-/// Build an `rl:*` agent with the `[optimizer]` section's knobs applied
-/// over the `falcon-rl` defaults.
-fn make_rl_agent(kind: RlKind, opt: &OptimizerSpec, max_cc: u32, seed: u64) -> FalconAgent {
-    let mut params = BanditParams::new(max_cc, seed);
-    params.epsilon = opt.epsilon;
-    params.alpha_floor = opt.alpha;
-    match kind {
-        RlKind::Bandit => FalconAgent::new(
-            UtilityFunction::falcon_default(),
-            Box::new(BanditOptimizer::new(params)),
-        ),
-        RlKind::Q => {
-            let mut q = QParams::new(max_cc, seed);
-            q.gamma = opt.gamma;
-            FalconAgent::new(
-                UtilityFunction::falcon_default(),
-                Box::new(TabularQOptimizer::new(q)),
-            )
-        }
-        RlKind::Warm => {
-            let history = HarpHistory::for_capacity_gbps(opt.warm_gbps);
-            let table = WarmTable::fit(&history, &params.bounds, 24, seed);
-            FalconAgent::new(
-                UtilityFunction::falcon_default(),
-                Box::new(BanditOptimizer::warm_started(params, &table)),
-            )
-        }
-    }
+/// Agent `i`'s tuner: the registry entry its spelling names, seeded
+/// `seed + i`, with the `[optimizer]` knobs applied.
+fn agent_tuner(sc: &Scenario, i: usize, max_cc: u32) -> Result<Box<dyn Tuner>, ParseError> {
+    let knobs = sc.optimizer.clone().unwrap_or_default();
+    let tuner = FleetTuner::parse(&sc.agents[i].tuner).map_err(ParseError)?;
+    Ok(tuner.make_with(&knobs, max_cc, sc.seed.wrapping_add(i as u64)))
 }
 
-fn make_tuner(
-    spec: &str,
-    opt: &OptimizerSpec,
-    max_cc: u32,
-    seed: u64,
-) -> Result<Box<dyn Tuner>, ParseError> {
-    if let Some(cc) = spec.strip_prefix("fixed:") {
-        let cc: u32 = cc
-            .parse()
-            .map_err(|_| ParseError(format!("fixed:{cc}: bad concurrency")))?;
-        return Ok(Box::new(FixedTuner {
-            settings: TransferSettings::with_concurrency(cc.max(1)),
-            name: format!("fixed-{cc}"),
-        }));
-    }
-    if let Some(gbps) = spec.strip_prefix("harp:") {
-        let g: f64 = gbps
-            .parse()
-            .map_err(|_| ParseError(format!("harp:{gbps}: bad capacity")))?;
-        return Ok(Box::new(HarpTuner::new(HarpHistory::for_capacity_gbps(g))));
-    }
-    Ok(match spec {
-        "falcon-gd" => Box::new(FalconAgent::gradient_descent(max_cc)),
-        "falcon-bo" => Box::new(FalconAgent::bayesian(max_cc, seed)),
-        "falcon-hc" => Box::new(FalconAgent::hill_climbing(max_cc)),
-        "falcon-mp" => Box::new(FalconAgent::multi_parameter(SearchBounds::multi_parameter(
-            max_cc, 8, 32,
-        ))),
-        "rl:bandit" => Box::new(make_rl_agent(RlKind::Bandit, opt, max_cc, seed)),
-        "rl:q" => Box::new(make_rl_agent(RlKind::Q, opt, max_cc, seed)),
-        "rl:warm" => Box::new(make_rl_agent(RlKind::Warm, opt, max_cc, seed)),
-        "globus" => Box::new(GlobusTuner::for_dataset(&Dataset::uniform_1gb(1000))),
-        "harp" => Box::new(HarpTuner::new(HarpHistory::ten_gig_corpus())),
-        "harp-rt" => {
-            Box::new(HarpTuner::new(HarpHistory::ten_gig_corpus()).with_runtime_retuning(4))
-        }
-        other => {
-            return Err(ParseError(format!(
-                "unknown tuner {other:?} (expected falcon-gd|falcon-bo|falcon-hc|falcon-mp|rl:bandit|rl:q|rl:warm|globus|harp|harp:<gbps>|harp-rt|fixed:<cc>)"
-            )))
-        }
-    })
-}
-
-/// Execute a scenario and return the raw run trace. This is the seam the
-/// determinism regression test drives: same scenario + same seed must yield
-/// a byte-identical serialized trace.
-pub fn run_trace(sc: &Scenario) -> Result<falcon_transfer::runner::RunTrace, ParseError> {
-    run_with_tracer(sc, Tracer::default()).map(|(trace, _)| trace)
-}
-
-/// Execute a scenario with a recording tracer installed on the simulation
-/// (environment events, step counters) and the runner (probe, decision,
-/// settings-change, recovery, and convergence events). This is the seam the
-/// golden-trace regression suite drives: same scenario + same seed must
-/// yield a byte-identical JSONL export.
-pub fn run_traced(
-    sc: &Scenario,
-) -> Result<(falcon_transfer::runner::RunTrace, TraceLog), ParseError> {
-    run_with_tracer(sc, Tracer::recording())
-}
-
-/// Build the fleet campaign a `[fleet]` scenario describes. `duration` and
-/// `seed` come from the top-level keys.
-fn fleet_campaign_spec(sc: &Scenario, f: &FleetSpec) -> Result<CampaignSpec, ParseError> {
-    let tuner = FleetTuner::from_name(&f.tuner).ok_or_else(|| {
-        ParseError(format!(
-            "unknown fleet tuner {:?} (expected falcon-gd|falcon-hc|falcon-bo|rl:bandit|rl:q|rl:warm|fixed:<cc>)",
-            f.tuner
-        ))
-    })?;
-    Ok(CampaignSpec {
-        topology: FleetTopology::multi_bottleneck(&f.links_mbps),
-        workload: Workload {
-            transfers: f.transfers,
-            arrivals_per_min: f.arrivals_per_min,
-            mean_file_mb: f.mean_file_mb,
-            anchor_gb: f.anchor_gb,
-        },
-        tuner,
-        duration_s: sc.duration_s,
-        seed: sc.seed,
-    })
-}
-
-/// Run a `[fleet]` scenario's campaign, emitting into `tracer`.
-pub fn run_fleet(sc: &Scenario, tracer: Tracer) -> Result<CampaignOutcome, ParseError> {
-    let f = sc
-        .fleet
-        .as_ref()
-        .ok_or_else(|| ParseError("scenario has no [fleet] section".into()))?;
-    let spec = fleet_campaign_spec(sc, f)?;
-    Ok(falcon_fleet::run_campaign_with_tracer(&spec, tracer))
-}
-
-/// Build the scale-engine campaign a `topology =` fleet scenario
-/// describes. `tuner = fixed:<cc>` pins the per-transfer connection
-/// count; `tuner = rl:bandit|rl:q|rl:warm` gives every transfer its own
-/// learning tuner (probing every
-/// [`falcon_fleet::PROBE_INTERVAL_S`] seconds, with the workload's
-/// default concurrency as the search ceiling); any other tuner name
-/// keeps the fixed default.
-fn fleet_scale_spec(
-    sc: &Scenario,
-    f: &FleetSpec,
-) -> Result<falcon_fleet::ScaleCampaignSpec, ParseError> {
-    let spec_str = f
-        .topology
-        .as_deref()
-        .ok_or_else(|| ParseError("fleet scenario has no topology key".into()))?;
-    let topology = falcon_fleet::ScaleTopology::from_spec(spec_str)
-        .ok_or_else(|| ParseError(format!("bad fleet topology {spec_str:?}")))?;
-    let mut workload = falcon_fleet::ScaleWorkload {
-        transfers: f.transfers,
-        arrivals_per_min: f.arrivals_per_min,
-        mean_file_mb: f.mean_file_mb,
-        diurnal: f.diurnal,
-        tenants: f.tenants,
-        ..falcon_fleet::ScaleWorkload::default()
-    };
-    if let Some(cc) = f.tuner.strip_prefix("fixed:") {
-        workload.concurrency = cc
-            .parse()
-            .map_err(|_| ParseError(format!("bad fixed tuner {:?}", f.tuner)))?;
-    } else if let Some(FleetTuner::Rl(kind)) = FleetTuner::from_name(&f.tuner) {
-        workload.tuner = ScaleTuner::Rl(kind);
-    }
-    let failures = falcon_fleet::correlated_failure_waves(&topology, f.failures, sc.duration_s);
-    Ok(falcon_fleet::ScaleCampaignSpec {
-        topology,
-        workload,
-        failures,
-        duration_s: sc.duration_s,
-        seed: sc.seed,
-        shards: f.shards,
-    })
-}
-
-/// Run a scale-engine fleet scenario (`topology =` present), adding
-/// `fleet.scale.*` counters to `tracer`. Worker threads follow the
-/// host's parallelism; the report is byte-identical regardless.
-pub fn run_fleet_scale(
-    sc: &Scenario,
-    tracer: &Tracer,
-) -> Result<falcon_fleet::ScaleReport, ParseError> {
-    let f = sc
-        .fleet
-        .as_ref()
-        .ok_or_else(|| ParseError("scenario has no [fleet] section".into()))?;
-    let spec = fleet_scale_spec(sc, f)?;
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    Ok(falcon_fleet::run_scale_campaign_traced(
-        &spec, threads, tracer,
-    ))
-}
-
-/// True when the scenario's `[fleet]` section routes to the scale engine.
-fn is_scale_fleet(sc: &Scenario) -> bool {
-    sc.fleet.as_ref().is_some_and(|f| f.topology.is_some())
-}
-
-/// Render a scale report with the scenario header the soak gate pins.
-fn render_scale(sc: &Scenario, report: &falcon_fleet::ScaleReport) -> String {
-    format!(
-        "# scenario fleet-scale duration={:.0}s seed={}\n{}",
-        sc.duration_s,
-        sc.seed,
-        report.summary()
-    )
-}
-
-fn run_with_tracer(
-    sc: &Scenario,
-    tracer: Tracer,
-) -> Result<(falcon_transfer::runner::RunTrace, TraceLog), ParseError> {
-    if is_scale_fleet(sc) {
-        return Err(ParseError(
-            "scale fleet scenarios have no per-agent run trace; \
-             use run() or run_traced_rendered()"
-                .into(),
-        ));
-    }
-    if sc.fleet.is_some() {
-        let out = run_fleet(sc, tracer)?;
-        return Ok((out.trace, out.log));
-    }
+/// Drive the `[agent]` sections through the shared runner.
+fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
     let env = resolve_env(&sc.env)
         .ok_or_else(|| ParseError(format!("unknown environment {:?}", sc.env)))?;
     let max_cc = env.max_concurrency;
@@ -894,11 +686,9 @@ fn run_with_tracer(
         .try_add_events(sc.events.iter().copied())
         .map_err(|e| ParseError(format!("[event] rejected: {e}")))?;
     let mut plans = Vec::new();
-    let opt = sc.optimizer.clone().unwrap_or_default();
     for (i, a) in sc.agents.iter().enumerate() {
-        let tuner = make_tuner(&a.tuner, &opt, max_cc, sc.seed.wrapping_add(i as u64))?;
-        let dataset = make_dataset(&a.dataset)?;
-        let mut plan = AgentPlan::joining_at(tuner, dataset, a.start_s);
+        let tuner = agent_tuner(sc, i, max_cc)?;
+        let mut plan = AgentPlan::joining_at(tuner, make_dataset(&a.dataset)?, a.start_s);
         if let Some(leave) = a.leave_s {
             plan = plan.leaving_at(leave);
         }
@@ -908,67 +698,142 @@ fn run_with_tracer(
         tracer: tracer.clone(),
         ..Runner::default()
     };
-    let trace = runner.run(&mut harness, plans, sc.duration_s);
-    Ok((trace, tracer.take_log()))
+    Ok(runner.run(&mut harness, plans, sc.duration_s))
 }
 
-/// Run a scenario with a recording tracer and render its report, returning
-/// the structured trace log alongside. `[fleet]` scenarios render the fleet
-/// report; everything else renders the per-agent table.
-pub fn run_traced_rendered(sc: &Scenario) -> Result<(String, TraceLog), ParseError> {
-    if is_scale_fleet(sc) {
-        let tracer = Tracer::recording();
-        let report = run_fleet_scale(sc, &tracer)?;
-        return Ok((render_scale(sc, &report), tracer.take_log()));
+/// The scale-engine workload a `topology =` fleet section describes; an
+/// error names what the engine runs when the section's tuner is not that.
+fn scale_workload(f: &FleetSpec) -> Result<ScaleWorkload, ParseError> {
+    let tuner = FleetTuner::parse(&f.tuner).map_err(ParseError)?;
+    ScaleWorkload {
+        transfers: f.transfers,
+        arrivals_per_min: f.arrivals_per_min,
+        mean_file_mb: f.mean_file_mb,
+        diurnal: f.diurnal,
+        tenants: f.tenants,
+        ..ScaleWorkload::default()
     }
-    if sc.fleet.is_some() {
-        let out = run_fleet(sc, Tracer::recording())?;
-        let text = format!(
-            "# scenario fleet duration={:.0}s seed={}\n{}",
-            sc.duration_s,
-            sc.seed,
-            out.report.summary()
-        );
-        return Ok((text, out.log));
+    .with_tuner(tuner)
+    .map_err(ParseError)
+}
+
+/// What a scenario run produced, one variant per engine. [`run_trace`] and
+/// [`run_traced`] return it; [`render`] prints it.
+pub enum Outcome {
+    /// `[agent]` sections: the runner's per-agent trace.
+    Agents(RunTrace),
+    /// A classic `[fleet]` campaign: the runner trace and the fleet report.
+    Fleet(RunTrace, FleetReport),
+    /// A scale `[fleet]` campaign (`topology =` present).
+    Scale(ScaleReport),
+}
+
+impl Outcome {
+    /// The runner's per-agent trace; the scale engine keeps none.
+    pub fn trace(&self) -> Option<&RunTrace> {
+        match self {
+            Outcome::Agents(trace) | Outcome::Fleet(trace, _) => Some(trace),
+            Outcome::Scale(_) => None,
+        }
     }
-    let (trace, log) = run_traced(sc)?;
-    Ok((render(sc, &trace)?, log))
+}
+
+/// Run a scenario on the engine its sections select — the one place that
+/// fork is taken — emitting into `tracer` and draining its log. `duration`
+/// and `seed` come from the top-level keys on every engine.
+fn execute(sc: &Scenario, tracer: Tracer) -> Result<(Outcome, TraceLog), ParseError> {
+    let Some(f) = &sc.fleet else {
+        let trace = run_agents(sc, &tracer)?;
+        return Ok((Outcome::Agents(trace), tracer.take_log()));
+    };
+    let Some(topology) = &f.topology else {
+        let spec = CampaignSpec {
+            topology: FleetTopology::multi_bottleneck(&f.links_mbps),
+            workload: Workload {
+                transfers: f.transfers,
+                arrivals_per_min: f.arrivals_per_min,
+                mean_file_mb: f.mean_file_mb,
+                anchor_gb: f.anchor_gb,
+            },
+            tuner: FleetTuner::parse(&f.tuner).map_err(ParseError)?,
+            duration_s: sc.duration_s,
+            seed: sc.seed,
+        };
+        // The report's convergence and settle columns are derived from
+        // trace convergence markers, so record even when the caller does
+        // not want the log.
+        let tracer = if tracer.is_enabled() {
+            tracer
+        } else {
+            Tracer::recording()
+        };
+        let out = falcon_fleet::run_campaign_with_tracer(&spec, tracer);
+        return Ok((Outcome::Fleet(out.trace, out.report), out.log));
+    };
+    let topology = ScaleTopology::from_spec(topology)
+        .ok_or_else(|| ParseError(format!("bad fleet topology {topology:?}")))?;
+    let spec = ScaleCampaignSpec {
+        workload: scale_workload(f)?,
+        failures: falcon_fleet::correlated_failure_waves(&topology, f.failures, sc.duration_s),
+        topology,
+        duration_s: sc.duration_s,
+        seed: sc.seed,
+        shards: f.shards,
+    };
+    // Worker threads follow the host's parallelism; the report is
+    // byte-identical regardless.
+    let threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
+    let report = falcon_fleet::run_scale_campaign_traced(&spec, threads, &tracer);
+    Ok((Outcome::Scale(report), tracer.take_log()))
+}
+
+/// Execute a scenario untraced. This is the seam the determinism
+/// regression test drives: same scenario + same seed must yield a
+/// byte-identical serialized trace.
+pub fn run_trace(sc: &Scenario) -> Result<Outcome, ParseError> {
+    execute(sc, Tracer::disabled()).map(|(outcome, _)| outcome)
+}
+
+/// Execute a scenario with a recording tracer and return the structured
+/// log alongside (`--trace` / `--trace-summary`). This is the seam the
+/// golden-trace regression suite drives: same scenario + same seed must
+/// yield a byte-identical JSONL export.
+pub fn run_traced(sc: &Scenario) -> Result<(Outcome, TraceLog), ParseError> {
+    execute(sc, Tracer::recording())
 }
 
 /// Run a parsed scenario; returns the rendered report (and writes the trace
 /// CSV if requested).
 pub fn run(sc: &Scenario) -> Result<String, ParseError> {
-    if is_scale_fleet(sc) {
-        let report = run_fleet_scale(sc, &Tracer::disabled())?;
-        return Ok(render_scale(sc, &report));
-    }
-    if sc.fleet.is_some() {
-        // Record even without --trace: the report's convergence and settle
-        // columns are derived from trace convergence markers.
-        let out = run_fleet(sc, Tracer::recording())?;
-        let mut text = format!(
-            "# scenario fleet duration={:.0}s seed={}\n{}",
-            sc.duration_s,
-            sc.seed,
-            out.report.summary()
-        );
-        if let Some(path) = &sc.trace_path {
-            std::fs::write(path, out.trace.to_csv())
-                .map_err(|e| ParseError(format!("writing trace {path}: {e}")))?;
-            text.push_str(&format!("trace written to {path}\n"));
-        }
-        return Ok(text);
-    }
-    let trace = run_trace(sc)?;
-    render(sc, &trace)
+    render(sc, &run_trace(sc)?)
 }
 
 /// Render the human-readable report of a completed run (and write the trace
-/// CSV if the scenario requested one).
-pub fn render(
-    sc: &Scenario,
-    trace: &falcon_transfer::runner::RunTrace,
-) -> Result<String, ParseError> {
+/// CSV if the scenario requested one): the per-agent table for `[agent]`
+/// scenarios, the campaign report for `[fleet]` ones.
+pub fn render(sc: &Scenario, outcome: &Outcome) -> Result<String, ParseError> {
+    let fleet = |kind: &str, summary: String| {
+        format!(
+            "# scenario {kind} duration={:.0}s seed={}\n{summary}",
+            sc.duration_s, sc.seed
+        )
+    };
+    let mut out = match outcome {
+        Outcome::Agents(trace) => agent_table(sc, trace),
+        Outcome::Fleet(_, report) => fleet("fleet", report.summary()),
+        Outcome::Scale(report) => fleet("fleet-scale", report.summary()),
+    };
+    if let (Some(path), Some(trace)) = (&sc.trace_path, outcome.trace()) {
+        std::fs::write(path, trace.to_csv())
+            .map_err(|e| ParseError(format!("writing trace {path}: {e}")))?;
+        out.push_str(&format!("trace written to {path}\n"));
+    }
+    Ok(out)
+}
+
+fn agent_table(sc: &Scenario, trace: &RunTrace) -> String {
     let mut out = format!(
         "# scenario env={} duration={:.0}s agents={}\n{:<4} {:<26} {:>12} {:>10} {:>10}\n",
         sc.env,
@@ -1007,12 +872,7 @@ pub fn render(
             }
         }
     }
-    if let Some(path) = &sc.trace_path {
-        std::fs::write(path, trace.to_csv())
-            .map_err(|e| ParseError(format!("writing trace {path}: {e}")))?;
-        out.push_str(&format!("trace written to {path}\n"));
-    }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -1148,26 +1008,36 @@ agent = 0
     }
 
     #[test]
-    fn every_tuner_name_constructs() {
-        let opt = OptimizerSpec::default();
-        for t in [
-            "falcon-gd",
-            "falcon-bo",
-            "falcon-hc",
-            "falcon-mp",
-            "rl:bandit",
-            "rl:q",
-            "rl:warm",
-            "globus",
-            "harp",
-            "harp:20",
-            "harp-rt",
-            "fixed:8",
-        ] {
-            assert!(make_tuner(t, &opt, 32, 1).is_ok(), "{t}");
+    fn agent_tuners_decide_exactly_as_the_registry_does() {
+        use falcon_core::ProbeMetrics;
+        // A fixed probe stream: throughput rises with concurrency to a knee
+        // at 12, with a deterministic wobble and loss past the knee.
+        let probe = |s: falcon_core::TransferSettings, k: usize| {
+            let cc = f64::from(s.concurrency);
+            let thr = 80.0 * cc.min(12.0) * (1.0 + 0.01 * (k % 5) as f64);
+            let loss = if cc > 12.0 { 0.002 * (cc - 12.0) } else { 0.0 };
+            ProbeMetrics::from_aggregate(s, thr, loss, 5.0)
+        };
+        let decisions = |mut t: Box<dyn Tuner>| {
+            let mut s = t.initial();
+            let mut seen = vec![s];
+            for k in 0..20 {
+                s = t.on_sample(&probe(s, k));
+                seen.push(s);
+            }
+            seen
+        };
+        for name in FleetTuner::names() {
+            let name = name.replace("<cc>", "8").replace("<gbps>", "20");
+            let sc = parse(&format!("seed = 9\n[agent]\ntuner = {name}\n")).unwrap();
+            let registry = FleetTuner::from_name(&name).unwrap().make(32, 9);
+            assert_eq!(registry.label(), agent_tuner(&sc, 0, 32).unwrap().label());
+            assert_eq!(
+                decisions(agent_tuner(&sc, 0, 32).unwrap()),
+                decisions(registry),
+                "{name}: [agent] and FleetTuner::make diverge"
+            );
         }
-        assert!(make_tuner("skynet", &opt, 32, 1).is_err());
-        assert!(make_tuner("rl:sarsa", &opt, 32, 1).is_err());
     }
 
     #[test]
@@ -1182,7 +1052,7 @@ agent = 0
         assert_eq!(o.gamma, 0.8);
         assert_eq!(o.warm_gbps, 40.0);
         // alpha keeps the falcon-rl default.
-        assert_eq!(o.alpha, BanditParams::new(2, 0).alpha_floor);
+        assert_eq!(o.alpha, RlKnobs::default().alpha);
         // Canonical serialize: off-default keys only, and the round trip
         // is exact — including an all-defaults section.
         let text = serialize(&sc);
@@ -1190,7 +1060,7 @@ agent = 0
         assert!(!text.contains("alpha ="), "{text}");
         assert_eq!(parse(&text).unwrap(), sc);
         let mut plain = sc.clone();
-        plain.optimizer = Some(OptimizerSpec::default());
+        plain.optimizer = Some(RlKnobs::default());
         assert_eq!(parse(&serialize(&plain)).unwrap(), plain);
     }
 
@@ -1261,9 +1131,20 @@ agent = 0
         assert!(parse(&format!("[fleet]\nlinks = {max}\n")).is_ok());
         // Unknown key.
         assert!(parse("[fleet]\nwarp = 9\n").is_err());
-        // Unknown fleet tuner is a run-time error, not a parse error.
-        let sc = parse("[fleet]\ntuner = skynet\n").unwrap();
-        assert!(run_fleet(&sc, Tracer::default()).is_err());
+        // Tuner spellings are checked against the registry at parse time,
+        // with the line number, in [fleet] and [agent] alike; [optimizer]
+        // reaches [agent] tuners only.
+        for (text, want) in [
+            ("[fleet]\ntuner = skynet\n", "line 2: unknown tuner"),
+            ("[fleet]\ntuner = fixed:0\n", "line 2: unknown tuner"),
+            ("[agent]\ntuner = skynet\n", "line 2: unknown tuner"),
+            ("[agent]\ntuner = fixed:0\n", "line 2: unknown tuner"),
+            ("[fleet]\n[optimizer]\n", "line 2: [optimizer] applies to"),
+            ("[optimizer]\n[fleet]\n", "line 2: [optimizer] applies to"),
+        ] {
+            let e = parse(text).unwrap_err().0;
+            assert!(e.starts_with(want), "{text:?}: {e}");
+        }
     }
 
     #[test]
@@ -1300,6 +1181,24 @@ agent = 0
                 "{bad:?} must be rejected"
             );
         }
+        // An explicit tuner the scale engine cannot run is an error at the
+        // tuner's line, whichever side of `topology` it sits on.
+        for (tuner, want) in [
+            ("falcon-bo", "the scale engine runs"),
+            ("harp", "the scale engine runs"),
+            ("fixd:2", "unknown tuner"),
+            ("fixed:0", "unknown tuner"),
+        ] {
+            let after = format!("[fleet]\ntopology = dtn:2x2\ntuner = {tuner}\n");
+            let e = parse(&after).unwrap_err().0;
+            assert!(e.starts_with(&format!("line 3: {want}")), "{tuner}: {e}");
+            let before = format!("[fleet]\ntuner = {tuner}\ntopology = dtn:2x2\n");
+            let e = parse(&before).unwrap_err().0;
+            assert!(e.starts_with(&format!("line 2: {want}")), "{tuner}: {e}");
+        }
+        // No tuner key keeps the engine's default, spelled out.
+        let sc = parse("[fleet]\ntopology = dumbbell:2x2\n").unwrap();
+        assert_eq!(sc.fleet.unwrap().tuner, "fixed:4");
         assert!(parse("[fleet]\ndiurnal = 1.5\n").is_err());
         assert!(parse("[fleet]\ndiurnal = -0.1\n").is_err());
         assert!(parse("[fleet]\ntenants = 0\n").is_err());
@@ -1383,13 +1282,11 @@ agent = 0
         assert!(out.contains("scale campaign dumbbell:2x2"), "{out}");
         assert!(out.contains("transfers 150"), "{out}");
         // The traced path renders the same report and carries the
-        // fleet.scale.* counters.
-        let (text, log) = run_traced_rendered(&sc).unwrap();
-        assert_eq!(text, out);
+        // fleet.scale.* counters; the scale engine keeps no runner trace.
+        let (outcome, log) = run_traced(&sc).unwrap();
+        assert_eq!(render(&sc, &outcome).unwrap(), out);
         assert_eq!(log.counter("fleet.scale.transfers"), Some(150));
-        // The per-agent trace API refuses scale scenarios instead of
-        // returning an empty runner trace.
-        assert!(run_traced(&sc).is_err());
+        assert!(outcome.trace().is_none());
     }
 
     #[test]
@@ -1399,11 +1296,11 @@ agent = 0
              transfers = 80\narrivals_per_min = 240\nmean_file_mb = 300\ntuner = rl:bandit\n",
         )
         .unwrap();
-        let tracer = Tracer::recording();
-        let report = run_fleet_scale(&sc, &tracer).unwrap();
+        let (Outcome::Scale(report), log) = run_traced(&sc).unwrap() else {
+            panic!("a topology key selects the scale engine");
+        };
         assert_eq!(report.completions + report.stranded, report.transfers);
         assert!(report.probes > 0, "rl scale run must take probe decisions");
-        let log = tracer.take_log();
         assert_eq!(log.counter("fleet.scale.probes"), Some(report.probes));
     }
 
@@ -1432,7 +1329,8 @@ agent = 0
         assert!(out.contains("aggregate"), "{out}");
         // The --trace/--trace-summary path must render the fleet report too
         // (not the per-agent table) and carry a non-empty structured log.
-        let (text, log) = run_traced_rendered(&sc).unwrap();
+        let (outcome, log) = run_traced(&sc).unwrap();
+        let text = render(&sc, &outcome).unwrap();
         assert!(text.contains("fleet report"), "{text}");
         assert!(!text.contains("agents=0"), "{text}");
         assert!(!log.records.is_empty());

@@ -1,7 +1,7 @@
 //! Property tests for the scenario INI parser: arbitrary input never
 //! panics, and `parse(serialize(sc))` reproduces `sc` exactly.
 
-use falcon_cli::scenario::{parse, serialize, AgentSpec, FleetSpec, OptimizerSpec, Scenario};
+use falcon_cli::scenario::{parse, serialize, AgentSpec, FleetSpec, RlKnobs, Scenario};
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction};
 use proptest::prelude::*;
 
@@ -135,7 +135,11 @@ proptest! {
                 arrivals_per_min: 6.0 + transfers as f64,
                 mean_file_mb: 100.0 + anchor_gb,
                 anchor_gb,
-                tuner: TUNERS[transfers % 2].to_string(),
+                // Classic sections take any registry tuner; scale sections
+                // (even `transfers`) only `fixed:<cc>` and `rl:*`, the
+                // last two of TUNERS.
+                tuner: TUNERS[if transfers % 2 == 0 { 3 + transfers / 2 % 2 } else { transfers % 5 }]
+                    .to_string(),
                 // Exercise the scale keys off their defaults half the time
                 // so round-trips cover both the implicit and explicit forms.
                 topology: (transfers % 2 == 0).then(|| "dumbbell:2x2".to_string()),
@@ -144,11 +148,12 @@ proptest! {
                 tenants: 1 + (transfers as u32 % 2),
                 shards: 8,
             }),
-            // Cover all three forms: absent, all-defaults, off-default.
-            optimizer: match opt_pick {
+            // Cover all three forms: absent, all-defaults, off-default
+            // ([optimizer] is rejected next to [fleet]).
+            optimizer: match opt_pick * (1 - has_fleet) {
                 0 => None,
-                1 => Some(OptimizerSpec::default()),
-                _ => Some(OptimizerSpec {
+                1 => Some(RlKnobs::default()),
+                _ => Some(RlKnobs {
                     epsilon: 0.1,
                     alpha: 0.5,
                     gamma: 0.9,

@@ -1,105 +1,15 @@
 //! The campaign runner: drive a generated workload of concurrently-tuning
 //! transfers through the shared experiment runner.
 
-use falcon_baselines::HarpHistory;
-use falcon_core::{FalconAgent, TransferSettings};
 use falcon_sim::Simulation;
 use falcon_trace::{TraceLog, Tracer};
 use falcon_transfer::harness::SimHarness;
-use falcon_transfer::runner::{AgentPlan, FixedTuner, RunTrace, Runner, Tuner};
+use falcon_transfer::runner::{AgentPlan, RunTrace, Runner};
 
 use crate::report::FleetReport;
 use crate::topology::FleetTopology;
+use crate::tuner::FleetTuner;
 use crate::workload::{generate, Workload};
-
-/// Which learning-based tuner an `rl:*` fleet transfer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RlKind {
-    /// Seeded epsilon-greedy/UCB bandit over the concurrency lattice.
-    Bandit,
-    /// Tabular Q-learner with coarse state features.
-    Q,
-    /// Bandit warm-started from an offline 10G-corpus value table.
-    Warm,
-}
-
-impl RlKind {
-    /// Scenario-file spelling (`rl:bandit`, `rl:q`, `rl:warm`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RlKind::Bandit => "rl:bandit",
-            RlKind::Q => "rl:q",
-            RlKind::Warm => "rl:warm",
-        }
-    }
-}
-
-/// The optimizer every fleet transfer tunes with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetTuner {
-    /// Falcon gradient descent (the paper's shared-network choice).
-    GradientDescent,
-    /// Falcon hill climbing.
-    HillClimbing,
-    /// Falcon Bayesian optimization.
-    Bayesian,
-    /// A learning-based tuner from `falcon-rl`.
-    Rl(RlKind),
-    /// No tuning: fixed concurrency (ablation baseline).
-    Fixed(u32),
-}
-
-impl FleetTuner {
-    /// Parse the scenario-file spelling (`falcon-gd`, `falcon-hc`,
-    /// `falcon-bo`, `rl:bandit`, `rl:q`, `rl:warm`, `fixed:<cc>`).
-    pub fn from_name(s: &str) -> Option<FleetTuner> {
-        if let Some(cc) = s.strip_prefix("fixed:") {
-            return cc.parse().ok().map(FleetTuner::Fixed);
-        }
-        Some(match s {
-            "falcon-gd" => FleetTuner::GradientDescent,
-            "falcon-hc" => FleetTuner::HillClimbing,
-            "falcon-bo" => FleetTuner::Bayesian,
-            "rl:bandit" => FleetTuner::Rl(RlKind::Bandit),
-            "rl:q" => FleetTuner::Rl(RlKind::Q),
-            "rl:warm" => FleetTuner::Rl(RlKind::Warm),
-            _ => return None,
-        })
-    }
-
-    /// Inverse of [`FleetTuner::from_name`].
-    pub fn name(self) -> String {
-        match self {
-            FleetTuner::GradientDescent => "falcon-gd".to_string(),
-            FleetTuner::HillClimbing => "falcon-hc".to_string(),
-            FleetTuner::Bayesian => "falcon-bo".to_string(),
-            FleetTuner::Rl(kind) => kind.name().to_string(),
-            FleetTuner::Fixed(cc) => format!("fixed:{cc}"),
-        }
-    }
-
-    /// Build one transfer's tuner. Public so the experiment suite builds
-    /// its head-to-head agents through the same constructor the campaigns
-    /// use.
-    pub fn make(self, max_cc: u32, seed: u64) -> Box<dyn Tuner> {
-        match self {
-            FleetTuner::GradientDescent => Box::new(FalconAgent::gradient_descent(max_cc)),
-            FleetTuner::HillClimbing => Box::new(FalconAgent::hill_climbing(max_cc)),
-            FleetTuner::Bayesian => Box::new(FalconAgent::bayesian(max_cc, seed)),
-            FleetTuner::Rl(RlKind::Bandit) => Box::new(falcon_rl::bandit_agent(max_cc, seed)),
-            FleetTuner::Rl(RlKind::Q) => Box::new(falcon_rl::q_agent(max_cc, seed)),
-            FleetTuner::Rl(RlKind::Warm) => Box::new(falcon_rl::warm_agent(
-                max_cc,
-                seed,
-                &HarpHistory::ten_gig_corpus(),
-            )),
-            FleetTuner::Fixed(cc) => Box::new(FixedTuner {
-                settings: TransferSettings::with_concurrency(cc),
-                name: format!("fixed:{cc}"),
-            }),
-        }
-    }
-}
 
 /// Everything a campaign needs: where transfers run, what arrives, who
 /// tunes, for how long, and under which seed.
@@ -220,23 +130,6 @@ mod tests {
             duration_s: 180.0,
             seed,
         }
-    }
-
-    #[test]
-    fn tuner_names_round_trip() {
-        for t in [
-            FleetTuner::GradientDescent,
-            FleetTuner::HillClimbing,
-            FleetTuner::Bayesian,
-            FleetTuner::Rl(RlKind::Bandit),
-            FleetTuner::Rl(RlKind::Q),
-            FleetTuner::Rl(RlKind::Warm),
-            FleetTuner::Fixed(8),
-        ] {
-            assert_eq!(FleetTuner::from_name(&t.name()), Some(t));
-        }
-        assert_eq!(FleetTuner::from_name("globus"), None);
-        assert_eq!(FleetTuner::from_name("rl:sarsa"), None);
     }
 
     #[test]

@@ -37,15 +37,16 @@ mod campaign;
 mod report;
 mod scale;
 mod topology;
+mod tuner;
 mod workload;
 
-pub use campaign::{
-    run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec, FleetTuner, RlKind,
-};
+pub use campaign::{run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec};
+pub use falcon_rl::{RlKind, RlKnobs};
 pub use report::{FleetReport, LinkReport};
 pub use scale::{
     correlated_failure_waves, run_scale_campaign, run_scale_campaign_traced, LinkFailure,
     ScaleCampaignSpec, ScaleReport, ScaleTuner, ScaleWorkload, PROBE_INTERVAL_S,
 };
 pub use topology::{FleetTopology, PathSpec, RouteSpec, ScaleLink, ScaleTopology};
+pub use tuner::FleetTuner;
 pub use workload::{generate, TransferSpec, Workload};

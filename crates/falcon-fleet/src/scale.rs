@@ -20,16 +20,16 @@
 //! `tests/fleet_scale.rs` checks at 1 vs 4 vs 8 threads on a
 //! 10⁵-transfer fat-tree campaign.
 
-use falcon_baselines::HarpHistory;
 use falcon_core::{FalconAgent, ProbeMetrics, TransferSettings};
+use falcon_rl::{RlKind, RlKnobs};
 use falcon_sim::alloc::IncrementalMaxMin;
 use falcon_sim::EventQueue;
 use falcon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::campaign::RlKind;
 use crate::topology::ScaleTopology;
+use crate::tuner::FleetTuner;
 
 /// Probe cadence for [`ScaleTuner::Rl`] transfers — matches the
 /// testbed's 5 s sample interval ([`falcon_sim::Environment`]'s
@@ -94,6 +94,25 @@ pub struct ScaleWorkload {
     pub tenants: u32,
     /// Tenant rotation window (seconds).
     pub tenant_rotation_s: f64,
+}
+
+impl ScaleWorkload {
+    /// Run every transfer under registry entry `tuner`: `fixed:<cc>` pins
+    /// [`ScaleWorkload::concurrency`], `rl:*` gives each transfer its own
+    /// learning tuner below that ceiling. The engine runs no other entry.
+    pub fn with_tuner(mut self, tuner: FleetTuner) -> Result<Self, String> {
+        match tuner {
+            FleetTuner::Fixed(cc) => self.concurrency = cc,
+            FleetTuner::Rl(kind) => self.tuner = ScaleTuner::Rl(kind),
+            other => {
+                return Err(format!(
+                    "the scale engine runs fixed:<cc> and rl:* only, not {}",
+                    other.name()
+                ))
+            }
+        }
+        Ok(self)
+    }
 }
 
 impl Default for ScaleWorkload {
@@ -610,15 +629,6 @@ enum ShardEvent {
     },
 }
 
-/// Build one transfer's tuner agent for the scale engine.
-fn make_rl_agent(kind: RlKind, max_cc: u32, seed: u64) -> FalconAgent {
-    match kind {
-        RlKind::Bandit => falcon_rl::bandit_agent(max_cc, seed),
-        RlKind::Q => falcon_rl::q_agent(max_cc, seed),
-        RlKind::Warm => falcon_rl::warm_agent(max_cc, seed, &HarpHistory::ten_gig_corpus()),
-    }
-}
-
 /// Per-transfer state, structure-of-arrays indexed by the allocator's
 /// stream id. The free-list keeps these arrays sized at the peak-active
 /// watermark rather than total arrivals.
@@ -721,6 +731,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
     let mut active = 0u32;
     let mut affected: Vec<u32> = Vec::new();
     let rl = input.tuner != ScaleTuner::Fixed;
+    let knobs = RlKnobs::default();
 
     while let Some((t, _, ev)) = queue.pop() {
         out.makespan_s = out.makespan_s.max(t);
@@ -734,8 +745,8 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 let mut cc = input.concurrency;
                 let mut agent = None;
                 if let ScaleTuner::Rl(kind) = input.tuner {
-                    let a = make_rl_agent(
-                        kind,
+                    let a = kind.agent(
+                        &knobs,
                         input.concurrency,
                         falcon_par::task_seed(input.seed, gidx as usize),
                     );

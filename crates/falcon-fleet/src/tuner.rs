@@ -1,0 +1,211 @@
+//! The tuner registry: the one place a tuner spelling is parsed, named and
+//! constructed. The CLI, scenario files, both campaign engines and the
+//! experiment suite all go through [`FleetTuner`], so a name builds the
+//! same tuner in whichever harness runs it. README §"Tuner names" is the
+//! user-facing table of [`FleetTuner::names`].
+
+use falcon_baselines::{GlobusTuner, HarpHistory, HarpTuner};
+use falcon_core::{FalconAgent, SearchBounds, TransferSettings};
+use falcon_rl::{RlKind, RlKnobs};
+use falcon_transfer::dataset::Dataset;
+use falcon_transfer::runner::{FixedTuner, Tuner};
+
+/// A registry entry: one tuner family member, parsed from and printed as
+/// its spelling.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FleetTuner {
+    /// Falcon gradient descent (the paper's shared-network choice).
+    GradientDescent,
+    /// Falcon hill climbing.
+    HillClimbing,
+    /// Falcon Bayesian optimization.
+    Bayesian,
+    /// Falcon_MP: conjugate gradient over (cc, p, pp) with the Eq 7
+    /// utility.
+    MultiParameter,
+    /// A learning-based tuner from `falcon-rl`.
+    Rl(RlKind),
+    /// The Globus static heuristic.
+    Globus,
+    /// HARP on the 10G production corpus (`harp`), or on a corpus that
+    /// extrapolates to the given Gbps (`harp:<gbps>`).
+    Harp(Option<f64>),
+    /// HARP with runtime re-tuning every 4 intervals.
+    HarpRt,
+    /// No tuning: fixed concurrency ≥ 1 (ablation baseline).
+    Fixed(u32),
+}
+
+/// What an entry constructs: the Falcon family are bare agents (the CLI's
+/// `simulate`/`loopback` loops hold one directly), the baselines are
+/// opaque tuners.
+enum Built {
+    Agent(FalconAgent),
+    Baseline(Box<dyn Tuner>),
+}
+
+impl FleetTuner {
+    /// The entries without a parameter; with `harp:<gbps>` and `fixed:<cc>`
+    /// they are the whole registry.
+    const PLAIN: [FleetTuner; 10] = [
+        FleetTuner::GradientDescent,
+        FleetTuner::HillClimbing,
+        FleetTuner::Bayesian,
+        FleetTuner::MultiParameter,
+        FleetTuner::Rl(RlKind::Bandit),
+        FleetTuner::Rl(RlKind::Q),
+        FleetTuner::Rl(RlKind::Warm),
+        FleetTuner::Globus,
+        FleetTuner::Harp(None),
+        FleetTuner::HarpRt,
+    ];
+
+    /// Every spelling [`FleetTuner::from_name`] accepts, in documentation
+    /// order; `<gbps>` is a positive number and `<cc>` an integer ≥ 1.
+    pub fn names() -> Vec<String> {
+        let plain = FleetTuner::PLAIN.iter().map(|t| t.name());
+        plain
+            .chain(["harp:<gbps>", "fixed:<cc>"].map(String::from))
+            .collect()
+    }
+
+    /// Parse a spelling; `None` for anything outside [`FleetTuner::names`]
+    /// (including `fixed:0` and non-positive `harp:` capacities).
+    pub fn from_name(s: &str) -> Option<FleetTuner> {
+        if let Some(cc) = s.strip_prefix("fixed:") {
+            let cc: u32 = cc.parse().ok()?;
+            return (cc >= 1).then_some(FleetTuner::Fixed(cc));
+        }
+        if let Some(gbps) = s.strip_prefix("harp:") {
+            let g: f64 = gbps.parse().ok()?;
+            return (g.is_finite() && g > 0.0).then_some(FleetTuner::Harp(Some(g)));
+        }
+        FleetTuner::PLAIN.into_iter().find(|t| t.name() == s)
+    }
+
+    /// [`FleetTuner::from_name`] with the workspace's one unknown-tuner
+    /// message, listing every spelling.
+    pub fn parse(s: &str) -> Result<FleetTuner, String> {
+        FleetTuner::from_name(s).ok_or_else(|| {
+            // falcon-lint::allow(determinism-taint, reason = "slice `join` collides by simple name with the net harness's wall-clock join; this only formats the name list")
+            let names = FleetTuner::names().join("|");
+            format!("unknown tuner {s:?} (expected {names})")
+        })
+    }
+
+    /// The spelling — the one place each is written, so
+    /// `from_name(t.name()) == Some(t)`; also a `fixed:<cc>` tuner's label.
+    pub fn name(self) -> String {
+        match self {
+            FleetTuner::GradientDescent => "falcon-gd".to_string(),
+            FleetTuner::HillClimbing => "falcon-hc".to_string(),
+            FleetTuner::Bayesian => "falcon-bo".to_string(),
+            FleetTuner::MultiParameter => "falcon-mp".to_string(),
+            FleetTuner::Rl(RlKind::Bandit) => "rl:bandit".to_string(),
+            FleetTuner::Rl(RlKind::Q) => "rl:q".to_string(),
+            FleetTuner::Rl(RlKind::Warm) => "rl:warm".to_string(),
+            FleetTuner::Globus => "globus".to_string(),
+            FleetTuner::Harp(None) => "harp".to_string(),
+            FleetTuner::Harp(Some(gbps)) => format!("harp:{gbps}"),
+            FleetTuner::HarpRt => "harp-rt".to_string(),
+            FleetTuner::Fixed(cc) => format!("fixed:{cc}"),
+        }
+    }
+
+    fn build(self, knobs: &RlKnobs, max_cc: u32, seed: u64) -> Built {
+        let harp = |gbps: Option<f64>| {
+            HarpTuner::new(
+                gbps.map_or_else(HarpHistory::ten_gig_corpus, HarpHistory::for_capacity_gbps),
+            )
+        };
+        match self {
+            FleetTuner::GradientDescent => Built::Agent(FalconAgent::gradient_descent(max_cc)),
+            FleetTuner::HillClimbing => Built::Agent(FalconAgent::hill_climbing(max_cc)),
+            FleetTuner::Bayesian => Built::Agent(FalconAgent::bayesian(max_cc, seed)),
+            FleetTuner::MultiParameter => Built::Agent(FalconAgent::multi_parameter(
+                SearchBounds::multi_parameter(max_cc, 8, 32),
+            )),
+            FleetTuner::Rl(kind) => Built::Agent(kind.agent(knobs, max_cc, seed)),
+            FleetTuner::Globus => Built::Baseline(Box::new(GlobusTuner::for_dataset(
+                &Dataset::uniform_1gb(1000),
+            ))),
+            FleetTuner::Harp(gbps) => Built::Baseline(Box::new(harp(gbps))),
+            FleetTuner::HarpRt => Built::Baseline(Box::new(harp(None).with_runtime_retuning(4))),
+            FleetTuner::Fixed(cc) => Built::Baseline(Box::new(FixedTuner {
+                settings: TransferSettings::with_concurrency(cc),
+                name: self.name(),
+            })),
+        }
+    }
+
+    /// Build one transfer's tuner with default [`RlKnobs`].
+    pub fn make(self, max_cc: u32, seed: u64) -> Box<dyn Tuner> {
+        self.make_with(&RlKnobs::default(), max_cc, seed)
+    }
+
+    /// Build one transfer's tuner; `knobs` reach the `rl:*` entries only.
+    pub fn make_with(self, knobs: &RlKnobs, max_cc: u32, seed: u64) -> Box<dyn Tuner> {
+        match self.build(knobs, max_cc, seed) {
+            Built::Agent(agent) => Box::new(agent),
+            Built::Baseline(tuner) => tuner,
+        }
+    }
+
+    /// The Falcon-family entries (GD/HC/BO/MP and `rl:*`) as a bare agent;
+    /// `None` for the baselines, which have no utility or optimizer.
+    pub fn agent(self, max_cc: u32, seed: u64) -> Option<FalconAgent> {
+        match self.build(&RlKnobs::default(), max_cc, seed) {
+            Built::Agent(agent) => Some(agent),
+            Built::Baseline(_) => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use falcon_core::ProbeMetrics;
+
+    #[test]
+    fn registry_conformance() {
+        let err = FleetTuner::parse("skynet").unwrap_err();
+        for spelling in FleetTuner::names() {
+            assert!(err.contains(&spelling), "{spelling} missing from {err:?}");
+            let name = spelling.replace("<cc>", "8").replace("<gbps>", "20");
+            let t = FleetTuner::from_name(&name).unwrap_or_else(|| panic!("{name} not parsed"));
+            assert_eq!(t.name(), name);
+            assert_eq!(FleetTuner::from_name(&t.name()), Some(t));
+            // `make` constructs, and opens inside the widest box any entry
+            // searches (Falcon_MP's) — the ceiling every baseline's own
+            // corpus or heuristic also respects at max_cc = 32.
+            let bounds = SearchBounds::multi_parameter(32, 8, 32);
+            let mut tuner = t.make(32, 7);
+            let first = tuner.initial();
+            assert!(bounds.contains(first), "{name} opens at {first}");
+            let m = ProbeMetrics::from_aggregate(first, 400.0, 0.0, 5.0);
+            assert!(bounds.contains(tuner.on_sample(&m)), "{name}");
+        }
+        for bad in [
+            "skynet", "rl:sarsa", "fixd:2", "fixed:0", "fixed:", "fixed:-1", "harp:0", "harp:nan",
+            "harp:", "",
+        ] {
+            assert_eq!(FleetTuner::from_name(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn readme_table_lists_every_name() {
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("### Tuner names")
+            .nth(1)
+            .expect("README has a `### Tuner names` section");
+        let table = table.split("\n#").next().unwrap_or(table);
+        for name in FleetTuner::names() {
+            assert!(
+                table.contains(&format!("| `{name}`")),
+                "README tuner table lacks a `{name}` row"
+            );
+        }
+    }
+}

@@ -45,7 +45,7 @@ pub use qlearn::{QParams, TabularQOptimizer};
 pub use warm::WarmTable;
 
 use falcon_baselines::HarpHistory;
-use falcon_core::{FalconAgent, SearchBounds, TransferSettings, UtilityFunction};
+use falcon_core::{FalconAgent, OnlineOptimizer, SearchBounds, TransferSettings, UtilityFunction};
 
 /// SplitMix64 stream: golden-ratio state advance plus the same finalizer
 /// constants as `falcon_par::task_seed`. A pure function of the seed and
@@ -128,40 +128,78 @@ pub fn arm_lattice(bounds: &SearchBounds) -> Vec<TransferSettings> {
     arms
 }
 
-/// A `falcon-rl-bandit` agent: seeded bandit behind the Eq 4 utility.
+/// Knobs of the learning tuners (a scenario's `[optimizer]` section).
+/// Defaults are [`BanditParams`]' and [`QParams`]' own, and the warm-start
+/// corpus defaults to [`HarpHistory::ten_gig_corpus`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RlKnobs {
+    /// Bandit exploration-jump probability (`BanditParams::epsilon`).
+    pub epsilon: f64,
+    /// Bandit recency-blend floor (`BanditParams::alpha_floor`).
+    pub alpha: f64,
+    /// Q-learner discount factor (`QParams::gamma`).
+    pub gamma: f64,
+    /// Warm-start corpus capacity in Gbps
+    /// (`HarpHistory::for_capacity_gbps`).
+    pub warm_gbps: f64,
+}
+
+impl Default for RlKnobs {
+    fn default() -> Self {
+        let b = BanditParams::new(2, 0);
+        let q = QParams::new(2, 0);
+        RlKnobs {
+            epsilon: b.epsilon,
+            alpha: b.alpha_floor,
+            gamma: q.gamma,
+            warm_gbps: HarpHistory::ten_gig_corpus().target_mbps / 1000.0,
+        }
+    }
+}
+
+/// Which learning tuner a transfer uses (`rl:bandit`, `rl:q`, `rl:warm`
+/// in the tuner registry).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RlKind {
+    /// Seeded epsilon-greedy/UCB bandit over the concurrency lattice.
+    Bandit,
+    /// Tabular Q-learner with coarse state features.
+    Q,
+    /// Bandit warm-started from an offline corpus value table.
+    Warm,
+}
+
+impl RlKind {
+    /// Build one transfer's learning agent behind the Eq 4 utility — the
+    /// one constructor every harness (registry, scale shard loop,
+    /// experiments) goes through. `Warm` fits its table offline from
+    /// synthetic traces of the `warm_gbps` corpus, then adapts online.
+    #[must_use]
+    pub fn agent(self, knobs: &RlKnobs, max_cc: u32, seed: u64) -> FalconAgent {
+        let mut params = BanditParams::new(max_cc, seed);
+        params.epsilon = knobs.epsilon;
+        params.alpha_floor = knobs.alpha;
+        let optimizer: Box<dyn OnlineOptimizer> = match self {
+            RlKind::Bandit => Box::new(BanditOptimizer::new(params)),
+            RlKind::Q => {
+                let mut q = QParams::new(max_cc, seed);
+                q.gamma = knobs.gamma;
+                Box::new(TabularQOptimizer::new(q))
+            }
+            RlKind::Warm => {
+                let history = HarpHistory::for_capacity_gbps(knobs.warm_gbps);
+                let table = WarmTable::fit(&history, &params.bounds, 24, seed);
+                Box::new(BanditOptimizer::warm_started(params, &table))
+            }
+        };
+        FalconAgent::new(UtilityFunction::falcon_default(), optimizer)
+    }
+}
+
+/// [`RlKind::Bandit`] with default knobs.
 #[must_use]
 pub fn bandit_agent(max_concurrency: u32, seed: u64) -> FalconAgent {
-    FalconAgent::new(
-        UtilityFunction::falcon_default(),
-        Box::new(BanditOptimizer::new(BanditParams::new(
-            max_concurrency,
-            seed,
-        ))),
-    )
-}
-
-/// A `falcon-rl-q` agent: tabular-Q learner behind the Eq 4 utility.
-#[must_use]
-pub fn q_agent(max_concurrency: u32, seed: u64) -> FalconAgent {
-    FalconAgent::new(
-        UtilityFunction::falcon_default(),
-        Box::new(TabularQOptimizer::new(QParams::new(max_concurrency, seed))),
-    )
-}
-
-/// A `falcon-rl-warm` agent: bandit warm-started from synthetic traces of
-/// `history`'s environment, adapting online from there.
-#[must_use]
-pub fn warm_agent(max_concurrency: u32, seed: u64, history: &HarpHistory) -> FalconAgent {
-    let bounds = SearchBounds::concurrency_only(max_concurrency);
-    let table = WarmTable::fit(history, &bounds, 24, seed);
-    FalconAgent::new(
-        UtilityFunction::falcon_default(),
-        Box::new(BanditOptimizer::warm_started(
-            BanditParams::new(max_concurrency, seed),
-            &table,
-        )),
-    )
+    RlKind::Bandit.agent(&RlKnobs::default(), max_concurrency, seed)
 }
 
 #[cfg(test)]
@@ -240,10 +278,11 @@ mod tests {
 
     #[test]
     fn agents_have_rl_optimizer_names() {
+        let knobs = RlKnobs::default();
         assert_eq!(bandit_agent(64, 7).optimizer_name(), "rl-bandit");
-        assert_eq!(q_agent(64, 7).optimizer_name(), "rl-q");
+        assert_eq!(RlKind::Q.agent(&knobs, 64, 7).optimizer_name(), "rl-q");
         assert_eq!(
-            warm_agent(64, 7, &HarpHistory::ten_gig_corpus()).optimizer_name(),
+            RlKind::Warm.agent(&knobs, 64, 7).optimizer_name(),
             "rl-warm"
         );
     }

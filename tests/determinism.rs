@@ -20,6 +20,10 @@ fn same_seed_same_trace_bytes() {
     let sc = scenario::parse(&link_flap_source()).expect("shipped scenario parses");
     let a = scenario::run_trace(&sc).expect("first run");
     let b = scenario::run_trace(&sc).expect("second run");
+    let (a, b) = (
+        a.trace().expect("runner trace"),
+        b.trace().expect("runner trace"),
+    );
 
     assert_eq!(
         a.to_csv(),
@@ -43,8 +47,8 @@ fn different_seed_changes_the_trace() {
     sc.seed = sc.seed.wrapping_add(1);
     let b = scenario::run_trace(&sc).expect("second run");
     assert_ne!(
-        a.to_csv(),
-        b.to_csv(),
+        a.trace().expect("runner trace").to_csv(),
+        b.trace().expect("runner trace").to_csv(),
         "changing the seed should perturb the sampled trace"
     );
 }

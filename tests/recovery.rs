@@ -86,21 +86,19 @@ fn every_optimizer_reconverges_after_link_flap() {
 /// lattice rather than line-searching.
 #[test]
 fn every_rl_tuner_reconverges_after_link_flap() {
-    use falcon_repro::baselines::HarpHistory;
+    use falcon_repro::rl::{RlKind, RlKnobs};
     let flap = LinkFlap::standard();
-    type MakeAgent = fn(u32, u64) -> FalconAgent;
-    let tuners: [(&str, MakeAgent); 3] = [
-        ("rl-bandit", falcon_repro::rl::bandit_agent),
-        ("rl-q", falcon_repro::rl::q_agent),
-        ("rl-warm", |cc, seed| {
-            falcon_repro::rl::warm_agent(cc, seed, &HarpHistory::ten_gig_corpus())
-        }),
+    let tuners = [
+        ("rl-bandit", RlKind::Bandit),
+        ("rl-q", RlKind::Q),
+        ("rl-warm", RlKind::Warm),
     ];
-    for (name, make) in tuners {
+    for (name, kind) in tuners {
         let env = Environment::emulab(100.0);
         let full = achievable_mbps(&env, 1.0);
         let degraded = achievable_mbps(&env, flap.drop_factor);
-        let (trace, log, interval) = flap_run(env, Box::new(make(64, 7)), 7, flap);
+        let agent = kind.agent(&RlKnobs::default(), 64, 7);
+        let (trace, log, interval) = flap_run(env, Box::new(agent), 7, flap);
         let window = 20.0 * interval;
         let q = TraceQuery::new(&log).agent(0);
 
