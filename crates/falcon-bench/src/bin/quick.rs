@@ -328,6 +328,36 @@ fn bench_fleet_scale(q: &mut QuickBench) {
         alloc.memory_bytes() as f64 / alloc.live_streams().max(1) as f64,
     );
 
+    // Churn history must not widen a solve: 1024 live streams on a pod-local
+    // k=8 fat tree, 10^5 departures, each arrival taking the freed id onto
+    // another route. Streams re-solved per solve over the last 10^4 steps
+    // is a count, exact on every machine; it climbs if departed members
+    // ever linger in (or return to) the per-link lists.
+    let local = ScaleTopology::fat_tree(8, 10.0).pod_local();
+    let caps: Vec<f64> = local.links.iter().map(|l| l.capacity_mbps).collect();
+    let mut churn = IncrementalMaxMin::with_links(&caps);
+    let route = |n: usize| &local.routes[n * 7 % local.routes.len()].links;
+    let mut live: std::collections::VecDeque<u32> = (0..1024)
+        .map(|n| churn.add_stream(1500.0, 2.0, route(n)))
+        .collect();
+    let (mut solves, mut resolved) = (0, 0);
+    for step in 0..100_000usize {
+        if step == 90_000 {
+            (solves, resolved) = (churn.solves, churn.streams_resolved);
+        }
+        if let Some(id) = live.pop_front() {
+            churn.remove_stream(id);
+        }
+        black_box(churn.solve().len());
+        live.push_back(churn.add_stream(1500.0, 2.0, route(step + 1024)));
+        black_box(churn.solve().len());
+    }
+    q.gauge(
+        "fleet_scale",
+        "resolved_per_solve_after_100k_churn",
+        (churn.streams_resolved - resolved) as f64 / (churn.solves - solves) as f64,
+    );
+
     // End-to-end campaign: 5k transfers on a pod-local k=8 fat tree,
     // reported as ns per transfer (arrival + allocation churn + lazy
     // integration + departure, amortized) plus peak state per transfer.

@@ -23,7 +23,7 @@
 use falcon_core::{FalconAgent, ProbeMetrics, TransferSettings};
 use falcon_rl::{RlKind, RlKnobs};
 use falcon_sim::alloc::IncrementalMaxMin;
-use falcon_sim::EventQueue;
+use falcon_sim::{EventQueue, KeyedEventQueue};
 use falcon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -331,6 +331,7 @@ struct ShardOutcome {
     streams_resolved: u64,
     probes: u64,
     arena_bytes: usize,
+    peak_queue: u64,
     /// `(global link, ∫load dt in Mbit)` per local link.
     link_busy: Vec<(u32, f64)>,
 }
@@ -355,7 +356,8 @@ pub struct ScaleReport {
     pub bytes_gb: f64,
     /// Mean completed-transfer duration (seconds).
     pub mean_duration_s: f64,
-    /// Latest event time across shards (seconds).
+    /// Time of the last event that acted — a capacity change, arrival,
+    /// completion or tuner decision — across shards (seconds).
     pub makespan_s: f64,
     /// Sum of per-shard peak concurrent transfers (an upper bound on the
     /// global peak; shards peak at different instants).
@@ -371,6 +373,11 @@ pub struct ScaleReport {
     /// Peak engine-state bytes (allocator arena + transfer SoA) summed
     /// over shards.
     pub arena_bytes: usize,
+    /// Sum of per-shard peak pending-event counts. Bounded by arrivals +
+    /// capacity events + two entries (a departure, a probe) per
+    /// concurrent transfer; reported as the `fleet.scale.peak_queue`
+    /// trace counter, not in [`summary`](ScaleReport::summary).
+    pub peak_queue: u64,
     /// Per-link `(name, mean utilization vs baseline over the makespan)`,
     /// sorted by utilization descending then name.
     pub links: Vec<(String, f64)>,
@@ -548,6 +555,7 @@ pub fn run_scale_campaign_traced(
         streams_resolved: 0,
         probes: 0,
         arena_bytes: 0,
+        peak_queue: 0,
         links: Vec::new(),
     };
     let mut duration_sum = 0.0f64;
@@ -569,6 +577,7 @@ pub fn run_scale_campaign_traced(
             acc.streams_resolved += out.streams_resolved;
             acc.probes += out.probes;
             acc.arena_bytes += out.arena_bytes;
+            acc.peak_queue += out.peak_queue;
             busy.extend(out.link_busy);
             acc
         },
@@ -597,12 +606,14 @@ pub fn run_scale_campaign_traced(
     tracer.add("fleet.scale.solves", report.solves);
     tracer.add("fleet.scale.streams_resolved", report.streams_resolved);
     tracer.add("fleet.scale.probes", report.probes);
+    tracer.add("fleet.scale.peak_queue", report.peak_queue);
     report
 }
 
 /// Event classes: at equal times, capacity changes fire before arrivals,
 /// arrivals before departures, departures before probes (a probe landing
-/// on a departed transfer sees it dead and is dropped).
+/// on a departed transfer sees it dead and is dropped). Departures wait in
+/// their own queue, so their class also orders the two queues' heads.
 const EV_CAP: u8 = 0;
 const EV_ARRIVE: u8 = 1;
 const EV_DEPART: u8 = 2;
@@ -618,7 +629,6 @@ enum ShardEvent {
     },
     Depart {
         id: u32,
-        epoch: u32,
     },
     /// A tuner decision point. `gen` is the transfer's probe generation:
     /// free-list id reuse and probe re-arming bump it, so probes queued
@@ -646,7 +656,6 @@ struct TransferSoa {
     size_mbits: Vec<f64>,
     rate: Vec<f64>,
     route: Vec<u32>,
-    epoch: Vec<u32>,
     live: Vec<bool>,
     /// Remaining mbits at the last probe (delivered = delta since).
     probe_rem: Vec<f64>,
@@ -672,7 +681,6 @@ impl TransferSoa {
             self.size_mbits.push(0.0);
             self.rate.push(0.0);
             self.route.push(0);
-            self.epoch.push(0);
             self.live.push(false);
             if rl {
                 self.probe_rem.push(0.0);
@@ -687,7 +695,7 @@ impl TransferSoa {
 
     fn memory_bytes(&self) -> usize {
         self.remaining.capacity() * std::mem::size_of::<f64>() * 5
-            + self.route.capacity() * std::mem::size_of::<u32>() * 2
+            + self.route.capacity() * std::mem::size_of::<u32>()
             + self.live.capacity()
             + self.probe_rem.capacity() * std::mem::size_of::<f64>() * 2
             + self.probe_gen.capacity() * std::mem::size_of::<u32>() * 2
@@ -697,12 +705,16 @@ impl TransferSoa {
 }
 
 /// One shard's fluid DES: lazy per-transfer integration (`remaining`
-/// only updates when the transfer's own rate changes), epoch-stamped
-/// departure predictions (stale ones are skipped, not deleted), and
-/// lazy per-link busy integrals.
+/// only updates when the transfer's own rate changes), one departure
+/// prediction per transfer with a non-zero rate (moved when the rate
+/// changes, withdrawn when it drops to zero — `departures` never holds
+/// a superseded entry), and lazy per-link busy integrals. Pending
+/// events are therefore bounded by what is yet to arrive plus two per
+/// live transfer, whatever the churn before.
 fn run_shard(input: &ShardInput) -> ShardOutcome {
     let mut alloc = IncrementalMaxMin::with_links(&input.caps);
     let mut queue: EventQueue<ShardEvent> = EventQueue::new();
+    let mut departures = KeyedEventQueue::new();
     for (i, &(t, ..)) in input.arrivals.iter().enumerate() {
         queue.push(t, EV_ARRIVE, ShardEvent::Arrive { idx: i as u32 });
     }
@@ -726,6 +738,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
         streams_resolved: 0,
         probes: 0,
         arena_bytes: 0,
+        peak_queue: 0,
         link_busy: Vec::new(),
     };
     let mut active = 0u32;
@@ -733,8 +746,21 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
     let rl = input.tuner != ScaleTuner::Fixed;
     let knobs = RlKnobs::default();
 
-    while let Some((t, _, ev)) = queue.pop() {
-        out.makespan_s = out.makespan_s.max(t);
+    loop {
+        out.peak_queue = out.peak_queue.max((queue.len() + departures.len()) as u64);
+        // The earlier head by (time, class); the classes never tie.
+        let depart_first = match (departures.peek(), queue.peek()) {
+            (Some(d), Some(q)) => d < q,
+            (d, _) => d.is_some(),
+        };
+        let popped = if depart_first {
+            departures
+                .pop()
+                .map(|(t, _, id)| (t, ShardEvent::Depart { id }))
+        } else {
+            queue.pop().map(|(t, _, ev)| (t, ev))
+        };
+        let Some((t, ev)) = popped else { break };
         match ev {
             ShardEvent::Cap { link, cap } => {
                 alloc.set_capacity(link, cap);
@@ -766,7 +792,6 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 soa.size_mbits[i] = size_mbits;
                 soa.rate[i] = 0.0;
                 soa.route[i] = route;
-                soa.epoch[i] = soa.epoch[i].wrapping_add(1);
                 soa.live[i] = true;
                 if let Some(a) = agent {
                     soa.agent[i] = Some(a);
@@ -791,18 +816,13 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                     out.arena_bytes = out.arena_bytes.max(state);
                 }
             }
-            ShardEvent::Depart { id, epoch } => {
+            ShardEvent::Depart { id } => {
                 let i = id as usize;
-                if !soa.live[i] || soa.epoch[i] != epoch {
-                    continue; // stale prediction, superseded by a rate change
-                }
+                debug_assert!(soa.live[i] && soa.rate[i] > 0.0);
                 let dt = t - soa.last_t[i];
                 soa.remaining[i] -= soa.rate[i] * dt;
                 soa.last_t[i] = t;
                 if soa.remaining[i] > 1e-6 {
-                    if soa.rate[i] <= 0.0 {
-                        continue; // wait for a rate change to re-predict
-                    }
                     // fp drift undershot the prediction; re-predict — but
                     // only if the clock actually advances. At large t the
                     // residual/rate quotient can fall below one ulp of t;
@@ -810,15 +830,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                     // at the same instant would loop forever.
                     let t_next = t + soa.remaining[i] / soa.rate[i];
                     if t_next > t {
-                        soa.epoch[i] = soa.epoch[i].wrapping_add(1);
-                        queue.push(
-                            t_next,
-                            EV_DEPART,
-                            ShardEvent::Depart {
-                                id,
-                                epoch: soa.epoch[i],
-                            },
-                        );
+                        departures.set(id, t_next, EV_DEPART);
                         continue;
                     }
                 }
@@ -895,6 +907,10 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 );
             }
         }
+        // Only events that acted get here — a re-predicted departure and
+        // a probe for a departed or stranded transfer `continue`d above —
+        // so the makespan ends at the last real event.
+        out.makespan_s = t;
         // Re-solve only the dirty component; apply the rate deltas.
         affected.clear();
         affected.extend_from_slice(alloc.solve());
@@ -919,16 +935,8 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 new - soa.rate[i],
             );
             soa.rate[i] = new;
-            soa.epoch[i] = soa.epoch[i].wrapping_add(1);
             if new > 0.0 {
-                queue.push(
-                    t + soa.remaining[i] / new,
-                    EV_DEPART,
-                    ShardEvent::Depart {
-                        id: sid,
-                        epoch: soa.epoch[i],
-                    },
-                );
+                departures.set(sid, t + soa.remaining[i] / new, EV_DEPART);
                 if rl && !soa.probe_armed[i] {
                     // Outage recovery: restart the probe clock from here
                     // (a fresh generation invalidates nothing — the old
@@ -946,6 +954,8 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                         },
                     );
                 }
+            } else {
+                departures.remove(sid);
             }
         }
     }

@@ -197,6 +197,13 @@ pub fn weighted_max_min_allocate_into(
 /// progressive filling over that *affected component only*, leaving every
 /// other stream's cached rate untouched.
 ///
+/// Invariant: a link's member list holds exactly the live streams whose
+/// route crosses it, once per crossing — `remove_stream` takes the
+/// entries out before the id returns to the free list. So a reused id
+/// carries nothing of its previous route, the closure is the true
+/// connected component, and allocator state is proportional to live
+/// streams however much churn came before.
+///
 /// This is exact, not approximate: weighted max-min with caps has a
 /// unique fixed point, and the fixed point decomposes over connected
 /// components of the stream–link bipartite graph, so re-solving only the
@@ -207,12 +214,9 @@ pub fn weighted_max_min_allocate_into(
 pub struct IncrementalMaxMin {
     // Links.
     capacity: Vec<f64>,
-    /// Per-link member stream ids. Departed streams are deleted lazily:
-    /// entries whose stream is dead are skipped during traversal and
-    /// compacted away once they outnumber the live ones, so removal stays
-    /// O(route length) instead of O(link membership).
+    /// Per-link member stream ids: exactly the live streams crossing the
+    /// link (unordered; removal is a scan and a swap-remove).
     members: Vec<Vec<u32>>,
-    dead_members: Vec<u32>,
     // Streams: SoA arena with free-list id reuse.
     cap: Vec<f64>,
     weight: Vec<f64>,
@@ -256,7 +260,6 @@ impl IncrementalMaxMin {
         let id = self.capacity.len() as u32;
         self.capacity.push(capacity_mbps.max(0.0));
         self.members.push(Vec::new());
-        self.dead_members.push(0);
         self.dirty_flag.push(false);
         self.link_in.push(false);
         self.link_slot.push(0);
@@ -279,6 +282,12 @@ impl IncrementalMaxMin {
     #[must_use]
     pub fn capacity(&self, link: u32) -> f64 {
         self.capacity[link as usize]
+    }
+
+    /// The live streams crossing `link`, in no particular order.
+    #[must_use]
+    pub fn members(&self, link: u32) -> &[u32] {
+        &self.members[link as usize]
     }
 
     /// Change a link's capacity (marks it dirty if the value moved).
@@ -347,8 +356,8 @@ impl IncrementalMaxMin {
         }
     }
 
-    /// Retire a stream: its id returns to the free list, its links go
-    /// dirty, its membership entries are deleted lazily.
+    /// Retire a stream: its membership entries are removed, its links go
+    /// dirty, and its id returns to the free list.
     pub fn remove_stream(&mut self, id: u32) {
         let i = id as usize;
         debug_assert!(self.alive[i], "double remove");
@@ -357,7 +366,12 @@ impl IncrementalMaxMin {
         self.live -= 1;
         for k in 0..self.links_of[i].len() {
             let l = self.links_of[i][k];
-            self.dead_members[l as usize] += 1;
+            let members = &mut self.members[l as usize];
+            let at = members.iter().position(|&m| m == id);
+            debug_assert!(at.is_some(), "live stream missing from a link it crosses");
+            if let Some(at) = at {
+                members.swap_remove(at);
+            }
             self.mark_dirty(l);
         }
         self.free.push(id);
@@ -401,7 +415,7 @@ impl IncrementalMaxMin {
             return &[];
         }
         // 1. Closure: affected links = dirty links plus every link
-        //    reachable through a shared live stream.
+        //    reachable through a shared stream (members are live-only).
         self.aff_links.clear();
         self.aff_streams.clear();
         for di in 0..self.dirty.len() {
@@ -415,15 +429,9 @@ impl IncrementalMaxMin {
         while head < self.aff_links.len() {
             let l = self.aff_links[head] as usize;
             head += 1;
-            // Compact the lazy deletions once they dominate the list.
-            if self.dead_members[l] * 2 > self.members[l].len() as u32 {
-                let alive = &self.alive;
-                self.members[l].retain(|&sid| alive[sid as usize]);
-                self.dead_members[l] = 0;
-            }
             for mi in 0..self.members[l].len() {
                 let sid = self.members[l][mi] as usize;
-                if !self.alive[sid] || self.stream_in[sid] {
+                if self.stream_in[sid] {
                     continue;
                 }
                 self.stream_in[sid] = true;
@@ -539,7 +547,6 @@ impl IncrementalMaxMin {
         let route_entries: usize = self.links_of.iter().map(Vec::capacity).sum();
         self.capacity.capacity() * size_of::<f64>()
             + (member_entries + route_entries) * size_of::<u32>()
-            + self.dead_members.capacity() * size_of::<u32>()
             + self.cap.capacity() * size_of::<f64>() * 3 // cap, weight, rate
             + self.alive.capacity()
             + self.free.capacity() * size_of::<u32>()

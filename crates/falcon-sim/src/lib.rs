@@ -39,7 +39,7 @@ pub mod resource;
 pub mod sim;
 pub mod traffic;
 
-pub use des::{Engine, EventQueue};
+pub use des::{Engine, EventQueue, KeyedEventQueue};
 pub use env::{Environment, EnvironmentKind};
 pub use events::{EnvironmentEvent, EventAction, EventScheduleError};
 pub use resource::{Resource, ResourceKind};

@@ -1,22 +1,27 @@
 //! The fleet-scale test wall.
 //!
-//! Three gates for the scale engine:
+//! Four gates for the scale engine:
 //!
 //! 1. **Property**: the incremental max-min allocator agrees with a
 //!    from-scratch solve (and, for ≤64 links, with the mask-based
 //!    `weighted_max_min_allocate`) to 1e-9 relative tolerance, across
 //!    random topologies, memberships, and dirty-set sequences —
-//!    including empty links and single-member components.
+//!    including empty links and single-member components — and a solve
+//!    touches exactly the connected components of the dirty links.
 //! 2. **Differential**: a sharded 10⁵-transfer fat-tree campaign
 //!    produces byte-identical summaries at 1, 4, and 8 threads.
-//! 3. **Conformance**: the topology generators produce valid fabrics
+//! 3. **Live-state bounds**: allocator work and memory stay flat over
+//!    10⁵ churn steps, and a shard's pending events stay bounded by its
+//!    live transfers on a trunk-saturating campaign.
+//! 4. **Conformance**: the topology generators produce valid fabrics
 //!    (fat-tree path validity and 1:1 subscription, dumbbell RTT
 //!    classes, DTN hub degree).
 
 use proptest::prelude::*;
 
 use falcon_repro::fleet::{
-    run_scale_campaign, RlKind, ScaleCampaignSpec, ScaleTopology, ScaleTuner,
+    correlated_failure_waves, run_scale_campaign, RlKind, ScaleCampaignSpec, ScaleTopology,
+    ScaleTuner, ScaleWorkload,
 };
 use falcon_repro::sim::alloc::{
     weighted_max_min_allocate, IncrementalMaxMin, WeightedStreamDemand,
@@ -81,6 +86,60 @@ fn route_from_bits(bits: u64, n_links: usize) -> Vec<u32> {
     route
 }
 
+/// A live stream in a property's shadow state: (id, cap, weight, route).
+type Shadow = (u32, f64, f64, Vec<u32>);
+
+/// Apply `op` to the allocator and to the shadow state. An added stream's
+/// route is cut to `hops(selector bits)` links.
+fn apply_op(
+    inc: &mut IncrementalMaxMin,
+    live: &mut Vec<Shadow>,
+    link_caps: &mut [f64],
+    op: &Op,
+    hops: fn(u64) -> usize,
+) {
+    match op {
+        Op::Add {
+            cap,
+            weight,
+            route: bits,
+        } => {
+            let mut route = route_from_bits(*bits, link_caps.len());
+            route.truncate(hops(*bits));
+            let id = inc.add_stream(*cap, *weight, &route);
+            live.push((id, *cap, *weight, route));
+        }
+        Op::Remove { pick } => {
+            if !live.is_empty() {
+                let (id, ..) = live.remove(pick % live.len());
+                inc.remove_stream(id);
+            }
+        }
+        Op::SetCap { link, cap } => {
+            let l = link % link_caps.len();
+            link_caps[l] = *cap;
+            inc.set_capacity(l as u32, *cap);
+        }
+        Op::Update { pick, cap, weight } => {
+            if !live.is_empty() {
+                let i = pick % live.len();
+                live[i].1 = *cap;
+                live[i].2 = *weight;
+                inc.update_stream(live[i].0, *cap, *weight);
+            }
+        }
+    }
+}
+
+/// Union-find root with path halving.
+fn find(root: &mut [usize], mut x: usize) -> usize {
+    while root[x] != x {
+        root[x] = root[root[x]];
+        x = root[x];
+    }
+    x
+}
+
 fn rel_close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
 }
@@ -99,37 +158,11 @@ proptest! {
     ) {
         let ops: Vec<Op> = raw.into_iter().map(decode_op).collect();
         let mut inc = IncrementalMaxMin::with_links(&caps);
-        // Shadow state: (id, cap, weight, route) of live streams.
-        let mut live: Vec<(u32, f64, f64, Vec<u32>)> = Vec::new();
+        let mut live: Vec<Shadow> = Vec::new();
         let mut link_caps = caps.clone();
 
         for (step, op) in ops.iter().enumerate() {
-            match op {
-                Op::Add { cap, weight, route } => {
-                    let route = route_from_bits(*route, link_caps.len());
-                    let id = inc.add_stream(*cap, *weight, &route);
-                    live.push((id, *cap, *weight, route));
-                }
-                Op::Remove { pick } => {
-                    if !live.is_empty() {
-                        let (id, ..) = live.remove(pick % live.len());
-                        inc.remove_stream(id);
-                    }
-                }
-                Op::SetCap { link, cap } => {
-                    let l = link % link_caps.len();
-                    link_caps[l] = *cap;
-                    inc.set_capacity(l as u32, *cap);
-                }
-                Op::Update { pick, cap, weight } => {
-                    if !live.is_empty() {
-                        let i = pick % live.len();
-                        live[i].1 = *cap;
-                        live[i].2 = *weight;
-                        inc.update_stream(live[i].0, *cap, *weight);
-                    }
-                }
-            }
+            apply_op(&mut inc, &mut live, &mut link_caps, op, |_| 6);
             // Solve on a drawn cadence so dirty sets batch up in
             // different patterns (every op, every 2nd, ...).
             if (step + 1) % solve_every != 0 && step + 1 != ops.len() {
@@ -167,6 +200,65 @@ proptest! {
                     "step {step}: stream {k} incremental {got} vs dense {}", dense[k]
                 );
             }
+        }
+    }
+
+    /// Locality: a solve re-solves exactly the live streams in the
+    /// connected components of the dirty links — checked against a
+    /// union-find over the shadow state — and the member lists hold
+    /// exactly the live crossings, although the free list keeps handing
+    /// departed ids to streams on other routes.
+    #[test]
+    fn solve_closes_over_exactly_the_dirty_components(
+        caps in proptest::collection::vec(100.0f64..2000.0, 2..12),
+        raw in raw_ops(20..120),
+        solve_every in 1usize..4,
+    ) {
+        let ops: Vec<Op> = raw.into_iter().map(decode_op).collect();
+        let mut inc = IncrementalMaxMin::with_links(&caps);
+        let mut live: Vec<Shadow> = Vec::new();
+        let mut link_caps = caps.clone();
+
+        for (step, op) in ops.iter().enumerate() {
+            // One or two hops, so the fabric stays a set of small
+            // components instead of fusing into one.
+            apply_op(&mut inc, &mut live, &mut link_caps, op, |bits| 1 + (bits >> 63) as usize);
+            let crossings: usize = live.iter().map(|s| s.3.len()).sum();
+            let members: usize = (0..caps.len()).map(|l| inc.members(l as u32).len()).sum();
+            prop_assert!(
+                members == crossings,
+                "step {step}: {members} member entries for {crossings} live crossings"
+            );
+            if (step + 1) % solve_every != 0 && step + 1 != ops.len() {
+                continue;
+            }
+
+            // Reference: union the links of every live route, then keep
+            // the streams whose component holds a dirty link.
+            let mut root: Vec<usize> = (0..caps.len()).collect();
+            for (.., route) in &live {
+                for hop in route.windows(2) {
+                    let a = find(&mut root, hop[0] as usize);
+                    root[a] = find(&mut root, hop[1] as usize);
+                }
+            }
+            let dirty: Vec<usize> = inc
+                .dirty_links()
+                .iter()
+                .map(|&l| find(&mut root, l as usize))
+                .collect();
+            let mut expected: Vec<u32> = Vec::new();
+            for (id, .., route) in &live {
+                if let Some(&l) = route.first() {
+                    if dirty.contains(&find(&mut root, l as usize)) {
+                        expected.push(*id);
+                    }
+                }
+            }
+            expected.sort_unstable();
+            let mut got = inc.solve().to_vec();
+            got.sort_unstable();
+            prop_assert!(got == expected, "step {step}: re-solved {got:?}, expected {expected:?}");
         }
     }
 
@@ -291,7 +383,85 @@ fn ten_thousand_transfer_rl_campaign_is_thread_invariant() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Topology-generator conformance.
+// 3. Live-state bounds: cost follows live transfers, not churn history.
+// ---------------------------------------------------------------------------
+
+/// Five live streams, 10⁵ departures each followed by an arrival that
+/// takes the departed id onto a *different* route: a solve never sees
+/// more than the five, and the allocator stops growing after warm-up.
+#[test]
+fn churn_history_costs_neither_solve_work_nor_memory() {
+    const LINKS: u32 = 8;
+    let mut inc = IncrementalMaxMin::with_links(&[1000.0; LINKS as usize]);
+    // Stream n crosses links n and n+1 (mod 8).
+    let route = |n: u32| [n % LINKS, (n + 1) % LINKS];
+    let mut live: std::collections::VecDeque<u32> = (0..5)
+        .map(|n| inc.add_stream(400.0, 1.0, &route(n)))
+        .collect();
+    inc.solve();
+    let mut warm = (0, 0, 0);
+    for step in 0..100_000u32 {
+        inc.remove_stream(live.pop_front().expect("five live"));
+        inc.solve();
+        live.push_back(inc.add_stream(400.0, 1.0, &route(step + 5)));
+        inc.solve();
+        if step == 1_000 {
+            warm = (inc.memory_bytes(), inc.solves, inc.streams_resolved);
+        }
+    }
+    assert_eq!(inc.live_streams(), 5);
+    assert_eq!(inc.memory_bytes(), warm.0, "allocator grew with churn");
+    let per_solve = (inc.streams_resolved - warm.2) as f64 / (inc.solves - warm.1) as f64;
+    assert!(
+        per_solve <= 5.0,
+        "{per_solve} streams per solve with 5 live"
+    );
+}
+
+/// The shape `bench/README.md` records as OOM-killed at the parent of
+/// this test: the `campaign-rl` dumbbell with arrivals raised to ~0.7 of
+/// trunk capacity (diurnal peaks and failure waves push it past 1), cut
+/// to tier-1 length. Every re-rating of a crowded trunk used to queue a
+/// fresh departure per stream; with one departure per transfer the
+/// pending events are bounded by what is yet to arrive plus a departure
+/// and a probe per live transfer.
+#[test]
+fn saturated_dumbbell_keeps_the_event_queue_bounded() {
+    let topology = ScaleTopology::from_spec("dumbbell:8x3").expect("shipped spec syntax");
+    let duration_s = 9_000.0;
+    let failures = correlated_failure_waves(&topology, 6, duration_s);
+    let cap_events: u64 = failures.iter().map(|f| 2 * f.links.len() as u64).sum();
+    let spec = ScaleCampaignSpec {
+        topology,
+        workload: ScaleWorkload {
+            transfers: 5_000,
+            // 0.66/s × 128 Gbit ≈ 84 of the trunks' 120 Gbps.
+            arrivals_per_min: 39.4,
+            mean_file_mb: 16_000.0,
+            diurnal: 0.4,
+            tenants: 3,
+            tuner: ScaleTuner::Rl(RlKind::Bandit),
+            ..ScaleWorkload::default()
+        },
+        failures,
+        duration_s,
+        seed: 0x5a7,
+        shards: 8,
+    };
+    let r = run_scale_campaign(&spec, 2);
+    assert_eq!(r.completions + r.stranded, r.transfers);
+    assert!(r.completions > r.transfers * 9 / 10, "{}", r.summary());
+    let bound = r.transfers + cap_events + 2 * u64::from(r.peak_active);
+    assert!(
+        r.peak_queue <= bound,
+        "peak pending events {} above {bound} (peak active {})",
+        r.peak_queue,
+        r.peak_active
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 4. Topology-generator conformance.
 // ---------------------------------------------------------------------------
 
 #[test]
