@@ -108,12 +108,10 @@ fn globus_sequences_are_constant_per_dataset_bucket() {
     // mean < 50 MiB, 50–250 MiB, and ≥ 250 MiB.
     let medium = Dataset {
         name: "100x100MiB",
-        files: vec![
-            FileSpec {
-                size_bytes: 100 * MIB,
-            };
-            100
-        ],
+        files: vec![FileSpec {
+            size_bytes: 100 * MIB,
+            count: 100,
+        }],
     };
     let cases: [(Dataset, (u32, u32, u32)); 3] = [
         (Dataset::small(1), (2, 2, 20)),

@@ -28,7 +28,13 @@ proptest! {
     ) {
         let d = Dataset {
             name: "prop",
-            files: sizes.iter().map(|&s| FileSpec { size_bytes: s }).collect(),
+            files: sizes
+                .iter()
+                .map(|&size_bytes| FileSpec {
+                    size_bytes,
+                    count: 1,
+                })
+                .collect(),
         };
         let mut g = GlobusTuner::for_dataset(&d);
         let first = g.initial();

@@ -25,7 +25,7 @@ use falcon_gp::{
 };
 use falcon_sim::alloc::{max_min_allocate, StreamDemand};
 use falcon_sim::{
-    AgentSettings, Engine, Environment, EnvironmentEvent, EventAction, EventQueue, Simulation,
+    oracle, AgentSettings, Environment, EnvironmentEvent, EventAction, EventQueue, Simulation,
 };
 use falcon_tcp::BottleneckLossModel;
 
@@ -197,7 +197,7 @@ fn bench_simulator(q: &mut QuickBench) {
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(100));
     q.bench("simulator", "step_100conn_steady", || {
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
     // Churn: concurrency flips every step, so every step pays the full
     // allocation; the steady/churn gap is the allocation-skip win.
@@ -210,7 +210,7 @@ fn bench_simulator(q: &mut QuickBench) {
             a,
             AgentSettings::with_concurrency(if flip { 100 } else { 99 }),
         );
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
     let mut sim = Simulation::new(Environment::hpclab(), 1);
     for _ in 0..3 {
@@ -218,7 +218,7 @@ fn bench_simulator(q: &mut QuickBench) {
         sim.set_settings(a, AgentSettings::with_concurrency(16));
     }
     q.bench("simulator", "step_three_agents_steady", || {
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
     let m = BottleneckLossModel::default();
     q.bench("simulator", "loss_model_eval", || {
@@ -257,10 +257,10 @@ fn bench_fleet(q: &mut QuickBench) {
         })
         .collect();
     q.bench("fleet", "step_200transfer_fleet_steady", || {
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
     // Churn: one agent's concurrency flips each step, forcing the full
-    // routed loss + allocation pipeline every tick.
+    // routed loss + allocation pipeline every step.
     let mut flip = false;
     q.bench("fleet", "step_200transfer_fleet_churn", || {
         flip = !flip;
@@ -268,7 +268,7 @@ fn bench_fleet(q: &mut QuickBench) {
             handles[0],
             AgentSettings::with_concurrency(if flip { 3 } else { 2 }),
         );
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
 }
 
@@ -385,22 +385,22 @@ fn bench_des(q: &mut QuickBench) {
     // DES engine crosses the whole span in one closed-form segment while
     // the tick oracle pays one step per 0.1 s — the des/tick ratio here
     // is the O(1)-vs-O(ticks) win the engine exists for.
-    let mut sim = Simulation::with_engine(Environment::emulab(21.0), 1, Engine::Des);
+    let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(100));
     sim.advance(30.0);
     q.bench("des", "advance_10s_idle", || sim.advance(black_box(10.0)));
-    let mut sim = Simulation::with_engine(Environment::emulab(21.0), 1, Engine::Tick);
+    let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(100));
-    sim.run_for(30.0, 0.1);
+    oracle::run_for(&mut sim, 30.0, 0.1);
     q.bench("des", "advance_10s_idle_tick_oracle", || {
-        sim.run_for(black_box(10.0), 0.1)
+        oracle::run_for(&mut sim, black_box(10.0), 0.1)
     });
     // ns per transfer-visible event: schedule one capacity edge just
     // ahead of the clock and advance through it, so each iteration pays
     // schedule + boundary split + fire + re-cap.
-    let mut sim = Simulation::with_engine(Environment::emulab(21.0), 7, Engine::Des);
+    let mut sim = Simulation::new(Environment::emulab(21.0), 7);
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(8));
     let mut flip = false;
@@ -459,14 +459,14 @@ fn bench_trace(q: &mut QuickBench) {
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(100));
     q.bench("trace", "step_100conn_tracer_disabled", || {
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     sim.set_tracer(Tracer::recording());
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(100));
     q.bench("trace", "step_100conn_tracer_recording", || {
-        sim.step(black_box(0.1))
+        sim.advance(black_box(0.1))
     });
 }
 

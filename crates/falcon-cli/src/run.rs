@@ -58,7 +58,7 @@ pub fn simulate(args: &SimulateArgs) -> Result<String, String> {
     let capacity = env.path_capacity_mbps();
 
     let mut harness = SimHarness::new(Simulation::new(env, args.seed));
-    let slot = harness.join(Dataset::uniform_1gb(args.gigabytes as usize));
+    let slot = harness.join(Dataset::uniform_1gb(args.gigabytes));
     let mut agent = falcon_agent(args.optimizer, max_cc, args.seed)?;
     harness.apply(slot, agent.initial_settings());
 

@@ -78,7 +78,7 @@ use falcon_fleet::{
 };
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction, Simulation};
 use falcon_trace::{TraceLog, Tracer};
-use falcon_transfer::dataset::Dataset;
+use falcon_transfer::dataset::{Dataset, GIB};
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, RunTrace, Runner, Tuner};
 
@@ -291,7 +291,19 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     // Line of the current `[fleet]` section's `tuner` key, if it has one.
     let mut fleet_tuner_line = None;
 
-    let err = |line_no: usize, msg: String| ParseError(format!("line {}: {msg}", line_no + 1));
+    fn err(line_no: usize, msg: String) -> ParseError {
+        ParseError(format!("line {}: {msg}", line_no + 1))
+    }
+    // Count and index keys parse as integers, never through `f64`: that
+    // would round above 2^53 and turn `-1`, `1.5` and `nan` into 0 or 1.
+    fn int<T: std::str::FromStr>(line_no: usize, key: &str, v: &str) -> Result<T, ParseError> {
+        v.parse().map_err(|_| {
+            err(
+                line_no,
+                format!("{key}: expected a whole number, got {v:?}"),
+            )
+        })
+    }
     let flush_bg = |sc: &mut Scenario, bg: &BackgroundFlow| {
         if bg.demand_mbps > 0.0 {
             sc.background.push(*bg);
@@ -361,9 +373,14 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         };
         match section {
             Section::Top => match key {
-                "env" => sc.env = value.to_string(),
+                "env" => {
+                    if resolve_env(value).is_none() {
+                        return Err(err(line_no, format!("unknown environment {value:?}")));
+                    }
+                    sc.env = value.to_string();
+                }
                 "duration" => sc.duration_s = num(value)?,
-                "seed" => sc.seed = num(value)? as u64,
+                "seed" => sc.seed = int(line_no, key, value)?,
                 "trace" => sc.trace_path = Some(value.to_string()),
                 other => return Err(err(line_no, format!("unknown key {other:?}"))),
             },
@@ -378,7 +395,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     }
                     "start" => a.start_s = num(value)?,
                     "leave" => a.leave_s = Some(num(value)?),
-                    "dataset" => a.dataset = value.to_string(),
+                    "dataset" => {
+                        dataset_ctor(value).map_err(|m| err(line_no, m))?;
+                        a.dataset = value.to_string();
+                    }
                     other => return Err(err(line_no, format!("unknown agent key {other:?}"))),
                 }
             }
@@ -386,7 +406,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 "start" => bg.start_s = num(value)?,
                 "end" => bg.end_s = num(value)?,
                 "mbps" => bg.demand_mbps = num(value)?,
-                "connections" => bg.connections = num(value)? as u32,
+                "connections" => bg.connections = int(line_no, key, value)?,
                 other => return Err(err(line_no, format!("unknown background key {other:?}"))),
             },
             Section::Event => match key {
@@ -395,8 +415,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 "factor" => ev.factor = Some(num(value)?),
                 "rate" => ev.rate = Some(num(value)?),
                 "rtt_s" => ev.rtt_s = Some(num(value)?),
-                "agent" => ev.agent = Some(num(value)? as usize),
-                "resource" => ev.resource = Some(num(value)? as usize),
+                "agent" => ev.agent = Some(int(line_no, key, value)?),
+                "resource" => ev.resource = Some(int(line_no, key, value)?),
                 other => return Err(err(line_no, format!("unknown event key {other:?}"))),
             },
             Section::Fleet => {
@@ -416,7 +436,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                         }
                         f.links_mbps = caps;
                     }
-                    "transfers" => f.transfers = num(value)? as usize,
+                    "transfers" => f.transfers = int(line_no, key, value)?,
                     "arrivals_per_min" => f.arrivals_per_min = num(value)?,
                     "mean_file_mb" => f.mean_file_mb = num(value)?,
                     "anchor_gb" => f.anchor_gb = num(value)?,
@@ -447,20 +467,18 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                         }
                         f.diurnal = v;
                     }
-                    "failures" => f.failures = num(value)? as usize,
+                    "failures" => f.failures = int(line_no, key, value)?,
                     "tenants" => {
-                        let v = num(value)? as u32;
-                        if v == 0 {
+                        f.tenants = int(line_no, key, value)?;
+                        if f.tenants == 0 {
                             return Err(err(line_no, "tenants: must be >= 1".into()));
                         }
-                        f.tenants = v;
                     }
                     "shards" => {
-                        let v = num(value)? as u32;
-                        if v == 0 {
+                        f.shards = int(line_no, key, value)?;
+                        if f.shards == 0 {
                             return Err(err(line_no, "shards: must be >= 1".into()));
                         }
-                        f.shards = v;
                     }
                     other => return Err(err(line_no, format!("unknown fleet key {other:?}"))),
                 }
@@ -643,21 +661,35 @@ pub fn serialize(sc: &Scenario) -> String {
     out
 }
 
-fn make_dataset(spec: &str) -> Result<Dataset, ParseError> {
+/// A dataset constructor and its argument: a file count, or the fixed
+/// generator seed.
+type DatasetCtor = (fn(u64) -> Dataset, u64);
+
+/// What a `dataset =` value names. Checking a name builds nothing: the
+/// seeded generators draw tens of thousands of sizes.
+fn dataset_ctor(spec: &str) -> Result<DatasetCtor, String> {
     if let Some(count) = spec.strip_prefix("1gb:") {
-        let n: usize = count
-            .parse()
-            .map_err(|_| ParseError(format!("dataset 1gb:{count}: bad count")))?;
-        return Ok(Dataset::uniform_1gb(n));
+        return match count.parse::<u64>() {
+            Ok(n) if n.checked_mul(GIB).is_some() => Ok((Dataset::uniform_1gb, n)),
+            _ => Err(format!(
+                "dataset {spec}: the count must be a whole number of 1 GiB files \
+                 totalling less than 2^64 bytes"
+            )),
+        };
     }
     match spec {
-        "small" => Ok(Dataset::small(1)),
-        "large" => Ok(Dataset::large(1)),
-        "mixed" => Ok(Dataset::mixed(1)),
-        other => Err(ParseError(format!(
+        "small" => Ok((Dataset::small, 1)),
+        "large" => Ok((Dataset::large, 1)),
+        "mixed" => Ok((Dataset::mixed, 1)),
+        other => Err(format!(
             "unknown dataset {other:?} (expected 1gb:<count>|small|large|mixed)"
-        ))),
+        )),
     }
+}
+
+fn make_dataset(spec: &str) -> Result<Dataset, ParseError> {
+    let (make, arg) = dataset_ctor(spec).map_err(ParseError)?;
+    Ok(make(arg))
 }
 
 /// Agent `i`'s tuner: the registry entry its spelling names, seeded
@@ -696,7 +728,6 @@ fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
     }
     let runner = Runner {
         tracer: tracer.clone(),
-        ..Runner::default()
     };
     Ok(runner.run(&mut harness, plans, sc.duration_s))
 }
@@ -985,6 +1016,62 @@ agent = 0
         assert!(parse("bogus = 1\n[agent]\ntuner = falcon-gd\n").is_err());
         assert!(parse("[warp]\n").is_err());
         assert!(parse("[agent]\nwarp = 9\n").is_err());
+        // Unknown `env =` / `dataset =` names and file counts whose bytes
+        // do not fit a u64 are parse errors with the line number, not
+        // run-time errors (or a failed 800 TB allocation).
+        for (text, want) in [
+            ("env = mars\n[agent]\n", "line 1: unknown environment"),
+            ("[agent]\ndataset = petabytes\n", "line 2: unknown dataset"),
+            ("[agent]\ndataset = 1gb:many\n", "line 2: dataset 1gb:many"),
+            ("[agent]\ndataset = 1gb:-1\n", "line 2: dataset 1gb:-1"),
+            (
+                "[agent]\ndataset = 1gb:17179869184\n", // 2^34 GiB = 2^64 bytes
+                "line 2: dataset 1gb:17179869184",
+            ),
+            (
+                "[agent]\ndataset = 1gb:18446744073709551615\n",
+                "line 2: dataset 1gb:18446744073709551615",
+            ),
+        ] {
+            let e = parse(text).unwrap_err().0;
+            assert!(e.starts_with(want), "{text:?}: {e}");
+        }
+        // The largest count that fits parses, and costs one entry to build.
+        let sc = parse("[agent]\ndataset = 1gb:17179869183\n").unwrap();
+        let d = make_dataset(&sc.agents[0].dataset).unwrap();
+        assert_eq!((d.files.len(), d.len()), (1, (1 << 34) - 1));
+    }
+
+    #[test]
+    fn integer_keys_parse_as_integers() {
+        // Above 2^53 an f64 cannot tell neighbours apart.
+        let seed = |v: &str| parse(&format!("seed = {v}\n[agent]\n")).map(|sc| sc.seed);
+        assert_eq!(seed("9007199254740992").unwrap(), 9_007_199_254_740_992);
+        assert_eq!(seed("9007199254740993").unwrap(), 9_007_199_254_740_993);
+        assert_eq!(seed("18446744073709551615").unwrap(), u64::MAX);
+        for bad in ["-1", "1.5", "nan", "1e3", "18446744073709551616", ""] {
+            let e = seed(bad).unwrap_err().0;
+            assert!(e.starts_with("line 1: seed:"), "{bad:?}: {e}");
+        }
+        for (section, key) in [
+            ("background", "connections"),
+            ("event", "agent"),
+            ("event", "resource"),
+            ("fleet", "transfers"),
+            ("fleet", "failures"),
+            ("fleet", "tenants"),
+            ("fleet", "shards"),
+        ] {
+            for bad in ["-3", "2.5", "nan"] {
+                let e = parse(&format!("[{section}]\n{key} = {bad}\n"))
+                    .unwrap_err()
+                    .0;
+                assert!(
+                    e.starts_with(&format!("line 2: {key}:")),
+                    "{key} = {bad}: {e}"
+                );
+            }
+        }
     }
 
     #[test]

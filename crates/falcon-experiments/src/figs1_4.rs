@@ -14,7 +14,7 @@ pub fn steady_state(env: Environment, cc: u32, seconds: f64) -> (f64, f64) {
     let mut sim = Simulation::new(env.without_noise(), 17);
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(cc));
-    sim.run_for(seconds, 0.1);
+    sim.run_for(seconds);
     let s = sim.take_sample(a);
     (s.throughput_mbps, s.loss_rate)
 }

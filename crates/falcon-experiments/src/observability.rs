@@ -58,7 +58,7 @@ pub fn steady_state(env: Environment, concurrency: u32, seed: u64) -> (f64, f64)
     let mut sim = Simulation::new(env.without_noise(), seed);
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(concurrency.max(1)));
-    sim.run_for(60.0, 0.1);
+    sim.run_for(60.0);
     let s = sim.take_sample(a);
     (s.throughput_mbps, s.loss_rate)
 }
@@ -94,7 +94,6 @@ pub fn flap_run(
     ]);
     let runner = Runner {
         tracer: tracer.clone(),
-        ..Runner::default()
     };
     let trace = runner.run(
         &mut h,

@@ -64,9 +64,8 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
 ///
 /// Campaigns are event-driven end to end: the generated arrival and
 /// departure times become exact wakeups in the shared [`Runner`], and the
-/// simulation advances between them with the discrete-event engine
-/// (`falcon_sim::Engine::Des`, the default) — a transfer arriving at
-/// t = 137.42 s joins at exactly that instant, not at the next tick.
+/// simulation advances between them event by event — a transfer arriving
+/// at t = 137.42 s joins at exactly that instant, not at the next tick.
 pub fn run_campaign_with_tracer(spec: &CampaignSpec, tracer: Tracer) -> CampaignOutcome {
     let specs = generate(&spec.topology, &spec.workload, spec.seed);
     let mut sim = Simulation::new(spec.topology.env.clone(), spec.seed);
@@ -87,7 +86,6 @@ pub fn run_campaign_with_tracer(spec: &CampaignSpec, tracer: Tracer) -> Campaign
         .collect();
     let runner = Runner {
         tracer: tracer.clone(),
-        ..Runner::default()
     };
     // falcon-lint::allow(determinism-taint, reason = "`Runner::run` reaches wall clocks only through the net-harness impl of the Harness seam; this call passes the seeded SimHarness")
     let trace = runner.run(&mut harness, plans, spec.duration_s);
@@ -96,21 +94,8 @@ pub fn run_campaign_with_tracer(spec: &CampaignSpec, tracer: Tracer) -> Campaign
     tracer.add("fleet.completions", completed);
     // falcon-lint::allow(determinism-taint, reason = "take_log's taint is std `Vec::drain` colliding by name with the net receiver's drain; the tracer itself is deterministic")
     let log = tracer.take_log();
-    let report = FleetReport::compute(
-        &spec.topology,
-        &specs,
-        &trace,
-        &log,
-        spec.duration_s,
-        runner_trace_every_s(),
-    );
+    let report = FleetReport::compute(&spec.topology, &specs, &trace, &log, spec.duration_s);
     CampaignOutcome { trace, log, report }
-}
-
-/// The runner's trace-point cadence, used to judge how much of the settle
-/// window an agent was actually present for.
-fn runner_trace_every_s() -> f64 {
-    Runner::default().trace_every_s
 }
 
 #[cfg(test)]

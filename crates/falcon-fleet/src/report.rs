@@ -2,7 +2,7 @@
 //! convergence/settle statistics.
 
 use falcon_trace::{EventKind, TraceLog};
-use falcon_transfer::runner::{jain_index, RunTrace};
+use falcon_transfer::runner::{jain_index, RunTrace, TRACE_EVERY_S};
 
 use crate::topology::FleetTopology;
 use crate::workload::TransferSpec;
@@ -65,7 +65,6 @@ impl FleetReport {
         trace: &RunTrace,
         log: &TraceLog,
         duration_s: f64,
-        trace_every_s: f64,
     ) -> Self {
         let w0 = 0.6 * duration_s;
         let w1 = duration_s;
@@ -81,7 +80,9 @@ impl FleetReport {
                 count[p.agent] += 1;
             }
         }
-        let expected_points = ((w1 - w0) / trace_every_s).max(1.0);
+        // The runner's trace-point cadence says how much of the window an
+        // agent was actually present for.
+        let expected_points = ((w1 - w0) / TRACE_EVERY_S).max(1.0);
         // Rate while present (for fairness among peers)…
         let avg = |i: usize| {
             if count[i] > 0 {

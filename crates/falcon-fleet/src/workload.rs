@@ -66,12 +66,10 @@ pub fn generate(topology: &FleetTopology, workload: &Workload, seed: u64) -> Vec
                 path,
                 dataset: Dataset {
                     name: "fleet-anchor",
-                    files: vec![
-                        FileSpec {
-                            size_bytes: file_bytes
-                        };
-                        8
-                    ],
+                    files: vec![FileSpec {
+                        size_bytes: file_bytes,
+                        count: 8,
+                    }],
                 },
             });
         }
@@ -90,6 +88,7 @@ pub fn generate(topology: &FleetTopology, workload: &Workload, seed: u64) -> Vec
                 let mb = workload.mean_file_mb * (0.25 + 1.5 * spread);
                 FileSpec {
                     size_bytes: (mb * 1e6) as u64,
+                    count: 1,
                 }
             })
             .collect();

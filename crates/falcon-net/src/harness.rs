@@ -143,6 +143,7 @@ mod tests {
             name: "loopback",
             files: vec![falcon_transfer::dataset::FileSpec {
                 size_bytes: u64::MAX / 2,
+                count: 1,
             }],
         });
         let mut agent = FalconAgent::gradient_descent(12);

@@ -741,6 +741,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "weights must be positive")]
     fn zero_weight_rejected() {
         let streams = [WeightedStreamDemand {

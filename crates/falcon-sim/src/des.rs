@@ -1,17 +1,11 @@
 //! Deterministic discrete-event scheduling primitives.
 //!
-//! The fixed-tick engine quantizes every state change to a step boundary:
-//! an [`crate::EnvironmentEvent`] scheduled strictly inside a step fires up
-//! to a full `dt` late, and the error depends on how the caller sliced
-//! `run_for`. The discrete-event engine instead advances straight from one
-//! *state-change time* to the next and integrates the closed-form rate
-//! dynamics across each segment, so event timing is exact and idle periods
-//! cost O(1) instead of O(ticks).
+//! A fixed-tick stepper quantizes every state change to a step boundary.
+//! The simulator, the experiment runner and the fleet-scale engine instead
+//! advance straight from one *state-change time* to the next, so event
+//! timing is exact and idle periods cost O(1) instead of O(ticks). This
+//! module holds the queues they order those times with:
 //!
-//! This module holds the building blocks shared by the simulator, the
-//! experiment runner and the fleet-scale engine:
-//!
-//! - [`Engine`]: which stepping strategy a [`crate::Simulation`] uses.
 //! - [`EventQueue`]: a deterministic priority queue of timestamped
 //!   entries. Ties are broken by an explicit class code and then by
 //!   insertion order, never by heap internals, so a schedule drains in
@@ -22,24 +16,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Stepping strategy of a [`crate::Simulation`].
-///
-/// Both engines fire scheduled events at their exact `at_s` and agree on
-/// environment state at every instant; they differ only in how rates are
-/// integrated between events (closed form vs. tick-sampled), which the
-/// `des_vs_tick` differential gate bounds by the tick-quantization error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Discrete-event stepping: advance from one state-change time to the
-    /// next, integrating ramp dynamics analytically across each segment.
-    /// The default engine.
-    #[default]
-    Des,
-    /// Fixed-tick stepping at the caller's `dt`: the original engine, kept
-    /// as a differential-testing oracle.
-    Tick,
-}
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
@@ -409,10 +385,5 @@ mod tests {
         }
         assert!(popped_keyed.len() > 600);
         assert_eq!(popped_keyed, popped_plain);
-    }
-
-    #[test]
-    fn default_engine_is_des() {
-        assert_eq!(Engine::default(), Engine::Des);
     }
 }

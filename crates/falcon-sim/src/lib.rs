@@ -2,10 +2,9 @@
 //!
 //! This crate substitutes for the paper's physical testbeds (Table 1: Emulab,
 //! XSEDE, HPCLab, Campus Cluster, plus Stampede2–Comet). It simulates the
-//! resources an application-layer transfer crosses — by default with a
-//! discrete-event engine that advances from one state-change time to the
-//! next (see [`des`]), with the original fixed-tick engine retained as a
-//! differential-testing oracle:
+//! resources an application-layer transfer crosses, advancing from one
+//! state-change time to the next (see [`des`]); the original fixed-tick
+//! stepper survives only as a differential-testing [`oracle`]:
 //!
 //! ```text
 //! source disk read ──> source NIC ──> shared network link ──> dest NIC ──> dest disk write
@@ -39,8 +38,8 @@ pub mod resource;
 pub mod sim;
 pub mod traffic;
 
-pub use des::{Engine, EventQueue, KeyedEventQueue};
+pub use des::{EventQueue, KeyedEventQueue};
 pub use env::{Environment, EnvironmentKind};
 pub use events::{EnvironmentEvent, EventAction, EventScheduleError};
 pub use resource::{Resource, ResourceKind};
-pub use sim::{AgentHandle, AgentSample, AgentSettings, BackgroundFlow, Simulation};
+pub use sim::{oracle, AgentHandle, AgentSample, AgentSettings, BackgroundFlow, Simulation};

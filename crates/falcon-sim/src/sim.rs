@@ -4,15 +4,14 @@
 //! [`EnvironmentEvent`], a background-flow edge) the per-connection
 //! allocation *targets* are constant — they depend only on settings,
 //! environment, and which background flows are active, never on the ramp
-//! state. The default discrete-event engine ([`crate::des::Engine::Des`])
-//! exploits that: [`Simulation::run_until`] advances segment by segment,
-//! applying events at their exact times and integrating each
-//! [`falcon_tcp::RateRamp`] in closed form across the whole segment, so an
-//! idle hour costs the same as an idle millisecond. The fixed-tick engine
-//! is kept as a differential-testing oracle ([`crate::des::Engine::Tick`],
-//! or calling [`Simulation::step`] directly); it now also splits ticks at
-//! interior state-change times so both engines agree on event timing
-//! exactly and differ only by the tick-quantization of ramp sampling.
+//! state. The discrete-event stepper exploits that:
+//! [`Simulation::run_until`] advances segment by segment, applying events
+//! at their exact times and integrating each [`falcon_tcp::RateRamp`] in
+//! closed form across the whole segment, so an idle hour costs the same as
+//! an idle millisecond. The fixed-tick stepper it replaced is kept as a
+//! differential-testing oracle in [`oracle`]; it splits ticks at the same
+//! interior state-change times, so the two agree on event timing exactly
+//! and differ only by the tick-quantization of ramp sampling.
 //!
 //! For every integration segment the simulator:
 //!
@@ -43,9 +42,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::alloc::{weighted_max_min_allocate_into, AllocScratch, WeightedStreamDemand};
-use crate::des::Engine;
 use crate::env::Environment;
 use crate::events::{EnvironmentEvent, EventAction, EventScheduleError};
+
+pub mod oracle;
 
 /// Handle to an agent (transfer task) registered with the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,10 +122,10 @@ pub struct AgentSample {
     pub interval_s: f64,
 }
 
-/// Reusable per-step working memory. `step` clears and refills these
-/// buffers instead of allocating fresh vectors each tick, so steady-state
-/// stepping performs no heap allocation. The `prev_*` copies of the last
-/// allocator inputs let `step` skip re-running progressive filling
+/// Reusable per-segment working memory. `prepare_targets` clears and
+/// refills these buffers instead of allocating fresh vectors each segment,
+/// so steady-state stepping performs no heap allocation. The `prev_*` copies
+/// of the last allocator inputs let it skip re-running progressive filling
 /// entirely when the demand/topology fingerprint is unchanged: allocation
 /// is a pure function of `(streams, capacities)`, so reusing `rates`
 /// verbatim is byte-identical to recomputing it.
@@ -185,7 +185,7 @@ struct AgentState {
 /// let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
 /// let agent = sim.add_agent();
 /// sim.set_settings(agent, AgentSettings::with_concurrency(10));
-/// sim.run_for(30.0, 0.1);
+/// sim.run_for(30.0);
 /// let sample = sim.take_sample(agent);
 /// // 10 processes × 100 Mbps saturate the 1 Gbps link.
 /// assert!(sample.throughput_mbps > 900.0);
@@ -207,11 +207,6 @@ pub struct Simulation {
     loss_floor: f64,
     time_s: f64,
     current_loss: f64,
-    /// Which stepping strategy `run_until`/`run_for`/`advance` use.
-    engine: Engine,
-    /// Tick length the tick-oracle engine uses to subdivide `run_until`
-    /// spans; refreshed by every `run_for` call. Ignored by the DES engine.
-    dt_hint_s: f64,
     rng: StdRng,
     scratch: StepScratch,
     tracer: Tracer,
@@ -236,41 +231,10 @@ impl Simulation {
             loss_floor: 0.0,
             time_s: 0.0,
             current_loss: 0.0,
-            engine: Engine::default(),
-            dt_hint_s: 0.1,
             rng: StdRng::seed_from_u64(seed),
             scratch: StepScratch::default(),
             tracer: Tracer::default(),
         }
-    }
-
-    /// Create a simulation pinned to a specific stepping engine (the
-    /// default is [`Engine::Des`]; differential tests pin [`Engine::Tick`]
-    /// to run the oracle).
-    pub fn with_engine(env: Environment, seed: u64, engine: Engine) -> Self {
-        let mut sim = Simulation::new(env, seed);
-        sim.engine = engine;
-        sim
-    }
-
-    /// Switch the stepping engine used by [`Simulation::run_until`] and
-    /// friends. Calling [`Simulation::step`] directly always runs the
-    /// (event-splitting) tick engine regardless of this setting.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
-    /// The stepping engine in use.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Set the tick length the tick-oracle engine uses to subdivide
-    /// [`Simulation::run_until`] spans. Every [`Simulation::run_for`] call
-    /// also refreshes it. The DES engine ignores it.
-    pub fn set_tick_hint(&mut self, dt_s: f64) {
-        debug_assert!(dt_s > 0.0, "tick hint must be positive");
-        self.dt_hint_s = dt_s;
     }
 
     /// Install a tracer. The simulation stamps sim time on it each step and
@@ -596,56 +560,13 @@ impl Simulation {
         a.alive.then_some(a.instant_mbps)
     }
 
-    /// Advance the simulation by `dt_s` seconds with the tick engine (one
-    /// nominal tick). The tick is split internally at every interior
-    /// state-change time, so a scheduled event with `at_s` strictly inside
-    /// the step applies at exactly `at_s` instead of a full step late.
-    pub fn step(&mut self, dt_s: f64) {
-        debug_assert!(dt_s > 0.0);
-        let target = self.time_s + dt_s;
-        self.step_to_tick(target);
-    }
-
-    /// One nominal tick of the oracle engine ending exactly at `target_s`,
-    /// split at interior event/background boundaries. Boundary times are
-    /// assigned exactly (`time_s = boundary`), never accumulated, so tick
-    /// grids cannot drift relative to scheduled events.
-    fn step_to_tick(&mut self, target_s: f64) {
-        while self.time_s < target_s {
-            self.tracer.set_time(self.time_s);
-            self.apply_due_events();
-            let boundary = self.next_boundary_after(self.time_s).min(target_s);
-            let dt = boundary - self.time_s;
-            let (routed, loss) = self.prepare_targets();
-            self.integrate_tick(dt, routed, loss);
-            self.time_s = boundary;
-        }
-    }
-
-    /// Advance simulated time to `t_end_s` using the configured engine.
-    ///
-    /// The DES engine walks from one state-change time to the next and
-    /// integrates ramp dynamics analytically across each segment (O(1) per
-    /// segment, however long). The tick oracle subdivides the span into
-    /// ticks of the current tick hint, computing each tick's end as
-    /// `start + i·dt` so multi-hour runs cannot accumulate float drift.
-    /// Both engines fire scheduled events at their exact `at_s`. Times at
-    /// or before the current time are a no-op.
+    /// Advance simulated time to `t_end_s`, walking from one state-change
+    /// time to the next and integrating ramp dynamics analytically across
+    /// each segment (O(1) per segment, however long). Scheduled events fire
+    /// at their exact `at_s`. Times at or before the current time are a
+    /// no-op.
     pub fn run_until(&mut self, t_end_s: f64) {
         debug_assert!(t_end_s.is_finite(), "run_until target must be finite");
-        match self.engine {
-            Engine::Des => self.run_until_des(t_end_s),
-            Engine::Tick => self.run_until_tick(t_end_s),
-        }
-    }
-
-    /// Advance by `dt_s` seconds using the configured engine.
-    pub fn advance(&mut self, dt_s: f64) {
-        debug_assert!(dt_s >= 0.0, "advance span must be non-negative");
-        self.run_until(self.time_s + dt_s);
-    }
-
-    fn run_until_des(&mut self, t_end_s: f64) {
         while self.time_s < t_end_s {
             self.tracer.set_time(self.time_s);
             self.apply_due_events();
@@ -657,25 +578,10 @@ impl Simulation {
         }
     }
 
-    fn run_until_tick(&mut self, t_end_s: f64) {
-        let start = self.time_s;
-        let span = t_end_s - start;
-        if span <= 0.0 {
-            return;
-        }
-        let dt = self.dt_hint_s;
-        let whole = (span / dt).floor() as u64;
-        for i in 1..=whole {
-            // A span that is an exact tick multiple can put the last grid
-            // point one ulp past `t_end_s`; cap it so the clock lands on
-            // the caller's target bit-exactly, like the DES engine does.
-            self.step_to_tick((start + (i as f64) * dt).min(t_end_s));
-        }
-        // Fractional remainder as one shorter final step; skip float dust
-        // from spans meant as exact tick multiples.
-        if t_end_s - self.time_s > dt * 1e-9 {
-            self.step_to_tick(t_end_s);
-        }
+    /// Advance by `dt_s` seconds.
+    pub fn advance(&mut self, dt_s: f64) {
+        debug_assert!(dt_s >= 0.0, "advance span must be non-negative");
+        self.run_until(self.time_s + dt_s);
     }
 
     /// Earliest state-change time strictly after `t`: the next unfired
@@ -913,43 +819,8 @@ impl Simulation {
         (routed, loss)
     }
 
-    /// Section 5, tick flavor: advance each ramp by one tick and accrue
-    /// goodput with the right-Riemann rule (`post_advance_rate × dt`) —
-    /// the original engine's arithmetic, kept as the oracle.
-    fn integrate_tick(&mut self, dt_s: f64, routed: bool, loss: f64) {
-        let mut cursor = 0usize;
-        for (idx, a) in self.agents.iter_mut().enumerate() {
-            if !a.alive {
-                continue;
-            }
-            // In routed mode each agent's goodput survives its own path's
-            // hops; single-path mode keeps the shared end-to-end loss.
-            let (survival, agent_loss) = if routed {
-                let s = self.scratch.agent_survival[idx];
-                (s, 1.0 - s)
-            } else {
-                (1.0 - loss, loss)
-            };
-            let mut agg = 0.0;
-            for ramp in a.ramps.iter_mut() {
-                debug_assert_eq!(self.scratch.owners[cursor], idx);
-                let target = self.scratch.rates[cursor];
-                let actual = ramp.advance(target, dt_s);
-                agg += actual * survival;
-                cursor += 1;
-            }
-            a.instant_mbps = agg;
-            let delivered = agg * dt_s;
-            a.delivered_mb += delivered;
-            a.total_delivered_mb += delivered;
-            a.loss_integral += agent_loss * dt_s;
-            // falcon-lint::allow(float-time-accum, reason = "accrues exact DES segment lengths between samples and is reset at every sample read; bounded by one probe interval")
-            a.sample_clock_s += dt_s;
-        }
-    }
-
-    /// Section 5, DES flavor: advance each ramp across the whole segment
-    /// in closed form and accrue the *exact* integral of its rate curve
+    /// Section 5: advance each ramp across the whole segment in closed
+    /// form and accrue the *exact* integral of its rate curve
     /// ([`RateRamp::advance_integrated`]), so segment length does not
     /// affect accuracy and an idle segment costs O(connections), not
     /// O(ticks).
@@ -959,6 +830,8 @@ impl Simulation {
             if !a.alive {
                 continue;
             }
+            // In routed mode each agent's goodput survives its own path's
+            // hops; single-path mode keeps the shared end-to-end loss.
             let (survival, agent_loss) = if routed {
                 let s = self.scratch.agent_survival[idx];
                 (s, 1.0 - s)
@@ -1151,20 +1024,10 @@ impl Simulation {
     }
 
     /// Run the simulation for `duration_s`, without touching settings.
-    /// Convenience for tests and warm-up phases.
-    ///
-    /// Routes through [`Simulation::run_until`]: the DES engine ignores
-    /// `dt_s` (it only ever integrates between state changes); the tick
-    /// oracle adopts `dt_s` as its tick hint, stepping a drift-free grid of
-    /// `start + i·dt` with any fractional remainder as one shorter final
-    /// step. Either way the duration is honored exactly and scheduled
-    /// events fire at their exact times regardless of how callers slice
-    /// their `run_for` calls.
-    pub fn run_for(&mut self, duration_s: f64, dt_s: f64) {
-        debug_assert!(dt_s > 0.0, "dt_s must be positive");
-        debug_assert!(duration_s >= 0.0, "duration_s must be non-negative");
-        self.dt_hint_s = dt_s;
-        self.run_until(self.time_s + duration_s);
+    /// Convenience for tests and warm-up phases: [`Simulation::advance`]
+    /// under the name the experiments use.
+    pub fn run_for(&mut self, duration_s: f64) {
+        self.advance(duration_s);
     }
 }
 
@@ -1173,13 +1036,18 @@ mod tests {
     use super::*;
     use crate::env::Environment;
 
-    const DT: f64 = 0.1;
+    /// The two steppers the cross-checks run: the product path and the
+    /// tick oracle, as `(name, run_for(sim, duration_s, dt_s))`.
+    type RunFor = fn(&mut Simulation, f64, f64);
+    const DES: RunFor = |sim, duration_s, _| sim.run_for(duration_s);
+    const TICK: RunFor = oracle::run_for;
+    const STEPPERS: [(&str, RunFor); 2] = [("des", DES), ("tick", TICK)];
 
     fn settled_sample(env: Environment, cc: u32, seconds: f64) -> AgentSample {
         let mut sim = Simulation::new(env.without_noise(), 7);
         let a = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(cc));
-        sim.run_for(seconds, DT);
+        sim.run_for(seconds);
         sim.take_sample(a)
     }
 
@@ -1270,7 +1138,7 @@ mod tests {
         let b = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(10));
         sim.set_settings(b, AgentSettings::with_concurrency(10));
-        sim.run_for(60.0, DT);
+        sim.run_for(60.0);
         let sa = sim.take_sample(a);
         let sb = sim.take_sample(b);
         let ratio = sa.throughput_mbps / sb.throughput_mbps;
@@ -1285,7 +1153,7 @@ mod tests {
         let b = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(5));
         sim.set_settings(b, AgentSettings::with_concurrency(10));
-        sim.run_for(60.0, DT);
+        sim.run_for(60.0);
         let sa = sim.take_sample(a);
         let sb = sim.take_sample(b);
         let ratio = sb.throughput_mbps / sa.throughput_mbps;
@@ -1299,10 +1167,10 @@ mod tests {
         let b = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(10));
         sim.set_settings(b, AgentSettings::with_concurrency(10));
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         sim.take_sample(a);
         sim.remove_agent(b);
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let sa = sim.take_sample(a);
         assert!(sa.throughput_mbps > 900.0, "got {}", sa.throughput_mbps);
     }
@@ -1318,11 +1186,11 @@ mod tests {
             demand_mbps: 600.0,
             connections: 6,
         });
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let before = sim.take_sample(a);
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let during = sim.take_sample(a);
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let after = sim.take_sample(a);
         assert!(before.throughput_mbps > 950.0);
         assert!(during.throughput_mbps < 700.0, "{}", during.throughput_mbps);
@@ -1335,9 +1203,9 @@ mod tests {
         let mut sim = Simulation::new(env, 3);
         let a = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.run_for(1.0, DT);
+        sim.run_for(1.0);
         let early = sim.take_sample(a);
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let late = sim.take_sample(a);
         assert!(early.throughput_mbps < 0.8 * late.throughput_mbps);
     }
@@ -1348,7 +1216,7 @@ mod tests {
             let mut sim = Simulation::new(Environment::xsede(), seed);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(5));
-            sim.run_for(10.0, DT);
+            sim.run_for(10.0);
             sim.take_sample(a).throughput_mbps
         };
         assert_eq!(run(42), run(42));
@@ -1367,10 +1235,10 @@ mod tests {
                 ..AgentSettings::with_concurrency(4)
             },
         );
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let half = sim.take_sample(a);
         sim.set_settings(a, AgentSettings::with_concurrency(4));
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let full = sim.take_sample(a);
         let ratio = half.throughput_mbps / full.throughput_mbps;
         assert!((0.4..0.6).contains(&ratio), "ratio {ratio}");
@@ -1390,16 +1258,17 @@ mod tests {
                 ..AgentSettings::with_concurrency(4)
             },
         );
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let with_p = sim.take_sample(a);
         sim.set_settings(a, AgentSettings::with_concurrency(4));
-        sim.run_for(40.0, DT);
+        sim.run_for(40.0);
         let without_p = sim.take_sample(a);
         let ratio = with_p.throughput_mbps / without_p.throughput_mbps;
         assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "concurrency must be >= 1")]
     fn zero_concurrency_rejected() {
         let mut sim = Simulation::new(Environment::xsede(), 1);
@@ -1444,7 +1313,7 @@ mod tests {
             let mut sim = Simulation::new(env, 7);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(32));
-            sim.run_for(30.0, DT);
+            sim.run_for(30.0);
             sim.current_loss()
         };
         let single = loss_of(Environment::emulab_fig4().without_noise());
@@ -1476,7 +1345,7 @@ mod tests {
                 ..AgentSettings::with_concurrency(10)
             },
         );
-        sim.run_for(60.0, DT);
+        sim.run_for(60.0);
         let h = sim.take_sample(heavy).throughput_mbps;
         let l = sim.take_sample(light).throughput_mbps;
         let ratio = h / l;
@@ -1488,7 +1357,7 @@ mod tests {
         let mut sim = Simulation::new(Environment::xsede().without_noise(), 1);
         let a = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.run_for(10.0, DT);
+        sim.run_for(10.0);
         let s1 = sim.take_sample(a);
         let s2 = sim.take_sample(a);
         assert!(s1.throughput_mbps > 0.0);
@@ -1497,11 +1366,21 @@ mod tests {
 
     #[test]
     fn run_for_honors_fractional_remainder() {
-        let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
-        sim.run_for(1.25, 0.5); // used to round to 1.0s
-        assert!((sim.time_s() - 1.25).abs() < 1e-9, "t = {}", sim.time_s());
-        sim.run_for(0.9, 0.3); // exact multiple: no dust step
-        assert!((sim.time_s() - 2.15).abs() < 1e-9, "t = {}", sim.time_s());
+        for (name, run_for) in STEPPERS {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
+            run_for(&mut sim, 1.25, 0.5); // used to round to 1.0s
+            assert!(
+                (sim.time_s() - 1.25).abs() < 1e-9,
+                "{name}: t = {}",
+                sim.time_s()
+            );
+            run_for(&mut sim, 0.9, 0.3); // exact multiple: no dust step
+            assert!(
+                (sim.time_s() - 2.15).abs() < 1e-9,
+                "{name}: t = {}",
+                sim.time_s()
+            );
+        }
     }
 
     #[test]
@@ -1525,11 +1404,11 @@ mod tests {
                 },
             ),
         ]);
-        sim.run_for(60.0, DT);
+        sim.run_for(60.0);
         let before = sim.take_sample(a).throughput_mbps;
-        sim.run_for(60.0, DT);
+        sim.run_for(60.0);
         let during = sim.take_sample(a).throughput_mbps;
-        sim.run_for(60.0, DT);
+        sim.run_for(60.0);
         let after = sim.take_sample(a).throughput_mbps;
         // 1 Gbps link, 10×100 Mbps processes: ~1000 before, ~300 during.
         assert!(before > 900.0, "before drop: {before}");
@@ -1546,9 +1425,9 @@ mod tests {
             30.0,
             EventAction::LossFloor { rate: 0.02 },
         ));
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let clean = sim.take_sample(a).loss_rate;
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let dirty = sim.take_sample(a).loss_rate;
         assert!(clean < 0.005, "clean loss {clean}");
         assert!(dirty >= 0.019, "floored loss {dirty}");
@@ -1563,11 +1442,11 @@ mod tests {
             EnvironmentEvent::at(30.0, EventAction::KillAgent { agent: 0 }),
             EnvironmentEvent::at(60.0, EventAction::ReviveAgent { agent: 0 }),
         ]);
-        sim.run_for(45.0, DT);
+        sim.run_for(45.0);
         assert!(!sim.is_alive(a));
         assert_eq!(sim.try_instantaneous_rate_mbps(a), None);
         assert!(sim.try_take_sample(a).is_none());
-        sim.run_for(45.0, DT);
+        sim.run_for(45.0);
         assert!(sim.is_alive(a));
         let s = sim.take_sample(a);
         assert!(
@@ -1588,9 +1467,9 @@ mod tests {
             30.0,
             EventAction::DiskThrottleFactor { factor: 0.5 },
         ));
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let before = sim.take_sample(a).throughput_mbps;
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let after = sim.take_sample(a).throughput_mbps;
         assert!((before - 10.0).abs() < 1.0, "before {before}");
         assert!((after - 5.0).abs() < 1.0, "after {after}");
@@ -1613,7 +1492,7 @@ mod tests {
         let b = sim.add_agent_on_path(0b10);
         sim.set_settings(a, AgentSettings::with_concurrency(2));
         sim.set_settings(b, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let sa = sim.take_sample(a);
         let sb = sim.take_sample(b);
         // Each agent saturates its own link; neither steals from the other.
@@ -1629,7 +1508,7 @@ mod tests {
         let b = sim.add_agent_on_path(0b01);
         sim.set_settings(a, AgentSettings::with_concurrency(2));
         sim.set_settings(b, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let sa = sim.take_sample(a).throughput_mbps;
         let sb = sim.take_sample(b).throughput_mbps;
         let ratio = sa / sb;
@@ -1643,7 +1522,7 @@ mod tests {
         let mut sim = Simulation::new(env, 7);
         let a = sim.add_agent_on_path(0b111);
         sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let s = sim.take_sample(a);
         assert!(
             (300.0..430.0).contains(&s.throughput_mbps),
@@ -1667,7 +1546,7 @@ mod tests {
             }
             let probe = sim.add_agent_on_path(mask);
             sim.set_settings(probe, AgentSettings::with_concurrency(2));
-            sim.run_for(30.0, DT);
+            sim.run_for(30.0);
             sim.take_sample(probe).loss_rate
         };
         let one_hop = loss_crossing(0b01);
@@ -1689,7 +1568,7 @@ mod tests {
         let full = sim.add_agent();
         sim.set_settings(routed, AgentSettings::with_concurrency(2));
         sim.set_settings(full, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         let sr = sim.take_sample(routed).throughput_mbps;
         let sf = sim.take_sample(full).throughput_mbps;
         // They share link0; sum bounded by its capacity.
@@ -1714,16 +1593,15 @@ mod tests {
         assert!(!sim.try_set_settings(a, AgentSettings::with_concurrency(8)));
         sim.revive_agent(a);
         assert_eq!(sim.settings(a).concurrency, 8);
-        sim.run_for(30.0, DT);
+        sim.run_for(30.0);
         assert!(sim.instantaneous_rate_mbps(a) > 0.0);
     }
 
-    /// Runs a sim with one mid-step event under `engine`, advancing time
+    /// Runs a sim with one mid-step event under `run_for`, advancing time
     /// with the given `(duration, dt)` slices; returns the trace timestamp
     /// the event actually applied at, and the final sim time.
-    fn event_fire_time(engine: Engine, slices: &[(f64, f64)]) -> (f64, f64) {
-        let mut sim =
-            Simulation::with_engine(Environment::emulab(100.0).without_noise(), 2, engine);
+    fn event_fire_time(run_for: RunFor, slices: &[(f64, f64)]) -> (f64, f64) {
+        let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
         let tracer = Tracer::recording();
         sim.set_tracer(tracer.clone());
         let a = sim.add_agent();
@@ -1736,7 +1614,7 @@ mod tests {
             },
         ));
         for &(d, dt) in slices {
-            sim.run_for(d, dt);
+            run_for(&mut sim, d, dt);
         }
         let log = tracer.take_log();
         let rec = log
@@ -1752,12 +1630,12 @@ mod tests {
         // The issue's pinned case: at_s = 12.5 with dt = 0.1 applies at
         // exactly 12.5 s, for any run_for slicing — including a slice
         // boundary at 12.47 that used to shift the firing tick.
-        for engine in [Engine::Des, Engine::Tick] {
-            let (t, _) = event_fire_time(engine, &[(30.0, 0.1)]);
-            assert_eq!(t, 12.5, "{engine:?}: contiguous run fired at {t}");
-            let (t, end) = event_fire_time(engine, &[(12.47, 0.1), (10.0, 0.1)]);
-            assert_eq!(t, 12.5, "{engine:?}: sliced run fired at {t}");
-            assert!((end - 22.47).abs() < 1e-9, "{engine:?}: ended at {end}");
+        for (engine, run_for) in STEPPERS {
+            let (t, _) = event_fire_time(run_for, &[(30.0, 0.1)]);
+            assert_eq!(t, 12.5, "{engine}: contiguous run fired at {t}");
+            let (t, end) = event_fire_time(run_for, &[(12.47, 0.1), (10.0, 0.1)]);
+            assert_eq!(t, 12.5, "{engine}: sliced run fired at {t}");
+            assert!((end - 22.47).abs() < 1e-9, "{engine}: ended at {end}");
         }
     }
 
@@ -1765,9 +1643,8 @@ mod tests {
     fn engines_agree_on_event_driven_environment_state() {
         // Capacity drop + restore: both engines must hold bit-identical
         // environment state at every probe instant.
-        let run = |engine: Engine| {
-            let mut sim =
-                Simulation::with_engine(Environment::emulab(100.0).without_noise(), 2, engine);
+        let run = |run_for: RunFor| {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(10));
             sim.add_events([
@@ -1782,7 +1659,7 @@ mod tests {
             ]);
             let mut states = Vec::new();
             for _ in 0..5 {
-                sim.run_for(5.21, 0.1);
+                run_for(&mut sim, 5.21, 0.1);
                 let caps: Vec<f64> = sim
                     .env()
                     .resources
@@ -1793,7 +1670,7 @@ mod tests {
             }
             states
         };
-        assert_eq!(run(Engine::Des), run(Engine::Tick));
+        assert_eq!(run(DES), run(TICK));
     }
 
     #[test]
@@ -1801,16 +1678,15 @@ mod tests {
         // Rates integrate analytically under DES and by right-Riemann
         // ticks under the oracle; the difference is O(dt) during
         // transients and vanishes at steady state.
-        let throughput = |engine: Engine| {
-            let mut sim =
-                Simulation::with_engine(Environment::emulab(100.0).without_noise(), 2, engine);
+        let throughput = |run_for: RunFor| {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(10));
-            sim.run_for(60.0, 0.1);
+            run_for(&mut sim, 60.0, 0.1);
             sim.take_sample(a).throughput_mbps
         };
-        let des = throughput(Engine::Des);
-        let tick = throughput(Engine::Tick);
+        let des = throughput(DES);
+        let tick = throughput(TICK);
         assert!(
             (des - tick).abs() < 0.005 * tick.max(1.0),
             "DES {des} vs tick {tick}"
@@ -1821,15 +1697,13 @@ mod tests {
     fn tick_grid_does_not_drift_over_long_runs() {
         // An hour of 0.1 s ticks lands exactly on the hour: tick times are
         // start + i·dt, never accumulated.
-        let mut sim =
-            Simulation::with_engine(Environment::emulab(100.0).without_noise(), 1, Engine::Tick);
-        sim.run_for(3600.0, 0.1);
+        let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
+        oracle::run_for(&mut sim, 3600.0, 0.1);
         assert!((sim.time_s() - 3600.0).abs() < 1e-9, "t = {}", sim.time_s());
         // And a drifting schedule of odd-length slices still lands exactly.
-        let mut sim =
-            Simulation::with_engine(Environment::emulab(100.0).without_noise(), 1, Engine::Des);
+        let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
         for _ in 0..1000 {
-            sim.run_for(0.37, 0.1);
+            sim.run_for(0.37);
         }
         assert!((sim.time_s() - 370.0).abs() < 1e-6, "t = {}", sim.time_s());
     }
@@ -1847,9 +1721,8 @@ mod tests {
 
     #[test]
     fn coincident_events_fire_in_insertion_order() {
-        for engine in [Engine::Des, Engine::Tick] {
-            let mut sim =
-                Simulation::with_engine(Environment::emulab(100.0).without_noise(), 2, engine);
+        for (engine, run_for) in STEPPERS {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let base = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
             sim.add_events([
                 EnvironmentEvent::at(
@@ -1867,9 +1740,9 @@ mod tests {
                     },
                 ),
             ]);
-            sim.run_for(10.0, 0.1);
+            run_for(&mut sim, 10.0, 0.1);
             let cap = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
-            assert_eq!(cap, base * 0.25, "{engine:?}: last insertion wins");
+            assert_eq!(cap, base * 0.25, "{engine}: last insertion wins");
         }
     }
 
@@ -1880,7 +1753,7 @@ mod tests {
             10.0,
             EventAction::LossFloor { rate: 0.01 },
         ));
-        sim.run_for(20.0, DT);
+        sim.run_for(20.0);
         let err = sim
             .try_add_event(EnvironmentEvent::at(
                 5.0,
@@ -1915,7 +1788,7 @@ mod tests {
             10.0,
             EventAction::LossFloor { rate: 0.01 },
         ));
-        sim.run_for(20.0, DT);
+        sim.run_for(20.0);
         sim.add_event(EnvironmentEvent::at(
             5.0,
             EventAction::KillAgent { agent: 0 },
@@ -1927,20 +1800,20 @@ mod tests {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 4);
         let a = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(4));
-        sim.run_for(10.0, DT);
+        sim.run_for(10.0);
         let t1 = sim.delivered_mbits_total(a);
         assert!(t1 > 0.0);
         let _ = sim.take_sample(a); // resets the interval accumulator...
         assert_eq!(sim.delivered_mbits_total(a), t1); // ...not the total
         sim.kill_agent(a);
-        sim.run_for(5.0, DT);
+        sim.run_for(5.0);
         assert_eq!(
             sim.delivered_mbits_total(a),
             t1,
             "dead agents deliver nothing"
         );
         sim.revive_agent(a);
-        sim.run_for(10.0, DT);
+        sim.run_for(10.0);
         assert!(sim.delivered_mbits_total(a) > t1);
     }
 
@@ -1949,9 +1822,8 @@ mod tests {
         // A background flow starting mid-step must shift allocations at
         // its exact start time in both engines: environment-state parity
         // requires splitting ticks at background edges too.
-        for engine in [Engine::Des, Engine::Tick] {
-            let mut sim =
-                Simulation::with_engine(Environment::emulab(100.0).without_noise(), 2, engine);
+        for (engine, run_for) in STEPPERS {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(10));
             sim.add_background_flow(BackgroundFlow {
@@ -1960,15 +1832,15 @@ mod tests {
                 demand_mbps: 600.0,
                 connections: 6,
             });
-            sim.run_for(30.0, DT);
+            run_for(&mut sim, 30.0, 0.1);
             let before = sim.take_sample(a).throughput_mbps;
-            sim.run_for(30.0, DT);
+            run_for(&mut sim, 30.0, 0.1);
             let during = sim.take_sample(a).throughput_mbps;
-            sim.run_for(30.0, DT);
+            run_for(&mut sim, 30.0, 0.1);
             let after = sim.take_sample(a).throughput_mbps;
-            assert!(before > 950.0, "{engine:?}: before {before}");
-            assert!(during < 700.0, "{engine:?}: during {during}");
-            assert!(after > 900.0, "{engine:?}: after {after}");
+            assert!(before > 950.0, "{engine}: before {before}");
+            assert!(during < 700.0, "{engine}: during {during}");
+            assert!(after > 900.0, "{engine}: after {after}");
         }
     }
 }

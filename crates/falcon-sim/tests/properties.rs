@@ -26,7 +26,7 @@ proptest! {
                 a
             })
             .collect();
-        sim.run_for(30.0, 0.1);
+        sim.run_for(30.0);
         let total: f64 = agents.iter().map(|&a| sim.take_sample(a).throughput_mbps).sum();
         prop_assert!(
             total <= capacity * 1.01,
@@ -50,7 +50,7 @@ proptest! {
                 a
             })
             .collect();
-        sim.run_for(40.0, 0.1);
+        sim.run_for(40.0);
         let rates: Vec<f64> = agents.iter().map(|&a| sim.take_sample(a).throughput_mbps).collect();
         let max = rates.iter().cloned().fold(0.0, f64::max);
         let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -70,7 +70,7 @@ proptest! {
             let mut sim = Simulation::new(env.clone(), seed);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(cc));
-            sim.run_for(25.0, 0.1);
+            sim.run_for(25.0);
             let thr = sim.take_sample(a).throughput_mbps;
             prop_assert!(thr >= prev * 0.995, "cc={cc}: {thr} < prev {prev}");
             prev = thr;
@@ -86,7 +86,7 @@ proptest! {
         let mut sim = Simulation::new(Environment::emulab_fig4(), seed);
         let a = sim.add_agent();
         sim.set_settings(a, AgentSettings::with_concurrency(cc));
-        sim.run_for(20.0, 0.1);
+        sim.run_for(20.0);
         let l = sim.current_loss();
         prop_assert!((0.0..=1.0).contains(&l));
         let s = sim.take_sample(a);
@@ -110,7 +110,7 @@ proptest! {
                     ..AgentSettings::with_concurrency(cc)
                 },
             );
-            sim.run_for(3.0, 0.1);
+            sim.run_for(3.0);
             let r = sim.instantaneous_rate_mbps(a);
             prop_assert!(r.is_finite() && r >= 0.0, "rate {r} after {cc}x{p}");
         }
@@ -127,15 +127,15 @@ proptest! {
         let mut sim1 = Simulation::new(env.clone(), seed);
         let a1 = sim1.add_agent();
         sim1.set_settings(a1, AgentSettings::with_concurrency(cc));
-        sim1.run_for(20.0, 0.1);
+        sim1.run_for(20.0);
         let whole = sim1.take_sample(a1).throughput_mbps;
 
         let mut sim2 = Simulation::new(env, seed);
         let a2 = sim2.add_agent();
         sim2.set_settings(a2, AgentSettings::with_concurrency(cc));
-        sim2.run_for(10.0, 0.1);
+        sim2.run_for(10.0);
         let h1 = sim2.take_sample(a2);
-        sim2.run_for(10.0, 0.1);
+        sim2.run_for(10.0);
         let h2 = sim2.take_sample(a2);
         let combined = (h1.throughput_mbps * h1.interval_s + h2.throughput_mbps * h2.interval_s)
             / (h1.interval_s + h2.interval_s);
@@ -165,13 +165,9 @@ proptest! {
         // Slices with an awkward fractional remainder (e.g. 7.77 s).
         slice_cs in 100u32..1500,
     ) {
-        use falcon_sim::{Engine, EnvironmentEvent, EventAction};
-        let build = |engine: Engine| {
-            let mut sim = Simulation::with_engine(
-                Environment::emulab(100.0).without_noise(),
-                seed,
-                engine,
-            );
+        use falcon_sim::{oracle, EnvironmentEvent, EventAction};
+        let build = || {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), seed);
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(6));
             let mut evs: Vec<EnvironmentEvent> = times_ms
@@ -202,12 +198,12 @@ proptest! {
             sim.try_add_events(evs).expect("future events");
             (sim, a)
         };
-        let (mut des, da) = build(Engine::Des);
-        let (mut tick, ta) = build(Engine::Tick);
+        let (mut des, da) = build();
+        let (mut tick, ta) = build();
         let slice = f64::from(slice_cs) / 100.0;
         while des.time_s() < 35.0 {
-            des.run_for(slice, 0.1);
-            tick.run_for(slice, 0.1);
+            des.run_for(slice);
+            oracle::run_for(&mut tick, slice, 0.1);
             prop_assert_eq!(des.time_s(), tick.time_s());
             let dcaps: Vec<f64> = des.env().resources.iter().map(|r| r.capacity_mbps).collect();
             let tcaps: Vec<f64> = tick.env().resources.iter().map(|r| r.capacity_mbps).collect();

@@ -12,29 +12,34 @@ pub const GIB: u64 = 1024 * MIB;
 /// Binary units.
 pub const TIB: u64 = 1024 * GIB;
 
-/// One file to transfer.
+/// A run of `count` files of `size_bytes` each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileSpec {
-    /// File size in bytes.
+    /// Size of each file in bytes.
     pub size_bytes: u64,
+    /// How many consecutive files have this size.
+    pub count: u64,
 }
 
 /// A named collection of files.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Workload name for logs ("1000x1GB", "small", "large", "mixed").
     pub name: &'static str,
-    /// The files, in transfer order.
+    /// The files, in transfer order, run-length encoded.
     pub files: Vec<FileSpec>,
 }
 
 impl Dataset {
     /// The paper's main evaluation workload: `count` files of 1 GB each
-    /// (§4 uses 1000×1 GB ≈ 1 TB).
-    pub fn uniform_1gb(count: usize) -> Self {
+    /// (§4 uses 1000×1 GB ≈ 1 TB), held as one run.
+    pub fn uniform_1gb(count: u64) -> Self {
         Dataset {
             name: "1000x1GB",
-            files: vec![FileSpec { size_bytes: GIB }; count],
+            files: vec![FileSpec {
+                size_bytes: GIB,
+                count,
+            }],
         }
     }
 
@@ -56,7 +61,7 @@ impl Dataset {
         let large = Self::large(seed.wrapping_add(1));
         let mut files = Vec::with_capacity(small.files.len() + large.files.len());
         // Interleave: one large file per chunk of small files, preserving
-        // both sub-dataset orders.
+        // both sub-dataset orders. The generators emit one file per entry.
         let chunk = (small.files.len() / large.files.len().max(1)).max(1);
         let mut small_iter = small.files.into_iter();
         for lf in large.files {
@@ -88,34 +93,37 @@ impl Dataset {
         while sum < total_bytes {
             let ln_size = rng.gen_range(ln_min..ln_max);
             let size = (ln_size.exp() as u64).clamp(min_bytes, max_bytes);
-            files.push(FileSpec { size_bytes: size });
+            files.push(FileSpec {
+                size_bytes: size,
+                count: 1,
+            });
             sum += size;
         }
         Dataset { name, files }
     }
 
-    /// Total bytes across all files.
+    /// Total bytes across all files, saturating at `u64::MAX`.
     pub fn total_bytes(&self) -> u64 {
-        self.files.iter().map(|f| f.size_bytes).sum()
+        self.files.iter().fold(0u64, |sum, f| {
+            sum.saturating_add(f.size_bytes.saturating_mul(f.count))
+        })
     }
 
-    /// Number of files.
-    pub fn len(&self) -> usize {
-        self.files.len()
+    /// Number of files, saturating at `u64::MAX`.
+    pub fn len(&self) -> u64 {
+        self.files
+            .iter()
+            .fold(0u64, |n, f| n.saturating_add(f.count))
     }
 
     /// Whether the dataset has no files.
     pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
+        self.len() == 0
     }
 
     /// Mean file size in bytes (0 for an empty dataset).
     pub fn mean_file_bytes(&self) -> u64 {
-        if self.files.is_empty() {
-            0
-        } else {
-            self.total_bytes() / self.files.len() as u64
-        }
+        self.total_bytes().checked_div(self.len()).unwrap_or(0)
     }
 }
 
@@ -129,6 +137,24 @@ mod tests {
         assert_eq!(d.len(), 1000);
         assert_eq!(d.total_bytes(), 1000 * GIB);
         assert_eq!(d.mean_file_bytes(), GIB);
+        // One run, however many files: literally the paper's "n×1 GB".
+        for n in [0, 1, 1000, 1 << 33] {
+            assert_eq!(Dataset::uniform_1gb(n).files.len(), 1);
+        }
+    }
+
+    #[test]
+    fn totals_saturate_instead_of_wrapping() {
+        let d = Dataset::uniform_1gb(u64::MAX);
+        assert_eq!(d.total_bytes(), u64::MAX);
+        assert_eq!(d.len(), u64::MAX);
+        let two = Dataset {
+            name: "two-runs",
+            files: vec![d.files[0], d.files[0]],
+        };
+        assert_eq!(two.total_bytes(), u64::MAX);
+        assert_eq!(two.len(), u64::MAX);
+        assert_eq!(two.mean_file_bytes(), 1);
     }
 
     #[test]

@@ -30,9 +30,8 @@ pub trait TransferHarness {
         }
     }
 
-    /// Tell the substrate what tick size to use if it must fall back to
-    /// fixed-step integration (the tick oracle). Event-driven and real
-    /// substrates ignore it (default no-op).
+    /// No product caller: every substrate is event-driven or real-time and
+    /// ignores a tick size. Stays only because `bench/layers` implements it.
     fn set_time_resolution(&mut self, _dt_s: f64) {}
 
     /// Consume the interval metrics accumulated since the last sample.
@@ -78,7 +77,8 @@ pub trait TransferHarness {
 struct Slot {
     handle: AgentHandle,
     job: TransferJob,
-    dataset: Dataset,
+    /// All the pipelining-efficiency model reads of the dataset.
+    mean_file_bytes: u64,
     settings: TransferSettings,
     share_weight: f64,
     complete: bool,
@@ -179,7 +179,7 @@ impl SimHarness {
 
     fn to_agent_settings(&self, slot: &Slot) -> AgentSettings {
         let eff = thread_efficiency(
-            &slot.dataset,
+            slot.mean_file_bytes,
             slot.settings,
             self.sim.env().rtt_s,
             self.nominal_thread_mbps / f64::from(slot.settings.parallelism.max(1)),
@@ -208,7 +208,7 @@ impl TransferHarness for SimHarness {
         self.slots.push(Slot {
             handle,
             job,
-            dataset,
+            mean_file_bytes: dataset.mean_file_bytes(),
             settings: TransferSettings::with_concurrency(1),
             share_weight,
             complete: false,
@@ -238,10 +238,6 @@ impl TransferHarness for SimHarness {
     fn advance_until(&mut self, t_s: f64) {
         self.sim.run_until(t_s);
         self.settle_deliveries();
-    }
-
-    fn set_time_resolution(&mut self, dt_s: f64) {
-        self.sim.set_tick_hint(dt_s);
     }
 
     fn sample(&mut self, agent: usize) -> ProbeMetrics {
@@ -331,7 +327,7 @@ impl TransferHarness for SimHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{Dataset, FileSpec, GIB, KIB};
+    use crate::dataset::{Dataset, FileSpec, KIB};
     use falcon_sim::Environment;
 
     fn harness(env: Environment) -> SimHarness {
@@ -358,12 +354,10 @@ mod tests {
         let mut h = harness(Environment::emulab(100.0));
         let tiny = Dataset {
             name: "tiny",
-            files: vec![
-                FileSpec {
-                    size_bytes: 50 * KIB
-                };
-                2
-            ],
+            files: vec![FileSpec {
+                size_bytes: 50 * KIB,
+                count: 2,
+            }],
         };
         let a = h.join(tiny);
         h.apply(a, TransferSettings::with_concurrency(4));
@@ -420,7 +414,6 @@ mod tests {
         }
         let m = h.sample(a);
         assert!(m.aggregate_mbps > 900.0, "got {}", m.aggregate_mbps);
-        let _ = GIB;
     }
 
     #[test]
@@ -462,6 +455,23 @@ mod tests {
         let rb = h.sample(b).aggregate_mbps;
         assert!(ra > 450.0, "a got {ra}");
         assert!(rb > 450.0, "b got {rb}");
+    }
+
+    #[test]
+    fn exabyte_dataset_costs_one_entry_however_often_it_is_applied() {
+        // 2^33 one-GiB files are 2^63 bytes; per-file state anywhere on
+        // this path would need tens of GiB per copy.
+        let dataset = Dataset::uniform_1gb(1 << 33);
+        assert_eq!(dataset.files.len(), 1);
+        assert_eq!(dataset.total_bytes(), 1 << 63);
+        let mut h = harness(Environment::emulab(100.0));
+        let a = h.join(dataset);
+        for i in 0..10_000u32 {
+            h.apply(a, TransferSettings::with_concurrency(1 + i % 16));
+        }
+        h.advance(30.0);
+        assert!(!h.is_complete(a));
+        assert!(h.sample(a).aggregate_mbps > 0.0);
     }
 
     #[test]

@@ -1,48 +1,34 @@
 //! Byte accounting for a transfer task.
 //!
-//! A [`TransferJob`] walks a [`Dataset`] with `concurrency` file threads;
-//! each thread works its way through a shared queue of files. The harness
-//! feeds it delivered megabits each tick and the job reports progress and
-//! completion.
+//! A [`TransferJob`] knows how many bytes its [`Dataset`] holds; the
+//! harness feeds it delivered megabits and the job reports completion.
 
 use crate::dataset::Dataset;
 
-/// Progress state of one transfer task.
+/// Byte progress of one transfer task.
 #[derive(Debug, Clone)]
 pub struct TransferJob {
     total_bytes: u64,
     delivered_bytes: f64,
-    files_total: usize,
-    /// Cumulative size boundaries (bytes) after each file, used to convert
-    /// delivered bytes into completed-file counts without per-thread state.
-    cumulative: Vec<u64>,
 }
 
 impl TransferJob {
     /// New job over a dataset.
     pub fn new(dataset: &Dataset) -> Self {
-        let mut cumulative = Vec::with_capacity(dataset.len());
-        let mut sum = 0u64;
-        for f in &dataset.files {
-            sum += f.size_bytes;
-            cumulative.push(sum);
-        }
         TransferJob {
-            total_bytes: sum,
+            total_bytes: dataset.total_bytes(),
             delivered_bytes: 0.0,
-            files_total: dataset.len(),
-            cumulative,
         }
     }
 
-    /// Record `mbits` delivered in the last tick.
+    /// Record `mbits` delivered since the last call.
     pub fn deliver_mbits(&mut self, mbits: f64) {
         debug_assert!(mbits >= 0.0);
         self.delivered_bytes =
             (self.delivered_bytes + mbits * 1e6 / 8.0).min(self.total_bytes as f64);
     }
 
-    /// Bytes delivered so far.
+    /// Bytes delivered so far, never more than [`TransferJob::total_bytes`].
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes as u64
     }
@@ -52,29 +38,9 @@ impl TransferJob {
         self.total_bytes
     }
 
-    /// Fraction complete in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        if self.total_bytes == 0 {
-            1.0
-        } else {
-            self.delivered_bytes / self.total_bytes as f64
-        }
-    }
-
     /// Whether every byte has been delivered.
     pub fn is_complete(&self) -> bool {
         self.total_bytes == 0 || self.delivered_bytes >= self.total_bytes as f64
-    }
-
-    /// Number of files fully delivered (in dataset order).
-    pub fn files_completed(&self) -> usize {
-        let done = self.delivered_bytes as u64;
-        self.cumulative.partition_point(|&c| c <= done)
-    }
-
-    /// Total number of files.
-    pub fn files_total(&self) -> usize {
-        self.files_total
     }
 }
 
@@ -83,56 +49,44 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, FileSpec, MIB};
 
-    fn three_files() -> Dataset {
+    fn four_mib() -> Dataset {
         Dataset {
             name: "three",
             files: vec![
-                FileSpec { size_bytes: MIB },
+                FileSpec {
+                    size_bytes: MIB,
+                    count: 1,
+                },
                 FileSpec {
                     size_bytes: 2 * MIB,
+                    count: 1,
                 },
-                FileSpec { size_bytes: MIB },
+                FileSpec {
+                    size_bytes: MIB,
+                    count: 1,
+                },
             ],
         }
     }
 
     #[test]
-    fn fresh_job_is_incomplete() {
-        let j = TransferJob::new(&three_files());
-        assert!(!j.is_complete());
-        assert_eq!(j.progress(), 0.0);
-        assert_eq!(j.files_completed(), 0);
-        assert_eq!(j.files_total(), 3);
-    }
-
-    #[test]
     fn delivery_accumulates_and_completes() {
-        let mut j = TransferJob::new(&three_files());
+        let mut j = TransferJob::new(&four_mib());
+        assert!(!j.is_complete());
+        assert_eq!(j.delivered_bytes(), 0);
         let total_mbits = 4.0 * MIB as f64 * 8.0 / 1e6;
         j.deliver_mbits(total_mbits / 2.0);
-        assert!((j.progress() - 0.5).abs() < 1e-9);
+        assert_eq!(j.delivered_bytes(), 2 * MIB);
         assert!(!j.is_complete());
         j.deliver_mbits(total_mbits);
         assert!(j.is_complete());
-        assert_eq!(j.files_completed(), 3);
-    }
-
-    #[test]
-    fn files_complete_in_order() {
-        let mut j = TransferJob::new(&three_files());
-        let mib_mbits = MIB as f64 * 8.0 / 1e6;
-        j.deliver_mbits(mib_mbits * 1.5); // 1.5 MiB: first file done
-        assert_eq!(j.files_completed(), 1);
-        j.deliver_mbits(mib_mbits * 1.5); // 3 MiB: second file done
-        assert_eq!(j.files_completed(), 2);
     }
 
     #[test]
     fn delivery_clamped_at_total() {
-        let mut j = TransferJob::new(&three_files());
+        let mut j = TransferJob::new(&four_mib());
         j.deliver_mbits(1e9);
         assert_eq!(j.delivered_bytes(), j.total_bytes());
-        assert!((j.progress() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -142,6 +96,5 @@ mod tests {
             files: vec![],
         });
         assert!(j.is_complete());
-        assert_eq!(j.progress(), 1.0);
     }
 }

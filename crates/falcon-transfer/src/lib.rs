@@ -4,14 +4,13 @@
 //! and the substrate that actually moves bytes ([`falcon_sim`], or the real
 //! loopback engine in `falcon-net`):
 //!
-//! - [`dataset`] — file-set models and generators for the paper's workloads
-//!   (1000×1 GB; *small* 1 KiB–10 MiB / 120 GiB; *large* 100 MiB–10 GiB /
-//!   1 TiB; *mixed*).
+//! - [`dataset`] — run-length file-set models and generators for the
+//!   paper's workloads (1000×1 GB; *small* 1 KiB–10 MiB / 120 GiB; *large*
+//!   100 MiB–10 GiB / 1 TiB; *mixed*).
 //! - [`pipelining`] — the startup-gap model: how much wall time each file
 //!   thread wastes between files, and how command pipelining hides it
 //!   (§4.4: pipelining matters for lots-of-small-files transfers).
-//! - [`job`] — per-thread file queues and byte accounting for a transfer
-//!   task.
+//! - [`job`] — byte accounting for a transfer task.
 //! - [`harness`] — the [`harness::TransferHarness`] trait and the
 //!   simulator-backed implementation.
 //! - [`runner`] — the experiment engine: schedules competing transfer
@@ -20,7 +19,6 @@
 //! - [`scheduler`] — file-to-thread dispatch policies (FIFO,
 //!   largest-first, smallest-first) and a makespan evaluator for the
 //!   straggler analysis on heterogeneous datasets.
-//! - [`stats`] — summary statistics and resampling for trace analysis.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -30,7 +28,6 @@ pub mod job;
 pub mod pipelining;
 pub mod runner;
 pub mod scheduler;
-pub mod stats;
 
 pub use dataset::{Dataset, FileSpec};
 pub use harness::{SimHarness, TransferHarness};
@@ -38,4 +35,3 @@ pub use job::TransferJob;
 pub use runner::{
     jain_index, AgentPlan, RecoveryEvent, RecoveryKind, RunTrace, Runner, TracePoint, Tuner,
 };
-pub use stats::Summary;

@@ -8,7 +8,6 @@
 //! it dominates — the paper's reason pipelining helps *small* and *mixed*
 //! datasets (Figure 15) while being "merely command caching" in cost.
 
-use crate::dataset::Dataset;
 use falcon_core::TransferSettings;
 
 /// Fixed per-file cost that does not depend on the network: file open,
@@ -25,16 +24,16 @@ pub fn per_file_gap_s(rtt_s: f64, pipelining: u32) -> f64 {
 }
 
 /// Fraction of wall time a file thread spends actually moving bytes, given
-/// the dataset's mean file size, the thread's nominal rate, and the gap
-/// model. This is the `efficiency` the simulator applies to each thread's
-/// demand.
+/// the dataset's mean file size
+/// ([`Dataset::mean_file_bytes`](crate::dataset::Dataset::mean_file_bytes)),
+/// the thread's nominal rate, and the gap model. This is the `efficiency`
+/// the simulator applies to each thread's demand.
 pub fn thread_efficiency(
-    dataset: &Dataset,
+    mean_bytes: u64,
     settings: TransferSettings,
     rtt_s: f64,
     nominal_thread_mbps: f64,
 ) -> f64 {
-    let mean_bytes = dataset.mean_file_bytes();
     if mean_bytes == 0 || nominal_thread_mbps <= 0.0 {
         return 1.0;
     }
@@ -46,7 +45,7 @@ pub fn thread_efficiency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{Dataset, FileSpec, GIB, KIB, MIB};
+    use crate::dataset::{GIB, KIB, MIB};
 
     fn settings(pp: u32) -> TransferSettings {
         TransferSettings {
@@ -70,9 +69,8 @@ mod tests {
 
     #[test]
     fn large_files_are_gap_insensitive() {
-        let d = Dataset::uniform_1gb(10);
-        let e1 = thread_efficiency(&d, settings(1), 0.060, 1000.0);
-        let e8 = thread_efficiency(&d, settings(8), 0.060, 1000.0);
+        let e1 = thread_efficiency(GIB, settings(1), 0.060, 1000.0);
+        let e8 = thread_efficiency(GIB, settings(8), 0.060, 1000.0);
         // A 1 GB file takes ~8 s at 1 Gbps; a 0.13 s gap is ~1.6%.
         assert!(e1 > 0.97, "e1 = {e1}");
         assert!(e8 >= e1);
@@ -81,18 +79,9 @@ mod tests {
     #[test]
     fn small_files_suffer_badly_without_pipelining() {
         // Mean ~ hundreds of KiB at WAN RTT: gap dominates.
-        let d = Dataset {
-            name: "tiny",
-            files: vec![
-                FileSpec {
-                    size_bytes: 100 * KIB
-                };
-                1000
-            ],
-        };
-        let e1 = thread_efficiency(&d, settings(1), 0.060, 1000.0);
+        let e1 = thread_efficiency(100 * KIB, settings(1), 0.060, 1000.0);
         assert!(e1 < 0.05, "e1 = {e1}");
-        let e16 = thread_efficiency(&d, settings(16), 0.060, 1000.0);
+        let e16 = thread_efficiency(100 * KIB, settings(16), 0.060, 1000.0);
         assert!(
             e16 > 4.0 * e1,
             "pipelining should multiply efficiency: {e1} -> {e16}"
@@ -101,35 +90,21 @@ mod tests {
 
     #[test]
     fn lan_gaps_smaller_than_wan_gaps() {
-        let d = Dataset {
-            name: "tiny",
-            files: vec![FileSpec { size_bytes: MIB }; 10],
-        };
-        let lan = thread_efficiency(&d, settings(1), 0.0001, 1000.0);
-        let wan = thread_efficiency(&d, settings(1), 0.060, 1000.0);
+        let lan = thread_efficiency(MIB, settings(1), 0.0001, 1000.0);
+        let wan = thread_efficiency(MIB, settings(1), 0.060, 1000.0);
         assert!(lan > wan);
     }
 
     #[test]
     fn empty_dataset_fully_efficient() {
-        let d = Dataset {
-            name: "empty",
-            files: vec![],
-        };
-        assert_eq!(thread_efficiency(&d, settings(1), 0.06, 1000.0), 1.0);
+        assert_eq!(thread_efficiency(0, settings(1), 0.06, 1000.0), 1.0);
     }
 
     #[test]
     fn efficiency_clamped_to_valid_range() {
-        let d = Dataset {
-            name: "one-byte",
-            files: vec![FileSpec { size_bytes: 1 }; 3],
-        };
-        let e = thread_efficiency(&d, settings(1), 0.060, 100_000.0);
+        let e = thread_efficiency(1, settings(1), 0.060, 100_000.0);
         assert!((0.01..=1.0).contains(&e));
-        let d2 = Dataset::uniform_1gb(1);
-        let e2 = thread_efficiency(&d2, settings(1), 0.060, 0.001);
+        let e2 = thread_efficiency(GIB, settings(1), 0.060, 0.001);
         assert!(e2 <= 1.0);
-        let _ = GIB;
     }
 }

@@ -153,8 +153,6 @@ pub struct TracePoint {
     pub mbps: f64,
     /// Settings in effect.
     pub settings: TransferSettings,
-    /// Instantaneous loss at the bottleneck.
-    pub loss: f64,
 }
 
 /// The full record of an experiment run.
@@ -170,6 +168,36 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
+    /// One agent's points inside `[from_s, to_s)`, in time order.
+    fn window(
+        &self,
+        agent: usize,
+        from_s: f64,
+        to_s: f64,
+    ) -> impl Iterator<Item = &TracePoint> + Clone {
+        self.points
+            .iter()
+            .filter(move |p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
+    }
+
+    /// Mean of `f` over one agent's window (0 when the window is empty).
+    fn window_mean(
+        &self,
+        agent: usize,
+        from_s: f64,
+        to_s: f64,
+        f: impl Fn(&TracePoint) -> f64,
+    ) -> f64 {
+        let (sum, n) = self
+            .window(agent, from_s, to_s)
+            .fold((0.0, 0usize), |(sum, n), p| (sum + f(p), n + 1));
+        if n == 0 {
+            0.0
+        } else {
+            sum / n as f64
+        }
+    }
+
     /// Time series `(t, mbps, concurrency)` of one agent.
     pub fn series(&self, agent: usize) -> Vec<(f64, f64, u32)> {
         self.points
@@ -181,48 +209,12 @@ impl RunTrace {
 
     /// Mean goodput of an agent over `[from_s, to_s)`.
     pub fn avg_mbps(&self, agent: usize, from_s: f64, to_s: f64) -> f64 {
-        let pts: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
-            .map(|p| p.mbps)
-            .collect();
-        if pts.is_empty() {
-            0.0
-        } else {
-            pts.iter().sum::<f64>() / pts.len() as f64
-        }
+        self.window_mean(agent, from_s, to_s, |p| p.mbps)
     }
 
     /// Mean concurrency of an agent over `[from_s, to_s)`.
     pub fn avg_concurrency(&self, agent: usize, from_s: f64, to_s: f64) -> f64 {
-        let pts: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
-            .map(|p| f64::from(p.settings.concurrency))
-            .collect();
-        if pts.is_empty() {
-            0.0
-        } else {
-            pts.iter().sum::<f64>() / pts.len() as f64
-        }
-    }
-
-    /// Mean loss over `[from_s, to_s)` (averaged over all active agents'
-    /// points — loss is a link property so any agent's points carry it).
-    pub fn avg_loss(&self, from_s: f64, to_s: f64) -> f64 {
-        let pts: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.t_s >= from_s && p.t_s < to_s)
-            .map(|p| p.loss)
-            .collect();
-        if pts.is_empty() {
-            0.0
-        } else {
-            pts.iter().sum::<f64>() / pts.len() as f64
-        }
+        self.window_mean(agent, from_s, to_s, |p| f64::from(p.settings.concurrency))
     }
 
     /// Export the full trace as CSV (`t_s,agent,label,mbps,concurrency,
@@ -245,64 +237,24 @@ impl RunTrace {
         out
     }
 
-    /// Per-agent summary statistics of instantaneous goodput over a window.
-    pub fn throughput_summary(
-        &self,
-        agent: usize,
-        from_s: f64,
-        to_s: f64,
-    ) -> Option<crate::stats::Summary> {
-        let samples: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
-            .map(|p| p.mbps)
-            .collect();
-        crate::stats::Summary::of(&samples)
-    }
-
     /// Process-seconds consumed by an agent over a window: the integral of
     /// its concurrency over time. The paper's "just-enough concurrency"
     /// claim is exactly that Falcon buys near-optimal throughput at far
     /// fewer process-seconds than aggressive fixed settings (§2, §3.1).
     pub fn process_seconds(&self, agent: usize, from_s: f64, to_s: f64) -> f64 {
-        let pts: Vec<&TracePoint> = self
-            .points
-            .iter()
-            .filter(|p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
-            .collect();
-        let mut total = 0.0;
-        for w in pts.windows(2) {
-            total += f64::from(w[0].settings.concurrency) * (w[1].t_s - w[0].t_s);
-        }
-        total
-    }
-
-    /// Connection-seconds (`cc × p` integrated over time) — the network-side
-    /// overhead analogue of [`RunTrace::process_seconds`].
-    pub fn connection_seconds(&self, agent: usize, from_s: f64, to_s: f64) -> f64 {
-        let pts: Vec<&TracePoint> = self
-            .points
-            .iter()
-            .filter(|p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
-            .collect();
-        let mut total = 0.0;
-        for w in pts.windows(2) {
-            total += f64::from(w[0].settings.total_connections()) * (w[1].t_s - w[0].t_s);
-        }
-        total
+        let pts = self.window(agent, from_s, to_s);
+        pts.clone().zip(pts.skip(1)).fold(0.0, |total, (a, b)| {
+            total + f64::from(a.settings.concurrency) * (b.t_s - a.t_s)
+        })
     }
 
     /// How many times the agent's settings changed in a window — the
     /// reconfiguration churn of an always-on search.
     pub fn settings_changes(&self, agent: usize, from_s: f64, to_s: f64) -> usize {
-        let pts: Vec<&TracePoint> = self
-            .points
-            .iter()
-            .filter(|p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
-            .collect();
-        pts.windows(2)
-            .filter(|w| w[0].settings != w[1].settings)
+        let pts = self.window(agent, from_s, to_s);
+        pts.clone()
+            .zip(pts.skip(1))
+            .filter(|(a, b)| a.settings != b.settings)
             .count()
     }
 
@@ -365,42 +317,25 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 /// amount of time, it captures performance metrics". Without this, freshly
 /// created connections still in slow start systematically deflate the
 /// utility of higher-concurrency probes.
+#[derive(Default)]
 pub struct Runner {
-    /// Tick-size hint (seconds) handed to the substrate via
-    /// [`TransferHarness::set_time_resolution`]. The runner itself is
-    /// event-driven — it advances the harness straight from one wakeup to
-    /// the next — so this only matters to substrates that fall back to
-    /// fixed-step integration (the tick oracle).
-    pub dt_s: f64,
-    /// Trace recording resolution (seconds).
-    pub trace_every_s: f64,
-    /// Initial delay before the first restart attempt on a dead process;
-    /// doubles after each failed attempt (exponential backoff).
-    pub restart_backoff_s: f64,
-    /// Backoff ceiling for restart attempts.
-    pub restart_backoff_max_s: f64,
-    /// Probe samples below this goodput on an *attached* transfer are
-    /// treated as stalled/poisoned: discarded (not shown to the tuner) and
-    /// the interval re-probed. Real transfers always clear ~1 Mbps.
-    pub stall_mbps: f64,
     /// Structured-event tracer. Disabled by default; install a recording
     /// tracer to capture probe, settings-change, recovery, and convergence
     /// events (agent-scoped by plan index).
     pub tracer: Tracer,
 }
 
-impl Default for Runner {
-    fn default() -> Self {
-        Runner {
-            dt_s: 0.1,
-            trace_every_s: 1.0,
-            restart_backoff_s: 1.0,
-            restart_backoff_max_s: 30.0,
-            stall_mbps: 1.0,
-            tracer: Tracer::default(),
-        }
-    }
-}
+/// Spacing of [`RunTrace::points`] (seconds).
+pub const TRACE_EVERY_S: f64 = 1.0;
+/// Delay before the first restart attempt on a dead process; doubles after
+/// each failed attempt (exponential backoff).
+const RESTART_BACKOFF_S: f64 = 1.0;
+/// Backoff ceiling for restart attempts.
+const RESTART_BACKOFF_MAX_S: f64 = 30.0;
+/// Probe samples below this goodput on an *attached* transfer are treated
+/// as stalled/poisoned: discarded (not shown to the tuner) and the interval
+/// re-probed. Real transfers always clear ~1 Mbps.
+const STALL_MBPS: f64 = 1.0;
 
 struct Live {
     slot: usize,
@@ -474,7 +409,6 @@ impl Runner {
         let mut completed_at: Vec<Option<f64>> = vec![None; plans.len()];
         let mut recovery: Vec<RecoveryEvent> = Vec::new();
 
-        harness.set_time_resolution(self.dt_s);
         let t0 = harness.time_s();
         let end_s = t0 + duration_s;
 
@@ -495,8 +429,8 @@ impl Runner {
             }
         }
         let mut trace_k: u64 = 1;
-        if self.trace_every_s > 0.0 && t0 + self.trace_every_s <= end_s {
-            wakeups.push(t0 + self.trace_every_s, WAKE_TRACE, ());
+        if t0 + TRACE_EVERY_S <= end_s {
+            wakeups.push(t0 + TRACE_EVERY_S, WAKE_TRACE, ());
         }
         wakeups.push(end_s, WAKE_END, ());
 
@@ -511,7 +445,9 @@ impl Runner {
             // Joins.
             for (i, plan) in plans.iter_mut().enumerate() {
                 if !live[i].joined && t >= plan.start_s {
-                    let slot = harness.join(plan.dataset.clone());
+                    // The dataset moves into the harness; the plan keeps an
+                    // empty one that nothing reads.
+                    let slot = harness.join(std::mem::take(&mut plan.dataset));
                     harness.apply(slot, plan.tuner.initial());
                     live[i].slot = slot;
                     live[i].joined = true;
@@ -558,7 +494,7 @@ impl Runner {
                 if !harness.is_attached(slot) {
                     if !live[i].detached {
                         live[i].detached = true;
-                        live[i].backoff_s = self.restart_backoff_s;
+                        live[i].backoff_s = RESTART_BACKOFF_S;
                         live[i].retry_at_s = t + live[i].backoff_s;
                         wakeups.push(live[i].retry_at_s, WAKE_AGENT, ());
                         recovery.push(RecoveryEvent {
@@ -571,8 +507,7 @@ impl Runner {
                             value: 0.0,
                         });
                     } else if t >= live[i].retry_at_s {
-                        live[i].backoff_s =
-                            (live[i].backoff_s * 2.0).min(self.restart_backoff_max_s);
+                        live[i].backoff_s = (live[i].backoff_s * 2.0).min(RESTART_BACKOFF_MAX_S);
                         live[i].retry_at_s = t + live[i].backoff_s;
                         wakeups.push(live[i].retry_at_s, WAKE_AGENT, ());
                         recovery.push(RecoveryEvent {
@@ -626,7 +561,7 @@ impl Runner {
                 }
                 if t >= live[i].next_probe_s {
                     let metrics = harness.sample(slot);
-                    if metrics.interval_s <= 0.0 || metrics.aggregate_mbps < self.stall_mbps {
+                    if metrics.interval_s <= 0.0 || metrics.aggregate_mbps < STALL_MBPS {
                         // Stalled interval on an attached transfer: the
                         // sample says nothing about the chosen setting, so
                         // discard it and re-probe rather than letting the
@@ -682,14 +617,13 @@ impl Runner {
                             agent: i,
                             mbps: harness.instantaneous_mbps(l.slot),
                             settings: harness.current_settings(l.slot),
-                            loss: 0.0,
                         });
                     }
                 }
                 // Drift-free trace grid: the k-th trace instant is
                 // t0 + k·Δ, never an accumulated sum.
                 trace_k += 1;
-                let next = t0 + trace_k as f64 * self.trace_every_s;
+                let next = t0 + trace_k as f64 * TRACE_EVERY_S;
                 if next <= end_s {
                     wakeups.push(next, WAKE_TRACE, ());
                 }
@@ -831,12 +765,9 @@ mod tests {
             Dataset::uniform_1gb(10_000),
         );
         let trace = Runner::default().run(&mut h, vec![plan], 100.0);
-        // 8 processes for ~100 s ≈ 800 process-seconds; 16 connections
-        // for ~100 s ≈ 1600 connection-seconds.
+        // 8 processes for ~100 s ≈ 800 process-seconds.
         let ps = trace.process_seconds(0, 0.0, 100.0);
         assert!((750.0..=800.0).contains(&ps), "process-seconds {ps}");
-        let cs = trace.connection_seconds(0, 0.0, 100.0);
-        assert!((1500.0..=1600.0).contains(&cs), "connection-seconds {cs}");
         assert_eq!(trace.settings_changes(0, 0.0, 100.0), 0);
     }
 
@@ -871,25 +802,6 @@ mod tests {
         let n_rows = lines.count();
         assert!(n_rows >= 25, "only {n_rows} rows");
         assert!(csv.contains("falcon-gradient-descent"));
-    }
-
-    #[test]
-    fn throughput_summary_matches_avg() {
-        let mut h = harness(Environment::emulab(100.0).without_noise(), 5);
-        let plan = AgentPlan::at_start(
-            Box::new(FixedTuner {
-                settings: TransferSettings::with_concurrency(10),
-                name: "fixed".into(),
-            }),
-            Dataset::uniform_1gb(10_000),
-        );
-        let trace = Runner::default().run(&mut h, vec![plan], 60.0);
-        let summary = trace.throughput_summary(0, 30.0, 60.0).unwrap();
-        let avg = trace.avg_mbps(0, 30.0, 60.0);
-        assert!((summary.mean - avg).abs() < 1e-9);
-        assert!(summary.p95 >= summary.median);
-        // Fixed setting at steady state: tight distribution.
-        assert!(summary.cv < 0.05, "cv {}", summary.cv);
     }
 
     #[test]

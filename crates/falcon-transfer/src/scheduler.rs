@@ -42,8 +42,16 @@ impl SchedulePolicy {
     }
 
     /// Apply the policy: the order in which files will be dispatched.
+    /// One entry per file: this is the one place runs are expanded.
     pub fn order(&self, dataset: &Dataset) -> Vec<u64> {
-        let mut sizes: Vec<u64> = dataset.files.iter().map(|f| f.size_bytes).collect();
+        let mut sizes: Vec<u64> = dataset
+            .files
+            .iter()
+            .flat_map(|f| {
+                let count = usize::try_from(f.count).unwrap_or(usize::MAX);
+                std::iter::repeat_n(f.size_bytes, count)
+            })
+            .collect();
         match self {
             SchedulePolicy::Fifo => {}
             SchedulePolicy::LargestFirst => sizes.sort_unstable_by(|a, b| b.cmp(a)),
@@ -118,18 +126,18 @@ mod tests {
         // One 2 GiB whale plus many minnows (16 GiB of them): the whale is
         // under the per-thread ideal share, so a good schedule can hide it
         // while a bad one leaves it as a straggler.
-        let mut files = vec![FileSpec {
-            size_bytes: 2 * GIB,
-        }];
-        files.extend(vec![
-            FileSpec {
-                size_bytes: 64 * MIB
-            };
-            256
-        ]);
         Dataset {
             name: "skewed",
-            files,
+            files: vec![
+                FileSpec {
+                    size_bytes: 2 * GIB,
+                    count: 1,
+                },
+                FileSpec {
+                    size_bytes: 64 * MIB,
+                    count: 256,
+                },
+            ],
         }
     }
 

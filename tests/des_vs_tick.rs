@@ -18,7 +18,7 @@ use falcon_cli::run::resolve_env;
 use falcon_cli::scenario;
 use falcon_repro::fleet::FleetTopology;
 use falcon_repro::sim::{
-    AgentHandle, AgentSettings, Engine, Environment, EnvironmentEvent, EventAction, Simulation,
+    oracle, AgentHandle, AgentSettings, Environment, EnvironmentEvent, EventAction, Simulation,
 };
 
 /// Every scenario file shipped with the repo.
@@ -49,12 +49,12 @@ fn scenario_env(sc: &scenario::Scenario) -> Environment {
     }
 }
 
-/// Build one simulation of a scenario's world under `engine`: its
-/// environment, scripted events, background flows, and a cast of
-/// fixed-concurrency agents standing in for the scripted transfers.
-fn build(sc: &scenario::Scenario, engine: Engine) -> (Simulation, Vec<AgentHandle>) {
+/// Build one simulation of a scenario's world: its environment, scripted
+/// events, background flows, and a cast of fixed-concurrency agents
+/// standing in for the scripted transfers.
+fn build(sc: &scenario::Scenario) -> (Simulation, Vec<AgentHandle>) {
     let n_agents = sc.agents.len().max(2);
-    let mut sim = Simulation::with_engine(scenario_env(sc), sc.seed, engine);
+    let mut sim = Simulation::new(scenario_env(sc), sc.seed);
     for bg in &sc.background {
         sim.add_background_flow(*bg);
     }
@@ -90,16 +90,16 @@ fn env_state(sim: &Simulation, handles: &[AgentHandle]) -> Vec<f64> {
 fn des_matches_tick_oracle_on_every_scenario() {
     for (name, text) in scenario_files() {
         let sc = scenario::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let (mut des, handles) = build(&sc, Engine::Des);
-        let (mut tick, _) = build(&sc, Engine::Tick);
+        let (mut des, handles) = build(&sc);
+        let (mut tick, _) = build(&sc);
 
         // Awkward slicing on purpose: checkpoints never line up with the
         // 0.1 s tick grid, so any boundary quantization would show up.
         let slice = 13.7;
         let mut changed = false;
         while des.time_s() < sc.duration_s {
-            des.run_for(slice, 0.1);
-            tick.run_for(slice, 0.1);
+            des.run_for(slice);
+            oracle::run_for(&mut tick, slice, 0.1);
             assert_eq!(des.time_s(), tick.time_s(), "{name}: clocks diverged");
             assert_eq!(
                 env_state(&des, &handles),
@@ -166,13 +166,15 @@ fn gate_covers_the_shipped_scenarios() {
 /// `run_for(10.0)`, which used to shift the firing tick.
 #[test]
 fn event_at_12_5_applies_exactly_under_any_slicing() {
-    for engine in [Engine::Des, Engine::Tick] {
+    // The product path takes no tick; the oracle does.
+    type RunFor = fn(&mut Simulation, f64, f64);
+    let steppers: [(&str, RunFor); 2] = [
+        ("des", |sim, duration_s, _| sim.run_for(duration_s)),
+        ("tick", oracle::run_for),
+    ];
+    for (engine, run_for) in steppers {
         for slices in [vec![(30.0, 0.1)], vec![(12.47, 0.1), (10.0, 0.1)]] {
-            let mut sim = Simulation::with_engine(
-                resolve_env("emulab10").expect("emulab10 preset"),
-                3,
-                engine,
-            );
+            let mut sim = Simulation::new(resolve_env("emulab10").expect("emulab10 preset"), 3);
             let base = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
             sim.add_event(EnvironmentEvent::at(
                 12.5,
@@ -186,10 +188,10 @@ fn event_at_12_5_applies_exactly_under_any_slicing() {
             let a = sim.add_agent();
             sim.set_settings(a, AgentSettings::with_concurrency(8));
             for (d, dt) in slices {
-                sim.run_for(d, dt);
+                run_for(&mut sim, d, dt);
             }
             let cap = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
-            assert_eq!(cap, base * 0.5, "{engine:?}: event never applied");
+            assert_eq!(cap, base * 0.5, "{engine}: event never applied");
             let log = tracer.take_log();
             let rec = log
                 .records
@@ -198,7 +200,7 @@ fn event_at_12_5_applies_exactly_under_any_slicing() {
                 .expect("environment event traced");
             assert_eq!(
                 rec.t_s, 12.5,
-                "{engine:?}: event applied at {} instead of exactly 12.5",
+                "{engine}: event applied at {} instead of exactly 12.5",
                 rec.t_s
             );
         }

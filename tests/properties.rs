@@ -326,7 +326,7 @@ proptest! {
             })
             .collect();
         for _ in 0..80 {
-            sim.step(0.1);
+            sim.advance(0.1);
             let rates: Vec<f64> = handles
                 .iter()
                 .map(|&h| sim.instantaneous_rate_mbps(h))

@@ -161,7 +161,6 @@ fn watchdog_recovers_killed_agent_across_the_stack() {
     ));
     let runner = Runner {
         tracer: tracer.clone(),
-        ..Runner::default()
     };
     let trace = runner.run(
         &mut h,
