@@ -14,10 +14,9 @@ use std::hint::black_box;
 
 use falcon_bench::QuickBench;
 use falcon_core::{
-    BayesianMpOptimizer, BayesianOptimizer, BoMpParams, BoParams, CgdParams,
-    ConjugateGradientOptimizer, FalconAgent, GdParams, GradientDescentOptimizer, HcParams,
-    HillClimbingOptimizer, Observation, OnlineOptimizer, ProbeMetrics, SearchBounds,
-    TransferSettings, UtilityFunction,
+    BayesianMpOptimizer, BayesianOptimizer, BoMpParams, BoParams, ConjugateGradientOptimizer,
+    FalconAgent, GradientDescentOptimizer, HillClimbingOptimizer, Observation, OnlineOptimizer,
+    ProbeMetrics, SearchBounds, TransferSettings, UtilityFunction,
 };
 use falcon_gp::{
     Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpRegressor, LineLattice, Matern52,
@@ -162,14 +161,29 @@ fn bench_gp(q: &mut QuickBench) {
     });
     let candidates: Vec<Vec<f64>> = (1..=100).map(|i| vec![f64::from(i)]).collect();
     let acq = Acquisition::with_defaults(AcquisitionKind::ExpectedImprovement);
-    q.bench("gp", "acquisition_argmax_100_candidates", || {
-        black_box(acq.argmax(&full, &candidates, 300.0))
-    });
-    // The same argmax via multi-start local ascent over the shared
-    // posterior cache — the production decision path's inner search.
     let lattice = LineLattice::new(candidates.len());
     let mut cache = SweepCache::new();
     let mut ascent = AscentScratch::default();
+    // Full-scan baseline: a stride-1 scan scores every candidate.
+    let full_scan = AscentPlan {
+        starts: &[],
+        scan_stride: Some(1),
+    };
+    q.bench("gp", "acquisition_argmax_100_candidates", || {
+        cache.begin(candidates.len());
+        black_box(falcon_gp::sweep::nominate(
+            &acq,
+            &full,
+            &candidates,
+            &lattice,
+            &full_scan,
+            &mut cache,
+            &mut ascent,
+            300.0,
+        ))
+    });
+    // The same argmax via multi-start local ascent over the shared
+    // posterior cache — the production decision path's inner search.
     let starts = [47usize, 31, 0];
     let plan = AscentPlan {
         starts: &starts,
@@ -471,14 +485,14 @@ fn bench_trace(q: &mut QuickBench) {
 }
 
 fn bench_optimizers(q: &mut QuickBench) -> (f64, f64) {
-    let mut opt = HillClimbingOptimizer::new(HcParams::new(100));
+    let mut opt = HillClimbingOptimizer::new(100);
     let mut cc = opt.initial().concurrency;
     let hc_ns = q.bench("optimizers", "decision_hill_climbing", || {
         let s = opt.next(black_box(&observation(cc)));
         cc = s.concurrency;
         black_box(s)
     });
-    let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
+    let mut opt = GradientDescentOptimizer::new(100);
     let mut cc = opt.initial().concurrency;
     let gd_ns = q.bench("optimizers", "decision_gradient_descent", || {
         let s = opt.next(black_box(&observation(cc)));
@@ -505,8 +519,7 @@ fn bench_optimizers(q: &mut QuickBench) -> (f64, f64) {
         s = next;
         black_box(next)
     });
-    let mut opt =
-        ConjugateGradientOptimizer::new(CgdParams::new(SearchBounds::multi_parameter(64, 8, 32)));
+    let mut opt = ConjugateGradientOptimizer::new(SearchBounds::multi_parameter(64, 8, 32));
     let mut s = opt.initial();
     q.bench("optimizers", "decision_conjugate_gradient", || {
         let next = opt.next(black_box(&observation(s.concurrency)));

@@ -371,6 +371,18 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             v.parse()
                 .map_err(|_| err(line_no, format!("{key}: cannot parse {v:?}")))
         };
+        // Times, rates and scale factors the engines divide by, index with
+        // or loop until: a finite number `ok` accepts, or an error here.
+        let ranged = |v: &str, ok: fn(f64) -> bool, want: &str| -> Result<f64, ParseError> {
+            let x = num(v)?;
+            if x.is_finite() && ok(x) {
+                Ok(x)
+            } else {
+                Err(err(line_no, format!("{key}: must be {want}, got {v:?}")))
+            }
+        };
+        let positive = |v: &str| ranged(v, |x| x > 0.0, "finite and > 0");
+        let non_negative = |v: &str| ranged(v, |x| x >= 0.0, "finite and >= 0");
         match section {
             Section::Top => match key {
                 "env" => {
@@ -379,7 +391,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     }
                     sc.env = value.to_string();
                 }
-                "duration" => sc.duration_s = num(value)?,
+                "duration" => sc.duration_s = positive(value)?,
                 "seed" => sc.seed = int(line_no, key, value)?,
                 "trace" => sc.trace_path = Some(value.to_string()),
                 other => return Err(err(line_no, format!("unknown key {other:?}"))),
@@ -393,8 +405,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                         FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
                         a.tuner = value.to_string();
                     }
-                    "start" => a.start_s = num(value)?,
-                    "leave" => a.leave_s = Some(num(value)?),
+                    "start" => a.start_s = non_negative(value)?,
+                    "leave" => a.leave_s = Some(non_negative(value)?),
                     "dataset" => {
                         dataset_ctor(value).map_err(|m| err(line_no, m))?;
                         a.dataset = value.to_string();
@@ -403,20 +415,33 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 }
             }
             Section::Background => match key {
-                "start" => bg.start_s = num(value)?,
+                "start" => bg.start_s = non_negative(value)?,
                 "end" => bg.end_s = num(value)?,
-                "mbps" => bg.demand_mbps = num(value)?,
+                "mbps" => bg.demand_mbps = non_negative(value)?,
                 "connections" => bg.connections = int(line_no, key, value)?,
                 other => return Err(err(line_no, format!("unknown background key {other:?}"))),
             },
             Section::Event => match key {
-                "at" => ev.at_s = Some(num(value)?),
+                "at" => ev.at_s = Some(non_negative(value)?),
                 "action" => ev.action = Some(value.to_string()),
-                "factor" => ev.factor = Some(num(value)?),
-                "rate" => ev.rate = Some(num(value)?),
-                "rtt_s" => ev.rtt_s = Some(num(value)?),
+                "factor" => ev.factor = Some(positive(value)?),
+                "rate" => ev.rate = Some(ranged(value, |x| (0.0..1.0).contains(&x), "in [0, 1)")?),
+                "rtt_s" => ev.rtt_s = Some(positive(value)?),
                 "agent" => ev.agent = Some(int(line_no, key, value)?),
-                "resource" => ev.resource = Some(int(line_no, key, value)?),
+                "resource" => {
+                    // `env` is a top-level key, so it is final by the time
+                    // any section is read.
+                    let resources = resolve_env(&sc.env).map_or(0, |env| env.resources.len());
+                    let r: usize = int(line_no, key, value)?;
+                    if r >= resources {
+                        let msg = format!(
+                            "resource: env {} has resources 0..{resources}, got {r}",
+                            sc.env
+                        );
+                        return Err(err(line_no, msg));
+                    }
+                    ev.resource = Some(r);
+                }
                 other => return Err(err(line_no, format!("unknown event key {other:?}"))),
             },
             Section::Fleet => {
@@ -437,9 +462,9 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                         f.links_mbps = caps;
                     }
                     "transfers" => f.transfers = int(line_no, key, value)?,
-                    "arrivals_per_min" => f.arrivals_per_min = num(value)?,
-                    "mean_file_mb" => f.mean_file_mb = num(value)?,
-                    "anchor_gb" => f.anchor_gb = num(value)?,
+                    "arrivals_per_min" => f.arrivals_per_min = positive(value)?,
+                    "mean_file_mb" => f.mean_file_mb = positive(value)?,
+                    "anchor_gb" => f.anchor_gb = non_negative(value)?,
                     "tuner" => {
                         FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
                         f.tuner = value.to_string();
@@ -891,16 +916,14 @@ fn agent_table(sc: &Scenario, trace: &RunTrace) -> String {
         let fair = trace.fairness(&agents, sc.duration_s * 2.0 / 3.0, sc.duration_s);
         out.push_str(&format!("jain_index (final third): {fair:.3}\n"));
     }
-    if !trace.recovery.is_empty() {
-        for (i, a) in sc.agents.iter().enumerate() {
-            let restarts = trace.restarts(i);
-            let discarded = trace.discarded_probes(i);
-            if restarts > 0 || discarded > 0 {
-                out.push_str(&format!(
-                    "recovery: agent {i} ({}) restarted {restarts}x, discarded {discarded} stalled probe(s)\n",
-                    a.tuner
-                ));
-            }
+    for (i, a) in sc.agents.iter().enumerate() {
+        let restarts = trace.restarts(i);
+        let discarded = trace.discarded_probes(i);
+        if restarts > 0 || discarded > 0 {
+            out.push_str(&format!(
+                "recovery: agent {i} ({}) restarted {restarts}x, discarded {discarded} stalled probe(s)\n",
+                a.tuner
+            ));
         }
     }
     out
@@ -1009,6 +1032,37 @@ agent = 0
         );
         // Unknown key.
         assert!(parse("[agent]\ntuner = falcon-gd\n[event]\nat = 10\nwarp = 9\n").is_err());
+        // Values the simulator would index with, divide by or clamp
+        // silently are errors at their own line: a resource the env does
+        // not have (panicked in `apply_event_action`), a loss floor >= 1
+        // (negative goodput), non-positive or non-finite factors and RTTs
+        // (release builds strip the `debug_assert!`s behind them), and
+        // event times that are not on the clock.
+        for (key, bad) in [
+            ("resource", "99"),
+            ("resource", "5"),
+            ("rate", "2"),
+            ("rate", "1"),
+            ("rate", "-0.1"),
+            ("rate", "nan"),
+            ("factor", "-1"),
+            ("factor", "0"),
+            ("factor", "nan"),
+            ("factor", "inf"),
+            ("rtt_s", "0"),
+            ("rtt_s", "-1"),
+            ("rtt_s", "nan"),
+            ("at", "-5"),
+            ("at", "nan"),
+            ("at", "inf"),
+        ] {
+            let text = format!("env = emulab10\n[agent]\n[event]\n{key} = {bad}\n");
+            let e = parse(&text).unwrap_err().0;
+            assert!(e.starts_with(&format!("line 4: {key}:")), "{text:?}: {e}");
+        }
+        // The five emulab resources are 0..=4.
+        let ok = "env = emulab10\n[agent]\n[event]\nat = 0\naction = link_capacity\nfactor = 0.5\nresource = 4\n";
+        assert!(parse(ok).is_ok());
     }
 
     #[test]
@@ -1032,6 +1086,24 @@ agent = 0
                 "[agent]\ndataset = 1gb:18446744073709551615\n",
                 "line 2: dataset 1gb:18446744073709551615",
             ),
+        ] {
+            let e = parse(text).unwrap_err().0;
+            assert!(e.starts_with(want), "{text:?}: {e}");
+        }
+        // A run must end, and nothing joins, leaves or starts before t = 0:
+        // `duration = inf` never returned, `nan` and `-5` printed a table
+        // of garbage with exit 0.
+        for (text, want) in [
+            ("duration = inf\n[agent]\n", "line 1: duration:"),
+            ("duration = nan\n[agent]\n", "line 1: duration:"),
+            ("duration = -5\n[agent]\n", "line 1: duration:"),
+            ("duration = 0\n[agent]\n", "line 1: duration:"),
+            ("[agent]\nstart = -1\n", "line 2: start:"),
+            ("[agent]\nstart = nan\n", "line 2: start:"),
+            ("[agent]\nleave = inf\n", "line 2: leave:"),
+            ("[agent]\n[background]\nstart = -1\n", "line 3: start:"),
+            ("[agent]\n[background]\nmbps = -5\n", "line 3: mbps:"),
+            ("[agent]\n[background]\nmbps = inf\n", "line 3: mbps:"),
         ] {
             let e = parse(text).unwrap_err().0;
             assert!(e.starts_with(want), "{text:?}: {e}");
@@ -1228,6 +1300,20 @@ agent = 0
             ("[agent]\ntuner = fixed:0\n", "line 2: unknown tuner"),
             ("[fleet]\n[optimizer]\n", "line 2: [optimizer] applies to"),
             ("[optimizer]\n[fleet]\n", "line 2: [optimizer] applies to"),
+            // Workload rates and sizes the generators divide by
+            // (`arrivals_per_min = nan` printed NaN utilisations).
+            (
+                "[fleet]\narrivals_per_min = nan\n",
+                "line 2: arrivals_per_min:",
+            ),
+            (
+                "[fleet]\narrivals_per_min = 0\n",
+                "line 2: arrivals_per_min:",
+            ),
+            ("[fleet]\nmean_file_mb = -1\n", "line 2: mean_file_mb:"),
+            ("[fleet]\nmean_file_mb = inf\n", "line 2: mean_file_mb:"),
+            ("[fleet]\nanchor_gb = -1\n", "line 2: anchor_gb:"),
+            ("[fleet]\nanchor_gb = nan\n", "line 2: anchor_gb:"),
         ] {
             let e = parse(text).unwrap_err().0;
             assert!(e.starts_with(want), "{text:?}: {e}");

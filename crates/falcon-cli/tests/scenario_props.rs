@@ -120,7 +120,8 @@ proptest! {
                             resource: (idx > 0).then_some(idx),
                             factor: x,
                         },
-                        1 => EventAction::LossFloor { rate: x },
+                        // A loss floor lives in [0, 1).
+                        1 => EventAction::LossFloor { rate: x * 0.49 },
                         2 => EventAction::DiskThrottleFactor { factor: x },
                         3 => EventAction::RttShift { rtt_s: x },
                         4 => EventAction::KillAgent { agent: idx },

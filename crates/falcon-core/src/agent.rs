@@ -1,9 +1,9 @@
 //! The Falcon agent: utility function + online optimizer + probe loop glue.
 
 use crate::bayesian::{BayesianOptimizer, BoParams};
-use crate::conjugate::{CgdParams, ConjugateGradientOptimizer};
-use crate::gradient::{GdParams, GradientDescentOptimizer};
-use crate::hill_climbing::{HcParams, HillClimbingOptimizer};
+use crate::conjugate::ConjugateGradientOptimizer;
+use crate::gradient::GradientDescentOptimizer;
+use crate::hill_climbing::HillClimbingOptimizer;
 use crate::metrics::ProbeMetrics;
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
@@ -35,19 +35,12 @@ use crate::utility::UtilityFunction;
 pub struct FalconAgent {
     utility: UtilityFunction,
     optimizer: Box<dyn OnlineOptimizer>,
-    history: Vec<Observation>,
-    keep_history: bool,
 }
 
 impl FalconAgent {
     /// Agent with an explicit utility and optimizer.
     pub fn new(utility: UtilityFunction, optimizer: Box<dyn OnlineOptimizer>) -> Self {
-        FalconAgent {
-            utility,
-            optimizer,
-            history: Vec::new(),
-            keep_history: false,
-        }
+        FalconAgent { utility, optimizer }
     }
 
     /// Falcon with Gradient Descent and the default Eq 4 utility — the
@@ -55,9 +48,7 @@ impl FalconAgent {
     pub fn gradient_descent(max_concurrency: u32) -> Self {
         FalconAgent::new(
             UtilityFunction::falcon_default(),
-            Box::new(GradientDescentOptimizer::new(GdParams::new(
-                max_concurrency,
-            ))),
+            Box::new(GradientDescentOptimizer::new(max_concurrency)),
         )
     }
 
@@ -75,7 +66,7 @@ impl FalconAgent {
     pub fn hill_climbing(max_concurrency: u32) -> Self {
         FalconAgent::new(
             UtilityFunction::falcon_default(),
-            Box::new(HillClimbingOptimizer::new(HcParams::new(max_concurrency))),
+            Box::new(HillClimbingOptimizer::new(max_concurrency)),
         )
     }
 
@@ -84,14 +75,8 @@ impl FalconAgent {
     pub fn multi_parameter(bounds: SearchBounds) -> Self {
         FalconAgent::new(
             UtilityFunction::falcon_multi_param(),
-            Box::new(ConjugateGradientOptimizer::new(CgdParams::new(bounds))),
+            Box::new(ConjugateGradientOptimizer::new(bounds)),
         )
-    }
-
-    /// Record all observations (for experiment traces).
-    pub fn with_history(mut self) -> Self {
-        self.keep_history = true;
-        self
     }
 
     /// First setting to probe.
@@ -102,15 +87,11 @@ impl FalconAgent {
     /// Consume one probe's metrics, return the next settings to apply.
     pub fn observe(&mut self, metrics: ProbeMetrics) -> TransferSettings {
         let utility = self.utility.evaluate(&metrics);
-        let obs = Observation {
+        self.optimizer.next(&Observation {
             settings: metrics.settings,
             utility,
             metrics,
-        };
-        if self.keep_history {
-            self.history.push(obs);
-        }
-        self.optimizer.next(&obs)
+        })
     }
 
     /// The utility function in use.
@@ -121,17 +102,6 @@ impl FalconAgent {
     /// The optimizer's name, for logs.
     pub fn optimizer_name(&self) -> &'static str {
         self.optimizer.name()
-    }
-
-    /// Recorded observations (empty unless [`FalconAgent::with_history`]).
-    pub fn history(&self) -> &[Observation] {
-        &self.history
-    }
-
-    /// Cold-restart the search.
-    pub fn reset(&mut self) {
-        self.optimizer.reset();
-        self.history.clear();
     }
 
     /// Install a tracer on the underlying optimizer so its decision events
@@ -162,22 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn history_recorded_when_enabled() {
-        let mut agent = FalconAgent::gradient_descent(32).with_history();
-        probe(&mut agent, 2, 42.0);
-        probe(&mut agent, 3, 63.0);
-        assert_eq!(agent.history().len(), 2);
-        assert!(agent.history()[0].utility > 0.0);
-    }
-
-    #[test]
-    fn history_not_recorded_by_default() {
-        let mut agent = FalconAgent::gradient_descent(32);
-        probe(&mut agent, 2, 42.0);
-        assert!(agent.history().is_empty());
-    }
-
-    #[test]
     fn constructors_set_expected_optimizers() {
         assert_eq!(
             FalconAgent::gradient_descent(8).optimizer_name(),
@@ -201,13 +155,5 @@ mod tests {
     fn multi_parameter_agent_uses_eq7() {
         let agent = FalconAgent::multi_parameter(SearchBounds::multi_parameter(8, 4, 8));
         assert_eq!(agent.utility(), UtilityFunction::falcon_multi_param());
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut agent = FalconAgent::gradient_descent(32).with_history();
-        probe(&mut agent, 2, 42.0);
-        agent.reset();
-        assert!(agent.history().is_empty());
     }
 }

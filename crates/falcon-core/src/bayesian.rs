@@ -1,7 +1,7 @@
-//! Bayesian Optimization search (§3.2).
+//! Bayesian Optimization search (§3.2, §4.6).
 //!
 //! Non-parametric sequential model-based optimization: a Gaussian-process
-//! surrogate captures the utility-vs-concurrency relationship, and an
+//! surrogate captures the utility-vs-settings relationship, and an
 //! acquisition function chooses the next probe. Per the paper:
 //!
 //! - the random-sampling warm-up is limited to **3 probes**;
@@ -10,95 +10,89 @@
 //!   milliseconds;
 //! - acquisition functions and their exploration ratios are managed in real
 //!   time by **GP-Hedge** ([`falcon_gp::GpHedge`]).
+//!
+//! The search loop ([`BayesianSearch`]) exists once, over a [`Space`] of
+//! candidate settings: the concurrency line of this module
+//! ([`BayesianOptimizer`], with §4.6's growing ceiling) or the
+//! connection-capped `(cc, p)` grid of [`crate::bayesian_mp`]. A space owns
+//! its candidate indexing and its random draw; everything else — window,
+//! random phase, surrogate upkeep, ascent plan, Hedge round, decision
+//! trace — is shared.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use falcon_gp::{AscentPlan, AscentScratch, GpHedge, LineLattice, SweepCache};
+use falcon_gp::{AscentPlan, AscentScratch, GpHedge, Lattice, LineLattice, SweepCache};
 use falcon_trace::{Candidate, TraceEvent, Tracer};
 
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
 use crate::surrogate::CachedSurrogate;
 
+/// Random probes before the surrogate takes over (paper: 3).
+const RANDOM_INIT: usize = 3;
+
+/// Sliding window of observations kept in the surrogate (paper: 20).
+const WINDOW: usize = 20;
+
+/// Observation-noise variance on unit-variance-normalized utilities.
+const NOISE_VARIANCE: f64 = 0.02;
+
 /// Every this-many surrogate decisions, the local-ascent argmax is seeded
-/// with a strided scan of the whole candidate grid (stride
+/// with a strided scan of the whole candidate set (stride
 /// `max(1, len/SCAN_POINTS)`), so basins far from every ascent start stay
 /// reachable. The decisions in between evaluate only the handful of
 /// posteriors the ascent paths touch.
 const SCAN_PERIOD: usize = 4;
 
-/// Number of points the periodic strided scan samples across the grid.
+/// Number of points the periodic strided scan samples across the space.
 const SCAN_POINTS: usize = 16;
 
-/// Bayesian Optimization parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BoParams {
-    /// Search bounds.
-    pub bounds: SearchBounds,
-    /// Random probes before the surrogate takes over (paper: 3).
-    pub random_init: usize,
-    /// Sliding window of observations kept in the surrogate (paper: 20).
-    pub window: usize,
-    /// Observation-noise variance on unit-variance-normalized utilities.
-    pub noise_variance: f64,
-    /// RNG seed (BO is stochastic; seeding keeps experiments reproducible).
-    pub seed: u64,
-    /// §4.6's proposed fix for BO's aggressive random phase: start the
-    /// search space at this ceiling and double it only when the discovered
-    /// optimum sits near the current maximum. `None` = full space from the
-    /// start (the paper's default behaviour).
-    pub initial_space: Option<u32>,
+/// The candidate settings a [`BayesianSearch`] chooses among, indexed
+/// `0..points().len()` in step with the GP query points and the lattice.
+pub trait Space: Send {
+    /// Neighbourhood structure the acquisition ascent walks.
+    type Lattice: Lattice;
+
+    /// Optimizer name for logs and decision events.
+    const NAME: &'static str;
+
+    /// GP query point of every current candidate.
+    fn points(&self) -> &[Vec<f64>];
+
+    /// Lattice over the current candidates.
+    fn lattice(&self) -> &Self::Lattice;
+
+    /// GP input of an observed setting (candidate or not).
+    fn input(s: TransferSettings) -> Vec<f64>;
+
+    /// The setting candidate `idx` stands for.
+    fn setting(&self, idx: usize) -> TransferSettings;
+
+    /// Candidate index an observed setting maps to, if any.
+    fn index_of(&self, s: TransferSettings) -> Option<usize>;
+
+    /// Uniform draw over the current candidates.
+    fn draw(&self, rng: &mut StdRng) -> TransferSettings;
+
+    /// Told every surrogate decision, after it is made.
+    fn decided(&mut self, _chosen: TransferSettings) {}
 }
 
-impl BoParams {
-    /// Paper defaults for a concurrency-only search.
-    pub fn new(max_concurrency: u32) -> Self {
-        BoParams {
-            bounds: SearchBounds::concurrency_only(max_concurrency),
-            random_init: 3,
-            window: 20,
-            noise_variance: 0.02,
-            seed: 0x0fa1c0,
-            initial_space: None,
-        }
-    }
-
-    /// Override the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enable dynamic search-space growth from an initial ceiling (§4.6).
-    pub fn with_dynamic_space(mut self, initial_max: u32) -> Self {
-        self.initial_space = Some(initial_max.max(2));
-        self
-    }
-}
-
-/// Bayesian Optimization optimizer state.
-pub struct BayesianOptimizer {
-    params: BoParams,
+/// Bayesian Optimization over a candidate [`Space`].
+pub struct BayesianSearch<S: Space> {
+    pub(crate) space: S,
     rng: StdRng,
-    /// Sliding window of (concurrency, utility) observations.
-    history: VecDeque<(u32, f64)>,
+    /// Sliding window of (setting, utility) observations.
+    history: VecDeque<(TransferSettings, f64)>,
     hedge: GpHedge,
-    first_probe: u32,
+    first_probe: TransferSettings,
     probes_issued: usize,
-    /// Current ceiling of the (possibly growing) search space.
-    current_hi: u32,
-    /// Consecutive surrogate decisions that landed near the ceiling.
-    near_max_streak: u32,
     /// GP surrogate reused across probes (`None` until the first full fit,
     /// or after a fit failure).
     surrogate: Option<CachedSurrogate>,
-    /// Candidate grid `lo..=candidates_hi`, rebuilt only when the ceiling
-    /// moves.
-    candidates: Vec<Vec<f64>>,
-    candidates_hi: u32,
     /// Shared posterior memo for the acquisition portfolio (one epoch per
     /// decision).
     sweep_cache: SweepCache,
@@ -112,25 +106,19 @@ pub struct BayesianOptimizer {
     tracer: Tracer,
 }
 
-impl BayesianOptimizer {
-    /// New search with the given parameters.
-    pub fn new(params: BoParams) -> Self {
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let (lo, hi) = params.bounds.concurrency;
-        let current_hi = params.initial_space.map_or(hi, |s| s.clamp(lo, hi));
-        let first_probe = rng.gen_range(lo..=current_hi);
-        BayesianOptimizer {
-            params,
+impl<S: Space> BayesianSearch<S> {
+    /// New search over `space`; the first probe is a random candidate.
+    pub(crate) fn over(space: S, seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let first_probe = space.draw(&mut rng);
+        BayesianSearch {
+            space,
             rng,
-            history: VecDeque::with_capacity(params.window + 1),
+            history: VecDeque::with_capacity(WINDOW + 1),
             hedge: GpHedge::new(),
             first_probe,
             probes_issued: 1,
-            current_hi,
-            near_max_streak: 0,
             surrogate: None,
-            candidates: Vec::new(),
-            candidates_hi: 0,
             sweep_cache: SweepCache::new(),
             ascent_scratch: AscentScratch::default(),
             last_idx: None,
@@ -149,51 +137,35 @@ impl BayesianOptimizer {
         self.hedge.last_choice()
     }
 
-    /// Current ceiling of the search space (grows under
-    /// [`BoParams::with_dynamic_space`]).
-    pub fn current_max(&self) -> u32 {
-        self.current_hi
-    }
-
-    fn random_probe(&mut self) -> u32 {
-        let (lo, _) = self.params.bounds.concurrency;
-        self.rng.gen_range(lo..=self.current_hi)
-    }
-
-    /// §4.6: grow the ceiling only after the surrogate repeatedly prefers
-    /// settings close to it — the optimum may lie beyond.
-    fn maybe_grow_space(&mut self, chosen: u32) {
-        let (_, hard_hi) = self.params.bounds.concurrency;
-        if self.params.initial_space.is_none() || self.current_hi >= hard_hi {
-            return;
-        }
-        if chosen * 4 >= self.current_hi * 3 {
-            self.near_max_streak += 1;
-            if self.near_max_streak >= 3 {
-                self.current_hi = (self.current_hi * 2).min(hard_hi);
-                self.near_max_streak = 0;
-            }
-        } else {
-            self.near_max_streak = 0;
-        }
+    /// Decision event for `s`; `mean` is its posterior mean when the
+    /// surrogate chose it.
+    fn emit_decision(&self, s: TransferSettings, terms: &[(&str, f64)], mean: Option<f64>) {
+        self.tracer.emit(|| TraceEvent::Decision {
+            optimizer: S::NAME.to_string(),
+            concurrency: s.concurrency,
+            parallelism: s.parallelism,
+            pipelining: s.pipelining,
+            terms: terms.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            candidates: mean
+                .map(|utility| Candidate {
+                    concurrency: s.concurrency,
+                    parallelism: s.parallelism,
+                    utility,
+                })
+                .into_iter()
+                .collect(),
+        });
     }
 
     /// Full `fit_auto` over the current window; replaces the cached
     /// surrogate (or clears it on fit failure).
     fn refit_surrogate(&mut self) {
-        let xs: Vec<Vec<f64>> = self
-            .history
-            .iter()
-            .map(|&(n, _)| vec![f64::from(n)])
-            .collect();
+        let xs: Vec<Vec<f64>> = self.history.iter().map(|&(s, _)| S::input(s)).collect();
         let ys: Vec<f64> = self.history.iter().map(|&(_, u)| u).collect();
-        self.surrogate = CachedSurrogate::fit(&xs, &ys, self.params.noise_variance);
+        self.surrogate = CachedSurrogate::fit(&xs, &ys, NOISE_VARIANCE);
     }
 
-    fn surrogate_probe(&mut self) -> u32 {
-        let (lo, _) = self.params.bounds.concurrency;
-        let hi = self.current_hi;
-
+    fn surrogate_probe(&mut self) -> TransferSettings {
         // Keep the surrogate current: drift-keyed full refits
         // (re-windowing, re-normalizing, re-selecting hyperparameters), a
         // true O(n²) window slide — append newest, evict oldest — for the
@@ -204,30 +176,26 @@ impl BayesianOptimizer {
             .is_none_or(CachedSurrogate::due_for_refit);
         if due_for_refit {
             self.refit_surrogate();
-        } else if let (Some(s), Some(&(n, u))) = (self.surrogate.as_mut(), self.history.back()) {
-            if !s.slide(vec![f64::from(n)], u, self.params.window) {
+        } else if let (Some(su), Some(&(s, u))) = (self.surrogate.as_mut(), self.history.back()) {
+            if !su.slide(S::input(s), u, WINDOW) {
                 self.refit_surrogate();
             }
         }
-        let Some(s) = self.surrogate.as_ref() else {
-            return self.random_probe();
+        let Some(su) = self.surrogate.as_ref() else {
+            return self.space.draw(&mut self.rng);
         };
-
-        if self.candidates_hi != hi || self.candidates.is_empty() {
-            self.candidates = (lo..=hi).map(|n| vec![f64::from(n)]).collect();
-            self.candidates_hi = hi;
-        }
-        let len = self.candidates.len();
 
         // Ascent starts: the incumbent best observation, the previous
         // decision, and a rotating probe so repeated decisions seed fresh
         // basins. Every SCAN_PERIOD-th decision adds a strided global scan.
-        let to_idx = |cc: u32| (cc.clamp(lo, hi) - lo) as usize;
+        let points = self.space.points();
+        let len = points.len();
         let incumbent = self
             .history
             .iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map_or(0, |&(n, _)| to_idx(n));
+            .and_then(|&(s, _)| self.space.index_of(s))
+            .unwrap_or(0);
         let starts = [
             incumbent,
             self.last_idx.unwrap_or(incumbent),
@@ -241,16 +209,15 @@ impl BayesianOptimizer {
                 .then_some((len / SCAN_POINTS).max(1)),
         };
         self.decisions += 1;
-        let lattice = LineLattice::new(len);
         self.sweep_cache.begin(len);
         let idx = self.hedge.choose_ascent(
-            &s.gp,
-            &self.candidates,
-            &lattice,
+            &su.gp,
+            points,
+            self.space.lattice(),
             &plan,
             &mut self.sweep_cache,
             &mut self.ascent_scratch,
-            s.best_y,
+            su.best_y,
             &mut self.rng,
         );
         self.last_idx = Some(idx);
@@ -258,85 +225,188 @@ impl BayesianOptimizer {
         // it nominated (GP-Hedge update rule). Nominated posteriors are
         // already memoized in the sweep cache from the ascent above.
         let cache = &mut self.sweep_cache;
-        let candidates = &self.candidates;
-        self.hedge
-            .update(|i| cache.posterior(&s.gp, candidates, i).0);
-        let chosen = lo + idx as u32;
-        if self.tracer.is_enabled() && idx < self.candidates.len() {
-            let (mean, sd) = self.sweep_cache.posterior(&s.gp, &self.candidates, idx);
-            let best_y = s.best_y;
-            self.tracer.emit(|| TraceEvent::Decision {
-                optimizer: "bayesian-optimization".to_string(),
-                concurrency: chosen,
-                parallelism: 1,
-                pipelining: 1,
-                terms: vec![
-                    ("best_y".to_string(), best_y),
-                    ("posterior_mean".to_string(), mean),
-                    ("posterior_sd".to_string(), sd.max(0.0)),
-                ],
-                candidates: vec![Candidate {
-                    concurrency: chosen,
-                    parallelism: 1,
-                    utility: mean,
-                }],
-            });
+        self.hedge.update(|i| cache.posterior(&su.gp, points, i).0);
+        let chosen = self.space.setting(idx);
+        if self.tracer.is_enabled() {
+            let (mean, sd) = self.sweep_cache.posterior(&su.gp, points, idx);
+            let terms = [
+                ("best_y", su.best_y),
+                ("posterior_mean", mean),
+                ("posterior_sd", sd.max(0.0)),
+            ];
+            self.emit_decision(chosen, &terms, Some(mean));
         }
-        self.maybe_grow_space(chosen);
+        self.space.decided(chosen);
         chosen
     }
 }
 
-impl OnlineOptimizer for BayesianOptimizer {
+impl<S: Space> OnlineOptimizer for BayesianSearch<S> {
     fn name(&self) -> &'static str {
-        "bayesian-optimization"
+        S::NAME
     }
 
     fn initial(&self) -> TransferSettings {
-        TransferSettings::with_concurrency(self.first_probe)
+        self.first_probe
     }
 
     fn next(&mut self, obs: &Observation) -> TransferSettings {
-        self.history
-            .push_back((obs.settings.concurrency, obs.utility));
-        while self.history.len() > self.params.window {
+        self.history.push_back((obs.settings, obs.utility));
+        while self.history.len() > WINDOW {
             self.history.pop_front();
         }
-        let next_cc = if self.probes_issued < self.params.random_init {
-            let cc = self.random_probe();
-            self.tracer.emit(|| TraceEvent::Decision {
-                optimizer: "bayesian-optimization".to_string(),
-                concurrency: cc,
-                parallelism: 1,
-                pipelining: 1,
-                terms: vec![("random_phase".to_string(), 1.0)],
-                candidates: Vec::new(),
-            });
-            cc
+        let next = if self.probes_issued < RANDOM_INIT {
+            let s = self.space.draw(&mut self.rng);
+            self.emit_decision(s, &[("random_phase", 1.0)], None);
+            s
         } else {
             self.surrogate_probe()
         };
         self.probes_issued += 1;
-        TransferSettings::with_concurrency(next_cc)
-    }
-
-    fn reset(&mut self) {
-        self.history.clear();
-        self.hedge = GpHedge::new();
-        self.probes_issued = 1;
-        let (lo, hi) = self.params.bounds.concurrency;
-        self.current_hi = self.params.initial_space.map_or(hi, |s| s.clamp(lo, hi));
-        self.near_max_streak = 0;
-        self.surrogate = None;
-        self.candidates.clear();
-        self.candidates_hi = 0;
-        self.last_idx = None;
-        self.decisions = 0;
-        self.first_probe = self.random_probe();
+        next
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
+    }
+}
+
+/// Bayesian Optimization parameters.
+#[derive(Debug, Clone, Copy)]
+pub struct BoParams {
+    /// Search bounds.
+    pub bounds: SearchBounds,
+    /// RNG seed (BO is stochastic; seeding keeps experiments reproducible).
+    pub seed: u64,
+    /// §4.6's proposed fix for BO's aggressive random phase: start the
+    /// search space at this ceiling and double it only when the discovered
+    /// optimum sits near the current maximum. `None` = full space from the
+    /// start (the paper's default behaviour).
+    pub initial_space: Option<u32>,
+}
+
+impl BoParams {
+    /// Paper defaults for a concurrency-only search.
+    pub fn new(max_concurrency: u32) -> Self {
+        BoParams {
+            bounds: SearchBounds::concurrency_only(max_concurrency),
+            seed: 0x0fa1c0,
+            initial_space: None,
+        }
+    }
+
+    /// Override the seed (builder style).
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
+    /// Enable dynamic search-space growth from an initial ceiling (§4.6).
+    pub fn with_dynamic_space(mut self, initial_max: u32) -> Self {
+        self.initial_space = Some(initial_max.max(2));
+        self
+    }
+}
+
+/// The concurrency line `lo..=ceiling`: 1-D GP inputs, candidate `i` is
+/// concurrency `lo + i`, and the ceiling doubles toward `hard_hi` under
+/// [`BoParams::with_dynamic_space`].
+pub struct LineSpace {
+    lo: u32,
+    /// Where the ceiling stops growing; a search without §4.6's dynamic
+    /// space starts there.
+    hard_hi: u32,
+    /// Consecutive surrogate decisions that landed near the ceiling.
+    near_max_streak: u32,
+    /// Query points of `lo..=hard_hi`; the candidates are the prefix up to
+    /// the current ceiling.
+    points: Vec<Vec<f64>>,
+    /// `lo..=ceiling` as a lattice; its length is what moves the ceiling.
+    lattice: LineLattice,
+}
+
+impl LineSpace {
+    fn new(bounds: (u32, u32), initial_space: Option<u32>) -> Self {
+        let (lo, hard_hi) = bounds;
+        let ceiling = initial_space.map_or(hard_hi, |s| s.clamp(lo, hard_hi));
+        LineSpace {
+            lo,
+            hard_hi,
+            near_max_streak: 0,
+            points: (lo..=hard_hi).map(|n| vec![f64::from(n)]).collect(),
+            lattice: LineLattice::new((ceiling - lo + 1) as usize),
+        }
+    }
+
+    /// Current ceiling of the (possibly growing) search space.
+    fn ceiling(&self) -> u32 {
+        self.lo + self.lattice.len() as u32 - 1
+    }
+}
+
+impl Space for LineSpace {
+    type Lattice = LineLattice;
+
+    const NAME: &'static str = "bayesian-optimization";
+
+    fn points(&self) -> &[Vec<f64>] {
+        &self.points[..self.lattice.len()]
+    }
+
+    fn lattice(&self) -> &LineLattice {
+        &self.lattice
+    }
+
+    fn input(s: TransferSettings) -> Vec<f64> {
+        vec![f64::from(s.concurrency)]
+    }
+
+    fn setting(&self, idx: usize) -> TransferSettings {
+        TransferSettings::with_concurrency(self.lo + idx as u32)
+    }
+
+    fn index_of(&self, s: TransferSettings) -> Option<usize> {
+        Some((s.concurrency.clamp(self.lo, self.ceiling()) - self.lo) as usize)
+    }
+
+    fn draw(&self, rng: &mut StdRng) -> TransferSettings {
+        TransferSettings::with_concurrency(rng.gen_range(self.lo..=self.ceiling()))
+    }
+
+    /// §4.6: grow the ceiling only after the surrogate repeatedly prefers
+    /// settings close to it — the optimum may lie beyond.
+    fn decided(&mut self, chosen: TransferSettings) {
+        let ceiling = self.ceiling();
+        if ceiling >= self.hard_hi {
+            return;
+        }
+        if chosen.concurrency * 4 >= ceiling * 3 {
+            self.near_max_streak += 1;
+            if self.near_max_streak >= 3 {
+                let grown = (ceiling * 2).min(self.hard_hi);
+                self.lattice = LineLattice::new((grown - self.lo + 1) as usize);
+                self.near_max_streak = 0;
+            }
+        } else {
+            self.near_max_streak = 0;
+        }
+    }
+}
+
+/// Bayesian Optimization over concurrency (§3.2).
+pub type BayesianOptimizer = BayesianSearch<LineSpace>;
+
+impl BayesianOptimizer {
+    /// New search with the given parameters.
+    pub fn new(params: BoParams) -> Self {
+        let space = LineSpace::new(params.bounds.concurrency, params.initial_space);
+        BayesianSearch::over(space, params.seed)
+    }
+
+    /// Current ceiling of the search space (grows under
+    /// [`BoParams::with_dynamic_space`]).
+    pub fn current_max(&self) -> u32 {
+        self.space.ceiling()
     }
 }
 
@@ -508,14 +578,5 @@ mod tests {
             "ceiling grew needlessly to {}",
             opt.current_max()
         );
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut opt = BayesianOptimizer::new(BoParams::new(32));
-        drive(&mut opt, emulab10, 10);
-        assert!(opt.window_len() > 0);
-        opt.reset();
-        assert_eq!(opt.window_len(), 0);
     }
 }

@@ -3,42 +3,32 @@
 //! §4.6 of the paper singles out multi-parameter BO as the dangerous case:
 //! "if maximum values of concurrency and parallelism are defined as 32 for
 //! both parameters, then BO may probe a transfer setting [with] 1,024
-//! network connections". This module implements that search — a Gaussian
-//! process over the 2-D integer grid with the Eq 7 utility — together with
-//! the paper's proposed mitigation: a cap on the *total connections*
-//! (`cc × p`) any candidate may create, which trims the aggressive corner
-//! out of the candidate set without shrinking either axis.
+//! network connections". This module is the candidate space of that search
+//! — the 2-D integer grid, searched by [`crate::bayesian::BayesianSearch`]
+//! under the Eq 7 utility — together with the paper's proposed mitigation:
+//! a cap on the *total connections* (`cc × p`) any candidate may create,
+//! which trims the aggressive corner out of the candidate set without
+//! shrinking either axis.
 //!
 //! Pipelining is left to the harness default here: its utility surface is
 //! monotone (commands are nearly free), so grid-searching it wastes probes;
 //! the conjugate-gradient optimizer (`crate::conjugate`) covers full 3-D
 //! tuning.
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use falcon_gp::{AscentPlan, AscentScratch, GpHedge, Lattice, SweepCache};
-use falcon_trace::{Candidate, TraceEvent, Tracer};
+use falcon_gp::Lattice;
 
-use crate::optimizer::{Observation, OnlineOptimizer};
+use crate::bayesian::{BayesianSearch, Space};
 use crate::settings::{SearchBounds, TransferSettings};
-use crate::surrogate::CachedSurrogate;
-
-/// Periodic strided-scan cadence for the local-ascent argmax (see
-/// `crate::bayesian` — same role, 2-D lattice).
-const SCAN_PERIOD: usize = 4;
-
-/// Number of points the periodic strided scan samples across the grid.
-const SCAN_POINTS: usize = 16;
 
 /// 4-neighbour lattice over the (possibly connection-capped) candidate
 /// grid: candidate `i` neighbours the candidates one concurrency or one
 /// parallelism step away *that survived the cap filter*. Neighbour lists
 /// are precomputed once (the grid is fixed for the optimizer's lifetime)
 /// through a dense `(cc, p) → index` table — no hashing, deterministic.
-struct GridLattice {
+pub struct GridLattice {
     nbrs: Vec<Vec<usize>>,
     /// Dense `(cc - cc_lo) * p_span + (p - p_lo) → candidate index` table
     /// (`usize::MAX` = filtered out), kept for incumbent lookups.
@@ -120,12 +110,6 @@ pub struct BoMpParams {
     /// Search bounds; the concurrency and parallelism ranges define the
     /// grid (pipelining is pinned to its lower bound).
     pub bounds: SearchBounds,
-    /// Random probes before the surrogate takes over.
-    pub random_init: usize,
-    /// Sliding observation window.
-    pub window: usize,
-    /// Observation-noise variance on normalized utilities.
-    pub noise_variance: f64,
     /// Maximum `cc × p` a candidate may create (`None` = unrestricted, the
     /// paper's 1,024-connection hazard).
     pub max_total_connections: Option<u32>,
@@ -138,9 +122,6 @@ impl BoMpParams {
     pub fn new(max_cc: u32, max_p: u32) -> Self {
         BoMpParams {
             bounds: SearchBounds::multi_parameter(max_cc, max_p, 1),
-            random_init: 3,
-            window: 20,
-            noise_variance: 0.02,
             max_total_connections: None,
             seed: 0x0fa1c02,
         }
@@ -159,69 +140,22 @@ impl BoMpParams {
     }
 }
 
-/// 2-D Bayesian optimizer over (concurrency, parallelism).
-pub struct BayesianMpOptimizer {
-    params: BoMpParams,
-    rng: StdRng,
+/// The `(cc, p)` grid minus the candidates over the connection cap: 2-D GP
+/// inputs, fixed for the optimizer's lifetime.
+pub struct GridSpace {
     candidates: Vec<TransferSettings>,
-    /// Candidate grid as GP query points, precomputed once — the grid is
-    /// fixed for the optimizer's lifetime.
+    /// Candidate grid as GP query points.
     points: Vec<Vec<f64>>,
-    history: VecDeque<(TransferSettings, f64)>,
-    hedge: GpHedge,
-    first_probe: TransferSettings,
-    probes_issued: usize,
-    /// GP surrogate reused across probes.
-    surrogate: Option<CachedSurrogate>,
-    /// Neighbourhood structure + index table over the fixed grid.
+    /// Neighbourhood structure + index table over the grid.
     lattice: GridLattice,
-    sweep_cache: SweepCache,
-    ascent_scratch: AscentScratch,
-    last_idx: Option<usize>,
-    decisions: usize,
-    tracer: Tracer,
 }
 
-impl BayesianMpOptimizer {
-    /// New search over the candidate grid.
-    pub fn new(params: BoMpParams) -> Self {
-        let candidates = Self::build_grid(&params);
-        // falcon-lint::allow(panic-safety, reason = "constructor validation; with_connection_cap floors the cap at 1 so (1,1) always qualifies")
-        assert!(
-            !candidates.is_empty(),
-            "connection cap excludes every candidate"
-        );
-        let points = candidates
-            .iter()
-            .map(|s| vec![f64::from(s.concurrency), f64::from(s.parallelism)])
-            .collect();
-        let mut rng = StdRng::seed_from_u64(params.seed);
-        let first_probe = candidates[rng.gen_range(0..candidates.len())];
-        let lattice = GridLattice::new(&candidates, &params.bounds);
-        BayesianMpOptimizer {
-            params,
-            rng,
-            candidates,
-            points,
-            history: VecDeque::new(),
-            hedge: GpHedge::new(),
-            first_probe,
-            probes_issued: 1,
-            surrogate: None,
-            lattice,
-            sweep_cache: SweepCache::new(),
-            ascent_scratch: AscentScratch::default(),
-            last_idx: None,
-            decisions: 0,
-            tracer: Tracer::default(),
-        }
-    }
-
-    fn build_grid(params: &BoMpParams) -> Vec<TransferSettings> {
+impl GridSpace {
+    fn new(params: &BoMpParams) -> Self {
         let (cc_lo, cc_hi) = params.bounds.concurrency;
         let (p_lo, p_hi) = params.bounds.parallelism;
         let pp = params.bounds.pipelining.0;
-        let mut grid = Vec::new();
+        let mut candidates = Vec::new();
         for cc in cc_lo..=cc_hi {
             for p in p_lo..=p_hi {
                 let s = TransferSettings {
@@ -233,159 +167,75 @@ impl BayesianMpOptimizer {
                     .max_total_connections
                     .is_none_or(|cap| s.total_connections() <= cap)
                 {
-                    grid.push(s);
+                    candidates.push(s);
                 }
             }
         }
-        grid
+        // falcon-lint::allow(panic-safety, reason = "constructor validation; with_connection_cap floors the cap at 1 so (1,1) always qualifies")
+        assert!(
+            !candidates.is_empty(),
+            "connection cap excludes every candidate"
+        );
+        GridSpace {
+            points: candidates.iter().map(|&s| Self::input(s)).collect(),
+            lattice: GridLattice::new(&candidates, &params.bounds),
+            candidates,
+        }
+    }
+}
+
+impl Space for GridSpace {
+    type Lattice = GridLattice;
+
+    const NAME: &'static str = "bayesian-optimization-mp";
+
+    fn points(&self) -> &[Vec<f64>] {
+        &self.points
+    }
+
+    fn lattice(&self) -> &GridLattice {
+        &self.lattice
+    }
+
+    fn input(s: TransferSettings) -> Vec<f64> {
+        vec![f64::from(s.concurrency), f64::from(s.parallelism)]
+    }
+
+    fn setting(&self, idx: usize) -> TransferSettings {
+        self.candidates[idx]
+    }
+
+    fn index_of(&self, s: TransferSettings) -> Option<usize> {
+        self.lattice.index_of(s)
+    }
+
+    fn draw(&self, rng: &mut StdRng) -> TransferSettings {
+        self.candidates[rng.gen_range(0..self.candidates.len())]
+    }
+}
+
+/// 2-D Bayesian optimizer over (concurrency, parallelism).
+pub type BayesianMpOptimizer = BayesianSearch<GridSpace>;
+
+impl BayesianMpOptimizer {
+    /// New search over the candidate grid.
+    pub fn new(params: BoMpParams) -> Self {
+        BayesianSearch::over(GridSpace::new(&params), params.seed)
     }
 
     /// Number of candidate settings in the (possibly capped) grid.
     pub fn grid_size(&self) -> usize {
-        self.candidates.len()
+        self.space.candidates.len()
     }
 
     /// Largest total connection count any candidate can create.
     pub fn max_candidate_connections(&self) -> u32 {
-        self.candidates
+        self.space
+            .candidates
             .iter()
             .map(TransferSettings::total_connections)
             .max()
             .unwrap_or(0)
-    }
-
-    fn random_probe(&mut self) -> TransferSettings {
-        self.candidates[self.rng.gen_range(0..self.candidates.len())]
-    }
-
-    /// Full `fit_auto` over the current window; replaces the cached
-    /// surrogate (or clears it on fit failure).
-    fn refit_surrogate(&mut self) {
-        let xs: Vec<Vec<f64>> = self
-            .history
-            .iter()
-            .map(|&(s, _)| vec![f64::from(s.concurrency), f64::from(s.parallelism)])
-            .collect();
-        let ys: Vec<f64> = self.history.iter().map(|&(_, u)| u).collect();
-        self.surrogate = CachedSurrogate::fit(&xs, &ys, self.params.noise_variance);
-    }
-
-    fn surrogate_probe(&mut self) -> TransferSettings {
-        // Drift-keyed full refits; O(n²) window slide in between (see
-        // `crate::surrogate`).
-        let due_for_refit = self
-            .surrogate
-            .as_ref()
-            .is_none_or(CachedSurrogate::due_for_refit);
-        if due_for_refit {
-            self.refit_surrogate();
-        } else if let (Some(su), Some(&(s, u))) = (self.surrogate.as_mut(), self.history.back()) {
-            if !su.slide(
-                vec![f64::from(s.concurrency), f64::from(s.parallelism)],
-                u,
-                self.params.window,
-            ) {
-                self.refit_surrogate();
-            }
-        }
-        let Some(su) = self.surrogate.as_ref() else {
-            return self.random_probe();
-        };
-        let len = self.points.len();
-        let incumbent = self
-            .history
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .and_then(|&(s, _)| self.lattice.index_of(s))
-            .unwrap_or(0);
-        let starts = [
-            incumbent,
-            self.last_idx.unwrap_or(incumbent),
-            (self.decisions * 37) % len,
-        ];
-        let plan = AscentPlan {
-            starts: &starts,
-            scan_stride: self
-                .decisions
-                .is_multiple_of(SCAN_PERIOD)
-                .then_some((len / SCAN_POINTS).max(1)),
-        };
-        self.decisions += 1;
-        self.sweep_cache.begin(len);
-        let idx = self.hedge.choose_ascent(
-            &su.gp,
-            &self.points,
-            &self.lattice,
-            &plan,
-            &mut self.sweep_cache,
-            &mut self.ascent_scratch,
-            su.best_y,
-            &mut self.rng,
-        );
-        self.last_idx = Some(idx);
-        let cache = &mut self.sweep_cache;
-        let points = &self.points;
-        self.hedge.update(|i| cache.posterior(&su.gp, points, i).0);
-        let chosen = self.candidates[idx];
-        if self.tracer.is_enabled() && idx < self.points.len() {
-            let (mean, sd) = self.sweep_cache.posterior(&su.gp, &self.points, idx);
-            let best_y = su.best_y;
-            self.tracer.emit(|| TraceEvent::Decision {
-                optimizer: "bayesian-optimization-mp".to_string(),
-                concurrency: chosen.concurrency,
-                parallelism: chosen.parallelism,
-                pipelining: chosen.pipelining,
-                terms: vec![
-                    ("best_y".to_string(), best_y),
-                    ("posterior_mean".to_string(), mean),
-                    ("posterior_sd".to_string(), sd.max(0.0)),
-                ],
-                candidates: vec![Candidate {
-                    concurrency: chosen.concurrency,
-                    parallelism: chosen.parallelism,
-                    utility: mean,
-                }],
-            });
-        }
-        chosen
-    }
-}
-
-impl OnlineOptimizer for BayesianMpOptimizer {
-    fn name(&self) -> &'static str {
-        "bayesian-optimization-mp"
-    }
-
-    fn initial(&self) -> TransferSettings {
-        self.first_probe
-    }
-
-    fn next(&mut self, obs: &Observation) -> TransferSettings {
-        self.history.push_back((obs.settings, obs.utility));
-        while self.history.len() > self.params.window {
-            self.history.pop_front();
-        }
-        let next = if self.probes_issued < self.params.random_init {
-            self.random_probe()
-        } else {
-            self.surrogate_probe()
-        };
-        self.probes_issued += 1;
-        next
-    }
-
-    fn reset(&mut self) {
-        self.history.clear();
-        self.hedge = GpHedge::new();
-        self.probes_issued = 1;
-        self.surrogate = None;
-        self.last_idx = None;
-        self.decisions = 0;
-        self.first_probe = self.random_probe();
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 }
 
@@ -393,6 +243,7 @@ impl OnlineOptimizer for BayesianMpOptimizer {
 mod tests {
     use super::*;
     use crate::metrics::ProbeMetrics;
+    use crate::optimizer::{Observation, OnlineOptimizer};
     use crate::utility::UtilityFunction;
 
     /// Drive against a synthetic 2-D landscape.
@@ -495,6 +346,6 @@ mod tests {
     fn window_bounded() {
         let mut opt = BayesianMpOptimizer::new(BoMpParams::new(16, 4));
         drive(&mut opt, flow_limited, 40);
-        assert!(opt.history.len() <= 20);
+        assert!(opt.window_len() <= 20);
     }
 }

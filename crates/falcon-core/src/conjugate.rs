@@ -11,43 +11,27 @@
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
 
-/// Conjugate-gradient parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CgdParams {
-    /// Search bounds (3-D box).
-    pub bounds: SearchBounds,
-    /// Starting point.
-    pub start: TransferSettings,
-    /// Initial confidence factor θ₀.
-    pub theta0: f64,
-    /// Multiplicative growth of θ on consistent descent direction.
-    pub theta_growth: f64,
-    /// Cap on θ.
-    pub theta_max: f64,
-    /// Scale applied to relative slopes when stepping.
-    pub step_gain: f64,
-    /// Relative slope magnitude treated as noise.
-    pub min_rel_slope: f64,
-}
+/// Starting point.
+const START: TransferSettings = TransferSettings {
+    concurrency: 2,
+    parallelism: 1,
+    pipelining: 1,
+};
 
-impl CgdParams {
-    /// Defaults for the paper's multi-parameter search box.
-    pub fn new(bounds: SearchBounds) -> Self {
-        CgdParams {
-            bounds,
-            start: TransferSettings {
-                concurrency: 2,
-                parallelism: 1,
-                pipelining: 1,
-            },
-            theta0: 1.0,
-            theta_growth: 2.0,
-            theta_max: 8.0,
-            step_gain: 2.0,
-            min_rel_slope: 0.004,
-        }
-    }
-}
+/// Initial confidence factor θ₀.
+const THETA0: f64 = 1.0;
+
+/// Multiplicative growth of θ on consistent descent direction.
+const THETA_GROWTH: f64 = 2.0;
+
+/// Cap on θ.
+const THETA_MAX: f64 = 8.0;
+
+/// Scale applied to relative slopes when stepping.
+const STEP_GAIN: f64 = 2.0;
+
+/// Relative slope magnitude treated as noise.
+const MIN_REL_SLOPE: f64 = 0.004;
 
 /// Which probe of the round we are waiting for.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +43,8 @@ struct ProbePlan {
 /// Conjugate Gradient Descent optimizer state.
 #[derive(Debug, Clone)]
 pub struct ConjugateGradientOptimizer {
-    params: CgdParams,
+    /// Search bounds (3-D box).
+    bounds: SearchBounds,
     center: TransferSettings,
     plan_idx: usize,
     /// Utilities of the low/high probes per dimension for this round.
@@ -89,17 +74,17 @@ const PLANS: [ProbePlan; 6] = [
 ];
 
 impl ConjugateGradientOptimizer {
-    /// New search with the given parameters.
-    pub fn new(params: CgdParams) -> Self {
+    /// New search over the 3-D box `bounds`.
+    pub fn new(bounds: SearchBounds) -> Self {
         ConjugateGradientOptimizer {
-            center: params.bounds.clamp(params.start),
+            center: bounds.clamp(START),
             plan_idx: 0,
             lows: [0.0; 3],
             highs: [0.0; 3],
             prev_gradient: None,
             prev_direction: [0.0; 3],
-            theta: params.theta0,
-            params,
+            theta: THETA0,
+            bounds,
         }
     }
 
@@ -110,9 +95,9 @@ impl ConjugateGradientOptimizer {
 
     fn dim_bounds(&self, dim: usize) -> (u32, u32) {
         match dim {
-            0 => self.params.bounds.concurrency,
-            1 => self.params.bounds.parallelism,
-            _ => self.params.bounds.pipelining,
+            0 => self.bounds.concurrency,
+            1 => self.bounds.parallelism,
+            _ => self.bounds.pipelining,
         }
     }
 
@@ -151,7 +136,7 @@ impl ConjugateGradientOptimizer {
         for d in 0..3 {
             let denom = self.lows[d].abs().max(1e-9);
             let slope = (self.highs[d] - self.lows[d]) / (2.0 * denom);
-            gradient[d] = if slope.abs() >= self.params.min_rel_slope {
+            gradient[d] = if slope.abs() >= MIN_REL_SLOPE {
                 slope
             } else {
                 0.0
@@ -190,9 +175,9 @@ impl ConjugateGradientOptimizer {
             .map(|(g, d)| g * d)
             .sum();
         if self.prev_gradient.is_some() && along > 0.0 {
-            self.theta = (self.theta * self.params.theta_growth).min(self.params.theta_max);
+            self.theta = (self.theta * THETA_GROWTH).min(THETA_MAX);
         } else {
-            self.theta = self.params.theta0;
+            self.theta = THETA0;
         }
 
         let mut next = self.center;
@@ -202,14 +187,16 @@ impl ConjugateGradientOptimizer {
                 continue;
             }
             let v = f64::from(Self::dim_value(self.center, d).max(1));
-            let step = (self.theta * self.params.step_gain * direction[d] * v).round() as i64;
+            let step = (self.theta * STEP_GAIN * direction[d] * v).round() as i64;
             let step = if step == 0 {
                 direction[d].signum() as i64
             } else {
                 step
             };
             let (lo, hi) = self.dim_bounds(d);
-            let nv = (i64::from(Self::dim_value(self.center, d)) + step)
+            // An infinite slope (a 10¹² Mbps or ∞ probe) saturates `step`.
+            let nv = i64::from(Self::dim_value(self.center, d))
+                .saturating_add(step)
                 .clamp(i64::from(lo), i64::from(hi)) as u32;
             next = Self::with_dim(next, d, nv);
         }
@@ -241,14 +228,6 @@ impl OnlineOptimizer for ConjugateGradientOptimizer {
             self.advance_center();
         }
         self.probe_for(PLANS[self.plan_idx])
-    }
-
-    fn reset(&mut self) {
-        self.center = self.params.bounds.clamp(self.params.start);
-        self.plan_idx = 0;
-        self.prev_gradient = None;
-        self.prev_direction = [0.0; 3];
-        self.theta = self.params.theta0;
     }
 }
 
@@ -291,7 +270,7 @@ mod tests {
     #[test]
     fn raises_pipelining_for_small_files() {
         let bounds = SearchBounds::multi_parameter(32, 8, 16);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
+        let mut opt = ConjugateGradientOptimizer::new(bounds);
         let centers = drive(&mut opt, small_files, 120);
         let last = centers.last().unwrap();
         assert!(last.pipelining >= 6, "pp stayed at {last}");
@@ -301,7 +280,7 @@ mod tests {
     #[test]
     fn keeps_parallelism_low_when_it_hurts() {
         let bounds = SearchBounds::multi_parameter(32, 8, 16);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
+        let mut opt = ConjugateGradientOptimizer::new(bounds);
         let centers = drive(&mut opt, small_files, 120);
         assert!(
             centers.last().unwrap().parallelism <= 2,
@@ -313,7 +292,7 @@ mod tests {
     #[test]
     fn six_probes_per_round() {
         let bounds = SearchBounds::multi_parameter(32, 8, 16);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
+        let mut opt = ConjugateGradientOptimizer::new(bounds);
         let c0 = opt.center();
         // Five observations do not move the center; the sixth does.
         let mut s = opt.initial();
@@ -335,7 +314,7 @@ mod tests {
     #[test]
     fn stays_inside_bounds() {
         let bounds = SearchBounds::multi_parameter(16, 4, 8);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
+        let mut opt = ConjugateGradientOptimizer::new(bounds);
         let centers = drive(&mut opt, small_files, 150);
         for c in centers {
             assert!(bounds.contains(c), "{c} escaped bounds");
@@ -346,7 +325,7 @@ mod tests {
     fn pinned_dimension_never_moves() {
         // Concurrency-only bounds: parallelism and pipelining pinned at 1.
         let bounds = SearchBounds::concurrency_only(32);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
+        let mut opt = ConjugateGradientOptimizer::new(bounds);
         let centers = drive(&mut opt, |s| f64::from(s.concurrency.min(10)) * 50.0, 90);
         for c in &centers {
             assert_eq!(c.parallelism, 1);
@@ -356,22 +335,6 @@ mod tests {
             (8..=14).contains(&centers.last().unwrap().concurrency),
             "cc ended at {}",
             centers.last().unwrap()
-        );
-    }
-
-    #[test]
-    fn reset_restores_start() {
-        let bounds = SearchBounds::multi_parameter(32, 8, 16);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
-        drive(&mut opt, small_files, 60);
-        opt.reset();
-        assert_eq!(
-            opt.center(),
-            TransferSettings {
-                concurrency: 2,
-                parallelism: 1,
-                pipelining: 1
-            }
         );
     }
 }

@@ -18,25 +18,9 @@ use crate::settings::{SearchBounds, TransferSettings};
 /// 1/φ — the golden-section interior-point ratio.
 const INV_PHI: f64 = 0.618_033_988_749_894_9;
 
-/// Golden Section Search parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GssParams {
-    /// Search bounds (concurrency only).
-    pub bounds: SearchBounds,
-    /// Bracket width at which the search stops shrinking and pins the
-    /// midpoint (concurrency is integral, so 2 is the natural floor).
-    pub min_bracket: u32,
-}
-
-impl GssParams {
-    /// Defaults for a concurrency-only search in `[1, max]`.
-    pub fn new(max_concurrency: u32) -> Self {
-        GssParams {
-            bounds: SearchBounds::concurrency_only(max_concurrency),
-            min_bracket: 2,
-        }
-    }
-}
+/// Bracket width at which the search stops shrinking and pins the
+/// midpoint (concurrency is integral, so 2 is the natural floor).
+const MIN_BRACKET: f64 = 2.0;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
@@ -51,18 +35,16 @@ enum Phase {
 /// Golden Section Search optimizer state.
 #[derive(Debug, Clone)]
 pub struct GoldenSectionOptimizer {
-    params: GssParams,
     lo: f64,
     hi: f64,
     phase: Phase,
 }
 
 impl GoldenSectionOptimizer {
-    /// New search over the configured bracket.
-    pub fn new(params: GssParams) -> Self {
-        let (lo, hi) = params.bounds.concurrency;
+    /// New search over the bracket `[1, max_concurrency]`.
+    pub fn new(max_concurrency: u32) -> Self {
+        let (lo, hi) = SearchBounds::concurrency_only(max_concurrency).concurrency;
         GoldenSectionOptimizer {
-            params,
             lo: f64::from(lo),
             hi: f64::from(hi),
             phase: Phase::ProbeLow,
@@ -115,7 +97,7 @@ impl OnlineOptimizer for GoldenSectionOptimizer {
                 } else {
                     self.lo = f64::from(self.x_low());
                 }
-                if self.hi - self.lo <= f64::from(self.params.min_bracket) {
+                if self.hi - self.lo <= MIN_BRACKET {
                     self.phase = Phase::Pinned;
                     TransferSettings::with_concurrency(self.midpoint())
                 } else {
@@ -127,13 +109,6 @@ impl OnlineOptimizer for GoldenSectionOptimizer {
             // adaptivity gap the paper holds against this family).
             Phase::Pinned => TransferSettings::with_concurrency(self.midpoint()),
         }
-    }
-
-    fn reset(&mut self) {
-        let (lo, hi) = self.params.bounds.concurrency;
-        self.lo = f64::from(lo);
-        self.hi = f64::from(hi);
-        self.phase = Phase::ProbeLow;
     }
 }
 
@@ -171,7 +146,7 @@ mod tests {
 
     #[test]
     fn finds_the_optimum_of_a_unimodal_landscape() {
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(100));
+        let mut opt = GoldenSectionOptimizer::new(100);
         let trace = drive(&mut opt, emulab48, 40);
         assert!(opt.is_pinned());
         let final_cc = *trace.last().unwrap();
@@ -185,7 +160,7 @@ mod tests {
     fn converges_in_logarithmic_probes() {
         // Bracket [1, 100] shrinks by φ per evaluation pair:
         // ~2·log(100/2)/log(1/0.618) ≈ 17 probes.
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(100));
+        let mut opt = GoldenSectionOptimizer::new(100);
         let trace = drive(&mut opt, emulab48, 30);
         let pin_at = trace
             .windows(2)
@@ -198,7 +173,7 @@ mod tests {
     fn never_adapts_after_pinning() {
         // The family's documented weakness: shift the optimum after the
         // bracket collapses and GSS stays put.
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(100));
+        let mut opt = GoldenSectionOptimizer::new(100);
         drive(&mut opt, emulab48, 40);
         let pinned = opt.bracket();
         let trace = drive(&mut opt, |n| f64::from(n.min(5)) * 100.0, 20);
@@ -209,14 +184,14 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(12));
+        let mut opt = GoldenSectionOptimizer::new(12);
         let trace = drive(&mut opt, |n| f64::from(n) * 10.0, 30);
         assert!(trace.iter().all(|&c| (1..=12).contains(&c)));
     }
 
     #[test]
     fn bracket_shrinks_monotonically() {
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(64));
+        let mut opt = GoldenSectionOptimizer::new(64);
         let mut widths = Vec::new();
         let mut cc = opt.initial().concurrency;
         for _ in 0..30 {
@@ -240,15 +215,5 @@ mod tests {
         for w in widths.windows(2) {
             assert!(w[1] <= w[0], "bracket grew: {widths:?}");
         }
-    }
-
-    #[test]
-    fn reset_reopens_bracket() {
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(64));
-        drive(&mut opt, emulab48, 40);
-        assert!(opt.is_pinned());
-        opt.reset();
-        assert!(!opt.is_pinned());
-        assert_eq!(opt.bracket(), (1, 64));
     }
 }

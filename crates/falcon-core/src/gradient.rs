@@ -14,56 +14,39 @@ use falcon_trace::{Candidate, TraceEvent, Tracer};
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
 
-/// Gradient Descent parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GdParams {
-    /// Search bounds.
-    pub bounds: SearchBounds,
-    /// Starting concurrency (paper's traces start at 2).
-    pub start: u32,
-    /// Initial confidence factor θ₀.
-    pub theta0: f64,
-    /// Multiplicative growth of θ while the direction is stable.
-    pub theta_growth: f64,
-    /// Upper cap on θ.
-    pub theta_max: f64,
-    /// Scale applied to the relative slope when predicting the step.
-    pub step_gain: f64,
-    /// Relative slope magnitude below which the search holds position
-    /// (measurement noise floor).
-    pub min_rel_slope: f64,
-    /// Largest step per round, as a fraction of the current center (with an
-    /// absolute floor of 4): prevents confidence-driven overshoot past the
-    /// optimum while still allowing fast geometric growth.
-    pub max_step_frac: f64,
-    /// Per-round decay of the per-concurrency utility averages
-    /// (1.0 = no memory: every slope uses only this round's two probes).
-    /// Near an optimum the true restoring slope is far below the sampling
-    /// noise, so a single two-point difference cannot see it. The probe
-    /// bounce revisits the same `n±1` positions round after round, so
-    /// keeping a decayed running mean of utility *per concurrency value*
-    /// averages the noise away exactly where it matters, while fresh
-    /// territory (convergence phase) still reacts to raw slopes at full
-    /// speed because new positions have no history.
-    pub avg_decay: f64,
-}
+/// Starting concurrency (paper's traces start at 2).
+const START: u32 = 2;
 
-impl GdParams {
-    /// Paper-calibrated defaults for a concurrency-only search.
-    pub fn new(max_concurrency: u32) -> Self {
-        GdParams {
-            bounds: SearchBounds::concurrency_only(max_concurrency),
-            start: 2,
-            theta0: 1.0,
-            theta_growth: 2.0,
-            theta_max: 8.0,
-            step_gain: 2.0,
-            min_rel_slope: 0.001,
-            max_step_frac: 0.35,
-            avg_decay: 0.75,
-        }
-    }
-}
+/// Initial confidence factor θ₀.
+const THETA0: f64 = 1.0;
+
+/// Multiplicative growth of θ while the direction is stable.
+const THETA_GROWTH: f64 = 2.0;
+
+/// Upper cap on θ.
+const THETA_MAX: f64 = 8.0;
+
+/// Scale applied to the relative slope when predicting the step.
+const STEP_GAIN: f64 = 2.0;
+
+/// Relative slope magnitude below which the search holds position
+/// (measurement noise floor).
+const MIN_REL_SLOPE: f64 = 0.001;
+
+/// Largest step per round, as a fraction of the current center (with an
+/// absolute floor of 4): prevents confidence-driven overshoot past the
+/// optimum while still allowing fast geometric growth.
+const MAX_STEP_FRAC: f64 = 0.35;
+
+/// Per-round decay of the per-concurrency utility averages (1.0 = no
+/// memory: every slope uses only this round's two probes). Near an optimum
+/// the true restoring slope is far below the sampling noise, so a single
+/// two-point difference cannot see it. The probe bounce revisits the same
+/// `n±1` positions round after round, so keeping a decayed running mean of
+/// utility *per concurrency value* averages the noise away exactly where it
+/// matters, while fresh territory (convergence phase) still reacts to raw
+/// slopes at full speed because new positions have no history.
+const AVG_DECAY: f64 = 0.75;
 
 #[derive(Debug, Clone, Copy)]
 enum Phase {
@@ -76,13 +59,14 @@ enum Phase {
 /// Online Gradient Descent optimizer state.
 #[derive(Debug, Clone)]
 pub struct GradientDescentOptimizer {
-    params: GdParams,
+    /// Inclusive concurrency range.
+    bounds: (u32, u32),
     center: u32,
     phase: Phase,
     theta: f64,
     last_direction: i64,
     /// Decayed running mean of utility per concurrency value:
-    /// `(n, mean, weight)`. Entries fade with [`GdParams::avg_decay`] per
+    /// `(n, mean, weight)`. Entries fade with [`AVG_DECAY`] per
     /// round and are dropped once negligible.
     u_cache: Vec<(u32, f64, f64)>,
     /// Whether this round probes `n+ε` before `n−ε`. Re-drawn every round
@@ -98,17 +82,17 @@ pub struct GradientDescentOptimizer {
 }
 
 impl GradientDescentOptimizer {
-    /// New search with the given parameters.
-    pub fn new(params: GdParams) -> Self {
+    /// New concurrency-only search in `[1, max_concurrency]`.
+    pub fn new(max_concurrency: u32) -> Self {
         GradientDescentOptimizer {
-            center: params.start,
+            bounds: SearchBounds::concurrency_only(max_concurrency).concurrency,
+            center: START,
             phase: Phase::First,
-            theta: params.theta0,
+            theta: THETA0,
             last_direction: 0,
             u_cache: Vec::new(),
             order_flipped: false,
             order_rng: 0x9E37_79B9_7F4A_7C15,
-            params,
             tracer: Tracer::default(),
         }
     }
@@ -138,9 +122,8 @@ impl GradientDescentOptimizer {
 
     /// Age the cache by one round.
     fn decay_cache(&mut self) {
-        let decay = self.params.avg_decay;
         for e in &mut self.u_cache {
-            e.2 *= decay;
+            e.2 *= AVG_DECAY;
         }
         self.u_cache.retain(|e| e.2 >= 0.05);
     }
@@ -156,12 +139,12 @@ impl GradientDescentOptimizer {
     }
 
     fn low_probe(&self) -> u32 {
-        let (lo, _) = self.params.bounds.concurrency;
+        let (lo, _) = self.bounds;
         self.center.saturating_sub(1).max(lo)
     }
 
     fn high_probe(&self) -> u32 {
-        let (_, hi) = self.params.bounds.concurrency;
+        let (_, hi) = self.bounds;
         (self.center + 1).min(hi)
     }
 }
@@ -212,7 +195,7 @@ impl OnlineOptimizer for GradientDescentOptimizer {
                 let mean_denom = mean_low.abs().max(1e-9);
                 let rel_slope = (mean_high - mean_low) / (span * mean_denom);
 
-                if rel_slope.abs() >= self.params.min_rel_slope {
+                if rel_slope.abs() >= MIN_REL_SLOPE {
                     // θ confidence is keyed on the *raw* slope sign, not the
                     // smoothed one: successive raw estimates are independent,
                     // so consecutive agreement is real evidence of a gradient
@@ -222,31 +205,27 @@ impl OnlineOptimizer for GradientDescentOptimizer {
                     // for several rounds and launch a spurious excursion.
                     let raw_direction = if raw_slope > 0.0 { 1 } else { -1 };
                     if raw_direction == self.last_direction {
-                        self.theta =
-                            (self.theta * self.params.theta_growth).min(self.params.theta_max);
+                        self.theta = (self.theta * THETA_GROWTH).min(THETA_MAX);
                     } else {
-                        self.theta = self.params.theta0;
+                        self.theta = THETA0;
                     }
                     self.last_direction = raw_direction;
 
                     let direction = if rel_slope > 0.0 { 1 } else { -1 };
-                    let step = self.theta
-                        * self.params.step_gain
-                        * rel_slope
-                        * f64::from(self.center.max(1));
-                    let cap = (self.params.max_step_frac * f64::from(self.center)).max(4.0);
+                    let step = self.theta * STEP_GAIN * rel_slope * f64::from(self.center.max(1));
+                    let cap = (MAX_STEP_FRAC * f64::from(self.center)).max(4.0);
                     let step = step.clamp(-cap, cap).round() as i64;
                     let step = if step == 0 {
                         i64::from(direction)
                     } else {
                         step
                     };
-                    let (lo, hi) = self.params.bounds.concurrency;
+                    let (lo, hi) = self.bounds;
                     let next = (i64::from(self.center) + step).clamp(i64::from(lo), i64::from(hi));
                     self.center = next as u32;
                 } else {
                     // Flat within noise: hold position, lose confidence.
-                    self.theta = self.params.theta0;
+                    self.theta = THETA0;
                     self.last_direction = 0;
                 }
                 self.tracer.emit(|| TraceEvent::Decision {
@@ -277,15 +256,6 @@ impl OnlineOptimizer for GradientDescentOptimizer {
                 self.initial()
             }
         }
-    }
-
-    fn reset(&mut self) {
-        self.center = self.params.start;
-        self.phase = Phase::First;
-        self.theta = self.params.theta0;
-        self.last_direction = 0;
-        self.u_cache.clear();
-        self.order_flipped = false;
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -335,7 +305,7 @@ mod tests {
 
     #[test]
     fn converges_to_48_much_faster_than_hill_climbing() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
+        let mut opt = GradientDescentOptimizer::new(100);
         let (_, centers) = drive(&mut opt, emulab48, 40);
         let first_hit = centers.iter().position(|&c| (44..=52).contains(&c));
         let hit = first_hit.expect("never reached the optimum region");
@@ -345,7 +315,7 @@ mod tests {
 
     #[test]
     fn stays_near_optimum_after_convergence() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
+        let mut opt = GradientDescentOptimizer::new(100);
         let (trace, centers) = drive(&mut opt, emulab48, 80);
         let tail = &centers[40..];
         assert!(
@@ -359,7 +329,7 @@ mod tests {
 
     #[test]
     fn theta_grows_on_consistent_direction() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
+        let mut opt = GradientDescentOptimizer::new(100);
         let t0 = opt.theta();
         drive(&mut opt, emulab48, 8);
         assert!(opt.theta() > t0, "theta did not grow: {}", opt.theta());
@@ -367,7 +337,7 @@ mod tests {
 
     #[test]
     fn theta_resets_when_direction_flips() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
+        let mut opt = GradientDescentOptimizer::new(100);
         drive(&mut opt, emulab48, 8);
         let grown = opt.theta();
         assert!(grown > 1.0);
@@ -378,7 +348,7 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(12));
+        let mut opt = GradientDescentOptimizer::new(12);
         let (trace, centers) = drive(&mut opt, |n| f64::from(n) * 50.0, 40);
         assert!(trace.iter().all(|&c| (1..=12).contains(&c)));
         assert!(centers.iter().any(|&c| c >= 11));
@@ -389,7 +359,7 @@ mod tests {
         // Flat *aggregate* throughput means extra concurrency buys nothing,
         // so the Kⁿ regret makes utility strictly decreasing in n: the
         // optimizer must settle at the minimum.
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(64));
+        let mut opt = GradientDescentOptimizer::new(64);
         let (_, centers) = drive(&mut opt, |_| 500.0, 30);
         let tail = &centers[10..];
         assert!(tail.iter().all(|&c| c <= 2), "centers: {centers:?}");
@@ -397,7 +367,7 @@ mod tests {
 
     #[test]
     fn adapts_downward_when_optimum_shrinks() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
+        let mut opt = GradientDescentOptimizer::new(100);
         drive(&mut opt, emulab48, 40);
         assert!(opt.center() >= 42);
         // Background traffic arrives: only ~10 streams now useful.
@@ -408,7 +378,7 @@ mod tests {
 
     #[test]
     fn probes_alternate_below_and_above_center() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(64));
+        let mut opt = GradientDescentOptimizer::new(64);
         // First probe is center−1 = 1, then center+1 = 3.
         assert_eq!(opt.initial().concurrency, 1);
         let m = ProbeMetrics::from_aggregate(TransferSettings::with_concurrency(1), 21.0, 0.0, 5.0);
@@ -418,15 +388,5 @@ mod tests {
             metrics: m,
         });
         assert_eq!(s.concurrency, 3);
-    }
-
-    #[test]
-    fn reset_restores_start() {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(100));
-        drive(&mut opt, emulab48, 30);
-        assert!(opt.center() > 10);
-        opt.reset();
-        assert_eq!(opt.center(), 2);
-        assert_eq!(opt.theta(), 1.0);
     }
 }

@@ -20,33 +20,18 @@ use falcon_trace::{Candidate, TraceEvent, Tracer};
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
 
-/// Hill Climbing parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct HcParams {
-    /// Relative draw-down from the best utility of the current run that
-    /// triggers a direction reversal (paper default 3%).
-    pub threshold: f64,
-    /// Search bounds.
-    pub bounds: SearchBounds,
-    /// Starting concurrency.
-    pub start: u32,
-}
+/// Relative draw-down from the best utility of the current run that
+/// triggers a direction reversal (paper default 3%).
+const THRESHOLD: f64 = 0.03;
 
-impl HcParams {
-    /// Paper defaults for a concurrency-only search in `[1, max]`.
-    pub fn new(max_concurrency: u32) -> Self {
-        HcParams {
-            threshold: 0.03,
-            bounds: SearchBounds::concurrency_only(max_concurrency),
-            start: 1,
-        }
-    }
-}
+/// Starting concurrency.
+const START: u32 = 1;
 
 /// Hill Climbing optimizer state.
 #[derive(Debug, Clone)]
 pub struct HillClimbingOptimizer {
-    params: HcParams,
+    /// Inclusive concurrency range.
+    bounds: (u32, u32),
     direction: i64,
     /// Best utility observed since the last reversal.
     best_in_run: Option<f64>,
@@ -55,13 +40,13 @@ pub struct HillClimbingOptimizer {
 }
 
 impl HillClimbingOptimizer {
-    /// New search with the given parameters.
-    pub fn new(params: HcParams) -> Self {
+    /// New concurrency-only search in `[1, max_concurrency]`.
+    pub fn new(max_concurrency: u32) -> Self {
         HillClimbingOptimizer {
+            bounds: SearchBounds::concurrency_only(max_concurrency).concurrency,
             direction: 1,
             best_in_run: None,
-            current: params.start,
-            params,
+            current: START,
             tracer: Tracer::default(),
         }
     }
@@ -72,7 +57,7 @@ impl HillClimbingOptimizer {
     }
 
     fn step(&self, from: u32, dir: i64) -> u32 {
-        let (lo, hi) = self.params.bounds.concurrency;
+        let (lo, hi) = self.bounds;
         let next = from as i64 + dir;
         next.clamp(i64::from(lo), i64::from(hi)) as u32
     }
@@ -84,7 +69,7 @@ impl OnlineOptimizer for HillClimbingOptimizer {
     }
 
     fn initial(&self) -> TransferSettings {
-        TransferSettings::with_concurrency(self.params.start)
+        TransferSettings::with_concurrency(START)
     }
 
     fn next(&mut self, obs: &Observation) -> TransferSettings {
@@ -99,7 +84,7 @@ impl OnlineOptimizer for HillClimbingOptimizer {
                 } else {
                     // γ: relative draw-down from the best of this run.
                     let gamma = (best - u) / best.abs().max(1e-9);
-                    if gamma > self.params.threshold {
+                    if gamma > THRESHOLD {
                         self.direction = -self.direction;
                         // The reversal starts a fresh run from here.
                         self.best_in_run = Some(u);
@@ -132,12 +117,6 @@ impl OnlineOptimizer for HillClimbingOptimizer {
             }],
         });
         TransferSettings::with_concurrency(self.current)
-    }
-
-    fn reset(&mut self) {
-        self.direction = 1;
-        self.best_in_run = None;
-        self.current = self.params.start;
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -182,7 +161,7 @@ mod tests {
 
     #[test]
     fn climbs_monotonically_from_start() {
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
+        let mut opt = HillClimbingOptimizer::new(64);
         let trace = drive(&mut opt, emulab48, 10);
         assert_eq!(trace, vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
     }
@@ -190,7 +169,7 @@ mod tests {
     #[test]
     fn takes_about_optimal_many_steps_to_converge() {
         // The Figure 7 mechanism: unit steps mean ~48 probes to reach 48.
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
+        let mut opt = HillClimbingOptimizer::new(64);
         let trace = drive(&mut opt, emulab48, 60);
         let first_hit = trace
             .iter()
@@ -204,7 +183,7 @@ mod tests {
 
     #[test]
     fn oscillates_around_optimum_after_convergence() {
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
+        let mut opt = HillClimbingOptimizer::new(64);
         let trace = drive(&mut opt, emulab48, 160);
         let tail = &trace[60..];
         assert!(
@@ -220,7 +199,7 @@ mod tests {
 
     #[test]
     fn respects_upper_bound() {
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(8));
+        let mut opt = HillClimbingOptimizer::new(8);
         let trace = drive(&mut opt, |n| f64::from(n) * 10.0, 30);
         assert!(trace.iter().all(|&c| (1..=8).contains(&c)));
         assert!(trace.contains(&8));
@@ -229,7 +208,7 @@ mod tests {
     #[test]
     fn respects_lower_bound_on_descending_landscape() {
         // Utility strictly decreasing in n: the search must hug the minimum.
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(32));
+        let mut opt = HillClimbingOptimizer::new(32);
         let trace = drive(&mut opt, |n| 100.0 / f64::from(n), 40);
         assert!(trace.iter().all(|&c| c >= 1));
         assert!(
@@ -239,20 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_start() {
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
-        drive(&mut opt, emulab48, 20);
-        assert!(opt.position() > 10);
-        opt.reset();
-        assert_eq!(opt.position(), 1);
-        assert_eq!(opt.initial().concurrency, 1);
-    }
-
-    #[test]
     fn adapts_when_optimum_moves() {
         // Converge toward 48, then shift the optimum down to 10 — the
         // utility at 48 collapses, so the search must walk back down.
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
+        let mut opt = HillClimbingOptimizer::new(64);
         drive(&mut opt, emulab48, 55);
         let trace = drive(&mut opt, |n| f64::from(n.min(10)) * 100.0, 80);
         let tail = &trace[60..];
@@ -265,7 +234,7 @@ mod tests {
     #[test]
     fn tolerates_small_drawdowns_without_reversing() {
         // A 1% dip must not reverse a 3%-threshold climb.
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
+        let mut opt = HillClimbingOptimizer::new(64);
         // Utility via throughput where aggregate dips 1% at n=5.
         let f = |n: u32| {
             let base = f64::from(n) * 50.0;

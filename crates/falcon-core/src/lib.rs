@@ -16,7 +16,8 @@
 //!   (`n−1`, `n+1`) and a monotonically growing confidence factor θ.
 //! - [`bayesian`] — Bayesian optimization over a Gaussian-process surrogate
 //!   (20-observation window, 3 random initial samples, GP-Hedge acquisition
-//!   portfolio).
+//!   portfolio): one search loop over a candidate space, the concurrency
+//!   line or [`bayesian_mp`]'s connection-capped `(cc, p)` grid (§4.6).
 //! - [`conjugate`] — conjugate gradient descent for multi-parameter tuning
 //!   (concurrency × parallelism × pipelining, §4.4).
 //! - [`golden_section`] and [`stochastic`] — the related-work searches the
@@ -24,6 +25,14 @@
 //!   ProbData's stochastic approximation), implemented so the experiment
 //!   suite can demonstrate their adaptivity and convergence-speed gaps.
 //! - [`agent`] — the controller loop gluing a utility to an optimizer.
+//!
+//! A search never stops and is never cold-restarted: it adapts to a changed
+//! environment on its own (the paper's requirement), and the runner's
+//! watchdog keeps its learned state across a process restart. Constructors
+//! take what callers set — a concurrency bound or [`SearchBounds`], and for
+//! Bayesian optimization a seed, the §4.6 initial ceiling and the connection
+//! cap; each algorithm's remaining tuning values are documented constants
+//! beside the code that reads them.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -45,12 +54,12 @@ pub mod utility;
 pub use agent::FalconAgent;
 pub use bayesian::{BayesianOptimizer, BoParams};
 pub use bayesian_mp::{BayesianMpOptimizer, BoMpParams};
-pub use conjugate::{CgdParams, ConjugateGradientOptimizer};
-pub use golden_section::{GoldenSectionOptimizer, GssParams};
-pub use gradient::{GdParams, GradientDescentOptimizer};
-pub use hill_climbing::{HcParams, HillClimbingOptimizer};
+pub use conjugate::ConjugateGradientOptimizer;
+pub use golden_section::GoldenSectionOptimizer;
+pub use gradient::GradientDescentOptimizer;
+pub use hill_climbing::HillClimbingOptimizer;
 pub use metrics::ProbeMetrics;
 pub use optimizer::{Observation, OnlineOptimizer};
 pub use settings::{SearchBounds, TransferSettings};
-pub use stochastic::{SpsaOptimizer, SpsaParams};
+pub use stochastic::SpsaOptimizer;
 pub use utility::UtilityFunction;

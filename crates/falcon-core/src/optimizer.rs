@@ -31,10 +31,6 @@ pub trait OnlineOptimizer: Send {
     /// Consume an observation, return the next setting to probe.
     fn next(&mut self, obs: &Observation) -> TransferSettings;
 
-    /// Reset internal state (used when the environment changes abruptly and
-    /// a caller wants a cold restart; optimizers also adapt on their own).
-    fn reset(&mut self);
-
     /// Install a tracer for decision events. Default: ignore (optimizers
     /// that do not emit decision events need no storage for it).
     fn set_tracer(&mut self, _tracer: Tracer) {}
@@ -57,7 +53,6 @@ mod tests {
         fn next(&mut self, _obs: &Observation) -> TransferSettings {
             TransferSettings::with_concurrency(2)
         }
-        fn reset(&mut self) {}
     }
 
     #[test]

@@ -20,42 +20,27 @@ use rand::{Rng, SeedableRng};
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
 
-/// Stochastic-approximation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SpsaParams {
-    /// Search bounds (concurrency only).
-    pub bounds: SearchBounds,
-    /// Starting concurrency.
-    pub start: u32,
-    /// Gain numerator `a` of `a_k = a/(k+A)^α`.
-    pub a: f64,
-    /// Gain stability offset `A`.
-    pub big_a: f64,
-    /// Gain decay exponent `α`.
-    pub alpha: f64,
-    /// Perturbation numerator `c` of `c_k = c/(k+1)^γ`.
-    pub c: f64,
-    /// Perturbation decay exponent `γ`.
-    pub gamma: f64,
-    /// RNG seed for the perturbation signs.
-    pub seed: u64,
-}
+/// Starting concurrency.
+const START: u32 = 2;
 
-impl SpsaParams {
-    /// Spall's classic constants, scaled for an integer concurrency space.
-    pub fn new(max_concurrency: u32) -> Self {
-        SpsaParams {
-            bounds: SearchBounds::concurrency_only(max_concurrency),
-            start: 2,
-            a: 4.0,
-            big_a: 10.0,
-            alpha: 0.602,
-            c: 2.0,
-            gamma: 0.101,
-            seed: 0x5b5a,
-        }
-    }
-}
+/// Gain numerator `a` of `a_k = a/(k+A)^α` (Spall's classic constants,
+/// scaled for an integer concurrency space).
+const A: f64 = 4.0;
+
+/// Gain stability offset `A`.
+const BIG_A: f64 = 10.0;
+
+/// Gain decay exponent `α`.
+const ALPHA: f64 = 0.602;
+
+/// Perturbation numerator `c` of `c_k = c/(k+1)^γ`.
+const C: f64 = 2.0;
+
+/// Perturbation decay exponent `γ`.
+const GAMMA: f64 = 0.101;
+
+/// RNG seed for the perturbation signs.
+const SEED: u64 = 0x5b5a;
 
 #[derive(Debug, Clone, Copy)]
 enum Phase {
@@ -68,7 +53,8 @@ enum Phase {
 /// SPSA optimizer state.
 #[derive(Debug)]
 pub struct SpsaOptimizer {
-    params: SpsaParams,
+    /// Inclusive concurrency range.
+    bounds: (u32, u32),
     rng: StdRng,
     center: f64,
     k: u32,
@@ -76,16 +62,16 @@ pub struct SpsaOptimizer {
 }
 
 impl SpsaOptimizer {
-    /// New search with the given parameters.
-    pub fn new(params: SpsaParams) -> Self {
-        let mut rng = StdRng::seed_from_u64(params.seed);
+    /// New concurrency-only search in `[1, max_concurrency]`.
+    pub fn new(max_concurrency: u32) -> Self {
+        let mut rng = StdRng::seed_from_u64(SEED);
         let delta: f64 = if rng.gen::<bool>() { 1.0 } else { -1.0 };
         SpsaOptimizer {
-            center: f64::from(params.start),
+            bounds: SearchBounds::concurrency_only(max_concurrency).concurrency,
+            center: f64::from(START),
             k: 0,
             phase: Phase::Minus { delta },
             rng,
-            params,
         }
     }
 
@@ -100,15 +86,15 @@ impl SpsaOptimizer {
     }
 
     fn gain(&self) -> f64 {
-        self.params.a / (f64::from(self.k) + self.params.big_a).powf(self.params.alpha)
+        A / (f64::from(self.k) + BIG_A).powf(ALPHA)
     }
 
     fn perturbation(&self) -> f64 {
-        (self.params.c / (f64::from(self.k) + 1.0).powf(self.params.gamma)).max(1.0)
+        (C / (f64::from(self.k) + 1.0).powf(GAMMA)).max(1.0)
     }
 
     fn clamp_cc(&self, x: f64) -> u32 {
-        let (lo, hi) = self.params.bounds.concurrency;
+        let (lo, hi) = self.bounds;
         (x.round() as i64).clamp(i64::from(lo), i64::from(hi)) as u32
     }
 }
@@ -145,7 +131,7 @@ impl OnlineOptimizer for SpsaOptimizer {
                 let scale = u_minus.abs().max(1e-9);
                 let g_hat = (u_plus - u_minus) / (2.0 * c_k * delta) / scale;
                 self.center += self.gain() * g_hat * self.center.max(1.0);
-                let (lo, hi) = self.params.bounds.concurrency;
+                let (lo, hi) = self.bounds;
                 self.center = self.center.clamp(f64::from(lo), f64::from(hi));
                 self.k += 1;
                 let delta: f64 = if self.rng.gen::<bool>() { 1.0 } else { -1.0 };
@@ -155,13 +141,6 @@ impl OnlineOptimizer for SpsaOptimizer {
                 )
             }
         }
-    }
-
-    fn reset(&mut self) {
-        self.center = f64::from(self.params.start);
-        self.k = 0;
-        let delta: f64 = if self.rng.gen::<bool>() { 1.0 } else { -1.0 };
-        self.phase = Phase::Minus { delta };
     }
 }
 
@@ -199,7 +178,7 @@ mod tests {
 
     #[test]
     fn moves_toward_the_optimum() {
-        let mut opt = SpsaOptimizer::new(SpsaParams::new(100));
+        let mut opt = SpsaOptimizer::new(100);
         drive(&mut opt, emulab48, 60);
         // It moves the right way — just slowly (the paper's point).
         assert!(
@@ -218,12 +197,11 @@ mod tests {
     fn converges_slower_than_gradient_descent() {
         // The paper's point about ProbData: decaying gains make it far
         // slower than Falcon's searches on the same landscape.
-        let mut spsa = SpsaOptimizer::new(SpsaParams::new(100));
+        let mut spsa = SpsaOptimizer::new(100);
         drive(&mut spsa, emulab48, 30);
         let spsa_center = spsa.center();
 
-        let mut gd =
-            crate::gradient::GradientDescentOptimizer::new(crate::gradient::GdParams::new(100));
+        let mut gd = crate::gradient::GradientDescentOptimizer::new(100);
         let mut cc = gd.initial().concurrency;
         for _ in 0..30 {
             let m = ProbeMetrics::from_aggregate(
@@ -252,7 +230,7 @@ mod tests {
 
     #[test]
     fn gain_sequence_decays() {
-        let mut opt = SpsaOptimizer::new(SpsaParams::new(100));
+        let mut opt = SpsaOptimizer::new(100);
         let g0 = opt.gain();
         drive(&mut opt, emulab48, 40);
         assert!(opt.iteration() >= 19);
@@ -261,7 +239,7 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let mut opt = SpsaOptimizer::new(SpsaParams::new(16));
+        let mut opt = SpsaOptimizer::new(16);
         let trace = drive(&mut opt, |n| f64::from(n) * 100.0, 60);
         assert!(trace.iter().all(|&c| (1..=16).contains(&c)));
     }
@@ -269,18 +247,9 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let run = || {
-            let mut opt = SpsaOptimizer::new(SpsaParams::new(64));
+            let mut opt = SpsaOptimizer::new(64);
             drive(&mut opt, emulab48, 30)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut opt = SpsaOptimizer::new(SpsaParams::new(64));
-        drive(&mut opt, emulab48, 30);
-        opt.reset();
-        assert_eq!(opt.center(), 2.0);
-        assert_eq!(opt.iteration(), 0);
     }
 }

@@ -129,15 +129,4 @@ impl CachedSurrogate {
             .fold(f64::NEG_INFINITY, f64::max);
         true
     }
-
-    /// The frozen `(mean, std)` normalization constants — reference for
-    /// oracles that refit from scratch over the same window.
-    pub fn normalization(&self) -> (f64, f64) {
-        (self.y_mean, self.y_std)
-    }
-
-    /// Incremental updates since the last full refit.
-    pub fn extends(&self) -> usize {
-        self.extends
-    }
 }

@@ -6,10 +6,9 @@
 use proptest::prelude::*;
 
 use falcon_core::{
-    BayesianOptimizer, BoParams, CgdParams, ConjugateGradientOptimizer, GdParams,
-    GoldenSectionOptimizer, GradientDescentOptimizer, GssParams, HcParams, HillClimbingOptimizer,
-    Observation, OnlineOptimizer, ProbeMetrics, SearchBounds, SpsaOptimizer, SpsaParams,
-    TransferSettings,
+    BayesianOptimizer, BoParams, ConjugateGradientOptimizer, GoldenSectionOptimizer,
+    GradientDescentOptimizer, HillClimbingOptimizer, Observation, OnlineOptimizer, ProbeMetrics,
+    SearchBounds, SpsaOptimizer, TransferSettings,
 };
 
 /// Drive an optimizer through an arbitrary utility sequence and assert
@@ -49,7 +48,7 @@ proptest! {
         utilities in proptest::collection::vec(-1e6f64..1e6, 1..80),
     ) {
         let bounds = SearchBounds::concurrency_only(max_cc);
-        let mut opt = HillClimbingOptimizer::new(HcParams::new(max_cc));
+        let mut opt = HillClimbingOptimizer::new(max_cc);
         fuzz_optimizer(&mut opt, bounds, &utilities)?;
     }
 
@@ -59,7 +58,7 @@ proptest! {
         utilities in proptest::collection::vec(-1e6f64..1e6, 1..80),
     ) {
         let bounds = SearchBounds::concurrency_only(max_cc);
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(max_cc));
+        let mut opt = GradientDescentOptimizer::new(max_cc);
         fuzz_optimizer(&mut opt, bounds, &utilities)?;
     }
 
@@ -93,7 +92,7 @@ proptest! {
         utilities in proptest::collection::vec(-1e6f64..1e6, 1..80),
     ) {
         let bounds = SearchBounds::concurrency_only(max_cc);
-        let mut opt = GoldenSectionOptimizer::new(GssParams::new(max_cc));
+        let mut opt = GoldenSectionOptimizer::new(max_cc);
         fuzz_optimizer(&mut opt, bounds, &utilities)?;
     }
 
@@ -103,7 +102,7 @@ proptest! {
         utilities in proptest::collection::vec(-1e6f64..1e6, 1..80),
     ) {
         let bounds = SearchBounds::concurrency_only(max_cc);
-        let mut opt = SpsaOptimizer::new(SpsaParams::new(max_cc));
+        let mut opt = SpsaOptimizer::new(max_cc);
         fuzz_optimizer(&mut opt, bounds, &utilities)?;
     }
 
@@ -115,28 +114,8 @@ proptest! {
         utilities in proptest::collection::vec(-1e6f64..1e6, 6..60),
     ) {
         let bounds = SearchBounds::multi_parameter(max_cc, max_p, max_pp);
-        let mut opt = ConjugateGradientOptimizer::new(CgdParams::new(bounds));
+        let mut opt = ConjugateGradientOptimizer::new(bounds);
         fuzz_optimizer(&mut opt, bounds, &utilities)?;
-    }
-
-    /// Reset always restores a valid initial proposal.
-    #[test]
-    fn reset_restores_validity(
-        max_cc in 2u32..64,
-        utilities in proptest::collection::vec(-1e3f64..1e3, 1..30),
-    ) {
-        let bounds = SearchBounds::concurrency_only(max_cc);
-        let mut opts: Vec<Box<dyn OnlineOptimizer>> = vec![
-            Box::new(HillClimbingOptimizer::new(HcParams::new(max_cc))),
-            Box::new(GradientDescentOptimizer::new(GdParams::new(max_cc))),
-            Box::new(GoldenSectionOptimizer::new(GssParams::new(max_cc))),
-            Box::new(SpsaOptimizer::new(SpsaParams::new(max_cc))),
-        ];
-        for opt in opts.iter_mut() {
-            fuzz_optimizer(opt.as_mut(), bounds, &utilities)?;
-            opt.reset();
-            prop_assert!(bounds.contains(opt.initial()));
-        }
     }
 
     /// Optimizers never propose the degenerate zero setting even when fed
@@ -148,9 +127,9 @@ proptest! {
     ) {
         let utilities = vec![value; 40];
         let bounds = SearchBounds::concurrency_only(max_cc);
-        let mut gd = GradientDescentOptimizer::new(GdParams::new(max_cc));
+        let mut gd = GradientDescentOptimizer::new(max_cc);
         fuzz_optimizer(&mut gd, bounds, &utilities)?;
-        let mut hc = HillClimbingOptimizer::new(HcParams::new(max_cc));
+        let mut hc = HillClimbingOptimizer::new(max_cc);
         fuzz_optimizer(&mut hc, bounds, &utilities)?;
     }
 
@@ -161,7 +140,7 @@ proptest! {
         max_cc in 2u32..32,
         utilities in proptest::collection::vec(-1e4f64..1e4, 1..40),
     ) {
-        let mut opt = GradientDescentOptimizer::new(GdParams::new(max_cc));
+        let mut opt = GradientDescentOptimizer::new(max_cc);
         let mut settings = opt.initial();
         for &u in &utilities {
             let metrics = ProbeMetrics::from_aggregate(settings, u.abs(), 0.0, 5.0);

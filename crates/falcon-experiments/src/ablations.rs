@@ -1,7 +1,7 @@
 //! Ablations over Falcon's utility constants and the BBR future-work
 //! extension (§3.1 claims; §6 future work).
 
-use falcon_core::{FalconAgent, GdParams, GradientDescentOptimizer, UtilityFunction};
+use falcon_core::{FalconAgent, GradientDescentOptimizer, UtilityFunction};
 use falcon_sim::{Environment, Simulation};
 use falcon_tcp::CongestionControl;
 use falcon_transfer::dataset::Dataset;
@@ -15,10 +15,7 @@ fn endless() -> Dataset {
 }
 
 fn gd_with(utility: UtilityFunction) -> FalconAgent {
-    FalconAgent::new(
-        utility,
-        Box::new(GradientDescentOptimizer::new(GdParams::new(100))),
-    )
+    FalconAgent::new(utility, Box::new(GradientDescentOptimizer::new(100)))
 }
 
 /// §3.1: "B = 10 works well … by keeping packet loss rate below 1% while

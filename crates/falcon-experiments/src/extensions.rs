@@ -5,7 +5,7 @@
 
 use falcon_core::{
     BayesianMpOptimizer, BayesianOptimizer, BoMpParams, BoParams, FalconAgent,
-    GoldenSectionOptimizer, GssParams, SpsaOptimizer, SpsaParams, UtilityFunction,
+    GoldenSectionOptimizer, SpsaOptimizer, UtilityFunction,
 };
 use falcon_sim::{traffic, Environment, Simulation};
 use falcon_transfer::dataset::Dataset;
@@ -47,7 +47,7 @@ pub fn shootout() -> Table {
             Box::new(|| {
                 Box::new(FalconAgent::new(
                     UtilityFunction::falcon_default(),
-                    Box::new(GoldenSectionOptimizer::new(GssParams::new(100))),
+                    Box::new(GoldenSectionOptimizer::new(100)),
                 ))
             }),
         ),
@@ -56,7 +56,7 @@ pub fn shootout() -> Table {
             Box::new(|| {
                 Box::new(FalconAgent::new(
                     UtilityFunction::falcon_default(),
-                    Box::new(SpsaOptimizer::new(SpsaParams::new(100))),
+                    Box::new(SpsaOptimizer::new(100)),
                 ))
             }),
         ),
@@ -99,7 +99,8 @@ pub fn shootout() -> Table {
                 labels: trace.labels.clone(),
                 points: shifted,
                 completed_at: vec![None],
-                recovery: Vec::new(),
+                restarts: vec![0],
+                discarded_probes: vec![0],
             };
             time_to_sustained(&sub, 0, 1000.0, 0.75, 620.0 + 20.0)
                 .map_or("none".to_string(), |v| format!("{:.0}", v - 600.0))

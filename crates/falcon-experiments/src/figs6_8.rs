@@ -1,7 +1,7 @@
 //! Utility-function and search-algorithm experiments: Figures 6, 7, 8
 //! (§3.1–§3.2, §4.1).
 
-use falcon_core::{FalconAgent, GdParams, GradientDescentOptimizer, UtilityFunction};
+use falcon_core::{FalconAgent, GradientDescentOptimizer, UtilityFunction};
 use falcon_sim::{Environment, Simulation};
 use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
@@ -25,10 +25,7 @@ fn endless() -> Dataset {
 }
 
 fn gd_agent_with_utility(utility: UtilityFunction, max_cc: u32) -> FalconAgent {
-    FalconAgent::new(
-        utility,
-        Box::new(GradientDescentOptimizer::new(GdParams::new(max_cc))),
-    )
+    FalconAgent::new(utility, Box::new(GradientDescentOptimizer::new(max_cc)))
 }
 
 /// Figure 6(a): estimated (analytic) utility of the linear regret (Eq 3,

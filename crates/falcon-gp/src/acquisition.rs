@@ -1,6 +1,5 @@
 //! Acquisition functions for Bayesian optimization (maximization form).
 
-use crate::gp::{GpRegressor, PredictScratch};
 use crate::normal;
 
 /// Which acquisition rule to evaluate.
@@ -53,26 +52,6 @@ impl Acquisition {
         Acquisition { kind, exploration }
     }
 
-    /// Score a candidate point given the surrogate and the incumbent best
-    /// observed value. Higher is better.
-    pub fn score(&self, gp: &GpRegressor, x: &[f64], best_y: f64) -> f64 {
-        let mut scratch = PredictScratch::default();
-        self.score_with(gp, x, best_y, &mut scratch)
-    }
-
-    /// [`Acquisition::score`] reusing caller-owned prediction buffers, so a
-    /// sweep over a candidate grid performs no per-point allocation.
-    pub fn score_with(
-        &self,
-        gp: &GpRegressor,
-        x: &[f64],
-        best_y: f64,
-        scratch: &mut PredictScratch,
-    ) -> f64 {
-        let (mu, var) = gp.predict_into(x, scratch);
-        self.score_from(mu, var.sqrt(), best_y)
-    }
-
     /// Score from an already-computed posterior `(μ, σ)`. This is the
     /// member-specific arithmetic alone — portfolio sweeps compute each
     /// posterior once (see [`crate::sweep::SweepCache`]) and fan it out to
@@ -95,15 +74,32 @@ impl Acquisition {
             }
         }
     }
+}
 
-    /// Argmax of the acquisition over a finite candidate set. Returns the
-    /// index of the winning candidate (ties break toward the first).
-    pub fn argmax(&self, gp: &GpRegressor, candidates: &[Vec<f64>], best_y: f64) -> usize {
-        let mut scratch = PredictScratch::default();
+/// Full-scan oracles the local-ascent search of [`crate::sweep`] is tested
+/// against.
+#[cfg(test)]
+impl Acquisition {
+    /// Score a candidate point given the surrogate and the incumbent best
+    /// observed value. Higher is better.
+    pub(crate) fn score(&self, gp: &crate::gp::GpRegressor, x: &[f64], best_y: f64) -> f64 {
+        let (mu, var) = gp.predict(x);
+        self.score_from(mu, var.sqrt(), best_y)
+    }
+
+    /// Full-scan argmax over a finite candidate set (ties break toward the
+    /// first) — the oracle the local-ascent search of [`crate::sweep`] is
+    /// tested against.
+    pub(crate) fn argmax(
+        &self,
+        gp: &crate::gp::GpRegressor,
+        candidates: &[Vec<f64>],
+        best_y: f64,
+    ) -> usize {
         let mut best_i = 0;
         let mut best_s = f64::NEG_INFINITY;
         for (i, c) in candidates.iter().enumerate() {
-            let s = self.score_with(gp, c, best_y, &mut scratch);
+            let s = self.score(gp, c, best_y);
             if s > best_s {
                 best_s = s;
                 best_i = i;
@@ -116,6 +112,7 @@ impl Acquisition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gp::GpRegressor;
     use crate::kernel::Matern52;
 
     fn toy_gp() -> GpRegressor {

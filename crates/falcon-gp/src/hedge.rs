@@ -63,43 +63,12 @@ impl GpHedge {
         exps.into_iter().map(|e| e / sum).collect()
     }
 
-    /// One round: every member nominates its argmax candidate, then Hedge
-    /// samples which nomination to follow. Returns the index into
-    /// `candidates` of the chosen point.
-    pub fn choose<R: Rng>(
-        &mut self,
-        gp: &GpRegressor,
-        candidates: &[Vec<f64>],
-        best_y: f64,
-        rng: &mut R,
-    ) -> usize {
-        debug_assert!(!candidates.is_empty());
-        self.last_nominations = self
-            .members
-            .iter()
-            .map(|m| m.argmax(gp, candidates, best_y))
-            .collect();
-        let probs = self.probabilities();
-        let mut u: f64 = rng.gen();
-        let mut chosen = probs.len() - 1;
-        for (i, p) in probs.iter().enumerate() {
-            if u < *p {
-                chosen = i;
-                break;
-            }
-            u -= p;
-        }
-        self.last_choice = Some(chosen);
-        self.last_nominations[chosen]
-    }
-
-    /// Local-ascent variant of [`GpHedge::choose`]: members nominate via
-    /// greedy lattice ascent from the plan's starts (plus an optional
-    /// strided scan), sharing one posterior cache across the whole
-    /// portfolio. Identical Hedge sampling; only the per-member argmax
-    /// search differs from the full-scan `choose`. The caller owns the
-    /// cache/scratch and must call `cache.begin(candidates.len())` once
-    /// per decision before this.
+    /// One round: every member nominates via greedy lattice ascent from
+    /// the plan's starts (plus an optional strided scan), sharing one
+    /// posterior cache across the whole portfolio, then Hedge samples
+    /// which nomination to follow. Returns the index into `candidates` of
+    /// the chosen point. The caller owns the cache/scratch and must call
+    /// `cache.begin(candidates.len())` once per decision before this.
     #[allow(clippy::too_many_arguments)]
     pub fn choose_ascent<L: Lattice, R: Rng>(
         &mut self,
@@ -119,6 +88,12 @@ impl GpHedge {
                 m, gp, candidates, lattice, plan, cache, scratch, best_y,
             ));
         }
+        self.follow(rng)
+    }
+
+    /// The Hedge draw: sample a member by its softmax probability and
+    /// follow its nomination.
+    fn follow<R: Rng>(&mut self, rng: &mut R) -> usize {
         let probs = self.probabilities();
         let mut u: f64 = rng.gen();
         let mut chosen = probs.len() - 1;
@@ -148,7 +123,7 @@ impl GpHedge {
         }
     }
 
-    /// The member followed in the last `choose` call.
+    /// The member followed in the last round.
     pub fn last_choice(&self) -> Option<AcquisitionKind> {
         self.last_choice.map(|i| self.members[i].kind)
     }
@@ -162,6 +137,27 @@ impl GpHedge {
 impl Default for GpHedge {
     fn default() -> Self {
         GpHedge::new()
+    }
+}
+
+#[cfg(test)]
+impl GpHedge {
+    /// Full-scan oracle for [`GpHedge::choose_ascent`]: every member
+    /// nominates its argmax over the whole candidate set, then the same
+    /// Hedge draw picks which nomination to follow.
+    fn choose<R: Rng>(
+        &mut self,
+        gp: &GpRegressor,
+        candidates: &[Vec<f64>],
+        best_y: f64,
+        rng: &mut R,
+    ) -> usize {
+        self.last_nominations = self
+            .members
+            .iter()
+            .map(|m| m.argmax(gp, candidates, best_y))
+            .collect();
+        self.follow(rng)
     }
 }
 

@@ -3,7 +3,11 @@
 use proptest::prelude::*;
 
 use falcon_gp::linalg::{dot, Matrix};
-use falcon_gp::{Acquisition, AcquisitionKind, GpRegressor, Kernel, Matern52, Rbf};
+use falcon_gp::sweep::nominate;
+use falcon_gp::{
+    Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpRegressor, Kernel, LineLattice,
+    Matern52, Rbf, SweepCache,
+};
 
 /// Build a random symmetric positive-definite matrix `A = B·Bᵀ + εI`.
 fn spd(values: &[f64], n: usize) -> Matrix {
@@ -96,20 +100,30 @@ proptest! {
         prop_assert!(v >= 0.0 && v.is_finite());
     }
 
-    /// Acquisition argmax always returns a valid candidate index, for all
-    /// portfolio members.
+    /// The acquisition search always nominates a valid candidate index,
+    /// for all portfolio members, from any start and under any scan stride.
     #[test]
     fn acquisition_argmax_in_range(
         ys in proptest::collection::vec(-10.0f64..10.0, 3..10),
         best in -10.0f64..10.0,
         n_candidates in 1usize..40,
+        start in 0usize..80,
+        stride in 0usize..50,
     ) {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64]).collect();
         let gp = GpRegressor::fit(&xs, &ys, Matern52::new(1.0, 2.0), 1e-2).unwrap();
         let candidates: Vec<Vec<f64>> = (0..n_candidates).map(|i| vec![i as f64 * 0.5]).collect();
+        let lattice = LineLattice::new(candidates.len());
+        let starts = [start];
+        let plan = AscentPlan { starts: &starts, scan_stride: (stride > 0).then_some(stride) };
+        let mut cache = SweepCache::new();
+        let mut scratch = AscentScratch::default();
         for kind in AcquisitionKind::portfolio() {
             let acq = Acquisition::with_defaults(kind);
-            let idx = acq.argmax(&gp, &candidates, best);
+            cache.begin(candidates.len());
+            let idx = nominate(
+                &acq, &gp, &candidates, &lattice, &plan, &mut cache, &mut scratch, best,
+            );
             prop_assert!(idx < candidates.len());
         }
     }

@@ -38,15 +38,18 @@ pub struct BanditParams {
     pub seed: u64,
     /// Probability of a far exploration jump per steering decision.
     pub epsilon: f64,
-    /// UCB bonus weight (in units of the running utility scale).
-    pub ucb_c: f64,
     /// Floor of the recency-weighted value blend (1/n below the floor).
     pub alpha_floor: f64,
-    /// Relative surprise at the center arm that triggers a re-sweep.
-    pub drift: f64,
-    /// Relative utility gain that counts as an improvement (noise gate).
-    pub eta: f64,
 }
+
+/// UCB bonus weight (in units of the running utility scale).
+const UCB_C: f64 = 0.05;
+
+/// Relative surprise at the center arm that triggers a re-sweep.
+const DRIFT: f64 = 0.5;
+
+/// Relative utility gain that counts as an improvement (noise gate).
+const ETA: f64 = 0.03;
 
 impl BanditParams {
     /// Defaults for a concurrency-only search in `[1, max]`.
@@ -56,10 +59,7 @@ impl BanditParams {
             bounds: SearchBounds::concurrency_only(max_concurrency),
             seed,
             epsilon: 0.04,
-            ucb_c: 0.05,
             alpha_floor: 0.25,
-            drift: 0.5,
-            eta: 0.03,
         }
     }
 }
@@ -98,9 +98,6 @@ pub struct BanditOptimizer {
     arms: Vec<TransferSettings>,
     values: Vec<f64>,
     counts: Vec<f64>,
-    /// Pristine copies for `reset()` (warm tables must survive a reset).
-    values0: Vec<f64>,
-    counts0: Vec<f64>,
     rng: SplitMix64,
     mode: Mode,
     /// Fine-grained operating point the steer cycle orbits.
@@ -127,8 +124,6 @@ impl BanditOptimizer {
             name: "rl-bandit",
             values: vec![0.0; n],
             counts: vec![0.0; n],
-            values0: vec![0.0; n],
-            counts0: vec![0.0; n],
             rng: SplitMix64::new(params.seed),
             mode: Mode::Sweep { order, pos: 0 },
             center: first,
@@ -157,8 +152,6 @@ impl BanditOptimizer {
                 opt.counts[i] = 1.0;
             }
         }
-        opt.values0 = opt.values.clone();
-        opt.counts0 = opt.counts.clone();
         let best = opt.argmax_value();
         opt.center = opt.arms[best];
         opt.center_u = opt.values[best];
@@ -218,7 +211,7 @@ impl BanditOptimizer {
             if c <= 0.0 {
                 continue;
             }
-            let score = v + self.params.ucb_c * self.u_scale * (ln_t / c).sqrt();
+            let score = v + UCB_C * self.u_scale * (ln_t / c).sqrt();
             if score > best_v {
                 best = i;
                 best_v = score;
@@ -228,7 +221,7 @@ impl BanditOptimizer {
     }
 
     fn improved(&self, u: f64, base: f64) -> bool {
-        u - base > self.params.eta * base.abs().max(0.05 * self.u_scale)
+        u - base > ETA * base.abs().max(0.05 * self.u_scale)
     }
 
     fn clamp_cc(&self, cc: i64) -> u32 {
@@ -363,7 +356,7 @@ impl OnlineOptimizer for BanditOptimizer {
         ) && self.counts[arm] >= 1.0
             && {
                 let v = self.values[arm];
-                (u - v).abs() / v.abs().max(u.abs()).max(1.0) > self.params.drift
+                (u - v).abs() / v.abs().max(u.abs()).max(1.0) > DRIFT
             };
         self.record(obs.settings, u);
 
@@ -456,30 +449,6 @@ impl OnlineOptimizer for BanditOptimizer {
         self.proposed
     }
 
-    fn reset(&mut self) {
-        let params = self.params;
-        let name = self.name;
-        let values0 = self.values0.clone();
-        let counts0 = self.counts0.clone();
-        *self = BanditOptimizer::new(params);
-        self.name = name;
-        self.values = values0.clone();
-        self.counts = counts0.clone();
-        self.values0 = values0;
-        self.counts0 = counts0;
-        if name == "rl-warm" {
-            let best = self.argmax_value();
-            self.center = self.arms[best];
-            self.center_u = self.values[best];
-            self.u_scale = self.values.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            self.mode = Mode::Steer {
-                phase: 1,
-                last: SteerKind::Center,
-            };
-            self.proposed = self.center;
-        }
-    }
-
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -564,15 +533,6 @@ mod tests {
         let mut opt = BanditOptimizer::new(BanditParams::new(6, 3));
         let trace = drive(&mut opt, |n| f64::from(n) * 50.0, 60);
         assert!(trace.iter().all(|&c| (1..=6).contains(&c)), "{trace:?}");
-    }
-
-    #[test]
-    fn reset_restores_cold_start() {
-        let mut opt = BanditOptimizer::new(BanditParams::new(64, 7));
-        let first = drive(&mut opt, emulab10, 50);
-        opt.reset();
-        let second = drive(&mut opt, emulab10, 50);
-        assert_eq!(first, second);
     }
 
     #[test]

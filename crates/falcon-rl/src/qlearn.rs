@@ -40,21 +40,28 @@ pub struct QParams {
     pub seed: u64,
     /// Discount factor (`< 1` for the contraction bound).
     pub gamma: f64,
-    /// Learning-rate decay: `α = 1/(1 + decay·visits)`.
-    pub alpha_decay: f64,
-    /// Initial exploration probability.
-    pub epsilon0: f64,
-    /// Exploration floor.
-    pub epsilon_floor: f64,
-    /// Per-decision multiplicative epsilon decay.
-    pub epsilon_decay: f64,
-    /// Every `probe_period`-th decision is a forced +1 probe.
-    pub probe_period: u64,
-    /// Relative utility gain that arms/extends greedy momentum.
-    pub eta: f64,
-    /// Starting concurrency.
-    pub start: u32,
 }
+
+/// Learning-rate decay: `α = 1/(1 + decay·visits)`.
+const ALPHA_DECAY: f64 = 0.15;
+
+/// Initial exploration probability.
+const EPSILON0: f64 = 0.25;
+
+/// Exploration floor.
+const EPSILON_FLOOR: f64 = 0.05;
+
+/// Per-decision multiplicative epsilon decay.
+const EPSILON_DECAY: f64 = 0.99;
+
+/// Every `PROBE_PERIOD`-th decision is a forced +1 probe.
+const PROBE_PERIOD: u64 = 4;
+
+/// Relative utility gain that arms/extends greedy momentum.
+const ETA: f64 = 0.15;
+
+/// Starting concurrency.
+const START: u32 = 1;
 
 impl QParams {
     /// Defaults for a concurrency-only search in `[1, max]`.
@@ -64,13 +71,6 @@ impl QParams {
             bounds: SearchBounds::concurrency_only(max_concurrency),
             seed,
             gamma: 0.6,
-            alpha_decay: 0.15,
-            epsilon0: 0.25,
-            epsilon_floor: 0.05,
-            epsilon_decay: 0.99,
-            probe_period: 4,
-            eta: 0.15,
-            start: 1,
         }
     }
 }
@@ -107,7 +107,7 @@ impl TabularQOptimizer {
             q: vec![0.0; states * ACTIONS],
             visits: vec![0; states * ACTIONS],
             rng: SplitMix64::new(params.seed),
-            cc: params.start,
+            cc: START,
             t: 0,
             prev: None,
             last_dir: 0,
@@ -239,12 +239,11 @@ impl TabularQOptimizer {
     }
 
     fn improved(&self, u: f64, base: f64) -> bool {
-        u - base > self.params.eta * base.abs().max(0.05 * self.u_scale)
+        u - base > ETA * base.abs().max(0.05 * self.u_scale)
     }
 
     fn epsilon(&self) -> f64 {
-        (self.params.epsilon0 * self.params.epsilon_decay.powi(self.t as i32))
-            .max(self.params.epsilon_floor)
+        (EPSILON0 * EPSILON_DECAY.powi(self.t as i32)).max(EPSILON_FLOOR)
     }
 
     fn settings_of(&self, cc: u32) -> TransferSettings {
@@ -262,7 +261,7 @@ impl OnlineOptimizer for TabularQOptimizer {
     }
 
     fn initial(&self) -> TransferSettings {
-        self.settings_of(self.params.start)
+        self.settings_of(START)
     }
 
     fn next(&mut self, obs: &Observation) -> TransferSettings {
@@ -284,7 +283,7 @@ impl OnlineOptimizer for TabularQOptimizer {
                 .fold(f64::NEG_INFINITY, f64::max);
             let idx = s * ACTIONS + a;
             let old = self.q_eff(s, a);
-            let alpha = 1.0 / (1.0 + self.params.alpha_decay * f64::from(self.visits[idx]));
+            let alpha = 1.0 / (1.0 + ALPHA_DECAY * f64::from(self.visits[idx]));
             self.visits[idx] = self.visits[idx].saturating_add(1);
             self.q[idx] = old + alpha * (r + self.params.gamma * q_max - old);
         }
@@ -313,7 +312,7 @@ impl OnlineOptimizer for TabularQOptimizer {
             } else {
                 DOWN_BIG
             }
-        } else if self.t.is_multiple_of(self.params.probe_period) {
+        } else if self.t.is_multiple_of(PROBE_PERIOD) {
             UP1
         } else if self.rng.next_f64() < eps {
             self.rng.below(ACTIONS)
@@ -352,10 +351,6 @@ impl OnlineOptimizer for TabularQOptimizer {
                 .collect(),
         });
         self.settings_of(self.cc)
-    }
-
-    fn reset(&mut self) {
-        *self = TabularQOptimizer::new(self.params);
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -461,14 +456,5 @@ mod tests {
         let mut opt = TabularQOptimizer::new(QParams::new(5, 11));
         let trace = drive(&mut opt, |n| f64::from(n) * 80.0, 80);
         assert!(trace.iter().all(|&c| (1..=5).contains(&c)), "{trace:?}");
-    }
-
-    #[test]
-    fn reset_is_a_cold_restart() {
-        let mut opt = TabularQOptimizer::new(QParams::new(64, 7));
-        let first = drive(&mut opt, emulab10, 60);
-        opt.reset();
-        let second = drive(&mut opt, emulab10, 60);
-        assert_eq!(first, second);
     }
 }

@@ -32,6 +32,4 @@ pub mod scheduler;
 pub use dataset::{Dataset, FileSpec};
 pub use harness::{SimHarness, TransferHarness};
 pub use job::TransferJob;
-pub use runner::{
-    jain_index, AgentPlan, RecoveryEvent, RecoveryKind, RunTrace, Runner, TracePoint, Tuner,
-};
+pub use runner::{jain_index, AgentPlan, RunTrace, Runner, TracePoint, Tuner};

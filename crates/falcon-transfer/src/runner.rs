@@ -108,40 +108,6 @@ impl AgentPlan {
     }
 }
 
-/// What the runner's watchdog did about a fault (see [`RecoveryEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecoveryKind {
-    /// The agent's transfer process was found dead mid-transfer.
-    Detached,
-    /// A restart was attempted; if it fails, the next attempt waits
-    /// `next_backoff_s`.
-    RestartAttempt {
-        /// Delay before the next attempt, should this one fail.
-        next_backoff_s: f64,
-    },
-    /// The process is moving bytes again; probing resumed with a fresh
-    /// measurement epoch.
-    Restarted,
-    /// A probe interval measured (near-)zero throughput on an attached
-    /// transfer; the sample was discarded instead of being fed to the
-    /// tuner, and the interval re-probed.
-    StalledProbe,
-}
-
-/// One fault-recovery action taken during a run. The paper's online
-/// optimizers assume every sample reflects the network; the watchdog's job
-/// is to keep that assumption true when processes die or stall, without
-/// resetting the optimizer state that was learned before the fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryEvent {
-    /// Wall-clock time (seconds).
-    pub t_s: f64,
-    /// Agent index in plan order.
-    pub agent: usize,
-    /// What happened.
-    pub kind: RecoveryKind,
-}
-
 /// One recorded point of an agent's trace.
 #[derive(Debug, Clone)]
 pub struct TracePoint {
@@ -163,8 +129,16 @@ pub struct RunTrace {
     pub points: Vec<TracePoint>,
     /// Completion time per agent (`None` if still running at the end).
     pub completed_at: Vec<Option<f64>>,
-    /// Fault-recovery actions taken by the watchdog, time-ordered.
-    pub recovery: Vec<RecoveryEvent>,
+    /// Successful watchdog restarts per agent. The paper's online
+    /// optimizers assume every sample reflects the network; the watchdog
+    /// keeps that true when processes die or stall, without resetting the
+    /// optimizer state learned before the fault. Each action is also a
+    /// `TraceEvent::Recovery` record (`detached`, `restart_attempt` with the
+    /// next backoff as its value, `restarted`, `stalled_probe`).
+    pub restarts: Vec<usize>,
+    /// Stalled (near-zero-throughput) probe samples per agent that were
+    /// discarded instead of reaching the tuner.
+    pub discarded_probes: Vec<usize>,
 }
 
 impl RunTrace {
@@ -258,30 +232,15 @@ impl RunTrace {
             .count()
     }
 
-    /// Recovery events of one agent, time-ordered.
-    pub fn recovery_events(&self, agent: usize) -> Vec<RecoveryEvent> {
-        self.recovery
-            .iter()
-            .filter(|e| e.agent == agent)
-            .copied()
-            .collect()
-    }
-
     /// How many times an agent's process was restarted successfully.
     pub fn restarts(&self, agent: usize) -> usize {
-        self.recovery
-            .iter()
-            .filter(|e| e.agent == agent && e.kind == RecoveryKind::Restarted)
-            .count()
+        self.restarts[agent]
     }
 
     /// How many poisoned (stalled/zero-throughput) probe samples were
     /// discarded for an agent instead of reaching its tuner.
     pub fn discarded_probes(&self, agent: usize) -> usize {
-        self.recovery
-            .iter()
-            .filter(|e| e.agent == agent && e.kind == RecoveryKind::StalledProbe)
-            .count()
+        self.discarded_probes[agent]
     }
 
     /// Jain's fairness index of agent goodputs over a window.
@@ -407,7 +366,8 @@ impl Runner {
             .collect();
         let mut points = Vec::new();
         let mut completed_at: Vec<Option<f64>> = vec![None; plans.len()];
-        let mut recovery: Vec<RecoveryEvent> = Vec::new();
+        let mut restarts = vec![0usize; plans.len()];
+        let mut discarded_probes = vec![0usize; plans.len()];
 
         let t0 = harness.time_s();
         let end_s = t0 + duration_s;
@@ -497,11 +457,6 @@ impl Runner {
                         live[i].backoff_s = RESTART_BACKOFF_S;
                         live[i].retry_at_s = t + live[i].backoff_s;
                         wakeups.push(live[i].retry_at_s, WAKE_AGENT, ());
-                        recovery.push(RecoveryEvent {
-                            t_s: t,
-                            agent: i,
-                            kind: RecoveryKind::Detached,
-                        });
                         tracers[i].emit(|| TraceEvent::Recovery {
                             action: "detached".to_string(),
                             value: 0.0,
@@ -510,13 +465,6 @@ impl Runner {
                         live[i].backoff_s = (live[i].backoff_s * 2.0).min(RESTART_BACKOFF_MAX_S);
                         live[i].retry_at_s = t + live[i].backoff_s;
                         wakeups.push(live[i].retry_at_s, WAKE_AGENT, ());
-                        recovery.push(RecoveryEvent {
-                            t_s: t,
-                            agent: i,
-                            kind: RecoveryKind::RestartAttempt {
-                                next_backoff_s: live[i].backoff_s,
-                            },
-                        });
                         let next_backoff_s = live[i].backoff_s;
                         tracers[i].emit(|| TraceEvent::Recovery {
                             action: "restart_attempt".to_string(),
@@ -538,11 +486,7 @@ impl Runner {
                     // recovered on its own). Start a clean measurement
                     // epoch; the tuner resumes exactly where it left off.
                     live[i].detached = false;
-                    recovery.push(RecoveryEvent {
-                        t_s: t,
-                        agent: i,
-                        kind: RecoveryKind::Restarted,
-                    });
+                    restarts[i] += 1;
                     tracers[i].emit(|| TraceEvent::Recovery {
                         action: "restarted".to_string(),
                         value: 0.0,
@@ -566,11 +510,7 @@ impl Runner {
                         // sample says nothing about the chosen setting, so
                         // discard it and re-probe rather than letting the
                         // tuner chase a phantom utility collapse.
-                        recovery.push(RecoveryEvent {
-                            t_s: t,
-                            agent: i,
-                            kind: RecoveryKind::StalledProbe,
-                        });
+                        discarded_probes[i] += 1;
                         tracers[i].emit(|| TraceEvent::Recovery {
                             action: "stalled_probe".to_string(),
                             value: metrics.aggregate_mbps,
@@ -638,7 +578,8 @@ impl Runner {
             labels,
             points,
             completed_at,
-            recovery,
+            restarts,
+            discarded_probes,
         }
     }
 }
@@ -804,6 +745,30 @@ mod tests {
         assert!(csv.contains("falcon-gradient-descent"));
     }
 
+    /// Run one plan for 300 s under a recording tracer; returns the trace
+    /// and agent 0's `(action, value)` recovery records in emission order.
+    fn run_recording_recovery(
+        h: &mut SimHarness,
+        plan: AgentPlan,
+    ) -> (RunTrace, Vec<(String, f64)>) {
+        let tracer = Tracer::recording();
+        let runner = Runner {
+            tracer: tracer.clone(),
+        };
+        let trace = runner.run(h, vec![plan], 300.0);
+        let events = tracer
+            .take_log()
+            .records
+            .into_iter()
+            .filter(|r| r.agent == Some(0))
+            .filter_map(|r| match r.event {
+                TraceEvent::Recovery { action, value } => Some((action, value)),
+                _ => None,
+            })
+            .collect();
+        (trace, events)
+    }
+
     #[test]
     fn watchdog_restarts_killed_agent_and_it_reconverges() {
         use falcon_sim::{EnvironmentEvent, EventAction};
@@ -816,12 +781,13 @@ mod tests {
             Box::new(FalconAgent::gradient_descent(32)),
             Dataset::uniform_1gb(100_000),
         );
-        let trace = Runner::default().run(&mut h, vec![plan], 300.0);
-        let events = trace.recovery_events(0);
+        let (trace, events) = run_recording_recovery(&mut h, plan);
         assert!(
-            events.iter().any(|e| e.kind == RecoveryKind::Detached),
-            "no Detached event: {events:?}"
+            events.iter().any(|(action, _)| action == "detached"),
+            "no detached record: {events:?}"
         );
+        let restarted = events.iter().filter(|(a, _)| a == "restarted").count();
+        assert_eq!(restarted, 1, "events: {events:?}");
         assert_eq!(trace.restarts(0), 1, "events: {events:?}");
         // Tuner state survived the crash: converged again to ~1 Gbps.
         let avg = trace.avg_mbps(0, 220.0, 300.0);
@@ -845,14 +811,12 @@ mod tests {
             Box::new(FalconAgent::gradient_descent(32)),
             Dataset::uniform_1gb(100_000),
         );
-        let trace = Runner::default().run(&mut h, vec![plan], 300.0);
-        let attempts: Vec<f64> = trace
-            .recovery_events(0)
+        let (trace, events) = run_recording_recovery(&mut h, plan);
+        // A `restart_attempt` record's value is the next backoff.
+        let attempts: Vec<f64> = events
             .iter()
-            .filter_map(|e| match e.kind {
-                RecoveryKind::RestartAttempt { next_backoff_s } => Some(next_backoff_s),
-                _ => None,
-            })
+            .filter(|(action, _)| action == "restart_attempt")
+            .map(|&(_, next_backoff_s)| next_backoff_s)
             .collect();
         assert!(attempts.len() >= 2, "attempts: {attempts:?}");
         // Backoff doubles between consecutive failed attempts of one

@@ -10,9 +10,9 @@
 
 use falcon_repro::baselines::HarpHistory;
 use falcon_repro::core::{
-    CgdParams, ConjugateGradientOptimizer, GdParams, GradientDescentOptimizer, HcParams,
-    HillClimbingOptimizer, Observation, OnlineOptimizer, ProbeMetrics, SearchBounds,
-    TransferSettings, UtilityFunction,
+    BayesianMpOptimizer, BayesianOptimizer, BoMpParams, BoParams, ConjugateGradientOptimizer,
+    GradientDescentOptimizer, HillClimbingOptimizer, Observation, OnlineOptimizer, ProbeMetrics,
+    SearchBounds, TransferSettings, UtilityFunction,
 };
 use falcon_repro::rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
 
@@ -38,14 +38,14 @@ fn drive(opt: &mut dyn OnlineOptimizer, probes: usize) -> Vec<(u32, u32, u32)> {
 
 #[test]
 fn hill_climbing_decision_sequence_unchanged() {
-    let mut opt = HillClimbingOptimizer::new(HcParams::new(64));
+    let mut opt = HillClimbingOptimizer::new(64);
     let expected: Vec<(u32, u32, u32)> = (1..=41).map(|c| (c, 1, 1)).collect();
     assert_eq!(drive(&mut opt, 40), expected);
 }
 
 #[test]
 fn gradient_descent_decision_sequence_unchanged() {
-    let mut opt = GradientDescentOptimizer::new(GdParams::new(64));
+    let mut opt = GradientDescentOptimizer::new(64);
     let expected: Vec<(u32, u32, u32)> = [
         1, 3, 5, 7, 9, 11, 15, 13, 18, 20, 27, 25, 35, 33, 40, 38, 41, 43, 45, 43, 47, 45, 46, 48,
         48, 46, 46, 48, 48, 46, 46, 48, 46, 48, 46, 48, 46, 48, 48, 46, 46,
@@ -106,8 +106,7 @@ fn warm_started_bandit_decision_sequence_unchanged() {
 
 #[test]
 fn conjugate_gradient_decision_sequence_unchanged() {
-    let mut opt =
-        ConjugateGradientOptimizer::new(CgdParams::new(SearchBounds::multi_parameter(64, 8, 32)));
+    let mut opt = ConjugateGradientOptimizer::new(SearchBounds::multi_parameter(64, 8, 32));
     let expected = vec![
         (1, 1, 1),
         (3, 1, 1),
@@ -151,5 +150,89 @@ fn conjugate_gradient_decision_sequence_unchanged() {
         (40, 2, 1),
         (40, 1, 1),
     ];
+    assert_eq!(drive(&mut opt, 40), expected);
+}
+
+/// The Bayesian searches are seeded too: the random phase, every Hedge
+/// draw and every surrogate argmax replay from the seed. These three pins
+/// cover the 1-D line, the growing ceiling (§4.6) and the connection-capped
+/// (cc, p) grid; a moved byte means the RNG draw order, the candidate
+/// indexing, the surrogate upkeep or the ascent plan changed.
+#[test]
+fn bayesian_decision_sequence_unchanged() {
+    let mut opt = BayesianOptimizer::new(BoParams::new(64).with_seed(7));
+    let expected: Vec<(u32, u32, u32)> = [
+        62, 21, 51, 51, 47, 47, 47, 47, 42, 45, 1, 37, 44, 44, 44, 44, 44, 44, 44, 44, 44, 44, 44,
+        44, 64, 45, 44, 43, 43, 43, 43, 1, 44, 28, 44, 44, 51, 45, 20, 45, 39,
+    ]
+    .into_iter()
+    .map(|c| (c, 1, 1))
+    .collect();
+    assert_eq!(drive(&mut opt, 40), expected);
+}
+
+#[test]
+fn bayesian_dynamic_space_decision_sequence_unchanged() {
+    let mut opt = BayesianOptimizer::new(BoParams::new(64).with_seed(7).with_dynamic_space(16));
+    let expected: Vec<(u32, u32, u32)> = [
+        14, 5, 3, 15, 16, 16, 18, 20, 32, 28, 32, 39, 38, 46, 44, 54, 48, 47, 46, 46, 44, 45, 45,
+        45, 44, 44, 44, 1, 45, 45, 45, 44, 44, 31, 44, 44, 64, 43, 39, 43, 41,
+    ]
+    .into_iter()
+    .map(|c| (c, 1, 1))
+    .collect();
+    assert_eq!(drive(&mut opt, 40), expected);
+}
+
+#[test]
+fn bayesian_mp_decision_sequence_unchanged() {
+    let mut opt =
+        BayesianMpOptimizer::new(BoMpParams::new(32, 8).with_seed(7).with_connection_cap(64));
+    let expected: Vec<(u32, u32, u32)> = [
+        (3, 6),
+        (10, 6),
+        (3, 3),
+        (10, 6),
+        (12, 4),
+        (12, 4),
+        (12, 4),
+        (12, 4),
+        (16, 4),
+        (16, 2),
+        (17, 3),
+        (19, 2),
+        (19, 2),
+        (20, 1),
+        (20, 1),
+        (21, 2),
+        (22, 1),
+        (23, 2),
+        (24, 1),
+        (27, 1),
+        (30, 1),
+        (32, 1),
+        (32, 2),
+        (32, 2),
+        (32, 1),
+        (32, 2),
+        (32, 2),
+        (32, 2),
+        (32, 2),
+        (32, 1),
+        (32, 1),
+        (1, 1),
+        (32, 2),
+        (32, 1),
+        (32, 2),
+        (32, 2),
+        (32, 2),
+        (32, 2),
+        (32, 1),
+        (32, 1),
+        (32, 1),
+    ]
+    .into_iter()
+    .map(|(c, p)| (c, p, 1))
+    .collect();
     assert_eq!(drive(&mut opt, 40), expected);
 }

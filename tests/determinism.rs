@@ -9,6 +9,7 @@
 //! byte for byte.
 
 use falcon_cli::scenario;
+use falcon_repro::trace::{EventKind, TraceLog, TraceQuery};
 
 fn link_flap_source() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/link_flap.ini");
@@ -18,8 +19,8 @@ fn link_flap_source() -> String {
 #[test]
 fn same_seed_same_trace_bytes() {
     let sc = scenario::parse(&link_flap_source()).expect("shipped scenario parses");
-    let a = scenario::run_trace(&sc).expect("first run");
-    let b = scenario::run_trace(&sc).expect("second run");
+    let (a, log_a) = scenario::run_traced(&sc).expect("first run");
+    let (b, log_b) = scenario::run_traced(&sc).expect("second run");
     let (a, b) = (
         a.trace().expect("runner trace"),
         b.trace().expect("runner trace"),
@@ -31,9 +32,16 @@ fn same_seed_same_trace_bytes() {
         "same scenario + same seed must serialize to identical bytes"
     );
     assert_eq!(a.completed_at, b.completed_at, "completion times diverged");
+    // The watchdog's detached / restart_attempt / restarted / stalled_probe
+    // records, as the tracer logged them.
+    let recovery = |log: &TraceLog| {
+        let records = TraceQuery::new(log).kind(EventKind::Recovery);
+        format!("{:?}", records.records())
+    };
+    assert!(log_a.records.len() > 100, "the traced run recorded nothing");
     assert_eq!(
-        format!("{:?}", a.recovery),
-        format!("{:?}", b.recovery),
+        recovery(&log_a),
+        recovery(&log_b),
         "recovery event streams diverged"
     );
 }

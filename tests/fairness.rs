@@ -7,7 +7,7 @@
 //! objectives do *not* provide it.
 
 use falcon_experiments::observability::{achievable_mbps, steady_state};
-use falcon_repro::core::{FalconAgent, GdParams, GradientDescentOptimizer, UtilityFunction};
+use falcon_repro::core::{FalconAgent, GradientDescentOptimizer, UtilityFunction};
 use falcon_repro::sim::{Environment, Simulation};
 use falcon_repro::transfer::dataset::Dataset;
 use falcon_repro::transfer::harness::SimHarness;
@@ -158,10 +158,7 @@ fn loss_regret_keeps_loss_low_at_network_bottleneck() {
     // sample — so the dramatic Eq 1/Eq 2 blow-ups of §2 require one-shot
     // argmax tuners like HARP, covered in tests/baselines.rs.)
     let mk = |utility: UtilityFunction| {
-        FalconAgent::new(
-            utility,
-            Box::new(GradientDescentOptimizer::new(GdParams::new(64))),
-        )
+        FalconAgent::new(utility, Box::new(GradientDescentOptimizer::new(64)))
     };
     for utility in [
         UtilityFunction::LossRegret { b: 10.0 },

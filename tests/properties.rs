@@ -6,6 +6,7 @@ use falcon_repro::baselines::HarpHistory;
 use falcon_repro::core::{
     Observation, OnlineOptimizer, ProbeMetrics, SearchBounds, TransferSettings, UtilityFunction,
 };
+use falcon_repro::fleet::FleetTuner;
 use falcon_repro::gp::{GpRegressor, Matern52};
 use falcon_repro::rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
 use falcon_repro::sim::alloc::{max_min_allocate, StreamDemand};
@@ -459,5 +460,43 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
         prop_assert_eq!(reparsed.to_text(), text);
         prop_assert_eq!(reparsed.argmax(), table.argmax());
+    }
+
+    /// Registry-wide tuner conformance: whatever `FleetTuner::names()` can
+    /// build — the Falcon searches, the RL tuners, Globus, HARP, `fixed:` —
+    /// must take a probe stream that mixes sane samples with throughput
+    /// NaN/∞/0/−5/10¹², loss NaN/1/2 and interval 0/NaN without panicking,
+    /// keep every setting inside the widest box any entry searches
+    /// (Falcon_MP's, which every baseline's corpus or heuristic respects
+    /// at `max_cc = 32`), and replay the same sequence from the same seed.
+    #[test]
+    fn every_registry_tuner_conforms_on_hostile_probe_streams(
+        seed in 0u64..1_000,
+        stream in proptest::collection::vec(
+            (0usize..10, 1.0f64..2000.0, 0usize..6, 0usize..4),
+            1..60,
+        ),
+    ) {
+        const THROUGHPUT: [f64; 5] = [f64::NAN, f64::INFINITY, 0.0, -5.0, 1e12];
+        const LOSS: [f64; 6] = [0.0, 0.001, 0.02, f64::NAN, 1.0, 2.0];
+        const INTERVAL: [f64; 4] = [5.0, 3.0, 0.0, f64::NAN];
+        let bounds = SearchBounds::multi_parameter(32, 8, 32);
+        for spelling in FleetTuner::names() {
+            let name = spelling.replace("<cc>", "8").replace("<gbps>", "20");
+            let entry = FleetTuner::from_name(&name).expect("every listed spelling parses");
+            let (mut a, mut b) = (entry.make(32, seed), entry.make(32, seed));
+            let mut s = a.initial();
+            prop_assert_eq!(s, b.initial(), "{} opens differently", &name);
+            prop_assert!(bounds.contains(s), "{} opens at {}", &name, s);
+            for &(thr_pick, sane_mbps, loss_pick, interval_pick) in &stream {
+                // Half the throughputs are sane, half are from the table.
+                let mbps = THROUGHPUT.get(thr_pick).copied().unwrap_or(sane_mbps);
+                let m =
+                    ProbeMetrics::from_aggregate(s, mbps, LOSS[loss_pick], INTERVAL[interval_pick]);
+                s = a.on_sample(&m);
+                prop_assert_eq!(s, b.on_sample(&m), "{} is not seed-deterministic", &name);
+                prop_assert!(bounds.contains(s), "{} left the box: {}", &name, s);
+            }
+        }
     }
 }
