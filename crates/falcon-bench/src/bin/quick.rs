@@ -287,7 +287,9 @@ fn bench_fleet(q: &mut QuickBench) {
 }
 
 fn bench_fleet_scale(q: &mut QuickBench) {
-    use falcon_fleet::{run_scale_campaign, ScaleCampaignSpec, ScaleTopology};
+    use falcon_fleet::{
+        run_scale_campaign, RlKind, ScaleCampaignSpec, ScaleTopology, ScaleTuner, ScaleWorkload,
+    };
     use falcon_sim::alloc::IncrementalMaxMin;
 
     // Allocator cost at 10^4 live streams on a 32-class dumbbell (96
@@ -392,6 +394,39 @@ fn bench_fleet_scale(q: &mut QuickBench) {
         "campaign_state_bytes_per_transfer",
         last_bytes_per_transfer,
     );
+
+    // The same engine with a tuner per transfer: the benchmark's
+    // `campaign-rl` shape cut to 3k transfers — long transfers on the
+    // `dumbbell:8x3` WAN, each under its own rl:bandit probing every 5 sim-s —
+    // so the probe event (pop, observe, re-rate, solve, re-arm) is nearly
+    // all of the work, reported per probe.
+    let rl_spec = ScaleCampaignSpec {
+        topology: ScaleTopology::dumbbell_wan(8, &[10.0, 40.0, 160.0], 10.0, 40.0),
+        workload: ScaleWorkload {
+            transfers: 3_000,
+            arrivals_per_min: 12.0,
+            mean_file_mb: 16_000.0,
+            diurnal: 0.4,
+            tenants: 3,
+            tuner: ScaleTuner::Rl(RlKind::Bandit),
+            ..ScaleWorkload::default()
+        },
+        failures: Vec::new(),
+        duration_s: 60_000.0,
+        seed: 0xbe7c4,
+        shards: 3,
+    };
+    let mut probes = 0;
+    let rl_ns = q.bench("fleet_scale", "campaign_rl_dumbbell", || {
+        let report = run_scale_campaign(black_box(&rl_spec), 1);
+        probes = report.probes;
+        black_box(report.completions)
+    });
+    q.gauge(
+        "fleet_scale",
+        "campaign_rl_ns_per_probe",
+        rl_ns / probes.max(1) as f64,
+    );
 }
 
 fn bench_des(q: &mut QuickBench) {
@@ -438,6 +473,27 @@ fn bench_des(q: &mut QuickBench) {
         }
         while let Some(e) = queue.pop() {
             black_box(e);
+        }
+    });
+    // The hold model at the depth a 200k-transfer campaign shard's heap
+    // had while it held every arrival to come: pop the earliest entry,
+    // push one a pseudo-random increment later. This is what a probe paid
+    // before the shard loop kept probes in a FIFO.
+    const DEPTH: u64 = 65_536;
+    let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+    let mut ahead = move || {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (lcg >> 11) as f64 / (1u64 << 53) as f64 * DEPTH as f64
+    };
+    let mut held: EventQueue<u64> = EventQueue::new();
+    for i in 0..DEPTH {
+        held.push(ahead(), (i % 4) as u8, i);
+    }
+    q.bench("des", "event_queue_hold_64k", || {
+        if let Some((t, class, payload)) = held.pop() {
+            held.push(t + ahead(), class, payload);
         }
     });
 }

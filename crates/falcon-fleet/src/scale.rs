@@ -7,9 +7,12 @@
 //! transfer state is structure-of-arrays over the stable `u32` stream
 //! ids of [`falcon_sim::alloc::IncrementalMaxMin`] (free-list reuse on
 //! departure, no per-transfer allocation after warm-up), and the event
-//! loop is a pure fluid-model DES — arrivals, completions, and link
-//! failures are the only events, and each one re-solves *only* the
-//! dirty component of the bandwidth-sharing graph.
+//! loop is a pure fluid-model DES — arrivals, completions, capacity
+//! changes and tuner probes are the only events, and each one re-solves
+//! *only* the dirty component of the bandwidth-sharing graph. It keeps no
+//! general event heap: arrivals and capacity events are sorted before a
+//! shard starts and probes are queued in time order, so `ShardEvents`
+//! merges those three with the departure heap by `(time, class)`.
 //!
 //! Sharding: routes in disjoint link components never contend, so the
 //! max-min fixed point decomposes per component. The engine groups
@@ -23,10 +26,11 @@
 use falcon_core::{FalconAgent, ProbeMetrics, TransferSettings};
 use falcon_rl::{RlKind, RlKnobs};
 use falcon_sim::alloc::IncrementalMaxMin;
-use falcon_sim::{EventQueue, KeyedEventQueue};
+use falcon_sim::KeyedEventQueue;
 use falcon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 use crate::topology::ScaleTopology;
 use crate::tuner::FleetTuner;
@@ -135,7 +139,8 @@ impl Default for ScaleWorkload {
 /// One scheduled link-failure wave: every link in `links` drops to
 /// `factor × baseline` at `at_s` and recovers at `at_s + duration_s`.
 /// Listing several links makes the failure *correlated* (a conduit cut,
-/// a power event) rather than independent flaps.
+/// a power event) rather than independent flaps. Where failures overlap
+/// on a link, it runs at the smallest factor among those still active.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkFailure {
     /// Failure onset (seconds).
@@ -292,6 +297,7 @@ fn generate_arrivals(spec: &ScaleCampaignSpec) -> Vec<Arrival> {
 }
 
 /// Self-contained input for one shard's DES (owned, `Send`).
+#[derive(Default)]
 struct ShardInput {
     /// Baseline capacity per local link.
     caps: Vec<f64>,
@@ -306,7 +312,7 @@ struct ShardInput {
     /// arrival index)`, time-sorted. The global index seeds the
     /// transfer's tuner, so the seed stream is shard-invariant.
     arrivals: Vec<(f64, u32, f64, u64)>,
-    /// Capacity events: `(t, local link, new capacity)`.
+    /// Capacity events `(t, local link, new capacity)`, stably time-sorted.
     cap_events: Vec<(f64, u32, f64)>,
     /// Per-connection rate cap (the stream cap is `cc × per_conn_cap`).
     per_conn_cap: f64,
@@ -468,16 +474,11 @@ pub fn run_scale_campaign_traced(
     let n_links = spec.topology.links.len();
     let mut shard_inputs: Vec<ShardInput> = (0..shards)
         .map(|_| ShardInput {
-            caps: Vec::new(),
-            global_link: Vec::new(),
-            route_links: Vec::new(),
-            route_weight: Vec::new(),
-            arrivals: Vec::new(),
-            cap_events: Vec::new(),
             per_conn_cap: spec.workload.per_conn_cap_mbps,
             concurrency: spec.workload.concurrency.max(1),
             tuner: spec.workload.tuner,
             seed: spec.seed,
+            ..ShardInput::default()
         })
         .collect();
     let mut local_link = vec![u32::MAX; n_links];
@@ -522,6 +523,8 @@ pub fn run_scale_campaign_traced(
             gi as u64,
         ));
     }
+    // Outage edges per shard: `(time, local link, factor, onset)`.
+    let mut edges: Vec<Vec<(f64, u32, f64, bool)>> = vec![Vec::new(); shards as usize];
     for f in &spec.failures {
         for &g in &f.links {
             let sh = link_shard[g as usize];
@@ -529,14 +532,30 @@ pub fn run_scale_campaign_traced(
                 continue; // link carries no route; failure is moot
             }
             let l = local_link[g as usize];
-            let base = spec.topology.links[g as usize].capacity_mbps;
-            let input = &mut shard_inputs[sh as usize];
-            input.cap_events.push((f.at_s, l, base * f.factor));
+            edges[sh as usize].push((f.at_s, l, f.factor, true));
             // An infinite duration means the failure never recovers.
             let recover_at = f.at_s + f.duration_s;
             if recover_at.is_finite() {
-                input.cap_events.push((recover_at, l, base));
+                edges[sh as usize].push((recover_at, l, f.factor, false));
             }
+        }
+    }
+    // One capacity event per edge, stably time-sorted. A link runs at its
+    // baseline × the deepest outage still active: where outages overlap,
+    // the first recovery does not lift it while another holds it down.
+    for (input, mut edges) in shard_inputs.iter_mut().zip(edges) {
+        edges.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut active: Vec<Vec<f64>> = vec![Vec::new(); input.caps.len()];
+        for (t, l, factor, onset) in edges {
+            let on = &mut active[l as usize];
+            if onset {
+                on.push(factor);
+            } else if let Some(ended) = on.iter().position(|&f| f == factor) {
+                on.swap_remove(ended);
+            }
+            let deepest = on.iter().copied().reduce(f64::min).unwrap_or(1.0);
+            let cap = input.caps[l as usize] * deepest;
+            input.cap_events.push((t, l, cap));
         }
     }
 
@@ -612,31 +631,89 @@ pub fn run_scale_campaign_traced(
 
 /// Event classes: at equal times, capacity changes fire before arrivals,
 /// arrivals before departures, departures before probes (a probe landing
-/// on a departed transfer sees it dead and is dropped). Departures wait in
-/// their own queue, so their class also orders the two queues' heads.
+/// on a departed transfer sees it dead and is dropped). Each class has its
+/// own source in [`ShardEvents`], so the class also orders their heads.
 const EV_CAP: u8 = 0;
 const EV_ARRIVE: u8 = 1;
 const EV_DEPART: u8 = 2;
 const EV_PROBE: u8 = 3;
 
-enum ShardEvent {
-    Cap {
-        link: u32,
-        cap: f64,
-    },
-    Arrive {
-        idx: u32,
-    },
-    Depart {
-        id: u32,
-    },
-    /// A tuner decision point. `gen` is the transfer's probe generation:
-    /// free-list id reuse and probe re-arming bump it, so probes queued
-    /// for an earlier occupant of the same id are skipped.
-    Probe {
-        id: u32,
-        gen: u32,
-    },
+/// A shard's pending events: an ordered merge of four sources that are
+/// each in `(time, insertion)` order already. One class per source, so
+/// firing the head with the smallest `(time, class)` drains in the
+/// `(time, class, insertion)` order one heap holding all four would
+/// (`merge_order` tests exactly that), without sifting every probe
+/// through a heap as deep as the arrivals still to come.
+#[derive(Default)]
+struct ShardEvents<'a> {
+    /// The shard's capacity events and arrivals, and how many have fired.
+    cap_events: &'a [(f64, u32, f64)],
+    arrivals: &'a [(f64, u32, f64, u64)],
+    caps_fired: usize,
+    arrivals_fired: usize,
+    departures: KeyedEventQueue,
+    /// `(time, stream id, probe generation)` in push order. A probe its
+    /// transfer did not wait for stays queued, its generation now stale.
+    probes: VecDeque<(f64, u32, u32)>,
+}
+
+impl ShardEvents<'_> {
+    /// Events yet to fire, over all four sources.
+    fn len(&self) -> usize {
+        (self.cap_events.len() - self.caps_fired)
+            + (self.arrivals.len() - self.arrivals_fired)
+            + self.departures.len()
+            + self.probes.len()
+    }
+
+    /// Remove the next event: `(time, class, key, probe generation)`; the
+    /// key indexes `cap_events` or `arrivals`, or else is the stream id.
+    fn pop(&mut self) -> Option<(f64, u8, u32, u32)> {
+        let heads = [
+            self.cap_events.get(self.caps_fired).map(|e| e.0),
+            self.arrivals.get(self.arrivals_fired).map(|a| a.0),
+            self.departures.peek().map(|(t, _)| t),
+            self.probes.front().map(|p| p.0),
+        ];
+        // Heads are in class order and `min_by` keeps the first of equals:
+        // the lowest class among equal times.
+        let (t, class) = (0u8..)
+            .zip(heads)
+            .filter_map(|(class, head)| Some((head?, class)))
+            .min_by(|a, b| a.0.total_cmp(&b.0))?;
+        let advance = |fired: &mut usize| {
+            *fired += 1;
+            (*fired as u32 - 1, 0)
+        };
+        let (key, gen) = match class {
+            EV_CAP => advance(&mut self.caps_fired),
+            EV_ARRIVE => advance(&mut self.arrivals_fired),
+            EV_DEPART => (self.departures.pop()?.2, 0),
+            _ => self.probes.pop_front().map(|(_, id, gen)| (id, gen))?,
+        };
+        Some((t, class, key, gen))
+    }
+
+    /// Start transfer `id`'s next probe interval at `t`: note what it has
+    /// left to send and queue the probe under a fresh generation.
+    ///
+    /// The FIFO is in `(time, insertion)` order only because every probe
+    /// is due one constant [`PROBE_INTERVAL_S`] after a clock that never
+    /// goes back. A tuner with its own cadence needs a FIFO per cadence,
+    /// or a heap again.
+    fn arm_probe(&mut self, soa: &mut TransferSoa, id: u32, t: f64) {
+        let i = id as usize;
+        soa.probe_armed[i] = true;
+        soa.probe_rem[i] = soa.remaining[i];
+        soa.probe_t[i] = t;
+        soa.probe_gen[i] = soa.probe_gen[i].wrapping_add(1);
+        let due = t + PROBE_INTERVAL_S;
+        debug_assert!(
+            self.probes.back().is_none_or(|p| p.0 <= due),
+            "probe FIFO out of time order"
+        );
+        self.probes.push_back((due, id, soa.probe_gen[i]));
+    }
 }
 
 /// Per-transfer state, structure-of-arrays indexed by the allocator's
@@ -661,7 +738,7 @@ struct TransferSoa {
     probe_rem: Vec<f64>,
     /// Time of the last probe.
     probe_t: Vec<f64>,
-    /// Probe generation (guards id reuse; see [`ShardEvent::Probe`]).
+    /// Probe generation (guards id reuse; see [`ShardEvents::probes`]).
     probe_gen: Vec<u32>,
     /// Current connection count chosen by the tuner.
     cc: Vec<u32>,
@@ -713,14 +790,11 @@ impl TransferSoa {
 /// live transfer, whatever the churn before.
 fn run_shard(input: &ShardInput) -> ShardOutcome {
     let mut alloc = IncrementalMaxMin::with_links(&input.caps);
-    let mut queue: EventQueue<ShardEvent> = EventQueue::new();
-    let mut departures = KeyedEventQueue::new();
-    for (i, &(t, ..)) in input.arrivals.iter().enumerate() {
-        queue.push(t, EV_ARRIVE, ShardEvent::Arrive { idx: i as u32 });
-    }
-    for &(t, link, cap) in &input.cap_events {
-        queue.push(t, EV_CAP, ShardEvent::Cap { link, cap });
-    }
+    let mut events = ShardEvents {
+        cap_events: &input.cap_events,
+        arrivals: &input.arrivals,
+        ..ShardEvents::default()
+    };
 
     let mut soa = TransferSoa::default();
     let mut load = vec![0.0f64; input.caps.len()];
@@ -747,26 +821,17 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
     let knobs = RlKnobs::default();
 
     loop {
-        out.peak_queue = out.peak_queue.max((queue.len() + departures.len()) as u64);
-        // The earlier head by (time, class); the classes never tie.
-        let depart_first = match (departures.peek(), queue.peek()) {
-            (Some(d), Some(q)) => d < q,
-            (d, _) => d.is_some(),
+        out.peak_queue = out.peak_queue.max(events.len() as u64);
+        let Some((t, class, key, gen)) = events.pop() else {
+            break;
         };
-        let popped = if depart_first {
-            departures
-                .pop()
-                .map(|(t, _, id)| (t, ShardEvent::Depart { id }))
-        } else {
-            queue.pop().map(|(t, _, ev)| (t, ev))
-        };
-        let Some((t, ev)) = popped else { break };
-        match ev {
-            ShardEvent::Cap { link, cap } => {
+        match class {
+            EV_CAP => {
+                let (_, link, cap) = input.cap_events[key as usize];
                 alloc.set_capacity(link, cap);
             }
-            ShardEvent::Arrive { idx } => {
-                let (_, route, size_mbits, gidx) = input.arrivals[idx as usize];
+            EV_ARRIVE => {
+                let (_, route, size_mbits, gidx) = input.arrivals[key as usize];
                 let r = route as usize;
                 let mut cc = input.concurrency;
                 let mut agent = None;
@@ -796,18 +861,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 if let Some(a) = agent {
                     soa.agent[i] = Some(a);
                     soa.cc[i] = cc;
-                    soa.probe_rem[i] = size_mbits;
-                    soa.probe_t[i] = t;
-                    soa.probe_gen[i] = soa.probe_gen[i].wrapping_add(1);
-                    soa.probe_armed[i] = true;
-                    queue.push(
-                        t + PROBE_INTERVAL_S,
-                        EV_PROBE,
-                        ShardEvent::Probe {
-                            id,
-                            gen: soa.probe_gen[i],
-                        },
-                    );
+                    events.arm_probe(&mut soa, id, t);
                 }
                 active += 1;
                 if active > out.peak_active {
@@ -816,7 +870,8 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                     out.arena_bytes = out.arena_bytes.max(state);
                 }
             }
-            ShardEvent::Depart { id } => {
+            EV_DEPART => {
+                let id = key;
                 let i = id as usize;
                 debug_assert!(soa.live[i] && soa.rate[i] > 0.0);
                 let dt = t - soa.last_t[i];
@@ -830,7 +885,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                     // at the same instant would loop forever.
                     let t_next = t + soa.remaining[i] / soa.rate[i];
                     if t_next > t {
-                        departures.set(id, t_next, EV_DEPART);
+                        events.departures.set(id, t_next, EV_DEPART);
                         continue;
                     }
                 }
@@ -855,7 +910,9 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 soa.rate[i] = 0.0;
                 alloc.remove_stream(id);
             }
-            ShardEvent::Probe { id, gen } => {
+            _ => {
+                debug_assert_eq!(class, EV_PROBE);
+                let id = key;
                 let i = id as usize;
                 if !soa.live[i] || soa.probe_gen[i] != gen {
                     continue; // departed transfer, reused id, or re-armed probe
@@ -898,13 +955,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                         f64::from(new_cc) * input.route_weight[r],
                     );
                 }
-                soa.probe_rem[i] = soa.remaining[i];
-                soa.probe_t[i] = t;
-                queue.push(
-                    t + PROBE_INTERVAL_S,
-                    EV_PROBE,
-                    ShardEvent::Probe { id, gen },
-                );
+                events.arm_probe(&mut soa, id, t);
             }
         }
         // Only events that acted get here — a re-predicted departure and
@@ -936,26 +987,15 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
             );
             soa.rate[i] = new;
             if new > 0.0 {
-                departures.set(sid, t + soa.remaining[i] / new, EV_DEPART);
+                let due = t + soa.remaining[i] / new;
+                events.departures.set(sid, due, EV_DEPART);
                 if rl && !soa.probe_armed[i] {
                     // Outage recovery: restart the probe clock from here
-                    // (a fresh generation invalidates nothing — the old
-                    // probe chain ended when it disarmed).
-                    soa.probe_armed[i] = true;
-                    soa.probe_rem[i] = soa.remaining[i];
-                    soa.probe_t[i] = t;
-                    soa.probe_gen[i] = soa.probe_gen[i].wrapping_add(1);
-                    queue.push(
-                        t + PROBE_INTERVAL_S,
-                        EV_PROBE,
-                        ShardEvent::Probe {
-                            id: sid,
-                            gen: soa.probe_gen[i],
-                        },
-                    );
+                    // (the old probe chain ended when it disarmed).
+                    events.arm_probe(&mut soa, sid, t);
                 }
             } else {
-                departures.remove(sid);
+                events.departures.remove(sid);
             }
         }
     }
@@ -987,6 +1027,9 @@ fn integrate_links(
 }
 
 #[cfg(test)]
+mod merge_order;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1006,6 +1049,15 @@ mod tests {
             seed: 7,
             shards: 2,
         }
+    }
+
+    /// Global indices of the dumbbell's shared trunks.
+    fn trunks(spec: &ScaleCampaignSpec) -> Vec<u32> {
+        let links = spec.topology.links.iter().enumerate();
+        links
+            .filter(|(_, l)| l.name.starts_with("wan"))
+            .map(|(i, _)| i as u32)
+            .collect()
     }
 
     #[test]
@@ -1055,19 +1107,11 @@ mod tests {
         let mut spec = small_spec();
         // Kill both trunks at t=5 permanently: factor 0 pins rates at 0,
         // so the queue drains with live transfers left behind.
-        let trunks: Vec<u32> = spec
-            .topology
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.name.starts_with("wan"))
-            .map(|(i, _)| i as u32)
-            .collect();
         spec.failures = vec![LinkFailure {
             at_s: 5.0,
             duration_s: f64::INFINITY,
             factor: 0.0,
-            links: trunks,
+            links: trunks(&spec),
         }];
         let r = run_scale_campaign(&spec, 1);
         assert!(r.stranded > 0, "zero-capacity trunks must strand transfers");
@@ -1084,6 +1128,34 @@ mod tests {
         // And the failure schedule must be deterministic.
         let again = correlated_failure_waves(&spec.topology, 3, spec.duration_s);
         assert_eq!(spec.failures, again);
+    }
+
+    /// Two outages overlapping on the same trunks hold them at the deeper
+    /// factor until the *last* one ends — the campaign runs exactly as
+    /// under the disjoint schedule that spells that timeline out. (The
+    /// first recovery used to write the baseline back, so the trunks ran
+    /// at full capacity from t=25 and the backlog drained 13 s early.)
+    #[test]
+    fn overlapping_outages_recover_when_the_last_one_ends() {
+        let mut spec = small_spec();
+        let outage = |at_s: f64, until_s: f64, factor: f64| LinkFailure {
+            at_s,
+            duration_s: until_s - at_s,
+            factor,
+            links: trunks(&spec),
+        };
+        let (shallow, deep) = (outage(5.0, 25.0, 0.5), outage(10.0, 40.0, 0.1));
+        let spelled_out = vec![outage(5.0, 10.0, 0.5), outage(10.0, 40.0, 0.1)];
+        let run = |failures: Vec<LinkFailure>, spec: &mut ScaleCampaignSpec| {
+            spec.failures = failures;
+            let r = run_scale_campaign(spec, 1);
+            assert_eq!((r.completions, r.stranded), (r.transfers, 0));
+            (r.makespan_s, r.mean_duration_s)
+        };
+        let want = run(spelled_out, &mut spec);
+        assert!(want.0 > 40.0, "the backlog must outlast the deep outage");
+        assert_eq!(run(vec![shallow.clone(), deep.clone()], &mut spec), want);
+        assert_eq!(run(vec![deep, shallow], &mut spec), want);
     }
 
     #[test]
@@ -1163,19 +1235,11 @@ mod tests {
         let mut spec = rl_spec(RlKind::Bandit);
         // A full blackout of every trunk mid-campaign: probes must pause
         // (no spinning on zero throughput) and resume on recovery.
-        let trunks: Vec<u32> = spec
-            .topology
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.name.starts_with("wan"))
-            .map(|(i, _)| i as u32)
-            .collect();
         spec.failures = vec![LinkFailure {
             at_s: 30.0,
             duration_s: 60.0,
             factor: 0.0,
-            links: trunks,
+            links: trunks(&spec),
         }];
         let r = run_scale_campaign(&spec, 2);
         assert_eq!(r.stranded, 0, "recovered outage must not strand");

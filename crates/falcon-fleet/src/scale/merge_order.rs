@@ -1,0 +1,169 @@
+//! [`ShardEvents`] against its oracle: one `falcon_sim::EventQueue` fed
+//! the same schedule must pop the same `(time, class, payload)` sequence.
+
+use falcon_sim::EventQueue;
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+use super::{ShardEvents, TransferSoa, EV_ARRIVE, EV_CAP, EV_DEPART, EV_PROBE, PROBE_INTERVAL_S};
+
+/// Stream ids the schedules draw from.
+const IDS: u32 = 6;
+/// Every time is a multiple of half a probe interval, so probes armed at
+/// `now + PROBE_INTERVAL_S` land on arrivals, capacity events, departures
+/// and each other.
+const TICK_S: f64 = PROBE_INTERVAL_S / 2.0;
+
+fn merge_of<'a>(
+    cap_events: &'a [(f64, u32, f64)],
+    arrivals: &'a [(f64, u32, f64, u64)],
+) -> ShardEvents<'a> {
+    ShardEvents {
+        cap_events,
+        arrivals,
+        ..ShardEvents::default()
+    }
+}
+
+/// The oracle: everything in one heap, as the shard loop once kept it.
+/// Payloads are `(key, tag)`: the arrival index, the capacity event's
+/// position in the *unsorted* list, `(id, version)` for departures — a
+/// re-keyed or withdrawn departure leaves its superseded entries behind
+/// and the reader skips them — and `(id, generation)` for probes.
+struct Oracle {
+    queue: EventQueue<(u32, u32)>,
+    depart_version: [u32; IDS as usize],
+}
+
+impl Oracle {
+    fn pop(&mut self) -> Option<(f64, u8, u32, u32)> {
+        loop {
+            let (t, class, (key, tag)) = self.queue.pop()?;
+            if class != EV_DEPART {
+                return Some((t, class, key, tag));
+            }
+            if tag == self.depart_version[key as usize] {
+                // Popped: the key holds no entry until it is set again.
+                self.depart_version[key as usize] += 1;
+                return Some((t, class, key, 0));
+            }
+        }
+    }
+}
+
+/// Feed one schedule to both and compare every pop. After each pop, the
+/// next `ops` entry acts at the popped time, like the shard loop does:
+/// `(0..=1, id, _)` arms a probe, `(2..=3, id, ticks)` sets or moves a
+/// departure `ticks` ahead, `(4, id, _)` withdraws one, `5` does nothing.
+fn check(arrival_ticks: &[u32], cap_ticks: &[u32], ops: &[(u32, u32, u32)]) -> TestCaseResult {
+    let mut arrival_ticks = arrival_ticks.to_vec();
+    arrival_ticks.sort_unstable();
+    let arrivals: Vec<(f64, u32, f64, u64)> = arrival_ticks
+        .iter()
+        .map(|&k| (f64::from(k) * TICK_S, 0, 0.0, 0))
+        .collect();
+    // The link field carries the event's position in the unsorted list.
+    let mut cap_events: Vec<(f64, u32, f64)> = (0u32..)
+        .zip(cap_ticks)
+        .map(|(i, &k)| (f64::from(k) * TICK_S, i, 0.0))
+        .collect();
+
+    let mut oracle = Oracle {
+        queue: EventQueue::new(),
+        depart_version: [0; IDS as usize],
+    };
+    for (i, a) in (0u32..).zip(&arrivals) {
+        oracle.queue.push(a.0, EV_ARRIVE, (i, 0));
+    }
+    for c in &cap_events {
+        oracle.queue.push(c.0, EV_CAP, (c.1, 0));
+    }
+
+    // What shard build does to the capacity events.
+    cap_events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut events = merge_of(&cap_events, &arrivals);
+    let mut soa = TransferSoa::default();
+    for id in 0..IDS as usize {
+        soa.ensure(id, true);
+    }
+
+    // Probes can be re-armed for ever; a few rounds past the fixed events
+    // is enough.
+    let rounds = 4 * (arrivals.len() + cap_events.len()) + 64;
+    for (n, &(op, id, ticks)) in ops.iter().cycle().take(rounds).enumerate() {
+        let want = oracle.pop();
+        let got = events.pop().map(|(t, class, key, gen)| match class {
+            EV_CAP => (t, class, cap_events[key as usize].1, gen),
+            _ => (t, class, key, gen),
+        });
+        prop_assert_eq!(got, want, "event #{} differs", n);
+        let Some((now, ..)) = got else { break };
+        match op {
+            0 | 1 => {
+                events.arm_probe(&mut soa, id, now);
+                let gen = soa.probe_gen[id as usize];
+                oracle
+                    .queue
+                    .push(now + PROBE_INTERVAL_S, EV_PROBE, (id, gen));
+            }
+            2 | 3 => {
+                let at = now + f64::from(ticks) * TICK_S;
+                events.departures.set(id, at, EV_DEPART);
+                oracle.depart_version[id as usize] += 1;
+                let version = oracle.depart_version[id as usize];
+                oracle.queue.push(at, EV_DEPART, (id, version));
+            }
+            4 => {
+                events.departures.remove(id);
+                oracle.depart_version[id as usize] += 1;
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn shard_events_drain_in_event_queue_order(
+        arrival_ticks in vec(0u32..24, 0..40),
+        cap_ticks in vec(0u32..24, 0..12),
+        ops in vec((0u32..6, 0u32..IDS, 0u32..4), 1..48),
+    ) {
+        check(&arrival_ticks, &cap_ticks, &ops)?;
+    }
+}
+
+/// Two of every class due at t = 5 s: capacity events (in list order),
+/// then arrivals, then departures, then probes (in arming order).
+#[test]
+fn all_four_classes_at_one_instant_fire_by_class_then_insertion() {
+    let arrivals = [(0.0, 0, 0.0, 0), (5.0, 0, 0.0, 0), (5.0, 0, 0.0, 0)];
+    let cap_events = [(5.0, 7, 0.0), (5.0, 3, 0.0)];
+    let mut events = merge_of(&cap_events, &arrivals);
+    let mut soa = TransferSoa::default();
+    (0..4).for_each(|id| soa.ensure(id, true));
+    assert_eq!(events.pop(), Some((0.0, EV_ARRIVE, 0, 0)));
+    events.arm_probe(&mut soa, 2, 0.0);
+    events.arm_probe(&mut soa, 1, 0.0);
+    events.departures.set(3, 5.0, EV_DEPART);
+    events.departures.set(0, 5.0, EV_DEPART);
+    assert_eq!(events.len(), 8);
+    let order: Vec<_> = std::iter::from_fn(|| events.pop()).collect();
+    let at_five = |class, key, gen| (5.0, class, key, gen);
+    assert_eq!(
+        order,
+        [
+            at_five(EV_CAP, 0, 0),
+            at_five(EV_CAP, 1, 0),
+            at_five(EV_ARRIVE, 1, 0),
+            at_five(EV_ARRIVE, 2, 0),
+            at_five(EV_DEPART, 3, 0),
+            at_five(EV_DEPART, 0, 0),
+            at_five(EV_PROBE, 2, 1),
+            at_five(EV_PROBE, 1, 1),
+        ]
+    );
+}

@@ -48,6 +48,8 @@ pub struct RecoveryStats {
     pub reconnects: u64,
     /// Workers that exited because every stream (re)connect failed —
     /// the pool degrades to the surviving workers instead of panicking.
+    /// A worker that a resize or shutdown retired while it was still
+    /// connecting also leaves without a stream, but is not counted.
     pub worker_deaths: u64,
 }
 
@@ -242,6 +244,14 @@ impl LoopbackTransfer {
             let abort = |sh: &Shared, st: &AtomicBool| {
                 st.load(Ordering::Relaxed) || sh.stop_all.load(Ordering::Relaxed)
             };
+            // Leaving with no stream is a death unless the worker was asked
+            // to stop: retirement makes `connect_with_retry` give up too.
+            let leave_streamless = |sh: &Shared, st: &AtomicBool| {
+                if !abort(sh, st) {
+                    sh.worker_deaths.fetch_add(1, Ordering::Relaxed);
+                }
+                sh.live_workers.fetch_sub(1, Ordering::Relaxed);
+            };
             let mut streams: Vec<TcpStream> = Vec::new();
             for _ in 0..parallelism {
                 match connect_with_retry(port, &shared, || abort(&shared, &stop2)) {
@@ -252,8 +262,7 @@ impl LoopbackTransfer {
                 }
             }
             if streams.is_empty() {
-                shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-                shared.live_workers.fetch_sub(1, Ordering::Relaxed);
+                leave_streamless(&shared, &stop2);
                 return;
             }
             let mut bucket = TokenBucket::new(rate);
@@ -281,8 +290,7 @@ impl LoopbackTransfer {
                 // the rest (graceful degradation — never panic the run).
                 loop {
                     if streams.is_empty() {
-                        shared.worker_deaths.fetch_add(1, Ordering::Relaxed);
-                        shared.live_workers.fetch_sub(1, Ordering::Relaxed);
+                        leave_streamless(&shared, &stop2);
                         return;
                     }
                     let n_streams = streams.len();
@@ -525,6 +533,36 @@ mod tests {
             stats.reconnects >= 1,
             "no reconnect recorded after kills: {stats:?}"
         );
+        tx.shutdown();
+    }
+
+    /// Retiring a worker is not a fault, even one retired before its first
+    /// connect returned (back-to-back resizes do that on every shrink that
+    /// follows a grow); a connection cut with no listener left to reconnect
+    /// to still is.
+    #[test]
+    fn only_workers_nobody_retired_count_as_deaths() {
+        let rx = Receiver::start().unwrap();
+        let tx = engine(&rx, 40.0);
+        for i in 0..20 {
+            let cc = if i % 2 == 0 { 6 } else { 1 };
+            tx.apply_settings(TransferSettings::with_concurrency(cc));
+        }
+        tx.shutdown();
+        assert_eq!(tx.recovery_stats().worker_deaths, 0, "healthy resizes");
+
+        let mut rx = Receiver::start().unwrap();
+        let tx = engine(&rx, 40.0);
+        std::thread::sleep(Duration::from_millis(200));
+        rx.shutdown();
+        assert!(rx.kill_one_connection(), "no live connection to kill");
+        for _ in 0..500 {
+            if tx.alive_workers() == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(tx.recovery_stats().worker_deaths, 1, "cut, and no way back");
         tx.shutdown();
     }
 

@@ -12,7 +12,8 @@
 //!    produces byte-identical summaries at 1, 4, and 8 threads.
 //! 3. **Live-state bounds**: allocator work and memory stay flat over
 //!    10⁵ churn steps, and a shard's pending events stay bounded by its
-//!    live transfers on a trunk-saturating campaign.
+//!    live transfers on a trunk-saturating campaign — and under random
+//!    zero-capacity flaps while probes are armed, which strand nothing.
 //! 4. **Conformance**: the topology generators produce valid fabrics
 //!    (fat-tree path validity and 1:1 subscription, dumbbell RTT
 //!    classes, DTN hub degree).
@@ -20,8 +21,8 @@
 use proptest::prelude::*;
 
 use falcon_repro::fleet::{
-    correlated_failure_waves, run_scale_campaign, RlKind, ScaleCampaignSpec, ScaleTopology,
-    ScaleTuner, ScaleWorkload,
+    correlated_failure_waves, run_scale_campaign, LinkFailure, RlKind, ScaleCampaignSpec,
+    ScaleReport, ScaleTopology, ScaleTuner, ScaleWorkload,
 };
 use falcon_repro::sim::alloc::{
     weighted_max_min_allocate, IncrementalMaxMin, WeightedStreamDemand,
@@ -430,27 +431,36 @@ fn saturated_dumbbell_keeps_the_event_queue_bounded() {
     let topology = ScaleTopology::from_spec("dumbbell:8x3").expect("shipped spec syntax");
     let duration_s = 9_000.0;
     let failures = correlated_failure_waves(&topology, 6, duration_s);
-    let cap_events: u64 = failures.iter().map(|f| 2 * f.links.len() as u64).sum();
-    let spec = ScaleCampaignSpec {
-        topology,
-        workload: ScaleWorkload {
-            transfers: 5_000,
-            // 0.66/s × 128 Gbit ≈ 84 of the trunks' 120 Gbps.
-            arrivals_per_min: 39.4,
-            mean_file_mb: 16_000.0,
-            diurnal: 0.4,
-            tenants: 3,
-            tuner: ScaleTuner::Rl(RlKind::Bandit),
-            ..ScaleWorkload::default()
-        },
-        failures,
-        duration_s,
-        seed: 0x5a7,
-        shards: 8,
-    };
-    let r = run_scale_campaign(&spec, 2);
-    assert_eq!(r.completions + r.stranded, r.transfers);
-    assert!(r.completions > r.transfers * 9 / 10, "{}", r.summary());
+    // Pinned connections queue departures only; learning ones add probes.
+    for tuner in [ScaleTuner::Fixed, ScaleTuner::Rl(RlKind::Bandit)] {
+        let spec = ScaleCampaignSpec {
+            topology: topology.clone(),
+            workload: ScaleWorkload {
+                transfers: 5_000,
+                // 0.66/s × 128 Gbit ≈ 84 of the trunks' 120 Gbps.
+                arrivals_per_min: 39.4,
+                mean_file_mb: 16_000.0,
+                diurnal: 0.4,
+                tenants: 3,
+                tuner,
+                ..ScaleWorkload::default()
+            },
+            failures: failures.clone(),
+            duration_s,
+            seed: 0x5a7,
+            shards: 8,
+        };
+        let r = run_scale_campaign(&spec, 2);
+        assert_eq!(r.completions + r.stranded, r.transfers);
+        assert!(r.completions > r.transfers * 9 / 10, "{}", r.summary());
+        assert_eq!(r.probes > 0, tuner != ScaleTuner::Fixed);
+        assert_pending_events_bounded(&spec, &r);
+    }
+}
+
+/// What is yet to arrive plus a departure and a probe per live transfer.
+fn assert_pending_events_bounded(spec: &ScaleCampaignSpec, r: &ScaleReport) {
+    let cap_events: u64 = spec.failures.iter().map(|f| 2 * f.links.len() as u64).sum();
     let bound = r.transfers + cap_events + 2 * u64::from(r.peak_active);
     assert!(
         r.peak_queue <= bound,
@@ -458,6 +468,63 @@ fn saturated_dumbbell_keeps_the_event_queue_bounded() {
         r.peak_queue,
         r.peak_active
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Trunks flapping to zero under learning transfers — outages that
+    /// overlap, that start the instant another ends, that hit one trunk or
+    /// both — while probes are armed: a stranded transfer's probe chain
+    /// stops, recovery restarts it once, and since every outage ends every
+    /// transfer completes, the same at any thread count.
+    #[test]
+    fn zero_capacity_flaps_under_armed_probes_strand_nothing(
+        raw in proptest::collection::vec((0u32..3, 0.0f64..150.0, 0.5f64..40.0, 1u32..4), 1..7),
+        seed in 0u64..1_000,
+    ) {
+        let topology = ScaleTopology::dumbbell_wan(4, &[10.0, 80.0], 10.0, 20.0);
+        let trunks: Vec<u32> = (0u32..)
+            .zip(&topology.links)
+            .filter(|(_, l)| l.name.starts_with("wan"))
+            .map(|(i, _)| i)
+            .collect();
+        let mut failures: Vec<LinkFailure> = Vec::new();
+        for (kind, at_s, duration_s, mask) in raw {
+            // One draw in three starts where the previous outage ends.
+            let at_s = match failures.last() {
+                Some(prev) if kind == 0 => prev.at_s + prev.duration_s,
+                _ => at_s,
+            };
+            let hit = trunks.iter().enumerate().filter(|(bit, _)| mask & (1 << bit) != 0);
+            let links = hit.map(|(_, &l)| l).collect();
+            failures.push(LinkFailure { at_s, duration_s, factor: 0.0, links });
+        }
+        let spec = ScaleCampaignSpec {
+            topology,
+            workload: ScaleWorkload {
+                transfers: 120,
+                arrivals_per_min: 240.0,
+                // Slow connections, big files: transfers live through
+                // several probe intervals and most outages.
+                mean_file_mb: 500.0,
+                per_conn_cap_mbps: 100.0,
+                concurrency: 8,
+                tuner: ScaleTuner::Rl(RlKind::Bandit),
+                ..ScaleWorkload::default()
+            },
+            failures,
+            duration_s: 400.0,
+            seed,
+            shards: 2,
+        };
+        let one = run_scale_campaign(&spec, 1);
+        prop_assert_eq!(one.transfers, 120);
+        prop_assert_eq!((one.completions, one.stranded), (120, 0), "{:?}", spec.failures);
+        prop_assert!(one.probes > 0);
+        assert_pending_events_bounded(&spec, &one);
+        prop_assert_eq!(&one, &run_scale_campaign(&spec, 4), "report diverged at 4 threads");
+    }
 }
 
 // ---------------------------------------------------------------------------
