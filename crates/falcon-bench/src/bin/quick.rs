@@ -206,15 +206,15 @@ fn bench_gp(q: &mut QuickBench) {
 
 fn bench_simulator(q: &mut QuickBench) {
     // Steady state: settings fixed across steps, so after the first step
-    // the demand fingerprint never changes and the allocator is skipped.
+    // every step reuses the cached targets.
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
     sim.set_settings(a, AgentSettings::with_concurrency(100));
     q.bench("simulator", "step_100conn_steady", || {
         sim.advance(black_box(0.1))
     });
-    // Churn: concurrency flips every step, so every step pays the full
-    // allocation; the steady/churn gap is the allocation-skip win.
+    // Churn: concurrency flips every step, so every step rebuilds the
+    // targets; the steady/churn gap is what the targets cache saves.
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
     let mut flip = false;
@@ -259,8 +259,8 @@ fn bench_simulator(q: &mut QuickBench) {
 fn bench_fleet(q: &mut QuickBench) {
     // Per-step cost of a 200-transfer routed fleet on a 3-bottleneck
     // backbone: 200 agents spread over the per-link routes plus the
-    // all-links cross route, 2 connections each. Steady settings keep the
-    // allocator skip active, as in a converged campaign.
+    // all-links cross route, 2 connections each. Steady settings reuse the
+    // cached targets every step, as in a converged campaign.
     let routes = [0b001u64, 0b010, 0b100, 0b111];
     let mut sim = Simulation::new(Environment::fleet(&[1000.0, 1600.0, 2500.0]), 1);
     let handles: Vec<_> = (0..200)
@@ -282,6 +282,21 @@ fn bench_fleet(q: &mut QuickBench) {
             handles[0],
             AgentSettings::with_concurrency(if flip { 3 } else { 2 }),
         );
+        sim.advance(black_box(0.1))
+    });
+    // Probe mix: one settings change per five steps, so four steps in
+    // five reuse the targets — the 0.79 reuse ratio of a `falcon-bo`
+    // fleet campaign.
+    let mut step = 0u32;
+    q.bench("fleet", "step_200transfer_fleet_probe_mix", || {
+        step += 1;
+        if step.is_multiple_of(5) {
+            flip = !flip;
+            sim.set_settings(
+                handles[0],
+                AgentSettings::with_concurrency(if flip { 3 } else { 2 }),
+            );
+        }
         sim.advance(black_box(0.1))
     });
 }

@@ -1510,6 +1510,22 @@ agent = 0
     }
 
     #[test]
+    fn sixty_four_link_fleet_runs_to_its_report() {
+        // The widest fleet `links =` accepts: its cross route and every
+        // full-path mask use all 64 bits of the routing mask.
+        let links = vec!["1000"; 64].join(", ");
+        let sc = parse(&format!(
+            "duration = 60\nseed = 4\n\n[fleet]\nlinks = {links}\ntransfers = 6\n\
+             arrivals_per_min = 30\nmean_file_mb = 200\nanchor_gb = 2\ntuner = falcon-gd\n"
+        ))
+        .unwrap();
+        let out = run(&sc).unwrap();
+        assert!(out.contains("fleet report"), "{out}");
+        assert!(out.contains("link63"), "{out}");
+        assert!(out.contains("completed;"), "{out}");
+    }
+
+    #[test]
     fn shipped_fleet_churn_scenario_parses() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),

@@ -40,7 +40,7 @@ impl FleetTopology {
         if link_mbps.len() > 1 {
             paths.push(PathSpec {
                 name: "cross".to_string(),
-                mask: (1u64 << link_mbps.len()) - 1,
+                mask: env.full_path_mask(),
             });
         }
         FleetTopology { env, paths }

@@ -375,6 +375,13 @@ impl Environment {
         self
     }
 
+    /// The routing mask that crosses every resource: bit `i` set for each
+    /// resource `i` (all 64 bits for a 64-link fleet).
+    pub fn full_path_mask(&self) -> u64 {
+        let n = self.resources.len().min(64) as u32;
+        u64::MAX.checked_shr(64 - n).unwrap_or(0)
+    }
+
     /// The capacity of the end-to-end path for a single agent allowed
     /// unlimited concurrency: the minimum aggregate capacity along the path.
     pub fn path_capacity_mbps(&self) -> f64 {
@@ -484,6 +491,13 @@ mod tests {
         assert_eq!(env.bottleneck_link, 0);
         assert!((env.path_capacity_mbps() - 1000.0).abs() < 1e-9);
         assert_eq!(env.saturating_concurrency(), 1); // no disk caps
+    }
+
+    #[test]
+    fn full_path_mask_covers_every_resource_up_to_64() {
+        assert_eq!(Environment::fleet(&[1000.0]).full_path_mask(), 0b1);
+        assert_eq!(Environment::emulab(100.0).full_path_mask(), 0b11111);
+        assert_eq!(Environment::fleet(&[1000.0; 64]).full_path_mask(), u64::MAX);
     }
 
     #[test]

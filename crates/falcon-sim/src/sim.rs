@@ -13,7 +13,9 @@
 //! interior state-change times, so the two agree on event timing exactly
 //! and differ only by the tick-quantization of ramp sampling.
 //!
-//! For every integration segment the simulator:
+//! A segment reuses the previous segment's targets unless one of those
+//! inputs changed since (`StepScratch::targets` lists what invalidates
+//! them). To rebuild the targets the simulator:
 //!
 //! 1. Builds the set of active connections (each agent contributes
 //!    `concurrency × parallelism` connections; background flows contribute
@@ -29,14 +31,16 @@
 //! 4. Allocates rates by weighted max-min progressive filling over all path
 //!    resources (with end-host contention eroding disk/NIC capacity at very
 //!    high stream counts).
-//! 5. Advances each connection's [`falcon_tcp::RateRamp`] toward its
-//!    allocation and accrues goodput `rate × (1 − loss)`.
+//!
+//! Every segment then advances each connection's [`falcon_tcp::RateRamp`]
+//! toward its allocation, with one `e^(−Δ/τ)` per distinct τ
+//! ([`falcon_tcp::DecayMemo`]), and accrues goodput `rate × (1 − loss)`.
 //!
 //! Sampling (`take_sample`) returns interval-averaged metrics with
 //! multiplicative Gaussian measurement noise, which is what a Falcon monitor
 //! thread would observe on a real system.
 
-use falcon_tcp::RateRamp;
+use falcon_tcp::{DecayMemo, RateRamp};
 use falcon_trace::{TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,14 +127,17 @@ pub struct AgentSample {
 }
 
 /// Reusable per-segment working memory. `prepare_targets` clears and
-/// refills these buffers instead of allocating fresh vectors each segment,
-/// so steady-state stepping performs no heap allocation. The `prev_*` copies
-/// of the last allocator inputs let it skip re-running progressive filling
-/// entirely when the demand/topology fingerprint is unchanged: allocation
-/// is a pure function of `(streams, capacities)`, so reusing `rates`
-/// verbatim is byte-identical to recomputing it.
+/// refills these buffers instead of allocating fresh vectors, and only
+/// when `targets` is `None`: a segment whose inputs are unchanged reuses
+/// `rates`, `owners`, `agent_survival` and `current_loss` as they are.
 #[derive(Debug, Default)]
 struct StepScratch {
+    /// The targets the buffers hold, `None` once an input changed. Set to
+    /// `None` by `push_agent`, `remove_agent`, `try_set_settings` on a
+    /// live agent whose settings differ, `kill_agent`, `revive_agent`,
+    /// every fired event and `add_background_flow`; `prepare_targets`
+    /// also drops them at the next background-flow edge.
+    targets: Option<Targets>,
     streams: Vec<WeightedStreamDemand>,
     /// Agent index owning each agent stream (parallel to the prefix of
     /// `streams` before background flows).
@@ -138,9 +145,6 @@ struct StepScratch {
     capacities: Vec<f64>,
     rates: Vec<f64>,
     alloc: AllocScratch,
-    prev_streams: Vec<WeightedStreamDemand>,
-    prev_capacities: Vec<f64>,
-    prev_valid: bool,
     /// Routed-mode working memory (only touched when some agent has a
     /// custom path): per-resource offered load, connection counts, link
     /// loss, stream counts, and per-agent survival / CCA caps.
@@ -150,6 +154,16 @@ struct StepScratch {
     res_streams: Vec<u32>,
     agent_survival: Vec<f64>,
     agent_cca_cap: Vec<f64>,
+}
+
+/// What `prepare_targets` returns for the targets in `StepScratch`, and
+/// how long the active background flows they were built for stay active.
+#[derive(Debug, Clone, Copy)]
+struct Targets {
+    routed: bool,
+    loss: f64,
+    /// The first background-flow start or end after the build time.
+    until_s: f64,
 }
 
 #[derive(Debug)]
@@ -281,6 +295,7 @@ impl Simulation {
     }
 
     fn push_agent(&mut self, path_mask: Option<u64>) -> AgentHandle {
+        self.scratch.targets = None;
         self.agents.push(AgentState {
             alive: true,
             path_mask,
@@ -298,12 +313,14 @@ impl Simulation {
     /// The resource mask an agent's route crosses (the full-path mask for
     /// agents registered via [`Simulation::add_agent`]).
     pub fn path_mask(&self, h: AgentHandle) -> u64 {
-        let full: u64 = (1u64 << self.env.resources.len()) - 1;
-        self.agents[h.0].path_mask.unwrap_or(full)
+        self.agents[h.0]
+            .path_mask
+            .unwrap_or(self.env.full_path_mask())
     }
 
     /// Remove a transfer task (e.g., its dataset completed).
     pub fn remove_agent(&mut self, h: AgentHandle) {
+        self.scratch.targets = None;
         self.agents[h.0].alive = false;
         self.agents[h.0].ramps.clear();
     }
@@ -342,9 +359,13 @@ impl Simulation {
         let st = &mut self.agents[h.0];
         // Settings are remembered even for a dead agent (a revive rebuilds
         // the pool from them), but the caller is told the agent is gone.
+        let changed = st.settings != settings;
         st.settings = settings;
         if !st.alive {
             return false;
+        }
+        if changed {
+            self.scratch.targets = None;
         }
         let want = settings.total_connections() as usize;
         while st.ramps.len() < want {
@@ -361,6 +382,7 @@ impl Simulation {
 
     /// Script a background cross-traffic flow.
     pub fn add_background_flow(&mut self, flow: BackgroundFlow) {
+        self.scratch.targets = None;
         self.background.push(flow);
     }
 
@@ -435,6 +457,7 @@ impl Simulation {
     }
 
     fn apply_event_action(&mut self, action: EventAction) {
+        self.scratch.targets = None;
         // Mirror the scripted action into the trace before applying it, so
         // a trace reader can line environment shifts up with decisions.
         self.tracer.emit(|| {
@@ -497,6 +520,7 @@ impl Simulation {
     /// its registration and settings, so [`Simulation::revive_agent`] can
     /// bring it back. Idempotent.
     pub fn kill_agent(&mut self, h: AgentHandle) {
+        self.scratch.targets = None;
         let a = &mut self.agents[h.0];
         a.alive = false;
         a.ramps.clear();
@@ -512,6 +536,7 @@ impl Simulation {
         if a.alive {
             return;
         }
+        self.scratch.targets = None;
         a.alive = true;
         a.ramps = (0..a.settings.total_connections())
             .map(|_| RateRamp::new(rtt))
@@ -568,14 +593,20 @@ impl Simulation {
     pub fn run_until(&mut self, t_end_s: f64) {
         debug_assert!(t_end_s.is_finite(), "run_until target must be finite");
         while self.time_s < t_end_s {
-            self.tracer.set_time(self.time_s);
-            self.apply_due_events();
-            let boundary = self.next_boundary_after(self.time_s).min(t_end_s);
-            let dt = boundary - self.time_s;
-            let (routed, loss) = self.prepare_targets();
-            self.integrate_exact(dt, routed, loss);
-            self.time_s = boundary;
+            self.run_segment(t_end_s);
         }
+    }
+
+    /// Fire the events due now, then integrate up to the next
+    /// state-change time or `t_end_s`, whichever comes first.
+    fn run_segment(&mut self, t_end_s: f64) {
+        self.tracer.set_time(self.time_s);
+        self.apply_due_events();
+        let boundary = self.next_boundary_after(self.time_s).min(t_end_s);
+        let dt = boundary - self.time_s;
+        let (routed, loss) = self.prepare_targets();
+        self.integrate_exact(dt, routed, loss);
+        self.time_s = boundary;
     }
 
     /// Advance by `dt_s` seconds.
@@ -589,30 +620,36 @@ impl Simulation {
     /// Allocation targets are constant between such boundaries, which is
     /// what lets a whole segment integrate in closed form.
     fn next_boundary_after(&self, t: f64) -> f64 {
-        let mut next = f64::INFINITY;
-        if let Some(e) = self.events.get(self.next_event) {
-            if e.at_s > t {
-                next = e.at_s;
-            }
-        }
-        for bg in &self.background {
-            if bg.start_s > t {
-                next = next.min(bg.start_s);
-            }
-            if bg.end_s > t {
-                next = next.min(bg.end_s);
-            }
-        }
-        next
+        let next_event = match self.events.get(self.next_event) {
+            Some(e) if e.at_s > t => e.at_s,
+            _ => f64::INFINITY,
+        };
+        next_event.min(self.next_background_edge_after(t))
+    }
+
+    /// Earliest background-flow start or end strictly after `t`.
+    fn next_background_edge_after(&self, t: f64) -> f64 {
+        self.background
+            .iter()
+            .flat_map(|bg| [bg.start_s, bg.end_s])
+            .filter(|&edge| edge > t)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Sections 1–4 of the per-segment pipeline: build connection demands,
-    /// compute loss, apply congestion-control caps, and run (or skip) the
-    /// weighted max-min allocation into `scratch.rates`. Pure in the ramp
-    /// state: targets depend only on settings, environment, and background
-    /// activity at the current time. Returns `(routed, loss)`.
+    /// compute loss, apply congestion-control caps, and run the weighted
+    /// max-min allocation into `scratch.rates` — or reuse all of that while
+    /// `scratch.targets` holds. Pure in the ramp state: targets depend only
+    /// on settings, environment, and background activity at the current
+    /// time. Returns `(routed, loss)`.
     fn prepare_targets(&mut self) -> (bool, f64) {
         let t = self.time_s;
+        if let Some(c) = self.scratch.targets.filter(|c| t < c.until_s) {
+            self.tracer.incr("sim.alloc_skips");
+            self.tracer.incr("sim.steps");
+            self.tracer.observe("sim.loss_rate", c.loss);
+            return (c.routed, c.loss);
+        }
         let bottleneck = self.env.bottleneck_link;
         let link_capacity = self.env.resources[bottleneck].capacity_mbps;
 
@@ -628,9 +665,9 @@ impl Simulation {
 
         // Streams are ordered: for each alive agent, its n*p connections;
         // then one stream per active background flow. The vectors live in
-        // `self.scratch` and are cleared and refilled, so a steady-state
-        // step allocates nothing once the buffers have grown to size.
-        let full_mask: u64 = (1u64 << self.env.resources.len()) - 1;
+        // `self.scratch` and are cleared and refilled, so a rebuild
+        // allocates nothing once the buffers have grown to size.
+        let full_mask = self.env.full_path_mask();
         let link_mask: u64 = 1u64 << bottleneck;
 
         self.scratch.streams.clear();
@@ -790,41 +827,32 @@ impl Simulation {
                     .push(r.effective_capacity_mbps(count));
             }
         }
-        // Allocation is a pure function of (streams, capacities): if both
-        // match last tick's inputs exactly, last tick's rates are already
-        // the answer and progressive filling can be skipped. Exact (not
-        // hashed) comparison, so a skip can never produce different bytes
-        // than a recompute. Any NaN in the inputs compares unequal and
-        // falls through to a recompute — never a wrong skip.
+        let until_s = self.next_background_edge_after(t);
         let scratch = &mut self.scratch;
-        let unchanged = scratch.prev_valid
-            && scratch.streams == scratch.prev_streams
-            && scratch.capacities == scratch.prev_capacities;
-        if !unchanged {
-            weighted_max_min_allocate_into(
-                &scratch.streams,
-                &scratch.capacities,
-                &mut scratch.rates,
-                &mut scratch.alloc,
-            );
-            scratch.prev_streams.clone_from(&scratch.streams);
-            scratch.prev_capacities.clone_from(&scratch.capacities);
-            scratch.prev_valid = true;
-            self.tracer.incr("sim.alloc_runs");
-        } else {
-            self.tracer.incr("sim.alloc_skips");
-        }
+        weighted_max_min_allocate_into(
+            &scratch.streams,
+            &scratch.capacities,
+            &mut scratch.rates,
+            &mut scratch.alloc,
+        );
+        scratch.targets = Some(Targets {
+            routed,
+            loss,
+            until_s,
+        });
+        self.tracer.incr("sim.alloc_runs");
         self.tracer.incr("sim.steps");
         self.tracer.observe("sim.loss_rate", loss);
         (routed, loss)
     }
 
-    /// Section 5: advance each ramp across the whole segment in closed
-    /// form and accrue the *exact* integral of its rate curve
+    /// Advance each ramp across the whole segment in closed form and
+    /// accrue the *exact* integral of its rate curve
     /// ([`RateRamp::advance_integrated`]), so segment length does not
     /// affect accuracy and an idle segment costs O(connections), not
     /// O(ticks).
     fn integrate_exact(&mut self, dt_s: f64, routed: bool, loss: f64) {
+        let mut segment = DecayMemo::new(dt_s);
         let mut cursor = 0usize;
         for (idx, a) in self.agents.iter_mut().enumerate() {
             if !a.alive {
@@ -843,7 +871,7 @@ impl Simulation {
             for ramp in a.ramps.iter_mut() {
                 debug_assert_eq!(self.scratch.owners[cursor], idx);
                 let target = self.scratch.rates[cursor];
-                let (end_rate, integral) = ramp.advance_integrated(target, dt_s);
+                let (end_rate, integral) = ramp.advance_integrated(target, &mut segment);
                 agg_end += end_rate * survival;
                 delivered += integral * survival;
                 cursor += 1;
@@ -1035,6 +1063,9 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::env::Environment;
+    use falcon_trace::TraceLog;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// The two steppers the cross-checks run: the product path and the
     /// tick oracle, as `(name, run_for(sim, duration_s, dt_s))`.
@@ -1841,6 +1872,194 @@ mod tests {
             assert!(before > 950.0, "{engine}: before {before}");
             assert!(during < 700.0, "{engine}: during {during}");
             assert!(after > 900.0, "{engine}: after {after}");
+        }
+    }
+
+    /// `run_until` with the targets dropped before every segment: the
+    /// reference the cached stepper must match bit for bit.
+    fn run_until_rederived(sim: &mut Simulation, t_end_s: f64) {
+        while sim.time_s < t_end_s {
+            sim.scratch.targets = None;
+            sim.run_segment(t_end_s);
+        }
+    }
+
+    /// Apply one generated operation to `sim`. `kind` picks the operation,
+    /// `pick` an agent, resource or action, `x` ∈ [0, 1) its magnitude.
+    /// Returns the bits of the samples the operation took, if any.
+    fn apply_op(
+        sim: &mut Simulation,
+        (kind, pick, x): (u32, usize, f64),
+        rederive: bool,
+    ) -> Vec<u64> {
+        let t = sim.time_s;
+        let n = sim.agents.len();
+        let agent = AgentHandle(pick % n);
+        let run_until = |sim: &mut Simulation, t_end_s: f64| {
+            if rederive {
+                run_until_rederived(sim, t_end_s);
+            } else {
+                sim.run_until(t_end_s);
+            }
+        };
+        match kind {
+            0 => run_until(sim, t + 7.0 * x),
+            // Land just past the next background edge.
+            1 => {
+                let edge = sim.next_background_edge_after(t);
+                if edge.is_finite() {
+                    run_until(sim, edge + 0.5 * x);
+                }
+            }
+            2 => run_until(sim, t),
+            3 => {
+                let _ = sim.try_set_settings(agent, sim.settings(agent));
+            }
+            4 => {
+                let settings = AgentSettings {
+                    concurrency: 1 + (pick as u32 * 7 + (x * 9.0) as u32) % 12,
+                    parallelism: 1 + (x * 3.0) as u32,
+                    efficiency: 0.25 + 0.75 * x,
+                    share_weight: if pick % 3 == 0 { 0.5 } else { 1.0 },
+                };
+                let _ = sim.try_set_settings(agent, settings);
+            }
+            5 if n < 8 => {
+                let h = if sim.env.name == "fleet" {
+                    sim.add_agent_on_path(1 + (pick as u64 % 7))
+                } else {
+                    sim.add_agent()
+                };
+                sim.set_settings(h, AgentSettings::with_concurrency(1 + pick as u32));
+            }
+            6 => sim.remove_agent(agent),
+            7 => sim.kill_agent(agent),
+            8 => sim.revive_agent(agent),
+            9..=14 => {
+                let n_res = sim.env.resources.len();
+                let action = match kind {
+                    9 => EventAction::LinkCapacityFactor {
+                        resource: (pick % 2 == 0).then_some(pick % n_res),
+                        factor: 0.3 + x,
+                    },
+                    10 => EventAction::LossFloor { rate: 0.05 * x },
+                    11 => EventAction::DiskThrottleFactor { factor: 0.3 + x },
+                    12 => EventAction::RttShift {
+                        rtt_s: 0.005 + 0.1 * x,
+                    },
+                    13 => EventAction::KillAgent { agent: pick },
+                    _ => EventAction::ReviveAgent { agent: pick },
+                };
+                sim.add_event(EnvironmentEvent::at(t + 3.0 * x, action));
+            }
+            15 => {
+                let start_s = t + 5.0 * x;
+                sim.add_background_flow(BackgroundFlow {
+                    start_s,
+                    end_s: start_s + 1.0 + pick as f64,
+                    demand_mbps: 100.0 + 500.0 * x,
+                    connections: 1 + pick as u32,
+                });
+            }
+            _ => {
+                return (0..n)
+                    .filter_map(|i| sim.try_take_sample(AgentHandle(i)))
+                    .flat_map(|s| [s.throughput_mbps, s.loss_rate, s.interval_s])
+                    .map(f64::to_bits)
+                    .collect();
+            }
+        }
+        Vec::new()
+    }
+
+    /// Everything observable about a sim, as bits.
+    fn observables(sim: &Simulation) -> Vec<u64> {
+        let mut out = vec![sim.time_s.to_bits(), sim.current_loss.to_bits()];
+        for (i, a) in sim.agents.iter().enumerate() {
+            let instant = sim.try_instantaneous_rate_mbps(AgentHandle(i));
+            out.extend([
+                u64::from(a.alive),
+                a.total_delivered_mb.to_bits(),
+                a.delivered_mb.to_bits(),
+                a.loss_integral.to_bits(),
+                a.sample_clock_s.to_bits(),
+                instant.map_or(u64::MAX, f64::to_bits),
+            ]);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Reused targets are exactly the targets a rebuild would produce:
+        /// a sim that keeps them between segments and one that re-derives
+        /// them every segment agree bit for bit on delivered bytes, instant
+        /// rates, loss, samples and every trace record, counter and
+        /// histogram — except that the re-deriving sim counts each reuse as
+        /// an allocation run. Routed fleet and single-path Emulab worlds,
+        /// under every operation that changes a target input.
+        #[test]
+        fn cached_targets_match_rederived_targets(
+            routed in 0usize..2,
+            ops in vec((0u32..17, 0usize..8, 0.0f64..1.0), 1..60),
+        ) {
+            let build = || {
+                let mut sim = if routed == 1 {
+                    let mut sim = Simulation::new(Environment::fleet(&[600.0, 900.0, 1500.0]), 5);
+                    for mask in [0b001, 0b111] {
+                        let h = sim.add_agent_on_path(mask);
+                        sim.set_settings(h, AgentSettings::with_concurrency(4));
+                    }
+                    sim
+                } else {
+                    let mut sim = Simulation::new(Environment::emulab(100.0), 5);
+                    for cc in [3, 8] {
+                        let h = sim.add_agent();
+                        sim.set_settings(h, AgentSettings::with_concurrency(cc));
+                    }
+                    sim
+                };
+                for (start_s, end_s) in [(2.0, 9.5), (4.25, f64::INFINITY)] {
+                    sim.add_background_flow(BackgroundFlow {
+                        start_s,
+                        end_s,
+                        demand_mbps: 300.0,
+                        connections: 3,
+                    });
+                }
+                sim.set_tracer(Tracer::recording());
+                sim
+            };
+            let (mut cached, mut rederived) = (build(), build());
+            for (step, &op) in ops.iter().enumerate() {
+                let samples = apply_op(&mut cached, op, false);
+                let rederived_samples = apply_op(&mut rederived, op, true);
+                prop_assert_eq!(
+                    (samples, observables(&cached)),
+                    (rederived_samples, observables(&rederived)),
+                    "after op {} {:?} of {:?}",
+                    step,
+                    op,
+                    ops
+                );
+            }
+            let (a, b) = (cached.tracer.take_log(), rederived.tracer.take_log());
+            prop_assert_eq!(&a.records, &b.records);
+            prop_assert_eq!(&a.histograms, &b.histograms);
+            let count = |log: &TraceLog, name: &str| log.counter(name).unwrap_or(0);
+            let other_counters = |log: &TraceLog| {
+                let mut rest = log.counters.clone();
+                rest.retain(|(name, _)| !name.starts_with("sim.alloc_"));
+                rest
+            };
+            prop_assert_eq!(other_counters(&a), other_counters(&b));
+            let steps = count(&a, "sim.steps");
+            prop_assert_eq!(
+                count(&a, "sim.alloc_runs") + count(&a, "sim.alloc_skips"),
+                steps
+            );
+            prop_assert_eq!(count(&b, "sim.alloc_runs"), steps);
         }
     }
 }

@@ -30,7 +30,7 @@ pub mod response;
 
 pub use cca::CongestionControl;
 pub use loss::{BottleneckLossModel, LossModelParams};
-pub use ramp::RateRamp;
+pub use ramp::{DecayMemo, RateRamp};
 pub use response::{
     bbr_rate_mbps, cubic_rate_mbps, hstcp_rate_mbps, mathis_rate_mbps, padhye_rate_mbps,
 };

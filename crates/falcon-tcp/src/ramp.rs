@@ -81,16 +81,18 @@ impl RateRamp {
     /// The discrete-event engine uses this to advance a whole inter-event
     /// segment in one call; `advance` remains the per-tick form and agrees
     /// with this one up to float rounding (the exponential is a semigroup:
-    /// n steps of `dt` compose to one step of `n·dt`).
-    pub fn advance_integrated(&mut self, target_mbps: f64, dt_s: f64) -> (f64, f64) {
-        debug_assert!(dt_s >= 0.0);
+    /// n steps of `dt` compose to one step of `n·dt`). The segment length
+    /// Δ is `segment`'s; every ramp advanced through one [`DecayMemo`]
+    /// shares its `e^(−Δ/τ)` per distinct τ.
+    pub fn advance_integrated(&mut self, target_mbps: f64, segment: &mut DecayMemo) -> (f64, f64) {
         let tau = if target_mbps >= self.rate_mbps {
             self.tau_up_s
         } else {
             self.tau_down_s
         };
+        let dt_s = segment.dt_s;
         let gap = self.rate_mbps - target_mbps;
-        let decay = (-dt_s / tau).exp();
+        let decay = segment.decay(tau);
         let integral = target_mbps * dt_s + gap * tau * (1.0 - decay);
         self.rate_mbps = target_mbps + gap * decay;
         (self.rate_mbps, integral)
@@ -102,9 +104,78 @@ impl RateRamp {
     }
 }
 
+/// One integration segment's length Δ and its decays `e^(−Δ/τ)`, each
+/// computed once per distinct τ. Ramps created under one RTT share their
+/// two time constants, so a segment over thousands of connections costs
+/// two `exp` calls instead of one per connection. The memo is keyed by
+/// τ's bits, so every decay is bit-identical to `(-Δ / τ).exp()`.
+#[derive(Debug, Clone)]
+pub struct DecayMemo {
+    dt_s: f64,
+    len: usize,
+    /// `(τ bits, e^(−Δ/τ))`: up and down for two RTT classes before a
+    /// further τ is computed without being remembered.
+    entries: [(u64, f64); 4],
+}
+
+impl DecayMemo {
+    /// An empty memo for a segment of `dt_s` seconds.
+    pub fn new(dt_s: f64) -> Self {
+        debug_assert!(dt_s >= 0.0);
+        DecayMemo {
+            dt_s,
+            len: 0,
+            entries: [(0, 0.0); 4],
+        }
+    }
+
+    fn decay(&mut self, tau_s: f64) -> f64 {
+        let key = tau_s.to_bits();
+        if let Some(&(_, d)) = self.entries[..self.len].iter().find(|e| e.0 == key) {
+            return d;
+        }
+        let d = (-self.dt_s / tau_s).exp();
+        if let Some(slot) = self.entries.get_mut(self.len) {
+            *slot = (key, d);
+            self.len += 1;
+        }
+        d
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Every decay a segment's memo hands out is `(-Δ/τ).exp()` bit
+        /// for bit, and a ramp advanced through the memo lands exactly
+        /// where the closed form with a fresh `exp` puts it: ramps of two
+        /// or three RTT classes, each step heading up or down.
+        #[test]
+        fn memoized_decay_is_bit_identical_to_exp(
+            rtts in vec(1e-4f64..0.2, 2..4),
+            dt in 0.0f64..20.0,
+            steps in vec((0usize..3, 0.0f64..1000.0), 1..40),
+        ) {
+            let mut ramps: Vec<RateRamp> = rtts.iter().map(|&rtt| RateRamp::new(rtt)).collect();
+            let mut memo = DecayMemo::new(dt);
+            for (class, target) in steps {
+                let ramp = &mut ramps[class % rtts.len()];
+                let tau = if target >= ramp.rate_mbps { ramp.tau_up_s } else { ramp.tau_down_s };
+                let fresh = (-dt / tau).exp();
+                prop_assert_eq!(memo.decay(tau).to_bits(), fresh.to_bits());
+                let gap = ramp.rate_mbps - target;
+                let want_end = target + gap * fresh;
+                let want_integral = target * dt + gap * tau * (1.0 - fresh);
+                let (end, integral) = ramp.advance_integrated(target, &mut memo);
+                prop_assert_eq!(end.to_bits(), want_end.to_bits());
+                prop_assert_eq!(integral.to_bits(), want_integral.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn starts_at_zero() {
@@ -169,7 +240,7 @@ mod tests {
         for _ in 0..5000 {
             riemann += ticked.advance(80.0, dt) * dt;
         }
-        let (end, integral) = analytic.advance_integrated(80.0, 5.0);
+        let (end, integral) = analytic.advance_integrated(80.0, &mut DecayMemo::new(5.0));
         assert!((end - ticked.rate_mbps()).abs() < 1e-6, "end {end}");
         // Right-Riemann overestimates a rising curve by O(dt).
         assert!(
@@ -182,7 +253,7 @@ mod tests {
     fn integrated_advance_integral_is_exact_at_steady_state() {
         let mut r = RateRamp::with_taus(1.0, 0.5);
         r.advance(100.0, 1000.0); // converge
-        let (end, integral) = r.advance_integrated(100.0, 7.5);
+        let (end, integral) = r.advance_integrated(100.0, &mut DecayMemo::new(7.5));
         assert!((end - 100.0).abs() < 1e-9);
         assert!((integral - 750.0).abs() < 1e-6, "integral {integral}");
     }
@@ -191,7 +262,7 @@ mod tests {
     fn integrated_advance_handles_downward_segments() {
         let mut r = RateRamp::with_taus(2.0, 0.2);
         r.advance(100.0, 1000.0);
-        let (end, integral) = r.advance_integrated(10.0, 1.0);
+        let (end, integral) = r.advance_integrated(10.0, &mut DecayMemo::new(1.0));
         // τ_down = 0.2 s → essentially converged after 5τ.
         assert!((end - 10.0).abs() < 1.0, "end {end}");
         // Integral between the endpoint rates × duration.
