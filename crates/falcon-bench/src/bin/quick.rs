@@ -667,9 +667,9 @@ fn bench_figures(q: &mut QuickBench) {
 }
 
 fn bench_lint(q: &mut QuickBench) {
-    // Full syntax-aware workspace analysis (lex + item parse + call graph +
-    // taint/unit/lock fixpoints) over every library source file, with the
-    // sources preloaded so the number tracks analysis cost, not disk IO.
+    // Full workspace analysis (lex + every per-file rule + the lock-order
+    // cycle check) over every library source file, with the sources
+    // preloaded so the number tracks analysis cost, not disk IO.
     // This is the wall time a `cargo run -p falcon-lint` gate pays per CI
     // run, so it must stay flat as rule families grow.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -414,11 +414,32 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     other => return Err(err(line_no, format!("unknown agent key {other:?}"))),
                 }
             }
+            // A flow whose window is empty or that opens no connection never
+            // runs; reject it rather than drop it silently. `end = inf` is
+            // the open-ended spelling.
             Section::Background => match key {
-                "start" => bg.start_s = non_negative(value)?,
-                "end" => bg.end_s = num(value)?,
+                "start" => {
+                    bg.start_s = non_negative(value)?;
+                    if bg.start_s >= bg.end_s {
+                        let msg = format!("start: must be < end = {}, got {value:?}", bg.end_s);
+                        return Err(err(line_no, msg));
+                    }
+                }
+                "end" => {
+                    let end = num(value)?;
+                    if end.is_nan() || end <= bg.start_s {
+                        let msg = format!("end: must be > start = {}, got {value:?}", bg.start_s);
+                        return Err(err(line_no, msg));
+                    }
+                    bg.end_s = end;
+                }
                 "mbps" => bg.demand_mbps = non_negative(value)?,
-                "connections" => bg.connections = int(line_no, key, value)?,
+                "connections" => {
+                    bg.connections = int(line_no, key, value)?;
+                    if bg.connections == 0 {
+                        return Err(err(line_no, "connections: must be >= 1".into()));
+                    }
+                }
                 other => return Err(err(line_no, format!("unknown background key {other:?}"))),
             },
             Section::Event => match key {
@@ -1104,10 +1125,31 @@ agent = 0
             ("[agent]\n[background]\nstart = -1\n", "line 3: start:"),
             ("[agent]\n[background]\nmbps = -5\n", "line 3: mbps:"),
             ("[agent]\n[background]\nmbps = inf\n", "line 3: mbps:"),
+            // A background flow that can never run was dropped with exit 0.
+            ("[agent]\n[background]\nend = nan\n", "line 3: end:"),
+            ("[agent]\n[background]\nend = -5\n", "line 3: end:"),
+            (
+                "[agent]\n[background]\nstart = 50\nend = 50\n",
+                "line 4: end:",
+            ),
+            (
+                "[agent]\n[background]\nstart = 50\nend = 20\n",
+                "line 4: end:",
+            ),
+            (
+                "[agent]\n[background]\nend = 20\nstart = 50\n",
+                "line 4: start:",
+            ),
+            (
+                "[agent]\n[background]\nconnections = 0\n",
+                "line 3: connections:",
+            ),
         ] {
             let e = parse(text).unwrap_err().0;
             assert!(e.starts_with(want), "{text:?}: {e}");
         }
+        let open = parse("[agent]\n[background]\nstart = 5\nend = inf\nmbps = 900\n").unwrap();
+        assert_eq!(open.background[0].end_s, f64::INFINITY);
         // The largest count that fits parses, and costs one entry to build.
         let sc = parse("[agent]\ndataset = 1gb:17179869183\n").unwrap();
         let d = make_dataset(&sc.agents[0].dataset).unwrap();

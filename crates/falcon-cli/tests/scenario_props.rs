@@ -69,7 +69,7 @@ proptest! {
             0..4,
         ),
         backgrounds in proptest::collection::vec(
-            (0.0f64..500.0, 0.0f64..1000.0, 0.1f64..5000.0, 1u32..32),
+            (0.0f64..500.0, 0.001f64..1000.0, 0.1f64..5000.0, 1u32..32),
             0..3,
         ),
         events in proptest::collection::vec(

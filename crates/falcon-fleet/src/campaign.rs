@@ -32,7 +32,6 @@ impl CampaignSpec {
     /// The standard 3-bottleneck, 200-transfer churn campaign.
     pub fn standard(seed: u64) -> Self {
         CampaignSpec {
-            // falcon-lint::allow(determinism-taint, reason = "taint rides the `fleet` name collision inside multi_bottleneck (see topology.rs); campaign construction is pure")
             topology: FleetTopology::multi_bottleneck(&[1000.0, 1600.0, 2500.0]),
             workload: Workload::default(),
             tuner: FleetTuner::GradientDescent,
@@ -55,7 +54,6 @@ pub struct CampaignOutcome {
 
 /// Run a campaign with a freshly recording tracer.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
-    // falcon-lint::allow(determinism-taint, reason = "inherits the Harness-seam taint of run_campaign_with_tracer; campaigns drive the seeded SimHarness")
     run_campaign_with_tracer(spec, Tracer::recording())
 }
 
@@ -87,12 +85,10 @@ pub fn run_campaign_with_tracer(spec: &CampaignSpec, tracer: Tracer) -> Campaign
     let runner = Runner {
         tracer: tracer.clone(),
     };
-    // falcon-lint::allow(determinism-taint, reason = "`Runner::run` reaches wall clocks only through the net-harness impl of the Harness seam; this call passes the seeded SimHarness")
     let trace = runner.run(&mut harness, plans, spec.duration_s);
     tracer.add("fleet.transfers", specs.len() as u64);
     let completed = trace.completed_at.iter().flatten().count() as u64;
     tracer.add("fleet.completions", completed);
-    // falcon-lint::allow(determinism-taint, reason = "take_log's taint is std `Vec::drain` colliding by name with the net receiver's drain; the tracer itself is deterministic")
     let log = tracer.take_log();
     let report = FleetReport::compute(&spec.topology, &specs, &trace, &log, spec.duration_s);
     CampaignOutcome { trace, log, report }

@@ -452,7 +452,6 @@ impl ScaleReport {
 /// changes wall-clock time and nothing else.
 #[must_use]
 pub fn run_scale_campaign(spec: &ScaleCampaignSpec, threads: usize) -> ScaleReport {
-    // falcon-lint::allow(determinism-taint, reason = "inherits run_scale_campaign_traced's false edge: std scope-join collides by simple name with the net harness's wall-clock join")
     run_scale_campaign_traced(spec, threads, &Tracer::disabled())
 }
 
@@ -579,7 +578,6 @@ pub fn run_scale_campaign_traced(
     };
     let mut duration_sum = 0.0f64;
     let mut busy: Vec<(u32, f64)> = Vec::new();
-    // falcon-lint::allow(determinism-taint, reason = "taint rides the std `join` name collision inside fan_out (falcon-par scope join vs falcon-net harness join); shard bodies are pure functions of the spec")
     let mut report = falcon_par::fan_out_fold(
         shard_inputs,
         threads,

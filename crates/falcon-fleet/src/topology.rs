@@ -29,7 +29,6 @@ impl FleetTopology {
     /// loss accumulation and min-capacity constraints are always
     /// exercised. `link_mbps` gives each link's capacity.
     pub fn multi_bottleneck(link_mbps: &[f64]) -> Self {
-        // falcon-lint::allow(determinism-taint, reason = "`Environment::fleet` resolves by simple name to the experiments fleet driver; this constructor is pure")
         let env = Environment::fleet(link_mbps);
         let mut paths: Vec<PathSpec> = (0..link_mbps.len())
             .map(|i| PathSpec {

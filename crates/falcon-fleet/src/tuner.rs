@@ -87,7 +87,6 @@ impl FleetTuner {
     /// message, listing every spelling.
     pub fn parse(s: &str) -> Result<FleetTuner, String> {
         FleetTuner::from_name(s).ok_or_else(|| {
-            // falcon-lint::allow(determinism-taint, reason = "slice `join` collides by simple name with the net harness's wall-clock join; this only formats the name list")
             let names = FleetTuner::names().join("|");
             format!("unknown tuner {s:?} (expected {names})")
         })

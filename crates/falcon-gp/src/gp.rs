@@ -200,9 +200,7 @@ impl GpRegressor {
             LinalgError::NotPositiveDefinite => GpError::NotPositiveDefinite,
         })?;
         self.x.remove(0);
-        // copy_within + truncate rather than `drain` — the std method
-        // collides by simple name with falcon-net's wall-clock drain and
-        // would false-positive the determinism-taint lint workspace-wide.
+        // Drop the oldest row of the flat buffer in place.
         let keep = self.x_flat.len() - self.dim;
         self.x_flat.copy_within(self.dim.., 0);
         self.x_flat.truncate(keep);

@@ -1,18 +1,17 @@
 //! The engine: workspace walking, test-region masking, suppression
 //! handling, and the top-level lint entry points.
 //!
-//! Linting is a two-pass pipeline. Pass 1 runs per file: lex, mask test
-//! regions, run the token-pattern rules, and parse items into a
-//! [`semantic::FileUnit`]. Pass 2 runs once over all units: the
-//! cross-file rules (determinism taint, unit analysis, time accumulation,
-//! lock ordering) on the workspace model. Inline suppressions apply to
-//! both passes' findings, keyed by the file each finding lands in.
+//! Each file is linted on its own: lex, mask test regions, run every rule
+//! family. The files' lock-order edges are then checked for cycles once,
+//! across the workspace. Inline suppressions apply to all findings, keyed
+//! by the file each finding lands in, and a directive that silences
+//! nothing is itself a finding.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::lexer;
-use crate::rules::{check_file, FileInput, Finding, Rule};
-use crate::semantic::{self, FileUnit};
+use crate::rules::{check_file, check_lock_order, FileInput, Finding, LockEdge, Rule};
 
 /// One file handed to the linter: repo-relative path, owning crate, and
 /// source text.
@@ -69,8 +68,7 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceSpec>> {
 
 /// Lint one file's source text. `rel_path` is the repo-relative path used
 /// in reports; `crate_name` scopes crate-specific rules (determinism).
-/// This is the seam the fixture corpus drives directly; cross-file rules
-/// see a single-file workspace, so intra-file call graphs still resolve.
+/// This is the seam the fixture corpus drives directly.
 pub fn lint_source(rel_path: &str, crate_name: &str, src: &str) -> Vec<Finding> {
     lint_files(&[SourceSpec {
         rel_path: rel_path.to_string(),
@@ -79,16 +77,22 @@ pub fn lint_source(rel_path: &str, crate_name: &str, src: &str) -> Vec<Finding> 
     }])
 }
 
-/// Suppression directives for one file: `(line, rules allowed there)`.
-type SuppressionLines = Vec<(u32, Vec<Rule>)>;
+/// One valid `falcon-lint::allow` directive.
+struct Directive {
+    line: u32,
+    rules: Vec<Rule>,
+    /// Whether it silenced at least one finding.
+    used: bool,
+}
 
-/// Lint a set of files as one workspace: per-file token rules, then the
-/// cross-file semantic rules, then inline suppressions per file.
+/// Lint a set of files as one workspace: every rule per file, the
+/// lock-order cycle check over all files' edges, then inline suppressions
+/// per file.
 pub fn lint_files(specs: &[SourceSpec]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut units: Vec<FileUnit> = Vec::with_capacity(specs.len());
-    let mut suppressions: Vec<(usize, SuppressionLines)> = Vec::new();
-    for (idx, spec) in specs.iter().enumerate() {
+    let mut edges: Vec<LockEdge> = Vec::new();
+    let mut directives: BTreeMap<&str, Vec<Directive>> = BTreeMap::new();
+    for spec in specs {
         let lexed = lexer::lex(&spec.src);
         let test_mask = test_region_mask(&lexed.tokens);
         let input = FileInput {
@@ -97,15 +101,19 @@ pub fn lint_files(specs: &[SourceSpec]) -> Vec<Finding> {
             crate_name: &spec.crate_name,
             file: &spec.rel_path,
         };
-        findings.extend(check_file(&input));
+        check_file(&input, &mut findings, &mut edges);
 
         // Collect inline suppressions; malformed directives become
         // findings immediately.
-        let mut lines: SuppressionLines = Vec::new();
+        let file_directives = directives.entry(&spec.rel_path).or_default();
         for comment in &lexed.comments {
             match parse_suppression(&comment.text) {
                 SuppressionParse::None => {}
-                SuppressionParse::Ok(rules) => lines.push((comment.line, rules)),
+                SuppressionParse::Ok(rules) => file_directives.push(Directive {
+                    line: comment.line,
+                    rules,
+                    used: false,
+                }),
                 SuppressionParse::Malformed(why) => findings.push(Finding {
                     rule: Rule::BadSuppression,
                     file: spec.rel_path.clone(),
@@ -114,28 +122,35 @@ pub fn lint_files(specs: &[SourceSpec]) -> Vec<Finding> {
                 }),
             }
         }
-        suppressions.push((idx, lines));
-        units.push(FileUnit::build(
-            spec.rel_path.clone(),
-            spec.crate_name.clone(),
-            lexed.tokens,
-            test_mask,
-        ));
     }
-
-    findings.extend(semantic::check_workspace(&units));
+    findings.extend(check_lock_order(&edges));
 
     // Apply suppressions: a directive covers its own line (trailing
     // comment) and the line after (directive on its own line), within its
-    // file, for both token-rule and semantic findings.
+    // file.
     findings.retain(|f| {
-        !suppressions.iter().any(|(idx, lines)| {
-            specs[*idx].rel_path == f.file
-                && lines.iter().any(|(line, rules)| {
-                    (f.line == *line || f.line == line + 1) && rules.contains(&f.rule)
-                })
-        })
+        let Some(file_directives) = directives.get_mut(f.file.as_str()) else {
+            return true;
+        };
+        let mut silenced = false;
+        for d in file_directives.iter_mut() {
+            if (f.line == d.line || f.line == d.line + 1) && d.rules.contains(&f.rule) {
+                d.used = true;
+                silenced = true;
+            }
+        }
+        !silenced
     });
+    for (file, file_directives) in &directives {
+        for d in file_directives.iter().filter(|d| !d.used) {
+            findings.push(Finding {
+                rule: Rule::BadSuppression,
+                file: file.to_string(),
+                line: d.line,
+                message: "directive silences nothing; delete it".to_string(),
+            });
+        }
+    }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
@@ -337,10 +352,10 @@ fn parse_suppression(comment: &str) -> SuppressionParse {
         } else if let Some(rule) = Rule::from_name(part) {
             rules.push(rule);
         } else {
+            let known: Vec<&str> = Rule::FAMILIES.iter().map(|r| r.name()).collect();
             return SuppressionParse::Malformed(format!(
-                "falcon-lint::allow names unknown rule {part:?} \
-                 (known: determinism, panic-safety, lock-across-blocking, float-cmp, \
-                 determinism-taint, unit-mismatch, float-time-accum, lock-order)"
+                "falcon-lint::allow names unknown rule {part:?} (known: {})",
+                known.join(", ")
             ));
         }
     }
@@ -476,11 +491,35 @@ mod tests {
 
     #[test]
     fn suppression_only_silences_named_rules() {
+        // The directive names the wrong rule, so it silences nothing and is
+        // reported as well.
         let src = r#"
             // falcon-lint::allow(float-cmp, reason = "wrong rule named")
             fn lib(x: Option<u32>) -> u32 { x.unwrap() }
         "#;
-        assert_eq!(rules_of(src, "falcon-core"), ["panic-safety"]);
+        assert_eq!(
+            rules_of(src, "falcon-core"),
+            ["bad-suppression", "panic-safety"]
+        );
+    }
+
+    #[test]
+    fn lock_order_cycle_spans_files() {
+        let specs: Vec<SourceSpec> = [
+            "fn f(s: &S) { let a = s.queue.lock(); let b = s.stats.lock(); }",
+            "fn g(s: &S) { let b = s.stats.lock(); let a = s.queue.lock(); }",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, src)| SourceSpec {
+            rel_path: format!("crates/falcon-net/src/f{i}.rs"),
+            crate_name: "falcon-net".to_string(),
+            src: src.to_string(),
+        })
+        .collect();
+        let found = lint_files(&specs);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].rule, Rule::LockOrder);
     }
 
     #[test]

@@ -230,11 +230,20 @@ fn is_lifetime(bytes: &[u8], i: usize) -> bool {
     bytes.get(j) != Some(&b'\'')
 }
 
+/// Step over the `\` escape at `i`. A `\`-newline string continuation
+/// still ends a source line, so it is counted.
+fn skip_escape(bytes: &[u8], i: usize, line: &mut u32) -> usize {
+    if bytes.get(i + 1) == Some(&b'\n') {
+        *line += 1;
+    }
+    i + 2
+}
+
 fn skip_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1; // opening quote
     while i < bytes.len() {
         match bytes[i] {
-            b'\\' => i += 2,
+            b'\\' => i = skip_escape(bytes, i, line),
             b'\n' => {
                 *line += 1;
                 i += 1;
@@ -298,7 +307,7 @@ fn skip_raw_or_byte_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize 
                 *line += 1;
                 i += 1;
             }
-            b'\\' if !raw => i += 2,
+            b'\\' if !raw => i = skip_escape(bytes, i, line),
             b'"' => {
                 let mut j = i + 1;
                 let mut seen = 0usize;
@@ -485,5 +494,17 @@ mod tests {
         let toks = lex(src);
         let c_tok = toks.tokens.iter().find(|t| t.is_ident("c")).unwrap();
         assert_eq!(c_tok.line, 4);
+    }
+
+    #[test]
+    fn backslash_newline_continuations_count_their_line() {
+        for src in [
+            "let _m = \"first \\\n second\";\nx.unwrap()\n",
+            "let _m = b\"first \\\n second\";\nx.unwrap()\n",
+        ] {
+            let toks = lex(src);
+            let unwrap = toks.tokens.iter().find(|t| t.is_ident("unwrap")).unwrap();
+            assert_eq!(unwrap.line, 3, "{src:?}");
+        }
     }
 }

@@ -1,42 +1,26 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! cargo run -p falcon-lint                  # lint, enforce the baseline
-//! cargo run -p falcon-lint -- --fix-baseline  # regenerate lint-baseline.toml
-//! cargo run -p falcon-lint -- --no-baseline   # show every finding
+//! cargo run -p falcon-lint                    # lint this workspace
 //! cargo run -p falcon-lint -- --root <dir>    # lint another checkout
-//! cargo run -p falcon-lint -- --json out.json # machine-readable findings
-//! cargo run -p falcon-lint -- --github        # GitHub Actions annotations
+//! cargo run -p falcon-lint -- --github        # also print GitHub Actions annotations
 //! ```
 //!
-//! Exit codes: 0 clean (or fully baselined), 1 new findings, 2 usage or
-//! I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use falcon_lint::{report, Baseline, BASELINE_FILE};
+use falcon_lint::report;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut fix_baseline = false;
-    let mut no_baseline = false;
     let mut github = false;
-    let mut json: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--fix-baseline" => fix_baseline = true,
-            "--no-baseline" => no_baseline = true,
             "--github" => github = true,
-            "--json" => match it.next() {
-                Some(path) => json = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--json requires an output path");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match it.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -48,15 +32,14 @@ fn main() -> ExitCode {
                 println!(
                     "falcon-lint: workspace invariant checker\n\
                      \n\
-                     USAGE: falcon-lint [--fix-baseline] [--no-baseline] [--root <dir>]\n\
-                     \u{20}                  [--json <path>] [--github]\n\
+                     USAGE: falcon-lint [--root <dir>] [--github]\n\
                      \n\
                      Rules: determinism, panic-safety, lock-across-blocking, float-cmp,\n\
-                     determinism-taint, unit-mismatch, float-time-accum, lock-order.\n\
+                     unit-mismatch, float-time-accum, lock-order.\n\
                      Suppress inline with: // falcon-lint::allow(rule, reason = \"...\")\n\
                      \n\
-                     --json   write {{new, grandfathered, stale}} findings as JSON\n\
-                     --github print new findings as ::error workflow annotations"
+                     --root   lint the checkout at <dir> (default: this workspace)\n\
+                     --github also print findings as ::error workflow annotations"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -82,66 +65,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    let baseline_path = root.join(BASELINE_FILE);
-    if fix_baseline {
-        let baseline = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, baseline.render()) {
-            eprintln!("falcon-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} ({} grandfathered finding(s) across {} rule/file pair(s))",
-            baseline_path.display(),
-            findings.len(),
-            baseline.pairs()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if no_baseline {
-        Baseline::empty()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("falcon-lint: bad {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => Baseline::empty(),
-        }
-    };
-
-    let (fresh, grandfathered) = baseline.partition(&findings);
-    for f in &fresh {
+    for f in &findings {
         println!("{f}");
     }
     if github {
-        print!("{}", report::to_github_annotations(&fresh));
+        print!("{}", report::to_github_annotations(&findings));
     }
-    let stale = baseline.stale_entries(&findings);
-    if let Some(path) = &json {
-        let doc = report::to_json(&fresh, &grandfathered, &stale);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("falcon-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    for (rule, file, allowed, actual) in &stale {
-        println!(
-            "note: baseline allows {allowed} [{rule}] finding(s) in {file}, found {actual} — \
-             ratchet down with --fix-baseline"
-        );
-    }
-    println!(
-        "falcon-lint: {} new finding(s), {} grandfathered, {} stale baseline entr(ies)",
-        fresh.len(),
-        grandfathered.len(),
-        stale.len()
-    );
-    if fresh.is_empty() {
+    println!("falcon-lint: {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,178 +1,11 @@
-//! A lightweight item parser layered on the lexer: just enough syntax to
-//! support cross-file analysis.
+//! The two pieces of syntax the token rules need beyond single tokens:
+//! delimiter matching and loop bodies.
 //!
-//! From the token stream of one file this module recovers:
-//!
-//! - **function items** — name, parameter names (receiver excluded), the
-//!   token range of the body, and whether the item sits in a test region;
-//! - **call sites** inside each body — callee name, call form (method /
-//!   path-qualified / free), and, when an argument is a plain identifier
-//!   chain (`self.cfg.timeout_s`), its final identifier;
-//! - **lock acquisitions** inside each body — the receiver identifier of
-//!   each `.lock()` and the token range the guard is (heuristically) live;
-//! - **loop bodies** — token ranges of `loop`/`while`/`for` blocks.
-//!
-//! No `syn`, no full grammar: brace/paren/bracket matching plus a handful
-//! of local patterns. Like the lexer, the parser must tolerate arbitrary
-//! garbage — truncated items and unbalanced delimiters degrade to smaller
-//! (or no) items, never to a panic.
+//! No `syn`, no full grammar. Like the lexer, this must tolerate arbitrary
+//! garbage — truncated items and unbalanced delimiters degrade to fewer (or
+//! no) matches, never to a panic.
 
-use crate::lexer::{Token, TokenKind};
-use crate::rules::{binding_name, binds_guard_directly, guard_block_end, statement_end};
-
-/// How a call site names its callee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallKind {
-    /// `receiver.name(...)`.
-    Method,
-    /// `path::name(...)`.
-    Path,
-    /// `name(...)`.
-    Free,
-}
-
-/// One call site inside a function body.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    /// The called function's simple name (last path segment).
-    pub callee: String,
-    /// Call form, used to weigh name-resolution confidence.
-    pub kind: CallKind,
-    /// 1-based source line of the callee identifier.
-    pub line: u32,
-    /// Token index of the callee identifier.
-    pub tok: usize,
-    /// Per argument: the final identifier of a plain identifier-chain
-    /// argument, `None` for anything more complex (literals, calls,
-    /// arithmetic).
-    pub args: Vec<Option<String>>,
-}
-
-/// One `.lock()` acquisition inside a function body.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// The receiver identifier directly before `.lock()` — a field or
-    /// local name, used as the lock's identity across functions.
-    pub lock_name: String,
-    /// 1-based source line of the `lock` identifier.
-    pub line: u32,
-    /// Token index of the `lock` identifier.
-    pub tok: usize,
-    /// Token index just past the guard's heuristic live range (enclosing
-    /// block end, `drop(guard)`, or statement end for temporaries).
-    pub range_end: usize,
-}
-
-/// One parsed `fn` item.
-#[derive(Debug, Clone)]
-pub struct FnItem {
-    /// The function's name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Parameter names in order, `self` receiver excluded. Destructuring
-    /// patterns contribute no name.
-    pub params: Vec<String>,
-    /// Token range `[start, end)` of the body, braces included. Empty for
-    /// bodyless trait-method declarations.
-    pub body: (usize, usize),
-    /// Whether the item sits inside a `#[cfg(test)]`/`#[test]` region.
-    pub is_test: bool,
-    /// Call sites in body order.
-    pub calls: Vec<CallSite>,
-    /// Lock acquisitions in body order.
-    pub locks: Vec<LockSite>,
-}
-
-/// Keywords that look like calls when followed by `(` but are not.
-const NON_CALL_KEYWORDS: [&str; 16] = [
-    "if", "while", "for", "match", "loop", "return", "in", "as", "let", "else", "move", "box",
-    "break", "continue", "await", "yield",
-];
-
-/// Parse every `fn` item in a token stream. `test_mask` marks tokens in
-/// test regions (see the engine); an item is a test item when its `fn`
-/// keyword is masked.
-pub fn parse_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<FnItem> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !tokens[i].is_ident("fn") {
-            i += 1;
-            continue;
-        }
-        // `fn` in type position (`fn(u32) -> u32`) has no name ident next.
-        let Some(name_tok) = tokens.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        let fn_line = tokens[i].line;
-        let is_test = test_mask.get(i).copied().unwrap_or(false);
-        let name = name_tok.text.clone();
-        // Find the parameter list: first `(` at angle-depth 0 after the
-        // name (skipping generics).
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        let open_paren = loop {
-            match tokens.get(j) {
-                None => break None,
-                Some(t) if t.is_punct("<") => angle += 1,
-                Some(t) if t.is_punct(">") => angle -= 1,
-                Some(t) if t.is_punct("(") && angle <= 0 => break Some(j),
-                // A `{` or `;` before any `(` means this is not a normal
-                // fn item (macro output, garbage); bail out.
-                Some(t) if t.is_punct("{") || t.is_punct(";") => break None,
-                Some(_) => {}
-            }
-            j += 1;
-        };
-        let Some(open_paren) = open_paren else {
-            i += 2;
-            continue;
-        };
-        let Some(close_paren) = matching_delim(tokens, open_paren, "(", ")") else {
-            i += 2;
-            continue;
-        };
-        let params = param_names(&tokens[open_paren + 1..close_paren]);
-        // Body: first `{` after the params (skipping the return type and
-        // where clause), or a `;` for bodyless declarations.
-        let mut k = close_paren + 1;
-        let body = loop {
-            match tokens.get(k) {
-                None => break None,
-                Some(t) if t.is_punct("{") => {
-                    let end = matching_delim(tokens, k, "{", "}").map_or(tokens.len(), |e| e + 1);
-                    break Some((k, end));
-                }
-                Some(t) if t.is_punct(";") => break None,
-                Some(_) => {}
-            }
-            k += 1;
-        };
-        let (calls, locks, next) = match body {
-            Some((start, end)) => {
-                let calls = collect_calls(tokens, start, end);
-                let locks = collect_locks(tokens, start, end);
-                (calls, locks, end)
-            }
-            None => (Vec::new(), Vec::new(), close_paren + 1),
-        };
-        out.push(FnItem {
-            name,
-            line: fn_line,
-            params,
-            body: body.unwrap_or((close_paren + 1, close_paren + 1)),
-            is_test,
-            calls,
-            locks,
-        });
-        // Nested fns inside the body are rare and their call sites are
-        // already attributed to the outer item; skip past the body.
-        i = next.max(i + 2);
-    }
-    out
-}
+use crate::lexer::Token;
 
 /// Token ranges (braces included) of every `loop`/`while`/`for` body.
 pub fn loop_bodies(tokens: &[Token]) -> Vec<(usize, usize)> {
@@ -233,223 +66,10 @@ pub(crate) fn matching_delim(
     None
 }
 
-/// Parameter names from the token slice between the parens of a parameter
-/// list. A parameter contributes its name when it is the simple
-/// `[mut] name: Type` form; `self` receivers and destructuring patterns
-/// are skipped (no name).
-fn param_names(toks: &[Token]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut depth = 0i32;
-    let flush = |range: &[Token], out: &mut Vec<String>| {
-        let mut k = 0usize;
-        while range
-            .get(k)
-            .is_some_and(|t| t.is_ident("mut") || t.is_punct("&") || t.kind == TokenKind::Lifetime)
-        {
-            k += 1;
-        }
-        match (range.get(k), range.get(k + 1)) {
-            (Some(name), Some(colon))
-                if name.kind == TokenKind::Ident
-                    && !name.is_ident("self")
-                    && colon.is_punct(":") =>
-            {
-                out.push(name.text.clone());
-            }
-            _ => {}
-        }
-    };
-    for (idx, t) in toks.iter().enumerate() {
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct(">") {
-            depth -= 1;
-        } else if t.is_punct(",") && depth <= 0 {
-            flush(&toks[start..idx], &mut out);
-            start = idx + 1;
-        }
-    }
-    if start < toks.len() {
-        flush(&toks[start..], &mut out);
-    }
-    out
-}
-
-/// Collect call sites in `tokens[start..end)`.
-fn collect_calls(tokens: &[Token], start: usize, end: usize) -> Vec<CallSite> {
-    let mut out = Vec::new();
-    let end = end.min(tokens.len());
-    for i in start..end {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Callee ident must be directly followed by `(` — `name!(` is a
-        // macro, `name {` a struct literal, `name::<T>(` a turbofish we
-        // accept missing (rare in this workspace).
-        if !tokens.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            continue;
-        }
-        // `fn name(` is a definition, not a call.
-        if i > 0 && tokens[i - 1].is_ident("fn") {
-            continue;
-        }
-        let kind = if i > 0 && tokens[i - 1].is_punct(".") {
-            CallKind::Method
-        } else if i > 0 && tokens[i - 1].is_punct("::") {
-            CallKind::Path
-        } else {
-            CallKind::Free
-        };
-        let close = matching_delim(tokens, i + 1, "(", ")").unwrap_or(end);
-        let args = arg_idents(&tokens[(i + 2).min(close)..close]);
-        out.push(CallSite {
-            callee: t.text.clone(),
-            kind,
-            line: t.line,
-            tok: i,
-            args,
-        });
-    }
-    out
-}
-
-/// For each top-level comma-separated argument: the final identifier when
-/// the argument is a plain identifier chain (`x`, `&mut x`, `self.a.b_ms`,
-/// `m::CONST_S`), else `None`.
-fn arg_idents(toks: &[Token]) -> Vec<Option<String>> {
-    if toks.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut depth = 0i32;
-    for (idx, t) in toks.iter().enumerate() {
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") {
-            depth -= 1;
-        } else if t.is_punct(",") && depth <= 0 {
-            out.push(chain_last_ident(&toks[start..idx]));
-            start = idx + 1;
-        }
-    }
-    out.push(chain_last_ident(&toks[start..]));
-    out
-}
-
-/// The last identifier of a pure identifier chain, or `None` when the
-/// tokens are anything else.
-fn chain_last_ident(toks: &[Token]) -> Option<String> {
-    let mut last: Option<&str> = None;
-    for t in toks {
-        match t.kind {
-            TokenKind::Ident if t.text != "mut" && t.text != "self" => last = Some(&t.text),
-            TokenKind::Ident => {}
-            TokenKind::Punct if t.text == "." || t.text == "::" || t.text == "&" => {}
-            _ => return None,
-        }
-    }
-    last.map(str::to_string)
-}
-
-/// Collect `.lock()` acquisitions in `tokens[start..end)` together with
-/// the guard's heuristic live range (shared with the
-/// `lock-across-blocking` rule).
-fn collect_locks(tokens: &[Token], start: usize, end: usize) -> Vec<LockSite> {
-    let mut out = Vec::new();
-    let end = end.min(tokens.len());
-    for i in start..end {
-        if !(tokens[i].is_ident("lock")
-            && i > 0
-            && tokens[i - 1].is_punct(".")
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
-            && tokens.get(i + 2).is_some_and(|t| t.is_punct(")")))
-        {
-            continue;
-        }
-        // Receiver: the identifier directly before the `.`; complex
-        // receivers (`get_pool().lock()`) have no stable name — skip.
-        let Some(recv) = i
-            .checked_sub(2)
-            .and_then(|r| tokens.get(r))
-            .filter(|t| t.kind == TokenKind::Ident)
-        else {
-            continue;
-        };
-        let guard = binding_name(tokens, i).filter(|_| binds_guard_directly(tokens, i + 2));
-        let range_end = match &guard {
-            Some(name) => guard_block_end(tokens, i, name),
-            None => statement_end(tokens, i),
-        };
-        out.push(LockSite {
-            lock_name: recv.text.clone(),
-            line: tokens[i].line,
-            tok: i,
-            range_end,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-
-    fn parse(src: &str) -> Vec<FnItem> {
-        let lexed = lex(src);
-        let mask = vec![false; lexed.tokens.len()];
-        parse_fns(&lexed.tokens, &mask)
-    }
-
-    #[test]
-    fn fn_names_params_and_bodies() {
-        let fns = parse(
-            "fn a(x: u32, mut y_ms: f64) -> f64 { y_ms }\n\
-             impl S { pub fn b(&self, z: &str) {} }\n\
-             fn generic<T: Clone>(v: Vec<T>) {}\n",
-        );
-        let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["a", "b", "generic"]);
-        assert_eq!(fns[0].params, ["x", "y_ms"]);
-        assert_eq!(fns[1].params, ["z"], "self receiver is excluded");
-        assert_eq!(fns[2].params, ["v"]);
-    }
-
-    #[test]
-    fn calls_with_kinds_and_arg_chains() {
-        let fns =
-            parse("fn f(s: &S) { helper(s.cfg.timeout_s); s.m.lock(); Path::assoc(1 + 2, x); }\n");
-        let calls = &fns[0].calls;
-        assert_eq!(calls[0].callee, "helper");
-        assert_eq!(calls[0].kind, CallKind::Free);
-        assert_eq!(calls[0].args, [Some("timeout_s".to_string())]);
-        assert_eq!(calls[1].callee, "lock");
-        assert_eq!(calls[1].kind, CallKind::Method);
-        assert_eq!(calls[2].callee, "assoc");
-        assert_eq!(calls[2].kind, CallKind::Path);
-        assert_eq!(calls[2].args, [None, Some("x".to_string())]);
-    }
-
-    #[test]
-    fn macros_and_definitions_are_not_calls() {
-        let fns = parse("fn f() { println!(\"x\"); let v = vec![1]; }");
-        assert!(fns[0].calls.is_empty(), "{:?}", fns[0].calls);
-    }
-
-    #[test]
-    fn locks_record_receiver_and_range() {
-        let fns = parse(
-            "fn f(a: &M, b: &M) { let g = a.inner.lock(); let h = b.other.lock(); drop(g); }",
-        );
-        let locks = &fns[0].locks;
-        assert_eq!(locks.len(), 2);
-        assert_eq!(locks[0].lock_name, "inner");
-        assert_eq!(locks[1].lock_name, "other");
-        assert!(locks[0].range_end > locks[1].tok, "inner held across other");
-    }
 
     #[test]
     fn loop_bodies_cover_all_three_forms() {
@@ -469,24 +89,13 @@ mod tests {
     fn truncated_source_never_panics() {
         for src in [
             "fn",
-            "fn f",
             "fn f(",
-            "fn f(x:",
             "fn f(x: u32) {",
-            "fn f() { a.lock()",
             "fn f() { while {",
+            "for x in",
             "impl T for",
         ] {
-            let _ = parse(src);
             let _ = loop_bodies(&lex(src).tokens);
         }
-    }
-
-    #[test]
-    fn bodyless_trait_methods_parse() {
-        let fns = parse("trait T { fn decl(x: u32) -> u32; fn with_body(&self) {} }");
-        assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].name, "decl");
-        assert!(fns[0].calls.is_empty());
     }
 }

@@ -1,88 +1,19 @@
-//! Machine-readable findings export: a hand-rolled JSON writer (the
-//! workspace builds offline, so no serde) and the GitHub Actions
-//! annotation format for CI.
-//!
-//! The JSON schema is stable and append-only:
-//!
-//! ```json
-//! {
-//!   "new": [{"rule": "...", "file": "...", "line": 7, "message": "..."}],
-//!   "grandfathered": [...],
-//!   "stale": [{"rule": "...", "file": "...", "allowed": 3, "actual": 1}]
-//! }
-//! ```
+//! Findings as GitHub Actions workflow annotations for CI.
 
 use crate::rules::Finding;
-
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn finding_json(f: &Finding) -> String {
-    format!(
-        "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-        f.rule.name(),
-        escape(&f.file),
-        f.line,
-        escape(&f.message)
-    )
-}
-
-/// Render the full lint outcome as a JSON document.
-pub fn to_json(
-    fresh: &[&Finding],
-    grandfathered: &[&Finding],
-    stale: &[(String, String, usize, usize)],
-) -> String {
-    let list = |fs: &[&Finding]| {
-        fs.iter()
-            .map(|f| finding_json(f))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let stale_json = stale
-        .iter()
-        .map(|(rule, file, allowed, actual)| {
-            format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"allowed\":{allowed},\"actual\":{actual}}}",
-                escape(rule),
-                escape(file)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"new\":[{}],\"grandfathered\":[{}],\"stale\":[{stale_json}]}}\n",
-        list(fresh),
-        list(grandfathered)
-    )
-}
 
 /// Render findings as GitHub Actions workflow annotations
 /// (`::error file=...,line=...,title=...::message`), which the Actions
 /// runner turns into inline PR annotations. Newlines inside the message
 /// must be URL-style escaped per the Actions command syntax.
-pub fn to_github_annotations(fresh: &[&Finding]) -> String {
+pub fn to_github_annotations(findings: &[Finding]) -> String {
     let escape_gh = |s: &str| {
         s.replace('%', "%25")
             .replace('\r', "%0D")
             .replace('\n', "%0A")
     };
     let mut out = String::new();
-    for f in fresh {
+    for f in findings {
         out.push_str(&format!(
             "::error file={},line={},title=falcon-lint [{}]::{}\n",
             f.file,
@@ -99,30 +30,15 @@ mod tests {
     use super::*;
     use crate::rules::Rule;
 
-    fn finding() -> Finding {
-        Finding {
+    #[test]
+    fn github_annotations_escape_newlines() {
+        let f = Finding {
             rule: Rule::UnitMismatch,
             file: "crates/x/src/a.rs".to_string(),
             line: 3,
             message: "a \"quoted\" message\nwith a newline".to_string(),
-        }
-    }
-
-    #[test]
-    fn json_escapes_and_structures() {
-        let f = finding();
-        let json = to_json(&[&f], &[], &[("r".into(), "f".into(), 2, 1)]);
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.contains("\"allowed\":2"));
-        assert!(json.contains("\"rule\":\"unit-mismatch\""));
-        assert!(!json.contains('\u{0}'));
-    }
-
-    #[test]
-    fn github_annotations_escape_newlines() {
-        let f = finding();
-        let ann = to_github_annotations(&[&f]);
+        };
+        let ann = to_github_annotations(&[f]);
         assert!(ann.starts_with("::error file=crates/x/src/a.rs,line=3,"));
         assert!(ann.contains("%0A"), "{ann}");
         assert!(!ann.trim_end().contains('\n'), "one line per annotation");

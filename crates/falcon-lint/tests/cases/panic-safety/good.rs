@@ -22,9 +22,9 @@ pub fn validate(concurrency: u32) -> u32 {
     concurrency.clamp(1, 100)
 }
 
-// falcon-lint::allow(panic-safety, reason = "fixture: demonstrates a justified inline suppression")
 pub fn sanctioned(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(0.0, f64::max)
+    // falcon-lint::allow(panic-safety, reason = "fixture: demonstrates a justified inline suppression")
+    *xs.first().expect("callers pass a non-empty slice")
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Fixture: arithmetic, comparisons, and call sites that mix identifier
-//! unit suffixes — all `f64` to the compiler, all wrong dimensionally.
+//! Fixture: arithmetic and comparisons that mix identifier unit suffixes —
+//! all `f64` to the compiler, all wrong dimensionally.
 
 pub fn deadline(at_s: f64, backoff_ms: f64) -> f64 {
     at_s + backoff_ms
@@ -11,12 +11,4 @@ pub fn window_closed(window_s: f64, rtt_ms: f64) -> bool {
 
 pub fn throughput(size_bytes: f64, rate_mbps: f64) -> bool {
     size_bytes != rate_mbps
-}
-
-pub fn schedule(delay_ms: f64) -> f64 {
-    delay_ms * 2.0
-}
-
-pub fn caller(grace_s: f64) -> f64 {
-    schedule(grace_s)
 }

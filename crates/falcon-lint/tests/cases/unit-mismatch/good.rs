@@ -1,6 +1,6 @@
 //! Fixture: dimensionally clean counterparts — same-unit arithmetic,
-//! explicit scale conversions (the `*`/`/` exemption), matching call-site
-//! units, and one justified suppression.
+//! explicit scale conversions (the `*`/`/` exemption), and one justified
+//! suppression.
 
 pub fn deadline(at_s: f64, backoff_s: f64) -> f64 {
     at_s + backoff_s

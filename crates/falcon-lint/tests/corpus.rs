@@ -29,7 +29,7 @@ fn lint_fixture(rule: &str, which: &str, crate_name: &str) -> Vec<Finding> {
 /// out of scope.
 fn fixture_crate(rule: Rule) -> &'static str {
     match rule {
-        Rule::Determinism | Rule::DeterminismTaint => "falcon-sim",
+        Rule::Determinism => "falcon-sim",
         _ => "falcon-net",
     }
 }
@@ -67,6 +67,39 @@ fn good_fixtures_stay_clean() {
             rule.name()
         );
     }
+}
+
+/// The AB/BA pair in `lock-order/bad.rs` is split across two functions; the
+/// cycle check must find it, not just the same-function re-acquisition.
+#[test]
+fn lock_order_cycle_across_functions_is_found() {
+    let findings = lint_fixture("lock-order", "bad.rs", "falcon-net");
+    let kinds: Vec<bool> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::LockOrder)
+        .map(|f| f.message.starts_with("lock-order cycle"))
+        .collect();
+    assert_eq!(
+        kinds,
+        [true, false],
+        "one cycle, one re-acquisition: {findings:?}"
+    );
+}
+
+/// Directives are the only escape hatch, so each must earn its place: one
+/// that silences nothing (wrong line, wrong rule, or code since fixed) is
+/// itself a finding, while every directive in `good.rs` silences one.
+#[test]
+fn directives_that_silence_nothing_are_reported() {
+    let bad = lint_fixture("bad-suppression", "bad.rs", "falcon-net");
+    let unused: Vec<u32> = bad
+        .iter()
+        .filter(|f| f.rule == Rule::BadSuppression && f.message.contains("silences nothing"))
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(unused, [5, 10, 15], "{bad:?}");
+    let good = lint_fixture("bad-suppression", "good.rs", "falcon-net");
+    assert!(good.is_empty(), "{good:?}");
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Robustness properties for the lint toolchain: arbitrary byte soup,
 //! Rust-ish fragment soup, and truncated real Rust must never panic
-//! anywhere in the pipeline (lexer, item parser, semantic rules, engine),
-//! and lexing is stable under re-rendering — stripping a file to its
-//! token stream and lexing that stream again yields the same tokens.
+//! anywhere in the pipeline (lexer, loop matching, rules, engine), and
+//! lexing is stable under re-rendering — stripping a file to its token
+//! stream and lexing that stream again yields the same tokens.
 
 use falcon_lint::lexer::{lex, Token, TokenKind};
 use falcon_lint::lint_source;
-use falcon_lint::parse::{loop_bodies, parse_fns};
+use falcon_lint::parse::loop_bodies;
 use proptest::prelude::*;
 
 /// Fragments the soup generator splices together: partial items, loop
@@ -45,10 +45,7 @@ const FRAGMENTS: [&str; 28] = [
 
 /// Run every stage of the pipeline over one source; panics fail the test.
 fn exercise(src: &str) {
-    let lexed = lex(src);
-    let mask = vec![false; lexed.tokens.len()];
-    let _ = parse_fns(&lexed.tokens, &mask);
-    let _ = loop_bodies(&lexed.tokens);
+    let _ = loop_bodies(&lex(src).tokens);
     let _ = lint_source("crates/falcon-sim/src/soup.rs", "falcon-sim", src);
 }
 
@@ -99,7 +96,7 @@ proptest! {
     fn truncated_rust_never_panics(idx in 0usize..10_000) {
         let full = concat!(
             include_str!("cases/lock-order/bad.rs"),
-            include_str!("cases/determinism-taint/bad.rs"),
+            include_str!("cases/lock-across-blocking/bad.rs"),
             include_str!("cases/unit-mismatch/good.rs"),
             include_str!("cases/float-time-accum/bad.rs"),
         );

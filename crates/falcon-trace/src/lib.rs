@@ -347,7 +347,6 @@ impl Tracer {
                 records: std::mem::take(&mut s.events),
                 counters: s
                     .counters
-                    // falcon-lint::allow(determinism-taint, reason = "std `Vec::drain` on the counter buffer collides by simple name with the net receiver's wall-clock drain")
                     .drain(..)
                     .map(|(k, v)| (k.to_string(), v))
                     .collect(),

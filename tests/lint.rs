@@ -1,16 +1,16 @@
 //! falcon-lint enforcement test (tier 1).
 //!
 //! Runs the workspace invariant checker in-process against this checkout
-//! and fails on any finding not grandfathered by `lint-baseline.toml`.
-//! This is what makes the linter load-bearing: `cargo test` cannot pass
-//! with new determinism, panic-safety, lock-hygiene, or float-comparison
-//! violations.
+//! and fails on any finding. This is what makes the linter load-bearing:
+//! `cargo test` cannot pass with new determinism, panic-safety,
+//! lock-hygiene, float, or unit violations, nor with a suppression
+//! directive that silences nothing.
 
 use std::path::Path;
 
-use falcon_lint::{Baseline, Rule, BASELINE_FILE};
+use falcon_lint::Rule;
 
-/// The checker enforces all eight rule families; a rule silently dropped
+/// The checker enforces all seven rule families; a rule silently dropped
 /// from `FAMILIES` would make this gate weaker without failing anything.
 #[test]
 fn all_rule_families_are_enforced() {
@@ -20,7 +20,6 @@ fn all_rule_families_are_enforced() {
         "panic-safety",
         "lock-across-blocking",
         "float-cmp",
-        "determinism-taint",
         "unit-mismatch",
         "float-time-accum",
         "lock-order",
@@ -33,42 +32,17 @@ fn all_rule_families_are_enforced() {
 }
 
 #[test]
-fn workspace_is_lint_clean_modulo_baseline() {
+fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let findings = falcon_lint::lint_workspace(root).expect("workspace sources readable");
-
-    let baseline_path = root.join(BASELINE_FILE);
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text).expect("lint-baseline.toml parses"),
-        Err(_) => Baseline::empty(),
-    };
-
-    let (fresh, _grandfathered) = baseline.partition(&findings);
     assert!(
-        fresh.is_empty(),
-        "falcon-lint found {} new finding(s); fix them, add an inline \
-         `// falcon-lint::allow(rule, reason = \"...\")`, or (for pre-existing \
-         debt only) regenerate the baseline with \
-         `cargo run -p falcon-lint -- --fix-baseline`:\n{}",
-        fresh.len(),
-        fresh
+        findings.is_empty(),
+        "falcon-lint found {} finding(s); fix them, or add an inline \
+         `// falcon-lint::allow(rule, reason = \"...\")` on or above the line:\n{}",
+        findings.len(),
+        findings
             .iter()
             .map(|f| format!("  {f}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-
-    let stale = baseline.stale_entries(&findings);
-    assert!(
-        stale.is_empty(),
-        "the baseline over-allows {} (rule, file) pair(s); ratchet it down \
-         with `cargo run -p falcon-lint -- --fix-baseline`:\n{}",
-        stale.len(),
-        stale
-            .iter()
-            .map(|(rule, file, allowed, actual)| format!(
-                "  [{rule}] {file}: allows {allowed}, found {actual}"
-            ))
             .collect::<Vec<_>>()
             .join("\n")
     );
