@@ -1,6 +1,7 @@
 //! Hand-rolled `--key value` argument parsing.
 
 use std::fmt;
+use std::time::Duration;
 
 use falcon_fleet::FleetTuner;
 
@@ -135,6 +136,26 @@ fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, ParseError> {
         .map_err(|_| ParseError(format!("--{key}: cannot parse {v:?}")))
 }
 
+/// A finite number that `ok` accepts, or an error naming `key`: the one
+/// rule for the times, rates and factors the engines divide by, index with
+/// or loop until, whether a flag or a scenario key gives them.
+pub(crate) fn ranged(
+    key: &str,
+    v: &str,
+    ok: fn(f64) -> bool,
+    want: &str,
+) -> Result<f64, ParseError> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && ok(x) => Ok(x),
+        Ok(_) => Err(ParseError(format!("{key}: must be {want}, got {v:?}"))),
+        Err(_) => Err(ParseError(format!("{key}: cannot parse {v:?}"))),
+    }
+}
+
+fn positive(key: &str, v: &str) -> Result<f64, ParseError> {
+    ranged(&format!("--{key}"), v, |x| x > 0.0, "finite and > 0")
+}
+
 /// Parse a full argument vector (without the binary name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some((cmd, rest)) = args.split_first() else {
@@ -147,14 +168,15 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 match k {
                     "env" => a.env = v.to_string(),
                     "optimizer" => a.optimizer = optimizer(v)?,
-                    "duration" => a.duration_s = num(k, v)?,
-                    "gigabytes" => a.gigabytes = num(k, v)?,
+                    "duration" => a.duration_s = positive(k, v)?,
+                    "gigabytes" => {
+                        a.gigabytes = num(k, v)?;
+                        crate::scenario::dataset_ctor(&format!("1gb:{v}"))
+                            .map_err(|e| ParseError(format!("--{k}: {e}")))?;
+                    }
                     "seed" => a.seed = num(k, v)?,
                     other => return Err(ParseError(format!("unknown flag --{other}"))),
                 }
-            }
-            if a.duration_s <= 0.0 {
-                return Err(ParseError("--duration must be positive".into()));
             }
             Ok(Command::Simulate(a))
         }
@@ -163,8 +185,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             for (k, v) in take_pairs(rest)? {
                 match k {
                     "optimizer" => a.optimizer = optimizer(v)?,
-                    "per-worker-mbps" => a.per_worker_mbps = num(k, v)?,
-                    "interval" => a.interval_s = num(k, v)?,
+                    "per-worker-mbps" => a.per_worker_mbps = positive(k, v)?,
+                    // `Duration::from_secs_f64` panics on what it cannot hold.
+                    "interval" => {
+                        let ok = |x: f64| x > 0.0 && Duration::try_from_secs_f64(x).is_ok();
+                        a.interval_s = ranged("--interval", v, ok, "finite, > 0 and below 2^64")?;
+                    }
                     "probes" => a.probes = num(k, v)?,
                     "max-workers" => a.max_workers = num(k, v)?,
                     other => return Err(ParseError(format!("unknown flag --{other}"))),
@@ -175,8 +201,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "multi-parameter tuning has no effect on loopback (no control channel); use gd|bo|hc".into(),
                 ));
             }
-            if a.per_worker_mbps <= 0.0 || a.interval_s <= 0.0 || a.max_workers == 0 {
-                return Err(ParseError("loopback parameters must be positive".into()));
+            if a.max_workers == 0 {
+                return Err(ParseError("--max-workers: must be >= 1".into()));
             }
             Ok(Command::Loopback(a))
         }
@@ -300,6 +326,37 @@ mod tests {
     #[test]
     fn nonpositive_duration_rejected() {
         assert!(parse(&argv("simulate --duration 0")).is_err());
+    }
+
+    /// Numeric flags follow the scenario keys' rules, and the error names
+    /// the flag: `--interval nan` panicked building a `Duration`,
+    /// `--duration nan` printed an empty report with exit 0, and
+    /// `--duration inf` with the largest `--gigabytes` never returned.
+    #[test]
+    fn numeric_flags_must_be_finite_and_in_range() {
+        for (cmd, flag, bad) in [
+            ("simulate", "duration", "nan"),
+            ("simulate", "duration", "inf"),
+            ("simulate", "duration", "-5"),
+            ("simulate", "gigabytes", "18446744073709551615"),
+            ("simulate", "gigabytes", "17179869184"), // 2^34 GiB = 2^64 bytes
+            ("loopback", "interval", "nan"),
+            ("loopback", "interval", "inf"),
+            ("loopback", "interval", "1e300"),
+            ("loopback", "interval", "0"),
+            ("loopback", "per-worker-mbps", "nan"),
+            ("loopback", "per-worker-mbps", "inf"),
+            ("loopback", "per-worker-mbps", "-1"),
+            ("loopback", "max-workers", "0"),
+        ] {
+            let e = parse(&argv(&format!("{cmd} --{flag} {bad}"))).unwrap_err();
+            assert!(
+                e.0.starts_with(&format!("--{flag}:")),
+                "{cmd} --{flag} {bad}: {e}"
+            );
+        }
+        assert!(parse(&argv("simulate --gigabytes 17179869183 --duration 1e6")).is_ok());
+        assert!(parse(&argv("loopback --interval 0.25 --per-worker-mbps 1e6")).is_ok());
     }
 
     #[test]

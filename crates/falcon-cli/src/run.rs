@@ -1,12 +1,11 @@
 //! Command implementations.
 
-use falcon_core::FalconAgent;
-use falcon_fleet::FleetTuner;
-use falcon_sim::{Environment, EnvironmentKind, Simulation};
-use falcon_transfer::dataset::Dataset;
-use falcon_transfer::harness::{SimHarness, TransferHarness};
+use falcon_core::TransferSettings;
+use falcon_sim::{Environment, EnvironmentKind};
+use falcon_trace::TraceEvent;
 
 use crate::args::{LoopbackArgs, SimulateArgs};
+use crate::scenario::{self, AgentSpec, Scenario};
 
 /// Resolve a preset name (accepts the CLI-friendly short names).
 pub fn resolve_env(name: &str) -> Option<Environment> {
@@ -21,14 +20,6 @@ pub fn resolve_env(name: &str) -> Option<Environment> {
         _ => return None,
     };
     Some(env)
-}
-
-/// The `--optimizer` entry as a bare agent. The flag only names Falcon
-/// entries, so the error is for library callers passing a baseline.
-fn falcon_agent(optimizer: FleetTuner, max_cc: u32, seed: u64) -> Result<FalconAgent, String> {
-    optimizer
-        .agent(max_cc, seed)
-        .ok_or_else(|| format!("{} is not a Falcon optimizer", optimizer.name()))
 }
 
 /// `falcon envs`: one line per preset.
@@ -49,57 +40,61 @@ pub fn list_envs() -> String {
     out
 }
 
-/// `falcon simulate`: returns the rendered report.
+/// `falcon simulate`: the one-agent scenario its flags describe, run by the
+/// scenario runner; returns one line per probe the agent decided on.
 pub fn simulate(args: &SimulateArgs) -> Result<String, String> {
     let env =
         resolve_env(&args.env).ok_or_else(|| format!("unknown environment {:?}", args.env))?;
-    let max_cc = env.max_concurrency;
-    let interval = env.sample_interval_s;
-    let capacity = env.path_capacity_mbps();
-
-    let mut harness = SimHarness::new(Simulation::new(env, args.seed));
-    let slot = harness.join(Dataset::uniform_1gb(args.gigabytes));
-    let mut agent = falcon_agent(args.optimizer, max_cc, args.seed)?;
-    harness.apply(slot, agent.initial_settings());
+    let tuner = args.optimizer.name();
+    let sc = Scenario {
+        env: args.env.clone(),
+        duration_s: args.duration_s,
+        seed: args.seed,
+        agents: vec![AgentSpec {
+            tuner: tuner.clone(),
+            dataset: format!("1gb:{}", args.gigabytes),
+            ..AgentSpec::default()
+        }],
+        ..Scenario::default()
+    };
+    let (outcome, log) = scenario::run_traced(&sc).map_err(|e| e.to_string())?;
 
     let mut out = format!(
-        "# simulate env={} optimizer={} capacity={:.1}Gbps\n{:>8} {:>22} {:>10}\n",
+        "# simulate env={} optimizer={tuner} capacity={:.1}Gbps\n{:>8} {:>22} {:>10}\n",
         args.env,
-        agent.optimizer_name(),
-        capacity / 1000.0,
+        env.path_capacity_mbps() / 1000.0,
         "time_s",
         "setting",
         "gbps",
     );
-    let mut next_probe = interval;
-    while harness.time_s() < args.duration_s && !harness.is_complete(slot) {
-        // Event-driven stepping: hop straight to the next probe instant,
-        // in ≤1 s chunks so completion is noticed promptly.
-        let target = next_probe.min(args.duration_s);
-        harness.advance_until(harness.time_s() + 1.0_f64.min(target - harness.time_s()));
-        if harness.time_s() >= next_probe {
-            let metrics = harness.sample(slot);
-            let settings = agent.observe(metrics);
-            harness.apply(slot, settings);
+    for r in &log.records {
+        if let TraceEvent::Probe {
+            throughput_mbps,
+            concurrency,
+            parallelism,
+            pipelining,
+            ..
+        } = r.event
+        {
+            let setting = TransferSettings {
+                concurrency,
+                parallelism,
+                pipelining,
+            };
             out.push_str(&format!(
                 "{:>8.1} {:>22} {:>10.2}\n",
-                harness.time_s(),
-                metrics.settings.to_string(),
-                metrics.aggregate_mbps / 1000.0,
+                r.t_s,
+                setting.to_string(),
+                throughput_mbps / 1000.0,
             ));
-            next_probe += interval;
         }
     }
-    if harness.is_complete(slot) {
-        out.push_str(&format!(
-            "transfer complete at t={:.1}s\n",
-            harness.time_s()
-        ));
-    } else {
-        out.push_str(&format!(
+    match outcome.trace().and_then(|t| t.completed_at[0]) {
+        Some(t) => out.push_str(&format!("transfer complete at t={t:.1}s\n")),
+        None => out.push_str(&format!(
             "duration reached at t={:.1}s (transfer incomplete)\n",
-            harness.time_s()
-        ));
+            args.duration_s
+        )),
     }
     Ok(out)
 }
@@ -108,7 +103,12 @@ pub fn simulate(args: &SimulateArgs) -> Result<String, String> {
 pub fn loopback(args: &LoopbackArgs) -> Result<String, String> {
     use falcon_net::{LoopbackConfig, LoopbackTransfer, Receiver};
 
-    let mut agent = falcon_agent(args.optimizer, args.max_workers, 0xF41C0)?;
+    // The flag only names Falcon entries; the error is for library callers
+    // passing a baseline.
+    let mut agent = args
+        .optimizer
+        .agent(args.max_workers, 0xF41C0)
+        .ok_or_else(|| format!("{} is not a Falcon optimizer", args.optimizer.name()))?;
     let receiver = Receiver::start().map_err(|e| format!("receiver: {e}"))?;
     let transfer = LoopbackTransfer::start(LoopbackConfig {
         port: receiver.port(),

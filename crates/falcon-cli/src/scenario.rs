@@ -41,10 +41,9 @@
 //!
 //! Every `tuner =` value is a spelling of the one tuner registry
 //! ([`falcon_fleet::FleetTuner`]; README §"Tuner names" is the table) and
-//! is checked against it at parse time. An optional `[optimizer]` section
-//! tunes the `rl:*` knobs (`epsilon`, `alpha`, `gamma`, `warm_gbps`) of
-//! `[agent]` tuners; fleet transfers always run the registry defaults, so
-//! `[optimizer]` next to `[fleet]` is rejected.
+//! is checked against it at parse time. The spelling is all there is to a
+//! tuner: a learning tuner's warm-start corpus is part of its name
+//! (`rl:warm:<gbps>`), as HARP's is (`harp:<gbps>`).
 //!
 //! A `[fleet]` section replaces hand-listed agents with a generated
 //! multi-bottleneck campaign (see [`falcon_fleet`]): `links` is a
@@ -82,11 +81,7 @@ use falcon_transfer::dataset::{Dataset, GIB};
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, RunTrace, Runner, Tuner};
 
-/// The `[optimizer]` section. A scenario without it runs the defaults, as
-/// [`FleetTuner::make`] does; serialization emits only off-default keys.
-pub use falcon_fleet::RlKnobs;
-
-use crate::args::ParseError;
+use crate::args::{self, ParseError};
 use crate::run::resolve_env;
 
 /// One agent line of a scenario.
@@ -187,9 +182,6 @@ pub struct Scenario {
     /// Fleet campaign configuration, when the scenario has a `[fleet]`
     /// section.
     pub fleet: Option<FleetSpec>,
-    /// Learning-tuner knobs, when the scenario has an `[optimizer]`
-    /// section.
-    pub optimizer: Option<RlKnobs>,
 }
 
 impl Default for Scenario {
@@ -203,7 +195,6 @@ impl Default for Scenario {
             background: Vec::new(),
             events: Vec::new(),
             fleet: None,
-            optimizer: None,
         }
     }
 }
@@ -215,7 +206,6 @@ enum Section {
     Background,
     Event,
     Fleet,
-    Optimizer,
 }
 
 /// Accumulates the keys of one `[event]` section until it can be built.
@@ -351,16 +341,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     fleet_tuner_line = None;
                     Section::Fleet
                 }
-                "optimizer" => {
-                    sc.optimizer = Some(RlKnobs::default());
-                    Section::Optimizer
-                }
                 other => return Err(err(line_no, format!("unknown section [{other}]"))),
             };
-            if sc.fleet.is_some() && sc.optimizer.is_some() {
-                let msg = "[optimizer] applies to `[agent]` tuners only, never to [fleet]";
-                return Err(err(line_no, msg.into()));
-            }
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
@@ -371,15 +353,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             v.parse()
                 .map_err(|_| err(line_no, format!("{key}: cannot parse {v:?}")))
         };
-        // Times, rates and scale factors the engines divide by, index with
-        // or loop until: a finite number `ok` accepts, or an error here.
-        let ranged = |v: &str, ok: fn(f64) -> bool, want: &str| -> Result<f64, ParseError> {
-            let x = num(v)?;
-            if x.is_finite() && ok(x) {
-                Ok(x)
-            } else {
-                Err(err(line_no, format!("{key}: must be {want}, got {v:?}")))
-            }
+        let ranged = |v: &str, ok: fn(f64) -> bool, want: &str| {
+            args::ranged(key, v, ok, want).map_err(|e| err(line_no, e.0))
         };
         let positive = |v: &str| ranged(v, |x| x > 0.0, "finite and > 0");
         let non_negative = |v: &str| ranged(v, |x| x >= 0.0, "finite and >= 0");
@@ -529,45 +504,6 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     other => return Err(err(line_no, format!("unknown fleet key {other:?}"))),
                 }
             }
-            Section::Optimizer => {
-                let Some(o) = sc.optimizer.as_mut() else {
-                    return Err(err(
-                        line_no,
-                        "optimizer key outside an [optimizer] section".into(),
-                    ));
-                };
-                let unit = |v: f64, key: &str| -> Result<f64, ParseError> {
-                    if (0.0..=1.0).contains(&v) {
-                        Ok(v)
-                    } else {
-                        Err(err(line_no, format!("{key}: must be in [0, 1], got {v}")))
-                    }
-                };
-                match key {
-                    "epsilon" => o.epsilon = unit(num(value)?, key)?,
-                    "alpha" => o.alpha = unit(num(value)?, key)?,
-                    "gamma" => {
-                        let v = num(value)?;
-                        if !(0.0..1.0).contains(&v) {
-                            return Err(err(
-                                line_no,
-                                format!(
-                                    "gamma: must be in [0, 1) for the contraction bound, got {v}"
-                                ),
-                            ));
-                        }
-                        o.gamma = v;
-                    }
-                    "warm_gbps" => {
-                        let v = num(value)?;
-                        if v <= 0.0 || v.is_nan() {
-                            return Err(err(line_no, format!("warm_gbps: must be > 0, got {v}")));
-                        }
-                        o.warm_gbps = v;
-                    }
-                    other => return Err(err(line_no, format!("unknown optimizer key {other:?}"))),
-                }
-            }
         }
     }
     match section {
@@ -688,22 +624,6 @@ pub fn serialize(sc: &Scenario) -> String {
             let _ = writeln!(w, "shards = {}", f.shards);
         }
     }
-    if let Some(o) = &sc.optimizer {
-        let _ = writeln!(w, "\n[optimizer]");
-        let d = RlKnobs::default();
-        if o.epsilon != d.epsilon {
-            let _ = writeln!(w, "epsilon = {}", o.epsilon);
-        }
-        if o.alpha != d.alpha {
-            let _ = writeln!(w, "alpha = {}", o.alpha);
-        }
-        if o.gamma != d.gamma {
-            let _ = writeln!(w, "gamma = {}", o.gamma);
-        }
-        if o.warm_gbps != d.warm_gbps {
-            let _ = writeln!(w, "warm_gbps = {}", o.warm_gbps);
-        }
-    }
     out
 }
 
@@ -713,7 +633,7 @@ type DatasetCtor = (fn(u64) -> Dataset, u64);
 
 /// What a `dataset =` value names. Checking a name builds nothing: the
 /// seeded generators draw tens of thousands of sizes.
-fn dataset_ctor(spec: &str) -> Result<DatasetCtor, String> {
+pub(crate) fn dataset_ctor(spec: &str) -> Result<DatasetCtor, String> {
     if let Some(count) = spec.strip_prefix("1gb:") {
         return match count.parse::<u64>() {
             Ok(n) if n.checked_mul(GIB).is_some() => Ok((Dataset::uniform_1gb, n)),
@@ -739,11 +659,10 @@ fn make_dataset(spec: &str) -> Result<Dataset, ParseError> {
 }
 
 /// Agent `i`'s tuner: the registry entry its spelling names, seeded
-/// `seed + i`, with the `[optimizer]` knobs applied.
+/// `seed + i`.
 fn agent_tuner(sc: &Scenario, i: usize, max_cc: u32) -> Result<Box<dyn Tuner>, ParseError> {
-    let knobs = sc.optimizer.clone().unwrap_or_default();
     let tuner = FleetTuner::parse(&sc.agents[i].tuner).map_err(ParseError)?;
-    Ok(tuner.make_with(&knobs, max_cc, sc.seed.wrapping_add(i as u64)))
+    Ok(tuner.make(max_cc, sc.seed.wrapping_add(i as u64)))
 }
 
 /// Drive the `[agent]` sections through the shared runner.
@@ -1089,12 +1008,12 @@ agent = 0
     #[test]
     fn rejects_unknown_keys_and_sections() {
         assert!(parse("bogus = 1\n[agent]\ntuner = falcon-gd\n").is_err());
-        assert!(parse("[warp]\n").is_err());
         assert!(parse("[agent]\nwarp = 9\n").is_err());
         // Unknown `env =` / `dataset =` names and file counts whose bytes
         // do not fit a u64 are parse errors with the line number, not
         // run-time errors (or a failed 800 TB allocation).
         for (text, want) in [
+            ("[agent]\n[warp]\n", "line 2: unknown section [warp]"),
             ("env = mars\n[agent]\n", "line 1: unknown environment"),
             ("[agent]\ndataset = petabytes\n", "line 2: unknown dataset"),
             ("[agent]\ndataset = 1gb:many\n", "line 2: dataset 1gb:many"),
@@ -1242,50 +1161,6 @@ agent = 0
     }
 
     #[test]
-    fn parses_optimizer_section_and_round_trips() {
-        let sc = parse(
-            "[agent]\ntuner = rl:bandit\n\n[optimizer]\nepsilon = 0.1\n\
-             gamma = 0.8\nwarm_gbps = 40\n",
-        )
-        .unwrap();
-        let o = sc.optimizer.clone().expect("optimizer section");
-        assert_eq!(o.epsilon, 0.1);
-        assert_eq!(o.gamma, 0.8);
-        assert_eq!(o.warm_gbps, 40.0);
-        // alpha keeps the falcon-rl default.
-        assert_eq!(o.alpha, RlKnobs::default().alpha);
-        // Canonical serialize: off-default keys only, and the round trip
-        // is exact — including an all-defaults section.
-        let text = serialize(&sc);
-        assert!(text.contains("[optimizer]"), "{text}");
-        assert!(!text.contains("alpha ="), "{text}");
-        assert_eq!(parse(&text).unwrap(), sc);
-        let mut plain = sc.clone();
-        plain.optimizer = Some(RlKnobs::default());
-        assert_eq!(parse(&serialize(&plain)).unwrap(), plain);
-    }
-
-    #[test]
-    fn rejects_bad_optimizer_keys() {
-        assert!(parse("[agent]\ntuner = rl:q\n[optimizer]\nepsilon = 1.5\n").is_err());
-        assert!(parse("[agent]\ntuner = rl:q\n[optimizer]\ngamma = 1.0\n").is_err());
-        assert!(parse("[agent]\ntuner = rl:q\n[optimizer]\nwarm_gbps = 0\n").is_err());
-        assert!(parse("[agent]\ntuner = rl:q\n[optimizer]\nwarp = 9\n").is_err());
-    }
-
-    #[test]
-    fn rl_agents_run_with_optimizer_overrides() {
-        let sc = parse(
-            "env = emulab10\nduration = 120\nseed = 4\n\n[agent]\ntuner = rl:bandit\n\
-             \n[agent]\ntuner = rl:warm\n\n[optimizer]\nepsilon = 0.02\nwarm_gbps = 1\n",
-        )
-        .unwrap();
-        let out = run(&sc).unwrap();
-        assert!(out.contains("rl:bandit"), "{out}");
-        assert!(out.contains("rl:warm"), "{out}");
-    }
-
-    #[test]
     fn every_dataset_name_constructs() {
         for d in ["1gb:100", "small", "large", "mixed"] {
             assert!(make_dataset(d).is_ok(), "{d}");
@@ -1333,15 +1208,13 @@ agent = 0
         // Unknown key.
         assert!(parse("[fleet]\nwarp = 9\n").is_err());
         // Tuner spellings are checked against the registry at parse time,
-        // with the line number, in [fleet] and [agent] alike; [optimizer]
-        // reaches [agent] tuners only.
+        // with the line number, in [fleet] and [agent] alike.
         for (text, want) in [
             ("[fleet]\ntuner = skynet\n", "line 2: unknown tuner"),
             ("[fleet]\ntuner = fixed:0\n", "line 2: unknown tuner"),
             ("[agent]\ntuner = skynet\n", "line 2: unknown tuner"),
             ("[agent]\ntuner = fixed:0\n", "line 2: unknown tuner"),
-            ("[fleet]\n[optimizer]\n", "line 2: [optimizer] applies to"),
-            ("[optimizer]\n[fleet]\n", "line 2: [optimizer] applies to"),
+            ("[agent]\ntuner = rl:warm:0\n", "line 2: unknown tuner"),
             // Workload rates and sizes the generators divide by
             // (`arrivals_per_min = nan` printed NaN utilisations).
             (
@@ -1568,17 +1441,19 @@ agent = 0
     }
 
     #[test]
-    fn shipped_fleet_churn_scenario_parses() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../scenarios/fleet_churn.ini"
-        );
-        let text = std::fs::read_to_string(path).unwrap();
-        let sc = parse(&text).unwrap();
-        let f = sc.fleet.expect("fleet section");
-        assert_eq!(f.links_mbps.len(), 3);
-        assert_eq!(f.transfers, 200);
-        assert_eq!(sc.duration_s, 600.0);
+    fn every_shipped_scenario_is_canonical() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "ini") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let sc = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert_eq!(parse(&serialize(&sc)).unwrap(), sc, "{}", path.display());
+                checked += 1;
+            }
+        }
+        assert!(checked >= 7, "only {checked} scenarios in {dir}");
     }
 
     #[test]

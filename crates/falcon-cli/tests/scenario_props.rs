@@ -1,7 +1,7 @@
 //! Property tests for the scenario INI parser: arbitrary input never
 //! panics, and `parse(serialize(sc))` reproduces `sc` exactly.
 
-use falcon_cli::scenario::{parse, serialize, AgentSpec, FleetSpec, RlKnobs, Scenario};
+use falcon_cli::scenario::{parse, serialize, AgentSpec, FleetSpec, Scenario};
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction};
 use proptest::prelude::*;
 
@@ -12,9 +12,9 @@ const FRAGMENTS: [&str; 27] = [
     "[background]",
     "[event]",
     "[fleet]",
-    "[optimizer]",
-    "epsilon = 0.04",
-    "gamma = 1.0",
+    "tuner = rl:warm:1",
+    "tuner = rl:warm:0",
+    "tuner = rl:warm:nan",
     "[bogus]",
     "[",
     "]",
@@ -65,7 +65,7 @@ proptest! {
     fn serialize_round_trips(
         (duration_s, seed, env_pick, trace_pick) in (1.0f64..2000.0, 0u64..1_000_000, 0usize..3, 0usize..2),
         agents in proptest::collection::vec(
-            (0usize..5, 0.0f64..500.0, 0.0f64..2.0, 0usize..4),
+            (0usize..6, 0.0f64..500.0, 0.0f64..2.0, 0usize..4),
             0..4,
         ),
         backgrounds in proptest::collection::vec(
@@ -77,9 +77,9 @@ proptest! {
             0..4,
         ),
         fleet in (0usize..2, proptest::collection::vec(1.0f64..5000.0, 1..5), 0usize..400, 0.0f64..80.0),
-        opt_pick in 0usize..3,
     ) {
-        const TUNERS: [&str; 5] = ["falcon-gd", "falcon-bo", "harp", "fixed:4", "rl:bandit"];
+        const TUNERS: [&str; 6] =
+            ["falcon-gd", "falcon-bo", "harp", "fixed:4", "rl:bandit", "rl:warm:2.5"];
         const DATASETS: [&str; 4] = ["1gb:100", "small", "large", "mixed"];
         const ENVS: [&str; 3] = ["xsede", "emulab10", "hpclab"];
 
@@ -138,8 +138,8 @@ proptest! {
                 anchor_gb,
                 // Classic sections take any registry tuner; scale sections
                 // (even `transfers`) only `fixed:<cc>` and `rl:*`, the
-                // last two of TUNERS.
-                tuner: TUNERS[if transfers % 2 == 0 { 3 + transfers / 2 % 2 } else { transfers % 5 }]
+                // last three of TUNERS.
+                tuner: TUNERS[if transfers % 2 == 0 { 3 + transfers / 2 % 3 } else { transfers % 6 }]
                     .to_string(),
                 // Exercise the scale keys off their defaults half the time
                 // so round-trips cover both the implicit and explicit forms.
@@ -149,18 +149,6 @@ proptest! {
                 tenants: 1 + (transfers as u32 % 2),
                 shards: 8,
             }),
-            // Cover all three forms: absent, all-defaults, off-default
-            // ([optimizer] is rejected next to [fleet]).
-            optimizer: match opt_pick * (1 - has_fleet) {
-                0 => None,
-                1 => Some(RlKnobs::default()),
-                _ => Some(RlKnobs {
-                    epsilon: 0.1,
-                    alpha: 0.5,
-                    gamma: 0.9,
-                    warm_gbps: 40.0,
-                }),
-            },
         };
 
         let text = serialize(&sc);

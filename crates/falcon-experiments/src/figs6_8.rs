@@ -116,7 +116,7 @@ fn competing_convergence(utility: UtilityFunction, seed: u64) -> (f64, f64, f64)
 /// Steady-state fluid model of the Emulab-48 two-agent game: per-connection
 /// fair sharing with the 21 Mbps/process throttle and the default loss
 /// model. Returns the metrics agent 1 would observe at (n, m).
-fn emulab48_game_metrics(n: u32, m: u32) -> falcon_core::ProbeMetrics {
+pub fn emulab48_game_metrics(n: u32, m: u32) -> falcon_core::ProbeMetrics {
     use falcon_tcp::BottleneckLossModel;
     let total = n + m;
     let per_conn = 21.0f64.min(1000.0 / f64::from(total.max(1)));
@@ -131,24 +131,27 @@ fn emulab48_game_metrics(n: u32, m: u32) -> falcon_core::ProbeMetrics {
     )
 }
 
-/// Iterated best response of the two-agent game under `utility`: each agent
-/// in turn picks the concurrency maximizing its utility given the other's
+/// The concurrency in `1..=100` maximizing an agent's `utility` in the
+/// Emulab-48 game when its opponent runs `m` connections.
+pub fn best_response(utility: UtilityFunction, m: u32) -> u32 {
+    (1..=100u32)
+        .max_by(|&a, &b| {
+            let ua = utility.evaluate(&emulab48_game_metrics(a, m));
+            let ub = utility.evaluate(&emulab48_game_metrics(b, m));
+            ua.total_cmp(&ub)
+        })
+        .unwrap_or(1)
+}
+
+/// Iterated best response of the two-agent game under `utility`, from
+/// (2, 2): each agent in turn picks its [`best_response`] to the other's
 /// choice, until a fixed point. This is the Nash equilibrium the paper's
 /// Figure 6(c) agents approach empirically.
 pub fn best_response_equilibrium(utility: UtilityFunction) -> (u32, u32) {
-    let best_response = |m: u32| -> u32 {
-        (1..=100u32)
-            .max_by(|&a, &b| {
-                let ua = utility.evaluate(&emulab48_game_metrics(a, m));
-                let ub = utility.evaluate(&emulab48_game_metrics(b, m));
-                ua.total_cmp(&ub)
-            })
-            .unwrap_or(1)
-    };
     let (mut n1, mut n2) = (2u32, 2u32);
     for _ in 0..200 {
-        let r1 = best_response(n2);
-        let r2 = best_response(r1);
+        let r1 = best_response(utility, n2);
+        let r2 = best_response(utility, r1);
         if r1 == n1 && r2 == n2 {
             break;
         }

@@ -21,7 +21,7 @@ pub const LINEUP: [FleetTuner; 6] = [
     FleetTuner::Bayesian,
     FleetTuner::Rl(RlKind::Bandit),
     FleetTuner::Rl(RlKind::Q),
-    FleetTuner::Rl(RlKind::Warm),
+    FleetTuner::Rl(RlKind::Warm(None)),
 ];
 
 /// `rl` experiment: the full lineup at the scenario-file shapes —
@@ -133,7 +133,7 @@ mod tests {
         let lineup = [
             FleetTuner::GradientDescent,
             FleetTuner::Rl(RlKind::Bandit),
-            FleetTuner::Rl(RlKind::Warm),
+            FleetTuner::Rl(RlKind::Warm(None)),
         ];
         let t = head_to_head(&lineup, flap, 5, &churn, 2);
         assert_eq!(t.rows.len(), lineup.len());

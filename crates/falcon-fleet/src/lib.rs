@@ -41,7 +41,7 @@ mod tuner;
 mod workload;
 
 pub use campaign::{run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec};
-pub use falcon_rl::{RlKind, RlKnobs};
+pub use falcon_rl::RlKind;
 pub use report::{FleetReport, LinkReport};
 pub use scale::{
     correlated_failure_waves, run_scale_campaign, run_scale_campaign_traced, LinkFailure,

@@ -24,7 +24,7 @@
 //! 10⁵-transfer fat-tree campaign.
 
 use falcon_core::{FalconAgent, ProbeMetrics, TransferSettings};
-use falcon_rl::{RlKind, RlKnobs};
+use falcon_rl::RlKind;
 use falcon_sim::alloc::IncrementalMaxMin;
 use falcon_sim::KeyedEventQueue;
 use falcon_trace::Tracer;
@@ -57,7 +57,7 @@ pub const PROBE_INTERVAL_S: f64 = 5.0;
 /// stream through `IncrementalMaxMin::update_stream`. In `Rl` mode
 /// [`ScaleWorkload::concurrency`] becomes the lattice *ceiling* instead
 /// of the pinned value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ScaleTuner {
     /// Pinned concurrency, no probes (the pre-tuner engine).
     #[default]
@@ -816,7 +816,6 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
     let mut active = 0u32;
     let mut affected: Vec<u32> = Vec::new();
     let rl = input.tuner != ScaleTuner::Fixed;
-    let knobs = RlKnobs::default();
 
     loop {
         out.peak_queue = out.peak_queue.max(events.len() as u64);
@@ -835,7 +834,6 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 let mut agent = None;
                 if let ScaleTuner::Rl(kind) = input.tuner {
                     let a = kind.agent(
-                        &knobs,
                         input.concurrency,
                         falcon_par::task_seed(input.seed, gidx as usize),
                     );
@@ -1203,7 +1201,7 @@ mod tests {
 
     #[test]
     fn rl_tuners_probe_and_drain_the_campaign() {
-        for kind in [RlKind::Bandit, RlKind::Q, RlKind::Warm] {
+        for kind in [RlKind::Bandit, RlKind::Q, RlKind::Warm(None)] {
             let r = run_scale_campaign(&rl_spec(kind), 1);
             assert_eq!(r.completions, r.transfers, "{kind:?} left transfers");
             assert_eq!(r.stranded, 0);

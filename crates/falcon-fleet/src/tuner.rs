@@ -6,7 +6,7 @@
 
 use falcon_baselines::{GlobusTuner, HarpHistory, HarpTuner};
 use falcon_core::{FalconAgent, SearchBounds, TransferSettings};
-use falcon_rl::{RlKind, RlKnobs};
+use falcon_rl::RlKind;
 use falcon_transfer::dataset::Dataset;
 use falcon_transfer::runner::{FixedTuner, Tuner};
 
@@ -37,16 +37,15 @@ pub enum FleetTuner {
 }
 
 /// What an entry constructs: the Falcon family are bare agents (the CLI's
-/// `simulate`/`loopback` loops hold one directly), the baselines are
-/// opaque tuners.
+/// `loopback` loop holds one directly), the baselines are opaque tuners.
 enum Built {
     Agent(FalconAgent),
     Baseline(Box<dyn Tuner>),
 }
 
 impl FleetTuner {
-    /// The entries without a parameter; with `harp:<gbps>` and `fixed:<cc>`
-    /// they are the whole registry.
+    /// The entries without a parameter; with `rl:warm:<gbps>`,
+    /// `harp:<gbps>` and `fixed:<cc>` they are the whole registry.
     const PLAIN: [FleetTuner; 10] = [
         FleetTuner::GradientDescent,
         FleetTuner::HillClimbing,
@@ -54,7 +53,7 @@ impl FleetTuner {
         FleetTuner::MultiParameter,
         FleetTuner::Rl(RlKind::Bandit),
         FleetTuner::Rl(RlKind::Q),
-        FleetTuner::Rl(RlKind::Warm),
+        FleetTuner::Rl(RlKind::Warm(None)),
         FleetTuner::Globus,
         FleetTuner::Harp(None),
         FleetTuner::HarpRt,
@@ -65,20 +64,23 @@ impl FleetTuner {
     pub fn names() -> Vec<String> {
         let plain = FleetTuner::PLAIN.iter().map(|t| t.name());
         plain
-            .chain(["harp:<gbps>", "fixed:<cc>"].map(String::from))
+            .chain(["rl:warm:<gbps>", "harp:<gbps>", "fixed:<cc>"].map(String::from))
             .collect()
     }
 
     /// Parse a spelling; `None` for anything outside [`FleetTuner::names`]
-    /// (including `fixed:0` and non-positive `harp:` capacities).
+    /// (including `fixed:0` and non-positive corpus capacities).
     pub fn from_name(s: &str) -> Option<FleetTuner> {
         if let Some(cc) = s.strip_prefix("fixed:") {
             let cc: u32 = cc.parse().ok()?;
             return (cc >= 1).then_some(FleetTuner::Fixed(cc));
         }
-        if let Some(gbps) = s.strip_prefix("harp:") {
-            let g: f64 = gbps.parse().ok()?;
-            return (g.is_finite() && g > 0.0).then_some(FleetTuner::Harp(Some(g)));
+        let gbps = |g: &str| g.parse().ok().filter(|g: &f64| g.is_finite() && *g > 0.0);
+        if let Some(g) = s.strip_prefix("rl:warm:") {
+            return gbps(g).map(|g| FleetTuner::Rl(RlKind::Warm(Some(g))));
+        }
+        if let Some(g) = s.strip_prefix("harp:") {
+            return gbps(g).map(|g| FleetTuner::Harp(Some(g)));
         }
         FleetTuner::PLAIN.into_iter().find(|t| t.name() == s)
     }
@@ -102,7 +104,8 @@ impl FleetTuner {
             FleetTuner::MultiParameter => "falcon-mp".to_string(),
             FleetTuner::Rl(RlKind::Bandit) => "rl:bandit".to_string(),
             FleetTuner::Rl(RlKind::Q) => "rl:q".to_string(),
-            FleetTuner::Rl(RlKind::Warm) => "rl:warm".to_string(),
+            FleetTuner::Rl(RlKind::Warm(None)) => "rl:warm".to_string(),
+            FleetTuner::Rl(RlKind::Warm(Some(gbps))) => format!("rl:warm:{gbps}"),
             FleetTuner::Globus => "globus".to_string(),
             FleetTuner::Harp(None) => "harp".to_string(),
             FleetTuner::Harp(Some(gbps)) => format!("harp:{gbps}"),
@@ -111,7 +114,7 @@ impl FleetTuner {
         }
     }
 
-    fn build(self, knobs: &RlKnobs, max_cc: u32, seed: u64) -> Built {
+    fn build(self, max_cc: u32, seed: u64) -> Built {
         let harp = |gbps: Option<f64>| {
             HarpTuner::new(
                 gbps.map_or_else(HarpHistory::ten_gig_corpus, HarpHistory::for_capacity_gbps),
@@ -124,7 +127,7 @@ impl FleetTuner {
             FleetTuner::MultiParameter => Built::Agent(FalconAgent::multi_parameter(
                 SearchBounds::multi_parameter(max_cc, 8, 32),
             )),
-            FleetTuner::Rl(kind) => Built::Agent(kind.agent(knobs, max_cc, seed)),
+            FleetTuner::Rl(kind) => Built::Agent(kind.agent(max_cc, seed)),
             FleetTuner::Globus => Built::Baseline(Box::new(GlobusTuner::for_dataset(
                 &Dataset::uniform_1gb(1000),
             ))),
@@ -137,14 +140,9 @@ impl FleetTuner {
         }
     }
 
-    /// Build one transfer's tuner with default [`RlKnobs`].
+    /// Build one transfer's tuner.
     pub fn make(self, max_cc: u32, seed: u64) -> Box<dyn Tuner> {
-        self.make_with(&RlKnobs::default(), max_cc, seed)
-    }
-
-    /// Build one transfer's tuner; `knobs` reach the `rl:*` entries only.
-    pub fn make_with(self, knobs: &RlKnobs, max_cc: u32, seed: u64) -> Box<dyn Tuner> {
-        match self.build(knobs, max_cc, seed) {
+        match self.build(max_cc, seed) {
             Built::Agent(agent) => Box::new(agent),
             Built::Baseline(tuner) => tuner,
         }
@@ -153,7 +151,7 @@ impl FleetTuner {
     /// The Falcon-family entries (GD/HC/BO/MP and `rl:*`) as a bare agent;
     /// `None` for the baselines, which have no utility or optimizer.
     pub fn agent(self, max_cc: u32, seed: u64) -> Option<FalconAgent> {
-        match self.build(&RlKnobs::default(), max_cc, seed) {
+        match self.build(max_cc, seed) {
             Built::Agent(agent) => Some(agent),
             Built::Baseline(_) => None,
         }
@@ -163,6 +161,7 @@ impl FleetTuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use falcon_core::ProbeMetrics;
 
     /// What each entry *does* once built is the root proptest
     /// `every_registry_tuner_conforms_on_hostile_probe_streams`.
@@ -177,11 +176,44 @@ mod tests {
             assert_eq!(FleetTuner::from_name(&t.name()), Some(t));
         }
         for bad in [
-            "skynet", "rl:sarsa", "fixd:2", "fixed:0", "fixed:", "fixed:-1", "harp:0", "harp:nan",
-            "harp:", "",
+            "skynet",
+            "rl:sarsa",
+            "fixd:2",
+            "fixed:0",
+            "fixed:",
+            "fixed:-1",
+            "harp:0",
+            "harp:nan",
+            "harp:",
+            "rl:warm:0",
+            "rl:warm:nan",
+            "rl:warm:",
+            "",
         ] {
             assert_eq!(FleetTuner::from_name(bad), None, "{bad:?}");
         }
+    }
+
+    /// The warm-start corpus is part of the spelling: `rl:warm` is the 11
+    /// Gbps production corpus, so it decides exactly as `rl:warm:11`, and a
+    /// 1 Gbps corpus opens elsewhere.
+    #[test]
+    fn warm_corpus_is_set_by_the_spelling() {
+        let decisions = |name: &str| {
+            let mut t = FleetTuner::from_name(name)
+                .expect("registry spelling")
+                .make(32, 9);
+            let mut s = t.initial();
+            let mut seen = vec![s];
+            for k in 0..20 {
+                let thr = 80.0 * f64::from(s.concurrency.min(12)) * (1.0 + 0.01 * f64::from(k % 5));
+                s = t.on_sample(&ProbeMetrics::from_aggregate(s, thr, 0.0, 5.0));
+                seen.push(s);
+            }
+            seen
+        };
+        assert_eq!(decisions("rl:warm"), decisions("rl:warm:11"));
+        assert_ne!(decisions("rl:warm"), decisions("rl:warm:1"));
     }
 
     #[test]

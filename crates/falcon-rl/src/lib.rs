@@ -128,66 +128,35 @@ pub fn arm_lattice(bounds: &SearchBounds) -> Vec<TransferSettings> {
     arms
 }
 
-/// Knobs of the learning tuners (a scenario's `[optimizer]` section).
-/// Defaults are [`BanditParams`]' and [`QParams`]' own, and the warm-start
-/// corpus defaults to [`HarpHistory::ten_gig_corpus`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RlKnobs {
-    /// Bandit exploration-jump probability (`BanditParams::epsilon`).
-    pub epsilon: f64,
-    /// Bandit recency-blend floor (`BanditParams::alpha_floor`).
-    pub alpha: f64,
-    /// Q-learner discount factor (`QParams::gamma`).
-    pub gamma: f64,
-    /// Warm-start corpus capacity in Gbps
-    /// (`HarpHistory::for_capacity_gbps`).
-    pub warm_gbps: f64,
-}
-
-impl Default for RlKnobs {
-    fn default() -> Self {
-        let b = BanditParams::new(2, 0);
-        let q = QParams::new(2, 0);
-        RlKnobs {
-            epsilon: b.epsilon,
-            alpha: b.alpha_floor,
-            gamma: q.gamma,
-            warm_gbps: HarpHistory::ten_gig_corpus().target_mbps / 1000.0,
-        }
-    }
-}
-
 /// Which learning tuner a transfer uses (`rl:bandit`, `rl:q`, `rl:warm`
-/// in the tuner registry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// and `rl:warm:<gbps>` in the tuner registry).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RlKind {
     /// Seeded epsilon-greedy/UCB bandit over the concurrency lattice.
     Bandit,
     /// Tabular Q-learner with coarse state features.
     Q,
-    /// Bandit warm-started from an offline corpus value table.
-    Warm,
+    /// Bandit warm-started from an offline corpus value table: the 10G
+    /// production corpus (`rl:warm`), or one that extrapolates to the given
+    /// Gbps (`rl:warm:<gbps>`), as HARP's `harp:<gbps>`.
+    Warm(Option<f64>),
 }
 
 impl RlKind {
-    /// Build one transfer's learning agent behind the Eq 4 utility — the
-    /// one constructor every harness (registry, scale shard loop,
-    /// experiments) goes through. `Warm` fits its table offline from
-    /// synthetic traces of the `warm_gbps` corpus, then adapts online.
+    /// Build one transfer's learning agent behind the Eq 4 utility, on the
+    /// [`BanditParams`]/[`QParams`] defaults — the one constructor every
+    /// harness (registry, scale shard loop, experiments) goes through.
+    /// `Warm` fits its table offline from synthetic traces of its corpus,
+    /// then adapts online.
     #[must_use]
-    pub fn agent(self, knobs: &RlKnobs, max_cc: u32, seed: u64) -> FalconAgent {
-        let mut params = BanditParams::new(max_cc, seed);
-        params.epsilon = knobs.epsilon;
-        params.alpha_floor = knobs.alpha;
+    pub fn agent(self, max_cc: u32, seed: u64) -> FalconAgent {
+        let params = BanditParams::new(max_cc, seed);
         let optimizer: Box<dyn OnlineOptimizer> = match self {
             RlKind::Bandit => Box::new(BanditOptimizer::new(params)),
-            RlKind::Q => {
-                let mut q = QParams::new(max_cc, seed);
-                q.gamma = knobs.gamma;
-                Box::new(TabularQOptimizer::new(q))
-            }
-            RlKind::Warm => {
-                let history = HarpHistory::for_capacity_gbps(knobs.warm_gbps);
+            RlKind::Q => Box::new(TabularQOptimizer::new(QParams::new(max_cc, seed))),
+            RlKind::Warm(gbps) => {
+                let history =
+                    gbps.map_or_else(HarpHistory::ten_gig_corpus, HarpHistory::for_capacity_gbps);
                 let table = WarmTable::fit(&history, &params.bounds, 24, seed);
                 Box::new(BanditOptimizer::warm_started(params, &table))
             }
@@ -196,10 +165,10 @@ impl RlKind {
     }
 }
 
-/// [`RlKind::Bandit`] with default knobs.
+/// [`RlKind::Bandit`]'s agent.
 #[must_use]
 pub fn bandit_agent(max_concurrency: u32, seed: u64) -> FalconAgent {
-    RlKind::Bandit.agent(&RlKnobs::default(), max_concurrency, seed)
+    RlKind::Bandit.agent(max_concurrency, seed)
 }
 
 #[cfg(test)]
@@ -278,12 +247,11 @@ mod tests {
 
     #[test]
     fn agents_have_rl_optimizer_names() {
-        let knobs = RlKnobs::default();
         assert_eq!(bandit_agent(64, 7).optimizer_name(), "rl-bandit");
-        assert_eq!(RlKind::Q.agent(&knobs, 64, 7).optimizer_name(), "rl-q");
-        assert_eq!(
-            RlKind::Warm.agent(&knobs, 64, 7).optimizer_name(),
-            "rl-warm"
-        );
+        assert_eq!(RlKind::Q.agent(64, 7).optimizer_name(), "rl-q");
+        for corpus in [None, Some(1.0)] {
+            let name = RlKind::Warm(corpus).agent(64, 7).optimizer_name();
+            assert_eq!(name, "rl-warm");
+        }
     }
 }

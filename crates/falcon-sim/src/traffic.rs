@@ -1,16 +1,10 @@
-//! Background cross-traffic generators.
+//! Background cross-traffic generator.
 //!
 //! The paper's core motivation for *online* optimization is that "the
 //! optimal solution can be different for identical transfers … over time
-//! due to change in background traffic" (§1). These generators script
+//! due to change in background traffic" (§1). [`periodic_bursts`] scripts
 //! [`crate::BackgroundFlow`]s onto the shared bottleneck so experiments can
-//! exercise exactly that: periodic bursts, long diurnal-style ramps, and
-//! Poisson flow arrivals like a production WAN's competing users.
-//!
-//! All generators are deterministic for a given seed.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! exercise exactly that.
 
 use crate::sim::BackgroundFlow;
 
@@ -45,77 +39,6 @@ pub fn periodic_bursts(
     flows
 }
 
-/// A staircase ramp that grows from 0 to `peak_mbps` over `ramp_s` and
-/// back down, approximating a diurnal load pattern with `steps` levels.
-pub fn diurnal_ramp(
-    start_s: f64,
-    ramp_s: f64,
-    peak_mbps: f64,
-    connections_at_peak: u32,
-    steps: u32,
-) -> Vec<BackgroundFlow> {
-    debug_assert!(steps >= 1);
-    let steps = steps.max(1);
-    let mut flows = Vec::new();
-    let step_s = ramp_s / f64::from(steps);
-    let layer_demand = peak_mbps / f64::from(steps);
-    let layer_conns = ((f64::from(connections_at_peak) / f64::from(steps)).ceil() as u32).max(1);
-    // Each layer switches on progressively and off in reverse order, so
-    // the aggregate demand rises and falls like a staircase peaking at
-    // `peak_mbps` in the middle.
-    for i in 0..steps {
-        flows.push(BackgroundFlow {
-            start_s: start_s + f64::from(i) * step_s,
-            end_s: start_s + 2.0 * ramp_s - f64::from(i) * step_s,
-            demand_mbps: layer_demand,
-            connections: layer_conns,
-        });
-    }
-    flows
-}
-
-/// Poisson arrivals of competing flows: exponential inter-arrival times
-/// with mean `mean_interarrival_s`, exponential holding times with mean
-/// `mean_duration_s`, each flow demanding `demand_mbps` over `connections`
-/// connections. Deterministic per seed.
-#[allow(clippy::too_many_arguments)]
-pub fn poisson_flows(
-    seed: u64,
-    start_s: f64,
-    until_s: f64,
-    mean_interarrival_s: f64,
-    mean_duration_s: f64,
-    demand_mbps: f64,
-    connections: u32,
-) -> Vec<BackgroundFlow> {
-    debug_assert!(mean_interarrival_s > 0.0 && mean_duration_s > 0.0);
-    if mean_interarrival_s <= 0.0 || mean_duration_s <= 0.0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut exp = |mean: f64| -> f64 {
-        let u: f64 = rng.gen::<f64>().max(1e-12);
-        -mean * u.ln()
-    };
-    let mut flows = Vec::new();
-    let mut t = start_s;
-    loop {
-        // falcon-lint::allow(float-time-accum, reason = "Poisson arrival times are cumulative sums of exponentials by definition; no closed-form grid exists")
-        t += exp(mean_interarrival_s);
-        if t >= until_s {
-            break;
-        }
-        let dur = exp(mean_duration_s);
-        flows.push(BackgroundFlow {
-            start_s: t,
-            end_s: (t + dur).min(until_s),
-            demand_mbps,
-            connections,
-        });
-    }
-    flows
-}
-
 /// Total background demand active at time `t` (for assertions and plots).
 pub fn demand_at(flows: &[BackgroundFlow], t: f64) -> f64 {
     flows
@@ -142,42 +65,6 @@ mod tests {
     fn periodic_bursts_respect_horizon() {
         let flows = periodic_bursts(0.0, 100.0, 90.0, 100.0, 1, 250.0);
         assert!(flows.iter().all(|f| f.end_s <= 250.0));
-    }
-
-    #[test]
-    fn diurnal_ramp_rises_and_falls() {
-        let flows = diurnal_ramp(0.0, 300.0, 600.0, 6, 3);
-        let early = demand_at(&flows, 50.0);
-        let peak = demand_at(&flows, 300.0);
-        let late = demand_at(&flows, 550.0);
-        assert!(peak > early, "peak {peak} vs early {early}");
-        assert!(peak > late, "peak {peak} vs late {late}");
-        // Peak carries the full configured load.
-        assert!((peak - 600.0).abs() < 1.0, "peak {peak}");
-    }
-
-    #[test]
-    fn poisson_flows_deterministic_and_bounded() {
-        let a = poisson_flows(9, 0.0, 1000.0, 50.0, 100.0, 200.0, 2);
-        let b = poisson_flows(9, 0.0, 1000.0, 50.0, 100.0, 200.0, 2);
-        assert_eq!(a.len(), b.len());
-        assert!(!a.is_empty());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.start_s, y.start_s);
-            assert_eq!(x.end_s, y.end_s);
-        }
-        assert!(a.iter().all(|f| f.start_s >= 0.0 && f.end_s <= 1000.0));
-    }
-
-    #[test]
-    fn poisson_mean_arrival_rate_plausible() {
-        // Mean inter-arrival 50 s over 10 000 s → ~200 flows, allow wide slack.
-        let flows = poisson_flows(13, 0.0, 10_000.0, 50.0, 30.0, 100.0, 1);
-        assert!(
-            (120..=300).contains(&flows.len()),
-            "got {} flows",
-            flows.len()
-        );
     }
 
     #[test]

@@ -3,56 +3,21 @@
 //! Two transfers share a 1 Gbps link (21 Mbps per process, the Emulab-48
 //! setup of Figure 6). Each picks a concurrency; at a saturated link every
 //! connection gets an equal share, so agent 1's throughput is
-//! `C·n/(n+m)`. This example computes each agent's *best response* to every
-//! opponent choice under the Eq 4 utility and iterates to the Nash
+//! `C·n/(n+m)`. This example prints each agent's *best response* to a few
+//! opponent choices under the Eq 4 utility and iterates to the Nash
 //! equilibrium — then does the same for the linear-regret utility (Eq 3,
 //! C = 0.01) to show why the paper rejected it: its equilibrium
-//! over-provisions well past the fair optimum of 24 connections each.
+//! over-provisions well past the fair optimum of 24 connections each. The
+//! game is Figure 6(c)'s, from `falcon_experiments::figs6_8`.
 //!
 //! ```text
 //! cargo run --release --example nash_equilibrium
 //! ```
 
-use falcon_repro::core::{ProbeMetrics, TransferSettings, UtilityFunction};
-use falcon_repro::tcp::BottleneckLossModel;
-
-/// Steady-state metrics agent 1 observes at (n, m) on the Emulab-48 game.
-fn game_metrics(n: u32, m: u32) -> ProbeMetrics {
-    let total = n + m;
-    let per_conn = 21.0f64.min(1000.0 / f64::from(total.max(1)));
-    let offered = 21.0 * f64::from(total);
-    let loss = BottleneckLossModel::default().loss_rate(offered, 1000.0, total, 0.030, 1460.0);
-    ProbeMetrics::from_aggregate(
-        TransferSettings::with_concurrency(n),
-        f64::from(n) * per_conn * (1.0 - loss),
-        loss,
-        5.0,
-    )
-}
-
-fn best_response(utility: UtilityFunction, m: u32) -> u32 {
-    (1..=100u32)
-        .max_by(|&a, &b| {
-            let ua = utility.evaluate(&game_metrics(a, m));
-            let ub = utility.evaluate(&game_metrics(b, m));
-            ua.partial_cmp(&ub).unwrap()
-        })
-        .unwrap()
-}
-
-fn equilibrium(utility: UtilityFunction) -> (u32, u32) {
-    let (mut n, mut m) = (2u32, 2u32);
-    for _ in 0..200 {
-        let rn = best_response(utility, m);
-        let rm = best_response(utility, rn);
-        if rn == n && rm == m {
-            break;
-        }
-        n = rn;
-        m = rm;
-    }
-    (n, m)
-}
+use falcon_experiments::figs6_8::{
+    best_response, best_response_equilibrium, emulab48_game_metrics,
+};
+use falcon_repro::core::UtilityFunction;
 
 fn main() {
     println!("Emulab-48 game: 1 Gbps link, 21 Mbps/process, fair optimum = 24 each\n");
@@ -66,8 +31,8 @@ fn main() {
         for m in [0u32, 12, 24, 36, 48] {
             print!("  {m}->{}", best_response(utility, m));
         }
-        let (n, m) = equilibrium(utility);
-        let thr = game_metrics(n, m).aggregate_mbps;
+        let (n, m) = best_response_equilibrium(utility);
+        let thr = emulab48_game_metrics(n, m).aggregate_mbps;
         println!(
             "\n  Nash equilibrium: {n} vs {m} connections  ({thr:.0} Mbps each, \
              {} total streams)\n",

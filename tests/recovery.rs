@@ -86,18 +86,18 @@ fn every_optimizer_reconverges_after_link_flap() {
 /// lattice rather than line-searching.
 #[test]
 fn every_rl_tuner_reconverges_after_link_flap() {
-    use falcon_repro::rl::{RlKind, RlKnobs};
+    use falcon_repro::rl::RlKind;
     let flap = LinkFlap::standard();
     let tuners = [
         ("rl-bandit", RlKind::Bandit),
         ("rl-q", RlKind::Q),
-        ("rl-warm", RlKind::Warm),
+        ("rl-warm", RlKind::Warm(None)),
     ];
     for (name, kind) in tuners {
         let env = Environment::emulab(100.0);
         let full = achievable_mbps(&env, 1.0);
         let degraded = achievable_mbps(&env, flap.drop_factor);
-        let agent = kind.agent(&RlKnobs::default(), 64, 7);
+        let agent = kind.agent(64, 7);
         let (trace, log, interval) = flap_run(env, Box::new(agent), 7, flap);
         let window = 20.0 * interval;
         let q = TraceQuery::new(&log).agent(0);
