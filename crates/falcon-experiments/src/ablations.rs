@@ -4,15 +4,11 @@
 use falcon_core::{FalconAgent, GradientDescentOptimizer, UtilityFunction};
 use falcon_sim::{Environment, Simulation};
 use falcon_tcp::CongestionControl;
-use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, Runner};
 
+use crate::endless;
 use crate::table::Table;
-
-fn endless() -> Dataset {
-    Dataset::uniform_1gb(1_000_000)
-}
 
 fn gd_with(utility: UtilityFunction) -> FalconAgent {
     FalconAgent::new(utility, Box::new(GradientDescentOptimizer::new(100)))

@@ -12,12 +12,9 @@ use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, Runner, Tuner};
 
+use crate::endless;
 use crate::figs6_8::time_to_sustained;
 use crate::table::Table;
-
-fn endless() -> Dataset {
-    Dataset::uniform_1gb(1_000_000)
-}
 
 /// Optimizer shootout on Emulab-48: every search algorithm in the suite,
 /// including the related-work baselines the paper discusses in §5
@@ -99,6 +96,7 @@ pub fn shootout() -> Table {
                 labels: trace.labels.clone(),
                 points: shifted,
                 completed_at: vec![None],
+                converged_at: vec![None],
                 restarts: vec![0],
                 discarded_probes: vec![0],
             };

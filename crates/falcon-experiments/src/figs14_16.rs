@@ -7,11 +7,8 @@ use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, Runner, Tuner};
 
+use crate::endless;
 use crate::table::Table;
-
-fn endless() -> Dataset {
-    Dataset::uniform_1gb(1_000_000)
-}
 
 /// Single-transfer average throughput of one tuner in one environment.
 fn solo_gbps(env: Environment, tuner: Box<dyn Tuner>, dataset: Dataset, seed: u64) -> f64 {

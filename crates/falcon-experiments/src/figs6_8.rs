@@ -3,10 +3,10 @@
 
 use falcon_core::{FalconAgent, GradientDescentOptimizer, UtilityFunction};
 use falcon_sim::{Environment, Simulation};
-use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, RunTrace, Runner};
 
+use crate::endless;
 use crate::table::Table;
 
 /// The Figure 6 throughput model: 21 Mbps per process, optimal cc = 48,
@@ -17,11 +17,6 @@ fn fig6_t_model(n: u32) -> f64 {
     } else {
         1008.0 / f64::from(n)
     }
-}
-
-/// Big dataset so transfers never complete within the experiment window.
-fn endless() -> Dataset {
-    Dataset::uniform_1gb(1_000_000)
 }
 
 fn gd_agent_with_utility(utility: UtilityFunction, max_cc: u32) -> FalconAgent {

@@ -2,15 +2,11 @@
 
 use falcon_core::FalconAgent;
 use falcon_sim::{Environment, Simulation};
-use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, RunTrace, Runner};
 
+use crate::endless;
 use crate::table::Table;
-
-fn endless() -> Dataset {
-    Dataset::uniform_1gb(1_000_000)
-}
 
 /// The four evaluation networks of §4.1, in paper order.
 fn four_networks() -> Vec<(&'static str, Environment)> {

@@ -24,6 +24,13 @@ pub mod table;
 
 pub use table::Table;
 
+use falcon_transfer::dataset::Dataset;
+
+/// A dataset no experiment window finishes: a million 1 GiB files.
+fn endless() -> Dataset {
+    Dataset::uniform_1gb(1_000_000)
+}
+
 /// A named experiment: its CLI name and the function that runs it.
 pub type Experiment = (&'static str, fn() -> Table);
 

@@ -7,7 +7,7 @@
 //! bottleneck flap so assertions can read convergence markers and decision
 //! counts off the structured trace instead of raw CSV rows.
 
-use falcon_sim::{AgentSettings, Environment, EnvironmentEvent, EventAction, Simulation};
+use falcon_sim::{Environment, EnvironmentEvent, EventAction, Simulation};
 use falcon_trace::{EventKind, TraceLog, TraceQuery, Tracer};
 use falcon_transfer::dataset::Dataset;
 use falcon_transfer::harness::SimHarness;
@@ -48,19 +48,6 @@ impl LinkFlap {
 /// every call site.
 pub fn achievable_mbps(env: &Environment, factor: f64) -> f64 {
     env.resources[env.bottleneck_link].capacity_mbps * factor
-}
-
-/// Noise-free steady-state `(throughput_mbps, loss_rate)` of one agent
-/// pinned at `concurrency` on `env` — the reference operating point that
-/// loss and utilization assertions compare a tuned run against, derived
-/// from the environment instead of hard-coded per test.
-pub fn steady_state(env: Environment, concurrency: u32, seed: u64) -> (f64, f64) {
-    let mut sim = Simulation::new(env.without_noise(), seed);
-    let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(concurrency.max(1)));
-    sim.run_for(60.0);
-    let s = sim.take_sample(a);
-    (s.throughput_mbps, s.loss_rate)
 }
 
 /// Run one tuner solo through `flap` on `env` with a recording tracer.
@@ -155,16 +142,6 @@ mod tests {
         let full = achievable_mbps(&env, 1.0);
         assert!((full - 1000.0).abs() < 1e-9, "emulab full rate {full}");
         assert!((achievable_mbps(&env, 0.3) - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steady_state_saturates_at_high_concurrency() {
-        let env = Environment::emulab_fig4();
-        let (thr_low, loss_low) = steady_state(env.clone(), 1, 3);
-        let (thr_high, loss_high) = steady_state(env.clone(), 30, 3);
-        assert!(thr_low < thr_high, "{thr_low} !< {thr_high}");
-        assert!(thr_high > 0.8 * env.path_capacity_mbps());
-        assert!(loss_high > loss_low, "loss must grow with concurrency");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Gaussian-process regression.
 
-use crate::kernel::{Kernel, KernelRowScratch, Matern52};
+use crate::kernel::{KernelRowScratch, Matern52};
 use crate::linalg::{dot, LinalgError, Matrix};
 
 /// Errors from GP fitting.
@@ -49,7 +49,7 @@ impl std::error::Error for GpError {}
 pub struct GpRegressor {
     x: Vec<Vec<f64>>,
     /// The same training points as `x`, flattened row-major (`n×dim`):
-    /// the storage [`Kernel::eval_row`] streams over.
+    /// the storage [`Matern52::eval_row`] streams over.
     x_flat: Vec<f64>,
     /// Input dimension (1 for concurrency-only, 2 for cc×p).
     dim: usize,

@@ -1,6 +1,6 @@
 //! Covariance kernels.
 
-/// Reusable buffer for [`Kernel::eval_row`]: the squared-distance pass is
+/// Reusable buffer for [`Matern52::eval_row`]: the squared-distance pass is
 /// staged here so the distance loop stays a tight, auto-vectorizable sweep
 /// over flattened point storage, separate from the transcendental pass.
 #[derive(Debug, Clone, Default)]
@@ -37,86 +37,9 @@ fn squared_distances(xq: &[f64], xs_flat: &[f64], dim: usize, out: &mut [f64]) {
     }
 }
 
-/// A stationary covariance kernel over `R^d`.
-pub trait Kernel {
-    /// Covariance between two points.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// Prior variance at a point (`k(x, x)`).
-    fn diag(&self) -> f64;
-
-    /// Fused kernel row `k(xq, X)` against flattened row-major point
-    /// storage (`n×dim`), written into `out` (`n` entries). The default
-    /// delegates to [`Kernel::eval`] per point; stationary kernels
-    /// override with a two-pass form (vectorized squared distances, then
-    /// the radial profile) that produces the same values per element.
-    fn eval_row(
-        &self,
-        xq: &[f64],
-        xs_flat: &[f64],
-        dim: usize,
-        _scratch: &mut KernelRowScratch,
-        out: &mut [f64],
-    ) {
-        for (o, p) in out.iter_mut().zip(xs_flat.chunks_exact(dim)) {
-            *o = self.eval(xq, p);
-        }
-    }
-}
-
-/// Squared-exponential (RBF) kernel:
-/// `k(a,b) = σ² · exp(-‖a-b‖² / (2ℓ²))`.
-#[derive(Debug, Clone, Copy)]
-pub struct Rbf {
-    /// Signal variance σ².
-    pub variance: f64,
-    /// Length scale ℓ.
-    pub length_scale: f64,
-}
-
-impl Rbf {
-    /// New RBF kernel. Non-positive or non-finite hyperparameters are
-    /// clamped to a tiny positive floor so optimizer probe paths degrade
-    /// instead of panicking.
-    pub fn new(variance: f64, length_scale: f64) -> Self {
-        Rbf {
-            variance: variance.max(f64::EPSILON),
-            length_scale: length_scale.max(f64::EPSILON),
-        }
-    }
-}
-
-impl Kernel for Rbf {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-        self.variance * (-d2 / (2.0 * self.length_scale * self.length_scale)).exp()
-    }
-
-    fn diag(&self) -> f64 {
-        self.variance
-    }
-
-    fn eval_row(
-        &self,
-        xq: &[f64],
-        xs_flat: &[f64],
-        dim: usize,
-        scratch: &mut KernelRowScratch,
-        out: &mut [f64],
-    ) {
-        if scratch.d2.len() != out.len() {
-            scratch.d2.clear();
-            scratch.d2.resize(out.len(), 0.0);
-        }
-        squared_distances(xq, xs_flat, dim, &mut scratch.d2);
-        for (o, &d2) in out.iter_mut().zip(&scratch.d2) {
-            *o = self.variance * (-d2 / (2.0 * self.length_scale * self.length_scale)).exp();
-        }
-    }
-}
-
 /// Matérn 5/2 kernel, the standard choice for Bayesian optimization
-/// surrogates (less smooth than RBF, more robust to model mismatch):
+/// surrogates (less smooth than squared-exponential, more robust to model
+/// mismatch):
 /// `k(r) = σ² (1 + √5 r/ℓ + 5r²/(3ℓ²)) exp(-√5 r/ℓ)`.
 #[derive(Debug, Clone, Copy)]
 pub struct Matern52 {
@@ -136,21 +59,25 @@ impl Matern52 {
             length_scale: length_scale.max(f64::EPSILON),
         }
     }
-}
 
-impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+    /// Covariance between two points.
+    pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
         let r = d2.sqrt();
         let s = 5.0_f64.sqrt() * r / self.length_scale;
         self.variance * (1.0 + s + s * s / 3.0) * (-s).exp()
     }
 
-    fn diag(&self) -> f64 {
+    /// Prior variance at a point (`k(x, x)`).
+    pub fn diag(&self) -> f64 {
         self.variance
     }
 
-    fn eval_row(
+    /// Fused kernel row `k(xq, X)` against flattened row-major point
+    /// storage (`n×dim`), written into `out` (`n` entries): vectorized
+    /// squared distances, then the radial profile, with the same value per
+    /// element as [`Matern52::eval`].
+    pub fn eval_row(
         &self,
         xq: &[f64],
         xs_flat: &[f64],
@@ -178,49 +105,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rbf_is_variance_at_zero_distance() {
-        let k = Rbf::new(2.5, 1.0);
-        assert!((k.eval(&[1.0], &[1.0]) - 2.5).abs() < 1e-12);
-        assert_eq!(k.diag(), 2.5);
-    }
-
-    #[test]
-    fn rbf_decays_with_distance() {
-        let k = Rbf::new(1.0, 2.0);
-        let near = k.eval(&[0.0], &[1.0]);
-        let far = k.eval(&[0.0], &[5.0]);
-        assert!(near > far && far > 0.0);
-    }
-
-    #[test]
-    fn rbf_symmetric() {
-        let k = Rbf::new(1.0, 3.0);
-        assert_eq!(
-            k.eval(&[1.0, 2.0], &[4.0, -1.0]),
-            k.eval(&[4.0, -1.0], &[1.0, 2.0])
-        );
-    }
-
-    #[test]
     fn matern_is_variance_at_zero_distance() {
         let k = Matern52::new(1.7, 1.0);
         assert!((k.eval(&[0.0], &[0.0]) - 1.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matern_heavier_tail_than_rbf() {
-        // At several length scales out, Matérn retains more covariance.
-        let rbf = Rbf::new(1.0, 1.0);
-        let mat = Matern52::new(1.0, 1.0);
-        let d = [4.0];
-        let o = [0.0];
-        assert!(mat.eval(&o, &d) > rbf.eval(&o, &d));
+        assert_eq!(k.diag(), 1.7);
     }
 
     #[test]
     fn longer_length_scale_means_slower_decay() {
-        let short = Rbf::new(1.0, 0.5);
-        let long = Rbf::new(1.0, 5.0);
+        let short = Matern52::new(1.0, 0.5);
+        let long = Matern52::new(1.0, 5.0);
+        let near = long.eval(&[0.0], &[1.0]);
+        let far = long.eval(&[0.0], &[5.0]);
+        assert!(near > far && far > 0.0);
         assert!(long.eval(&[0.0], &[2.0]) > short.eval(&[0.0], &[2.0]));
     }
 
@@ -229,27 +126,21 @@ mod tests {
         // The fused row must agree with `eval` per element *bitwise*, so
         // swapping predict onto it cannot perturb decision sequences.
         let mut scratch = KernelRowScratch::default();
+        let k = Matern52::new(0.9, 5.1);
         for dim in [1usize, 2, 3] {
             let n = 9;
             let flat: Vec<f64> = (0..n * dim).map(|i| (i as f64) * 0.73 - 4.0).collect();
             let xq: Vec<f64> = (0..dim).map(|i| i as f64 + 0.31).collect();
-            let rbf = Rbf::new(1.7, 2.3);
-            let mat = Matern52::new(0.9, 5.1);
-            for k in [&rbf as &dyn Kernel, &mat as &dyn Kernel] {
-                let mut out = vec![0.0; n];
-                k.eval_row(&xq, &flat, dim, &mut scratch, &mut out);
-                for (i, p) in flat.chunks_exact(dim).enumerate() {
-                    assert_eq!(out[i], k.eval(&xq, p), "dim {dim}, point {i}");
-                }
+            let mut out = vec![0.0; n];
+            k.eval_row(&xq, &flat, dim, &mut scratch, &mut out);
+            for (i, p) in flat.chunks_exact(dim).enumerate() {
+                assert_eq!(out[i], k.eval(&xq, p), "dim {dim}, point {i}");
             }
         }
     }
 
     #[test]
-    fn rbf_clamps_nonpositive_length() {
-        let k = Rbf::new(1.0, 0.0);
-        assert!(k.length_scale > 0.0);
-        assert!(k.eval(&[0.0], &[1.0]).is_finite());
+    fn matern_clamps_nonpositive_hyperparameters() {
         let m = Matern52::new(0.0, -1.0);
         assert!(m.variance > 0.0 && m.length_scale > 0.0);
         assert!(m.eval(&[0.0], &[1.0]).is_finite());

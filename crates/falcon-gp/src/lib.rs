@@ -10,7 +10,7 @@
 //! \[13\]).
 //!
 //! Everything is implemented here from first principles on dense `f64`
-//! matrices: Cholesky factorization, triangular solves, RBF/Matérn kernels,
+//! matrices: Cholesky factorization, triangular solves, the Matérn 5/2 kernel,
 //! log marginal likelihood, and a small grid-search hyperparameter fit. The
 //! problem dimension for Falcon is 1 (concurrency) to 3 (adding parallelism
 //! and pipelining), and the training set is ≤ 20 points, so dense
@@ -30,6 +30,6 @@ pub mod sweep;
 pub use acquisition::{Acquisition, AcquisitionKind};
 pub use gp::{GpError, GpRegressor, PredictScratch};
 pub use hedge::GpHedge;
-pub use kernel::{Kernel, KernelRowScratch, Matern52, Rbf};
+pub use kernel::{KernelRowScratch, Matern52};
 pub use linalg::{LinalgError, Matrix};
 pub use sweep::{AscentPlan, AscentScratch, Lattice, LineLattice, SweepCache};

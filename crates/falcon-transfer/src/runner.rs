@@ -129,6 +129,10 @@ pub struct RunTrace {
     pub points: Vec<TracePoint>,
     /// Completion time per agent (`None` if still running at the end).
     pub completed_at: Vec<Option<f64>>,
+    /// First convergence instant per agent (`None` if its concurrency
+    /// never settled): the time of its first `TraceEvent::Convergence`
+    /// record, kept whether or not the run records.
+    pub converged_at: Vec<Option<f64>>,
     /// Successful watchdog restarts per agent. The paper's online
     /// optimizers assume every sample reflects the network; the watchdog
     /// keeps that true when processes die or stall, without resetting the
@@ -366,6 +370,7 @@ impl Runner {
             .collect();
         let mut points = Vec::new();
         let mut completed_at: Vec<Option<f64>> = vec![None; plans.len()];
+        let mut converged_at: Vec<Option<f64>> = vec![None; plans.len()];
         let mut restarts = vec![0usize; plans.len()];
         let mut discarded_probes = vec![0usize; plans.len()];
 
@@ -534,6 +539,7 @@ impl Runner {
                             });
                         }
                         if let Some((cc, probes)) = convergence[i].observe(settings.concurrency) {
+                            converged_at[i].get_or_insert(t);
                             tracers[i].emit(|| TraceEvent::Convergence {
                                 concurrency: cc,
                                 probes,
@@ -578,6 +584,7 @@ impl Runner {
             labels,
             points,
             completed_at,
+            converged_at,
             restarts,
             discarded_probes,
         }

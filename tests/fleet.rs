@@ -2,8 +2,10 @@
 //! churn campaign must stay deterministic and fair on every bottleneck.
 
 use falcon_repro::fleet::{
-    run_campaign, CampaignOutcome, CampaignSpec, FleetTopology, FleetTuner, Workload,
+    run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec, FleetTopology,
+    FleetTuner, Workload,
 };
+use falcon_repro::trace::Tracer;
 
 fn quick_spec(seed: u64) -> CampaignSpec {
     CampaignSpec {
@@ -74,12 +76,13 @@ fn standard_campaign_is_fair_on_every_bottleneck_across_seeds() {
 #[test]
 fn campaigns_are_byte_identical_across_thread_counts() {
     let seeds = vec![21u64, 22, 23];
-    let serial = falcon_par::fan_out(seeds.clone(), 1, |_, seed| {
-        run_campaign(&quick_spec(seed)).log.to_jsonl()
-    });
-    let fanned = falcon_par::fan_out(seeds, 4, |_, seed| {
-        run_campaign(&quick_spec(seed)).log.to_jsonl()
-    });
+    let jsonl = |seed| {
+        run_campaign_with_tracer(&quick_spec(seed), Tracer::recording())
+            .log
+            .to_jsonl()
+    };
+    let serial = falcon_par::fan_out(seeds.clone(), 1, |_, seed| jsonl(seed));
+    let fanned = falcon_par::fan_out(seeds, 4, |_, seed| jsonl(seed));
     assert_eq!(
         serial, fanned,
         "fleet campaigns diverged across thread counts"
