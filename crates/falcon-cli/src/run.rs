@@ -7,37 +7,29 @@ use falcon_trace::TraceEvent;
 use crate::args::{LoopbackArgs, SimulateArgs};
 use crate::scenario::{self, AgentSpec, Scenario};
 
-/// Resolve a preset name (accepts the CLI-friendly short names).
+/// Resolve a preset name: any of [`EnvironmentKind::spellings`].
 pub fn resolve_env(name: &str) -> Option<Environment> {
-    let env = match name {
-        "emulab" | "emulab10" => Environment::emulab(100.0),
-        "emulab48" => Environment::emulab(21.0),
-        "emulab-fig4" | "fig4" => Environment::emulab_fig4(),
-        "xsede" => Environment::xsede(),
-        "hpclab" => Environment::hpclab(),
-        "campus" | "campus-cluster" => Environment::campus_cluster(),
-        "stampede2" | "stampede2-comet" => Environment::stampede2_comet(),
-        _ => return None,
-    };
-    Some(env)
+    EnvironmentKind::from_name(name).map(|k| k.build())
 }
 
-/// `falcon envs`: one line per preset.
+/// `falcon envs`: one line per preset, under its canonical spelling.
 pub fn list_envs() -> String {
     let mut out =
         String::from("preset            bandwidth  rtt      bottleneck-capacity  saturating-cc\n");
     for kind in EnvironmentKind::all() {
-        let env = kind.build();
-        out.push_str(&format!(
-            "{:<17} {:>6.1} G  {:>5.1} ms {:>12.1} Gbps {:>10}\n",
-            env.name,
-            env.resources[env.bottleneck_link].capacity_mbps / 1000.0,
-            env.rtt_s * 1000.0,
-            env.path_capacity_mbps() / 1000.0,
-            env.saturating_concurrency(),
-        ));
+        out.push_str(&env_row(kind.spellings()[0], &kind.build()));
     }
     out
+}
+
+fn env_row(name: &str, env: &Environment) -> String {
+    format!(
+        "{name:<17} {:>6.1} G  {:>5.1} ms {:>12.1} Gbps {:>10}\n",
+        env.resources[env.bottleneck_link].capacity_mbps / 1000.0,
+        env.rtt_s * 1000.0,
+        env.path_capacity_mbps() / 1000.0,
+        env.saturating_concurrency(),
+    )
 }
 
 /// `falcon simulate`: the one-agent scenario its flags describe, run by the
@@ -155,37 +147,29 @@ mod tests {
     use crate::args::SimulateArgs;
 
     #[test]
-    fn resolve_env_accepts_all_documented_names() {
-        for name in [
-            "emulab",
-            "emulab10",
-            "emulab48",
-            "fig4",
-            "emulab-fig4",
-            "xsede",
-            "hpclab",
-            "campus",
-            "campus-cluster",
-            "stampede2",
-            "stampede2-comet",
-        ] {
-            assert!(resolve_env(name).is_some(), "{name} not resolved");
-        }
-        assert!(resolve_env("mars").is_none());
-    }
-
-    #[test]
-    fn list_envs_mentions_every_preset() {
+    fn every_listed_spelling_resolves_to_its_row() {
         let out = list_envs();
-        for name in [
-            "emulab",
-            "xsede",
-            "hpclab",
-            "campus-cluster",
-            "stampede2-comet",
-        ] {
-            assert!(out.contains(name), "missing {name} in:\n{out}");
+        let rows: Vec<&str> = out.lines().skip(1).collect();
+        assert_eq!(rows.len(), EnvironmentKind::all().len(), "{out}");
+        for row in rows {
+            let name = row.split_whitespace().next().unwrap();
+            let env = resolve_env(name).unwrap_or_else(|| panic!("{name} not resolved"));
+            assert_eq!(format!("{row}\n"), env_row(name, &env), "{out}");
         }
+        for (alias, canonical) in [
+            ("fig4", "emulab-fig4"),
+            ("emulab", "emulab10"),
+            ("campus", "campus-cluster"),
+            ("stampede2", "stampede2-comet"),
+        ] {
+            let preset = |n| format!("{:?}", resolve_env(n).unwrap());
+            assert_eq!(preset(alias), preset(canonical), "{alias}");
+        }
+        assert_ne!(
+            format!("{:?}", resolve_env("emulab10")),
+            format!("{:?}", resolve_env("emulab48"))
+        );
+        assert!(resolve_env("mars").is_none());
     }
 
     #[test]

@@ -54,6 +54,27 @@ impl EnvironmentKind {
         ]
     }
 
+    /// Accepted spellings: the canonical one (what `falcon envs` lists)
+    /// first, then its aliases.
+    pub fn spellings(&self) -> &'static [&'static str] {
+        match self {
+            EnvironmentKind::EmulabFig4 => &["emulab-fig4", "fig4"],
+            EnvironmentKind::Emulab10 => &["emulab10", "emulab"],
+            EnvironmentKind::Emulab48 => &["emulab48"],
+            EnvironmentKind::Xsede => &["xsede"],
+            EnvironmentKind::HpcLab => &["hpclab"],
+            EnvironmentKind::CampusCluster => &["campus-cluster", "campus"],
+            EnvironmentKind::Stampede2Comet => &["stampede2-comet", "stampede2"],
+        }
+    }
+
+    /// The preset a spelling names, if any.
+    pub fn from_name(name: &str) -> Option<EnvironmentKind> {
+        Self::all()
+            .into_iter()
+            .find(|k| k.spellings().contains(&name))
+    }
+
     /// Table-1 style row name.
     pub fn name(&self) -> &'static str {
         match self {
