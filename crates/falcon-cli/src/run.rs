@@ -1,8 +1,12 @@
 //! Command implementations.
 
-use falcon_core::TransferSettings;
+use falcon_core::{ProbeMetrics, TransferSettings};
+use falcon_net::NetHarness;
 use falcon_sim::{Environment, EnvironmentKind};
-use falcon_trace::TraceEvent;
+use falcon_trace::{TraceEvent, Tracer};
+use falcon_transfer::dataset::Dataset;
+use falcon_transfer::harness::TransferHarness;
+use falcon_transfer::runner::{AgentPlan, Runner};
 
 use crate::args::{LoopbackArgs, SimulateArgs};
 use crate::scenario::{self, AgentSpec, Scenario};
@@ -91,28 +95,22 @@ pub fn simulate(args: &SimulateArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// `falcon loopback`: returns the rendered report. Runs in real time.
+/// `falcon loopback`: the runner over a live loopback transfer for
+/// `--probes` intervals; returns one row per probe the runner took, a
+/// stalled one marked. Runs in real time.
 pub fn loopback(args: &LoopbackArgs) -> Result<String, String> {
-    use falcon_net::{LoopbackConfig, LoopbackTransfer, Receiver};
-
     // The flag only names Falcon entries; the error is for library callers
     // passing a baseline.
-    let mut agent = args
+    let agent = args
         .optimizer
         .agent(args.max_workers, 0xF41C0)
         .ok_or_else(|| format!("{} is not a Falcon optimizer", args.optimizer.name()))?;
-    let receiver = Receiver::start().map_err(|e| format!("receiver: {e}"))?;
-    let transfer = LoopbackTransfer::start(LoopbackConfig {
-        port: receiver.port(),
-        per_worker_mbps: args.per_worker_mbps,
-        total_bytes: u64::MAX,
-        max_workers: args.max_workers,
-    });
-    transfer.apply_settings(agent.initial_settings());
-
+    let utility = agent.utility();
+    let mut harness = NetHarness::start(args.per_worker_mbps, args.max_workers, args.interval_s)
+        .map_err(|e| format!("receiver: {e}"))?;
     let mut out = format!(
         "# loopback port={} optimizer={} per_worker={}Mbps\n{:>6} {:>6} {:>12} {:>10}\n",
-        receiver.port(),
+        harness.receiver_mut().port(),
         agent.optimizer_name(),
         args.per_worker_mbps,
         "probe",
@@ -120,24 +118,47 @@ pub fn loopback(args: &LoopbackArgs) -> Result<String, String> {
         "mbps",
         "utility"
     );
-    transfer.sample();
-    for probe in 0..args.probes {
-        std::thread::sleep(std::time::Duration::from_secs_f64(args.interval_s));
-        let metrics = transfer.sample();
-        let utility = agent.utility().evaluate(&metrics);
-        let settings = agent.observe(metrics);
-        transfer.apply_settings(settings);
-        out.push_str(&format!(
-            "{probe:>6} {:>6} {:>12.1} {:>10.1}\n",
-            metrics.settings.concurrency, metrics.aggregate_mbps, utility
-        ));
+    let runner = Runner {
+        tracer: Tracer::recording(),
+    };
+    let plan = AgentPlan::at_start(Box::new(agent), Dataset::uniform_1gb(u64::MAX));
+    // Probe k falls due at a sum of k intervals, which rounding may put a
+    // few ulps past k·interval: end a hair later so the last one counts.
+    let duration_s = f64::from(args.probes) * args.interval_s * (1.0 + 1e-9);
+    runner.run(&mut harness, vec![plan], duration_s);
+    harness.leave(0);
+
+    let log = runner.tracer.take_log();
+    let rows = log.records.into_iter().filter_map(|r| match r.event {
+        TraceEvent::Probe {
+            throughput_mbps: mbps,
+            loss_rate,
+            concurrency,
+            parallelism,
+            pipelining,
+        } => {
+            let s = TransferSettings {
+                concurrency,
+                parallelism,
+                pipelining,
+            };
+            let m = ProbeMetrics::from_aggregate(s, mbps, loss_rate, args.interval_s);
+            let u = utility.evaluate(&m);
+            Some(format!("{concurrency:>6} {mbps:>12.1} {u:>10.1}"))
+        }
+        TraceEvent::Recovery { action, value } if action == "stalled_probe" => {
+            Some(format!("{:>6} {value:>12.1} {:>10}", "-", "stalled"))
+        }
+        _ => None,
+    });
+    for (probe, row) in rows.take(args.probes as usize).enumerate() {
+        out.push_str(&format!("{probe:>6} {row}\n"));
     }
     out.push_str(&format!(
         "final settings: {} ({} MB moved)\n",
-        transfer.settings(),
-        transfer.sent_bytes() / 1_000_000
+        harness.current_settings(0),
+        harness.receiver_mut().total_bytes() / 1_000_000
     ));
-    transfer.shutdown();
     Ok(out)
 }
 
@@ -213,5 +234,7 @@ mod tests {
         };
         let out = loopback(&args).unwrap();
         assert!(out.contains("final settings"), "{out}");
+        // Header, column line, one row per probe, the final line.
+        assert_eq!(out.lines().count(), 2 + 5 + 1, "{out}");
     }
 }

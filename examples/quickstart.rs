@@ -1,9 +1,9 @@
 //! Quickstart: tune a single file transfer with Falcon's Gradient Descent.
 //!
 //! Simulates moving 200 × 1 GB files over the XSEDE testbed (10 Gbps WAN,
-//! Lustre read-limited). Falcon starts at concurrency 2, probes a setting
-//! every 5 seconds, and converges to the ~10 concurrent transfers that
-//! saturate the parallel file system.
+//! Lustre read-limited). The experiment runner starts Falcon at
+//! concurrency 2, probes a setting every 5 seconds, and Falcon converges to
+//! the ~10 concurrent transfers that saturate the parallel file system.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -11,8 +11,10 @@
 
 use falcon_repro::core::FalconAgent;
 use falcon_repro::sim::{Environment, Simulation};
+use falcon_repro::trace::{TraceEvent, Tracer};
 use falcon_repro::transfer::dataset::Dataset;
 use falcon_repro::transfer::harness::{SimHarness, TransferHarness};
+use falcon_repro::transfer::runner::{AgentPlan, Runner};
 
 fn main() {
     let env = Environment::xsede();
@@ -24,35 +26,31 @@ fn main() {
     );
 
     let mut harness = SimHarness::new(Simulation::new(env, 42));
-    let slot = harness.join(Dataset::uniform_1gb(200));
-    let mut agent = FalconAgent::gradient_descent(harness.max_concurrency());
-    harness.apply(slot, agent.initial_settings());
+    let agent = FalconAgent::gradient_descent(harness.max_concurrency());
+    let runner = Runner {
+        tracer: Tracer::recording(),
+    };
+    let plan = AgentPlan::at_start(Box::new(agent), Dataset::uniform_1gb(200));
+    let trace = runner.run(&mut harness, vec![plan], 600.0);
 
-    let interval = harness.sample_interval_s();
-    let mut next_probe = interval;
-    println!(
-        "{:>8}  {:>12}  {:>12}  {:>9}",
-        "time_s", "setting", "gbps", "progress"
-    );
-    while !harness.is_complete(slot) && harness.time_s() < 600.0 {
-        harness.advance(0.1);
-        if harness.time_s() >= next_probe {
-            let metrics = harness.sample(slot);
-            let settings = agent.observe(metrics);
-            harness.apply(slot, settings);
-            next_probe += interval;
+    println!("{:>8}  {:>12}  {:>12}", "time_s", "setting", "gbps");
+    for r in runner.tracer.take_log().records {
+        if let TraceEvent::Probe {
+            throughput_mbps,
+            concurrency,
+            ..
+        } = r.event
+        {
             println!(
-                "{:>8.1}  {:>12}  {:>12.2}  {:>8.0}%",
-                harness.time_s(),
-                format!("cc={}", metrics.settings.concurrency),
-                metrics.aggregate_mbps / 1000.0,
-                100.0 * harness.time_s() / 600.0
+                "{:>8.1}  {:>12}  {:>12.2}",
+                r.t_s,
+                format!("cc={concurrency}"),
+                throughput_mbps / 1000.0
             );
         }
     }
-    if harness.is_complete(slot) {
-        println!("transfer complete at t={:.1}s", harness.time_s());
-    } else {
-        println!("time budget exhausted");
+    match trace.completed_at[0] {
+        Some(t) => println!("transfer complete at t={t:.1}s"),
+        None => println!("time budget exhausted"),
     }
 }

@@ -3,36 +3,40 @@
 //! identically zero, Eq 4's concurrency regret does all the limiting).
 
 use falcon_repro::core::FalconAgent;
-use falcon_repro::net::{LoopbackConfig, LoopbackTransfer, Receiver};
+use falcon_repro::net::{LoopbackConfig, LoopbackTransfer, NetHarness, Receiver};
+use falcon_repro::trace::{TraceEvent, TraceLog, TraceRecord, Tracer};
+use falcon_repro::transfer::dataset::Dataset;
+use falcon_repro::transfer::harness::TransferHarness;
+use falcon_repro::transfer::runner::{AgentPlan, Runner, Tuner};
 
-/// Run Falcon-GD against a live loopback transfer and return the visited
-/// concurrency trace.
-fn drive_real(agent: &mut FalconAgent, per_worker_mbps: f64, probes: usize) -> Vec<u32> {
-    let receiver = Receiver::start().expect("receiver");
-    let transfer = LoopbackTransfer::start(LoopbackConfig {
-        port: receiver.port(),
-        per_worker_mbps,
-        total_bytes: u64::MAX,
-        max_workers: 16,
-    });
-    transfer.apply_settings(agent.initial_settings());
-    let mut trace = Vec::new();
-    transfer.sample();
-    for _ in 0..probes {
-        std::thread::sleep(std::time::Duration::from_millis(400));
-        let metrics = transfer.sample();
-        let settings = agent.observe(metrics);
-        transfer.apply_settings(settings);
-        trace.push(settings.concurrency);
-    }
-    transfer.shutdown();
-    trace
+/// Run `tuner` on one open-ended transfer for `duration_s`; returns the
+/// run's log.
+fn run_logged(h: &mut impl TransferHarness, tuner: Box<dyn Tuner>, duration_s: f64) -> TraceLog {
+    let runner = Runner {
+        tracer: Tracer::recording(),
+    };
+    let plan = AgentPlan::at_start(tuner, Dataset::uniform_1gb(u64::MAX));
+    runner.run(h, vec![plan], duration_s);
+    runner.tracer.take_log()
+}
+
+/// Run Falcon-GD against a live loopback transfer for `probes` runner
+/// probes of 400 ms (and a hair more so rounding keeps the last one);
+/// returns the concurrency each probe measured.
+fn drive_real(per_worker_mbps: f64, probes: usize) -> Vec<u32> {
+    let mut h = NetHarness::start(per_worker_mbps, 16, 0.4).expect("receiver");
+    let gd = Box::new(FalconAgent::gradient_descent(16));
+    let log = run_logged(&mut h, gd, probes as f64 * 0.4 * (1.0 + 1e-9));
+    let probe_cc = |r: &TraceRecord| match r.event {
+        TraceEvent::Probe { concurrency, .. } => Some(concurrency),
+        _ => None,
+    };
+    log.records.iter().filter_map(probe_cc).collect()
 }
 
 #[test]
 fn gd_scales_up_a_real_transfer() {
-    let mut agent = FalconAgent::gradient_descent(16);
-    let trace = drive_real(&mut agent, 30.0, 18);
+    let trace = drive_real(30.0, 18);
     let peak = *trace.iter().max().unwrap();
     assert!(peak >= 5, "search never scaled up: {trace:?}");
 }
@@ -41,8 +45,7 @@ fn gd_scales_up_a_real_transfer() {
 fn concurrency_regret_bounds_a_real_transfer() {
     // With no loss signal on loopback, only Eq 4's Kⁿ term limits the
     // search: it must not pin at the maximum forever.
-    let mut agent = FalconAgent::gradient_descent(16);
-    let trace = drive_real(&mut agent, 30.0, 24);
+    let trace = drive_real(30.0, 24);
     let tail = &trace[trace.len() - 6..];
     assert!(
         tail.iter().any(|&c| c < 16),
