@@ -2,12 +2,15 @@
 //! tuning genuine TCP transfers end to end (sender-limited regime, loss
 //! identically zero, Eq 4's concurrency regret does all the limiting).
 
-use falcon_repro::core::FalconAgent;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
+
+use falcon_repro::core::{FalconAgent, ProbeMetrics, TransferSettings};
 use falcon_repro::net::{LoopbackConfig, LoopbackTransfer, NetHarness, Receiver};
 use falcon_repro::trace::{TraceEvent, TraceLog, TraceRecord, Tracer};
 use falcon_repro::transfer::dataset::Dataset;
 use falcon_repro::transfer::harness::TransferHarness;
-use falcon_repro::transfer::runner::{AgentPlan, Runner, Tuner};
+use falcon_repro::transfer::runner::{AgentPlan, FixedTuner, Runner, Tuner};
 
 /// Run `tuner` on one open-ended transfer for `duration_s`; returns the
 /// run's log.
@@ -51,6 +54,126 @@ fn concurrency_regret_bounds_a_real_transfer() {
         tail.iter().any(|&c| c < 16),
         "search stuck at the bound: {trace:?}"
     );
+}
+
+/// [`NetHarness`] through a destination outage: once `cut_s` has passed,
+/// the receiver stops listening and cuts every connection, so each worker
+/// dies when its reconnects fail. The first restart the watchdog attempts
+/// finds a listener back on the same port.
+struct Outage {
+    net: NetHarness,
+    cut_s: f64,
+    relistened: bool,
+}
+
+impl TransferHarness for Outage {
+    fn join(&mut self, dataset: Dataset) -> usize {
+        self.net.join(dataset)
+    }
+    fn apply(&mut self, agent: usize, settings: TransferSettings) {
+        self.net.apply(agent, settings);
+    }
+    fn advance(&mut self, dt_s: f64) {
+        let before = self.net.time_s();
+        self.net.advance(dt_s);
+        if before < self.cut_s && self.net.time_s() >= self.cut_s {
+            let rx = self.net.receiver_mut();
+            rx.shutdown();
+            while rx.kill_one_connection() {}
+        }
+    }
+    fn sample(&mut self, agent: usize) -> ProbeMetrics {
+        self.net.sample(agent)
+    }
+    fn instantaneous_mbps(&self, agent: usize) -> f64 {
+        self.net.instantaneous_mbps(agent)
+    }
+    fn current_settings(&self, agent: usize) -> TransferSettings {
+        self.net.current_settings(agent)
+    }
+    fn is_complete(&self, agent: usize) -> bool {
+        self.net.is_complete(agent)
+    }
+    fn leave(&mut self, agent: usize) {
+        self.net.leave(agent);
+    }
+    fn time_s(&self) -> f64 {
+        self.net.time_s()
+    }
+    fn sample_interval_s(&self) -> f64 {
+        self.net.sample_interval_s()
+    }
+    fn max_concurrency(&self) -> u32 {
+        self.net.max_concurrency()
+    }
+    fn is_attached(&self, agent: usize) -> bool {
+        self.net.is_attached(agent)
+    }
+    fn restart(&mut self, agent: usize) -> bool {
+        if !self.relistened {
+            self.relistened = true;
+            let port = self.net.receiver_mut().port();
+            let listener = TcpListener::bind(("127.0.0.1", port)).expect("listen again");
+            // Lives until the test process exits: accept and drain.
+            std::thread::spawn(move || {
+                for mut conn in listener.incoming().flatten() {
+                    std::thread::spawn(move || std::io::copy(&mut conn, &mut std::io::sink()));
+                }
+            });
+        }
+        self.net.restart(agent)
+    }
+}
+
+#[test]
+fn watchdog_restarts_a_real_transfer_after_every_connection_dies() {
+    let mut h = Outage {
+        net: NetHarness::start(40.0, 4, 0.1).expect("receiver"),
+        cut_s: 0.05,
+        relistened: false,
+    };
+    let fixed = Box::new(FixedTuner {
+        settings: TransferSettings::with_concurrency(3),
+        name: "fixed:3".into(),
+    });
+    let wall = Instant::now();
+    // The cut lands at the first wakeup (0.03 s), the workers are dead
+    // within 0.7 s of it, the first restart follows 1 s after the detach,
+    // and `restarted` at the next whole-second wakeup: 2 s, then a probe
+    // at 2.1 s.
+    let log = run_logged(&mut h, fixed, 2.2);
+    assert!(
+        wall.elapsed() < Duration::from_secs(6),
+        "run overran its deadline: {:?}",
+        wall.elapsed()
+    );
+    assert!(
+        (h.time_s() - 2.2).abs() < 1e-9,
+        "run ended at {} s",
+        h.time_s()
+    );
+
+    let recovery = |want: &str| {
+        log.records
+            .iter()
+            .position(|r| matches!(&r.event, TraceEvent::Recovery { action, .. } if action == want))
+    };
+    let actions: Vec<String> = log
+        .records
+        .iter()
+        .filter_map(|r| match &r.event {
+            TraceEvent::Recovery { action, .. } => Some(format!("{action}@{:.2}", r.t_s)),
+            _ => None,
+        })
+        .collect();
+    let detached = recovery("detached").unwrap_or_else(|| panic!("no detach: {actions:?}"));
+    let attempt = recovery("restart_attempt").unwrap_or_else(|| panic!("{actions:?}"));
+    let restarted = recovery("restarted").unwrap_or_else(|| panic!("{actions:?}"));
+    assert!(detached < attempt && attempt < restarted, "{actions:?}");
+    let moved_again = log.records[restarted..].iter().any(
+        |r| matches!(r.event, TraceEvent::Probe { throughput_mbps, .. } if throughput_mbps > 0.0),
+    );
+    assert!(moved_again, "no bytes after the restart: {actions:?}");
 }
 
 #[test]
