@@ -391,8 +391,29 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                         FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
                         a.tuner = value.to_string();
                     }
-                    "start" => a.start_s = non_negative(value)?,
-                    "leave" => a.leave_s = Some(non_negative(value)?),
+                    // An agent that joins at or after the end, or leaves
+                    // before it joins, never runs. `duration` is final: top
+                    // keys come before every section.
+                    "start" => {
+                        a.start_s = non_negative(value)?;
+                        let (bound, end) = match a.leave_s {
+                            Some(leave) if leave < sc.duration_s => ("leave", leave),
+                            _ => ("duration", sc.duration_s),
+                        };
+                        if a.start_s >= end {
+                            let msg = format!("start: must be < {bound} = {end}, got {value:?}");
+                            return Err(err(line_no, msg));
+                        }
+                    }
+                    "leave" => {
+                        let leave = non_negative(value)?;
+                        if leave <= a.start_s {
+                            let msg =
+                                format!("leave: must be > start = {}, got {value:?}", a.start_s);
+                            return Err(err(line_no, msg));
+                        }
+                        a.leave_s = Some(leave);
+                    }
                     "dataset" => {
                         dataset_ctor(value).map_err(|m| err(line_no, m))?;
                         a.dataset = value.to_string();
@@ -1075,6 +1096,13 @@ agent = 0
                 "[agent]\n[background]\nconnections = 0\n",
                 "line 3: connections:",
             ),
+            // Nor an agent whose window is empty: it moved 0 bytes.
+            ("duration = 60\n[agent]\nstart = 100\n", "line 3: start:"),
+            ("duration = 60\n[agent]\nstart = 60\n", "line 3: start:"),
+            ("[agent]\nleave = 0\n", "line 2: leave:"),
+            ("[agent]\nstart = 30\nleave = 10\n", "line 3: leave:"),
+            ("[agent]\nstart = 30\nleave = 30\n", "line 3: leave:"),
+            ("[agent]\nleave = 10\nstart = 30\n", "line 3: start:"),
         ] {
             let e = parse(text).unwrap_err().0;
             assert!(e.starts_with(want), "{text:?}: {e}");

@@ -69,7 +69,7 @@ proptest! {
     fn serialize_round_trips(
         (duration_s, seed, env_pick, trace_pick) in (1.0f64..2000.0, 0u64..1_000_000, 0usize..3, 0usize..2),
         agents in proptest::collection::vec(
-            (0usize..6, 0.0f64..500.0, 0.0f64..2.0, 0usize..4),
+            (0usize..6, 0.0f64..0.99, 0.0f64..2.0, 0usize..4),
             0..4,
         ),
         backgrounds in proptest::collection::vec(
@@ -92,14 +92,19 @@ proptest! {
         let (has_fleet, links, transfers, anchor_gb) = fleet;
         let has_fleet = has_fleet == 1;
         let scale = transfers % 2 == 0;
+        // Every agent runs: it joins before the end and leaves after it
+        // joins.
         let agents: Vec<AgentSpec> = agents
             .iter()
-            .map(|&(t, start_s, leave_frac, d)| AgentSpec {
-                tuner: TUNERS[t].to_string(),
-                start_s,
-                // leave_frac > 1 means "no scripted departure".
-                leave_s: (leave_frac <= 1.0).then_some(start_s + leave_frac * 500.0),
-                dataset: DATASETS[d].to_string(),
+            .map(|&(t, start_frac, leave_frac, d)| {
+                let start_s = start_frac * duration_s;
+                AgentSpec {
+                    tuner: TUNERS[t].to_string(),
+                    start_s,
+                    // leave_frac > 1 means "no scripted departure".
+                    leave_s: (leave_frac <= 1.0).then_some(start_s + 1.0 + leave_frac * 500.0),
+                    dataset: DATASETS[d].to_string(),
+                }
             })
             .filter(|_| !has_fleet)
             .collect();
