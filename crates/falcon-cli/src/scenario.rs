@@ -56,8 +56,9 @@
 //! `diurnal` (arrival amplitude in `[0,1)`), `failures` (correlated
 //! link-failure waves), `tenants` (churn groups), and `shards` then
 //! shape the soak workload (without `topology` they are a parse error),
-//! while `links` and `anchor_gb` are ignored. A scenario with a `[fleet]`
-//! has no `[agent]`, `[background]` or `[event]` section.
+//! while `links` and `anchor_gb` are ignored, and a top-level `trace` is a
+//! parse error (the scale engine keeps no per-agent trace). A scenario with
+//! a `[fleet]` has no `[agent]`, `[background]` or `[event]` section.
 //! The scale engine runs `fixed:<cc>` (the default, at
 //! `ScaleWorkload::default().concurrency`) and `rl:*` only; any other
 //! explicit tuner is a parse error.
@@ -173,7 +174,8 @@ pub struct Scenario {
     pub duration_s: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Optional path for the full trace CSV.
+    /// Optional path for the full trace CSV (not on a scale fleet, which
+    /// keeps no per-agent trace).
     pub trace_path: Option<String>,
     /// Transfer tasks.
     pub agents: Vec<AgentSpec>,
@@ -280,6 +282,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     };
 
     let mut ev = EventSpec::default();
+    // Line of the top-level `trace` key, if there is one.
+    let mut trace_line = None;
     // Line of the `[fleet]` section's `tuner` key, if it has one.
     let mut fleet_tuner_line = None;
     // Line and name of the `[fleet]` section's first scale-engine key: an
@@ -379,7 +383,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 }
                 "duration" => sc.duration_s = positive(value)?,
                 "seed" => sc.seed = int(line_no, key, value)?,
-                "trace" => sc.trace_path = Some(value.to_string()),
+                "trace" => {
+                    sc.trace_path = Some(value.to_string());
+                    trace_line = Some(line_no);
+                }
                 other => return Err(err(line_no, format!("unknown key {other:?}"))),
             },
             Section::Agent => {
@@ -549,6 +556,12 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     if let (Some(f), Some((line_no, key))) = (&sc.fleet, scale_key) {
         if f.topology.is_none() {
             let msg = format!("{key}: a scale-engine key; this [fleet] sets no topology");
+            return Err(err(line_no, msg));
+        }
+    }
+    if let (Some(f), Some(line_no)) = (&sc.fleet, trace_line) {
+        if f.topology.is_some() {
+            let msg = "trace: the scale engine keeps no per-agent trace to write".to_string();
             return Err(err(line_no, msg));
         }
     }
@@ -1295,6 +1308,11 @@ agent = 0
             (
                 "[fleet]\nlinks = 9\nshards = 3\nshards = 4\n",
                 "line 3: shards: a scale",
+            ),
+            // The scale engine keeps no runner trace: no file was written.
+            (
+                "trace = t.csv\n[fleet]\ntopology = dtn:2x2\n",
+                "line 1: trace:",
             ),
         ] {
             let e = parse(text).unwrap_err().0;

@@ -109,12 +109,13 @@ proptest! {
             .filter(|_| !has_fleet)
             .collect();
         prop_assume!(has_fleet || !agents.is_empty());
+        let scale_fleet = has_fleet && scale;
 
         let sc = Scenario {
             env: ENVS[env_pick].to_string(),
             duration_s,
             seed,
-            trace_path: (trace_pick == 1).then(|| "/tmp/trace.csv".to_string()),
+            trace_path: (trace_pick == 1 && !scale_fleet).then(|| "/tmp/trace.csv".to_string()),
             agents,
             background: backgrounds
                 .iter()
