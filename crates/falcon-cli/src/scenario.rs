@@ -73,6 +73,10 @@
 //! | `rtt`           | `rtt_s`                        | set the round-trip time              |
 //! | `kill`          | `agent`                        | crash an agent's transfer process    |
 //! | `revive`        | `agent`                        | bring a killed agent back            |
+//!
+//! `agent` is the index of an `[agent]` section in file order (the `id`
+//! column of the report), and that agent must have started by `at`.
+//! An `[agent]` joins before `duration` and leaves after it joins.
 
 use falcon_fleet::{
     CampaignSpec, FleetReport, FleetTopology, FleetTuner, ScaleCampaignSpec, ScaleReport,
@@ -220,7 +224,8 @@ struct EventSpec {
     factor: Option<f64>,
     rate: Option<f64>,
     rtt_s: Option<f64>,
-    agent: Option<usize>,
+    /// The `agent` key: its line and the `[agent]` section it names.
+    agent: Option<(usize, usize)>,
     resource: Option<usize>,
 }
 
@@ -238,6 +243,7 @@ impl EventSpec {
         };
         let need_agent = || {
             self.agent
+                .map(|(_, agent)| agent)
                 .ok_or_else(|| ParseError(format!("[event] action {action_name} requires agent =")))
         };
         let action = match action_name {
@@ -282,6 +288,9 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     };
 
     let mut ev = EventSpec::default();
+    // Each kill/revive event's `agent` line, time and index: the sections
+    // it may name are known only at the end.
+    let mut agent_refs: Vec<(usize, f64, usize)> = Vec::new();
     // Line of the top-level `trace` key, if there is one.
     let mut trace_line = None;
     // Line of the `[fleet]` section's `tuner` key, if it has one.
@@ -308,8 +317,19 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             sc.background.push(*bg);
         }
     };
-    let flush_ev = |sc: &mut Scenario, ev: &EventSpec| -> Result<(), ParseError> {
-        sc.events.push(ev.build()?);
+    let flush_ev = |sc: &mut Scenario,
+                    ev: &EventSpec,
+                    agent_refs: &mut Vec<(usize, f64, usize)>|
+     -> Result<(), ParseError> {
+        let event = ev.build()?;
+        if let (
+            EventAction::KillAgent { .. } | EventAction::ReviveAgent { .. },
+            Some((line, agent)),
+        ) = (event.action, ev.agent)
+        {
+            agent_refs.push((line, event.at_s, agent));
+        }
+        sc.events.push(event);
         Ok(())
     };
 
@@ -324,7 +344,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                     flush_bg(&mut sc, &bg);
                     bg.demand_mbps = 0.0;
                 }
-                Section::Event => flush_ev(&mut sc, &ev)?,
+                Section::Event => flush_ev(&mut sc, &ev, &mut agent_refs)?,
                 _ => {}
             }
             // A fleet generates its own transfers on its own links, so it
@@ -462,7 +482,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
                 "factor" => ev.factor = Some(positive(value)?),
                 "rate" => ev.rate = Some(ranged(value, |x| (0.0..1.0).contains(&x), "in [0, 1)")?),
                 "rtt_s" => ev.rtt_s = Some(positive(value)?),
-                "agent" => ev.agent = Some(int(line_no, key, value)?),
+                "agent" => ev.agent = Some((line_no, int(line_no, key, value)?)),
                 "resource" => {
                     // `env` is a top-level key, so it is final by the time
                     // any section is read.
@@ -550,8 +570,26 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     }
     match section {
         Section::Background => flush_bg(&mut sc, &bg),
-        Section::Event => flush_ev(&mut sc, &ev)?,
+        Section::Event => flush_ev(&mut sc, &ev, &mut agent_refs)?,
         _ => {}
+    }
+    // `agent` is an `[agent]` section index, and the section must have
+    // joined by the time the event fires.
+    for (line_no, at_s, agent) in agent_refs {
+        let Some(a) = sc.agents.get(agent) else {
+            let msg = format!(
+                "agent: the scenario has [agent] sections 0..{}, got {agent}",
+                sc.agents.len()
+            );
+            return Err(err(line_no, msg));
+        };
+        if at_s < a.start_s {
+            let msg = format!(
+                "agent: [agent] {agent} starts at {} s, after this event at {at_s} s",
+                a.start_s
+            );
+            return Err(err(line_no, msg));
+        }
     }
     if let (Some(f), Some((line_no, key))) = (&sc.fleet, scale_key) {
         if f.topology.is_none() {
@@ -730,11 +768,27 @@ fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
     for bg in &sc.background {
         harness.sim_mut().add_background_flow(*bg);
     }
+    // `[event] agent` names an `[agent]` section, but the simulator numbers
+    // agents as the runner joins them: by start time, ties in section order.
+    let mut join_order: Vec<usize> = (0..sc.agents.len()).collect();
+    join_order.sort_by(|&a, &b| sc.agents[a].start_s.total_cmp(&sc.agents[b].start_s));
+    let mut joined_as = vec![0; sc.agents.len()];
+    for (k, &i) in join_order.iter().enumerate() {
+        joined_as[i] = k;
+    }
+    let events = sc.events.iter().map(|&e| {
+        let mut e = e;
+        if let EventAction::KillAgent { agent } | EventAction::ReviveAgent { agent } = &mut e.action
+        {
+            *agent = joined_as.get(*agent).copied().unwrap_or(*agent);
+        }
+        e
+    });
     // Fallible form: a scenario file with a non-finite or out-of-order
     // event time is a parse-level error, not a panic.
     harness
         .sim_mut()
-        .try_add_events(sc.events.iter().copied())
+        .try_add_events(events)
         .map_err(|e| ParseError(format!("[event] rejected: {e}")))?;
     let mut plans = Vec::new();
     for (i, a) in sc.agents.iter().enumerate() {
@@ -1049,6 +1103,44 @@ agent = 0
         // The five emulab resources are 0..=4.
         let ok = "env = emulab10\n[agent]\n[event]\nat = 0\naction = link_capacity\nfactor = 0.5\nresource = 4\n";
         assert!(parse(ok).is_ok());
+        // A kill or revive names an [agent] section that exists and has
+        // joined by then, wherever the sections sit in the file: both were
+        // accepted and then did nothing.
+        let kill = |agent: usize, at: f64| {
+            format!("[event]\nat = {at}\naction = kill\nagent = {agent}\n[agent]\nstart = 10\n")
+        };
+        for (text, want) in [
+            (
+                kill(1, 20.0),
+                "line 4: agent: the scenario has [agent] sections 0..1",
+            ),
+            (
+                kill(5, 20.0),
+                "line 4: agent: the scenario has [agent] sections 0..1",
+            ),
+            (kill(0, 5.0), "line 4: agent: [agent] 0 starts at 10 s"),
+        ] {
+            let e = parse(&text).unwrap_err().0;
+            assert!(e.starts_with(want), "{text:?}: {e}");
+        }
+        assert!(parse(&kill(0, 10.0)).is_ok());
+    }
+
+    #[test]
+    fn kill_and_revive_name_the_agent_section() {
+        // Section 0 joins after section 1, so it is the second agent the
+        // simulator sees; the kill still lands on section 0.
+        let sc = parse(
+            "env = emulab10\nduration = 120\n[agent]\ntuner = fixed:4\nstart = 10\n\
+             [agent]\ntuner = fixed:2\n[event]\nat = 20\naction = kill\nagent = 0\n",
+        )
+        .unwrap();
+        let out = run(&sc).unwrap();
+        assert!(
+            out.contains("recovery: agent 0 (fixed:4) restarted 1x"),
+            "{out}"
+        );
+        assert!(!out.contains("recovery: agent 1"), "{out}");
     }
 
     #[test]

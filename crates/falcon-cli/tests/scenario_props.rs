@@ -109,6 +109,30 @@ proptest! {
             .filter(|_| !has_fleet)
             .collect();
         prop_assume!(has_fleet || !agents.is_empty());
+        let events: Vec<EnvironmentEvent> = events
+            .iter()
+            .filter(|_| !has_fleet)
+            .map(|&(kind, at_s, x, idx)| {
+                let agent = idx % agents.len();
+                let action = match kind {
+                    0 => EventAction::LinkCapacityFactor {
+                        resource: (idx > 0).then_some(idx),
+                        factor: x,
+                    },
+                    // A loss floor lives in [0, 1).
+                    1 => EventAction::LossFloor { rate: x * 0.49 },
+                    2 => EventAction::DiskThrottleFactor { factor: x },
+                    3 => EventAction::RttShift { rtt_s: x },
+                    4 => EventAction::KillAgent { agent },
+                    _ => EventAction::ReviveAgent { agent },
+                };
+                // A kill or revive names an [agent] section and fires once
+                // it has joined.
+                let at_s = if kind >= 4 { at_s.max(agents[agent].start_s) } else { at_s };
+                EnvironmentEvent::at(at_s, action)
+            })
+            .collect();
+        // A scale fleet keeps no trace to write.
         let scale_fleet = has_fleet && scale;
 
         let sc = Scenario {
@@ -128,25 +152,7 @@ proptest! {
                     connections,
                 })
                 .collect(),
-            events: events
-                .iter()
-                .filter(|_| !has_fleet)
-                .map(|&(kind, at_s, x, idx)| {
-                    let action = match kind {
-                        0 => EventAction::LinkCapacityFactor {
-                            resource: (idx > 0).then_some(idx),
-                            factor: x,
-                        },
-                        // A loss floor lives in [0, 1).
-                        1 => EventAction::LossFloor { rate: x * 0.49 },
-                        2 => EventAction::DiskThrottleFactor { factor: x },
-                        3 => EventAction::RttShift { rtt_s: x },
-                        4 => EventAction::KillAgent { agent: idx },
-                        _ => EventAction::ReviveAgent { agent: idx },
-                    };
-                    EnvironmentEvent::at(at_s, action)
-                })
-                .collect(),
+            events,
             fleet: has_fleet.then(|| FleetSpec {
                 links_mbps: links.clone(),
                 transfers,
