@@ -597,11 +597,15 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             return Err(err(line_no, msg));
         }
     }
-    if let (Some(f), Some(line_no)) = (&sc.fleet, trace_line) {
-        if f.topology.is_some() {
-            let msg = "trace: the scale engine keeps no per-agent trace to write".to_string();
-            return Err(err(line_no, msg));
-        }
+    if let (
+        Some(line_no),
+        Some(FleetSpec {
+            topology: Some(_), ..
+        }),
+    ) = (trace_line, &sc.fleet)
+    {
+        let msg = "trace: the scale engine keeps no per-agent trace to write";
+        return Err(err(line_no, msg.into()));
     }
     if let Some(f) = sc.fleet.as_mut().filter(|f| f.topology.is_some()) {
         match fleet_tuner_line {
@@ -770,17 +774,15 @@ fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
     }
     // `[event] agent` names an `[agent]` section, but the simulator numbers
     // agents as the runner joins them: by start time, ties in section order.
-    let mut join_order: Vec<usize> = (0..sc.agents.len()).collect();
-    join_order.sort_by(|&a, &b| sc.agents[a].start_s.total_cmp(&sc.agents[b].start_s));
-    let mut joined_as = vec![0; sc.agents.len()];
-    for (k, &i) in join_order.iter().enumerate() {
-        joined_as[i] = k;
-    }
-    let events = sc.events.iter().map(|&e| {
-        let mut e = e;
+    let joined_as = |i: usize| {
+        let Some(a) = sc.agents.get(i) else { return i };
+        let earlier = |(j, b): &(usize, &AgentSpec)| (b.start_s, *j) < (a.start_s, i);
+        sc.agents.iter().enumerate().filter(earlier).count()
+    };
+    let events = sc.events.iter().copied().map(|mut e| {
         if let EventAction::KillAgent { agent } | EventAction::ReviveAgent { agent } = &mut e.action
         {
-            *agent = joined_as.get(*agent).copied().unwrap_or(*agent);
+            *agent = joined_as(*agent);
         }
         e
     });
