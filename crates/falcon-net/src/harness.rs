@@ -1,6 +1,6 @@
 //! Adapter: run the experiment [`falcon_transfer::Runner`] against the real
 //! loopback engine. `advance()` sleeps wall-clock time, so simulated and
-//! real experiments share one driver, and real sockets get what every
+//! real experiments share one probe loop, and real sockets get what every
 //! simulated run has: the warm-up discard, the stalled-probe discard and
 //! the restart watchdog, whose `restart` respawns the workers that died.
 //! `falcon loopback` is this harness under the runner.

@@ -17,7 +17,12 @@
 //! [`harness::NetHarness`] adapts the engine to
 //! [`falcon_transfer::TransferHarness`], where `advance()` sleeps real wall
 //! time, so the same [`falcon_transfer::Runner`] drives simulated and real
-//! experiments.
+//! experiments, with its warm-up discard, stalled-probe discard and restart
+//! watchdog: once every worker of a transfer has died the watchdog's
+//! restart calls [`sender::LoopbackTransfer::respawn_dead_workers`].
+//! `falcon loopback`, the `real_loopback` example and the real-socket tests
+//! all run that way; the engine's types stay public for callers that
+//! measure it directly.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
