@@ -36,51 +36,35 @@
 //! factor = 1.0
 //! ```
 //!
-//! Comments start with `#`; keys are `key = value`; `[agent]`,
-//! `[background]` and `[event]` open repeated sections.
+//! Comments start with `#`; keys are `key = value`. Top-level keys come
+//! first; then `[agent]`, `[background]` and `[event]` open repeated
+//! sections, or a single `[fleet]` generates the whole workload instead
+//! (see [`falcon_fleet`]; with `topology =` it runs on the scale engine).
+//! README §"Scenario keys" is the table of every key: its section, its
+//! value and where it applies.
 //!
-//! Every `tuner =` value is a spelling of the one tuner registry
-//! ([`falcon_fleet::FleetTuner`]; README §"Tuner names" is the table) and
-//! is checked against it at parse time. The spelling is all there is to a
-//! tuner: a learning tuner's warm-start corpus is part of its name
-//! (`rl:warm:<gbps>`), as HARP's is (`harp:<gbps>`).
-//!
-//! A `[fleet]` section replaces hand-listed agents with a generated
-//! multi-bottleneck campaign (see [`falcon_fleet`]): `links` is a
-//! comma-separated list of backbone capacities in Mbps, and `transfers`,
-//! `arrivals_per_min`, `mean_file_mb`, `anchor_gb`, `tuner` parameterize
-//! the workload. `duration` and `seed` still come from the top level.
-//! Adding `topology = fat-tree:<k>[:local] | dumbbell:<pairs>x<classes> |
-//! dtn:<hubs>x<spokes>` switches the section to the fleet-*scale* engine
-//! (10⁵+ transfers, sharded incremental max-min); the scale-only keys
-//! `diurnal` (arrival amplitude in `[0,1)`), `failures` (correlated
-//! link-failure waves), `tenants` (churn groups), and `shards` then
-//! shape the soak workload (without `topology` they are a parse error),
-//! while `links` and `anchor_gb` are ignored, and a top-level `trace` is a
-//! parse error (the scale engine keeps no per-agent trace). A scenario with
-//! a `[fleet]` has no `[agent]`, `[background]` or `[event]` section.
-//! The scale engine runs `fixed:<cc>` (the default, at
-//! `ScaleWorkload::default().concurrency`) and `rl:*` only; any other
-//! explicit tuner is a parse error.
-//!
-//! `[event]` actions (see [`falcon_sim::EventAction`]):
-//!
-//! | `action =`      | keys                           | effect                               |
-//! |-----------------|--------------------------------|--------------------------------------|
-//! | `link_capacity` | `factor`, optional `resource`  | scale a link's baseline capacity     |
-//! | `loss_floor`    | `rate`                         | impose a packet-loss floor           |
-//! | `disk_throttle` | `factor`                       | scale per-process disk caps          |
-//! | `rtt`           | `rtt_s`                        | set the round-trip time              |
-//! | `kill`          | `agent`                        | crash an agent's transfer process    |
-//! | `revive`        | `agent`                        | bring a killed agent back            |
-//!
-//! `agent` is the index of an `[agent]` section in file order (the `id`
-//! column of the report), and that agent must have started by `at`.
-//! An `[agent]` joins before `duration` and leaves after it joins.
+//! In this file one table per section declares each key once — its name,
+//! its value kind, and which engine reads it — and a second table lists the
+//! `[event]` actions, each as the [`EventAction`] whose fields are the keys
+//! it reads. Parsing, the range checks, the "unknown key" and "not read
+//! here" errors, [`serialize`] and [`keys`] all read those tables, so a key
+//! that nothing reads is a parse error at its line. The checks that relate
+//! two keys are written out by hand: a section's time window (`[agent]`
+//! `start`/`leave`, `[background]` `start`/`end`, `[event]` `at`, all before
+//! `duration`), `resource` against the env, kill/revive `agent` against the
+//! `[agent]` sections, and the scale engine's tuner set.
+
+use std::fmt::Display;
+use std::mem::discriminant;
+use std::slice;
+use std::str::FromStr;
 
 use falcon_fleet::{
     CampaignSpec, FleetReport, FleetTopology, FleetTuner, ScaleCampaignSpec, ScaleReport,
     ScaleTopology, ScaleWorkload, Workload,
+};
+use falcon_sim::EventAction::{
+    DiskThrottleFactor, KillAgent, LinkCapacityFactor, LossFloor, ReviveAgent, RttShift,
 };
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction, Simulation};
 use falcon_trace::{TraceLog, Tracer};
@@ -90,6 +74,8 @@ use falcon_transfer::runner::{AgentPlan, RunTrace, Runner, Tuner};
 
 use crate::args::{self, ParseError};
 use crate::run::resolve_env;
+use Kind::*;
+use Use::*;
 
 /// One agent line of a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,10 +104,12 @@ impl Default for AgentSpec {
 /// The `[fleet]` section: a routed multi-bottleneck campaign
 /// ([`falcon_fleet`]) instead of hand-listed `[agent]` transfers. A
 /// scenario with a `[fleet]` has no `[agent]`, `[background]` or `[event]`
-/// section (a parse error); `duration` and `seed` still apply.
+/// section and no top-level `env` (parse errors); `duration` and `seed`
+/// still apply.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
-    /// Backbone link capacities in Mbps (`links = 1000, 1600, 2500`).
+    /// Classic engine only: backbone link capacities in Mbps
+    /// (`links = 1000, 1600, 2500`).
     pub links_mbps: Vec<f64>,
     /// Churning arrivals beyond the per-route anchors.
     pub transfers: usize,
@@ -129,7 +117,8 @@ pub struct FleetSpec {
     pub arrivals_per_min: f64,
     /// Mean churn file size (MB).
     pub mean_file_mb: f64,
-    /// Per-route anchor transfer size (GB); 0 disables anchors.
+    /// Classic engine only: per-route anchor transfer size (GB); 0
+    /// disables anchors.
     pub anchor_gb: f64,
     /// Tuner for every transfer: any registry spelling (README §"Tuner
     /// names"); with `topology` set, only `fixed:<cc>` and `rl:*`.
@@ -138,7 +127,7 @@ pub struct FleetSpec {
     /// `dumbbell:<pairs>x<classes>`, `dtn:<hubs>x<spokes>`). When set the
     /// scenario runs on the scale engine
     /// ([`falcon_fleet::run_scale_campaign`]) instead of the classic
-    /// runner-driven campaign; `links` is then ignored.
+    /// runner-driven campaign.
     pub topology: Option<String>,
     /// Scale engine only: diurnal arrival-rate amplitude in `[0, 1)`.
     pub diurnal: f64,
@@ -207,131 +196,396 @@ impl Default for Scenario {
     }
 }
 
-#[derive(Debug, PartialEq)]
+/// What a key's value must be.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    /// Finite and > 0.
+    Positive,
+    /// Finite and >= 0.
+    NonNegative,
+    /// In `[0, 1)`.
+    Fraction,
+    /// > 0, or `inf` for no end.
+    PositiveOrInf,
+    /// A whole number, parsed by the field's own integer type: counts and
+    /// indices never go through `f64`, which would round above 2^53 and
+    /// turn `-1`, `1.5` and `nan` into 0 or 1.
+    Whole,
+    /// A whole number >= 1.
+    AtLeastOne,
+    /// A whole number naming an `[agent]` section that has started by the
+    /// event's `at`; checked once every section is read.
+    AgentIndex,
+    /// A whole number below the env's resource count.
+    ResourceIndex,
+    /// A tuner registry spelling (README §"Tuner names").
+    TunerName,
+    /// `1gb:<count>`, `small`, `large` or `mixed`.
+    DatasetName,
+    /// An environment preset (`falcon envs`).
+    EnvName,
+    /// A scale-engine fabric spec.
+    TopologySpec,
+    /// 1 to 64 comma-separated capacities, each finite and > 0.
+    LinkList,
+    /// An `[event]` action name: it picks which of the section's keys are
+    /// read.
+    ActionName,
+    /// Any text.
+    Text,
+}
+
+impl Kind {
+    /// Check `raw` as the value of `key` in a scenario on `env` (top-level
+    /// keys come before every section); the error follows the line number.
+    fn check(self, key: &str, raw: &str, env: &str) -> Result<(), String> {
+        let ranged = |ok: fn(f64) -> bool, want: &str| {
+            args::ranged(key, raw, ok, want).map(drop).map_err(|e| e.0)
+        };
+        let resources = || resolve_env(env).map_or(0, |env| env.resources.len());
+        match self {
+            Positive => ranged(|x| x > 0.0, "finite and > 0"),
+            NonNegative => ranged(|x| x >= 0.0, "finite and >= 0"),
+            Fraction => ranged(|x| (0.0..1.0).contains(&x), "in [0, 1)"),
+            PositiveOrInf if !raw.parse().is_ok_and(|x: f64| x > 0.0) => {
+                Err(format!("{key}: must be > 0 or inf, got {raw:?}"))
+            }
+            AtLeastOne if raw.parse() == Ok(0u64) => {
+                Err(format!("{key}: must be >= 1, got {raw:?}"))
+            }
+            ResourceIndex if raw.parse().is_ok_and(|r: usize| r >= resources()) => Err(format!(
+                "{key}: env {env} has resources 0..{}, got {raw}",
+                resources()
+            )),
+            TunerName => FleetTuner::parse(raw).map(drop),
+            DatasetName => dataset_ctor(raw).map(drop),
+            EnvName if resolve_env(raw).is_none() => Err(format!("unknown environment {raw:?}")),
+            TopologySpec if ScaleTopology::from_spec(raw).is_none() => Err(format!(
+                "{key}: {raw:?} is not fat-tree:<k>[:local] | dumbbell:<pairs>x<classes> | \
+                 dtn:<hubs>x<spokes>"
+            )),
+            LinkList if links(raw).is_none() => Err(format!(
+                "{key}: need 1..=64 finite capacities > 0, got {raw:?}"
+            )),
+            ActionName if action(raw).is_none() => Err(format!(
+                "unknown event action {raw:?} (expected {})",
+                ACTIONS.map(|(name, _)| name).join("|")
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// `links =` capacities, if there are 1 to 64 and each is finite and > 0.
+fn links(raw: &str) -> Option<Vec<f64>> {
+    let cap = |c: &str| args::ranged("", c.trim(), |c| c > 0.0, "").ok();
+    let caps: Option<Vec<f64>> = raw.split(',').map(cap).collect();
+    caps.filter(|c| (1..=64).contains(&c.len()))
+}
+
+/// Which runs read a key. `scale` names the run: `None` for `[agent]`
+/// sections, else a `[fleet]`, on the scale engine if `true`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Use {
+    /// Read wherever its section is.
+    Any,
+    /// Read wherever its section is, and the section needs it.
+    Required,
+    /// Not next to a `[fleet]`: the fleet engines build their own links.
+    NoFleet,
+    /// Not on the scale engine, which keeps no per-agent trace.
+    NoScale,
+    /// Only by the classic fleet engine, which builds its links from it.
+    Classic,
+    /// Only by the scale engine.
+    Scale,
+}
+
+impl Use {
+    /// Why the run `scale` names does not read the key, if it does not.
+    fn unread(self, scale: Option<bool>) -> Option<&'static str> {
+        match (self, scale) {
+            (NoFleet, Some(_)) => Some("a [fleet] builds its own links, from links or topology"),
+            (NoScale, Some(true)) => Some("the scale engine keeps no per-agent trace to write"),
+            (Classic, Some(true)) => Some("the scale engine builds its links from topology"),
+            (Scale, None | Some(false)) => Some("a scale-engine key; the [fleet] has no topology"),
+            _ => None,
+        }
+    }
+}
+
+/// A struct field that a key sets and [`serialize`] writes.
+trait Field {
+    /// Store `raw`, which the key's [`Kind`] has checked; `false` if it
+    /// does not parse as the field's type (a whole-number kind leaves that
+    /// check to the field).
+    fn set(&mut self, raw: &str) -> bool;
+    /// The value as the key spells it; `None` for an unset option.
+    fn get(&self) -> Option<String>;
+}
+
+/// Field types that parse from and print as their INI spelling.
+trait Scalar: FromStr + Display {}
+impl Scalar for f64 {}
+impl Scalar for u64 {}
+impl Scalar for u32 {}
+impl Scalar for usize {}
+impl Scalar for String {}
+
+impl<T: Scalar> Field for T {
+    fn set(&mut self, raw: &str) -> bool {
+        raw.parse().map(|v| *self = v).is_ok()
+    }
+    fn get(&self) -> Option<String> {
+        Some(self.to_string())
+    }
+}
+
+impl<T: Scalar> Field for Option<T> {
+    fn set(&mut self, raw: &str) -> bool {
+        raw.parse().map(|v| *self = Some(v)).is_ok()
+    }
+    fn get(&self) -> Option<String> {
+        self.as_ref().map(T::to_string)
+    }
+}
+
+impl Field for Vec<f64> {
+    fn set(&mut self, raw: &str) -> bool {
+        links(raw).map(|caps| *self = caps).is_some()
+    }
+    fn get(&self) -> Option<String> {
+        let caps: Vec<String> = self.iter().map(f64::to_string).collect();
+        Some(caps.join(", "))
+    }
+}
+
+impl Field for EventAction {
+    fn set(&mut self, raw: &str) -> bool {
+        action(raw).map(|i| *self = ACTIONS[i].1).is_some()
+    }
+    fn get(&self) -> Option<String> {
+        let same = |(_, a): &&(&str, EventAction)| discriminant(a) == discriminant(self);
+        ACTIONS.iter().find(same).map(|(name, _)| name.to_string())
+    }
+}
+
+/// One key of a section whose values live in a `T`: its name, its value
+/// kind, which runs read it, and the field it sets and [`serialize`]
+/// writes — `None` where `T` has none (an `[event]` action that does not
+/// read the key).
+struct Key<T: 'static>(&'static str, Kind, Use, Lens<T>);
+
+type Lens<T> = fn(&mut T) -> Option<&mut dyn Field>;
+
+/// A section's label and its keys, in the order [`serialize`] writes them.
+type Table<T> = (&'static str, &'static [Key<T>]);
+
+const TOP: Table<Scenario> = (
+    "top level",
+    &[
+        Key("env", EnvName, NoFleet, |s| Some(&mut s.env)),
+        Key("duration", Positive, Any, |s| Some(&mut s.duration_s)),
+        Key("seed", Whole, Any, |s| Some(&mut s.seed)),
+        Key("trace", Text, NoScale, |s| Some(&mut s.trace_path)),
+    ],
+);
+
+const AGENT: Table<AgentSpec> = (
+    "[agent]",
+    &[
+        Key("tuner", TunerName, Any, |a| Some(&mut a.tuner)),
+        Key("start", NonNegative, Any, |a| Some(&mut a.start_s)),
+        Key("leave", NonNegative, Any, |a| Some(&mut a.leave_s)),
+        Key("dataset", DatasetName, Any, |a| Some(&mut a.dataset)),
+    ],
+);
+
+const BACKGROUND: Table<BackgroundFlow> = (
+    "[background]",
+    &[
+        Key("start", NonNegative, Any, |b| Some(&mut b.start_s)),
+        Key("end", PositiveOrInf, Any, |b| Some(&mut b.end_s)),
+        Key("mbps", Positive, Required, |b| Some(&mut b.demand_mbps)),
+        Key("connections", AtLeastOne, Any, |b| Some(&mut b.connections)),
+    ],
+);
+
+const EVENT: Table<EnvironmentEvent> = (
+    "[event]",
+    &[
+        Key("at", NonNegative, Required, |e| Some(&mut e.at_s)),
+        Key("action", ActionName, Required, |e| Some(&mut e.action)),
+        Key("resource", ResourceIndex, Any, |e| match &mut e.action {
+            LinkCapacityFactor { resource, .. } => Some(resource),
+            _ => None,
+        }),
+        Key("factor", Positive, Required, |e| match &mut e.action {
+            LinkCapacityFactor { factor, .. } | DiskThrottleFactor { factor } => Some(factor),
+            _ => None,
+        }),
+        Key("rate", Fraction, Required, |e| match &mut e.action {
+            LossFloor { rate } => Some(rate),
+            _ => None,
+        }),
+        Key("rtt_s", Positive, Required, |e| match &mut e.action {
+            RttShift { rtt_s } => Some(rtt_s),
+            _ => None,
+        }),
+        Key("agent", AgentIndex, Required, |e| match &mut e.action {
+            KillAgent { agent } | ReviveAgent { agent } => Some(agent),
+            _ => None,
+        }),
+    ],
+);
+
+const FLEET: Table<FleetSpec> = (
+    "[fleet]",
+    &[
+        Key("links", LinkList, Classic, |f| Some(&mut f.links_mbps)),
+        Key("transfers", Whole, Any, |f| Some(&mut f.transfers)),
+        Key("arrivals_per_min", Positive, Any, |f| {
+            Some(&mut f.arrivals_per_min)
+        }),
+        Key("mean_file_mb", Positive, Any, |f| Some(&mut f.mean_file_mb)),
+        Key("anchor_gb", NonNegative, Classic, |f| {
+            Some(&mut f.anchor_gb)
+        }),
+        Key("tuner", TunerName, Any, |f| Some(&mut f.tuner)),
+        Key("topology", TopologySpec, Any, |f| Some(&mut f.topology)),
+        Key("diurnal", Fraction, Scale, |f| Some(&mut f.diurnal)),
+        Key("failures", Whole, Scale, |f| Some(&mut f.failures)),
+        Key("tenants", AtLeastOne, Scale, |f| Some(&mut f.tenants)),
+        Key("shards", AtLeastOne, Scale, |f| Some(&mut f.shards)),
+    ],
+);
+
+/// The `[event]` actions, each as the [`EventAction`] it builds: the keys
+/// an action reads are the `EVENT` keys whose field that variant has.
+const ACTIONS: [(&str, EventAction); 6] = [
+    (
+        "link_capacity",
+        LinkCapacityFactor {
+            resource: None,
+            factor: 1.0,
+        },
+    ),
+    ("loss_floor", LossFloor { rate: 0.0 }),
+    ("disk_throttle", DiskThrottleFactor { factor: 1.0 }),
+    ("rtt", RttShift { rtt_s: 0.0 }),
+    ("kill", KillAgent { agent: 0 }),
+    ("revive", ReviveAgent { agent: 0 }),
+];
+
+fn action(name: &str) -> Option<usize> {
+    ACTIONS.iter().position(|(n, _)| *n == name)
+}
+
+/// Every `(section, key)` the tables declare, in the order [`serialize`]
+/// writes them; README §"Scenario keys" documents each.
+pub fn keys() -> Vec<(&'static str, &'static str)> {
+    fn names<T>((label, keys): Table<T>) -> impl Iterator<Item = (&'static str, &'static str)> {
+        keys.iter().map(move |k| (label, k.0))
+    }
+    let agents = names(AGENT).chain(names(BACKGROUND)).chain(names(EVENT));
+    names(TOP).chain(agents).chain(names(FLEET)).collect()
+}
+
+/// The section being read, holding what its keys have set so far.
 enum Section {
     Top,
-    Agent,
-    Background,
-    Event,
-    Fleet,
+    Agent(AgentSpec),
+    Background(BackgroundFlow),
+    /// One draft per action: a key sets every draft that reads it, and
+    /// `action =` moves the draft it names to the front.
+    Event([EnvironmentEvent; 6]),
+    Fleet(FleetSpec),
 }
 
-/// Accumulates the keys of one `[event]` section until it can be built.
-#[derive(Debug, Clone, Default)]
-struct EventSpec {
-    at_s: Option<f64>,
-    action: Option<String>,
-    factor: Option<f64>,
-    rate: Option<f64>,
-    rtt_s: Option<f64>,
-    /// The `agent` key: its line and the `[agent]` section it names.
-    agent: Option<(usize, usize)>,
-    resource: Option<usize>,
+/// A key as read: its line, name, kind and use.
+type Seen = (usize, &'static str, Kind, Use);
+
+fn err(line_no: usize, msg: String) -> ParseError {
+    ParseError(format!("line {}: {msg}", line_no + 1))
 }
 
-impl EventSpec {
-    fn build(&self) -> Result<EnvironmentEvent, ParseError> {
-        let at_s = self
-            .at_s
-            .ok_or_else(|| ParseError("[event] requires at = <seconds>".into()))?;
-        let action_name = self
-            .action
-            .as_deref()
-            .ok_or_else(|| ParseError("[event] requires action = <name>".into()))?;
-        let need = |v: Option<f64>, key: &str| {
-            v.ok_or_else(|| ParseError(format!("[event] action {action_name} requires {key} =")))
-        };
-        let need_agent = || {
-            self.agent
-                .map(|(_, agent)| agent)
-                .ok_or_else(|| ParseError(format!("[event] action {action_name} requires agent =")))
-        };
-        let action = match action_name {
-            "link_capacity" => EventAction::LinkCapacityFactor {
-                resource: self.resource,
-                factor: need(self.factor, "factor")?,
-            },
-            "loss_floor" => EventAction::LossFloor {
-                rate: need(self.rate, "rate")?,
-            },
-            "disk_throttle" => EventAction::DiskThrottleFactor {
-                factor: need(self.factor, "factor")?,
-            },
-            "rtt" => EventAction::RttShift {
-                rtt_s: need(self.rtt_s, "rtt_s")?,
-            },
-            "kill" => EventAction::KillAgent {
-                agent: need_agent()?,
-            },
-            "revive" => EventAction::ReviveAgent {
-                agent: need_agent()?,
-            },
-            other => {
-                return Err(ParseError(format!(
-                    "unknown event action {other:?} (expected link_capacity|loss_floor|disk_throttle|rtt|kill|revive)"
-                )))
-            }
-        };
-        Ok(EnvironmentEvent::at(at_s, action))
+/// Read `key = raw` into each of a section's `targets`, once the key's kind
+/// has checked it.
+fn apply<T>(
+    (label, keys): Table<T>,
+    targets: &mut [T],
+    key: &str,
+    raw: &str,
+    env: &str,
+) -> Result<(&'static str, Kind, Use), String> {
+    let Some(&Key(name, kind, using, field)) = keys.iter().find(|k| k.0 == key) else {
+        return Err(format!("unknown {label} key {key:?}"));
+    };
+    kind.check(key, raw, env)?;
+    // `action =` picks one of an `[event]`'s drafts rather than setting it.
+    for t in targets.iter_mut().filter(|_| kind != ActionName) {
+        if field(t).is_some_and(|f| !f.set(raw)) {
+            return Err(format!("{key}: expected a whole number, got {raw:?}"));
+        }
     }
+    Ok((name, kind, using))
+}
+
+/// The first `Required` key of the table that `t` reads and `seen` lacks.
+fn require<T>((label, keys): Table<T>, t: &mut T, seen: &[Seen]) -> Result<(), String> {
+    let missing = |k: &&Key<T>| k.2 == Required && !seen.iter().any(|s| s.1 == k.0);
+    match keys.iter().filter(missing).find(|k| (k.3)(t).is_some()) {
+        Some(k) => Err(format!("{label} requires {} =", k.0)),
+        None => Ok(()),
+    }
+}
+
+/// Add a finished section to `sc`, once it has every key it needs and, for
+/// an `[event]`, its action reads every key it was given. A kill or revive
+/// goes to `agent_refs` as (line, time, section): the sections it may name
+/// are known only at the end.
+fn close(
+    sc: &mut Scenario,
+    section: Section,
+    (seen, header): (&[Seen], usize),
+    agent_refs: &mut Vec<(usize, f64, usize)>,
+) -> Result<(), ParseError> {
+    let missing = |e| err(header, e);
+    match section {
+        Section::Top => {}
+        Section::Agent(a) => sc.agents.push(a),
+        Section::Background(mut b) => {
+            require(BACKGROUND, &mut b, seen).map_err(missing)?;
+            sc.background.push(b);
+        }
+        Section::Event([mut e, ..]) => {
+            require(EVENT, &mut e, seen).map_err(missing)?;
+            let act = e.action.get().unwrap_or_default();
+            let reads: Vec<_> = EVENT.1.iter().filter(|k| (k.3)(&mut e).is_some()).collect();
+            for &(line, name, kind, _) in seen {
+                if !reads.iter().any(|k| k.0 == name) {
+                    return Err(err(line, format!("{name}: action {act} does not read it")));
+                }
+                if let (AgentIndex, KillAgent { agent } | ReviveAgent { agent }) = (kind, e.action)
+                {
+                    agent_refs.push((line, e.at_s, agent));
+                }
+            }
+            sc.events.push(e);
+        }
+        Section::Fleet(f) => sc.fleet = Some(f),
+    }
+    Ok(())
 }
 
 /// Parse a scenario file's contents.
 pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     let mut sc = Scenario::default();
     let mut section = Section::Top;
-    let mut bg = BackgroundFlow {
-        start_s: 0.0,
-        end_s: f64::INFINITY,
-        demand_mbps: 0.0,
-        connections: 1,
-    };
-
-    let mut ev = EventSpec::default();
-    // Each kill/revive event's `agent` line, time and index: the sections
-    // it may name are known only at the end.
-    let mut agent_refs: Vec<(usize, f64, usize)> = Vec::new();
-    // Line of the top-level `trace` key, if there is one.
-    let mut trace_line = None;
-    // Line of the `[fleet]` section's `tuner` key, if it has one.
-    let mut fleet_tuner_line = None;
-    // Line and name of the `[fleet]` section's first scale-engine key: an
-    // error unless the section also sets `topology`.
-    let mut scale_key = None;
-
-    fn err(line_no: usize, msg: String) -> ParseError {
-        ParseError(format!("line {}: {msg}", line_no + 1))
-    }
-    // Count and index keys parse as integers, never through `f64`: that
-    // would round above 2^53 and turn `-1`, `1.5` and `nan` into 0 or 1.
-    fn int<T: std::str::FromStr>(line_no: usize, key: &str, v: &str) -> Result<T, ParseError> {
-        v.parse().map_err(|_| {
-            err(
-                line_no,
-                format!("{key}: expected a whole number, got {v:?}"),
-            )
-        })
-    }
-    let flush_bg = |sc: &mut Scenario, bg: &BackgroundFlow| {
-        if bg.demand_mbps > 0.0 {
-            sc.background.push(*bg);
-        }
-    };
-    let flush_ev = |sc: &mut Scenario,
-                    ev: &EventSpec,
-                    agent_refs: &mut Vec<(usize, f64, usize)>|
-     -> Result<(), ParseError> {
-        let event = ev.build()?;
-        if let (
-            EventAction::KillAgent { .. } | EventAction::ReviveAgent { .. },
-            Some((line, agent)),
-        ) = (event.action, ev.agent)
-        {
-            agent_refs.push((line, event.at_s, agent));
-        }
-        sc.events.push(event);
-        Ok(())
-    };
+    // Every key read, in file order; the current section's start at `from`.
+    let mut seen: Vec<Seen> = Vec::new();
+    let (mut from, mut header) = (0, 0);
+    let mut agent_refs = Vec::new();
 
     for (line_no, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -339,282 +593,91 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
             continue;
         }
         if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            match section {
-                Section::Background => {
-                    flush_bg(&mut sc, &bg);
-                    bg.demand_mbps = 0.0;
-                }
-                Section::Event => flush_ev(&mut sc, &ev, &mut agent_refs)?,
-                _ => {}
-            }
+            let done = std::mem::replace(&mut section, Section::Top);
+            let first = matches!(done, Section::Top);
+            close(&mut sc, done, (&seen[from..], header), &mut agent_refs)?;
             // A fleet generates its own transfers on its own links, so it
             // would run no other section (a second `[fleet]` replaced it).
-            let name = name.trim();
-            if sc.fleet.is_some() || name == "fleet" && section != Section::Top {
-                let msg = format!("[{name}]: a scenario with a [fleet] has no other section");
+            let name = format!("[{}]", name.trim());
+            if sc.fleet.is_some() || name == "[fleet]" && !first {
+                let msg = format!("{name}: a scenario with a [fleet] has no other section");
                 return Err(err(line_no, msg));
             }
-            section = match name {
-                "agent" => {
-                    sc.agents.push(AgentSpec::default());
-                    Section::Agent
-                }
-                "background" => {
-                    bg = BackgroundFlow {
-                        start_s: 0.0,
-                        end_s: f64::INFINITY,
-                        demand_mbps: 0.0,
-                        connections: 1,
-                    };
-                    Section::Background
-                }
-                "event" => {
-                    ev = EventSpec::default();
-                    Section::Event
-                }
-                "fleet" => {
-                    sc.fleet = Some(FleetSpec::default());
-                    Section::Fleet
-                }
-                other => return Err(err(line_no, format!("unknown section [{other}]"))),
+            section = match name.as_str() {
+                "[agent]" => Section::Agent(AgentSpec::default()),
+                "[background]" => Section::Background(BackgroundFlow {
+                    start_s: 0.0,
+                    end_s: f64::INFINITY,
+                    demand_mbps: 0.0,
+                    connections: 1,
+                }),
+                "[event]" => Section::Event(ACTIONS.map(|(_, a)| EnvironmentEvent::at(0.0, a))),
+                "[fleet]" => Section::Fleet(FleetSpec::default()),
+                _ => return Err(err(line_no, format!("unknown section {name}"))),
             };
+            (from, header) = (seen.len(), line_no);
             continue;
         }
         let Some((key, value)) = line.split_once('=') else {
             return Err(err(line_no, format!("expected key = value, got {line:?}")));
         };
         let (key, value) = (key.trim(), value.trim());
-        let num = |v: &str| -> Result<f64, ParseError> {
-            v.parse()
-                .map_err(|_| err(line_no, format!("{key}: cannot parse {v:?}")))
+        let env = sc.env.clone();
+        let read = match &mut section {
+            Section::Top => apply(TOP, slice::from_mut(&mut sc), key, value, &env),
+            Section::Agent(a) => apply(AGENT, slice::from_mut(a), key, value, &env),
+            Section::Background(b) => apply(BACKGROUND, slice::from_mut(b), key, value, &env),
+            Section::Event(drafts) => apply(EVENT, drafts, key, value, &env),
+            Section::Fleet(f) => apply(FLEET, slice::from_mut(f), key, value, &env),
         };
-        let ranged = |v: &str, ok: fn(f64) -> bool, want: &str| {
-            args::ranged(key, v, ok, want).map_err(|e| err(line_no, e.0))
-        };
-        let positive = |v: &str| ranged(v, |x| x > 0.0, "finite and > 0");
-        let non_negative = |v: &str| ranged(v, |x| x >= 0.0, "finite and >= 0");
-        match section {
-            Section::Top => match key {
-                "env" => {
-                    if resolve_env(value).is_none() {
-                        return Err(err(line_no, format!("unknown environment {value:?}")));
-                    }
-                    sc.env = value.to_string();
-                }
-                "duration" => sc.duration_s = positive(value)?,
-                "seed" => sc.seed = int(line_no, key, value)?,
-                "trace" => {
-                    sc.trace_path = Some(value.to_string());
-                    trace_line = Some(line_no);
-                }
-                other => return Err(err(line_no, format!("unknown key {other:?}"))),
-            },
-            Section::Agent => {
-                let Some(a) = sc.agents.last_mut() else {
-                    return Err(err(line_no, "agent key outside an [agent] section".into()));
-                };
-                match key {
-                    "tuner" => {
-                        FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
-                        a.tuner = value.to_string();
-                    }
-                    // An agent that joins at or after the end, or leaves
-                    // before it joins, never runs. `duration` is final: top
-                    // keys come before every section.
-                    "start" => {
-                        a.start_s = non_negative(value)?;
-                        let (bound, end) = match a.leave_s {
-                            Some(leave) if leave < sc.duration_s => ("leave", leave),
-                            _ => ("duration", sc.duration_s),
-                        };
-                        if a.start_s >= end {
-                            let msg = format!("start: must be < {bound} = {end}, got {value:?}");
-                            return Err(err(line_no, msg));
-                        }
-                    }
-                    "leave" => {
-                        let leave = non_negative(value)?;
-                        if leave <= a.start_s {
-                            let msg =
-                                format!("leave: must be > start = {}, got {value:?}", a.start_s);
-                            return Err(err(line_no, msg));
-                        }
-                        a.leave_s = Some(leave);
-                    }
-                    "dataset" => {
-                        dataset_ctor(value).map_err(|m| err(line_no, m))?;
-                        a.dataset = value.to_string();
-                    }
-                    other => return Err(err(line_no, format!("unknown agent key {other:?}"))),
-                }
-            }
-            // A flow whose window is empty or that opens no connection never
-            // runs; reject it rather than drop it silently. `end = inf` is
-            // the open-ended spelling.
-            Section::Background => match key {
-                "start" => {
-                    bg.start_s = non_negative(value)?;
-                    if bg.start_s >= bg.end_s {
-                        let msg = format!("start: must be < end = {}, got {value:?}", bg.end_s);
-                        return Err(err(line_no, msg));
-                    }
-                }
-                "end" => {
-                    let end = num(value)?;
-                    if end.is_nan() || end <= bg.start_s {
-                        let msg = format!("end: must be > start = {}, got {value:?}", bg.start_s);
-                        return Err(err(line_no, msg));
-                    }
-                    bg.end_s = end;
-                }
-                "mbps" => bg.demand_mbps = non_negative(value)?,
-                "connections" => {
-                    bg.connections = int(line_no, key, value)?;
-                    if bg.connections == 0 {
-                        return Err(err(line_no, "connections: must be >= 1".into()));
-                    }
-                }
-                other => return Err(err(line_no, format!("unknown background key {other:?}"))),
-            },
-            Section::Event => match key {
-                "at" => ev.at_s = Some(non_negative(value)?),
-                "action" => ev.action = Some(value.to_string()),
-                "factor" => ev.factor = Some(positive(value)?),
-                "rate" => ev.rate = Some(ranged(value, |x| (0.0..1.0).contains(&x), "in [0, 1)")?),
-                "rtt_s" => ev.rtt_s = Some(positive(value)?),
-                "agent" => ev.agent = Some((line_no, int(line_no, key, value)?)),
-                "resource" => {
-                    // `env` is a top-level key, so it is final by the time
-                    // any section is read.
-                    let resources = resolve_env(&sc.env).map_or(0, |env| env.resources.len());
-                    let r: usize = int(line_no, key, value)?;
-                    if r >= resources {
-                        let msg = format!(
-                            "resource: env {} has resources 0..{resources}, got {r}",
-                            sc.env
-                        );
-                        return Err(err(line_no, msg));
-                    }
-                    ev.resource = Some(r);
-                }
-                other => return Err(err(line_no, format!("unknown event key {other:?}"))),
-            },
-            Section::Fleet => {
-                let Some(f) = sc.fleet.as_mut() else {
-                    return Err(err(line_no, "fleet key outside a [fleet] section".into()));
-                };
-                if matches!(key, "diurnal" | "failures" | "tenants" | "shards") {
-                    scale_key.get_or_insert((line_no, key));
-                }
-                match key {
-                    "links" => {
-                        let caps: Result<Vec<f64>, ParseError> =
-                            value.split(',').map(|v| num(v.trim())).collect();
-                        let caps = caps?;
-                        if caps.is_empty() || caps.len() > 64 || !caps.iter().all(|&c| c > 0.0) {
-                            return Err(err(
-                                line_no,
-                                format!("links: need 1..=64 positive capacities, got {value:?}"),
-                            ));
-                        }
-                        f.links_mbps = caps;
-                    }
-                    "transfers" => f.transfers = int(line_no, key, value)?,
-                    "arrivals_per_min" => f.arrivals_per_min = positive(value)?,
-                    "mean_file_mb" => f.mean_file_mb = positive(value)?,
-                    "anchor_gb" => f.anchor_gb = non_negative(value)?,
-                    "tuner" => {
-                        FleetTuner::parse(value).map_err(|m| err(line_no, m))?;
-                        f.tuner = value.to_string();
-                        fleet_tuner_line = Some(line_no);
-                    }
-                    "topology" => {
-                        if ScaleTopology::from_spec(value).is_none() {
-                            return Err(err(
-                                line_no,
-                                format!(
-                                    "topology: {value:?} is not fat-tree:<k>[:local] | \
-                                     dumbbell:<pairs>x<classes> | dtn:<hubs>x<spokes>"
-                                ),
-                            ));
-                        }
-                        f.topology = Some(value.to_string());
-                    }
-                    "diurnal" => {
-                        let v = num(value)?;
-                        if !(0.0..1.0).contains(&v) {
-                            return Err(err(
-                                line_no,
-                                format!("diurnal: amplitude must be in [0, 1), got {value:?}"),
-                            ));
-                        }
-                        f.diurnal = v;
-                    }
-                    "failures" => f.failures = int(line_no, key, value)?,
-                    "tenants" => {
-                        f.tenants = int(line_no, key, value)?;
-                        if f.tenants == 0 {
-                            return Err(err(line_no, "tenants: must be >= 1".into()));
-                        }
-                    }
-                    "shards" => {
-                        f.shards = int(line_no, key, value)?;
-                        if f.shards == 0 {
-                            return Err(err(line_no, "shards: must be >= 1".into()));
-                        }
-                    }
-                    other => return Err(err(line_no, format!("unknown fleet key {other:?}"))),
-                }
+        let (name, kind, using) = read.map_err(|e| err(line_no, e))?;
+        if let (Section::Event(drafts), ActionName) = (&mut section, kind) {
+            let named = |d: &EnvironmentEvent| d.action.get().as_deref() == Some(value);
+            if let Some(i) = drafts.iter().position(named) {
+                drafts.swap(0, i);
             }
         }
+        // A section runs from its start to the earlier of `duration` and
+        // its own end; one whose window is empty never runs.
+        let until = sc.duration_s;
+        let window = match &section {
+            Section::Agent(a) => Some((a.start_s, a.leave_s.map_or(until, |l| l.min(until)))),
+            Section::Background(b) => Some((b.start_s, b.end_s.min(until))),
+            Section::Event(drafts) => Some((drafts[0].at_s, until)),
+            _ => None,
+        };
+        if let Some((start, end)) = window.filter(|(start, end)| start >= end) {
+            let msg = format!(
+                "{name}: nothing runs from {start} s to {end} s, the end of the run or section"
+            );
+            return Err(err(line_no, msg));
+        }
+        seen.push((line_no, name, kind, using));
     }
-    match section {
-        Section::Background => flush_bg(&mut sc, &bg),
-        Section::Event => flush_ev(&mut sc, &ev, &mut agent_refs)?,
-        _ => {}
-    }
+    close(&mut sc, section, (&seen[from..], header), &mut agent_refs)?;
     // `agent` is an `[agent]` section index, and the section must have
     // joined by the time the event fires.
     for (line_no, at_s, agent) in agent_refs {
-        let Some(a) = sc.agents.get(agent) else {
-            let msg = format!(
-                "agent: the scenario has [agent] sections 0..{}, got {agent}",
-                sc.agents.len()
-            );
-            return Err(err(line_no, msg));
+        let msg = match sc.agents.get(agent) {
+            None => format!("the scenario has [agent] sections 0..{}", sc.agents.len()),
+            Some(a) if at_s < a.start_s => format!("[agent] {agent} starts at {} s", a.start_s),
+            Some(_) => continue,
         };
-        if at_s < a.start_s {
-            let msg = format!(
-                "agent: [agent] {agent} starts at {} s, after this event at {at_s} s",
-                a.start_s
-            );
-            return Err(err(line_no, msg));
-        }
+        let msg = format!("agent: {msg}; this event names {agent} at {at_s} s");
+        return Err(err(line_no, msg));
     }
-    if let (Some(f), Some((line_no, key))) = (&sc.fleet, scale_key) {
-        if f.topology.is_none() {
-            let msg = format!("{key}: a scale-engine key; this [fleet] sets no topology");
-            return Err(err(line_no, msg));
+    let scale = sc.fleet.as_ref().map(|f| f.topology.is_some());
+    for &(line_no, name, _, using) in &seen {
+        if let Some(why) = using.unread(scale) {
+            return Err(err(line_no, format!("{name}: {why}")));
         }
-    }
-    if let (
-        Some(line_no),
-        Some(FleetSpec {
-            topology: Some(_), ..
-        }),
-    ) = (trace_line, &sc.fleet)
-    {
-        let msg = "trace: the scale engine keeps no per-agent trace to write";
-        return Err(err(line_no, msg.into()));
     }
     if let Some(f) = sc.fleet.as_mut().filter(|f| f.topology.is_some()) {
-        match fleet_tuner_line {
+        match seen.iter().find(|s| s.2 == TunerName) {
             // No `tuner` key: the scale engine's own default, spelled out so
             // the canonical form round-trips.
             None => f.tuner = FleetTuner::Fixed(ScaleWorkload::default().concurrency).name(),
-            Some(line_no) => {
-                scale_workload(f).map_err(|e| err(line_no, e.0))?;
-            }
+            Some(&(line_no, ..)) => scale_workload(f).map(drop).map_err(|e| err(line_no, e.0))?,
         }
     }
     if sc.agents.is_empty() && sc.fleet.is_none() {
@@ -625,101 +688,29 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
     Ok(sc)
 }
 
-/// Serialize a scenario back to canonical INI. `parse(&serialize(sc))`
-/// reproduces `sc` exactly (the round-trip property the fuzz suite pins),
-/// with one normalization: `[background]` sections with zero demand are
-/// dropped, exactly as `parse` drops them.
+/// Serialize a scenario back to canonical INI: every key the run reads,
+/// in table order. `parse(&serialize(sc))` reproduces `sc` exactly (the
+/// round-trip property the fuzz suite pins).
 pub fn serialize(sc: &Scenario) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    // write! to a String is infallible; results are discarded with `let _`.
-    let w = &mut out;
-    let _ = writeln!(w, "env = {}", sc.env);
-    let _ = writeln!(w, "duration = {}", sc.duration_s);
-    let _ = writeln!(w, "seed = {}", sc.seed);
-    if let Some(path) = &sc.trace_path {
-        let _ = writeln!(w, "trace = {path}");
-    }
-    for a in &sc.agents {
-        let _ = writeln!(w, "\n[agent]");
-        let _ = writeln!(w, "tuner = {}", a.tuner);
-        let _ = writeln!(w, "start = {}", a.start_s);
-        if let Some(leave) = a.leave_s {
-            let _ = writeln!(w, "leave = {leave}");
-        }
-        let _ = writeln!(w, "dataset = {}", a.dataset);
-    }
-    for b in &sc.background {
-        if b.demand_mbps <= 0.0 {
-            continue; // parse() drops zero-demand flows; stay in its image
-        }
-        let _ = writeln!(w, "\n[background]");
-        let _ = writeln!(w, "start = {}", b.start_s);
-        let _ = writeln!(w, "end = {}", b.end_s);
-        let _ = writeln!(w, "mbps = {}", b.demand_mbps);
-        let _ = writeln!(w, "connections = {}", b.connections);
-    }
-    for e in &sc.events {
-        let _ = writeln!(w, "\n[event]");
-        let _ = writeln!(w, "at = {}", e.at_s);
-        match e.action {
-            EventAction::LinkCapacityFactor { resource, factor } => {
-                let _ = writeln!(w, "action = link_capacity");
-                if let Some(r) = resource {
-                    let _ = writeln!(w, "resource = {r}");
+    fn write<T>(out: &mut String, (label, keys): Table<T>, ts: &mut [T], scale: Option<bool>) {
+        for t in ts {
+            if label.starts_with('[') {
+                out.push_str(&format!("\n{label}\n"));
+            }
+            for Key(name, _, _, field) in keys.iter().filter(|k| k.2.unread(scale).is_none()) {
+                if let Some(value) = field(t).and_then(|f| f.get()) {
+                    out.push_str(&format!("{name} = {value}\n"));
                 }
-                let _ = writeln!(w, "factor = {factor}");
-            }
-            EventAction::LossFloor { rate } => {
-                let _ = writeln!(w, "action = loss_floor");
-                let _ = writeln!(w, "rate = {rate}");
-            }
-            EventAction::DiskThrottleFactor { factor } => {
-                let _ = writeln!(w, "action = disk_throttle");
-                let _ = writeln!(w, "factor = {factor}");
-            }
-            EventAction::RttShift { rtt_s } => {
-                let _ = writeln!(w, "action = rtt");
-                let _ = writeln!(w, "rtt_s = {rtt_s}");
-            }
-            EventAction::KillAgent { agent } => {
-                let _ = writeln!(w, "action = kill");
-                let _ = writeln!(w, "agent = {agent}");
-            }
-            EventAction::ReviveAgent { agent } => {
-                let _ = writeln!(w, "action = revive");
-                let _ = writeln!(w, "agent = {agent}");
             }
         }
     }
-    if let Some(f) = &sc.fleet {
-        let _ = writeln!(w, "\n[fleet]");
-        let links: Vec<String> = f.links_mbps.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(w, "links = {}", links.join(", "));
-        let _ = writeln!(w, "transfers = {}", f.transfers);
-        let _ = writeln!(w, "arrivals_per_min = {}", f.arrivals_per_min);
-        let _ = writeln!(w, "mean_file_mb = {}", f.mean_file_mb);
-        let _ = writeln!(w, "anchor_gb = {}", f.anchor_gb);
-        let _ = writeln!(w, "tuner = {}", f.tuner);
-        // Scale-engine keys, emitted only off their defaults so classic
-        // fleet scenarios keep their canonical form.
-        if let Some(t) = &f.topology {
-            let _ = writeln!(w, "topology = {t}");
-        }
-        let d = FleetSpec::default();
-        if f.diurnal != d.diurnal {
-            let _ = writeln!(w, "diurnal = {}", f.diurnal);
-        }
-        if f.failures != d.failures {
-            let _ = writeln!(w, "failures = {}", f.failures);
-        }
-        if f.tenants != d.tenants {
-            let _ = writeln!(w, "tenants = {}", f.tenants);
-        }
-        if f.shards != d.shards {
-            let _ = writeln!(w, "shards = {}", f.shards);
-        }
-    }
+    let scale = sc.fleet.as_ref().map(|f| f.topology.is_some());
+    let (mut out, mut sc) = (String::new(), sc.clone());
+    write(&mut out, TOP, &mut [sc.clone()], scale);
+    write(&mut out, AGENT, &mut sc.agents, scale);
+    write(&mut out, BACKGROUND, &mut sc.background, scale);
+    write(&mut out, EVENT, &mut sc.events, scale);
+    write(&mut out, FLEET, sc.fleet.as_mut_slice(), scale);
     out
 }
 
@@ -933,15 +924,11 @@ pub fn render(sc: &Scenario, outcome: &Outcome) -> Result<String, ParseError> {
 
 fn agent_table(sc: &Scenario, trace: &RunTrace) -> String {
     let mut out = format!(
-        "# scenario env={} duration={:.0}s agents={}\n{:<4} {:<26} {:>12} {:>10} {:>10}\n",
+        "# scenario env={} duration={:.0}s agents={}\n\
+         id   tuner                          avg_gbps  tail_gbps  done_at_s\n",
         sc.env,
         sc.duration_s,
         sc.agents.len(),
-        "id",
-        "tuner",
-        "avg_gbps",
-        "tail_gbps",
-        "done_at_s"
     );
     for (i, a) in sc.agents.iter().enumerate() {
         let tail_from = a.start_s + (sc.duration_s - a.start_s) * 2.0 / 3.0;
@@ -1018,7 +1005,10 @@ connections = 3
 
     #[test]
     fn parses_event_sections() {
+        // Every event fires before `duration`.
         let text = "\
+duration = 400
+
 [agent]
 tuner = falcon-gd
 
@@ -1418,6 +1408,121 @@ agent = 0
     }
 
     #[test]
+    fn a_key_nothing_reads_is_an_error() {
+        // Accepted means run: each of these parsed and then changed nothing.
+        let event = |keys: &str| format!("[agent]\n[event]\nat = 1\n{keys}");
+        for (text, want) in [
+            (
+                event("action = loss_floor\nrate = 0.1\nfactor = 0.3\n"),
+                "line 6: factor: action loss_floor does not read it",
+            ),
+            (
+                event("action = loss_floor\nrate = 0.1\nagent = 7\n"),
+                "line 6: agent:",
+            ),
+            (
+                event("action = loss_floor\nrate = 0.1\nresource = 2\n"),
+                "line 6: resource:",
+            ),
+            (
+                event("action = loss_floor\nrate = 0.1\nrtt_s = 5\n"),
+                "line 6: rtt_s:",
+            ),
+            (
+                event("rate = 0.1\naction = kill\nagent = 0\n"),
+                "line 4: rate: action kill does not read it",
+            ),
+            (
+                event("action = disk_throttle\nfactor = 2\nresource = 1\n"),
+                "line 6: resource:",
+            ),
+            // The scale engine builds its links from `topology`, and no
+            // fleet reads the top-level env.
+            (
+                "[fleet]\ntopology = dtn:2x2\nlinks = 1, 2, 3\n".into(),
+                "line 3: links:",
+            ),
+            (
+                "[fleet]\nanchor_gb = 9999\ntopology = dtn:2x2\n".into(),
+                "line 2: anchor_gb:",
+            ),
+            (
+                "env = hpclab\n[fleet]\ntopology = dtn:2x2\n".into(),
+                "line 1: env:",
+            ),
+            (
+                "env = hpclab\n[fleet]\nlinks = 100\n".into(),
+                "line 1: env:",
+            ),
+            // A flow with no demand was dropped.
+            (
+                "[agent]\n[background]\nstart = 5\n".into(),
+                "line 2: [background] requires mbps =",
+            ),
+            ("[agent]\n[background]\nmbps = 0\n".into(), "line 3: mbps:"),
+            // Nothing fires or starts at or after the end of the run.
+            (
+                "duration = 60\n[agent]\n[event]\nat = 60\naction = rtt\nrtt_s = 1\n".into(),
+                "line 4: at:",
+            ),
+            (
+                "duration = 60\n[agent]\n[event]\nat = 100\n".into(),
+                "line 4: at:",
+            ),
+            (
+                "duration = 60\n[agent]\n[background]\nstart = 70\nmbps = 5\n".into(),
+                "line 4: start:",
+            ),
+            (
+                "duration = 60\n[agent]\n[background]\nmbps = 5\nstart = 60\n".into(),
+                "line 5: start:",
+            ),
+        ] {
+            let e = parse(&text).unwrap_err().0;
+            assert!(e.starts_with(want), "{text:?}: {e}");
+        }
+        // A key the action reads may come before `action`, and a later
+        // `action` replaces an earlier one.
+        let sc = parse(&event(
+            "factor = 0.5\naction = rtt\naction = link_capacity\n",
+        ))
+        .unwrap();
+        assert_eq!(
+            sc.events[0].action,
+            EventAction::LinkCapacityFactor {
+                resource: None,
+                factor: 0.5
+            }
+        );
+        // `serialize` writes only what the run reads.
+        let scale = serialize(&parse("[fleet]\ntopology = dtn:2x2\n").unwrap());
+        let classic = serialize(&parse("[fleet]\n").unwrap());
+        for key in ["env =", "links =", "anchor_gb ="] {
+            assert!(!scale.contains(key), "{scale}");
+        }
+        assert!(
+            !classic.contains("env =") && !classic.contains("shards ="),
+            "{classic}"
+        );
+    }
+
+    #[test]
+    fn readme_table_lists_every_key() {
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("### Scenario keys")
+            .nth(1)
+            .expect("README has a `### Scenario keys` section");
+        let table = table.split("\n#").next().unwrap_or(table);
+        for (section, key) in keys() {
+            assert!(
+                table.contains(&format!("| {section} | `{key}` |")),
+                "README scenario-key table lacks a `{section}` `{key}` row"
+            );
+        }
+    }
+
+    #[test]
     fn parses_scale_fleet_keys() {
         let sc = parse(
             "duration = 300\nseed = 11\n\n[fleet]\ntopology = fat-tree:8:local\n\
@@ -1470,8 +1575,8 @@ agent = 0
         let sc = parse("[fleet]\ntopology = dumbbell:2x2\n").unwrap();
         assert_eq!(sc.fleet.unwrap().tuner, "fixed:4");
         for (key, want) in [
-            ("diurnal = 1.5", "line 3: diurnal: amplitude"),
-            ("diurnal = -0.1", "line 3: diurnal: amplitude"),
+            ("diurnal = 1.5", "line 3: diurnal: must be in [0, 1)"),
+            ("diurnal = -0.1", "line 3: diurnal: must be in [0, 1)"),
             ("tenants = 0", "line 3: tenants: must be >= 1"),
             ("shards = 0", "line 3: shards: must be >= 1"),
         ] {
