@@ -26,7 +26,6 @@ use falcon_sim::alloc::{max_min_allocate, StreamDemand};
 use falcon_sim::{
     oracle, AgentSettings, Environment, EnvironmentEvent, EventAction, EventQueue, Simulation,
 };
-use falcon_tcp::BottleneckLossModel;
 
 fn observation(cc: u32) -> Observation {
     let m = ProbeMetrics::from_aggregate(
@@ -234,9 +233,8 @@ fn bench_simulator(q: &mut QuickBench) {
     q.bench("simulator", "step_three_agents_steady", || {
         sim.advance(black_box(0.1))
     });
-    let m = BottleneckLossModel::default();
     q.bench("simulator", "loss_model_eval", || {
-        black_box(m.loss_rate(
+        black_box(falcon_tcp::loss_rate(
             black_box(320.0),
             black_box(100.0),
             black_box(32),
@@ -602,9 +600,9 @@ fn bench_optimizers(q: &mut QuickBench) -> (f64, f64) {
 
 fn bench_rl(q: &mut QuickBench, hc_ns: f64, gd_ns: f64) {
     use falcon_baselines::HarpHistory;
-    use falcon_rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
+    use falcon_rl::{BanditOptimizer, QParams, TabularQOptimizer, WarmTable};
 
-    let mut opt = BanditOptimizer::new(BanditParams::new(100, 7));
+    let mut opt = BanditOptimizer::new(100, 7);
     let mut cc = opt.initial().concurrency;
     let bandit_ns = q.bench("rl", "decision_bandit", || {
         let s = opt.next(black_box(&observation(cc)));
@@ -621,12 +619,11 @@ fn bench_rl(q: &mut QuickBench, hc_ns: f64, gd_ns: f64) {
     // Warm start: the one-time table fit from a synthetic HARP corpus,
     // then the per-probe decision cost of the warm-started bandit.
     let history = HarpHistory::ten_gig_corpus();
-    let bounds = SearchBounds::concurrency_only(100);
     q.bench("rl", "warm_table_fit_24_samples", || {
-        black_box(WarmTable::fit(&history, &bounds, 24, 7))
+        black_box(WarmTable::fit(&history, 100, 7))
     });
-    let table = WarmTable::fit(&history, &bounds, 24, 7);
-    let mut opt = BanditOptimizer::warm_started(BanditParams::new(100, 7), &table);
+    let table = WarmTable::fit(&history, 100, 7);
+    let mut opt = BanditOptimizer::warm_started(100, 7, &table);
     let mut cc = opt.initial().concurrency;
     let warm_ns = q.bench("rl", "decision_warm_bandit", || {
         let s = opt.next(black_box(&observation(cc)));

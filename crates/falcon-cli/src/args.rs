@@ -5,19 +5,10 @@ use std::time::Duration;
 
 use falcon_fleet::FleetTuner;
 
-/// `--optimizer` short and long forms, as registry entries.
+/// `--optimizer <x>`: the registry's `falcon-<x>` entry.
 fn optimizer(v: &str) -> Result<FleetTuner, ParseError> {
-    Ok(match v {
-        "gd" | "gradient-descent" => FleetTuner::GradientDescent,
-        "bo" | "bayesian" => FleetTuner::Bayesian,
-        "hc" | "hill-climbing" => FleetTuner::HillClimbing,
-        "mp" | "multi-parameter" => FleetTuner::MultiParameter,
-        other => {
-            return Err(ParseError(format!(
-                "unknown optimizer {other:?} (one of gd|bo|hc|mp)"
-            )))
-        }
-    })
+    FleetTuner::from_name(&format!("falcon-{v}"))
+        .ok_or_else(|| ParseError(format!("unknown optimizer {v:?} (one of gd|bo|hc|mp)")))
 }
 
 /// Arguments of `falcon simulate`.
@@ -170,8 +161,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "optimizer" => a.optimizer = optimizer(v)?,
                     "duration" => a.duration_s = positive(k, v)?,
                     "gigabytes" => {
-                        a.gigabytes = num(k, v)?;
-                        crate::scenario::dataset_ctor(&format!("1gb:{v}"))
+                        a.gigabytes = crate::scenario::gib_count(v)
                             .map_err(|e| ParseError(format!("--{k}: {e}")))?;
                     }
                     "seed" => a.seed = num(k, v)?,
@@ -257,6 +247,7 @@ USAGE:
   falcon envs
   falcon help
 
+  --gigabytes N       data to move, as N files of 1 GiB; count ≥ 1
   --trace OUT.jsonl   write the structured event trace (probes, decisions,
                       settings changes, recovery, environment events,
                       convergence markers) as JSON Lines
@@ -340,6 +331,7 @@ mod tests {
             ("simulate", "duration", "-5"),
             ("simulate", "gigabytes", "18446744073709551615"),
             ("simulate", "gigabytes", "17179869184"), // 2^34 GiB = 2^64 bytes
+            ("simulate", "gigabytes", "0"),
             ("loopback", "interval", "nan"),
             ("loopback", "interval", "inf"),
             ("loopback", "interval", "1e300"),
@@ -363,10 +355,9 @@ mod tests {
     fn optimizer_aliases() {
         for (alias, expect) in [
             ("gd", FleetTuner::GradientDescent),
-            ("gradient-descent", FleetTuner::GradientDescent),
-            ("bayesian", FleetTuner::Bayesian),
+            ("bo", FleetTuner::Bayesian),
             ("hc", FleetTuner::HillClimbing),
-            ("multi-parameter", FleetTuner::MultiParameter),
+            ("mp", FleetTuner::MultiParameter),
         ] {
             let Command::Simulate(a) =
                 parse(&argv(&format!("simulate --optimizer {alias}"))).unwrap()
@@ -374,6 +365,15 @@ mod tests {
                 panic!("wrong command");
             };
             assert_eq!(a.optimizer, expect);
+        }
+        for gone in [
+            "gradient-descent",
+            "bayesian",
+            "hill-climbing",
+            "rl:q",
+            "fixed:4",
+        ] {
+            assert!(parse(&argv(&format!("simulate --optimizer {gone}"))).is_err());
         }
     }
 

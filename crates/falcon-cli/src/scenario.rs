@@ -722,13 +722,8 @@ type DatasetCtor = (fn(u64) -> Dataset, u64);
 /// seeded generators draw tens of thousands of sizes.
 pub(crate) fn dataset_ctor(spec: &str) -> Result<DatasetCtor, String> {
     if let Some(count) = spec.strip_prefix("1gb:") {
-        return match count.parse::<u64>() {
-            Ok(n) if n.checked_mul(GIB).is_some() => Ok((Dataset::uniform_1gb, n)),
-            _ => Err(format!(
-                "dataset {spec}: the count must be a whole number of 1 GiB files \
-                 totalling less than 2^64 bytes"
-            )),
-        };
+        let n = gib_count(count).map_err(|e| format!("dataset: {e}"))?;
+        return Ok((Dataset::uniform_1gb, n));
     }
     match spec {
         "small" => Ok((Dataset::small, 1)),
@@ -736,6 +731,18 @@ pub(crate) fn dataset_ctor(spec: &str) -> Result<DatasetCtor, String> {
         "mixed" => Ok((Dataset::mixed, 1)),
         other => Err(format!(
             "unknown dataset {other:?} (expected 1gb:<count>|small|large|mixed)"
+        )),
+    }
+}
+
+/// The count of `1gb:<count>` (and `--gigabytes`): at least one 1 GiB
+/// file, and fewer than 2^64 bytes in all.
+pub(crate) fn gib_count(count: &str) -> Result<u64, String> {
+    match count.parse::<u64>() {
+        Ok(n) if n >= 1 && n.checked_mul(GIB).is_some() => Ok(n),
+        _ => Err(format!(
+            "the count must be a whole number >= 1 of 1 GiB files \
+             totalling less than 2^64 bytes, got {count:?}"
         )),
     }
 }
@@ -1146,15 +1153,15 @@ agent = 0
             ("[agent]\n[warp]\n", "line 2: unknown section [warp]"),
             ("env = mars\n[agent]\n", "line 1: unknown environment"),
             ("[agent]\ndataset = petabytes\n", "line 2: unknown dataset"),
-            ("[agent]\ndataset = 1gb:many\n", "line 2: dataset 1gb:many"),
-            ("[agent]\ndataset = 1gb:-1\n", "line 2: dataset 1gb:-1"),
-            (
-                "[agent]\ndataset = 1gb:17179869184\n", // 2^34 GiB = 2^64 bytes
-                "line 2: dataset 1gb:17179869184",
-            ),
+            ("[agent]\ndataset = 1gb:many\n", "line 2: dataset:"),
+            ("[agent]\ndataset = 1gb:-1\n", "line 2: dataset:"),
+            // A transfer of nothing has nothing to tune or finish.
+            ("[agent]\ndataset = 1gb:0\n", "line 2: dataset:"),
+            // 2^34 GiB = 2^64 bytes.
+            ("[agent]\ndataset = 1gb:17179869184\n", "line 2: dataset:"),
             (
                 "[agent]\ndataset = 1gb:18446744073709551615\n",
-                "line 2: dataset 1gb:18446744073709551615",
+                "line 2: dataset:",
             ),
         ] {
             let e = parse(text).unwrap_err().0;

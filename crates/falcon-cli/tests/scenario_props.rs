@@ -13,7 +13,7 @@ use proptest::prelude::*;
 /// Line fragments the soup generator splices together: valid headers, a
 /// line for every key (in and out of range), truncated syntax, unicode,
 /// and plain garbage.
-const FRAGMENTS: [&str; 48] = [
+const FRAGMENTS: [&str; 49] = [
     "[agent]",
     "[background]",
     "[event]",
@@ -33,6 +33,7 @@ const FRAGMENTS: [&str; 48] = [
     "start = nan",
     "leave = 0",
     "dataset = 1gb:17179869184",
+    "dataset = 1gb:0",
     "end = inf",
     "mbps = 1e308",
     "connections = 2.5",

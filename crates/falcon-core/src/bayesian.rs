@@ -413,35 +413,7 @@ impl BayesianOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ProbeMetrics;
-    use crate::utility::UtilityFunction;
-
-    fn drive<F: Fn(u32) -> f64>(opt: &mut BayesianOptimizer, f: F, probes: usize) -> Vec<u32> {
-        let mut trace = Vec::new();
-        let mut cc = opt.initial().concurrency;
-        for _ in 0..probes {
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                f(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            let s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            cc = s.concurrency;
-            trace.push(cc);
-        }
-        trace
-    }
-
-    /// Emulab-10-like curve: 100 Mbps per process, 1 Gbps link.
-    fn emulab10(n: u32) -> f64 {
-        f64::from(n) * 100.0f64.min(1000.0 / f64::from(n))
-    }
+    use crate::testkit::{drive, emulab10};
 
     #[test]
     fn concentrates_probes_near_optimum() {

@@ -2,7 +2,7 @@
 //!
 //! §4.6 of the paper singles out multi-parameter BO as the dangerous case:
 //! "if maximum values of concurrency and parallelism are defined as 32 for
-//! both parameters, then BO may probe a transfer setting [with] 1,024
+//! both parameters, then BO may probe a transfer setting \[with\] 1,024
 //! network connections". This module is the candidate space of that search
 //! — the 2-D integer grid, searched by [`crate::bayesian::BayesianSearch`]
 //! under the Eq 7 utility — together with the paper's proposed mitigation:
@@ -242,29 +242,17 @@ impl BayesianMpOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ProbeMetrics;
-    use crate::optimizer::{Observation, OnlineOptimizer};
+    use crate::testkit::drive_with;
     use crate::utility::UtilityFunction;
 
-    /// Drive against a synthetic 2-D landscape.
-    fn drive<F: Fn(TransferSettings) -> f64>(
+    /// The settings visited on a 2-D landscape under Eq 7.
+    fn drive(
         opt: &mut BayesianMpOptimizer,
-        f: F,
+        f: impl Fn(TransferSettings) -> f64,
         probes: usize,
     ) -> Vec<TransferSettings> {
-        let mut trace = Vec::new();
-        let mut s = opt.initial();
-        for _ in 0..probes {
-            let m = ProbeMetrics::from_aggregate(s, f(s), 0.0, 5.0);
-            let u = UtilityFunction::falcon_multi_param().evaluate(&m);
-            s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            trace.push(s);
-        }
-        trace
+        let eq7 = UtilityFunction::falcon_multi_param();
+        drive_with(opt, eq7, f, probes, |_, s| s)
     }
 
     /// Disk-limited landscape: parallelism splits the per-process budget

@@ -234,28 +234,18 @@ impl OnlineOptimizer for ConjugateGradientOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ProbeMetrics;
+    use crate::testkit::drive_with;
     use crate::utility::UtilityFunction;
 
-    /// Drive against a synthetic landscape `f(cc, p, pp) -> aggregate Mbps`.
-    fn drive<F: Fn(TransferSettings) -> f64>(
+    /// The centers visited on a landscape `f(cc, p, pp) -> aggregate Mbps`
+    /// under Eq 7.
+    fn drive(
         opt: &mut ConjugateGradientOptimizer,
-        f: F,
+        f: impl Fn(TransferSettings) -> f64,
         probes: usize,
     ) -> Vec<TransferSettings> {
-        let mut centers = Vec::new();
-        let mut s = opt.initial();
-        for _ in 0..probes {
-            let m = ProbeMetrics::from_aggregate(s, f(s), 0.0, 5.0);
-            let u = UtilityFunction::falcon_multi_param().evaluate(&m);
-            s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            centers.push(opt.center());
-        }
-        centers
+        let eq7 = UtilityFunction::falcon_multi_param();
+        drive_with(opt, eq7, f, probes, |o, _| o.center())
     }
 
     /// A landscape where pipelining saves per-file gaps (small files) and
@@ -295,18 +285,9 @@ mod tests {
         let mut opt = ConjugateGradientOptimizer::new(bounds);
         let c0 = opt.center();
         // Five observations do not move the center; the sixth does.
-        let mut s = opt.initial();
-        for i in 0..6 {
-            let m = ProbeMetrics::from_aggregate(s, small_files(s), 0.0, 5.0);
-            let u = UtilityFunction::falcon_multi_param().evaluate(&m);
-            s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            if i < 5 {
-                assert_eq!(opt.center(), c0, "center moved after {} probes", i + 1);
-            }
+        let centers = drive(&mut opt, small_files, 6);
+        for (i, c) in centers[..5].iter().enumerate() {
+            assert_eq!(*c, c0, "center moved after {} probes", i + 1);
         }
         assert_ne!(opt.center(), c0, "center should move after a full round");
     }

@@ -1,6 +1,6 @@
 //! Golden Section Search over concurrency — the GridFTP-APT approach.
 //!
-//! Ito, Ohsaki & Imase (paper reference [24]) tune the number of parallel
+//! Ito, Ohsaki & Imase (paper reference \[24\]) tune the number of parallel
 //! TCP connections for GridFTP with Golden Section Search: maintain a
 //! bracket `[lo, hi]` believed to contain the optimum of a unimodal
 //! function, evaluate the two interior golden-ratio points, and discard
@@ -115,34 +115,8 @@ impl OnlineOptimizer for GoldenSectionOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ProbeMetrics;
+    use crate::testkit::{drive, drive_with, emulab48};
     use crate::utility::UtilityFunction;
-
-    fn drive<F: Fn(u32) -> f64>(opt: &mut GoldenSectionOptimizer, f: F, probes: usize) -> Vec<u32> {
-        let mut trace = Vec::new();
-        let mut cc = opt.initial().concurrency;
-        for _ in 0..probes {
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                f(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            let s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            cc = s.concurrency;
-            trace.push(cc);
-        }
-        trace
-    }
-
-    fn emulab48(n: u32) -> f64 {
-        f64::from(n) * 21.0f64.min(1008.0 / f64::from(n))
-    }
 
     #[test]
     fn finds_the_optimum_of_a_unimodal_landscape() {
@@ -192,26 +166,17 @@ mod tests {
     #[test]
     fn bracket_shrinks_monotonically() {
         let mut opt = GoldenSectionOptimizer::new(64);
-        let mut widths = Vec::new();
-        let mut cc = opt.initial().concurrency;
-        for _ in 0..30 {
-            let (lo, hi) = opt.bracket();
-            widths.push(hi - lo);
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                emulab48(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            cc = opt
-                .next(&Observation {
-                    settings: m.settings,
-                    utility: u,
-                    metrics: m,
-                })
-                .concurrency;
-        }
+        let (lo, hi) = opt.bracket();
+        let mut widths = vec![hi - lo];
+        let eq4 = UtilityFunction::falcon_default();
+        let width = |o: &GoldenSectionOptimizer, _| o.bracket().1 - o.bracket().0;
+        widths.extend(drive_with(
+            &mut opt,
+            eq4,
+            |s| emulab48(s.concurrency),
+            29,
+            width,
+        ));
         for w in widths.windows(2) {
             assert!(w[1] <= w[0], "bracket grew: {widths:?}");
         }

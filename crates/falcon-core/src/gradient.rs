@@ -267,46 +267,26 @@ impl OnlineOptimizer for GradientDescentOptimizer {
 mod tests {
     use super::*;
     use crate::metrics::ProbeMetrics;
+    use crate::testkit::{drive, drive_with, emulab48};
     use crate::utility::UtilityFunction;
 
-    /// Drive against a noise-free landscape; returns (probe trace, centers).
-    fn drive<F: Fn(u32) -> f64>(
+    /// (probe trace, centers) on a concurrency curve under Eq 4.
+    fn drive_gd(
         opt: &mut GradientDescentOptimizer,
-        f: F,
+        f: impl Fn(u32) -> f64,
         probes: usize,
     ) -> (Vec<u32>, Vec<u32>) {
-        let mut trace = Vec::new();
-        let mut centers = Vec::new();
-        let mut cc = opt.initial().concurrency;
-        for _ in 0..probes {
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                f(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            let s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            cc = s.concurrency;
-            trace.push(cc);
-            centers.push(opt.center());
-        }
-        (trace, centers)
-    }
-
-    /// Emulab-48-like aggregate throughput: 21 Mbps per process up to 48.
-    fn emulab48(n: u32) -> f64 {
-        f64::from(n) * 21.0f64.min(1008.0 / f64::from(n))
+        let eq4 = UtilityFunction::falcon_default();
+        let read = |o: &GradientDescentOptimizer, s: TransferSettings| (s.concurrency, o.center());
+        drive_with(opt, eq4, |s| f(s.concurrency), probes, read)
+            .into_iter()
+            .unzip()
     }
 
     #[test]
     fn converges_to_48_much_faster_than_hill_climbing() {
         let mut opt = GradientDescentOptimizer::new(100);
-        let (_, centers) = drive(&mut opt, emulab48, 40);
+        let (_, centers) = drive_gd(&mut opt, emulab48, 40);
         let first_hit = centers.iter().position(|&c| (44..=52).contains(&c));
         let hit = first_hit.expect("never reached the optimum region");
         // Hill climbing needs ~47 probes; GD must need far fewer.
@@ -316,7 +296,7 @@ mod tests {
     #[test]
     fn stays_near_optimum_after_convergence() {
         let mut opt = GradientDescentOptimizer::new(100);
-        let (trace, centers) = drive(&mut opt, emulab48, 80);
+        let (trace, centers) = drive_gd(&mut opt, emulab48, 80);
         let tail = &centers[40..];
         assert!(
             tail.iter().all(|&c| (42..=56).contains(&c)),
@@ -349,7 +329,7 @@ mod tests {
     #[test]
     fn respects_bounds() {
         let mut opt = GradientDescentOptimizer::new(12);
-        let (trace, centers) = drive(&mut opt, |n| f64::from(n) * 50.0, 40);
+        let (trace, centers) = drive_gd(&mut opt, |n| f64::from(n) * 50.0, 40);
         assert!(trace.iter().all(|&c| (1..=12).contains(&c)));
         assert!(centers.iter().any(|&c| c >= 11));
     }
@@ -360,7 +340,7 @@ mod tests {
         // so the Kⁿ regret makes utility strictly decreasing in n: the
         // optimizer must settle at the minimum.
         let mut opt = GradientDescentOptimizer::new(64);
-        let (_, centers) = drive(&mut opt, |_| 500.0, 30);
+        let (_, centers) = drive_gd(&mut opt, |_| 500.0, 30);
         let tail = &centers[10..];
         assert!(tail.iter().all(|&c| c <= 2), "centers: {centers:?}");
     }
@@ -371,7 +351,7 @@ mod tests {
         drive(&mut opt, emulab48, 40);
         assert!(opt.center() >= 42);
         // Background traffic arrives: only ~10 streams now useful.
-        let (_, centers) = drive(&mut opt, |n| f64::from(n.min(10)) * 21.0, 60);
+        let (_, centers) = drive_gd(&mut opt, |n| f64::from(n.min(10)) * 21.0, 60);
         let tail = centers.last().copied().unwrap();
         assert!(tail <= 20, "failed to adapt down: {centers:?}");
     }

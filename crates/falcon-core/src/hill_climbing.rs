@@ -127,37 +127,7 @@ impl OnlineOptimizer for HillClimbingOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ProbeMetrics;
-    use crate::utility::UtilityFunction;
-
-    /// Drive the optimizer against a synthetic noise-free throughput
-    /// landscape and return the visited concurrency trace.
-    fn drive<F: Fn(u32) -> f64>(opt: &mut HillClimbingOptimizer, f: F, steps: usize) -> Vec<u32> {
-        let mut trace = Vec::new();
-        let mut cc = opt.initial().concurrency;
-        for _ in 0..steps {
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                f(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            let s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            cc = s.concurrency;
-            trace.push(cc);
-        }
-        trace
-    }
-
-    /// Emulab-48-like aggregate throughput: 21 Mbps per process up to 48.
-    fn emulab48(n: u32) -> f64 {
-        f64::from(n) * 21.0f64.min(1008.0 / f64::from(n))
-    }
+    use crate::testkit::{drive, emulab48};
 
     #[test]
     fn climbs_monotonically_from_start() {

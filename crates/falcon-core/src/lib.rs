@@ -62,4 +62,55 @@ pub use metrics::ProbeMetrics;
 pub use optimizer::{Observation, OnlineOptimizer};
 pub use settings::{SearchBounds, TransferSettings};
 pub use stochastic::SpsaOptimizer;
-pub use utility::UtilityFunction;
+pub use utility::{best_response, best_response_equilibrium, UtilityFunction};
+
+/// The optimizer unit tests' probe loop and throughput curves.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::{Observation, OnlineOptimizer, ProbeMetrics, TransferSettings, UtilityFunction};
+
+    /// Drive `opt` for `probes` noise-free probes: `f` gives the aggregate
+    /// Mbps at the proposed settings and `utility` scores it. Returns
+    /// `read(opt, decision)` for each decision, taken right after it.
+    pub(crate) fn drive_with<O: OnlineOptimizer, T>(
+        opt: &mut O,
+        utility: UtilityFunction,
+        f: impl Fn(TransferSettings) -> f64,
+        probes: usize,
+        read: impl Fn(&O, TransferSettings) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(probes);
+        let mut s = opt.initial();
+        for _ in 0..probes {
+            let m = ProbeMetrics::from_aggregate(s, f(s), 0.0, 5.0);
+            s = opt.next(&Observation {
+                settings: m.settings,
+                utility: utility.evaluate(&m),
+                metrics: m,
+            });
+            out.push(read(opt, s));
+        }
+        out
+    }
+
+    /// [`drive_with`] on a concurrency curve under Eq 4: the visited
+    /// concurrency trace.
+    pub(crate) fn drive<O: OnlineOptimizer>(
+        opt: &mut O,
+        f: impl Fn(u32) -> f64,
+        probes: usize,
+    ) -> Vec<u32> {
+        let eq4 = UtilityFunction::falcon_default();
+        drive_with(opt, eq4, |s| f(s.concurrency), probes, |_, s| s.concurrency)
+    }
+
+    /// Emulab-10-like aggregate: 100 Mbps per process, 1 Gbps link.
+    pub(crate) fn emulab10(n: u32) -> f64 {
+        f64::from(n) * 100.0f64.min(1000.0 / f64::from(n))
+    }
+
+    /// Emulab-48-like aggregate: 21 Mbps per process up to 48.
+    pub(crate) fn emulab48(n: u32) -> f64 {
+        f64::from(n) * 21.0f64.min(1008.0 / f64::from(n))
+    }
+}

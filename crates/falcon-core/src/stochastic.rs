@@ -1,5 +1,5 @@
 //! Simultaneous-perturbation stochastic approximation — the ProbData
-//! approach (paper reference [48], Yun et al.).
+//! approach (paper reference \[48\], Yun et al.).
 //!
 //! ProbData tunes transfer parameters with stochastic approximation: probe
 //! a random perturbation around the current point, move along the
@@ -147,34 +147,7 @@ impl OnlineOptimizer for SpsaOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ProbeMetrics;
-    use crate::utility::UtilityFunction;
-
-    fn drive<F: Fn(u32) -> f64>(opt: &mut SpsaOptimizer, f: F, probes: usize) -> Vec<u32> {
-        let mut trace = Vec::new();
-        let mut cc = opt.initial().concurrency;
-        for _ in 0..probes {
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                f(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            let s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            cc = s.concurrency;
-            trace.push(cc);
-        }
-        trace
-    }
-
-    fn emulab48(n: u32) -> f64 {
-        f64::from(n) * 21.0f64.min(1008.0 / f64::from(n))
-    }
+    use crate::testkit::{drive, emulab48};
 
     #[test]
     fn moves_toward_the_optimum() {
@@ -202,25 +175,7 @@ mod tests {
         let spsa_center = spsa.center();
 
         let mut gd = crate::gradient::GradientDescentOptimizer::new(100);
-        let mut cc = gd.initial().concurrency;
-        for _ in 0..30 {
-            let m = ProbeMetrics::from_aggregate(
-                TransferSettings::with_concurrency(cc),
-                emulab48(cc),
-                0.0,
-                5.0,
-            );
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            cc = crate::optimizer::OnlineOptimizer::next(
-                &mut gd,
-                &Observation {
-                    settings: m.settings,
-                    utility: u,
-                    metrics: m,
-                },
-            )
-            .concurrency;
-        }
+        drive(&mut gd, emulab48, 30);
         assert!(
             f64::from(gd.center()) > spsa_center + 5.0,
             "GD {} should be well ahead of SPSA {spsa_center}",

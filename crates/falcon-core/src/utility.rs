@@ -169,6 +169,47 @@ impl UtilityFunction {
     }
 }
 
+/// The concurrency in `1..=max_n` maximizing `utility` in a two-transfer
+/// `game` against an opponent running `m` connections, where `game(n, m)`
+/// is what a transfer running `n` observes against `m` (the last maximizer
+/// on a tie).
+pub fn best_response<G: Fn(u32, u32) -> ProbeMetrics>(
+    utility: UtilityFunction,
+    game: &G,
+    m: u32,
+    max_n: u32,
+) -> u32 {
+    (1..=max_n)
+        .max_by(|&a, &b| {
+            let ua = utility.evaluate(&game(a, m));
+            let ub = utility.evaluate(&game(b, m));
+            ua.total_cmp(&ub)
+        })
+        .unwrap_or(1)
+}
+
+/// Iterated best response of a two-transfer `game` under `utility`, from
+/// (2, 2): each transfer in turn picks its [`best_response`] to the
+/// other's choice, until a fixed point (at most 200 rounds) — the Nash
+/// equilibrium competing agents approach empirically.
+pub fn best_response_equilibrium<G: Fn(u32, u32) -> ProbeMetrics>(
+    utility: UtilityFunction,
+    game: &G,
+    max_n: u32,
+) -> (u32, u32) {
+    let (mut n1, mut n2) = (2u32, 2u32);
+    for _ in 0..200 {
+        let r1 = best_response(utility, game, n2, max_n);
+        let r2 = best_response(utility, game, r1, max_n);
+        if r1 == n1 && r2 == n2 {
+            break;
+        }
+        n1 = r1;
+        n2 = r2;
+    }
+    (n1, n2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

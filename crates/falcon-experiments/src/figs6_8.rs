@@ -1,7 +1,9 @@
 //! Utility-function and search-algorithm experiments: Figures 6, 7, 8
 //! (§3.1–§3.2, §4.1).
 
-use falcon_core::{FalconAgent, GradientDescentOptimizer, UtilityFunction};
+use falcon_core::{
+    best_response_equilibrium, FalconAgent, GradientDescentOptimizer, UtilityFunction,
+};
 use falcon_sim::{Environment, Simulation};
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, RunTrace, Runner};
@@ -109,51 +111,20 @@ fn competing_convergence(utility: UtilityFunction, seed: u64) -> (f64, f64, f64)
 }
 
 /// Steady-state fluid model of the Emulab-48 two-agent game: per-connection
-/// fair sharing with the 21 Mbps/process throttle and the default loss
+/// fair sharing with the 21 Mbps/process throttle and the bottleneck loss
 /// model. Returns the metrics agent 1 would observe at (n, m).
 pub fn emulab48_game_metrics(n: u32, m: u32) -> falcon_core::ProbeMetrics {
-    use falcon_tcp::BottleneckLossModel;
     let total = n + m;
     let per_conn = 21.0f64.min(1000.0 / f64::from(total.max(1)));
     let own = f64::from(n) * per_conn;
     let offered = 21.0 * f64::from(total);
-    let loss = BottleneckLossModel::default().loss_rate(offered, 1000.0, total, 0.030, 1460.0);
+    let loss = falcon_tcp::loss_rate(offered, 1000.0, total, 0.030, 1460.0);
     falcon_core::ProbeMetrics::from_aggregate(
         falcon_core::TransferSettings::with_concurrency(n),
         own * (1.0 - loss),
         loss,
         5.0,
     )
-}
-
-/// The concurrency in `1..=100` maximizing an agent's `utility` in the
-/// Emulab-48 game when its opponent runs `m` connections.
-pub fn best_response(utility: UtilityFunction, m: u32) -> u32 {
-    (1..=100u32)
-        .max_by(|&a, &b| {
-            let ua = utility.evaluate(&emulab48_game_metrics(a, m));
-            let ub = utility.evaluate(&emulab48_game_metrics(b, m));
-            ua.total_cmp(&ub)
-        })
-        .unwrap_or(1)
-}
-
-/// Iterated best response of the two-agent game under `utility`, from
-/// (2, 2): each agent in turn picks its [`best_response`] to the other's
-/// choice, until a fixed point. This is the Nash equilibrium the paper's
-/// Figure 6(c) agents approach empirically.
-pub fn best_response_equilibrium(utility: UtilityFunction) -> (u32, u32) {
-    let (mut n1, mut n2) = (2u32, 2u32);
-    for _ in 0..200 {
-        let r1 = best_response(utility, n2);
-        let r2 = best_response(utility, r1);
-        if r1 == n1 && r2 == n2 {
-            break;
-        }
-        n1 = r1;
-        n2 = r2;
-    }
-    (n1, n2)
 }
 
 /// Figure 6(c): with two competing transfers, the linear regret (C = 0.01)
@@ -167,8 +138,8 @@ pub fn fig6c() -> Table {
     let nl = UtilityFunction::falcon_default();
     let (l1, l2, lf) = competing_convergence(lin, 37);
     let (n1, n2, nf) = competing_convergence(nl, 37);
-    let (lbr1, lbr2) = best_response_equilibrium(lin);
-    let (nbr1, nbr2) = best_response_equilibrium(nl);
+    let (lbr1, lbr2) = best_response_equilibrium(lin, &emulab48_game_metrics, 100);
+    let (nbr1, nbr2) = best_response_equilibrium(nl, &emulab48_game_metrics, 100);
     let mut t = Table::new(
         "Figure 6(c): two competing transfers (fair optimum = 24 each)",
         &[
@@ -332,9 +303,10 @@ mod tests {
         // The exact Nash equilibrium of the fluid game: Eq 3 (C = 0.01)
         // lands well above the fair optimum (paper: 36-38 each) while Eq 4
         // sits near 24 each.
-        let (l1, l2) =
-            best_response_equilibrium(UtilityFunction::LinearRegret { b: 10.0, c: 0.01 });
-        let (n1, n2) = best_response_equilibrium(UtilityFunction::falcon_default());
+        let lin = UtilityFunction::LinearRegret { b: 10.0, c: 0.01 };
+        let (l1, l2) = best_response_equilibrium(lin, &emulab48_game_metrics, 100);
+        let eq4 = UtilityFunction::falcon_default();
+        let (n1, n2) = best_response_equilibrium(eq4, &emulab48_game_metrics, 100);
         let lin_each = f64::from(l1 + l2) / 2.0;
         let nl_each = f64::from(n1 + n2) / 2.0;
         assert!(

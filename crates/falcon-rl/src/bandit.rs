@@ -1,6 +1,6 @@
-//! Seeded epsilon-greedy/UCB contextual bandit over the settings lattice.
+//! Seeded epsilon-greedy/UCB contextual bandit over the concurrency lattice.
 //!
-//! The arm set is the geometric lattice of [`crate::arm_lattice`]; the
+//! The arm set is the geometric [`crate::concurrency_lattice`]; the
 //! reward is the Eq 4 utility the agent's utility function already
 //! computes. Four mechanisms cooperate:
 //!
@@ -23,24 +23,17 @@
 //! rather than trusting a stale table. All randomness flows through one
 //! [`SplitMix64`] stream keyed by the constructor seed.
 
-use falcon_core::{Observation, OnlineOptimizer, SearchBounds, TransferSettings};
+use falcon_core::{Observation, OnlineOptimizer, TransferSettings};
 use falcon_trace::{Candidate, TraceEvent, Tracer};
 
 use crate::warm::WarmTable;
-use crate::{arm_lattice, SplitMix64};
+use crate::{concurrency_lattice, SplitMix64};
 
-/// Bandit hyper-parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BanditParams {
-    /// Search box; arms are its geometric lattice.
-    pub bounds: SearchBounds,
-    /// Seed of the exploration stream.
-    pub seed: u64,
-    /// Probability of a far exploration jump per steering decision.
-    pub epsilon: f64,
-    /// Floor of the recency-weighted value blend (1/n below the floor).
-    pub alpha_floor: f64,
-}
+/// Probability of a far exploration jump per steering decision.
+const EPSILON: f64 = 0.04;
+
+/// Floor of the recency-weighted value blend (1/n below the floor).
+const ALPHA_FLOOR: f64 = 0.25;
 
 /// UCB bonus weight (in units of the running utility scale).
 const UCB_C: f64 = 0.05;
@@ -50,19 +43,6 @@ const DRIFT: f64 = 0.5;
 
 /// Relative utility gain that counts as an improvement (noise gate).
 const ETA: f64 = 0.03;
-
-impl BanditParams {
-    /// Defaults for a concurrency-only search in `[1, max]`.
-    #[must_use]
-    pub fn new(max_concurrency: u32, seed: u64) -> Self {
-        BanditParams {
-            bounds: SearchBounds::concurrency_only(max_concurrency),
-            seed,
-            epsilon: 0.04,
-            alpha_floor: 0.25,
-        }
-    }
-}
 
 /// What the most recent proposal was, so the next observation can be
 /// interpreted (sweep sample, center re-test, neighbor probe, climb step,
@@ -93,9 +73,11 @@ enum SteerKind {
 /// constructed via [`BanditOptimizer::warm_started`]).
 #[derive(Debug, Clone)]
 pub struct BanditOptimizer {
-    params: BanditParams,
+    /// Upper end of the concurrency search range `[1, max_cc]`.
+    max_cc: u32,
     name: &'static str,
-    arms: Vec<TransferSettings>,
+    /// Arm concurrencies: the lattice of `[1, max_cc]`.
+    arms: Vec<u32>,
     values: Vec<f64>,
     counts: Vec<f64>,
     rng: SplitMix64,
@@ -113,18 +95,21 @@ pub struct BanditOptimizer {
 }
 
 impl BanditOptimizer {
-    /// Cold-start bandit: begins with an ascending sweep of all arms.
+    /// Cold-start bandit over concurrency `[1, max_concurrency]`: begins
+    /// with an ascending sweep of all arms.
     #[must_use]
-    pub fn new(params: BanditParams) -> Self {
-        let arms = arm_lattice(&params.bounds);
+    pub fn new(max_concurrency: u32, seed: u64) -> Self {
+        let max_cc = max_concurrency.max(1);
+        let arms = concurrency_lattice(max_cc);
         let n = arms.len();
         let order: Vec<usize> = (0..n).collect();
-        let first = arms[order[0]];
+        let first = TransferSettings::with_concurrency(arms[0]);
         BanditOptimizer {
+            max_cc,
             name: "rl-bandit",
             values: vec![0.0; n],
             counts: vec![0.0; n],
-            rng: SplitMix64::new(params.seed),
+            rng: SplitMix64::new(seed),
             mode: Mode::Sweep { order, pos: 0 },
             center: first,
             center_u: 0.0,
@@ -133,7 +118,6 @@ impl BanditOptimizer {
             proposed: first,
             tracer: Tracer::default(),
             arms,
-            params,
         }
     }
 
@@ -143,17 +127,17 @@ impl BanditOptimizer {
     /// mismatched environment shows up as drift at the center on the very
     /// first probes and degrades into an informed sweep.
     #[must_use]
-    pub fn warm_started(params: BanditParams, table: &WarmTable) -> Self {
-        let mut opt = BanditOptimizer::new(params);
+    pub fn warm_started(max_concurrency: u32, seed: u64, table: &WarmTable) -> Self {
+        let mut opt = BanditOptimizer::new(max_concurrency, seed);
         opt.name = "rl-warm";
-        for (s, v) in &table.entries {
-            if let Some(i) = opt.arms.iter().position(|a| a == s) {
+        for (cc, v) in &table.entries {
+            if let Some(i) = opt.arms.iter().position(|a| a == cc) {
                 opt.values[i] = *v;
                 opt.counts[i] = 1.0;
             }
         }
         let best = opt.argmax_value();
-        opt.center = opt.arms[best];
+        opt.center = TransferSettings::with_concurrency(opt.arms[best]);
         opt.center_u = opt.values[best];
         opt.u_scale = opt.values.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         opt.mode = Mode::Steer {
@@ -164,24 +148,12 @@ impl BanditOptimizer {
         opt
     }
 
-    /// Per-arm mean values (settings, value, count) — the table the trace
-    /// events expose per decision.
-    #[must_use]
-    pub fn arm_values(&self) -> Vec<(TransferSettings, f64, f64)> {
-        self.arms
-            .iter()
-            .zip(self.values.iter().zip(&self.counts))
-            .map(|(s, (v, c))| (*s, *v, *c))
-            .collect()
-    }
-
+    /// The arm nearest `s`'s concurrency (the lower one on a tie).
     fn nearest_arm(&self, s: TransferSettings) -> usize {
         let mut best = 0usize;
-        let mut best_d = u64::MAX;
+        let mut best_d = u32::MAX;
         for (i, a) in self.arms.iter().enumerate() {
-            let d = u64::from(a.concurrency.abs_diff(s.concurrency)) * 4
-                + u64::from(a.parallelism.abs_diff(s.parallelism)) * 64
-                + u64::from(a.pipelining.abs_diff(s.pipelining)) * 64;
+            let d = a.abs_diff(s.concurrency);
             if d < best_d {
                 best = i;
                 best_d = d;
@@ -225,8 +197,7 @@ impl BanditOptimizer {
     }
 
     fn clamp_cc(&self, cc: i64) -> u32 {
-        let (lo, hi) = self.params.bounds.concurrency;
-        cc.clamp(i64::from(lo), i64::from(hi)) as u32
+        cc.clamp(1, i64::from(self.max_cc)) as u32
     }
 
     fn cc_settings(&self, cc: u32) -> TransferSettings {
@@ -243,7 +214,7 @@ impl BanditOptimizer {
         let alpha = if self.counts[a] <= 1.0 {
             1.0
         } else {
-            (1.0 / self.counts[a]).max(self.params.alpha_floor)
+            (1.0 / self.counts[a]).max(ALPHA_FLOOR)
         };
         self.values[a] += alpha * (u - self.values[a]);
     }
@@ -256,7 +227,7 @@ impl BanditOptimizer {
         for c in &mut self.counts {
             *c = 0.0;
         }
-        self.proposed = self.arms[order[0]];
+        self.proposed = TransferSettings::with_concurrency(self.arms[order[0]]);
         self.mode = Mode::Sweep { order, pos: 0 };
     }
 
@@ -274,9 +245,9 @@ impl BanditOptimizer {
     /// One steering proposal: epsilon jump or the next phase of the
     /// (center, +1, center, −1) cycle.
     fn steer(&mut self, phase: u8) {
-        if self.rng.next_f64() < self.params.epsilon {
+        if self.rng.next_f64() < EPSILON {
             let a = self.rng.below(self.arms.len());
-            self.proposed = self.arms[a];
+            self.proposed = TransferSettings::with_concurrency(self.arms[a]);
             self.mode = Mode::Steer {
                 phase,
                 last: SteerKind::Jump,
@@ -319,9 +290,9 @@ impl BanditOptimizer {
                 .iter()
                 .zip(self.values.iter().zip(&self.counts))
                 .filter(|(_, (_, &c))| c > 0.0)
-                .map(|(a, (&v, _))| Candidate {
-                    concurrency: a.concurrency,
-                    parallelism: a.parallelism,
+                .map(|(&a, (&v, _))| Candidate {
+                    concurrency: a,
+                    parallelism: 1,
                     utility: v,
                 })
                 .collect(),
@@ -373,11 +344,11 @@ impl OnlineOptimizer for BanditOptimizer {
                 mode_code = 0.0;
                 let next = pos + 1;
                 if next < order.len() {
-                    self.proposed = self.arms[order[next]];
+                    self.proposed = TransferSettings::with_concurrency(self.arms[order[next]]);
                     self.mode = Mode::Sweep { order, pos: next };
                 } else {
                     let best = self.argmax_ucb();
-                    let center = self.arms[best];
+                    let center = TransferSettings::with_concurrency(self.arms[best]);
                     let center_u = self.values[best];
                     self.settle(center, center_u);
                 }
@@ -457,36 +428,13 @@ impl OnlineOptimizer for BanditOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_core::{ProbeMetrics, UtilityFunction};
-
-    /// Drive the optimizer against a synthetic noise-free throughput
-    /// landscape and return the visited concurrency trace.
-    fn drive<F: Fn(u32) -> f64>(opt: &mut dyn OnlineOptimizer, f: F, steps: usize) -> Vec<u32> {
-        let mut trace = Vec::new();
-        let mut s = opt.initial();
-        for _ in 0..steps {
-            let m = ProbeMetrics::from_aggregate(s, f(s.concurrency), 0.0, 5.0);
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            trace.push(s.concurrency);
-        }
-        trace
-    }
-
-    /// Emulab-10-like aggregate: 100 Mbps per process up to 10.
-    fn emulab10(n: u32) -> f64 {
-        f64::from(n) * 100.0f64.min(1000.0 / f64::from(n))
-    }
+    use crate::tests::{drive, emulab10};
 
     #[test]
     fn sweeps_every_arm_then_settles_near_optimum() {
-        let mut opt = BanditOptimizer::new(BanditParams::new(64, 7));
+        let mut opt = BanditOptimizer::new(64, 7);
         let arms = opt.arms.len();
-        let trace = drive(&mut opt, emulab10, arms + 40);
+        let trace = drive(&mut opt, emulab10, |_, _| 0.0, arms + 40);
         let tail = &trace[arms + 10..];
         let near = tail.iter().filter(|&&c| (8..=16).contains(&c)).count();
         assert!(near * 2 > tail.len(), "tail not near the optimum: {tail:?}");
@@ -494,19 +442,22 @@ mod tests {
 
     #[test]
     fn identical_seeds_reproduce_identical_traces() {
-        let mut a = BanditOptimizer::new(BanditParams::new(64, 99));
-        let mut b = BanditOptimizer::new(BanditParams::new(64, 99));
-        assert_eq!(drive(&mut a, emulab10, 120), drive(&mut b, emulab10, 120));
+        let mut a = BanditOptimizer::new(64, 99);
+        let mut b = BanditOptimizer::new(64, 99);
+        assert_eq!(
+            drive(&mut a, emulab10, |_, _| 0.0, 120),
+            drive(&mut b, emulab10, |_, _| 0.0, 120)
+        );
     }
 
     #[test]
     fn adapts_downward_when_capacity_drops() {
-        let mut opt = BanditOptimizer::new(BanditParams::new(64, 7));
-        drive(&mut opt, emulab10, 60);
+        let mut opt = BanditOptimizer::new(64, 7);
+        drive(&mut opt, emulab10, |_, _| 0.0, 60);
         // Capacity drops to 300 Mbps: the drift gate must trigger a
         // re-sweep and the search must settle low.
         let degraded = |n: u32| f64::from(n) * 100.0f64.min(300.0 / f64::from(n));
-        let trace = drive(&mut opt, degraded, 80);
+        let trace = drive(&mut opt, degraded, |_, _| 0.0, 80);
         let tail = &trace[60..];
         let low = tail.iter().filter(|&&c| c <= 8).count();
         assert!(low * 2 > tail.len(), "did not adapt down: {tail:?}");
@@ -514,13 +465,13 @@ mod tests {
 
     #[test]
     fn climbs_back_after_restore_despite_invisible_uplift() {
-        let mut opt = BanditOptimizer::new(BanditParams::new(64, 7));
-        drive(&mut opt, emulab10, 60);
+        let mut opt = BanditOptimizer::new(64, 7);
+        drive(&mut opt, emulab10, |_, _| 0.0, 60);
         let degraded = |n: u32| f64::from(n) * 100.0f64.min(300.0 / f64::from(n));
-        drive(&mut opt, degraded, 60);
+        drive(&mut opt, degraded, |_, _| 0.0, 60);
         // Restore: at the degraded optimum (~3) throughput is unchanged, so
         // only the steering up-probes can discover the uplift.
-        let trace = drive(&mut opt, emulab10, 40);
+        let trace = drive(&mut opt, emulab10, |_, _| 0.0, 40);
         let recovered = trace.iter().position(|&c| c >= 8).unwrap_or(trace.len());
         assert!(recovered <= 20, "no recovery within 20 probes: {trace:?}");
         let tail = &trace[25..];
@@ -530,19 +481,18 @@ mod tests {
 
     #[test]
     fn respects_bounds() {
-        let mut opt = BanditOptimizer::new(BanditParams::new(6, 3));
-        let trace = drive(&mut opt, |n| f64::from(n) * 50.0, 60);
+        let mut opt = BanditOptimizer::new(6, 3);
+        let trace = drive(&mut opt, |n| f64::from(n) * 50.0, |_, _| 0.0, 60);
         assert!(trace.iter().all(|&c| (1..=6).contains(&c)), "{trace:?}");
     }
 
     #[test]
     fn warm_start_skips_the_sweep_on_a_matching_environment() {
         use falcon_baselines::HarpHistory;
-        let params = BanditParams::new(32, 7);
-        let table = WarmTable::fit(&HarpHistory::for_capacity_gbps(1.0), &params.bounds, 24, 7);
-        let mut opt = BanditOptimizer::warm_started(params, &table);
+        let table = WarmTable::fit(&HarpHistory::for_capacity_gbps(1.0), 32, 7);
+        let mut opt = BanditOptimizer::warm_started(32, 7, &table);
         assert_eq!(opt.name(), "rl-warm");
-        let trace = drive(&mut opt, emulab10, 12);
+        let trace = drive(&mut opt, emulab10, |_, _| 0.0, 12);
         // No cold sweep: the search stays near the warm argmax from the
         // first probe instead of ramping 1, 2, 3, ...
         let near = trace.iter().filter(|&&c| (6..=16).contains(&c)).count();
@@ -551,10 +501,10 @@ mod tests {
 
     #[test]
     fn decision_events_carry_per_arm_values() {
-        let mut opt = BanditOptimizer::new(BanditParams::new(64, 7));
+        let mut opt = BanditOptimizer::new(64, 7);
         let tracer = Tracer::recording();
         opt.set_tracer(tracer.clone());
-        drive(&mut opt, emulab10, 30);
+        drive(&mut opt, emulab10, |_, _| 0.0, 30);
         let log = tracer.take_log();
         let decisions: Vec<_> = log
             .records

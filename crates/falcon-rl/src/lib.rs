@@ -8,7 +8,7 @@
 //! simulator, with the Eq 4 utility as the common reward signal:
 //!
 //! - [`BanditOptimizer`] (`rl-bandit`): an epsilon-greedy/UCB contextual
-//!   bandit over a coarse geometric lattice of the (cc, p, pp) box. A full
+//!   bandit over a coarse geometric lattice of concurrency. A full
 //!   seeded sweep seeds the per-arm value table, a UCB-scored argmax picks
 //!   the operating point, and a GD-style local steering cycle
 //!   (center, +1, center, −1) refines it between lattice points. Drift in
@@ -28,6 +28,10 @@
 //!   mismatched environment shows up as value drift and degrades
 //!   gracefully into an informed sweep.
 //!
+//! A tuner is built from a concurrency ceiling and a seed (and the
+//! Q-learner's discount γ); every other tuning value is a documented
+//! constant beside the code that reads it.
+//!
 //! Determinism discipline: all exploration flows through [`SplitMix64`],
 //! the same finalizer as `falcon_par::task_seed`, keyed only by the
 //! constructor seed — no `HashMap`, no `Instant`, no thread RNG. The crate
@@ -40,12 +44,12 @@ mod bandit;
 mod qlearn;
 mod warm;
 
-pub use bandit::{BanditOptimizer, BanditParams};
+pub use bandit::BanditOptimizer;
 pub use qlearn::{QParams, TabularQOptimizer};
 pub use warm::WarmTable;
 
 use falcon_baselines::HarpHistory;
-use falcon_core::{FalconAgent, OnlineOptimizer, SearchBounds, TransferSettings, UtilityFunction};
+use falcon_core::{FalconAgent, OnlineOptimizer, UtilityFunction};
 
 /// SplitMix64 stream: golden-ratio state advance plus the same finalizer
 /// constants as `falcon_par::task_seed`. A pure function of the seed and
@@ -85,17 +89,16 @@ impl SplitMix64 {
     }
 }
 
-/// Geometric ladder over an inclusive integer range: consecutive rungs grow
-/// by ~28% (at least +1), both endpoints always included. For `[1, 64]`
-/// this yields 16 arms — coarse enough that a full sweep costs ~80 s at the
+/// Geometric ladder over concurrency `[1, max]`: consecutive rungs grow by
+/// ~28% (at least +1), both endpoints always included. For `max = 64` this
+/// yields 16 arms — coarse enough that a full sweep costs ~80 s at the
 /// paper's 5 s probe interval, fine enough that the best arm sits within
 /// one local-steering hop of the true optimum.
 #[must_use]
-pub fn concurrency_lattice(lo: u32, hi: u32) -> Vec<u32> {
-    let lo = lo.max(1);
-    let hi = hi.max(lo);
+pub fn concurrency_lattice(max: u32) -> Vec<u32> {
+    let hi = max.max(1);
     let mut out = Vec::new();
-    let mut c = lo;
+    let mut c = 1;
     while c < hi {
         out.push(c);
         let geometric = (f64::from(c) * 1.28).round() as u32;
@@ -103,29 +106,6 @@ pub fn concurrency_lattice(lo: u32, hi: u32) -> Vec<u32> {
     }
     out.push(hi);
     out
-}
-
-/// The bandit/Q arm lattice of a search box: the cross product of the
-/// per-dimension geometric ladders, concurrency varying fastest. A
-/// concurrency-only box degenerates to the plain cc ladder.
-#[must_use]
-pub fn arm_lattice(bounds: &SearchBounds) -> Vec<TransferSettings> {
-    let ccs = concurrency_lattice(bounds.concurrency.0, bounds.concurrency.1);
-    let ps = concurrency_lattice(bounds.parallelism.0, bounds.parallelism.1);
-    let pps = concurrency_lattice(bounds.pipelining.0, bounds.pipelining.1);
-    let mut arms = Vec::with_capacity(ccs.len() * ps.len() * pps.len());
-    for &pp in &pps {
-        for &p in &ps {
-            for &cc in &ccs {
-                arms.push(TransferSettings {
-                    concurrency: cc,
-                    parallelism: p,
-                    pipelining: pp,
-                });
-            }
-        }
-    }
-    arms
 }
 
 /// Which learning tuner a transfer uses (`rl:bandit`, `rl:q`, `rl:warm`
@@ -143,22 +123,20 @@ pub enum RlKind {
 }
 
 impl RlKind {
-    /// Build one transfer's learning agent behind the Eq 4 utility, on the
-    /// [`BanditParams`]/[`QParams`] defaults — the one constructor every
-    /// harness (registry, scale shard loop, experiments) goes through.
-    /// `Warm` fits its table offline from synthetic traces of its corpus,
-    /// then adapts online.
+    /// Build one transfer's learning agent behind the Eq 4 utility — the
+    /// one constructor every harness (registry, scale shard loop,
+    /// experiments) goes through. `Warm` fits its table offline from
+    /// synthetic traces of its corpus, then adapts online.
     #[must_use]
     pub fn agent(self, max_cc: u32, seed: u64) -> FalconAgent {
-        let params = BanditParams::new(max_cc, seed);
         let optimizer: Box<dyn OnlineOptimizer> = match self {
-            RlKind::Bandit => Box::new(BanditOptimizer::new(params)),
+            RlKind::Bandit => Box::new(BanditOptimizer::new(max_cc, seed)),
             RlKind::Q => Box::new(TabularQOptimizer::new(QParams::new(max_cc, seed))),
             RlKind::Warm(gbps) => {
                 let history =
                     gbps.map_or_else(HarpHistory::ten_gig_corpus, HarpHistory::for_capacity_gbps);
-                let table = WarmTable::fit(&history, &params.bounds, 24, seed);
-                Box::new(BanditOptimizer::warm_started(params, &table))
+                let table = WarmTable::fit(&history, max_cc, seed);
+                Box::new(BanditOptimizer::warm_started(max_cc, seed, &table))
             }
         };
         FalconAgent::new(UtilityFunction::falcon_default(), optimizer)
@@ -172,8 +150,39 @@ pub fn bandit_agent(max_concurrency: u32, seed: u64) -> FalconAgent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use falcon_core::{Observation, ProbeMetrics};
+
+    /// Drive `opt` against a noise-free landscape: `f(cc)` is the delivered
+    /// Mbps at concurrency `cc` and `loss(cc, mbps)` the loss it reports.
+    /// Returns the visited concurrency trace.
+    pub(crate) fn drive(
+        opt: &mut dyn OnlineOptimizer,
+        f: impl Fn(u32) -> f64,
+        loss: impl Fn(u32, f64) -> f64,
+        steps: usize,
+    ) -> Vec<u32> {
+        let mut trace = Vec::new();
+        let mut s = opt.initial();
+        for _ in 0..steps {
+            let thr = f(s.concurrency);
+            let m = ProbeMetrics::from_aggregate(s, thr, loss(s.concurrency, thr), 5.0);
+            let u = UtilityFunction::falcon_default().evaluate(&m);
+            s = opt.next(&Observation {
+                settings: m.settings,
+                utility: u,
+                metrics: m,
+            });
+            trace.push(s.concurrency);
+        }
+        trace
+    }
+
+    /// Emulab-10-like aggregate: 100 Mbps per process up to 10.
+    pub(crate) fn emulab10(n: u32) -> f64 {
+        f64::from(n) * 100.0f64.min(1000.0 / f64::from(n))
+    }
 
     #[test]
     fn splitmix_is_pure_and_spread_out() {
@@ -198,7 +207,7 @@ mod tests {
     #[test]
     fn lattice_includes_both_endpoints_and_is_strictly_increasing() {
         for hi in [1u32, 2, 5, 10, 32, 64, 100] {
-            let l = concurrency_lattice(1, hi);
+            let l = concurrency_lattice(hi);
             assert_eq!(l[0], 1);
             assert_eq!(*l.last().expect("non-empty"), hi);
             assert!(l.windows(2).all(|w| w[0] < w[1]), "{l:?}");
@@ -207,7 +216,7 @@ mod tests {
 
     #[test]
     fn lattice_for_64_is_coarse_but_covering() {
-        let l = concurrency_lattice(1, 64);
+        let l = concurrency_lattice(64);
         assert!(
             (12..=20).contains(&l.len()),
             "want ~16 arms for [1,64], got {}: {l:?}",
@@ -221,28 +230,8 @@ mod tests {
 
     #[test]
     fn degenerate_range_is_single_arm() {
-        assert_eq!(concurrency_lattice(4, 4), vec![4]);
-    }
-
-    #[test]
-    fn arm_lattice_concurrency_only_is_cc_ladder() {
-        let arms = arm_lattice(&SearchBounds::concurrency_only(64));
-        assert!(arms.iter().all(|a| a.parallelism == 1 && a.pipelining == 1));
-        assert_eq!(arms[0].concurrency, 1);
-        assert_eq!(arms.last().expect("non-empty").concurrency, 64);
-    }
-
-    #[test]
-    fn arm_lattice_multi_param_crosses_dimensions() {
-        let arms = arm_lattice(&SearchBounds::multi_parameter(8, 4, 2));
-        let ccs = concurrency_lattice(1, 8).len();
-        let ps = concurrency_lattice(1, 4).len();
-        let pps = concurrency_lattice(1, 2).len();
-        assert_eq!(arms.len(), ccs * ps * pps);
-        // Concurrency varies fastest.
-        assert_eq!(arms[0].concurrency, 1);
-        assert_eq!(arms[1].concurrency, 2);
-        assert_eq!(arms[0].parallelism, arms[1].parallelism);
+        assert_eq!(concurrency_lattice(1), vec![1]);
+        assert_eq!(concurrency_lattice(0), vec![1]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! until improvement stops). Exploration is seeded epsilon-greedy through
 //! one [`SplitMix64`] stream.
 
-use falcon_core::{Observation, OnlineOptimizer, SearchBounds, TransferSettings};
+use falcon_core::{Observation, OnlineOptimizer, TransferSettings};
 use falcon_trace::{Candidate, TraceEvent, Tracer};
 
 use crate::{concurrency_lattice, SplitMix64};
@@ -34,8 +34,8 @@ const LOSS_BUCKETS: usize = 3;
 /// Q-learner hyper-parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct QParams {
-    /// Search box (concurrency range; p/pp pinned at their lower bound).
-    pub bounds: SearchBounds,
+    /// Upper end of the concurrency search range `[1, max_concurrency]`.
+    pub max_concurrency: u32,
     /// Seed of the exploration stream.
     pub seed: u64,
     /// Discount factor (`< 1` for the contraction bound).
@@ -68,7 +68,7 @@ impl QParams {
     #[must_use]
     pub fn new(max_concurrency: u32, seed: u64) -> Self {
         QParams {
-            bounds: SearchBounds::concurrency_only(max_concurrency),
+            max_concurrency,
             seed,
             gamma: 0.6,
         }
@@ -101,7 +101,7 @@ impl TabularQOptimizer {
     /// New learner with the given parameters.
     #[must_use]
     pub fn new(params: QParams) -> Self {
-        let lattice = concurrency_lattice(params.bounds.concurrency.0, params.bounds.concurrency.1);
+        let lattice = concurrency_lattice(params.max_concurrency);
         let states = THR_BUCKETS * LOSS_BUCKETS * lattice.len();
         TabularQOptimizer {
             q: vec![0.0; states * ACTIONS],
@@ -218,7 +218,6 @@ impl TabularQOptimizer {
     }
 
     fn apply(&self, from: u32, a: usize) -> u32 {
-        let (lo, hi) = self.params.bounds.concurrency;
         let cc = f64::from(from);
         let next = match a {
             UP1 => from + 1,
@@ -227,7 +226,7 @@ impl TabularQOptimizer {
             DOWN_BIG => ((cc / 1.3).floor() as u32).max(1),
             _ => from,
         };
-        next.clamp(lo, hi)
+        next.clamp(1, self.params.max_concurrency.max(1))
     }
 
     fn dir_of(a: usize) -> i64 {
@@ -245,14 +244,6 @@ impl TabularQOptimizer {
     fn epsilon(&self) -> f64 {
         (EPSILON0 * EPSILON_DECAY.powi(self.t as i32)).max(EPSILON_FLOOR)
     }
-
-    fn settings_of(&self, cc: u32) -> TransferSettings {
-        TransferSettings {
-            concurrency: cc,
-            parallelism: self.params.bounds.parallelism.0,
-            pipelining: self.params.bounds.pipelining.0,
-        }
-    }
 }
 
 impl OnlineOptimizer for TabularQOptimizer {
@@ -261,7 +252,7 @@ impl OnlineOptimizer for TabularQOptimizer {
     }
 
     fn initial(&self) -> TransferSettings {
-        self.settings_of(START)
+        TransferSettings::with_concurrency(START)
     }
 
     fn next(&mut self, obs: &Observation) -> TransferSettings {
@@ -328,8 +319,8 @@ impl OnlineOptimizer for TabularQOptimizer {
         self.tracer.emit(|| TraceEvent::Decision {
             optimizer: "rl-q".to_string(),
             concurrency: self.cc,
-            parallelism: self.params.bounds.parallelism.0,
-            pipelining: self.params.bounds.pipelining.0,
+            parallelism: 1,
+            pipelining: 1,
             terms: vec![
                 ("state".to_string(), s2 as f64),
                 ("action".to_string(), a as f64),
@@ -345,12 +336,12 @@ impl OnlineOptimizer for TabularQOptimizer {
             candidates: (0..ACTIONS)
                 .map(|b| Candidate {
                     concurrency: self.apply(decided_from, b),
-                    parallelism: self.params.bounds.parallelism.0,
+                    parallelism: 1,
                     utility: self.q_eff(s2, b),
                 })
                 .collect(),
         });
-        self.settings_of(self.cc)
+        TransferSettings::with_concurrency(self.cc)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -361,48 +352,29 @@ impl OnlineOptimizer for TabularQOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_core::{ProbeMetrics, UtilityFunction};
+    use crate::tests::{drive, emulab10};
 
-    fn drive<F: Fn(u32) -> f64>(opt: &mut TabularQOptimizer, f: F, steps: usize) -> Vec<u32> {
-        let mut trace = Vec::new();
-        let mut s = opt.initial();
-        for _ in 0..steps {
-            let thr = f(s.concurrency);
-            let loss = if thr < f64::from(s.concurrency) * 100.0 * 0.999 {
-                // Offered load above delivered: loss proportional to excess.
-                ((f64::from(s.concurrency) * 100.0 - thr) / (f64::from(s.concurrency) * 100.0))
-                    .clamp(0.0, 0.3)
-                    * 0.1
-            } else {
-                0.0
-            };
-            let m = ProbeMetrics::from_aggregate(s, thr, loss, 5.0);
-            let u = UtilityFunction::falcon_default().evaluate(&m);
-            s = opt.next(&Observation {
-                settings: m.settings,
-                utility: u,
-                metrics: m,
-            });
-            trace.push(s.concurrency);
+    /// Offered load above delivered (100 Mbps per process) shows up as
+    /// loss proportional to the excess.
+    fn excess_loss(cc: u32, thr: f64) -> f64 {
+        if thr < f64::from(cc) * 100.0 * 0.999 {
+            ((f64::from(cc) * 100.0 - thr) / (f64::from(cc) * 100.0)).clamp(0.0, 0.3) * 0.1
+        } else {
+            0.0
         }
-        trace
-    }
-
-    fn emulab10(n: u32) -> f64 {
-        f64::from(n) * 100.0f64.min(1000.0 / f64::from(n))
     }
 
     #[test]
     fn virgin_policy_climbs_out_of_the_start() {
         let mut opt = TabularQOptimizer::new(QParams::new(64, 7));
-        let trace = drive(&mut opt, emulab10, 20);
+        let trace = drive(&mut opt, emulab10, excess_loss, 20);
         assert!(trace.iter().any(|&c| c >= 6), "never climbed: {trace:?}");
     }
 
     #[test]
     fn settles_in_the_saturating_region() {
         let mut opt = TabularQOptimizer::new(QParams::new(64, 7));
-        let trace = drive(&mut opt, emulab10, 160);
+        let trace = drive(&mut opt, emulab10, excess_loss, 160);
         let tail = &trace[80..];
         let near = tail.iter().filter(|&&c| (6..=24).contains(&c)).count();
         assert!(near * 3 > tail.len() * 2, "tail: {tail:?}");
@@ -412,15 +384,18 @@ mod tests {
     fn identical_seeds_reproduce_identical_traces() {
         let mut a = TabularQOptimizer::new(QParams::new(64, 42));
         let mut b = TabularQOptimizer::new(QParams::new(64, 42));
-        assert_eq!(drive(&mut a, emulab10, 150), drive(&mut b, emulab10, 150));
+        assert_eq!(
+            drive(&mut a, emulab10, excess_loss, 150),
+            drive(&mut b, emulab10, excess_loss, 150)
+        );
     }
 
     #[test]
     fn backs_off_when_capacity_drops() {
         let mut opt = TabularQOptimizer::new(QParams::new(64, 7));
-        drive(&mut opt, emulab10, 160);
+        drive(&mut opt, emulab10, excess_loss, 160);
         let degraded = |n: u32| f64::from(n) * 100.0f64.min(300.0 / f64::from(n));
-        let trace = drive(&mut opt, degraded, 60);
+        let trace = drive(&mut opt, degraded, excess_loss, 60);
         let tail = &trace[40..];
         let low = tail.iter().filter(|&&c| c <= 10).count();
         assert!(low * 2 > tail.len(), "did not back off: {tail:?}");
@@ -429,10 +404,10 @@ mod tests {
     #[test]
     fn forced_probes_rediscover_a_restore() {
         let mut opt = TabularQOptimizer::new(QParams::new(64, 7));
-        drive(&mut opt, emulab10, 80);
+        drive(&mut opt, emulab10, excess_loss, 80);
         let degraded = |n: u32| f64::from(n) * 100.0f64.min(300.0 / f64::from(n));
-        drive(&mut opt, degraded, 60);
-        let trace = drive(&mut opt, emulab10, 40);
+        drive(&mut opt, degraded, excess_loss, 60);
+        let trace = drive(&mut opt, emulab10, excess_loss, 40);
         assert!(
             trace.iter().any(|&c| c >= 8),
             "restore never discovered: {trace:?}"
@@ -442,7 +417,7 @@ mod tests {
     #[test]
     fn q_values_respect_the_contraction_bound() {
         let mut opt = TabularQOptimizer::new(QParams::new(64, 7));
-        drive(&mut opt, emulab10, 400);
+        drive(&mut opt, emulab10, excess_loss, 400);
         assert!(
             opt.max_abs_q() <= opt.q_bound() + 1e-9,
             "|Q| = {} exceeds {}",
@@ -454,7 +429,7 @@ mod tests {
     #[test]
     fn respects_bounds() {
         let mut opt = TabularQOptimizer::new(QParams::new(5, 11));
-        let trace = drive(&mut opt, |n| f64::from(n) * 80.0, 80);
+        let trace = drive(&mut opt, |n| f64::from(n) * 80.0, excess_loss, 80);
         assert!(trace.iter().all(|&c| (1..=5).contains(&c)), "{trace:?}");
     }
 }

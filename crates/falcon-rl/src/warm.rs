@@ -9,31 +9,30 @@
 //! utility, and average per lattice arm. The result is the bandit's
 //! initial value table, held weakly (count 1) so online observations and
 //! the drift gate can overrule it when the live environment disagrees.
-//!
-//! The canonical text format (`to_text`/`parse`) uses Rust's
-//! shortest-round-trip float display, so serialize → parse → serialize is
-//! byte-identical — the property the proptests pin.
 
 use falcon_baselines::HarpHistory;
-use falcon_core::{ProbeMetrics, SearchBounds, TransferSettings, UtilityFunction};
+use falcon_core::{ProbeMetrics, TransferSettings, UtilityFunction};
 
-use crate::{arm_lattice, SplitMix64};
+use crate::{concurrency_lattice, SplitMix64};
+
+/// Noisy synthetic probes per arm that [`WarmTable::fit`] averages.
+const SAMPLES: u32 = 24;
 
 /// A fitted per-arm value table: the offline prior of `rl-warm`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmTable {
-    /// Lattice arms with their fitted mean utility.
-    pub entries: Vec<(TransferSettings, f64)>,
+    /// Lattice arm concurrencies with their fitted mean utility.
+    pub entries: Vec<(u32, f64)>,
 }
 
 impl WarmTable {
-    /// Fit a table for `bounds` from synthetic traces of `history`'s
-    /// environment: `samples` noisy probes per arm on the corpus response
-    /// curve, averaged under the Eq 4 utility. Deterministic in
-    /// `(history, bounds, samples, seed)`.
+    /// Fit a table for concurrency `[1, max_concurrency]` from synthetic
+    /// traces of `history`'s environment: `SAMPLES` (24) noisy probes per arm
+    /// on the corpus response curve, averaged under the Eq 4 utility.
+    /// Deterministic in `(history, max_concurrency, seed)`.
     #[must_use]
-    pub fn fit(history: &HarpHistory, bounds: &SearchBounds, samples: u32, seed: u64) -> Self {
-        let arms = arm_lattice(bounds);
+    pub fn fit(history: &HarpHistory, max_concurrency: u32, seed: u64) -> Self {
+        let arms = concurrency_lattice(max_concurrency);
         let mut rng = SplitMix64::new(seed);
         let utility = UtilityFunction::falcon_default();
         // The corpus knee: the concurrency where the target saturates.
@@ -41,8 +40,9 @@ impl WarmTable {
         let per_conn = history.target_mbps / knee;
         let entries = arms
             .into_iter()
-            .map(|arm| {
-                let n = f64::from(arm.total_connections().max(1));
+            .map(|cc| {
+                let arm = TransferSettings::with_concurrency(cc);
+                let n = f64::from(cc);
                 let clean = (per_conn * n).min(history.target_mbps);
                 let loss = if n > knee {
                     (0.003 * (n - knee)).min(0.2)
@@ -50,85 +50,15 @@ impl WarmTable {
                     0.0
                 };
                 let mut sum = 0.0;
-                for _ in 0..samples.max(1) {
+                for _ in 0..SAMPLES {
                     let noise = 1.0 + 0.1 * (rng.next_f64() * 2.0 - 1.0);
                     let m = ProbeMetrics::from_aggregate(arm, clean * noise, loss, 5.0);
                     sum += utility.evaluate(&m);
                 }
-                (arm, sum / f64::from(samples.max(1)))
+                (cc, sum / f64::from(SAMPLES))
             })
             .collect();
         WarmTable { entries }
-    }
-
-    /// Canonical text form — the warm-start trace format:
-    ///
-    /// ```text
-    /// falcon-warm-table v1
-    /// <cc> <p> <pp> <value>
-    /// ...
-    /// ```
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::from("falcon-warm-table v1\n");
-        for (s, v) in &self.entries {
-            out.push_str(&format!(
-                "{} {} {} {}\n",
-                s.concurrency, s.parallelism, s.pipelining, v
-            ));
-        }
-        out
-    }
-
-    /// Parse the canonical text form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line (bad header,
-    /// wrong field count, unparsable integer/float, or non-finite value).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("falcon-warm-table v1") => {}
-            other => return Err(format!("bad warm-table header: {other:?}")),
-        }
-        let mut entries = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split(' ');
-            let (cc, p, pp, v) = match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-                (Some(cc), Some(p), Some(pp), Some(v), None) => (cc, p, pp, v),
-                _ => return Err(format!("line {}: expected 4 fields: {line:?}", i + 2)),
-            };
-            let parse_u32 = |s: &str, what: &str| {
-                s.parse::<u32>()
-                    .map_err(|e| format!("line {}: bad {what} {s:?}: {e}", i + 2))
-            };
-            let settings = TransferSettings {
-                concurrency: parse_u32(cc, "concurrency")?,
-                parallelism: parse_u32(p, "parallelism")?,
-                pipelining: parse_u32(pp, "pipelining")?,
-            };
-            let value = v
-                .parse::<f64>()
-                .map_err(|e| format!("line {}: bad value {v:?}: {e}", i + 2))?;
-            if !value.is_finite() {
-                return Err(format!("line {}: non-finite value {v:?}", i + 2));
-            }
-            entries.push((settings, value));
-        }
-        Ok(WarmTable { entries })
-    }
-
-    /// The arm with the highest fitted value, if the table is non-empty.
-    #[must_use]
-    pub fn argmax(&self) -> Option<TransferSettings> {
-        self.entries
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(s, _)| *s)
     }
 }
 
@@ -139,46 +69,13 @@ mod tests {
     #[test]
     fn fit_is_deterministic() {
         let h = HarpHistory::ten_gig_corpus();
-        let b = SearchBounds::concurrency_only(64);
-        assert_eq!(WarmTable::fit(&h, &b, 24, 7), WarmTable::fit(&h, &b, 24, 7));
+        assert_eq!(WarmTable::fit(&h, 64, 7), WarmTable::fit(&h, 64, 7));
     }
 
     #[test]
     fn fit_prefers_the_knee_region() {
-        let h = HarpHistory::ten_gig_corpus();
-        let b = SearchBounds::concurrency_only(64);
-        let t = WarmTable::fit(&h, &b, 24, 7);
-        let best = t.argmax().expect("non-empty");
-        assert!(
-            (6..=16).contains(&best.concurrency),
-            "argmax at cc={}",
-            best.concurrency
-        );
-    }
-
-    #[test]
-    fn round_trip_is_byte_identical() {
-        let h = HarpHistory::for_capacity_gbps(2.5);
-        let b = SearchBounds::concurrency_only(32);
-        let t = WarmTable::fit(&h, &b, 16, 3);
-        let text = t.to_text();
-        let back = WarmTable::parse(&text).expect("parses");
-        assert_eq!(back, t);
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn parse_rejects_bad_header_and_bad_lines() {
-        assert!(WarmTable::parse("nope\n").is_err());
-        assert!(WarmTable::parse("falcon-warm-table v1\n1 2\n").is_err());
-        assert!(WarmTable::parse("falcon-warm-table v1\n1 1 1 NaN\n").is_err());
-        assert!(WarmTable::parse("falcon-warm-table v1\nx 1 1 0.5\n").is_err());
-    }
-
-    #[test]
-    fn parse_accepts_empty_table() {
-        let t = WarmTable::parse("falcon-warm-table v1\n").expect("parses");
-        assert!(t.entries.is_empty());
-        assert_eq!(t.argmax(), None);
+        let t = WarmTable::fit(&HarpHistory::ten_gig_corpus(), 64, 7);
+        let (best, _) = t.entries.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+        assert!((6..=16).contains(best), "argmax at cc={best}");
     }
 }

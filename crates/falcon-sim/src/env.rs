@@ -15,7 +15,7 @@
 //! results holds (who wins, where optima sit); absolute Gbps values are
 //! documented per preset.
 
-use falcon_tcp::{BottleneckLossModel, CongestionControl};
+use falcon_tcp::CongestionControl;
 
 use crate::resource::{Resource, ResourceKind};
 
@@ -117,8 +117,6 @@ pub struct Environment {
     pub mss_bytes: f64,
     /// Congestion-control algorithm of all transfer connections.
     pub cca: CongestionControl,
-    /// Loss model of the bottleneck link.
-    pub loss_model: BottleneckLossModel,
     /// Standard deviation of multiplicative throughput measurement noise
     /// (production systems are noisier than isolated testbeds).
     pub noise_std_frac: f64,
@@ -146,7 +144,6 @@ impl Environment {
             rtt_s: 0.030,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.005,
             sample_interval_s: 5.0,
             max_concurrency: 64,
@@ -175,7 +172,6 @@ impl Environment {
             rtt_s: 0.030,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             // Emulab is an isolated testbed: measurements are quiet.
             noise_std_frac: 0.005,
             sample_interval_s: 5.0,
@@ -202,7 +198,6 @@ impl Environment {
             rtt_s: 0.040,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.06,
             sample_interval_s: 5.0,
             max_concurrency: 64,
@@ -231,7 +226,6 @@ impl Environment {
             rtt_s: 0.0001,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.03,
             sample_interval_s: 3.0,
             max_concurrency: 64,
@@ -260,7 +254,6 @@ impl Environment {
             rtt_s: 0.0001,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.04,
             sample_interval_s: 3.0,
             max_concurrency: 64,
@@ -286,7 +279,6 @@ impl Environment {
             rtt_s: 0.050,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.02,
             sample_interval_s: 5.0,
             max_concurrency: 64,
@@ -320,7 +312,6 @@ impl Environment {
             rtt_s: 0.060,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.05,
             sample_interval_s: 5.0,
             max_concurrency: 64,
@@ -377,7 +368,6 @@ impl Environment {
             rtt_s: 0.020,
             mss_bytes: falcon_tcp::DEFAULT_MSS_BYTES,
             cca: CongestionControl::Cubic,
-            loss_model: BottleneckLossModel::default(),
             noise_std_frac: 0.02,
             sample_interval_s: 3.0,
             max_concurrency: 32,

@@ -20,7 +20,7 @@
 //!   filling / weighted max-min): TCP flows with the same RTT share fairly
 //!   (paper footnote 1), which is what makes an agent's throughput
 //!   proportional to its connection count and creates the congestion game.
-//! - **Loss growth with over-subscription** ([`falcon_tcp::BottleneckLossModel`],
+//! - **Loss growth with over-subscription** ([`falcon_tcp::loss_rate`],
 //!   Figure 4) and the congestion-control response cap that turns heavy loss
 //!   into throughput collapse.
 //! - **Convergence transients** ([`falcon_tcp::RateRamp`]) and multiplicative

@@ -23,7 +23,7 @@
 //!    across its file's parallel sockets.
 //! 2. Computes the packet-loss rate at the bottleneck link from the aggregate
 //!    *offered* (upstream-capped) load and the total connection count
-//!    ([`falcon_tcp::BottleneckLossModel`]).
+//!    ([`falcon_tcp::loss_rate`]).
 //! 3. Caps every connection by its congestion-control response at the
 //!    effective loss-event rate (bursty queue-tail drops hit several packets
 //!    of one window at once, so the per-flow loss-*event* rate is the packet
@@ -768,7 +768,7 @@ impl Simulation {
                 } else {
                     offered_mbps.min(upstream)
                 };
-                let l = self.env.loss_model.loss_rate(
+                let l = falcon_tcp::loss_rate(
                     link_offered,
                     r.capacity_mbps,
                     n_conns_total,
@@ -939,7 +939,7 @@ impl Simulation {
         scratch.link_loss.resize(n_res, 0.0);
         for (i, r) in self.env.resources.iter().enumerate() {
             if r.kind == ResourceKind::NetworkLink && scratch.link_conns[i] > 0 {
-                scratch.link_loss[i] = self.env.loss_model.loss_rate(
+                scratch.link_loss[i] = falcon_tcp::loss_rate(
                     scratch.link_offered[i],
                     r.capacity_mbps,
                     scratch.link_conns[i],

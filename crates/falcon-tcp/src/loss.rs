@@ -36,89 +36,57 @@
 //! already captures (an inelastic term here would wrongly collapse
 //! long-RTT paths whose demand merely *would* exceed capacity).
 
-/// Tunable parameters of [`BottleneckLossModel`].
-#[derive(Debug, Clone, Copy)]
-pub struct LossModelParams {
-    /// Utilization above which the link is saturated and equilibrium loss
-    /// kicks in (0.0–1.0).
-    pub saturation_utilization: f64,
-    /// Coefficient `k` of the TCP equilibrium loss term.
-    pub eq_coeff: f64,
-    /// Exponent `β` of the TCP equilibrium loss term.
-    pub eq_exponent: f64,
-    /// Scale `x_c` of the large-window suppression sigmoid
-    /// `x⁶/(x⁶+x_c⁶)`: below this inverse-window scale, flows have enough
-    /// window headroom that queue collisions are rare and loss collapses.
-    pub window_suppression_x: f64,
-    /// Random loss present regardless of load (link-layer noise). Nearly
-    /// zero in the paper's wired research networks.
-    pub floor: f64,
-}
+/// Utilization above which the link is saturated and equilibrium loss
+/// kicks in.
+const SATURATION_UTILIZATION: f64 = 0.98;
 
-impl Default for LossModelParams {
-    fn default() -> Self {
-        LossModelParams {
-            saturation_utilization: 0.98,
-            eq_coeff: 1.0,
-            eq_exponent: 1.0,
-            window_suppression_x: 0.042,
-            floor: 5e-7,
-        }
+/// Coefficient `k` of the TCP equilibrium loss term.
+const EQ_COEFF: f64 = 1.0;
+
+/// Exponent `β` of the TCP equilibrium loss term.
+const EQ_EXPONENT: f64 = 1.0;
+
+/// Scale `x_c` of the large-window suppression sigmoid `x⁶/(x⁶+x_c⁶)`:
+/// below this inverse-window scale, flows have enough window headroom that
+/// queue collisions are rare and loss collapses.
+const WINDOW_SUPPRESSION_X: f64 = 0.042;
+
+/// Random loss present regardless of load (link-layer noise). Nearly zero
+/// in the paper's wired research networks.
+const FLOOR: f64 = 5e-7;
+
+/// Packet-loss rate of a single shared bottleneck link.
+///
+/// * `offered_mbps` — aggregate load the senders would push absent loss
+///   (each connection capped by its upstream constraints, e.g. the
+///   per-process I/O throttle).
+/// * `capacity_mbps` — link capacity.
+/// * `n_connections` — total TCP connections traversing the link.
+/// * `rtt_s`, `mss_bytes` — path parameters of the flows (the per-flow
+///   equilibrium window, and hence the equilibrium loss, depends on them).
+#[must_use]
+pub fn loss_rate(
+    offered_mbps: f64,
+    capacity_mbps: f64,
+    n_connections: u32,
+    rtt_s: f64,
+    mss_bytes: f64,
+) -> f64 {
+    if capacity_mbps <= 0.0 {
+        return 1.0;
     }
-}
-
-/// Loss model for a single shared bottleneck link.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BottleneckLossModel {
-    params: LossModelParams,
-}
-
-impl BottleneckLossModel {
-    /// Construct with explicit parameters.
-    pub fn new(params: LossModelParams) -> Self {
-        BottleneckLossModel { params }
+    let u = (offered_mbps / capacity_mbps).max(0.0);
+    let mut loss = FLOOR;
+    if u > SATURATION_UTILIZATION && n_connections > 0 {
+        // Inverse per-flow share in window units: n·MSS·8 / (C·RTT).
+        let x =
+            f64::from(n_connections) * mss_bytes * 8.0 / (capacity_mbps * 1e6 * rtt_s.max(1e-6));
+        let knee = ((u - SATURATION_UTILIZATION) / (1.0 - SATURATION_UTILIZATION)).min(1.0);
+        let r6 = (x / WINDOW_SUPPRESSION_X).powi(6);
+        let suppression = r6 / (1.0 + r6);
+        loss += knee * EQ_COEFF * x.powf(EQ_EXPONENT) * suppression;
     }
-
-    /// Model parameters.
-    pub fn params(&self) -> &LossModelParams {
-        &self.params
-    }
-
-    /// Packet-loss rate for the link.
-    ///
-    /// * `offered_mbps` — aggregate load the senders would push absent loss
-    ///   (each connection capped by its upstream constraints, e.g. the
-    ///   per-process I/O throttle).
-    /// * `capacity_mbps` — link capacity.
-    /// * `n_connections` — total TCP connections traversing the link.
-    /// * `rtt_s`, `mss_bytes` — path parameters of the flows (the per-flow
-    ///   equilibrium window, and hence the equilibrium loss, depends on
-    ///   them).
-    pub fn loss_rate(
-        &self,
-        offered_mbps: f64,
-        capacity_mbps: f64,
-        n_connections: u32,
-        rtt_s: f64,
-        mss_bytes: f64,
-    ) -> f64 {
-        let p = &self.params;
-        if capacity_mbps <= 0.0 {
-            return 1.0;
-        }
-        let u = (offered_mbps / capacity_mbps).max(0.0);
-        let mut loss = p.floor;
-        if u > p.saturation_utilization && n_connections > 0 {
-            // Inverse per-flow share in window units: n·MSS·8 / (C·RTT).
-            let x = f64::from(n_connections) * mss_bytes * 8.0
-                / (capacity_mbps * 1e6 * rtt_s.max(1e-6));
-            let knee = ((u - p.saturation_utilization) / (1.0 - p.saturation_utilization)).min(1.0);
-            let r6 = (x / p.window_suppression_x).powi(6);
-            let suppression = r6 / (1.0 + r6);
-            loss += knee * p.eq_coeff * x.powf(p.eq_exponent) * suppression;
-        }
-        loss.clamp(0.0, 1.0)
-    }
+    loss.clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -131,8 +99,7 @@ mod tests {
     /// Figure 4 setup: 100 Mbps link, 10 Mbps per-process throttle, so
     /// concurrency `n` offers `10·n` Mbps over `n` connections.
     fn fig4_loss(n: u32) -> f64 {
-        let m = BottleneckLossModel::default();
-        m.loss_rate(10.0 * f64::from(n), 100.0, n, RTT, MSS)
+        loss_rate(10.0 * f64::from(n), 100.0, n, RTT, MSS)
     }
 
     #[test]
@@ -175,9 +142,8 @@ mod tests {
         // The same 10-connection full-utilization state on a 10x faster link
         // produces far lower loss: each flow runs a larger window and needs
         // fewer loss events to stay in equilibrium.
-        let m = BottleneckLossModel::default();
-        let slow = m.loss_rate(100.0, 100.0, 10, RTT, MSS);
-        let fast = m.loss_rate(1000.0, 1000.0, 10, RTT, MSS);
+        let slow = loss_rate(100.0, 100.0, 10, RTT, MSS);
+        let fast = loss_rate(1000.0, 1000.0, 10, RTT, MSS);
         assert!(
             fast < slow / 10.0,
             "fast-link loss {fast} not ≪ slow-link loss {slow}"
@@ -189,21 +155,18 @@ mod tests {
 
     #[test]
     fn zero_capacity_means_total_loss() {
-        let m = BottleneckLossModel::default();
-        assert_eq!(m.loss_rate(10.0, 0.0, 1, RTT, MSS), 1.0);
+        assert_eq!(loss_rate(10.0, 0.0, 1, RTT, MSS), 1.0);
     }
 
     #[test]
     fn loss_clamped_to_unit_interval() {
-        let m = BottleneckLossModel::default();
-        let l = m.loss_rate(1e9, 1.0, 10_000, RTT, MSS);
+        let l = loss_rate(1e9, 1.0, 10_000, RTT, MSS);
         assert!((0.0..=1.0).contains(&l));
     }
 
     #[test]
     fn floor_applies_at_idle() {
-        let m = BottleneckLossModel::default();
-        let l = m.loss_rate(0.0, 100.0, 0, RTT, MSS);
+        let l = loss_rate(0.0, 100.0, 0, RTT, MSS);
         assert!(l > 0.0 && l < 1e-5);
     }
 
@@ -211,8 +174,7 @@ mod tests {
     fn zero_connections_saturated_is_floor_only() {
         // Background demand with no TCP connections modelled: no equilibrium
         // term is applicable.
-        let m = BottleneckLossModel::default();
-        let l = m.loss_rate(200.0, 100.0, 0, RTT, MSS);
+        let l = loss_rate(200.0, 100.0, 0, RTT, MSS);
         assert!(l < 1e-5, "got {l}");
     }
 }

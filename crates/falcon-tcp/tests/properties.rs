@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use falcon_tcp::{
-    bbr_rate_mbps, cubic_rate_mbps, hstcp_rate_mbps, mathis_rate_mbps, padhye_rate_mbps,
-    window_to_mbps, BottleneckLossModel, CongestionControl, RateRamp,
+    bbr_rate_mbps, cubic_rate_mbps, hstcp_rate_mbps, loss_rate, mathis_rate_mbps, padhye_rate_mbps,
+    window_to_mbps, CongestionControl, RateRamp,
 };
 
 proptest! {
@@ -94,9 +94,8 @@ proptest! {
         rtt in 1e-4f64..0.5,
         load_frac in 0.0f64..4.0,
     ) {
-        let m = BottleneckLossModel::default();
-        let l1 = m.loss_rate(cap * load_frac, cap, n, rtt, 1460.0);
-        let l2 = m.loss_rate(cap * (load_frac + 0.2), cap, n, rtt, 1460.0);
+        let l1 = loss_rate(cap * load_frac, cap, n, rtt, 1460.0);
+        let l2 = loss_rate(cap * (load_frac + 0.2), cap, n, rtt, 1460.0);
         prop_assert!((0.0..=1.0).contains(&l1));
         prop_assert!(l2 >= l1 - 1e-12);
     }

@@ -129,7 +129,7 @@ const STABLE_WINDOW: usize = 5;
 
 /// Streaming convergence detector over an agent's decision stream.
 ///
-/// Declares convergence when the last [`STABLE_WINDOW`] decisions span at
+/// Declares convergence when the last `STABLE_WINDOW` (5) decisions span at
 /// most `max(4, 15% of their mean)` concurrency, then latches (the floor
 /// of 4 tolerates the `n−1`/`n+1` probe bounce of a converged
 /// gradient-descent search whose center still wobbles by one). A later

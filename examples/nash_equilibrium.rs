@@ -8,16 +8,15 @@
 //! equilibrium — then does the same for the linear-regret utility (Eq 3,
 //! C = 0.01) to show why the paper rejected it: its equilibrium
 //! over-provisions well past the fair optimum of 24 connections each. The
-//! game is Figure 6(c)'s, from `falcon_experiments::figs6_8`.
+//! game is Figure 6(c)'s, from `falcon_experiments::figs6_8`; the
+//! best-response oracle is falcon-core's.
 //!
 //! ```text
 //! cargo run --release --example nash_equilibrium
 //! ```
 
-use falcon_experiments::figs6_8::{
-    best_response, best_response_equilibrium, emulab48_game_metrics,
-};
-use falcon_repro::core::UtilityFunction;
+use falcon_experiments::figs6_8::emulab48_game_metrics;
+use falcon_repro::core::{best_response, best_response_equilibrium, UtilityFunction};
 
 fn main() {
     println!("Emulab-48 game: 1 Gbps link, 21 Mbps/process, fair optimum = 24 each\n");
@@ -29,9 +28,12 @@ fn main() {
         println!("utility: {}", utility.label());
         print!("  best response to opponent m =");
         for m in [0u32, 12, 24, 36, 48] {
-            print!("  {m}->{}", best_response(utility, m));
+            print!(
+                "  {m}->{}",
+                best_response(utility, &emulab48_game_metrics, m, 100)
+            );
         }
-        let (n, m) = best_response_equilibrium(utility);
+        let (n, m) = best_response_equilibrium(utility, &emulab48_game_metrics, 100);
         let thr = emulab48_game_metrics(n, m).aggregate_mbps;
         println!(
             "\n  Nash equilibrium: {n} vs {m} connections  ({thr:.0} Mbps each, \

@@ -14,7 +14,7 @@ use falcon_repro::core::{
     GradientDescentOptimizer, HillClimbingOptimizer, Observation, OnlineOptimizer, ProbeMetrics,
     SearchBounds, TransferSettings, UtilityFunction,
 };
-use falcon_repro::rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
+use falcon_repro::rl::{BanditOptimizer, QParams, TabularQOptimizer, WarmTable};
 
 /// Deterministic landscape: linear gain to 48 streams, flat beyond.
 fn observation(s: TransferSettings) -> Observation {
@@ -62,7 +62,7 @@ fn gradient_descent_decision_sequence_unchanged() {
 /// order, the arm lattice, or the reward plumbing changed.
 #[test]
 fn bandit_decision_sequence_unchanged() {
-    let mut opt = BanditOptimizer::new(BanditParams::new(64, 7));
+    let mut opt = BanditOptimizer::new(64, 7);
     let expected: Vec<(u32, u32, u32)> = [
         1, 2, 3, 4, 5, 6, 8, 10, 13, 17, 22, 28, 36, 46, 59, 64, 46, 47, 3, 46, 45, 46, 47, 46, 45,
         46, 47, 46, 45, 46, 47, 46, 45, 46, 47, 46, 45, 46, 47, 46, 45,
@@ -88,10 +88,8 @@ fn tabular_q_decision_sequence_unchanged() {
 
 #[test]
 fn warm_started_bandit_decision_sequence_unchanged() {
-    let history = HarpHistory::ten_gig_corpus();
-    let bounds = SearchBounds::concurrency_only(64);
-    let table = WarmTable::fit(&history, &bounds, 24, 7);
-    let mut opt = BanditOptimizer::warm_started(BanditParams::new(64, 7), &table);
+    let table = WarmTable::fit(&HarpHistory::ten_gig_corpus(), 64, 7);
+    let mut opt = BanditOptimizer::warm_started(64, 7, &table);
     // Opens at the warm table's argmax (10) instead of the cold sweep's 1,
     // then interleaves the remaining sweep with exploitation of the prior.
     let expected: Vec<(u32, u32, u32)> = [

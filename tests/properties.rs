@@ -2,16 +2,16 @@
 
 use proptest::prelude::*;
 
-use falcon_repro::baselines::HarpHistory;
 use falcon_repro::core::{
-    Observation, OnlineOptimizer, ProbeMetrics, SearchBounds, TransferSettings, UtilityFunction,
+    best_response, Observation, OnlineOptimizer, ProbeMetrics, SearchBounds, TransferSettings,
+    UtilityFunction,
 };
 use falcon_repro::fleet::FleetTuner;
 use falcon_repro::gp::{GpRegressor, Matern52};
-use falcon_repro::rl::{BanditOptimizer, BanditParams, QParams, TabularQOptimizer, WarmTable};
+use falcon_repro::rl::{BanditOptimizer, QParams, TabularQOptimizer};
 use falcon_repro::sim::alloc::{max_min_allocate, StreamDemand};
 use falcon_repro::sim::{AgentSettings, Environment, Simulation};
-use falcon_repro::tcp::{mathis_rate_mbps, BottleneckLossModel};
+use falcon_repro::tcp::{loss_rate, mathis_rate_mbps};
 use falcon_repro::transfer::runner::jain_index;
 
 /// An analytic symmetric bottleneck for the Nash fixed-point property:
@@ -33,34 +33,24 @@ impl SharedBottleneck {
         }
     }
 
-    /// Utility one agent sees running `n_own` connections against
+    /// What one agent sees running `n_own` connections against
     /// `m_others` competitor connections. Loss is the Mathis-consistent
     /// level for the per-connection rate (`rate = MSS·1.22/(RTT·√L)`
     /// inverted), so it grows smoothly as the link divides thinner rather
     /// than cliff-dropping at saturation.
-    fn utility(&self, n_own: u32, m_others: u32) -> f64 {
+    fn metrics(&self, n_own: u32, m_others: u32) -> ProbeMetrics {
         let m = f64::from(n_own + m_others);
         let rate = self.per_conn_cap.min(self.capacity_mbps / m);
         let mss_mbits = 1460.0 * 8.0 / 1e6;
         let sqrt_l = mss_mbits * 1.22 / (self.rtt_s * rate);
         let loss = (sqrt_l * sqrt_l).min(0.5);
-        UtilityFunction::falcon_default().evaluate(&ProbeMetrics {
+        ProbeMetrics {
             settings: TransferSettings::with_concurrency(n_own),
             aggregate_mbps: f64::from(n_own) * rate,
             per_thread_mbps: rate,
             loss_rate: loss,
             interval_s: 5.0,
-        })
-    }
-
-    /// Best response to a fixed competitor load (smallest argmax).
-    fn best_response(&self, m_others: u32, max_n: u32) -> u32 {
-        (1..=max_n)
-            .max_by(|&a, &b| {
-                self.utility(a, m_others)
-                    .total_cmp(&self.utility(b, m_others))
-            })
-            .unwrap_or(1)
+        }
     }
 
     /// Per-agent goodput once everyone's concurrency is fixed.
@@ -129,9 +119,8 @@ proptest! {
         rtt in 1e-4f64..0.2,
         n in 1u32..200,
     ) {
-        let m = BottleneckLossModel::default();
-        let l1 = m.loss_rate(cap * 1.2, cap, n, rtt, 1460.0);
-        let l2 = m.loss_rate(cap * 1.2, cap, n + 1, rtt, 1460.0);
+        let l1 = loss_rate(cap * 1.2, cap, n, rtt, 1460.0);
+        let l2 = loss_rate(cap * 1.2, cap, n + 1, rtt, 1460.0);
         prop_assert!((0.0..=1.0).contains(&l1));
         prop_assert!(l2 >= l1 - 1e-12);
     }
@@ -266,6 +255,8 @@ proptest! {
     ) {
         const MAX_N: u32 = 64;
         let b = SharedBottleneck::new(capacity, rtt_s);
+        let game = |n, m| b.metrics(n, m);
+        let eq4 = UtilityFunction::falcon_default();
         let agents = starts.len();
         // Keep the saturating per-agent concurrency well below the
         // regret-determined equilibrium (n* ≥ 25 for K = 1.02, N ≥ 2) so
@@ -280,7 +271,7 @@ proptest! {
             let mut moved = false;
             for i in 0..agents {
                 let m_others: u32 = n.iter().sum::<u32>() - n[i];
-                let best = b.best_response(m_others, MAX_N);
+                let best = best_response(eq4, &game, m_others, MAX_N);
                 if best != n[i] {
                     n[i] = best;
                     moved = true;
@@ -422,8 +413,8 @@ proptest! {
         seed in 0u64..1_000_000,
         per_cc in proptest::collection::vec(0.0f64..500.0, 1..60),
     ) {
-        let mut a = BanditOptimizer::new(BanditParams::new(64, seed));
-        let mut b = BanditOptimizer::new(BanditParams::new(64, seed));
+        let mut a = BanditOptimizer::new(64, seed);
+        let mut b = BanditOptimizer::new(64, seed);
         let (mut sa, mut sb) = (a.initial(), b.initial());
         prop_assert_eq!(sa, sb);
         for &rate in &per_cc {
@@ -441,25 +432,6 @@ proptest! {
             sb = b.next(&step(sb));
             prop_assert_eq!(sa, sb, "seed {} diverged", seed);
         }
-    }
-
-    /// Warm-start table round-trip: `parse(to_text(t))` reproduces the
-    /// serialized bytes exactly, for any corpus capacity and seed.
-    #[test]
-    fn warm_table_round_trips_byte_identically(
-        gbps in 1.0f64..100.0,
-        max_cc in 2u32..200,
-        samples in 1u32..48,
-        seed in 0u64..1_000_000,
-    ) {
-        let history = HarpHistory::for_capacity_gbps(gbps);
-        let bounds = SearchBounds::concurrency_only(max_cc);
-        let table = WarmTable::fit(&history, &bounds, samples, seed);
-        let text = table.to_text();
-        let reparsed = WarmTable::parse(&text)
-            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
-        prop_assert_eq!(reparsed.to_text(), text);
-        prop_assert_eq!(reparsed.argmax(), table.argmax());
     }
 
     /// Registry-wide tuner conformance: whatever `FleetTuner::names()` can
