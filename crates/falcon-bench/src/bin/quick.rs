@@ -22,7 +22,7 @@ use falcon_gp::{
     Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpRegressor, LineLattice, Matern52,
     SweepCache,
 };
-use falcon_sim::alloc::{max_min_allocate, StreamDemand};
+use falcon_sim::alloc::{weighted_max_min_allocate_into, AllocScratch, WeightedStreamDemand};
 use falcon_sim::{
     oracle, AgentSettings, Environment, EnvironmentEvent, EventAction, EventQueue, Simulation,
 };
@@ -134,8 +134,10 @@ fn bench_gp(q: &mut QuickBench) {
             std::process::exit(1);
         }
     };
+    // Fresh buffers per call: the pin times a cold query, allocation included.
     q.bench("gp", "predict_window20", || {
-        black_box(full.predict(black_box(&[31.0])))
+        let mut scratch = falcon_gp::PredictScratch::default();
+        black_box(full.predict_into(black_box(&[31.0]), &mut scratch))
     });
     let mut scratch = falcon_gp::PredictScratch::default();
     q.bench("gp", "predict_into_window20", || {
@@ -208,7 +210,7 @@ fn bench_simulator(q: &mut QuickBench) {
     // every step reuses the cached targets.
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(100));
+    assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(100)));
     q.bench("simulator", "step_100conn_steady", || {
         sim.advance(black_box(0.1))
     });
@@ -219,16 +221,16 @@ fn bench_simulator(q: &mut QuickBench) {
     let mut flip = false;
     q.bench("simulator", "step_100conn_churn", || {
         flip = !flip;
-        sim.set_settings(
+        assert!(sim.try_set_settings(
             a,
             AgentSettings::with_concurrency(if flip { 100 } else { 99 }),
-        );
+        ));
         sim.advance(black_box(0.1))
     });
     let mut sim = Simulation::new(Environment::hpclab(), 1);
     for _ in 0..3 {
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(16));
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(16)));
     }
     q.bench("simulator", "step_three_agents_steady", || {
         sim.advance(black_box(0.1))
@@ -242,15 +244,19 @@ fn bench_simulator(q: &mut QuickBench) {
             black_box(1460.0),
         ))
     });
-    let streams: Vec<StreamDemand> = (0..100)
-        .map(|i| StreamDemand {
+    let streams: Vec<WeightedStreamDemand> = (0..100)
+        .map(|i| WeightedStreamDemand {
             cap_mbps: 10.0 + (i % 7) as f64,
             resource_mask: 0b11111,
+            weight: 1.0,
         })
         .collect();
     let caps = [4000.0, 10_000.0, 1000.0, 10_000.0, 4000.0];
+    // Fresh buffers per call: the pin times a cold solve, allocation included.
     q.bench("simulator", "max_min_allocate_100", || {
-        black_box(max_min_allocate(&streams, &caps))
+        let (mut rate, mut scratch) = (Vec::new(), AllocScratch::default());
+        weighted_max_min_allocate_into(&streams, &caps, &mut rate, &mut scratch);
+        black_box(rate)
     });
 }
 
@@ -264,7 +270,7 @@ fn bench_fleet(q: &mut QuickBench) {
     let handles: Vec<_> = (0..200)
         .map(|i| {
             let h = sim.add_agent_on_path(routes[i % routes.len()]);
-            sim.set_settings(h, AgentSettings::with_concurrency(2));
+            assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(2)));
             h
         })
         .collect();
@@ -276,10 +282,10 @@ fn bench_fleet(q: &mut QuickBench) {
     let mut flip = false;
     q.bench("fleet", "step_200transfer_fleet_churn", || {
         flip = !flip;
-        sim.set_settings(
+        assert!(sim.try_set_settings(
             handles[0],
             AgentSettings::with_concurrency(if flip { 3 } else { 2 }),
-        );
+        ));
         sim.advance(black_box(0.1))
     });
     // Probe mix: one settings change per five steps, so four steps in
@@ -290,10 +296,10 @@ fn bench_fleet(q: &mut QuickBench) {
         step += 1;
         if step.is_multiple_of(5) {
             flip = !flip;
-            sim.set_settings(
+            assert!(sim.try_set_settings(
                 handles[0],
                 AgentSettings::with_concurrency(if flip { 3 } else { 2 }),
-            );
+            ));
         }
         sim.advance(black_box(0.1))
     });
@@ -449,12 +455,12 @@ fn bench_des(q: &mut QuickBench) {
     // is the O(1)-vs-O(ticks) win the engine exists for.
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(100));
+    assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(100)));
     sim.advance(30.0);
     q.bench("des", "advance_10s_idle", || sim.advance(black_box(10.0)));
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(100));
+    assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(100)));
     oracle::run_for(&mut sim, 30.0, 0.1);
     q.bench("des", "advance_10s_idle_tick_oracle", || {
         oracle::run_for(&mut sim, black_box(10.0), 0.1)
@@ -464,17 +470,18 @@ fn bench_des(q: &mut QuickBench) {
     // schedule + boundary split + fire + re-cap.
     let mut sim = Simulation::new(Environment::emulab(21.0), 7);
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(8));
+    assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(8)));
     let mut flip = false;
     q.bench("des", "event_schedule_and_fire", || {
         flip = !flip;
-        sim.add_event(EnvironmentEvent::at(
+        sim.try_add_events([EnvironmentEvent::at(
             sim.time_s() + 0.005,
             EventAction::LinkCapacityFactor {
                 resource: None,
                 factor: if flip { 0.5 } else { 2.0 },
             },
-        ));
+        )])
+        .unwrap();
         sim.advance(black_box(0.01));
     });
     // Raw scheduler throughput (events/sec): 64 pushes + a full drain of
@@ -532,7 +539,7 @@ fn bench_trace(q: &mut QuickBench) {
         });
     });
     q.bench("trace", "counter_incr_enabled", || {
-        recording.incr(black_box("bench.counter"));
+        recording.add(black_box("bench.counter"), 1);
     });
     // The acceptance gate: a steady-state sim step with the default
     // (disabled) tracer installed must sit within noise of
@@ -540,14 +547,14 @@ fn bench_trace(q: &mut QuickBench) {
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     sim.set_tracer(Tracer::default());
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(100));
+    assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(100)));
     q.bench("trace", "step_100conn_tracer_disabled", || {
         sim.advance(black_box(0.1))
     });
     let mut sim = Simulation::new(Environment::emulab(21.0), 1);
     sim.set_tracer(Tracer::recording());
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(100));
+    assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(100)));
     q.bench("trace", "step_100conn_tracer_recording", || {
         sim.advance(black_box(0.1))
     });

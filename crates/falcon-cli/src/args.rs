@@ -191,6 +191,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     "multi-parameter tuning has no effect on loopback (no control channel); use gd|bo|hc".into(),
                 ));
             }
+            if a.probes == 0 {
+                return Err(ParseError("--probes: must be >= 1".into()));
+            }
             if a.max_workers == 0 {
                 return Err(ParseError("--max-workers: must be >= 1".into()));
             }
@@ -248,6 +251,7 @@ USAGE:
   falcon help
 
   --gigabytes N       data to move, as N files of 1 GiB; count ≥ 1
+  --probes N          probe intervals to run on loopback; N ≥ 1
   --trace OUT.jsonl   write the structured event trace (probes, decisions,
                       settings changes, recovery, environment events,
                       convergence markers) as JSON Lines
@@ -340,6 +344,7 @@ mod tests {
             ("loopback", "per-worker-mbps", "inf"),
             ("loopback", "per-worker-mbps", "-1"),
             ("loopback", "max-workers", "0"),
+            ("loopback", "probes", "0"),
         ] {
             let e = parse(&argv(&format!("{cmd} --{flag} {bad}"))).unwrap_err();
             assert!(

@@ -67,7 +67,7 @@ use falcon_sim::EventAction::{
     DiskThrottleFactor, KillAgent, LinkCapacityFactor, LossFloor, ReviveAgent, RttShift,
 };
 use falcon_sim::{BackgroundFlow, EnvironmentEvent, EventAction, Simulation};
-use falcon_trace::{TraceLog, Tracer};
+use falcon_trace::{TraceEvent, TraceLog, Tracer};
 use falcon_transfer::dataset::{Dataset, GIB};
 use falcon_transfer::harness::SimHarness;
 use falcon_transfer::runner::{AgentPlan, RunTrace, Runner, Tuner};
@@ -759,8 +759,9 @@ fn agent_tuner(sc: &Scenario, i: usize, max_cc: u32) -> Result<Box<dyn Tuner>, P
     Ok(tuner.make(max_cc, sc.seed.wrapping_add(i as u64)))
 }
 
-/// Drive the `[agent]` sections through the shared runner.
-fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
+/// Drive the `[agent]` sections through the shared runner, draining
+/// `tracer`'s log.
+fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<(RunTrace, TraceLog), ParseError> {
     let env = resolve_env(&sc.env)
         .ok_or_else(|| ParseError(format!("unknown environment {:?}", sc.env)))?;
     let max_cc = env.max_concurrency;
@@ -778,14 +779,12 @@ fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
         sc.agents.iter().enumerate().filter(earlier).count()
     };
     let events = sc.events.iter().copied().map(|mut e| {
-        if let EventAction::KillAgent { agent } | EventAction::ReviveAgent { agent } = &mut e.action
-        {
+        if let KillAgent { agent } | ReviveAgent { agent } = &mut e.action {
             *agent = joined_as(*agent);
         }
         e
     });
-    // Fallible form: a scenario file with a non-finite or out-of-order
-    // event time is a parse-level error, not a panic.
+    // A non-finite or out-of-order event time is a parse-level error.
     harness
         .sim_mut()
         .try_add_events(events)
@@ -802,7 +801,19 @@ fn run_agents(sc: &Scenario, tracer: &Tracer) -> Result<RunTrace, ParseError> {
     let runner = Runner {
         tracer: tracer.clone(),
     };
-    Ok(runner.run(&mut harness, plans, sc.duration_s))
+    let trace = runner.run(&mut harness, plans, sc.duration_s);
+    // The simulator records a kill or revive under the number it acted on;
+    // name the section instead, as the runner's records and the report do.
+    let mut log = tracer.take_log();
+    for r in &mut log.records {
+        if let TraceEvent::Environment { action, value } = &mut r.event {
+            if action == "kill_agent" || action == "revive_agent" {
+                let section = (0..sc.agents.len()).find(|&i| joined_as(i) == *value as usize);
+                *value = section.map_or(*value, |i| i as f64);
+            }
+        }
+    }
+    Ok((trace, log))
 }
 
 /// The scale-engine workload a `topology =` fleet section describes; an
@@ -847,8 +858,8 @@ impl Outcome {
 /// and `seed` come from the top-level keys on every engine.
 fn execute(sc: &Scenario, tracer: Tracer) -> Result<(Outcome, TraceLog), ParseError> {
     let Some(f) = &sc.fleet else {
-        let trace = run_agents(sc, &tracer)?;
-        return Ok((Outcome::Agents(trace), tracer.take_log()));
+        let (trace, log) = run_agents(sc, &tracer)?;
+        return Ok((Outcome::Agents(trace), log));
     };
     let Some(topology) = &f.topology else {
         let spec = CampaignSpec {
@@ -863,7 +874,7 @@ fn execute(sc: &Scenario, tracer: Tracer) -> Result<(Outcome, TraceLog), ParseEr
             duration_s: sc.duration_s,
             seed: sc.seed,
         };
-        let out = falcon_fleet::run_campaign_with_tracer(&spec, tracer);
+        let out = falcon_fleet::run_campaign(&spec, tracer);
         return Ok((Outcome::Fleet(out.trace, out.report), out.log));
     };
     let topology = ScaleTopology::from_spec(topology)
@@ -1128,10 +1139,12 @@ agent = 0
     #[test]
     fn kill_and_revive_name_the_agent_section() {
         // Section 0 joins after section 1, so it is the second agent the
-        // simulator sees; the kill still lands on section 0.
+        // simulator sees; the kill still lands on section 0, and the trace
+        // records it under section 0.
         let sc = parse(
             "env = emulab10\nduration = 120\n[agent]\ntuner = fixed:4\nstart = 10\n\
-             [agent]\ntuner = fixed:2\n[event]\nat = 20\naction = kill\nagent = 0\n",
+             [agent]\ntuner = fixed:2\n[event]\nat = 20\naction = kill\nagent = 0\n\
+             [event]\nat = 40\naction = revive\nagent = 0\n",
         )
         .unwrap();
         let out = run(&sc).unwrap();
@@ -1140,6 +1153,16 @@ agent = 0
             "{out}"
         );
         assert!(!out.contains("recovery: agent 1"), "{out}");
+        let (_, log) = run_traced(&sc).unwrap();
+        let named: Vec<_> = log
+            .records
+            .iter()
+            .filter_map(|r| match &r.event {
+                TraceEvent::Environment { action, value } => Some((action.as_str(), *value)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(named, [("kill_agent", 0.0), ("revive_agent", 0.0)]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use falcon_core::surrogate::CachedSurrogate;
-use falcon_gp::GpRegressor;
+use falcon_gp::{GpRegressor, PredictScratch};
 
 const WINDOW: usize = 8;
 
@@ -64,8 +64,8 @@ proptest! {
             let oracle = GpRegressor::fit(s.gp.inputs(), s.gp.targets(), kernel, noise)
                 .expect("oracle refit over the live window must succeed");
             for probe in [q, 1.0, 32.0, 64.0] {
-                let (im, iv) = s.gp.predict(&[probe]);
-                let (om, ov) = oracle.predict(&[probe]);
+                let (im, iv) = s.gp.predict_into(&[probe], &mut PredictScratch::default());
+                let (om, ov) = oracle.predict_into(&[probe], &mut PredictScratch::default());
                 prop_assert!(
                     (im - om).abs() < 1e-6,
                     "posterior mean diverged at step {i}, probe {probe}: {im} vs {om}"

@@ -13,10 +13,11 @@ use crate::table::Table;
 pub fn steady_state(env: Environment, cc: u32, seconds: f64) -> (f64, f64) {
     let mut sim = Simulation::new(env.without_noise(), 17);
     let a = sim.add_agent();
-    sim.set_settings(a, AgentSettings::with_concurrency(cc));
-    sim.run_for(seconds);
-    let s = sim.take_sample(a);
-    (s.throughput_mbps, s.loss_rate)
+    let alive = sim.try_set_settings(a, AgentSettings::with_concurrency(cc));
+    debug_assert!(alive, "a fresh agent is alive");
+    sim.advance(seconds);
+    sim.try_take_sample(a)
+        .map_or((0.0, 0.0), |s| (s.throughput_mbps, s.loss_rate))
 }
 
 /// Figure 1(a): throughput vs concurrency (1…32) in HPCLab and XSEDE for

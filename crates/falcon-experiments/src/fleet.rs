@@ -3,6 +3,7 @@
 //! `falcon_par` (byte-identical across worker counts).
 
 use falcon_fleet::{run_campaign, CampaignSpec};
+use falcon_trace::Tracer;
 
 use crate::Table;
 
@@ -37,7 +38,7 @@ pub fn fleet_over_seeds(
         ],
     );
     let rows = falcon_par::fan_out(seeds.to_vec(), threads, |_, seed| {
-        let out = run_campaign(&make_spec(seed));
+        let out = run_campaign(&make_spec(seed), Tracer::disabled());
         let r = &out.report;
         vec![
             seed.to_string(),

@@ -63,7 +63,7 @@ pub fn flap_run(
     let mut sim = Simulation::new(env, seed);
     sim.set_tracer(tracer.clone());
     let mut h = SimHarness::new(sim);
-    h.sim_mut().add_events([
+    let scheduled = h.sim_mut().try_add_events([
         EnvironmentEvent::at(
             flap.drop_s,
             EventAction::LinkCapacityFactor {
@@ -79,6 +79,7 @@ pub fn flap_run(
             },
         ),
     ]);
+    debug_assert!(scheduled.is_ok(), "{scheduled:?}");
     let runner = Runner {
         tracer: tracer.clone(),
     };

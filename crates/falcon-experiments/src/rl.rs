@@ -8,7 +8,7 @@
 
 use falcon_fleet::{run_campaign, CampaignSpec, FleetTuner, RlKind};
 use falcon_sim::Environment;
-use falcon_trace::TraceQuery;
+use falcon_trace::{TraceQuery, Tracer};
 
 use crate::observability::{achievable_mbps, flap_run, LinkFlap};
 use crate::Table;
@@ -74,10 +74,11 @@ pub fn head_to_head(
         let (trace, log, _) = flap_run(env, tuner.make(max_cc, flap_seed), flap_seed, flap);
         let q = TraceQuery::new(&log).agent(0);
         let util = trace.avg_mbps(0, 0.6 * flap.drop_s, flap.drop_s) / achievable;
-        let out = run_campaign(&CampaignSpec {
+        let spec = CampaignSpec {
             tuner,
             ..churn.clone()
-        });
+        };
+        let out = run_campaign(&spec, Tracer::disabled());
         let r = &out.report;
         let fmt_t = |v: Option<f64>| v.map_or("-".to_string(), |s| format!("{s:.0}"));
         vec![

@@ -52,20 +52,15 @@ pub struct CampaignOutcome {
     pub report: FleetReport,
 }
 
-/// Run a campaign without recording: the report reads only the runner's
-/// trace.
-pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
-    run_campaign_with_tracer(spec, Tracer::disabled())
-}
-
 /// Run a campaign, emitting structured events into `tracer`. The tracer's
-/// log is drained into the outcome.
+/// log is drained into the outcome; the report reads only the runner's
+/// trace, so a disabled tracer changes nothing else.
 ///
 /// Campaigns are event-driven end to end: the generated arrival and
 /// departure times become exact wakeups in the shared [`Runner`], and the
 /// simulation advances between them event by event — a transfer arriving
 /// at t = 137.42 s joins at exactly that instant, not at the next tick.
-pub fn run_campaign_with_tracer(spec: &CampaignSpec, tracer: Tracer) -> CampaignOutcome {
+pub fn run_campaign(spec: &CampaignSpec, tracer: Tracer) -> CampaignOutcome {
     let specs = generate(&spec.topology, &spec.workload, spec.seed);
     let mut sim = Simulation::new(spec.topology.env.clone(), spec.seed);
     sim.set_tracer(tracer.clone());
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_reports() {
-        let out = run_campaign_with_tracer(&small_spec(5), Tracer::recording());
+        let out = run_campaign(&small_spec(5), Tracer::recording());
         assert_eq!(out.report.transfers, 23); // 3 routes' anchors + 20
         assert!(out.report.completed > 5, "only {}", out.report.completed);
         assert_eq!(out.report.links.len(), 2);
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_for_a_seed() {
-        let run = |seed| run_campaign_with_tracer(&small_spec(seed), Tracer::recording());
+        let run = |seed| run_campaign(&small_spec(seed), Tracer::recording());
         let a = run(5);
         let b = run(5);
         assert_eq!(a.log.to_jsonl(), b.log.to_jsonl());

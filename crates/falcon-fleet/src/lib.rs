@@ -40,7 +40,7 @@ mod topology;
 mod tuner;
 mod workload;
 
-pub use campaign::{run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec};
+pub use campaign::{run_campaign, CampaignOutcome, CampaignSpec};
 pub use falcon_rl::RlKind;
 pub use report::{FleetReport, LinkReport};
 pub use scale::{

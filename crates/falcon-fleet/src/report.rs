@@ -195,6 +195,7 @@ impl FleetReport {
 mod tests {
     use crate::campaign::{run_campaign, CampaignSpec};
     use crate::{FleetTopology, FleetTuner, Workload};
+    use falcon_trace::Tracer;
 
     #[test]
     fn saturated_link_reports_at_most_its_capacity() {
@@ -211,7 +212,7 @@ mod tests {
             duration_s: 300.0,
             seed: 1,
         };
-        let r = run_campaign(&spec).report;
+        let r = run_campaign(&spec, Tracer::disabled()).report;
         assert!(r.links[0].utilization > 0.99, "{}", r.summary());
         assert!(r.links[0].utilization <= 1.0, "{}", r.summary());
         assert!(r.aggregate_mbps <= 1000.0, "{}", r.summary());
@@ -223,7 +224,7 @@ mod tests {
             duration_s: 240.0,
             ..CampaignSpec::standard(11)
         };
-        let out = run_campaign(&spec);
+        let out = run_campaign(&spec, Tracer::disabled());
         let r = &out.report;
         assert_eq!(r.transfers, 204);
         assert!(r.completed <= r.transfers);

@@ -83,7 +83,7 @@ impl Acquisition {
     /// Score a candidate point given the surrogate and the incumbent best
     /// observed value. Higher is better.
     pub(crate) fn score(&self, gp: &crate::gp::GpRegressor, x: &[f64], best_y: f64) -> f64 {
-        let (mu, var) = gp.predict(x);
+        let (mu, var) = gp.predict_into(x, &mut crate::gp::PredictScratch::default());
         self.score_from(mu, var.sqrt(), best_y)
     }
 

@@ -36,13 +36,14 @@ impl std::error::Error for GpError {}
 /// # Examples
 ///
 /// ```
-/// use falcon_gp::{GpRegressor, Matern52};
+/// use falcon_gp::{GpRegressor, Matern52, PredictScratch};
 ///
 /// let xs: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i)]).collect();
 /// let ys: Vec<f64> = xs.iter().map(|x| (x[0] - 3.0).powi(2) * -1.0).collect();
 /// let gp = GpRegressor::fit(&xs, &ys, Matern52::new(5.0, 2.0), 1e-4).unwrap();
-/// let (mean_at_peak, _) = gp.predict(&[3.0]);
-/// let (mean_at_edge, _) = gp.predict(&[0.0]);
+/// let mut scratch = PredictScratch::default();
+/// let (mean_at_peak, _) = gp.predict_into(&[3.0], &mut scratch);
+/// let (mean_at_edge, _) = gp.predict_into(&[0.0], &mut scratch);
 /// assert!(mean_at_peak > mean_at_edge);
 /// ```
 #[derive(Debug, Clone)]
@@ -120,8 +121,8 @@ impl GpRegressor {
                 }
             }
         };
-        let tmp = chol
-            .solve_lower(&y_centered)
+        let mut tmp = Vec::new();
+        chol.solve_lower_into(&y_centered, &mut tmp)
             .map_err(|_| GpError::DimensionMismatch)?;
         let alpha = chol
             .solve_lower_transpose(&tmp)
@@ -216,9 +217,9 @@ impl GpRegressor {
         self.y_centered.clear();
         let mean = self.y_mean;
         self.y_centered.extend(self.y_raw.iter().map(|v| v - mean));
-        let tmp = self
-            .chol
-            .solve_lower(&self.y_centered)
+        let mut tmp = Vec::new();
+        self.chol
+            .solve_lower_into(&self.y_centered, &mut tmp)
             .map_err(|_| GpError::DimensionMismatch)?;
         self.alpha = self
             .chol
@@ -292,14 +293,9 @@ impl GpRegressor {
         best.map(|(_, gp)| gp).ok_or(GpError::NotPositiveDefinite)
     }
 
-    /// Posterior mean and variance at a query point.
-    pub fn predict(&self, xq: &[f64]) -> (f64, f64) {
-        let mut scratch = PredictScratch::default();
-        self.predict_into(xq, &mut scratch)
-    }
-
-    /// [`GpRegressor::predict`] using caller-owned buffers, so sweeping a
-    /// candidate grid performs no per-query allocation.
+    /// Posterior mean and variance at a query point, using caller-owned
+    /// buffers, so sweeping a candidate grid performs no per-query
+    /// allocation.
     pub fn predict_into(&self, xq: &[f64], scratch: &mut PredictScratch) -> (f64, f64) {
         let n = self.x.len();
         if scratch.k_star.len() != n {
@@ -359,7 +355,7 @@ mod tests {
         let y = [0.0, 1.0, 4.0, 9.0];
         let gp = GpRegressor::fit(&x, &y, Matern52::new(10.0, 1.0), 1e-6).unwrap();
         for (xi, yi) in x.iter().zip(y.iter()) {
-            let (m, v) = gp.predict(xi);
+            let (m, v) = gp.predict_into(xi, &mut PredictScratch::default());
             assert!((m - yi).abs() < 0.05, "mean {m} vs {yi}");
             assert!(v < 0.1, "variance {v} at training point");
         }
@@ -370,8 +366,8 @@ mod tests {
         let x = xs(&[0.0, 1.0]);
         let y = [0.0, 1.0];
         let gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
-        let (_, v_near) = gp.predict(&[0.5]);
-        let (_, v_far) = gp.predict(&[10.0]);
+        let (_, v_near) = gp.predict_into(&[0.5], &mut PredictScratch::default());
+        let (_, v_far) = gp.predict_into(&[10.0], &mut PredictScratch::default());
         assert!(v_far > v_near * 2.0, "{v_far} vs {v_near}");
     }
 
@@ -380,7 +376,7 @@ mod tests {
         let x = xs(&[0.0, 1.0, 2.0]);
         let y = [5.0, 6.0, 7.0];
         let gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
-        let (m, _) = gp.predict(&[100.0]);
+        let (m, _) = gp.predict_into(&[100.0], &mut PredictScratch::default());
         assert!((m - 6.0).abs() < 1e-6, "far mean {m} should be y-mean 6");
     }
 
@@ -389,7 +385,7 @@ mod tests {
         let x = xs(&[0.0, 0.0, 0.0, 1.0]);
         let y = [1.0, 2.0, 3.0, 0.0]; // conflicting repeats need noise
         let gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 0.5).unwrap();
-        let (m, _) = gp.predict(&[0.0]);
+        let (m, _) = gp.predict_into(&[0.0], &mut PredictScratch::default());
         assert!((m - 2.0).abs() < 0.5, "mean at repeated x: {m}");
     }
 
@@ -421,7 +417,7 @@ mod tests {
         for p in points.iter().take(14) {
             let mid = p + 0.25;
             let truth = (mid * 0.8).sin() * 3.0;
-            let (m, _) = gp.predict(&[mid]);
+            let (m, _) = gp.predict_into(&[mid], &mut PredictScratch::default());
             assert!((m - truth).abs() < 0.3, "at {mid}: {m} vs {truth}");
         }
     }
@@ -447,7 +443,7 @@ mod tests {
         let x = xs(&[1.0, 2.0, 3.0]);
         let y = [5.0, 5.0, 5.0];
         let gp = GpRegressor::fit_auto(&x, &y, 1e-4).unwrap();
-        let (m, _) = gp.predict(&[2.5]);
+        let (m, _) = gp.predict_into(&[2.5], &mut PredictScratch::default());
         assert!((m - 5.0).abs() < 0.2);
     }
 
@@ -461,8 +457,8 @@ mod tests {
         grown.extend(x[4].clone(), y[4]).unwrap();
         let full = GpRegressor::fit(&x, &y, kernel, 1e-4).unwrap();
         for q in [0.5, 2.5, 3.7, 10.0] {
-            let (gm, gv) = grown.predict(&[q]);
-            let (fm, fv) = full.predict(&[q]);
+            let (gm, gv) = grown.predict_into(&[q], &mut PredictScratch::default());
+            let (fm, fv) = full.predict_into(&[q], &mut PredictScratch::default());
             assert_eq!(gm, fm, "mean at {q}");
             assert_eq!(gv, fv, "variance at {q}");
         }
@@ -477,13 +473,16 @@ mod tests {
         let x = xs(&[0.0, 1.0]);
         let y = [0.0, 1.0];
         let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
-        let before = gp.predict(&[0.5]);
+        let before = gp.predict_into(&[0.5], &mut PredictScratch::default());
         assert_eq!(
             gp.extend(vec![1.0, 2.0], 3.0).unwrap_err(),
             GpError::DimensionMismatch
         );
         assert_eq!(gp.len(), 2);
-        assert_eq!(gp.predict(&[0.5]), before);
+        assert_eq!(
+            gp.predict_into(&[0.5], &mut PredictScratch::default()),
+            before
+        );
     }
 
     #[test]
@@ -501,8 +500,8 @@ mod tests {
         let fresh = GpRegressor::fit(&x[3..], &y[3..], kernel, 1e-4).unwrap();
         assert_eq!(slid.len(), 5);
         for q in [0.5, 3.5, 5.1, 9.0] {
-            let (sm, sv) = slid.predict(&[q]);
-            let (fm, fv) = fresh.predict(&[q]);
+            let (sm, sv) = slid.predict_into(&[q], &mut PredictScratch::default());
+            let (fm, fv) = fresh.predict_into(&[q], &mut PredictScratch::default());
             assert!((sm - fm).abs() < 1e-9, "mean {sm} vs {fm} at {q}");
             assert!((sv - fv).abs() < 1e-9, "var {sv} vs {fv} at {q}");
         }
@@ -515,10 +514,13 @@ mod tests {
         let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         gp.drop_oldest().unwrap();
         assert_eq!(gp.len(), 1);
-        let before = gp.predict(&[0.5]);
+        let before = gp.predict_into(&[0.5], &mut PredictScratch::default());
         assert_eq!(gp.drop_oldest().unwrap_err(), GpError::Empty);
         assert_eq!(gp.len(), 1);
-        assert_eq!(gp.predict(&[0.5]), before);
+        assert_eq!(
+            gp.predict_into(&[0.5], &mut PredictScratch::default()),
+            before
+        );
     }
 
     #[test]
@@ -533,13 +535,14 @@ mod tests {
     }
 
     #[test]
-    fn predict_into_matches_predict() {
+    fn predict_into_with_reused_scratch_matches_fresh() {
         let x = xs(&[0.0, 1.0, 2.0]);
         let y = [1.0, -1.0, 2.0];
         let gp = GpRegressor::fit(&x, &y, Matern52::new(2.0, 1.0), 1e-4).unwrap();
         let mut scratch = PredictScratch::default();
         for q in [-1.0, 0.5, 1.5, 4.0] {
-            assert_eq!(gp.predict_into(&[q], &mut scratch), gp.predict(&[q]));
+            let fresh = gp.predict_into(&[q], &mut PredictScratch::default());
+            assert_eq!(gp.predict_into(&[q], &mut scratch), fresh);
         }
     }
 
@@ -552,8 +555,8 @@ mod tests {
         let x = xs(&points);
         let y: Vec<f64> = points.iter().map(|p| -((p - 10.0) * (p - 10.0))).collect();
         let gp = GpRegressor::fit_auto(&x, &y, 0.01).unwrap();
-        let (m_peak, _) = gp.predict(&[10.0]);
-        let (m_edge, _) = gp.predict(&[0.0]);
+        let (m_peak, _) = gp.predict_into(&[10.0], &mut PredictScratch::default());
+        let (m_edge, _) = gp.predict_into(&[0.0], &mut PredictScratch::default());
         assert!(m_peak > m_edge);
     }
 }

@@ -234,16 +234,9 @@ impl Matrix {
         Ok(())
     }
 
-    /// Solve `L·x = b` for lower-triangular `L` (forward substitution).
-    pub fn solve_lower(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let mut x = Vec::new();
-        self.solve_lower_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`Matrix::solve_lower`] into a caller-owned buffer (resized to `n`
-    /// and fully overwritten), so repeated solves allocate nothing once
-    /// the buffer has grown to size.
+    /// Solve `L·x = b` for lower-triangular `L` (forward substitution) into
+    /// a caller-owned buffer (resized to `n` and fully overwritten), so
+    /// repeated solves allocate nothing once the buffer has grown to size.
     pub fn solve_lower_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), LinalgError> {
         let n = self.rows;
         if b.len() != n {
@@ -357,7 +350,10 @@ mod tests {
     #[test]
     fn solves_reject_wrong_length() {
         let l = Matrix::identity(3);
-        assert_eq!(l.solve_lower(&[1.0]), Err(LinalgError::DimensionMismatch));
+        assert_eq!(
+            l.solve_lower_into(&[1.0], &mut Vec::new()),
+            Err(LinalgError::DimensionMismatch)
+        );
         assert_eq!(
             l.solve_lower_transpose(&[1.0, 2.0]),
             Err(LinalgError::DimensionMismatch)
@@ -370,7 +366,8 @@ mod tests {
         let a = spd3();
         let l = a.cholesky().unwrap();
         let b = [1.0, -2.0, 0.5];
-        let y = l.solve_lower(&b).unwrap();
+        let mut y = Vec::new();
+        l.solve_lower_into(&b, &mut y).unwrap();
         let x = l.solve_lower_transpose(&y).unwrap();
         let back = a.mat_vec(&x);
         for (u, v) in back.iter().zip(b.iter()) {
@@ -475,10 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn solve_lower_into_matches_allocating_form() {
+    fn solve_lower_into_overwrites_a_stale_buffer() {
         let l = spd3().cholesky().unwrap();
         let b = [1.0, -2.0, 0.5];
-        let expect = l.solve_lower(&b).unwrap();
+        let mut expect = Vec::new();
+        l.solve_lower_into(&b, &mut expect).unwrap();
         let mut buf = vec![9.0; 7]; // stale, over-sized: must be cleared
         l.solve_lower_into(&b, &mut buf).unwrap();
         assert_eq!(buf, expect);

@@ -287,7 +287,7 @@ mod tests {
         cache.begin(candidates.len());
         for i in 0..candidates.len() {
             let (m, s) = cache.posterior(&gp, &candidates, i);
-            let (dm, dv) = gp.predict(&candidates[i]);
+            let (dm, dv) = gp.predict_into(&candidates[i], &mut PredictScratch::default());
             assert_eq!(m, dm);
             assert_eq!(s, dv.sqrt());
         }

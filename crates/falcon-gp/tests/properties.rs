@@ -6,7 +6,7 @@ use falcon_gp::linalg::{dot, Matrix};
 use falcon_gp::sweep::nominate;
 use falcon_gp::{
     Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpRegressor, LineLattice, Matern52,
-    SweepCache,
+    PredictScratch, SweepCache,
 };
 
 /// Build a random symmetric positive-definite matrix `A = B·Bᵀ + εI`.
@@ -40,7 +40,8 @@ proptest! {
     ) {
         let a = spd(&vals, 4);
         let l = a.cholesky().expect("SPD by construction");
-        let y = l.solve_lower(&b).expect("matching dimension");
+        let mut y = Vec::new();
+        l.solve_lower_into(&b, &mut y).expect("matching dimension");
         let x = l.solve_lower_transpose(&y).expect("matching dimension");
         let back = a.mat_vec(&x);
         for (u, v) in back.iter().zip(&b) {
@@ -92,7 +93,7 @@ proptest! {
     ) {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64 * 3.0]).collect();
         let gp = GpRegressor::fit(&xs, &ys, Matern52::new(1.0, 5.0), 1e-3).unwrap();
-        let (m, v) = gp.predict(&[q]);
+        let (m, v) = gp.predict_into(&[q], &mut PredictScratch::default());
         prop_assert!(m.is_finite());
         prop_assert!(v >= 0.0 && v.is_finite());
     }
@@ -153,8 +154,8 @@ proptest! {
         for i in split..n {
             grown.extend(xs[i].clone(), ys[i]).expect("extend must accept in-domain points");
             let full = GpRegressor::fit(&xs[..=i], &ys[..=i], kernel, 1e-3).unwrap();
-            let (gm, gv) = grown.predict(&[q]);
-            let (fm, fv) = full.predict(&[q]);
+            let (gm, gv) = grown.predict_into(&[q], &mut PredictScratch::default());
+            let (fm, fv) = full.predict_into(&[q], &mut PredictScratch::default());
             prop_assert!((gm - fm).abs() < 1e-9, "mean {gm} vs {fm} at n={}", i + 1);
             prop_assert!((gv - fv).abs() < 1e-9, "var {gv} vs {fv} at n={}", i + 1);
             let (gl, fl) = (grown.log_marginal_likelihood(), full.log_marginal_likelihood());
@@ -210,8 +211,8 @@ proptest! {
             slid.extend(xs[i].clone(), ys[i]).expect("extend must accept in-domain points");
             let lo = i + 1 - window;
             let fresh = GpRegressor::fit(&xs[lo..=i], &ys[lo..=i], kernel, 1e-3).unwrap();
-            let (sm, sv) = slid.predict(&[q]);
-            let (fm, fv) = fresh.predict(&[q]);
+            let (sm, sv) = slid.predict_into(&[q], &mut PredictScratch::default());
+            let (fm, fv) = fresh.predict_into(&[q], &mut PredictScratch::default());
             prop_assert!((sm - fm).abs() < 1e-9, "mean {sm} vs {fm} at slide {i}");
             prop_assert!((sv - fv).abs() < 1e-9, "var {sv} vs {fv} at slide {i}");
         }

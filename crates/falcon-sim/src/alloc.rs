@@ -7,31 +7,21 @@
 //! for the fluid model, while honouring each stream's own rate cap (from
 //! per-process I/O throttles or the congestion-control response function).
 //!
-//! The progressive-filling loop exists once, in
-//! [`weighted_max_min_allocate_into`]; the unweighted [`max_min_allocate`]
-//! delegates with every weight set to 1.0, and the allocating entry points
-//! are thin wrappers for callers that do not hold scratch buffers.
+//! The dense progressive-filling loop exists once, in
+//! [`weighted_max_min_allocate_into`], which writes into caller-held
+//! buffers; [`IncrementalMaxMin`] re-solves only the components a change
+//! touches.
 
-/// A stream to be allocated: an upper bound on its rate and the set of
-/// resources it crosses (bitmask over at most 64 resources — far more than
-/// any path in this suite needs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamDemand {
-    /// Maximum rate this stream can use (Mbps); `f64::INFINITY` if unbounded.
-    pub cap_mbps: f64,
-    /// Bitmask of resource indices this stream crosses.
-    pub resource_mask: u64,
-}
-
-/// A weighted stream for [`weighted_max_min_allocate`]: at a saturated
+/// A stream for [`weighted_max_min_allocate_into`]: at a saturated
 /// resource a stream receives bandwidth proportional to its weight. Equal
 /// weights reduce to plain max-min; TCP's RTT bias can be modelled with
 /// weights ∝ 1/RTT.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedStreamDemand {
-    /// Maximum rate this stream can use (Mbps).
+    /// Maximum rate this stream can use (Mbps); `f64::INFINITY` if unbounded.
     pub cap_mbps: f64,
-    /// Bitmask of resource indices this stream crosses.
+    /// Bitmask of resource indices this stream crosses (at most 64
+    /// resources, far more than any path in this suite needs).
     pub resource_mask: u64,
     /// Fair-share weight (> 0).
     pub weight: f64,
@@ -47,37 +37,16 @@ pub struct AllocScratch {
     remaining: Vec<f64>,
 }
 
-/// Compute the max-min fair allocation.
-///
-/// Returns the per-stream allocated rate. `capacities[i]` is the capacity of
-/// resource `i`. Runs in `O(rounds * (streams + resources))` where rounds is
-/// bounded by the number of distinct freezing events (≤ streams + resources).
-pub fn max_min_allocate(streams: &[StreamDemand], capacities: &[f64]) -> Vec<f64> {
-    let weighted: Vec<WeightedStreamDemand> = streams
-        .iter()
-        .map(|s| WeightedStreamDemand {
-            cap_mbps: s.cap_mbps,
-            resource_mask: s.resource_mask,
-            weight: 1.0,
-        })
-        .collect();
-    weighted_max_min_allocate(&weighted, capacities)
-}
-
 /// Weighted max-min fair allocation by progressive filling: every active
 /// stream's rate grows in proportion to its weight until it hits its own
-/// cap or saturates a resource.
-pub fn weighted_max_min_allocate(streams: &[WeightedStreamDemand], capacities: &[f64]) -> Vec<f64> {
-    let mut rate = Vec::new();
-    let mut scratch = AllocScratch::default();
-    weighted_max_min_allocate_into(streams, capacities, &mut rate, &mut scratch);
-    rate
-}
-
-/// Allocation-free core of the progressive-filling allocator: writes the
-/// per-stream rates into `rate` (cleared and refilled) using `scratch` for
-/// working memory. Panics in debug builds if `capacities.len() > 64` or any
-/// weight is non-positive; release builds treat such input as degenerate.
+/// cap or saturates a resource. `capacities[i]` is the capacity of
+/// resource `i`. Writes the per-stream rates into `rate` (cleared and
+/// refilled) using `scratch` for working memory. Runs in
+/// `O(rounds * (streams + resources))`, where rounds is bounded by the
+/// number of distinct freezing events (≤ streams + resources).
+///
+/// Panics in debug builds if `capacities.len() > 64` or any weight is
+/// non-positive; release builds treat such input as degenerate.
 pub fn weighted_max_min_allocate_into(
     streams: &[WeightedStreamDemand],
     capacities: &[f64],
@@ -565,37 +534,32 @@ impl IncrementalMaxMin {
 mod tests {
     use super::*;
 
-    fn all_mask() -> u64 {
-        0b1
+    fn stream(cap_mbps: f64, resource_mask: u64, weight: f64) -> WeightedStreamDemand {
+        WeightedStreamDemand {
+            cap_mbps,
+            resource_mask,
+            weight,
+        }
+    }
+
+    /// One solve into fresh buffers.
+    fn allocate(streams: &[WeightedStreamDemand], capacities: &[f64]) -> Vec<f64> {
+        let (mut rate, mut scratch) = (Vec::new(), AllocScratch::default());
+        weighted_max_min_allocate_into(streams, capacities, &mut rate, &mut scratch);
+        rate
     }
 
     #[test]
     fn single_stream_gets_min_of_cap_and_capacity() {
-        let s = [StreamDemand {
-            cap_mbps: 50.0,
-            resource_mask: all_mask(),
-        }];
-        let r = max_min_allocate(&s, &[100.0]);
+        let r = allocate(&[stream(50.0, 0b1, 1.0)], &[100.0]);
         assert!((r[0] - 50.0).abs() < 1e-9);
-
-        let s = [StreamDemand {
-            cap_mbps: 500.0,
-            resource_mask: all_mask(),
-        }];
-        let r = max_min_allocate(&s, &[100.0]);
+        let r = allocate(&[stream(500.0, 0b1, 1.0)], &[100.0]);
         assert!((r[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn equal_streams_share_equally() {
-        let s = vec![
-            StreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: all_mask(),
-            };
-            4
-        ];
-        let r = max_min_allocate(&s, &[100.0]);
+        let r = allocate(&[stream(f64::INFINITY, 0b1, 1.0); 4], &[100.0]);
         for v in &r {
             assert!((v - 25.0).abs() < 1e-9, "got {v}");
         }
@@ -603,17 +567,8 @@ mod tests {
 
     #[test]
     fn capped_stream_leaves_surplus_to_others() {
-        let s = [
-            StreamDemand {
-                cap_mbps: 10.0,
-                resource_mask: all_mask(),
-            },
-            StreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: all_mask(),
-            },
-        ];
-        let r = max_min_allocate(&s, &[100.0]);
+        let s = [stream(10.0, 0b1, 1.0), stream(f64::INFINITY, 0b1, 1.0)];
+        let r = allocate(&s, &[100.0]);
         assert!((r[0] - 10.0).abs() < 1e-9);
         assert!((r[1] - 90.0).abs() < 1e-9);
     }
@@ -621,41 +576,28 @@ mod tests {
     #[test]
     fn multi_resource_bottleneck_is_tightest() {
         // Two resources; stream crosses both; second is tighter.
-        let s = [StreamDemand {
-            cap_mbps: f64::INFINITY,
-            resource_mask: 0b11,
-        }];
-        let r = max_min_allocate(&s, &[100.0, 40.0]);
+        let r = allocate(&[stream(f64::INFINITY, 0b11, 1.0)], &[100.0, 40.0]);
         assert!((r[0] - 40.0).abs() < 1e-9);
     }
 
     #[test]
     fn disjoint_streams_do_not_interfere() {
         let s = [
-            StreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: 0b01,
-            },
-            StreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: 0b10,
-            },
+            stream(f64::INFINITY, 0b01, 1.0),
+            stream(f64::INFINITY, 0b10, 1.0),
         ];
-        let r = max_min_allocate(&s, &[30.0, 70.0]);
+        let r = allocate(&s, &[30.0, 70.0]);
         assert!((r[0] - 30.0).abs() < 1e-9);
         assert!((r[1] - 70.0).abs() < 1e-9);
     }
 
     #[test]
     fn conservation_no_resource_oversubscribed() {
-        let s: Vec<StreamDemand> = (0..10)
-            .map(|i| StreamDemand {
-                cap_mbps: 5.0 + f64::from(i),
-                resource_mask: 0b111,
-            })
+        let s: Vec<_> = (0..10)
+            .map(|i| stream(5.0 + f64::from(i), 0b111, 1.0))
             .collect();
         let caps = [60.0, 80.0, 55.0];
-        let r = max_min_allocate(&s, &caps);
+        let r = allocate(&s, &caps);
         for (i, &c) in caps.iter().enumerate() {
             let used: f64 = s
                 .iter()
@@ -672,48 +614,30 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty() {
-        let r = max_min_allocate(&[], &[100.0]);
-        assert!(r.is_empty());
+        assert!(allocate(&[], &[100.0]).is_empty());
     }
 
     #[test]
     fn weighted_allocation_honours_weights() {
-        let streams = [
-            WeightedStreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: 0b1,
-                weight: 1.0,
-            },
-            WeightedStreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: 0b1,
-                weight: 3.0,
-            },
+        let s = [
+            stream(f64::INFINITY, 0b1, 1.0),
+            stream(f64::INFINITY, 0b1, 3.0),
         ];
-        let r = weighted_max_min_allocate(&streams, &[100.0]);
+        let r = allocate(&s, &[100.0]);
         assert!((r[0] - 25.0).abs() < 1e-9, "{r:?}");
         assert!((r[1] - 75.0).abs() < 1e-9, "{r:?}");
     }
 
     #[test]
     fn equal_weights_match_unweighted() {
+        // Any common weight is plain max-min: the same rates as weight 1.
         let caps = [60.0, 80.0];
-        let plain: Vec<StreamDemand> = (0..5)
-            .map(|i| StreamDemand {
-                cap_mbps: 10.0 + f64::from(i),
-                resource_mask: 0b11,
-            })
-            .collect();
-        let weighted: Vec<WeightedStreamDemand> = plain
-            .iter()
-            .map(|s| WeightedStreamDemand {
-                cap_mbps: s.cap_mbps,
-                resource_mask: s.resource_mask,
-                weight: 1.0,
-            })
-            .collect();
-        let a = max_min_allocate(&plain, &caps);
-        let b = weighted_max_min_allocate(&weighted, &caps);
+        let at = |w| -> Vec<_> {
+            (0..5)
+                .map(|i| stream(10.0 + f64::from(i), 0b11, w))
+                .collect()
+        };
+        let (a, b) = (allocate(&at(1.0), &caps), allocate(&at(2.5), &caps));
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-9, "{a:?} vs {b:?}");
         }
@@ -723,19 +647,8 @@ mod tests {
     fn weighted_capped_stream_releases_surplus() {
         // Heavyweight stream capped low: its weight advantage is moot and
         // the lightweight stream takes the rest.
-        let streams = [
-            WeightedStreamDemand {
-                cap_mbps: 10.0,
-                resource_mask: 0b1,
-                weight: 10.0,
-            },
-            WeightedStreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: 0b1,
-                weight: 1.0,
-            },
-        ];
-        let r = weighted_max_min_allocate(&streams, &[100.0]);
+        let s = [stream(10.0, 0b1, 10.0), stream(f64::INFINITY, 0b1, 1.0)];
+        let r = allocate(&s, &[100.0]);
         assert!((r[0] - 10.0).abs() < 1e-9);
         assert!((r[1] - 90.0).abs() < 1e-9);
     }
@@ -744,25 +657,16 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "weights must be positive")]
     fn zero_weight_rejected() {
-        let streams = [WeightedStreamDemand {
-            cap_mbps: 1.0,
-            resource_mask: 0b1,
-            weight: 0.0,
-        }];
-        weighted_max_min_allocate(&streams, &[100.0]);
+        allocate(&[stream(1.0, 0b1, 0.0)], &[100.0]);
     }
 
     #[test]
     fn into_variant_reuses_buffers_and_matches() {
         let caps = [60.0, 80.0];
-        let streams: Vec<WeightedStreamDemand> = (0..6)
-            .map(|i| WeightedStreamDemand {
-                cap_mbps: 8.0 + f64::from(i),
-                resource_mask: 0b11,
-                weight: 1.0 + f64::from(i % 3),
-            })
+        let streams: Vec<_> = (0..6)
+            .map(|i| stream(8.0 + f64::from(i), 0b11, 1.0 + f64::from(i % 3)))
             .collect();
-        let expect = weighted_max_min_allocate(&streams, &caps);
+        let expect = allocate(&streams, &caps);
 
         let mut rate = Vec::new();
         let mut scratch = AllocScratch::default();
@@ -776,20 +680,7 @@ mod tests {
     fn agent_share_proportional_to_connection_count() {
         // The congestion-game mechanism: at a saturated link, an agent with
         // twice the connections gets twice the throughput.
-        let mut streams = Vec::new();
-        for _ in 0..10 {
-            streams.push(StreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: all_mask(),
-            });
-        }
-        for _ in 0..20 {
-            streams.push(StreamDemand {
-                cap_mbps: f64::INFINITY,
-                resource_mask: all_mask(),
-            });
-        }
-        let r = max_min_allocate(&streams, &[300.0]);
+        let r = allocate(&[stream(f64::INFINITY, 0b1, 1.0); 30], &[300.0]);
         let a: f64 = r[..10].iter().sum();
         let b: f64 = r[10..].iter().sum();
         assert!((a - 100.0).abs() < 1e-6, "agent A got {a}");

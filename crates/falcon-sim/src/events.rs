@@ -81,8 +81,7 @@ pub enum EventAction {
 
 /// Why an [`EnvironmentEvent`] could not be scheduled: its time is not
 /// finite, or it lies before an event that has already fired (the past
-/// cannot be rewritten). Returned by `Simulation::try_add_event`; the
-/// panicking `add_event` embeds the same report in its message.
+/// cannot be rewritten). Returned by `Simulation::try_add_events`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventScheduleError {
     /// Position the event would occupy in the schedule (events added so

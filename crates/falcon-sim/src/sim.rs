@@ -36,7 +36,7 @@
 //! toward its allocation, with one `e^(−Δ/τ)` per distinct τ
 //! ([`falcon_tcp::DecayMemo`]), and accrues goodput `rate × (1 − loss)`.
 //!
-//! Sampling (`take_sample`) returns interval-averaged metrics with
+//! Sampling (`try_take_sample`) returns interval-averaged metrics with
 //! multiplicative Gaussian measurement noise, which is what a Falcon monitor
 //! thread would observe on a real system.
 
@@ -110,7 +110,7 @@ pub struct BackgroundFlow {
     pub connections: u32,
 }
 
-/// Interval-averaged observation returned by [`Simulation::take_sample`].
+/// Interval-averaged observation returned by [`Simulation::try_take_sample`].
 #[derive(Debug, Clone, Copy)]
 pub struct AgentSample {
     /// Aggregate goodput of the agent over the interval (Mbps), with
@@ -198,9 +198,9 @@ struct AgentState {
 ///
 /// let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
 /// let agent = sim.add_agent();
-/// sim.set_settings(agent, AgentSettings::with_concurrency(10));
-/// sim.run_for(30.0);
-/// let sample = sim.take_sample(agent);
+/// assert!(sim.try_set_settings(agent, AgentSettings::with_concurrency(10)));
+/// sim.advance(30.0);
+/// let sample = sim.try_take_sample(agent).unwrap();
 /// // 10 processes × 100 Mbps saturate the 1 Gbps link.
 /// assert!(sample.throughput_mbps > 900.0);
 /// ```
@@ -332,20 +332,9 @@ impl Simulation {
 
     /// Apply new application-layer settings to an agent. Added connections
     /// start from zero rate (connection-establishment transient); removed
-    /// connections disappear immediately.
-    pub fn set_settings(&mut self, h: AgentHandle, settings: AgentSettings) {
-        // falcon-lint::allow(panic-safety, reason = "documented panicking API; try_set_settings is the fallible form")
-        assert!(
-            self.try_set_settings(h, settings),
-            "set_settings on dead agent {}: it was removed or killed; use \
-             try_set_settings (or revive_agent) if the agent may be gone",
-            h.0
-        );
-    }
-
-    /// Apply settings if the agent is still alive; returns whether it was.
-    /// The non-panicking form of [`Simulation::set_settings`] for callers
-    /// racing against completion, departure, or a scripted kill.
+    /// connections disappear immediately. Returns whether the agent is
+    /// alive: a caller may race against completion, departure, or a
+    /// scripted kill.
     #[must_use]
     pub fn try_set_settings(&mut self, h: AgentHandle, settings: AgentSettings) -> bool {
         debug_assert!(settings.concurrency >= 1, "concurrency must be >= 1");
@@ -386,56 +375,28 @@ impl Simulation {
         self.background.push(flow);
     }
 
-    /// Schedule an environment event. Events may be added in any order;
-    /// they fire at the exact simulated time `at_s` (an `at_s` at or before
-    /// the current time fires at the start of the next advance).
-    ///
-    /// Panics with the offending event's action and schedule index if the
-    /// event is rejected; [`Simulation::try_add_event`] is the fallible
-    /// form for externally-supplied schedules (e.g. scenario files).
-    pub fn add_event(&mut self, event: EnvironmentEvent) {
-        if let Err(err) = self.try_add_event(event) {
-            // falcon-lint::allow(panic-safety, reason = "documented panicking API; try_add_event is the fallible form")
-            panic!("{err}");
-        }
-    }
-
-    /// Schedule an environment event, rejecting non-finite times and times
-    /// before an already-fired event (the past cannot be rewritten). The
-    /// non-panicking form of [`Simulation::add_event`].
-    pub fn try_add_event(&mut self, event: EnvironmentEvent) -> Result<(), EventScheduleError> {
-        let last_fired_at_s = self.next_event.checked_sub(1).map(|i| self.events[i].at_s);
-        if !event.at_s.is_finite() || last_fired_at_s.is_some_and(|t| event.at_s < t) {
-            return Err(EventScheduleError {
-                index: self.events.len(),
-                at_s: event.at_s,
-                action: event.action,
-                last_fired_at_s,
-            });
-        }
-        self.events.push(event);
-        self.events[self.next_event..].sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
-        Ok(())
-    }
-
-    /// Schedule several events at once.
-    ///
-    /// Panics on the first rejected event; [`Simulation::try_add_events`]
-    /// is the fallible form.
-    pub fn add_events(&mut self, events: impl IntoIterator<Item = EnvironmentEvent>) {
-        for e in events {
-            self.add_event(e);
-        }
-    }
-
-    /// Schedule several events, stopping at the first rejected one. Events
-    /// before the failure remain scheduled.
+    /// Schedule environment events. Events may be added in any order; they
+    /// fire at the exact simulated time `at_s` (an `at_s` at or before the
+    /// current time fires at the start of the next advance). A non-finite
+    /// time, or one before an already-fired event (the past cannot be
+    /// rewritten), is rejected with the event's action and schedule index;
+    /// the events before it remain scheduled.
     pub fn try_add_events(
         &mut self,
         events: impl IntoIterator<Item = EnvironmentEvent>,
     ) -> Result<(), EventScheduleError> {
-        for e in events {
-            self.try_add_event(e)?;
+        let last_fired_at_s = self.next_event.checked_sub(1).map(|i| self.events[i].at_s);
+        for event in events {
+            if !event.at_s.is_finite() || last_fired_at_s.is_some_and(|t| event.at_s < t) {
+                return Err(EventScheduleError {
+                    index: self.events.len(),
+                    at_s: event.at_s,
+                    action: event.action,
+                    last_fired_at_s,
+                });
+            }
+            self.events.push(event);
+            self.events[self.next_event..].sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
         }
         Ok(())
     }
@@ -562,24 +523,8 @@ impl Simulation {
             .sum()
     }
 
-    /// Instantaneous aggregate goodput of an agent (Mbps), noise-free.
-    ///
-    /// Panics if the agent was removed or killed; use
-    /// [`Simulation::try_instantaneous_rate_mbps`] when it may be gone.
-    pub fn instantaneous_rate_mbps(&self, h: AgentHandle) -> f64 {
-        self.try_instantaneous_rate_mbps(h).unwrap_or_else(|| {
-            // falcon-lint::allow(panic-safety, reason = "documented panicking API; try_instantaneous_rate_mbps is the fallible form")
-            panic!(
-                "instantaneous_rate_mbps on dead agent {}: it was removed or \
-                 killed; use try_instantaneous_rate_mbps if the agent may be \
-                 gone",
-                h.0
-            )
-        })
-    }
-
-    /// [`Simulation::instantaneous_rate_mbps`] that returns `None` for a
-    /// dead agent instead of panicking.
+    /// Instantaneous aggregate goodput of an agent (Mbps), noise-free;
+    /// `None` once the agent was removed or killed.
     pub fn try_instantaneous_rate_mbps(&self, h: AgentHandle) -> Option<f64> {
         let a = &self.agents[h.0];
         a.alive.then_some(a.instant_mbps)
@@ -645,8 +590,8 @@ impl Simulation {
     fn prepare_targets(&mut self) -> (bool, f64) {
         let t = self.time_s;
         if let Some(c) = self.scratch.targets.filter(|c| t < c.until_s) {
-            self.tracer.incr("sim.alloc_skips");
-            self.tracer.incr("sim.steps");
+            self.tracer.add("sim.alloc_skips", 1);
+            self.tracer.add("sim.steps", 1);
             self.tracer.observe("sim.loss_rate", c.loss);
             return (c.routed, c.loss);
         }
@@ -840,8 +785,8 @@ impl Simulation {
             loss,
             until_s,
         });
-        self.tracer.incr("sim.alloc_runs");
-        self.tracer.incr("sim.steps");
+        self.tracer.add("sim.alloc_runs", 1);
+        self.tracer.add("sim.steps", 1);
         self.tracer.observe("sim.loss_rate", loss);
         (routed, loss)
     }
@@ -996,23 +941,9 @@ impl Simulation {
     /// call (or since the agent joined). Applies multiplicative Gaussian
     /// measurement noise to throughput.
     ///
-    /// Panics if the agent was removed or killed — a dead process produces
-    /// no measurements, and silently returning zeros would poison an
-    /// optimizer's utility estimate. Use [`Simulation::try_take_sample`]
-    /// when the agent may legitimately be gone.
-    pub fn take_sample(&mut self, h: AgentHandle) -> AgentSample {
-        self.try_take_sample(h).unwrap_or_else(|| {
-            // falcon-lint::allow(panic-safety, reason = "documented panicking API; try_take_sample is the fallible form")
-            panic!(
-                "take_sample on dead agent {}: it was removed or killed; use \
-                 try_take_sample if the agent may be gone",
-                h.0
-            )
-        })
-    }
-
-    /// [`Simulation::take_sample`] that returns `None` for a dead agent
-    /// instead of panicking.
+    /// `None` if the agent was removed or killed: a dead process produces
+    /// no measurements, and zeros would poison an optimizer's utility
+    /// estimate.
     pub fn try_take_sample(&mut self, h: AgentHandle) -> Option<AgentSample> {
         if !self.agents[h.0].alive {
             return None;
@@ -1050,13 +981,6 @@ impl Simulation {
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         (1.0 + sigma * z).max(0.05)
     }
-
-    /// Run the simulation for `duration_s`, without touching settings.
-    /// Convenience for tests and warm-up phases: [`Simulation::advance`]
-    /// under the name the experiments use.
-    pub fn run_for(&mut self, duration_s: f64) {
-        self.advance(duration_s);
-    }
 }
 
 #[cfg(test)]
@@ -1070,16 +994,16 @@ mod tests {
     /// The two steppers the cross-checks run: the product path and the
     /// tick oracle, as `(name, run_for(sim, duration_s, dt_s))`.
     type RunFor = fn(&mut Simulation, f64, f64);
-    const DES: RunFor = |sim, duration_s, _| sim.run_for(duration_s);
+    const DES: RunFor = |sim, duration_s, _| sim.advance(duration_s);
     const TICK: RunFor = oracle::run_for;
     const STEPPERS: [(&str, RunFor); 2] = [("des", DES), ("tick", TICK)];
 
     fn settled_sample(env: Environment, cc: u32, seconds: f64) -> AgentSample {
         let mut sim = Simulation::new(env.without_noise(), 7);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(cc));
-        sim.run_for(seconds);
-        sim.take_sample(a)
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(cc)));
+        sim.advance(seconds);
+        sim.try_take_sample(a).unwrap()
     }
 
     #[test]
@@ -1167,11 +1091,11 @@ mod tests {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 3);
         let a = sim.add_agent();
         let b = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.set_settings(b, AgentSettings::with_concurrency(10));
-        sim.run_for(60.0);
-        let sa = sim.take_sample(a);
-        let sb = sim.take_sample(b);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+        assert!(sim.try_set_settings(b, AgentSettings::with_concurrency(10)));
+        sim.advance(60.0);
+        let sa = sim.try_take_sample(a).unwrap();
+        let sb = sim.try_take_sample(b).unwrap();
         let ratio = sa.throughput_mbps / sb.throughput_mbps;
         assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
     }
@@ -1182,11 +1106,11 @@ mod tests {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 3);
         let a = sim.add_agent();
         let b = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(5));
-        sim.set_settings(b, AgentSettings::with_concurrency(10));
-        sim.run_for(60.0);
-        let sa = sim.take_sample(a);
-        let sb = sim.take_sample(b);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(5)));
+        assert!(sim.try_set_settings(b, AgentSettings::with_concurrency(10)));
+        sim.advance(60.0);
+        let sa = sim.try_take_sample(a).unwrap();
+        let sb = sim.try_take_sample(b).unwrap();
         let ratio = sb.throughput_mbps / sa.throughput_mbps;
         assert!((1.7..2.3).contains(&ratio), "ratio {ratio}");
     }
@@ -1196,13 +1120,13 @@ mod tests {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 3);
         let a = sim.add_agent();
         let b = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.set_settings(b, AgentSettings::with_concurrency(10));
-        sim.run_for(40.0);
-        sim.take_sample(a);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+        assert!(sim.try_set_settings(b, AgentSettings::with_concurrency(10)));
+        sim.advance(40.0);
+        sim.try_take_sample(a).unwrap();
         sim.remove_agent(b);
-        sim.run_for(40.0);
-        let sa = sim.take_sample(a);
+        sim.advance(40.0);
+        let sa = sim.try_take_sample(a).unwrap();
         assert!(sa.throughput_mbps > 900.0, "got {}", sa.throughput_mbps);
     }
 
@@ -1210,19 +1134,19 @@ mod tests {
     fn background_flow_takes_bandwidth_while_active() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 3);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
         sim.add_background_flow(BackgroundFlow {
             start_s: 40.0,
             end_s: 80.0,
             demand_mbps: 600.0,
             connections: 6,
         });
-        sim.run_for(40.0);
-        let before = sim.take_sample(a);
-        sim.run_for(40.0);
-        let during = sim.take_sample(a);
-        sim.run_for(40.0);
-        let after = sim.take_sample(a);
+        sim.advance(40.0);
+        let before = sim.try_take_sample(a).unwrap();
+        sim.advance(40.0);
+        let during = sim.try_take_sample(a).unwrap();
+        sim.advance(40.0);
+        let after = sim.try_take_sample(a).unwrap();
         assert!(before.throughput_mbps > 950.0);
         assert!(during.throughput_mbps < 700.0, "{}", during.throughput_mbps);
         assert!(after.throughput_mbps > 900.0);
@@ -1233,11 +1157,11 @@ mod tests {
         let env = Environment::emulab(100.0).without_noise();
         let mut sim = Simulation::new(env, 3);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.run_for(1.0);
-        let early = sim.take_sample(a);
-        sim.run_for(30.0);
-        let late = sim.take_sample(a);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+        sim.advance(1.0);
+        let early = sim.try_take_sample(a).unwrap();
+        sim.advance(30.0);
+        let late = sim.try_take_sample(a).unwrap();
         assert!(early.throughput_mbps < 0.8 * late.throughput_mbps);
     }
 
@@ -1246,9 +1170,9 @@ mod tests {
         let run = |seed| {
             let mut sim = Simulation::new(Environment::xsede(), seed);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(5));
-            sim.run_for(10.0);
-            sim.take_sample(a).throughput_mbps
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(5)));
+            sim.advance(10.0);
+            sim.try_take_sample(a).unwrap().throughput_mbps
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -1259,18 +1183,18 @@ mod tests {
         let env = Environment::xsede().without_noise();
         let mut sim = Simulation::new(env, 1);
         let a = sim.add_agent();
-        sim.set_settings(
+        assert!(sim.try_set_settings(
             a,
             AgentSettings {
                 efficiency: 0.5,
                 ..AgentSettings::with_concurrency(4)
             },
-        );
-        sim.run_for(40.0);
-        let half = sim.take_sample(a);
-        sim.set_settings(a, AgentSettings::with_concurrency(4));
-        sim.run_for(40.0);
-        let full = sim.take_sample(a);
+        ));
+        sim.advance(40.0);
+        let half = sim.try_take_sample(a).unwrap();
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(4)));
+        sim.advance(40.0);
+        let full = sim.try_take_sample(a).unwrap();
         let ratio = half.throughput_mbps / full.throughput_mbps;
         assert!((0.4..0.6).contains(&ratio), "ratio {ratio}");
     }
@@ -1282,18 +1206,18 @@ mod tests {
         let env = Environment::xsede().without_noise();
         let mut sim = Simulation::new(env, 1);
         let a = sim.add_agent();
-        sim.set_settings(
+        assert!(sim.try_set_settings(
             a,
             AgentSettings {
                 parallelism: 4,
                 ..AgentSettings::with_concurrency(4)
             },
-        );
-        sim.run_for(40.0);
-        let with_p = sim.take_sample(a);
-        sim.set_settings(a, AgentSettings::with_concurrency(4));
-        sim.run_for(40.0);
-        let without_p = sim.take_sample(a);
+        ));
+        sim.advance(40.0);
+        let with_p = sim.try_take_sample(a).unwrap();
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(4)));
+        sim.advance(40.0);
+        let without_p = sim.try_take_sample(a).unwrap();
         let ratio = with_p.throughput_mbps / without_p.throughput_mbps;
         assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
     }
@@ -1304,13 +1228,13 @@ mod tests {
     fn zero_concurrency_rejected() {
         let mut sim = Simulation::new(Environment::xsede(), 1);
         let a = sim.add_agent();
-        sim.set_settings(
+        assert!(sim.try_set_settings(
             a,
             AgentSettings {
                 concurrency: 0,
                 ..AgentSettings::with_concurrency(1)
             },
-        );
+        ));
     }
 
     #[test]
@@ -1343,8 +1267,8 @@ mod tests {
         let loss_of = |env: Environment| {
             let mut sim = Simulation::new(env, 7);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(32));
-            sim.run_for(30.0);
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(32)));
+            sim.advance(30.0);
             sim.current_loss()
         };
         let single = loss_of(Environment::emulab_fig4().without_noise());
@@ -1368,17 +1292,17 @@ mod tests {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 3);
         let heavy = sim.add_agent();
         let light = sim.add_agent();
-        sim.set_settings(heavy, AgentSettings::with_concurrency(10));
-        sim.set_settings(
+        assert!(sim.try_set_settings(heavy, AgentSettings::with_concurrency(10)));
+        assert!(sim.try_set_settings(
             light,
             AgentSettings {
                 share_weight: 0.5,
                 ..AgentSettings::with_concurrency(10)
             },
-        );
-        sim.run_for(60.0);
-        let h = sim.take_sample(heavy).throughput_mbps;
-        let l = sim.take_sample(light).throughput_mbps;
+        ));
+        sim.advance(60.0);
+        let h = sim.try_take_sample(heavy).unwrap().throughput_mbps;
+        let l = sim.try_take_sample(light).unwrap().throughput_mbps;
         let ratio = h / l;
         assert!((1.7..2.3).contains(&ratio), "ratio {ratio}");
     }
@@ -1387,10 +1311,10 @@ mod tests {
     fn sample_resets_accumulator() {
         let mut sim = Simulation::new(Environment::xsede().without_noise(), 1);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.run_for(10.0);
-        let s1 = sim.take_sample(a);
-        let s2 = sim.take_sample(a);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(2)));
+        sim.advance(10.0);
+        let s1 = sim.try_take_sample(a).unwrap();
+        let s2 = sim.try_take_sample(a).unwrap();
         assert!(s1.throughput_mbps > 0.0);
         assert_eq!(s2.interval_s, 0.0);
     }
@@ -1418,8 +1342,8 @@ mod tests {
     fn capacity_drop_event_caps_throughput_and_restore_recovers() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.add_events([
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+        sim.try_add_events([
             EnvironmentEvent::at(
                 60.0,
                 EventAction::LinkCapacityFactor {
@@ -1434,13 +1358,14 @@ mod tests {
                     factor: 1.0,
                 },
             ),
-        ]);
-        sim.run_for(60.0);
-        let before = sim.take_sample(a).throughput_mbps;
-        sim.run_for(60.0);
-        let during = sim.take_sample(a).throughput_mbps;
-        sim.run_for(60.0);
-        let after = sim.take_sample(a).throughput_mbps;
+        ])
+        .unwrap();
+        sim.advance(60.0);
+        let before = sim.try_take_sample(a).unwrap().throughput_mbps;
+        sim.advance(60.0);
+        let during = sim.try_take_sample(a).unwrap().throughput_mbps;
+        sim.advance(60.0);
+        let after = sim.try_take_sample(a).unwrap().throughput_mbps;
         // 1 Gbps link, 10×100 Mbps processes: ~1000 before, ~300 during.
         assert!(before > 900.0, "before drop: {before}");
         assert!(during < 350.0, "during drop: {during}");
@@ -1451,15 +1376,16 @@ mod tests {
     fn loss_floor_event_raises_measured_loss() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 3);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.add_event(EnvironmentEvent::at(
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(2)));
+        sim.try_add_events([EnvironmentEvent::at(
             30.0,
             EventAction::LossFloor { rate: 0.02 },
-        ));
-        sim.run_for(30.0);
-        let clean = sim.take_sample(a).loss_rate;
-        sim.run_for(30.0);
-        let dirty = sim.take_sample(a).loss_rate;
+        )])
+        .unwrap();
+        sim.advance(30.0);
+        let clean = sim.try_take_sample(a).unwrap().loss_rate;
+        sim.advance(30.0);
+        let dirty = sim.try_take_sample(a).unwrap().loss_rate;
         assert!(clean < 0.005, "clean loss {clean}");
         assert!(dirty >= 0.019, "floored loss {dirty}");
     }
@@ -1468,18 +1394,19 @@ mod tests {
     fn kill_event_zeroes_agent_and_revive_ramps_back() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 4);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.add_events([
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+        sim.try_add_events([
             EnvironmentEvent::at(30.0, EventAction::KillAgent { agent: 0 }),
             EnvironmentEvent::at(60.0, EventAction::ReviveAgent { agent: 0 }),
-        ]);
-        sim.run_for(45.0);
+        ])
+        .unwrap();
+        sim.advance(45.0);
         assert!(!sim.is_alive(a));
         assert_eq!(sim.try_instantaneous_rate_mbps(a), None);
         assert!(sim.try_take_sample(a).is_none());
-        sim.run_for(45.0);
+        sim.advance(45.0);
         assert!(sim.is_alive(a));
-        let s = sim.take_sample(a);
+        let s = sim.try_take_sample(a).unwrap();
         assert!(
             s.throughput_mbps > 60.0,
             "revived agent should ramp back: {}",
@@ -1493,26 +1420,26 @@ mod tests {
         // should halve it.
         let mut sim = Simulation::new(Environment::emulab_fig4().without_noise(), 5);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(1));
-        sim.add_event(EnvironmentEvent::at(
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(1)));
+        sim.try_add_events([EnvironmentEvent::at(
             30.0,
             EventAction::DiskThrottleFactor { factor: 0.5 },
-        ));
-        sim.run_for(30.0);
-        let before = sim.take_sample(a).throughput_mbps;
-        sim.run_for(30.0);
-        let after = sim.take_sample(a).throughput_mbps;
+        )])
+        .unwrap();
+        sim.advance(30.0);
+        let before = sim.try_take_sample(a).unwrap().throughput_mbps;
+        sim.advance(30.0);
+        let after = sim.try_take_sample(a).unwrap().throughput_mbps;
         assert!((before - 10.0).abs() < 1.0, "before {before}");
         assert!((after - 5.0).abs() < 1.0, "after {after}");
     }
 
     #[test]
-    #[should_panic(expected = "dead agent")]
-    fn take_sample_on_removed_agent_panics_clearly() {
+    fn try_take_sample_on_removed_agent_is_none() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 6);
         let a = sim.add_agent();
         sim.remove_agent(a);
-        let _ = sim.take_sample(a);
+        assert!(sim.try_take_sample(a).is_none());
     }
 
     #[test]
@@ -1521,11 +1448,11 @@ mod tests {
         let mut sim = Simulation::new(env, 7);
         let a = sim.add_agent_on_path(0b01);
         let b = sim.add_agent_on_path(0b10);
-        sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.set_settings(b, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0);
-        let sa = sim.take_sample(a);
-        let sb = sim.take_sample(b);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(2)));
+        assert!(sim.try_set_settings(b, AgentSettings::with_concurrency(2)));
+        sim.advance(30.0);
+        let sa = sim.try_take_sample(a).unwrap();
+        let sb = sim.try_take_sample(b).unwrap();
         // Each agent saturates its own link; neither steals from the other.
         assert!(sa.throughput_mbps > 900.0, "a got {}", sa.throughput_mbps);
         assert!(sb.throughput_mbps > 900.0, "b got {}", sb.throughput_mbps);
@@ -1537,11 +1464,11 @@ mod tests {
         let mut sim = Simulation::new(env, 7);
         let a = sim.add_agent_on_path(0b01);
         let b = sim.add_agent_on_path(0b01);
-        sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.set_settings(b, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0);
-        let sa = sim.take_sample(a).throughput_mbps;
-        let sb = sim.take_sample(b).throughput_mbps;
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(2)));
+        assert!(sim.try_set_settings(b, AgentSettings::with_concurrency(2)));
+        sim.advance(30.0);
+        let sa = sim.try_take_sample(a).unwrap().throughput_mbps;
+        let sb = sim.try_take_sample(b).unwrap().throughput_mbps;
         let ratio = sa / sb;
         assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
         assert!(sa + sb < 1050.0, "sum {}", sa + sb);
@@ -1552,9 +1479,9 @@ mod tests {
         let env = Environment::fleet(&[1000.0, 2500.0, 400.0]).without_noise();
         let mut sim = Simulation::new(env, 7);
         let a = sim.add_agent_on_path(0b111);
-        sim.set_settings(a, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0);
-        let s = sim.take_sample(a);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(2)));
+        sim.advance(30.0);
+        let s = sim.try_take_sample(a).unwrap();
         assert!(
             (300.0..430.0).contains(&s.throughput_mbps),
             "got {}",
@@ -1572,13 +1499,13 @@ mod tests {
             for link in [0b01u64, 0b10u64] {
                 for _ in 0..3 {
                     let h = sim.add_agent_on_path(link);
-                    sim.set_settings(h, AgentSettings::with_concurrency(4));
+                    assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(4)));
                 }
             }
             let probe = sim.add_agent_on_path(mask);
-            sim.set_settings(probe, AgentSettings::with_concurrency(2));
-            sim.run_for(30.0);
-            sim.take_sample(probe).loss_rate
+            assert!(sim.try_set_settings(probe, AgentSettings::with_concurrency(2)));
+            sim.advance(30.0);
+            sim.try_take_sample(probe).unwrap().loss_rate
         };
         let one_hop = loss_crossing(0b01);
         let two_hop = loss_crossing(0b11);
@@ -1597,11 +1524,11 @@ mod tests {
         let mut sim = Simulation::new(env, 7);
         let routed = sim.add_agent_on_path(0b01);
         let full = sim.add_agent();
-        sim.set_settings(routed, AgentSettings::with_concurrency(2));
-        sim.set_settings(full, AgentSettings::with_concurrency(2));
-        sim.run_for(30.0);
-        let sr = sim.take_sample(routed).throughput_mbps;
-        let sf = sim.take_sample(full).throughput_mbps;
+        assert!(sim.try_set_settings(routed, AgentSettings::with_concurrency(2)));
+        assert!(sim.try_set_settings(full, AgentSettings::with_concurrency(2)));
+        sim.advance(30.0);
+        let sr = sim.try_take_sample(routed).unwrap().throughput_mbps;
+        let sf = sim.try_take_sample(full).unwrap().throughput_mbps;
         // They share link0; sum bounded by its capacity.
         assert!(sr + sf < 850.0, "sum {}", sr + sf);
         assert!(sr > 250.0 && sf > 250.0, "shares {sr} / {sf}");
@@ -1624,8 +1551,8 @@ mod tests {
         assert!(!sim.try_set_settings(a, AgentSettings::with_concurrency(8)));
         sim.revive_agent(a);
         assert_eq!(sim.settings(a).concurrency, 8);
-        sim.run_for(30.0);
-        assert!(sim.instantaneous_rate_mbps(a) > 0.0);
+        sim.advance(30.0);
+        assert!(sim.try_instantaneous_rate_mbps(a).unwrap() > 0.0);
     }
 
     /// Runs a sim with one mid-step event under `run_for`, advancing time
@@ -1636,14 +1563,15 @@ mod tests {
         let tracer = Tracer::recording();
         sim.set_tracer(tracer.clone());
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(10));
-        sim.add_event(EnvironmentEvent::at(
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+        sim.try_add_events([EnvironmentEvent::at(
             12.5,
             EventAction::LinkCapacityFactor {
                 resource: None,
                 factor: 0.5,
             },
-        ));
+        )])
+        .unwrap();
         for &(d, dt) in slices {
             run_for(&mut sim, d, dt);
         }
@@ -1677,8 +1605,8 @@ mod tests {
         let run = |run_for: RunFor| {
             let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(10));
-            sim.add_events([
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
+            sim.try_add_events([
                 EnvironmentEvent::at(
                     10.25,
                     EventAction::LinkCapacityFactor {
@@ -1687,7 +1615,8 @@ mod tests {
                     },
                 ),
                 EnvironmentEvent::at(20.75, EventAction::LossFloor { rate: 0.015 }),
-            ]);
+            ])
+            .unwrap();
             let mut states = Vec::new();
             for _ in 0..5 {
                 run_for(&mut sim, 5.21, 0.1);
@@ -1712,9 +1641,9 @@ mod tests {
         let throughput = |run_for: RunFor| {
             let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(10));
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
             run_for(&mut sim, 60.0, 0.1);
-            sim.take_sample(a).throughput_mbps
+            sim.try_take_sample(a).unwrap().throughput_mbps
         };
         let des = throughput(DES);
         let tick = throughput(TICK);
@@ -1734,7 +1663,7 @@ mod tests {
         // And a drifting schedule of odd-length slices still lands exactly.
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
         for _ in 0..1000 {
-            sim.run_for(0.37);
+            sim.advance(0.37);
         }
         assert!((sim.time_s() - 370.0).abs() < 1e-6, "t = {}", sim.time_s());
     }
@@ -1755,7 +1684,7 @@ mod tests {
         for (engine, run_for) in STEPPERS {
             let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let base = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
-            sim.add_events([
+            sim.try_add_events([
                 EnvironmentEvent::at(
                     5.13,
                     EventAction::LinkCapacityFactor {
@@ -1770,7 +1699,8 @@ mod tests {
                         factor: 0.25,
                     },
                 ),
-            ]);
+            ])
+            .unwrap();
             run_for(&mut sim, 10.0, 0.1);
             let cap = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
             assert_eq!(cap, base * 0.25, "{engine}: last insertion wins");
@@ -1778,73 +1708,59 @@ mod tests {
     }
 
     #[test]
-    fn try_add_event_rejects_past_and_nonfinite_times() {
+    fn try_add_events_rejects_past_and_nonfinite_times() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
-        sim.add_event(EnvironmentEvent::at(
+        sim.try_add_events([EnvironmentEvent::at(
             10.0,
             EventAction::LossFloor { rate: 0.01 },
-        ));
-        sim.run_for(20.0);
+        )])
+        .unwrap();
+        sim.advance(20.0);
         let err = sim
-            .try_add_event(EnvironmentEvent::at(
+            .try_add_events([EnvironmentEvent::at(
                 5.0,
                 EventAction::KillAgent { agent: 0 },
-            ))
+            )])
             .unwrap_err();
         assert_eq!(err.index, 1);
         assert_eq!(err.last_fired_at_s, Some(10.0));
         assert!(err.to_string().contains("KillAgent"), "{err}");
         let err = sim
-            .try_add_event(EnvironmentEvent::at(
+            .try_add_events([EnvironmentEvent::at(
                 f64::NAN,
                 EventAction::LossFloor { rate: 0.0 },
-            ))
+            )])
             .unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
         // Future events are still accepted after rejections.
         assert!(sim
-            .try_add_event(EnvironmentEvent::at(
+            .try_add_events([EnvironmentEvent::at(
                 30.0,
                 EventAction::LossFloor { rate: 0.0 }
-            ))
+            )])
             .is_ok());
         assert_eq!(sim.pending_events().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "KillAgent")]
-    fn add_event_panic_names_the_offending_action() {
-        let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
-        sim.add_event(EnvironmentEvent::at(
-            10.0,
-            EventAction::LossFloor { rate: 0.01 },
-        ));
-        sim.run_for(20.0);
-        sim.add_event(EnvironmentEvent::at(
-            5.0,
-            EventAction::KillAgent { agent: 0 },
-        ));
     }
 
     #[test]
     fn total_delivered_is_monotonic_across_samples_and_revives() {
         let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 4);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(4));
-        sim.run_for(10.0);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(4)));
+        sim.advance(10.0);
         let t1 = sim.delivered_mbits_total(a);
         assert!(t1 > 0.0);
-        let _ = sim.take_sample(a); // resets the interval accumulator...
+        let _ = sim.try_take_sample(a).unwrap(); // resets the interval accumulator...
         assert_eq!(sim.delivered_mbits_total(a), t1); // ...not the total
         sim.kill_agent(a);
-        sim.run_for(5.0);
+        sim.advance(5.0);
         assert_eq!(
             sim.delivered_mbits_total(a),
             t1,
             "dead agents deliver nothing"
         );
         sim.revive_agent(a);
-        sim.run_for(10.0);
+        sim.advance(10.0);
         assert!(sim.delivered_mbits_total(a) > t1);
     }
 
@@ -1856,7 +1772,7 @@ mod tests {
         for (engine, run_for) in STEPPERS {
             let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 2);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(10));
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(10)));
             sim.add_background_flow(BackgroundFlow {
                 start_s: 30.07,
                 end_s: 60.03,
@@ -1864,11 +1780,11 @@ mod tests {
                 connections: 6,
             });
             run_for(&mut sim, 30.0, 0.1);
-            let before = sim.take_sample(a).throughput_mbps;
+            let before = sim.try_take_sample(a).unwrap().throughput_mbps;
             run_for(&mut sim, 30.0, 0.1);
-            let during = sim.take_sample(a).throughput_mbps;
+            let during = sim.try_take_sample(a).unwrap().throughput_mbps;
             run_for(&mut sim, 30.0, 0.1);
-            let after = sim.take_sample(a).throughput_mbps;
+            let after = sim.try_take_sample(a).unwrap().throughput_mbps;
             assert!(before > 950.0, "{engine}: before {before}");
             assert!(during < 700.0, "{engine}: during {during}");
             assert!(after > 900.0, "{engine}: after {after}");
@@ -1930,7 +1846,7 @@ mod tests {
                 } else {
                     sim.add_agent()
                 };
-                sim.set_settings(h, AgentSettings::with_concurrency(1 + pick as u32));
+                assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(1 + pick as u32)));
             }
             6 => sim.remove_agent(agent),
             7 => sim.kill_agent(agent),
@@ -1950,7 +1866,8 @@ mod tests {
                     13 => EventAction::KillAgent { agent: pick },
                     _ => EventAction::ReviveAgent { agent: pick },
                 };
-                sim.add_event(EnvironmentEvent::at(t + 3.0 * x, action));
+                sim.try_add_events([EnvironmentEvent::at(t + 3.0 * x, action)])
+                    .unwrap();
             }
             15 => {
                 let start_s = t + 5.0 * x;
@@ -2009,14 +1926,14 @@ mod tests {
                     let mut sim = Simulation::new(Environment::fleet(&[600.0, 900.0, 1500.0]), 5);
                     for mask in [0b001, 0b111] {
                         let h = sim.add_agent_on_path(mask);
-                        sim.set_settings(h, AgentSettings::with_concurrency(4));
+                        assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(4)));
                     }
                     sim
                 } else {
                     let mut sim = Simulation::new(Environment::emulab(100.0), 5);
                     for cc in [3, 8] {
                         let h = sim.add_agent();
-                        sim.set_settings(h, AgentSettings::with_concurrency(cc));
+                        assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(cc)));
                     }
                     sim
                 };

@@ -22,12 +22,12 @@ proptest! {
             .iter()
             .map(|&cc| {
                 let a = sim.add_agent();
-                sim.set_settings(a, AgentSettings::with_concurrency(cc));
+                assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(cc)));
                 a
             })
             .collect();
-        sim.run_for(30.0);
-        let total: f64 = agents.iter().map(|&a| sim.take_sample(a).throughput_mbps).sum();
+        sim.advance(30.0);
+        let total: f64 = agents.iter().map(|&a| sim.try_take_sample(a).unwrap().throughput_mbps).sum();
         prop_assert!(
             total <= capacity * 1.01,
             "total {total} exceeds capacity {capacity}"
@@ -46,12 +46,12 @@ proptest! {
         let agents: Vec<_> = (0..n_agents)
             .map(|_| {
                 let a = sim.add_agent();
-                sim.set_settings(a, AgentSettings::with_concurrency(cc));
+                assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(cc)));
                 a
             })
             .collect();
-        sim.run_for(40.0);
-        let rates: Vec<f64> = agents.iter().map(|&a| sim.take_sample(a).throughput_mbps).collect();
+        sim.advance(40.0);
+        let rates: Vec<f64> = agents.iter().map(|&a| sim.try_take_sample(a).unwrap().throughput_mbps).collect();
         let max = rates.iter().cloned().fold(0.0, f64::max);
         let min = rates.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert!(max - min <= 0.02 * max.max(1.0), "rates {rates:?}");
@@ -69,9 +69,9 @@ proptest! {
         for cc in 1..=sat {
             let mut sim = Simulation::new(env.clone(), seed);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(cc));
-            sim.run_for(25.0);
-            let thr = sim.take_sample(a).throughput_mbps;
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(cc)));
+            sim.advance(25.0);
+            let thr = sim.try_take_sample(a).unwrap().throughput_mbps;
             prop_assert!(thr >= prev * 0.995, "cc={cc}: {thr} < prev {prev}");
             prev = thr;
         }
@@ -85,11 +85,11 @@ proptest! {
     ) {
         let mut sim = Simulation::new(Environment::emulab_fig4(), seed);
         let a = sim.add_agent();
-        sim.set_settings(a, AgentSettings::with_concurrency(cc));
-        sim.run_for(20.0);
+        assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(cc)));
+        sim.advance(20.0);
         let l = sim.current_loss();
         prop_assert!((0.0..=1.0).contains(&l));
-        let s = sim.take_sample(a);
+        let s = sim.try_take_sample(a).unwrap();
         prop_assert!((0.0..=1.0).contains(&s.loss_rate));
     }
 
@@ -103,18 +103,18 @@ proptest! {
         let mut sim = Simulation::new(Environment::stampede2_comet(), seed);
         let a = sim.add_agent();
         for &(cc, p) in &steps {
-            sim.set_settings(
+            assert!(sim.try_set_settings(
                 a,
                 AgentSettings {
                     parallelism: p,
                     ..AgentSettings::with_concurrency(cc)
                 },
-            );
-            sim.run_for(3.0);
-            let r = sim.instantaneous_rate_mbps(a);
+            ));
+            sim.advance(3.0);
+            let r = sim.try_instantaneous_rate_mbps(a).unwrap();
             prop_assert!(r.is_finite() && r >= 0.0, "rate {r} after {cc}x{p}");
         }
-        let s = sim.take_sample(a);
+        let s = sim.try_take_sample(a).unwrap();
         prop_assert!(s.throughput_mbps.is_finite() && s.throughput_mbps >= 0.0);
     }
 
@@ -126,17 +126,17 @@ proptest! {
         let env = Environment::xsede().without_noise();
         let mut sim1 = Simulation::new(env.clone(), seed);
         let a1 = sim1.add_agent();
-        sim1.set_settings(a1, AgentSettings::with_concurrency(cc));
-        sim1.run_for(20.0);
-        let whole = sim1.take_sample(a1).throughput_mbps;
+        assert!(sim1.try_set_settings(a1, AgentSettings::with_concurrency(cc)));
+        sim1.advance(20.0);
+        let whole = sim1.try_take_sample(a1).unwrap().throughput_mbps;
 
         let mut sim2 = Simulation::new(env, seed);
         let a2 = sim2.add_agent();
-        sim2.set_settings(a2, AgentSettings::with_concurrency(cc));
-        sim2.run_for(10.0);
-        let h1 = sim2.take_sample(a2);
-        sim2.run_for(10.0);
-        let h2 = sim2.take_sample(a2);
+        assert!(sim2.try_set_settings(a2, AgentSettings::with_concurrency(cc)));
+        sim2.advance(10.0);
+        let h1 = sim2.try_take_sample(a2).unwrap();
+        sim2.advance(10.0);
+        let h2 = sim2.try_take_sample(a2).unwrap();
         let combined = (h1.throughput_mbps * h1.interval_s + h2.throughput_mbps * h2.interval_s)
             / (h1.interval_s + h2.interval_s);
         prop_assert!(
@@ -169,7 +169,7 @@ proptest! {
         let build = || {
             let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), seed);
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(6));
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(6)));
             let mut evs: Vec<EnvironmentEvent> = times_ms
                 .iter()
                 .zip(factors.iter().chain(std::iter::repeat(&5)))
@@ -202,7 +202,7 @@ proptest! {
         let (mut tick, ta) = build();
         let slice = f64::from(slice_cs) / 100.0;
         while des.time_s() < 35.0 {
-            des.run_for(slice);
+            des.advance(slice);
             oracle::run_for(&mut tick, slice, 0.1);
             prop_assert_eq!(des.time_s(), tick.time_s());
             let dcaps: Vec<f64> = des.env().resources.iter().map(|r| r.capacity_mbps).collect();

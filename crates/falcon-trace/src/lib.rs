@@ -314,11 +314,6 @@ impl Tracer {
         }
     }
 
-    /// Increment the named counter by one.
-    pub fn incr(&self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// Record `value` into the named log-bucketed histogram (created with
     /// [`Histogram::log_default`] bounds on first use).
     pub fn observe(&self, name: &'static str, value: f64) {
@@ -378,7 +373,7 @@ mod tests {
             }
         });
         assert!(!ran, "closure must not run when disabled");
-        t.incr("x");
+        t.add("x", 1);
         t.observe("h", 1.0);
         assert_eq!(t.take_log(), TraceLog::default());
     }
@@ -416,9 +411,9 @@ mod tests {
     #[test]
     fn counters_accumulate_in_insertion_order() {
         let t = Tracer::recording();
-        t.incr("b");
+        t.add("b", 1);
         t.add("a", 3);
-        t.incr("b");
+        t.add("b", 1);
         let log = t.take_log();
         assert_eq!(
             log.counters,

@@ -780,10 +780,12 @@ mod tests {
     fn watchdog_restarts_killed_agent_and_it_reconverges() {
         use falcon_sim::{EnvironmentEvent, EventAction};
         let mut h = harness(Environment::emulab(100.0).without_noise(), 9);
-        h.sim_mut().add_event(EnvironmentEvent::at(
-            100.0,
-            EventAction::KillAgent { agent: 0 },
-        ));
+        h.sim_mut()
+            .try_add_events([EnvironmentEvent::at(
+                100.0,
+                EventAction::KillAgent { agent: 0 },
+            )])
+            .unwrap();
         let plan = AgentPlan::at_start(
             Box::new(FalconAgent::gradient_descent(32)),
             Dataset::uniform_1gb(100_000),
@@ -811,7 +813,8 @@ mod tests {
         let mut t = 100.0;
         while t < 108.0 {
             h.sim_mut()
-                .add_event(EnvironmentEvent::at(t, EventAction::KillAgent { agent: 0 }));
+                .try_add_events([EnvironmentEvent::at(t, EventAction::KillAgent { agent: 0 })])
+                .unwrap();
             t += 0.05;
         }
         let plan = AgentPlan::at_start(
@@ -841,22 +844,24 @@ mod tests {
         // tuner must not see the zero samples, so its concurrency holds
         // and throughput snaps back on restore.
         let mut h = harness(Environment::emulab(100.0).without_noise(), 9);
-        h.sim_mut().add_events([
-            EnvironmentEvent::at(
-                150.0,
-                EventAction::LinkCapacityFactor {
-                    resource: None,
-                    factor: 0.0001,
-                },
-            ),
-            EnvironmentEvent::at(
-                210.0,
-                EventAction::LinkCapacityFactor {
-                    resource: None,
-                    factor: 1.0,
-                },
-            ),
-        ]);
+        h.sim_mut()
+            .try_add_events([
+                EnvironmentEvent::at(
+                    150.0,
+                    EventAction::LinkCapacityFactor {
+                        resource: None,
+                        factor: 0.0001,
+                    },
+                ),
+                EnvironmentEvent::at(
+                    210.0,
+                    EventAction::LinkCapacityFactor {
+                        resource: None,
+                        factor: 1.0,
+                    },
+                ),
+            ])
+            .unwrap();
         let plan = AgentPlan::at_start(
             Box::new(FalconAgent::gradient_descent(32)),
             Dataset::uniform_1gb(100_000),

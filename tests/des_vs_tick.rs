@@ -63,7 +63,7 @@ fn build(sc: &scenario::Scenario) -> (Simulation, Vec<AgentHandle>) {
     let handles: Vec<AgentHandle> = (0..n_agents)
         .map(|i| {
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(4 + 3 * i as u32));
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(4 + 3 * i as u32)));
             a
         })
         .collect();
@@ -98,7 +98,7 @@ fn des_matches_tick_oracle_on_every_scenario() {
         let slice = 13.7;
         let mut changed = false;
         while des.time_s() < sc.duration_s {
-            des.run_for(slice);
+            des.advance(slice);
             oracle::run_for(&mut tick, slice, 0.1);
             assert_eq!(des.time_s(), tick.time_s(), "{name}: clocks diverged");
             assert_eq!(
@@ -113,8 +113,8 @@ fn des_matches_tick_oracle_on_every_scenario() {
                 changed = true;
                 let h = handles[0];
                 if des.is_alive(h) {
-                    des.set_settings(h, AgentSettings::with_concurrency(9));
-                    tick.set_settings(h, AgentSettings::with_concurrency(9));
+                    assert!(des.try_set_settings(h, AgentSettings::with_concurrency(9)));
+                    assert!(tick.try_set_settings(h, AgentSettings::with_concurrency(9)));
                 }
             }
         }
@@ -130,8 +130,8 @@ fn des_matches_tick_oracle_on_every_scenario() {
                 "{name}: agent {i} delivered {d} (DES) vs {t} (tick)"
             );
             if des.is_alive(h) {
-                let ds = des.take_sample(h);
-                let ts = tick.take_sample(h);
+                let ds = des.try_take_sample(h).unwrap();
+                let ts = tick.try_take_sample(h).unwrap();
                 assert!(
                     (ds.loss_rate - ts.loss_rate).abs() < 1e-9,
                     "{name}: agent {i} loss {} vs {}",
@@ -169,24 +169,25 @@ fn event_at_12_5_applies_exactly_under_any_slicing() {
     // The product path takes no tick; the oracle does.
     type RunFor = fn(&mut Simulation, f64, f64);
     let steppers: [(&str, RunFor); 2] = [
-        ("des", |sim, duration_s, _| sim.run_for(duration_s)),
+        ("des", |sim, duration_s, _| sim.advance(duration_s)),
         ("tick", oracle::run_for),
     ];
     for (engine, run_for) in steppers {
         for slices in [vec![(30.0, 0.1)], vec![(12.47, 0.1), (10.0, 0.1)]] {
             let mut sim = Simulation::new(resolve_env("emulab10").expect("emulab10 preset"), 3);
             let base = sim.env().resources[sim.env().bottleneck_link].capacity_mbps;
-            sim.add_event(EnvironmentEvent::at(
+            sim.try_add_events([EnvironmentEvent::at(
                 12.5,
                 EventAction::LinkCapacityFactor {
                     resource: None,
                     factor: 0.5,
                 },
-            ));
+            )])
+            .unwrap();
             let tracer = falcon_repro::trace::Tracer::recording();
             sim.set_tracer(tracer.clone());
             let a = sim.add_agent();
-            sim.set_settings(a, AgentSettings::with_concurrency(8));
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(8)));
             for (d, dt) in slices {
                 run_for(&mut sim, d, dt);
             }

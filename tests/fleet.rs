@@ -2,8 +2,7 @@
 //! churn campaign must stay deterministic and fair on every bottleneck.
 
 use falcon_repro::fleet::{
-    run_campaign, run_campaign_with_tracer, CampaignOutcome, CampaignSpec, FleetTopology,
-    FleetTuner, Workload,
+    run_campaign, CampaignOutcome, CampaignSpec, FleetTopology, FleetTuner, Workload,
 };
 use falcon_repro::trace::Tracer;
 
@@ -27,7 +26,7 @@ fn quick_spec(seed: u64) -> CampaignSpec {
 /// extended 10-seed soak runs in the scheduled `fleet-soak` CI job.
 #[test]
 fn fleet_campaign_smoke() {
-    let out = run_campaign(&quick_spec(1));
+    let out = run_campaign(&quick_spec(1), Tracer::disabled());
     let r = &out.report;
     assert_eq!(r.transfers, 27); // 3 routes' anchors + 24 churn arrivals
     assert!(
@@ -54,7 +53,10 @@ fn fleet_campaign_smoke() {
 fn standard_campaign_is_fair_on_every_bottleneck_across_seeds() {
     let outcomes: Vec<(u64, CampaignOutcome)> =
         falcon_par::fan_out(vec![11u64, 12, 13], 3, |_, seed| {
-            (seed, run_campaign(&CampaignSpec::standard(seed)))
+            (
+                seed,
+                run_campaign(&CampaignSpec::standard(seed), Tracer::disabled()),
+            )
         });
     for (seed, out) in &outcomes {
         for link in &out.report.links {
@@ -77,7 +79,7 @@ fn standard_campaign_is_fair_on_every_bottleneck_across_seeds() {
 fn campaigns_are_byte_identical_across_thread_counts() {
     let seeds = vec![21u64, 22, 23];
     let jsonl = |seed| {
-        run_campaign_with_tracer(&quick_spec(seed), Tracer::recording())
+        run_campaign(&quick_spec(seed), Tracer::recording())
             .log
             .to_jsonl()
     };

@@ -4,7 +4,7 @@
 //!
 //! 1. **Property**: the incremental max-min allocator agrees with a
 //!    from-scratch solve (and, for ≤64 links, with the mask-based
-//!    `weighted_max_min_allocate`) to 1e-9 relative tolerance, across
+//!    `weighted_max_min_allocate_into`) to 1e-9 relative tolerance, across
 //!    random topologies, memberships, and dirty-set sequences —
 //!    including empty links and single-member components — and a solve
 //!    touches exactly the connected components of the dirty links.
@@ -25,7 +25,7 @@ use falcon_repro::fleet::{
     ScaleReport, ScaleTopology, ScaleTuner, ScaleWorkload,
 };
 use falcon_repro::sim::alloc::{
-    weighted_max_min_allocate, IncrementalMaxMin, WeightedStreamDemand,
+    weighted_max_min_allocate_into, IncrementalMaxMin, WeightedStreamDemand,
 };
 
 // ---------------------------------------------------------------------------
@@ -187,7 +187,8 @@ proptest! {
                     weight: *weight,
                 })
                 .collect();
-            let dense = weighted_max_min_allocate(&demands, &link_caps);
+            let mut dense = Vec::new();
+            weighted_max_min_allocate_into(&demands, &link_caps, &mut dense, &mut Default::default());
 
             for (k, (id, ..)) in live.iter().enumerate() {
                 let got = inc.rate(*id);

@@ -7,9 +7,9 @@ use falcon_repro::core::{
     UtilityFunction,
 };
 use falcon_repro::fleet::FleetTuner;
-use falcon_repro::gp::{GpRegressor, Matern52};
+use falcon_repro::gp::{GpRegressor, Matern52, PredictScratch};
 use falcon_repro::rl::{BanditOptimizer, QParams, TabularQOptimizer};
-use falcon_repro::sim::alloc::{max_min_allocate, StreamDemand};
+use falcon_repro::sim::alloc::{weighted_max_min_allocate_into, WeightedStreamDemand};
 use falcon_repro::sim::{AgentSettings, Environment, Simulation};
 use falcon_repro::tcp::{loss_rate, mathis_rate_mbps};
 use falcon_repro::transfer::runner::jain_index;
@@ -71,16 +71,18 @@ proptest! {
         capacities in proptest::collection::vec(10.0f64..2000.0, 1..5),
     ) {
         let n_res = capacities.len();
-        let streams: Vec<StreamDemand> = caps
+        let streams: Vec<WeightedStreamDemand> = caps
             .iter()
             .enumerate()
-            .map(|(i, &c)| StreamDemand {
+            .map(|(i, &c)| WeightedStreamDemand {
                 cap_mbps: c,
                 // Every stream crosses the first resource; others vary.
                 resource_mask: 0b1 | ((i as u64 % (1 << n_res)) & ((1 << n_res) - 1)),
+                weight: 1.0,
             })
             .collect();
-        let rates = max_min_allocate(&streams, &capacities);
+        let mut rates = Vec::new();
+        weighted_max_min_allocate_into(&streams, &capacities, &mut rates, &mut Default::default());
         for (r, s) in rates.iter().zip(&streams) {
             prop_assert!(*r <= s.cap_mbps + 1e-6);
             prop_assert!(*r >= 0.0);
@@ -101,10 +103,11 @@ proptest! {
     #[test]
     fn maxmin_symmetry(n in 1usize..60, capacity in 10.0f64..5000.0) {
         let streams = vec![
-            StreamDemand { cap_mbps: f64::INFINITY, resource_mask: 0b1 };
+            WeightedStreamDemand { cap_mbps: f64::INFINITY, resource_mask: 0b1, weight: 1.0 };
             n
         ];
-        let rates = max_min_allocate(&streams, &[capacity]);
+        let mut rates = Vec::new();
+        weighted_max_min_allocate_into(&streams, &[capacity], &mut rates, &mut Default::default());
         let expect = capacity / n as f64;
         for r in rates {
             prop_assert!((r - expect).abs() < 1e-6);
@@ -206,11 +209,11 @@ proptest! {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64 * 2.0]).collect();
         let gp = GpRegressor::fit(&xs, &ys, Matern52::new(50.0, 1.0), 1e-8).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
-            let (m, v) = gp.predict(x);
+            let (m, v) = gp.predict_into(x, &mut PredictScratch::default());
             prop_assert!((m - y).abs() < 1.0, "mean {m} vs {y}");
             prop_assert!(v >= 0.0);
         }
-        let (_, v_far) = gp.predict(&[1e6]);
+        let (_, v_far) = gp.predict_into(&[1e6], &mut PredictScratch::default());
         prop_assert!(v_far >= 0.0);
     }
 
@@ -313,7 +316,7 @@ proptest! {
             .iter()
             .map(|&(mask, cc)| {
                 let h = sim.add_agent_on_path((mask & full).max(1));
-                sim.set_settings(h, AgentSettings::with_concurrency(cc));
+                assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(cc)));
                 h
             })
             .collect();
@@ -321,7 +324,7 @@ proptest! {
             sim.advance(0.1);
             let rates: Vec<f64> = handles
                 .iter()
-                .map(|&h| sim.instantaneous_rate_mbps(h))
+                .map(|&h| sim.try_instantaneous_rate_mbps(h).unwrap())
                 .collect();
             for (l, &cap) in caps.iter().enumerate() {
                 let crossing: f64 = handles

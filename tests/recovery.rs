@@ -155,10 +155,12 @@ fn watchdog_recovers_killed_agent_across_the_stack() {
     let mut sim = Simulation::new(env, 11);
     sim.set_tracer(tracer.clone());
     let mut h = SimHarness::new(sim);
-    h.sim_mut().add_event(EnvironmentEvent::at(
-        200.0,
-        EventAction::KillAgent { agent: 0 },
-    ));
+    h.sim_mut()
+        .try_add_events([EnvironmentEvent::at(
+            200.0,
+            EventAction::KillAgent { agent: 0 },
+        )])
+        .unwrap();
     let runner = Runner {
         tracer: tracer.clone(),
     };
