@@ -119,7 +119,7 @@ fn bench_gp(q: &mut QuickBench) {
     q.bench("gp", "clone_n19_baseline", || black_box(base.clone()));
     q.bench("gp", "extend_to_n20_incl_clone", || {
         let mut gp = base.clone();
-        if gp.extend(xs[19].clone(), ys[19]).is_err() {
+        if gp.extend(&xs[19], ys[19]).is_err() {
             std::process::exit(1);
         }
         black_box(gp)
@@ -155,7 +155,7 @@ fn bench_gp(q: &mut QuickBench) {
     });
     q.bench("gp", "slide_window20_incl_clone", || {
         let mut gp = full.clone();
-        if gp.drop_oldest().is_err() || gp.extend(vec![20.0], 0.3).is_err() {
+        if gp.drop_oldest().is_err() || gp.extend(&[20.0], 0.3).is_err() {
             std::process::exit(1);
         }
         black_box(gp)

@@ -1,7 +1,8 @@
 //! Incremental GP surrogate cache shared by the Bayesian optimizers.
 //!
 //! A full `fit_auto` refit is an O(n³) factorization times a 12-point
-//! hyperparameter grid; updating an already-factored GP is O(n²) (append
+//! hyperparameter grid (factored in lockstep, but still the expensive
+//! path); updating an already-factored GP is O(n²) (append
 //! via [`GpRegressor::extend`], evict via [`GpRegressor::drop_oldest`]).
 //! The cache keeps the GP on a **true sliding window**: every surrogate
 //! probe appends the newest observation and drops the oldest once the
@@ -44,8 +45,9 @@ pub const Y_NORM_LIMIT: f64 = 4.0;
 /// candidates indefinitely and the decision stream never settles.
 /// Periodic refits let `fit_auto` re-attribute that flat data to noise,
 /// which collapses the σ bumps and lets the search latch; 16 keeps the
-/// amortized refit cost (~100 µs / 16) well inside the decision budget
-/// where 5 (the old fixed cadence) did not.
+/// amortized refit cost (~30 µs / 16 since `fit_auto` factors its grid in
+/// lockstep; ~100 µs / 16 before) well inside the decision budget where 5
+/// (the old fixed cadence) did not.
 pub const MAX_EXTENDS: usize = 16;
 
 /// A fitted GP plus the target-normalization constants it was built with.
@@ -110,7 +112,7 @@ impl CachedSurrogate {
         if y.abs() > Y_NORM_LIMIT {
             return false;
         }
-        if self.gp.extend(x, y).is_err() {
+        if self.gp.extend(&x, y).is_err() {
             return false;
         }
         while self.gp.len() > window.max(1) {

@@ -61,7 +61,8 @@ proptest! {
             // Oracle: from-scratch factorization over the cache's own
             // window, hyperparameters, and normalization.
             let (kernel, noise) = s.gp.hyperparameters();
-            let oracle = GpRegressor::fit(s.gp.inputs(), s.gp.targets(), kernel, noise)
+            let inputs: Vec<Vec<f64>> = s.gp.inputs().map(<[f64]>::to_vec).collect();
+            let oracle = GpRegressor::fit(&inputs, s.gp.targets(), kernel, noise)
                 .expect("oracle refit over the live window must succeed");
             for probe in [q, 1.0, 32.0, 64.0] {
                 let (im, iv) = s.gp.predict_into(&[probe], &mut PredictScratch::default());

@@ -1,6 +1,6 @@
 //! Gaussian-process regression.
 
-use crate::kernel::{KernelRowScratch, Matern52};
+use crate::kernel::{radial, squared_distance, KernelRowScratch, Matern52};
 use crate::linalg::{dot, LinalgError, Matrix};
 
 /// Errors from GP fitting.
@@ -26,6 +26,14 @@ impl std::fmt::Display for GpError {
 
 impl std::error::Error for GpError {}
 
+/// Length-scale fractions of the data span [`GpRegressor::fit_auto`] tries.
+const LENGTH_SCALE_FRACS: [f64; 4] = [0.1, 0.2, 0.4, 0.8];
+/// Signal-variance multiples of the target variance it tries per
+/// length-scale.
+const VARIANCE_MULS: [f64; 3] = [0.5, 1.0, 2.0];
+/// Lanes of the `fit_auto` grid, ℓ-major and σ²-minor.
+const GRID: usize = LENGTH_SCALE_FRACS.len() * VARIANCE_MULS.len();
+
 /// A fitted Gaussian-process regressor with a Matérn 5/2 kernel and
 /// Gaussian observation noise.
 ///
@@ -48,9 +56,8 @@ impl std::error::Error for GpError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpRegressor {
-    x: Vec<Vec<f64>>,
-    /// The same training points as `x`, flattened row-major (`n×dim`):
-    /// the storage [`Matern52::eval_row`] streams over.
+    /// The training points, flattened row-major (`n×dim`): the storage
+    /// [`Matern52::eval_row`] streams over.
     x_flat: Vec<f64>,
     /// Input dimension (1 for concurrency-only, 2 for cc×p).
     dim: usize,
@@ -64,16 +71,34 @@ pub struct GpRegressor {
     noise_variance: f64,
     chol: Matrix,
     alpha: Vec<f64>,
+    /// Scratch for the incremental paths (the new kernel column, then the
+    /// forward solve), so a window slide allocates nothing.
+    work: Vec<f64>,
 }
 
 /// Reusable buffers for [`GpRegressor::predict_into`]: holding one across
 /// calls makes repeated posterior queries (acquisition sweeps over a
-/// candidate grid) allocation-free.
+/// candidate grid) allocation-free, and keeps the 1-D kernel profile
+/// table warm while the model's kernel is unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     k_star: Vec<f64>,
     v: Vec<f64>,
     kernel: KernelRowScratch,
+}
+
+/// Log marginal likelihood from its parts: `fit = ỹ·α` and
+/// `log_det = ln |K + σₙ²I|` over `n` points.
+fn log_marginal_likelihood(n: usize, fit: f64, log_det: f64) -> f64 {
+    let data_fit = -0.5 * fit;
+    let complexity = -0.5 * log_det;
+    let norm = -0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+    data_fit + complexity + norm
+}
+
+/// The rows of `n` points stored flat with `dim` coordinates each.
+fn rows(flat: &[f64], dim: usize, n: usize) -> impl ExactSizeIterator<Item = &[f64]> {
+    (0..n).map(move |i| &flat[i * dim..(i + 1) * dim])
 }
 
 impl GpRegressor {
@@ -82,6 +107,72 @@ impl GpRegressor {
         x: &[Vec<f64>],
         y: &[f64],
         kernel: Matern52,
+        noise_variance: f64,
+    ) -> Result<Self, GpError> {
+        Self::fit_best(x, y, &[kernel], noise_variance)
+    }
+
+    /// Fit with hyperparameters selected by maximizing the log marginal
+    /// likelihood over a small grid of (length-scale, signal-variance)
+    /// candidates scaled to the data. This is the "GP-Hedge tunes BO's
+    /// hyperparameters in real time" role from §3.2 for the kernel side.
+    ///
+    /// The 12 grid points are factored in lockstep by the same routine as
+    /// [`GpRegressor::fit`], and only the winner becomes a regressor: the
+    /// result is bit-identical to fitting each point alone and keeping the
+    /// first with the highest log marginal likelihood.
+    pub fn fit_auto(x: &[Vec<f64>], y: &[f64], noise_variance: f64) -> Result<Self, GpError> {
+        if x.is_empty() || x.len() != y.len() {
+            return Err(GpError::Empty);
+        }
+        // Data-driven scales.
+        let dim = x[0].len();
+        if x.iter().any(|p| p.len() != dim) {
+            return Err(GpError::DimensionMismatch);
+        }
+        let mut span: f64 = 0.0;
+        for d in 0..dim {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for p in x {
+                lo = lo.min(p[d]);
+                hi = hi.max(p[d]);
+            }
+            span = span.max(hi - lo);
+        }
+        if span <= 0.0 {
+            span = 1.0;
+        }
+        let y_mean = y.iter().sum::<f64>() / y.len() as f64;
+        let mut y_var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / y.len() as f64;
+        if y_var <= 1e-12 {
+            y_var = 1.0;
+        }
+        let kernels: [Matern52; GRID] = std::array::from_fn(|lane| {
+            let (ls, var) = (lane / VARIANCE_MULS.len(), lane % VARIANCE_MULS.len());
+            Matern52::new(y_var * VARIANCE_MULS[var], span * LENGTH_SCALE_FRACS[ls])
+        });
+        Self::fit_best(x, y, &kernels, noise_variance)
+    }
+
+    /// Fit one GP per kernel over the same data, as `L` lanes of one
+    /// factorisation, and build the regressor of the lane with the highest
+    /// log marginal likelihood (the first on ties; a NaN score wins only
+    /// as the first surviving lane, as in a sequential `>` scan).
+    ///
+    /// Every lane performs exactly the operations, in the order, of a
+    /// dense single fit — kernel entries `(σ²·poly)·decay` plus the noise
+    /// on the diagonal, a row-by-row Cholesky whose pivot fails on
+    /// `sum <= 0.0` (so a NaN pivot does not fail), forward and back
+    /// substitution, then `2·Σ ln L_ii` — so each lane is bit-identical to
+    /// fitting its kernel alone. A failing lane climbs its own cumulative
+    /// jitter ladder (its diagonal `+= jitter`, then `jitter *= 10`) and
+    /// drops out once the jitter exceeds `1e3·σ²`. The factors live in one
+    /// packed lower triangle of `[f64; L]` entries, so the inner loops run
+    /// across all lanes at once.
+    fn fit_best<const L: usize>(
+        x: &[Vec<f64>],
+        y: &[f64],
+        kernels: &[Matern52; L],
         noise_variance: f64,
     ) -> Result<Self, GpError> {
         if x.is_empty() || x.len() != y.len() {
@@ -95,50 +186,124 @@ impl GpRegressor {
         let y_mean = y.iter().sum::<f64>() / n as f64;
         let y_centered: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-        let mut k = Matrix::zeros(n, n);
+        // Packed lower triangle: entry (i, j ≤ i) lives at i(i+1)/2 + j.
+        let at = |i: usize, j: usize| i * (i + 1) / 2 + j;
+        let mut d2 = Vec::with_capacity(at(n, 0));
         for i in 0..n {
-            for j in 0..=i {
-                let v = kernel.eval(&x[i], &x[j]);
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-            k[(i, i)] += noise_variance;
+            d2.extend((0..=i).map(|j| squared_distance(&x[i], &x[j])));
         }
-        // Jitter escalation for numerical robustness.
-        let mut jitter = 1e-10 * kernel.diag();
-        let chol = loop {
-            match k.cholesky() {
-                Ok(l) => break l,
-                Err(LinalgError::DimensionMismatch) => return Err(GpError::DimensionMismatch),
-                Err(LinalgError::NotPositiveDefinite) => {
-                    if jitter > 1e3 * kernel.diag() {
-                        return Err(GpError::NotPositiveDefinite);
-                    }
-                    for i in 0..n {
-                        k[(i, i)] += jitter;
-                    }
-                    jitter *= 10.0;
+        // Radial terms once per distinct length-scale: a lane reuses those
+        // of the first lane with the same ℓ.
+        let ls_source: [usize; L] = std::array::from_fn(|l| {
+            let bits = kernels[l].length_scale.to_bits();
+            (0..l)
+                .find(|&m| kernels[m].length_scale.to_bits() == bits)
+                .unwrap_or(l)
+        });
+        let entries = |d2: f64| -> [f64; L] {
+            let mut terms = [(0.0, 0.0); L];
+            let mut k = [0.0; L];
+            for l in 0..L {
+                terms[l] = if ls_source[l] == l {
+                    radial(kernels[l].length_scale, d2)
+                } else {
+                    terms[ls_source[l]]
+                };
+                k[l] = kernels[l].variance * terms[l].0 * terms[l].1;
+            }
+            k
+        };
+        // Each lane's diagonal, noise included, as its jitter ladder
+        // raises it.
+        let mut diag: Vec<[f64; L]> = (0..n)
+            .map(|i| entries(d2[at(i, i)]).map(|k| k + noise_variance))
+            .collect();
+        let mut jitter: [f64; L] = std::array::from_fn(|l| 1e-10 * kernels[l].diag());
+        let mut live = [true; L];
+        let mut a = vec![[0.0; L]; d2.len()];
+        loop {
+            for i in 0..n {
+                for j in 0..i {
+                    a[at(i, j)] = entries(d2[at(i, j)]);
+                }
+                a[at(i, i)] = diag[i];
+            }
+            let factored = cholesky_lanes(&mut a, n);
+            let mut retry = false;
+            for l in 0..L {
+                if !live[l] || factored[l] {
+                    continue;
+                }
+                if jitter[l] > 1e3 * kernels[l].diag() {
+                    live[l] = false;
+                    continue;
+                }
+                for d in &mut diag {
+                    d[l] += jitter[l];
+                }
+                jitter[l] *= 10.0;
+                retry = true;
+            }
+            if !retry {
+                break;
+            }
+        }
+
+        // α = L⁻ᵀ L⁻¹ ỹ per lane: forward, then back substitution.
+        let mut alpha = vec![[0.0; L]; n];
+        for i in 0..n {
+            let mut sum = [y_centered[i]; L];
+            for (lik, tk) in a[at(i, 0)..at(i, i)].iter().zip(&alpha[..i]) {
+                for l in 0..L {
+                    sum[l] -= lik[l] * tk[l];
                 }
             }
-        };
-        let mut tmp = Vec::new();
-        chol.solve_lower_into(&y_centered, &mut tmp)
-            .map_err(|_| GpError::DimensionMismatch)?;
-        let alpha = chol
-            .solve_lower_transpose(&tmp)
-            .map_err(|_| GpError::DimensionMismatch)?;
-        let x_flat: Vec<f64> = x.iter().flat_map(|p| p.iter().copied()).collect();
+            let lii = a[at(i, i)];
+            alpha[i] = std::array::from_fn(|l| sum[l] / lii[l]);
+        }
+        for i in (0..n).rev() {
+            let mut sum = alpha[i];
+            for k in (i + 1)..n {
+                let (lki, ak) = (a[at(k, i)], alpha[k]);
+                for l in 0..L {
+                    sum[l] -= lki[l] * ak[l];
+                }
+            }
+            let lii = a[at(i, i)];
+            alpha[i] = std::array::from_fn(|l| sum[l] / lii[l]);
+        }
+
+        let mut best: Option<(f64, usize)> = None;
+        for l in (0..L).filter(|&l| live[l]) {
+            let fit = y_centered
+                .iter()
+                .zip(&alpha)
+                .map(|(u, v)| u * v[l])
+                .sum::<f64>();
+            let log_det = (0..n).map(|i| a[at(i, i)][l].ln()).sum::<f64>() * 2.0;
+            let lml = log_marginal_likelihood(n, fit, log_det);
+            if best.is_none_or(|(b, _)| lml > b) {
+                best = Some((lml, l));
+            }
+        }
+        let (_, w) = best.ok_or(GpError::NotPositiveDefinite)?;
+        let mut chol = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                chol[(i, j)] = a[at(i, j)][w];
+            }
+        }
         Ok(GpRegressor {
-            x: x.to_vec(),
-            x_flat,
+            x_flat: x.iter().flatten().copied().collect(),
             dim,
             y_raw: y.to_vec(),
             y_centered,
             y_mean,
-            kernel,
+            kernel: kernels[w],
             noise_variance,
             chol,
-            alpha,
+            alpha: alpha.iter().map(|v| v[w]).collect(),
+            work: Vec::new(),
         })
     }
 
@@ -150,20 +315,20 @@ impl GpRegressor {
     /// resulting model is bit-identical to `GpRegressor::fit` on the full
     /// sequence with the same hyperparameters. On error the model is left
     /// as it was.
-    pub fn extend(&mut self, x_new: Vec<f64>, y_new: f64) -> Result<(), GpError> {
-        let dim = self.x.first().map_or(x_new.len(), Vec::len);
-        if x_new.len() != dim {
+    pub fn extend(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
+        if x_new.len() != self.dim {
             return Err(GpError::DimensionMismatch);
         }
-        let mut k = vec![0.0; self.x.len()];
-        for (ki, xi) in k.iter_mut().zip(self.x.iter()) {
-            *ki = self.kernel.eval(xi, &x_new);
-        }
-        let mut diag = self.kernel.eval(&x_new, &x_new) + self.noise_variance;
+        self.work.clear();
+        let kernel = self.kernel;
+        self.work.extend(
+            rows(&self.x_flat, self.dim, self.y_raw.len()).map(|xi| kernel.eval(xi, x_new)),
+        );
+        let mut diag = self.kernel.eval(x_new, x_new) + self.noise_variance;
         // Jitter escalation on the new diagonal entry only, mirroring `fit`.
         let mut jitter = 1e-10 * self.kernel.diag();
         loop {
-            match self.chol.cholesky_append_row(&k, diag) {
+            match self.chol.cholesky_append_row(&self.work, diag) {
                 Ok(()) => break,
                 Err(LinalgError::DimensionMismatch) => return Err(GpError::DimensionMismatch),
                 Err(LinalgError::NotPositiveDefinite) => {
@@ -175,8 +340,7 @@ impl GpRegressor {
                 }
             }
         }
-        self.x_flat.extend_from_slice(&x_new);
-        self.x.push(x_new);
+        self.x_flat.extend_from_slice(x_new);
         self.y_raw.push(y_new);
         self.recenter_and_resolve()
     }
@@ -193,14 +357,13 @@ impl GpRegressor {
     /// is rejected with [`GpError::Empty`] (a GP with no data has no
     /// posterior).
     pub fn drop_oldest(&mut self) -> Result<(), GpError> {
-        if self.x.len() <= 1 {
+        if self.y_raw.len() <= 1 {
             return Err(GpError::Empty);
         }
         self.chol.cholesky_drop_row(0).map_err(|e| match e {
             LinalgError::DimensionMismatch => GpError::DimensionMismatch,
             LinalgError::NotPositiveDefinite => GpError::NotPositiveDefinite,
         })?;
-        self.x.remove(0);
         // Drop the oldest row of the flat buffer in place.
         let keep = self.x_flat.len() - self.dim;
         self.x_flat.copy_within(self.dim.., 0);
@@ -211,19 +374,17 @@ impl GpRegressor {
 
     /// Recompute the target mean, centred targets, and `alpha` from
     /// `y_raw` against the current factor (shared by the incremental
-    /// extend/drop paths; `O(n²)` triangular solves).
+    /// extend/drop paths; `O(n²)` triangular solves into owned buffers).
     fn recenter_and_resolve(&mut self) -> Result<(), GpError> {
         self.y_mean = self.y_raw.iter().sum::<f64>() / self.y_raw.len() as f64;
         self.y_centered.clear();
         let mean = self.y_mean;
         self.y_centered.extend(self.y_raw.iter().map(|v| v - mean));
-        let mut tmp = Vec::new();
         self.chol
-            .solve_lower_into(&self.y_centered, &mut tmp)
+            .solve_lower_into(&self.y_centered, &mut self.work)
             .map_err(|_| GpError::DimensionMismatch)?;
-        self.alpha = self
-            .chol
-            .solve_lower_transpose(&tmp)
+        self.chol
+            .solve_lower_transpose_into(&self.work, &mut self.alpha)
             .map_err(|_| GpError::DimensionMismatch)?;
         Ok(())
     }
@@ -236,8 +397,8 @@ impl GpRegressor {
     }
 
     /// The training inputs currently in the model, oldest first.
-    pub fn inputs(&self) -> &[Vec<f64>] {
-        &self.x
+    pub fn inputs(&self) -> impl ExactSizeIterator<Item = &[f64]> {
+        rows(&self.x_flat, self.dim, self.y_raw.len())
     }
 
     /// Kernel hyperparameters and noise variance currently in effect —
@@ -247,57 +408,11 @@ impl GpRegressor {
         (self.kernel, self.noise_variance)
     }
 
-    /// Fit with hyperparameters selected by maximizing the log marginal
-    /// likelihood over a small grid of (length-scale, signal-variance)
-    /// candidates scaled to the data. This is the "GP-Hedge tunes BO's
-    /// hyperparameters in real time" role from §3.2 for the kernel side.
-    pub fn fit_auto(x: &[Vec<f64>], y: &[f64], noise_variance: f64) -> Result<Self, GpError> {
-        if x.is_empty() || x.len() != y.len() {
-            return Err(GpError::Empty);
-        }
-        // Data-driven scales.
-        let dim = x[0].len();
-        let mut span: f64 = 0.0;
-        for d in 0..dim {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for p in x {
-                if p.len() != dim {
-                    return Err(GpError::DimensionMismatch);
-                }
-                lo = lo.min(p[d]);
-                hi = hi.max(p[d]);
-            }
-            span = span.max(hi - lo);
-        }
-        if span <= 0.0 {
-            span = 1.0;
-        }
-        let y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        let mut y_var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / y.len() as f64;
-        if y_var <= 1e-12 {
-            y_var = 1.0;
-        }
-
-        let mut best: Option<(f64, GpRegressor)> = None;
-        for &ls_frac in &[0.1, 0.2, 0.4, 0.8] {
-            for &var_mul in &[0.5, 1.0, 2.0] {
-                let kernel = Matern52::new(y_var * var_mul, span * ls_frac);
-                if let Ok(gp) = GpRegressor::fit(x, y, kernel, noise_variance) {
-                    let lml = gp.log_marginal_likelihood();
-                    if best.as_ref().is_none_or(|(b, _)| lml > *b) {
-                        best = Some((lml, gp));
-                    }
-                }
-            }
-        }
-        best.map(|(_, gp)| gp).ok_or(GpError::NotPositiveDefinite)
-    }
-
     /// Posterior mean and variance at a query point, using caller-owned
     /// buffers, so sweeping a candidate grid performs no per-query
     /// allocation.
     pub fn predict_into(&self, xq: &[f64], scratch: &mut PredictScratch) -> (f64, f64) {
-        let n = self.x.len();
+        let n = self.y_raw.len();
         if scratch.k_star.len() != n {
             scratch.k_star.clear();
             scratch.k_star.resize(n, 0.0);
@@ -322,23 +437,59 @@ impl GpRegressor {
 
     /// Log marginal likelihood of the training data under the fitted model.
     pub fn log_marginal_likelihood(&self) -> f64 {
-        let n = self.x.len() as f64;
-        let data_fit = -0.5 * dot(&self.y_centered, &self.alpha);
-        let complexity = -0.5 * self.chol.cholesky_log_det();
-        let norm = -0.5 * n * (2.0 * std::f64::consts::PI).ln();
-        data_fit + complexity + norm
+        log_marginal_likelihood(
+            self.y_raw.len(),
+            dot(&self.y_centered, &self.alpha),
+            self.chol.cholesky_log_det(),
+        )
     }
 
     /// Number of training points.
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.y_raw.len()
     }
 
     /// True when fitted on no points (cannot happen through `fit`, kept for
     /// API completeness).
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.y_raw.is_empty()
     }
+}
+
+/// Cholesky-factor `L` packed lower triangles of `[f64; L]` lanes in place,
+/// row by row in the order of [`Matrix::cholesky`]. Returns which lanes
+/// factored; a lane whose pivot fails keeps computing (into NaNs) and is
+/// ignored by the caller.
+fn cholesky_lanes<const L: usize>(a: &mut [[f64; L]], n: usize) -> [bool; L] {
+    let mut ok = [true; L];
+    for i in 0..n {
+        let (done, rest) = a.split_at_mut(i * (i + 1) / 2);
+        let row_i = &mut rest[..=i];
+        for j in 0..i {
+            let row_j = &done[j * (j + 1) / 2..][..=j];
+            let mut sum = row_i[j];
+            for (lik, ljk) in row_i[..j].iter().zip(&row_j[..j]) {
+                for l in 0..L {
+                    sum[l] -= lik[l] * ljk[l];
+                }
+            }
+            let ljj = row_j[j];
+            row_i[j] = std::array::from_fn(|l| sum[l] / ljj[l]);
+        }
+        let mut sum = row_i[i];
+        for lik in &row_i[..i] {
+            for l in 0..L {
+                sum[l] -= lik[l] * lik[l];
+            }
+        }
+        for l in 0..L {
+            if sum[l] <= 0.0 {
+                ok[l] = false;
+            }
+        }
+        row_i[i] = sum.map(f64::sqrt);
+    }
+    ok
 }
 
 #[cfg(test)]
@@ -453,8 +604,8 @@ mod tests {
         let y = [0.0, 1.0, 4.0, 9.0, 16.0];
         let kernel = Matern52::new(10.0, 1.5);
         let mut grown = GpRegressor::fit(&x[..3], &y[..3], kernel, 1e-4).unwrap();
-        grown.extend(x[3].clone(), y[3]).unwrap();
-        grown.extend(x[4].clone(), y[4]).unwrap();
+        grown.extend(&x[3], y[3]).unwrap();
+        grown.extend(&x[4], y[4]).unwrap();
         let full = GpRegressor::fit(&x, &y, kernel, 1e-4).unwrap();
         for q in [0.5, 2.5, 3.7, 10.0] {
             let (gm, gv) = grown.predict_into(&[q], &mut PredictScratch::default());
@@ -475,7 +626,7 @@ mod tests {
         let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         let before = gp.predict_into(&[0.5], &mut PredictScratch::default());
         assert_eq!(
-            gp.extend(vec![1.0, 2.0], 3.0).unwrap_err(),
+            gp.extend(&[1.0, 2.0], 3.0).unwrap_err(),
             GpError::DimensionMismatch
         );
         assert_eq!(gp.len(), 2);
@@ -495,7 +646,7 @@ mod tests {
         // Slide the window [0,5) → [3,8): drop + extend per step.
         for i in 5..8 {
             slid.drop_oldest().unwrap();
-            slid.extend(x[i].clone(), y[i]).unwrap();
+            slid.extend(&x[i], y[i]).unwrap();
         }
         let fresh = GpRegressor::fit(&x[3..], &y[3..], kernel, 1e-4).unwrap();
         assert_eq!(slid.len(), 5);
@@ -529,9 +680,9 @@ mod tests {
         let y = [5.0, 6.0, 7.0];
         let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         gp.drop_oldest().unwrap();
-        gp.extend(vec![3.0], 8.0).unwrap();
+        gp.extend(&[3.0], 8.0).unwrap();
         assert_eq!(gp.targets(), &[6.0, 7.0, 8.0]);
-        assert_eq!(gp.inputs(), &[vec![1.0], vec![2.0], vec![3.0]]);
+        assert!(gp.inputs().eq([[1.0], [2.0], [3.0]].iter().map(|p| &p[..])));
     }
 
     #[test]

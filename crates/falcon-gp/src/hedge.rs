@@ -127,11 +127,6 @@ impl GpHedge {
     pub fn last_choice(&self) -> Option<AcquisitionKind> {
         self.last_choice.map(|i| self.members[i].kind)
     }
-
-    /// Accumulated (centred) gains per member, for diagnostics.
-    pub fn gains(&self) -> &[f64] {
-        &self.gains
-    }
 }
 
 impl Default for GpHedge {

@@ -1,11 +1,42 @@
 //! Covariance kernels.
 
-/// Reusable buffer for [`Matern52::eval_row`]: the squared-distance pass is
-/// staged here so the distance loop stays a tight, auto-vectorizable sweep
-/// over flattened point storage, separate from the transcendental pass.
+/// Integral distances below this are served from the 1-D profile table of
+/// [`KernelRowScratch`].
+const PROFILE_TABLE_LEN: usize = 1024;
+
+/// Reusable buffers for [`Matern52::eval_row`].
+///
+/// The squared-distance pass is staged in `d2` so the distance loop stays
+/// a tight, auto-vectorizable sweep over flattened point storage, separate
+/// from the transcendental pass. A 1-D row under the same kernel as the
+/// last one reads the radial profile at integral distances from `table`
+/// instead: candidate and training points of a concurrency search sit on
+/// the integer lattice, so posterior queries keep revisiting the same few
+/// dozen distances, and each costs an `exp` only on first touch.
 #[derive(Debug, Clone, Default)]
 pub struct KernelRowScratch {
     d2: Vec<f64>,
+    /// `table[t]` is `k` at distance `t`, or NaN while untouched; it grows
+    /// to the largest distance touched, below [`PROFILE_TABLE_LEN`].
+    table: Vec<f64>,
+    /// `(variance, length_scale)` bits of the kernel `table` holds.
+    key: (u64, u64),
+}
+
+/// Squared Euclidean distance, in the summation order every kernel entry
+/// is built from.
+pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// The Matérn 5/2 radial terms at squared distance `d2`: the polynomial
+/// `1 + s + s²/3` and the decay `exp(−s)` for `s = √5·r/ℓ`. A kernel entry
+/// is `(σ²·poly)·decay`; the terms depend on ℓ only, so fits sharing a
+/// length-scale share them.
+pub(crate) fn radial(length_scale: f64, d2: f64) -> (f64, f64) {
+    let r = d2.sqrt();
+    let s = 5.0_f64.sqrt() * r / length_scale;
+    (1.0 + s + s * s / 3.0, (-s).exp())
 }
 
 /// Squared distances from `xq` to every point of `xs_flat` (row-major
@@ -31,7 +62,7 @@ fn squared_distances(xq: &[f64], xs_flat: &[f64], dim: usize, out: &mut [f64]) {
         }
         _ => {
             for (d, p) in out.iter_mut().zip(xs_flat.chunks_exact(dim)) {
-                *d = p.iter().zip(xq).map(|(u, v)| (u - v) * (u - v)).sum();
+                *d = squared_distance(p, xq);
             }
         }
     }
@@ -62,10 +93,13 @@ impl Matern52 {
 
     /// Covariance between two points.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-        let r = d2.sqrt();
-        let s = 5.0_f64.sqrt() * r / self.length_scale;
-        self.variance * (1.0 + s + s * s / 3.0) * (-s).exp()
+        self.at_squared_distance(squared_distance(a, b))
+    }
+
+    /// Covariance at squared distance `d2`.
+    fn at_squared_distance(&self, d2: f64) -> f64 {
+        let (poly, decay) = radial(self.length_scale, d2);
+        self.variance * poly * decay
     }
 
     /// Prior variance at a point (`k(x, x)`).
@@ -74,9 +108,11 @@ impl Matern52 {
     }
 
     /// Fused kernel row `k(xq, X)` against flattened row-major point
-    /// storage (`n×dim`), written into `out` (`n` entries): vectorized
-    /// squared distances, then the radial profile, with the same value per
-    /// element as [`Matern52::eval`].
+    /// storage (`n×dim`), written into `out` (`n` entries), with the same
+    /// value per element as [`Matern52::eval`]: vectorized squared
+    /// distances, then the radial profile. From the second 1-D row under
+    /// one kernel on, integral distances are read from the scratch's
+    /// profile table instead.
     pub fn eval_row(
         &self,
         xq: &[f64],
@@ -85,17 +121,48 @@ impl Matern52 {
         scratch: &mut KernelRowScratch,
         out: &mut [f64],
     ) {
+        if dim == 1 {
+            let key = (self.variance.to_bits(), self.length_scale.to_bits());
+            if scratch.key == key {
+                self.eval_row_from_table(xq[0], xs_flat, &mut scratch.table, out);
+                return;
+            }
+            // A new kernel: its table starts empty and later rows fill it;
+            // this row streams, so a one-off query pays nothing for it.
+            scratch.key = key;
+            scratch.table.clear();
+        }
         if scratch.d2.len() != out.len() {
             scratch.d2.clear();
             scratch.d2.resize(out.len(), 0.0);
         }
         squared_distances(xq, xs_flat, dim, &mut scratch.d2);
-        // Same per-element expression (and rounding) as `eval`, applied as
-        // one streaming pass over the staged distances.
         for (o, &d2) in out.iter_mut().zip(&scratch.d2) {
-            let r = d2.sqrt();
-            let s = 5.0_f64.sqrt() * r / self.length_scale;
-            *o = self.variance * (1.0 + s + s * s / 3.0) * (-s).exp();
+            *o = self.at_squared_distance(d2);
+        }
+    }
+
+    /// The 1-D row against query `q`, reading `k` at integral distances
+    /// below [`PROFILE_TABLE_LEN`] from `table` (this kernel's) and filling
+    /// untouched (NaN) slots from the same expression as `eval`.
+    fn eval_row_from_table(&self, q: f64, xs: &[f64], table: &mut Vec<f64>, out: &mut [f64]) {
+        for (o, &x) in out.iter_mut().zip(xs) {
+            let t = x - q;
+            let a = t.abs();
+            // Integral and below the bound (NaN fails the bound).
+            *o = if a < PROFILE_TABLE_LEN as f64 && (a as usize) as f64 == a {
+                let i = a as usize;
+                if i >= table.len() {
+                    table.resize(i + 1, f64::NAN);
+                }
+                let slot = &mut table[i];
+                if slot.is_nan() {
+                    *slot = self.at_squared_distance(t * t);
+                }
+                *slot
+            } else {
+                self.at_squared_distance(t * t)
+            };
         }
     }
 }
@@ -124,17 +191,36 @@ mod tests {
     #[test]
     fn eval_row_bit_identical_to_per_point_eval() {
         // The fused row must agree with `eval` per element *bitwise*, so
-        // swapping predict onto it cannot perturb decision sequences.
+        // swapping predict onto it cannot perturb decision sequences. One
+        // scratch serves alternating kernels, so a profile table kept
+        // across a kernel change would show.
         let mut scratch = KernelRowScratch::default();
-        let k = Matern52::new(0.9, 5.1);
-        for dim in [1usize, 2, 3] {
-            let n = 9;
-            let flat: Vec<f64> = (0..n * dim).map(|i| (i as f64) * 0.73 - 4.0).collect();
-            let xq: Vec<f64> = (0..dim).map(|i| i as f64 + 0.31).collect();
-            let mut out = vec![0.0; n];
-            k.eval_row(&xq, &flat, dim, &mut scratch, &mut out);
+        let kernels = [Matern52::new(0.9, 5.1), Matern52::new(2.3, 40.0)];
+        let mut check = |k: &Matern52, xq: &[f64], flat: &[f64], dim: usize| {
+            let mut out = vec![0.0; flat.len() / dim];
+            k.eval_row(xq, flat, dim, &mut scratch, &mut out);
             for (i, p) in flat.chunks_exact(dim).enumerate() {
-                assert_eq!(out[i], k.eval(&xq, p), "dim {dim}, point {i}");
+                assert_eq!(
+                    out[i].to_bits(),
+                    k.eval(xq, p).to_bits(),
+                    "dim {dim}, query {xq:?}, point {p:?}, kernel {k:?}"
+                );
+            }
+        };
+        for k in kernels.iter().chain(&kernels) {
+            for dim in [1usize, 2, 3] {
+                let n = 9;
+                let flat: Vec<f64> = (0..n * dim).map(|i| (i as f64) * 0.73 - 4.0).collect();
+                let xq: Vec<f64> = (0..dim).map(|i| i as f64 + 0.31).collect();
+                check(k, &xq, &flat, dim);
+            }
+            // 1-D integer lattice reaching distance 1,100 on both sides of
+            // the query (past the table's bound), with half-integers.
+            let lattice: Vec<f64> = (-1100..=1100)
+                .flat_map(|i| [f64::from(i), f64::from(i) + 0.5])
+                .collect();
+            for q in [0.0, 7.0, -3.0, 2.5, 1100.0] {
+                check(k, &[q], &lattice, 1);
             }
         }
     }

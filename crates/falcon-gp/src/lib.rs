@@ -15,6 +15,14 @@
 //! problem dimension for Falcon is 1 (concurrency) to 3 (adding parallelism
 //! and pipelining), and the training set is ≤ 20 points, so dense
 //! factorizations are the right tool — no BLAS needed.
+//!
+//! Two things keep a decision cheap without changing a bit of it.
+//! [`GpRegressor::fit_auto`] factors its 12 grid points in lockstep, one
+//! packed triangle of `[f64; 12]` lanes, and builds a regressor only for
+//! the winner; [`GpRegressor::fit`] is the one-lane case of the same
+//! routine. And a 1-D posterior query reads the kernel at integral
+//! distances from a per-kernel profile table in [`KernelRowScratch`]
+//! instead of calling `exp` once per training point.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

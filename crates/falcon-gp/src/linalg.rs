@@ -43,49 +43,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Build from a row-major slice.
-    pub fn from_rows(rows: usize, cols: usize, data: &[f64]) -> Self {
-        // falcon-lint::allow(panic-safety, reason = "constructor input validation; every call site passes a literal-shaped slice")
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Matrix {
-            rows,
-            cols,
-            data: data.to_vec(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix–vector product.
-    #[allow(clippy::needless_range_loop)] // row-slice indexing is the clear form here
-    pub fn mat_vec(&self, v: &[f64]) -> Vec<f64> {
-        // falcon-lint::allow(panic-safety, reason = "input validation; a short vector would otherwise silently zero-fill the product")
-        assert_eq!(v.len(), self.cols);
-        let mut out = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            out[i] = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-        out
-    }
-
     /// Cholesky factorization `A = L·Lᵀ` of a symmetric positive-definite
     /// matrix; returns lower-triangular `L`. Errors with
     /// [`LinalgError::NotPositiveDefinite`] when the matrix is not positive
@@ -134,35 +91,39 @@ impl Matrix {
         }
         let n = self.rows;
         let m = n + 1;
-        // Compute the new row up front; only grow the factor on success.
-        let mut row = vec![0.0; m];
+        // Stage the new row just past the n×n storage (the room the grown
+        // factor needs anyway) and only reshape on success, so a steady
+        // append/drop cycle allocates nothing.
+        self.data.resize(m * m, 0.0);
+        let (l, row) = self.data.split_at_mut(n * n);
         for j in 0..n {
+            let (done, rest) = row.split_at_mut(j);
             let mut sum = k[j];
-            for t in 0..j {
-                sum -= row[t] * self[(j, t)];
+            for (r, ljt) in done.iter().zip(&l[j * n..j * n + j]) {
+                sum -= r * ljt;
             }
-            row[j] = sum / self[(j, j)];
+            rest[0] = sum / l[j * n + j];
         }
         let mut sum = diag;
         for &v in &row[..n] {
             sum -= v * v;
         }
         if sum <= 0.0 {
+            self.data.truncate(n * n);
             return Err(LinalgError::NotPositiveDefinite);
         }
         row[n] = sum.sqrt();
 
-        // Grow the row-major storage from n×n to (n+1)×(n+1) in place:
-        // shift rows backwards, zero the new strictly-upper column, append
-        // the computed last row.
-        self.data.resize(m * m, 0.0);
+        // Reshape from n×n to (n+1)×(n+1) in place: move the staged row
+        // last, shift the old rows to the wider stride, and zero the new
+        // strictly-upper column.
+        self.data.copy_within(n * n..n * n + m, n * m);
         for i in (1..n).rev() {
             self.data.copy_within(i * n..(i + 1) * n, i * m);
         }
         for i in 0..n {
             self.data[i * m + n] = 0.0;
         }
-        self.data[n * m..m * m].copy_from_slice(&row);
         self.rows = m;
         self.cols = m;
         Ok(())
@@ -195,8 +156,14 @@ impl Matrix {
             return Err(LinalgError::NotPositiveDefinite);
         }
         let m = n - 1;
-        // Coupling column of the deleted row, below the diagonal.
-        let mut c: Vec<f64> = ((idx + 1)..n).map(|j| self[(j, idx)]).collect();
+        // Stage the coupling column of the deleted row, below the
+        // diagonal, just past the n×n storage: the buffer keeps that
+        // capacity once grown, so a steady append/drop cycle allocates
+        // nothing.
+        for j in (idx + 1)..n {
+            let v = self.data[j * n + idx];
+            self.data.push(v);
+        }
         // Compact the row-major storage in place: drop row idx and column
         // idx, shifting the remaining entries forward.
         let mut w = 0;
@@ -212,25 +179,25 @@ impl Matrix {
                 w += 1;
             }
         }
-        self.data.truncate(m * m);
         self.rows = m;
         self.cols = m;
         // Rank-1 update of the trailing block (rows/cols idx.. of the
         // compacted factor): L̃·L̃ᵀ = L₃₃·L₃₃ᵀ + c·cᵀ.
-        let t = c.len();
-        for k in 0..t {
+        let (l, c) = self.data.split_at_mut(n * n);
+        for k in 0..c.len() {
             let rk = idx + k;
-            let lkk = self[(rk, rk)];
+            let lkk = l[rk * m + rk];
             let r = (lkk * lkk + c[k] * c[k]).sqrt();
             let (cos, sin) = (lkk / r, c[k] / r);
-            self[(rk, rk)] = r;
+            l[rk * m + rk] = r;
             for (j, cj) in c.iter_mut().enumerate().skip(k + 1) {
-                let rj = idx + j;
-                let v = self[(rj, rk)];
-                self[(rj, rk)] = cos * v + sin * *cj;
-                *cj = cos * *cj - sin * v;
+                let v = &mut l[(idx + j) * m + rk];
+                let old = *v;
+                *v = cos * old + sin * *cj;
+                *cj = cos * *cj - sin * old;
             }
         }
+        self.data.truncate(m * m);
         Ok(())
     }
 
@@ -246,32 +213,44 @@ impl Matrix {
             x.clear();
             x.resize(n, 0.0);
         }
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self[(i, k)] * x[k];
+        for ((i, row), &bi) in self.data.chunks_exact(n.max(1)).enumerate().zip(b) {
+            let (done, rest) = x.split_at_mut(i);
+            let mut sum = bi;
+            for (lik, xk) in row[..i].iter().zip(done.iter()) {
+                sum -= lik * xk;
             }
-            x[i] = sum / self[(i, i)];
+            rest[0] = sum / row[i];
         }
         Ok(())
     }
 
     /// Solve `Lᵀ·x = b` for lower-triangular `L` (back substitution on the
-    /// transpose).
-    pub fn solve_lower_transpose(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    /// transpose) into a caller-owned buffer, like
+    /// [`Matrix::solve_lower_into`].
+    pub fn solve_lower_transpose_into(
+        &self,
+        b: &[f64],
+        x: &mut Vec<f64>,
+    ) -> Result<(), LinalgError> {
         let n = self.rows;
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
         }
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = b[i];
-            for k in (i + 1)..n {
-                sum -= self[(k, i)] * x[k];
-            }
-            x[i] = sum / self[(i, i)];
+        if x.len() != n {
+            x.clear();
+            x.resize(n, 0.0);
         }
-        Ok(x)
+        for i in (0..n).rev() {
+            let (head, done) = x.split_at_mut(i + 1);
+            let mut sum = b[i];
+            // Column i below the diagonal: L[k][i] for k = i+1..n.
+            let below = self.data.iter().skip((i + 1) * n + i).step_by(n);
+            for (lki, xk) in below.zip(done.iter()) {
+                sum -= lki * xk;
+            }
+            head[i] = sum / self.data[i * n + i];
+        }
+        Ok(())
     }
 
     /// Log-determinant of `A = L·Lᵀ` given its Cholesky factor `self = L`:
@@ -308,16 +287,33 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Square matrix from row-major entries.
+    fn square(n: usize, data: &[f64]) -> Matrix {
+        assert_eq!(data.len(), n * n);
+        Matrix {
+            rows: n,
+            cols: n,
+            data: data.to_vec(),
+        }
+    }
+
+    fn identity(n: usize) -> Matrix {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = 1.0;
+        }
+        m
+    }
+
     fn spd3() -> Matrix {
         // A = B·Bᵀ + I for B with full rank → SPD.
-        Matrix::from_rows(3, 3, &[4.0, 2.0, 1.0, 2.0, 5.0, 3.0, 1.0, 3.0, 6.0])
+        square(3, &[4.0, 2.0, 1.0, 2.0, 5.0, 3.0, 1.0, 3.0, 6.0])
     }
 
     #[test]
     fn identity_cholesky_is_identity() {
-        let i = Matrix::identity(4);
-        let l = i.cholesky().unwrap();
-        assert_eq!(l, Matrix::identity(4));
+        let l = identity(4).cholesky().unwrap();
+        assert_eq!(l, identity(4));
     }
 
     #[test]
@@ -337,7 +333,7 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_indefinite() {
-        let m = Matrix::from_rows(2, 2, &[1.0, 2.0, 2.0, 1.0]); // eigenvalues 3, -1
+        let m = square(2, &[1.0, 2.0, 2.0, 1.0]); // eigenvalues 3, -1
         assert_eq!(m.cholesky(), Err(LinalgError::NotPositiveDefinite));
     }
 
@@ -349,13 +345,13 @@ mod tests {
 
     #[test]
     fn solves_reject_wrong_length() {
-        let l = Matrix::identity(3);
+        let l = identity(3);
         assert_eq!(
             l.solve_lower_into(&[1.0], &mut Vec::new()),
             Err(LinalgError::DimensionMismatch)
         );
         assert_eq!(
-            l.solve_lower_transpose(&[1.0, 2.0]),
+            l.solve_lower_transpose_into(&[1.0, 2.0], &mut Vec::new()),
             Err(LinalgError::DimensionMismatch)
         );
     }
@@ -368,10 +364,11 @@ mod tests {
         let b = [1.0, -2.0, 0.5];
         let mut y = Vec::new();
         l.solve_lower_into(&b, &mut y).unwrap();
-        let x = l.solve_lower_transpose(&y).unwrap();
-        let back = a.mat_vec(&x);
-        for (u, v) in back.iter().zip(b.iter()) {
-            assert!((u - v).abs() < 1e-10, "{u} vs {v}");
+        let mut x = Vec::new();
+        l.solve_lower_transpose_into(&y, &mut x).unwrap();
+        for (i, bi) in b.iter().enumerate() {
+            let back: f64 = (0..3).map(|j| a[(i, j)] * x[j]).sum();
+            assert!((back - bi).abs() < 1e-10, "{back} vs {bi}");
         }
     }
 
@@ -390,7 +387,7 @@ mod tests {
         // against factoring the full 3×3 directly: identical bits.
         let a = spd3();
         let full = a.cholesky().unwrap();
-        let lead = Matrix::from_rows(2, 2, &[a[(0, 0)], a[(0, 1)], a[(1, 0)], a[(1, 1)]]);
+        let lead = square(2, &[a[(0, 0)], a[(0, 1)], a[(1, 0)], a[(1, 1)]]);
         let mut grown = lead.cholesky().unwrap();
         grown
             .cholesky_append_row(&[a[(2, 0)], a[(2, 1)]], a[(2, 2)])
@@ -446,10 +443,9 @@ mod tests {
     fn drop_then_append_round_trips_dimensions() {
         let mut l = spd3().cholesky().unwrap();
         l.cholesky_drop_row(0).unwrap();
-        assert_eq!(l.rows(), 2);
-        assert_eq!(l.cols(), 2);
+        assert_eq!((l.rows, l.cols, l.data.len()), (2, 2, 4));
         l.cholesky_append_row(&[0.1, 0.2], 5.0).unwrap();
-        assert_eq!(l.rows(), 3);
+        assert_eq!((l.rows, l.cols, l.data.len()), (3, 3, 9));
     }
 
     #[test]
@@ -480,13 +476,6 @@ mod tests {
         let mut buf = vec![9.0; 7]; // stale, over-sized: must be cleared
         l.solve_lower_into(&b, &mut buf).unwrap();
         assert_eq!(buf, expect);
-    }
-
-    #[test]
-    fn mat_vec_works() {
-        let m = Matrix::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let v = m.mat_vec(&[1.0, 0.0, -1.0]);
-        assert_eq!(v, vec![-2.0, -2.0]);
     }
 
     #[test]

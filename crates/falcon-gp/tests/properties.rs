@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use falcon_gp::linalg::{dot, Matrix};
 use falcon_gp::sweep::nominate;
 use falcon_gp::{
-    Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpRegressor, LineLattice, Matern52,
-    PredictScratch, SweepCache,
+    Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpError, GpRegressor, LineLattice,
+    Matern52, PredictScratch, SweepCache,
 };
 
 /// Build a random symmetric positive-definite matrix `A = B·Bᵀ + εI`.
@@ -31,6 +31,128 @@ fn spd(values: &[f64], n: usize) -> Matrix {
     a
 }
 
+/// One GP fitted the pre-lockstep way: a dense kernel matrix from
+/// `Matern52::eval`, `Matrix::cholesky` under the cumulative jitter
+/// ladder, then the two triangular solves — the oracle `fit_auto`'s
+/// lockstep grid must reproduce bit for bit.
+struct DenseFit {
+    kernel: Matern52,
+    noise: f64,
+    x: Vec<Vec<f64>>,
+    y_mean: f64,
+    chol: Matrix,
+    alpha: Vec<f64>,
+    lml: f64,
+}
+
+impl DenseFit {
+    fn new(x: &[Vec<f64>], y: &[f64], kernel: Matern52, noise: f64) -> Option<Self> {
+        let n = x.len();
+        let y_mean = y.iter().sum::<f64>() / n as f64;
+        let y_centered: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = kernel.eval(&x[i], &x[j]);
+                k[(i, j)] = v;
+                k[(j, i)] = v;
+            }
+            k[(i, i)] += noise;
+        }
+        let mut jitter = 1e-10 * kernel.diag();
+        let chol = loop {
+            match k.cholesky() {
+                Ok(l) => break l,
+                Err(_) if jitter > 1e3 * kernel.diag() => return None,
+                Err(_) => {
+                    for i in 0..n {
+                        k[(i, i)] += jitter;
+                    }
+                    jitter *= 10.0;
+                }
+            }
+        };
+        let (mut tmp, mut alpha) = (Vec::new(), Vec::new());
+        chol.solve_lower_into(&y_centered, &mut tmp).ok()?;
+        chol.solve_lower_transpose_into(&tmp, &mut alpha).ok()?;
+        let data_fit = -0.5 * dot(&y_centered, &alpha);
+        let complexity = -0.5 * chol.cholesky_log_det();
+        let norm = -0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        Some(DenseFit {
+            kernel,
+            noise,
+            x: x.to_vec(),
+            y_mean,
+            chol,
+            alpha,
+            lml: data_fit + complexity + norm,
+        })
+    }
+
+    fn predict(&self, q: &[f64]) -> (f64, f64) {
+        let k_star: Vec<f64> = self.x.iter().map(|p| self.kernel.eval(q, p)).collect();
+        let mean = self.y_mean + dot(&k_star, &self.alpha);
+        let mut v = Vec::new();
+        self.chol.solve_lower_into(&k_star, &mut v).unwrap();
+        let var = self.kernel.diag() + self.noise - dot(&v, &v);
+        (mean, var.max(1e-12))
+    }
+}
+
+/// `fit_auto` as twelve independent dense fits, keeping the first with the
+/// highest log marginal likelihood.
+fn dense_fit_auto(x: &[Vec<f64>], y: &[f64], noise: f64) -> Option<DenseFit> {
+    let dim = x[0].len();
+    let mut span: f64 = 0.0;
+    for d in 0..dim {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for p in x {
+            lo = lo.min(p[d]);
+            hi = hi.max(p[d]);
+        }
+        span = span.max(hi - lo);
+    }
+    if span <= 0.0 {
+        span = 1.0;
+    }
+    let y_mean = y.iter().sum::<f64>() / y.len() as f64;
+    let mut y_var = y.iter().map(|v| (v - y_mean) * (v - y_mean)).sum::<f64>() / y.len() as f64;
+    if y_var <= 1e-12 {
+        y_var = 1.0;
+    }
+    let mut best: Option<DenseFit> = None;
+    for ls_frac in [0.1, 0.2, 0.4, 0.8] {
+        for var_mul in [0.5, 1.0, 2.0] {
+            let kernel = Matern52::new(y_var * var_mul, span * ls_frac);
+            if let Some(fit) = DenseFit::new(x, y, kernel, noise) {
+                if best.as_ref().is_none_or(|b| fit.lml > b.lml) {
+                    best = Some(fit);
+                }
+            }
+        }
+    }
+    best
+}
+
+/// Bit equality, treating any two NaNs as equal (Rust leaves NaN payloads
+/// unspecified).
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// A test coordinate or target: code 0–2 is NaN, +∞, −∞ when `special`,
+/// 3–18 a small integer (so points repeat and force the jitter ladder),
+/// otherwise `raw`.
+fn value(code: u32, raw: f64, special: bool) -> f64 {
+    match code {
+        0 if special => f64::NAN,
+        1 if special => f64::INFINITY,
+        2 if special => f64::NEG_INFINITY,
+        0..=18 => f64::from(code % 16) - 8.0,
+        _ => raw,
+    }
+}
+
 proptest! {
     /// Cholesky solves invert random SPD systems: `A·x = b` round-trips.
     #[test]
@@ -42,10 +164,11 @@ proptest! {
         let l = a.cholesky().expect("SPD by construction");
         let mut y = Vec::new();
         l.solve_lower_into(&b, &mut y).expect("matching dimension");
-        let x = l.solve_lower_transpose(&y).expect("matching dimension");
-        let back = a.mat_vec(&x);
-        for (u, v) in back.iter().zip(&b) {
-            prop_assert!((u - v).abs() < 1e-6, "{u} vs {v}");
+        let mut x = Vec::new();
+        l.solve_lower_transpose_into(&y, &mut x).expect("matching dimension");
+        for (i, bi) in b.iter().enumerate() {
+            let back: f64 = (0..4).map(|j| a[(i, j)] * x[j]).sum();
+            prop_assert!((back - bi).abs() < 1e-6, "{back} vs {bi}");
         }
     }
 
@@ -152,7 +275,7 @@ proptest! {
 
         let mut grown = GpRegressor::fit(&xs[..split], &ys[..split], kernel, 1e-3).unwrap();
         for i in split..n {
-            grown.extend(xs[i].clone(), ys[i]).expect("extend must accept in-domain points");
+            grown.extend(&xs[i], ys[i]).expect("extend must accept in-domain points");
             let full = GpRegressor::fit(&xs[..=i], &ys[..=i], kernel, 1e-3).unwrap();
             let (gm, gv) = grown.predict_into(&[q], &mut PredictScratch::default());
             let (fm, fv) = full.predict_into(&[q], &mut PredictScratch::default());
@@ -208,7 +331,7 @@ proptest! {
         let mut slid = GpRegressor::fit(&xs[..window], &ys[..window], kernel, 1e-3).unwrap();
         for i in window..n {
             slid.drop_oldest().expect("window > 1");
-            slid.extend(xs[i].clone(), ys[i]).expect("extend must accept in-domain points");
+            slid.extend(&xs[i], ys[i]).expect("extend must accept in-domain points");
             let lo = i + 1 - window;
             let fresh = GpRegressor::fit(&xs[lo..=i], &ys[lo..=i], kernel, 1e-3).unwrap();
             let (sm, sv) = slid.predict_into(&[q], &mut PredictScratch::default());
@@ -243,6 +366,73 @@ proptest! {
                     "L[({i},{j})]: {} vs {}", grown[(i, j)], full[(i, j)]
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    /// `fit_auto`'s lockstep grid is bit-identical to twelve dense fits:
+    /// the same winner (or the same failure), the same log marginal
+    /// likelihood, and the same posterior at five points, over 1–21
+    /// points in 1–3 dimensions with repeated inputs, constant targets,
+    /// NaN/±∞ inputs and targets, and negative noise that drives the
+    /// jitter ladder up several rungs.
+    #[test]
+    fn fit_auto_matches_twelve_dense_fits_bitwise(
+        n in 1usize..=21,
+        dim in 1usize..=3,
+        x_codes in proptest::collection::vec(0u32..40, 63),
+        x_raw in proptest::collection::vec(-30.0f64..30.0, 63),
+        y_codes in proptest::collection::vec(0u32..40, 21),
+        y_raw in proptest::collection::vec(-100.0f64..100.0, 21),
+        mode in 0u32..6,
+        noise_code in 0usize..5,
+        q_raw in proptest::collection::vec(-40.0f64..40.0, 15),
+    ) {
+        // Modes 1 and 3 put specials in the inputs, 2 and 3 in the
+        // targets; 4 makes the targets constant.
+        let (x_special, y_special) = (mode == 1 || mode == 3, mode == 2 || mode == 3);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..dim).map(|d| value(x_codes[i * 3 + d], x_raw[i * 3 + d], x_special)).collect())
+            .collect();
+        let y: Vec<f64> = (0..n)
+            .map(|i| if mode == 4 { 3.5 } else { value(y_codes[i], y_raw[i], y_special) })
+            .collect();
+        let noise = [0.02, 1e-3, 0.0, -1e-6, -0.5][noise_code];
+
+        let got = GpRegressor::fit_auto(&x, &y, noise);
+        let want = dense_fit_auto(&x, &y, noise);
+        let (got, want) = match (got, want) {
+            (Err(e), None) => {
+                prop_assert_eq!(e, GpError::NotPositiveDefinite);
+                return Ok(());
+            }
+            (Ok(got), Some(want)) => (got, want),
+            (got, want) => {
+                return Err(TestCaseError::fail(format!(
+                    "fit_auto {:?} vs oracle {}",
+                    got.map(|g| g.hyperparameters()),
+                    if want.is_some() { "Some" } else { "None" }
+                )));
+            }
+        };
+        let (kernel, got_noise) = got.hyperparameters();
+        prop_assert!(same_bits(kernel.variance, want.kernel.variance), "σ² {} vs {}", kernel.variance, want.kernel.variance);
+        prop_assert!(same_bits(kernel.length_scale, want.kernel.length_scale), "ℓ {} vs {}", kernel.length_scale, want.kernel.length_scale);
+        prop_assert!(same_bits(got_noise, noise));
+        let lml = got.log_marginal_likelihood();
+        prop_assert!(same_bits(lml, want.lml), "lml {} vs {}", lml, want.lml);
+        let mut scratch = PredictScratch::default();
+        for qi in 0..5 {
+            // Even queries sit on the integer lattice (the kernel-table
+            // path in 1-D), odd ones between it.
+            let q: Vec<f64> = q_raw[qi * 3..qi * 3 + dim]
+                .iter()
+                .map(|&v| if qi % 2 == 0 { v.round() } else { v })
+                .collect();
+            let (gm, gv) = got.predict_into(&q, &mut scratch);
+            let (wm, wv) = want.predict(&q);
+            prop_assert!(same_bits(gm, wm) && same_bits(gv, wv), "posterior at {:?}: ({}, {}) vs ({}, {})", q, gm, gv, wm, wv);
         }
     }
 }
