@@ -249,6 +249,7 @@ fn bench_simulator(q: &mut QuickBench) {
             cap_mbps: 10.0 + (i % 7) as f64,
             resource_mask: 0b11111,
             weight: 1.0,
+            count: 1,
         })
         .collect();
     let caps = [4000.0, 10_000.0, 1000.0, 10_000.0, 4000.0];

@@ -25,6 +25,10 @@ pub struct WeightedStreamDemand {
     pub resource_mask: u64,
     /// Fair-share weight (> 0).
     pub weight: f64,
+    /// Number of identical streams this entry stands for (≥ 1), each
+    /// receiving its rate. Sums add each member's term once, in list
+    /// order, so it allocates bit-identically to `count` listed copies.
+    pub count: u32,
 }
 
 /// Reusable working memory for [`weighted_max_min_allocate_into`]. Holding
@@ -40,13 +44,15 @@ pub struct AllocScratch {
 /// Weighted max-min fair allocation by progressive filling: every active
 /// stream's rate grows in proportion to its weight until it hits its own
 /// cap or saturates a resource. `capacities[i]` is the capacity of
-/// resource `i`. Writes the per-stream rates into `rate` (cleared and
-/// refilled) using `scratch` for working memory. Runs in
-/// `O(rounds * (streams + resources))`, where rounds is bounded by the
-/// number of distinct freezing events (≤ streams + resources).
+/// resource `i`. Writes one rate per entry (each of its `count` members
+/// gets it) into `rate` (cleared and refilled) using `scratch` for working
+/// memory. Runs in `O(rounds * (entries + resources))` plus one add per
+/// member and crossed resource, where rounds is bounded by the number of
+/// distinct freezing events (≤ entries + resources).
 ///
-/// Panics in debug builds if `capacities.len() > 64` or any weight is
-/// non-positive; release builds treat such input as degenerate.
+/// Panics in debug builds if `capacities.len() > 64`, any weight is
+/// non-positive or any count is zero; release builds treat such input as
+/// degenerate.
 pub fn weighted_max_min_allocate_into(
     streams: &[WeightedStreamDemand],
     capacities: &[f64],
@@ -62,6 +68,7 @@ pub fn weighted_max_min_allocate_into(
     }
     for s in streams {
         debug_assert!(s.weight > 0.0, "weights must be positive");
+        debug_assert!(s.count >= 1, "counts must be at least 1");
     }
     scratch.frozen.clear();
     scratch.frozen.resize(n, false);
@@ -84,7 +91,13 @@ pub fn weighted_max_min_allocate_into(
                 let mut mask = s.resource_mask;
                 while mask != 0 {
                     let i = mask.trailing_zeros() as usize;
-                    active_weight[i] += s.weight;
+                    // One add per member, as listed copies would; the first
+                    // is unconditional (`count` ≥ 1) to keep one member cheap.
+                    let w = &mut active_weight[i];
+                    *w += s.weight;
+                    for _ in 1..s.count {
+                        *w += s.weight;
+                    }
                     mask &= mask - 1;
                 }
             }
@@ -117,11 +130,16 @@ pub fn weighted_max_min_allocate_into(
             if frozen[idx] {
                 continue;
             }
-            rate[idx] += inc * s.weight;
+            let step = inc * s.weight;
+            rate[idx] += step;
             let mut mask = s.resource_mask;
             while mask != 0 {
                 let i = mask.trailing_zeros() as usize;
-                remaining[i] -= inc * s.weight;
+                let r = &mut remaining[i];
+                *r -= step;
+                for _ in 1..s.count {
+                    *r -= step;
+                }
                 mask &= mask - 1;
             }
         }
@@ -539,6 +557,7 @@ mod tests {
             cap_mbps,
             resource_mask,
             weight,
+            count: 1,
         }
     }
 

@@ -17,10 +17,11 @@
 //! inputs changed since (`StepScratch::targets` lists what invalidates
 //! them). To rebuild the targets the simulator:
 //!
-//! 1. Builds the set of active connections (each agent contributes
-//!    `concurrency × parallelism` connections; background flows contribute
-//!    theirs), each capped by the tightest per-process disk throttle divided
-//!    across its file's parallel sockets.
+//! 1. Builds the set of active connections: one allocator entry per live
+//!    agent standing for its `concurrency × parallelism` identical
+//!    connections, and one per active background flow standing for its
+//!    connections, each capped by the tightest per-process disk throttle
+//!    divided across its file's parallel sockets.
 //! 2. Computes the packet-loss rate at the bottleneck link from the aggregate
 //!    *offered* (upstream-capped) load and the total connection count
 //!    ([`falcon_tcp::loss_rate`]).
@@ -32,9 +33,13 @@
 //!    resources (with end-host contention eroding disk/NIC capacity at very
 //!    high stream counts).
 //!
-//! Every segment then advances each connection's [`falcon_tcp::RateRamp`]
-//! toward its allocation, with one `e^(−Δ/τ)` per distinct τ
-//! ([`falcon_tcp::DecayMemo`]), and accrues goodput `rate × (1 − loss)`.
+//! Every segment then advances each agent's connections toward its
+//! allocation and accrues goodput `rate × (1 − loss)`. An agent holds its
+//! connections as oldest-first runs of bit-identical
+//! [`falcon_tcp::RateRamp`]s (cohorts): a run advances once, with one
+//! `e^(−Δ/τ)` per distinct τ ([`falcon_tcp::DecayMemo`]), and its terms
+//! are added once per member in connection order, so every sum rounds
+//! exactly as a per-connection loop would.
 //!
 //! Sampling (`try_take_sample`) returns interval-averaged metrics with
 //! multiplicative Gaussian measurement noise, which is what a Falcon monitor
@@ -138,8 +143,10 @@ struct StepScratch {
     /// every fired event and `add_background_flow`; `prepare_targets`
     /// also drops them at the next background-flow edge.
     targets: Option<Targets>,
+    /// One entry per live agent with connections, then one per active
+    /// background flow.
     streams: Vec<WeightedStreamDemand>,
-    /// Agent index owning each agent stream (parallel to the prefix of
+    /// Agent index owning each agent entry (parallel to the prefix of
     /// `streams` before background flows).
     owners: Vec<usize>,
     capacities: Vec<f64>,
@@ -147,13 +154,79 @@ struct StepScratch {
     alloc: AllocScratch,
     /// Routed-mode working memory (only touched when some agent has a
     /// custom path): per-resource offered load, connection counts, link
-    /// loss, stream counts, and per-agent survival / CCA caps.
+    /// loss, stream counts, per-agent survival, and each route's
+    /// `(mask, loss, CCA cap)`, derived once per rebuild.
     link_offered: Vec<f64>,
     link_conns: Vec<u32>,
     link_loss: Vec<f64>,
     res_streams: Vec<u32>,
     agent_survival: Vec<f64>,
-    agent_cca_cap: Vec<f64>,
+    routes: Vec<(u64, f64, f64)>,
+}
+
+impl StepScratch {
+    /// The per-connection target rate of live agent `idx`, stepping
+    /// `entry` past its allocator entry; 0 for an agent without one (no
+    /// connections).
+    fn next_rate(&self, entry: &mut usize, idx: usize) -> f64 {
+        if self.owners.get(*entry) != Some(&idx) {
+            return 0.0;
+        }
+        *entry += 1;
+        self.rates[*entry - 1]
+    }
+}
+
+/// Resize an agent's oldest-first runs of identical ramps to `want`
+/// connections in the order a per-connection list pushes and truncates:
+/// new connections join at the end as fresh ramps (extending the last run
+/// if it is bit-identical to a fresh ramp), removed ones leave from the
+/// newest run.
+fn resize_runs(runs: &mut Vec<(RateRamp, u32)>, want: u32, rtt_s: f64) {
+    let have: u32 = runs.iter().map(|r| r.1).sum();
+    if want > have {
+        let fresh = RateRamp::new(rtt_s);
+        match runs.last_mut() {
+            Some((last, n)) if last.same_state(&fresh) => *n += want - have,
+            _ => runs.push((fresh, want - have)),
+        }
+    }
+    let mut excess = have.saturating_sub(want);
+    while let Some((_, n)) = runs.last_mut().filter(|_| excess > 0) {
+        let gone = excess.min(*n);
+        *n -= gone;
+        excess -= gone;
+        if *n == 0 {
+            runs.pop();
+        }
+    }
+}
+
+/// Advance each run once with `step`, which returns a connection's
+/// `(rate, integral)`, and return both summed over every connection
+/// after scaling by `survival`. A run's term is added once per member,
+/// run by run, so the sums round exactly as a per-connection loop's do.
+/// Adjacent runs that end bit-identical merge.
+fn advance_runs(
+    runs: &mut Vec<(RateRamp, u32)>,
+    survival: f64,
+    mut step: impl FnMut(&mut RateRamp) -> (f64, f64),
+) -> (f64, f64) {
+    let (mut rate, mut integral) = (0.0, 0.0);
+    for (ramp, n) in runs.iter_mut() {
+        let (r, i) = step(ramp);
+        let (r, i) = (r * survival, i * survival);
+        for _ in 0..*n {
+            rate += r;
+            integral += i;
+        }
+    }
+    runs.dedup_by(|later, kept| {
+        let same = kept.0.same_state(&later.0);
+        kept.1 += if same { later.1 } else { 0 };
+        same
+    });
+    (rate, integral)
 }
 
 /// What `prepare_targets` returns for the targets in `StepScratch`, and
@@ -173,7 +246,9 @@ struct AgentState {
     /// path, i.e. every resource — the classic single-path mode).
     path_mask: Option<u64>,
     settings: AgentSettings,
-    ramps: Vec<RateRamp>,
+    /// The connections' ramps as oldest-first runs of `(ramp, count)`
+    /// bit-identical members; adjacent runs always differ.
+    ramps: Vec<(RateRamp, u32)>,
     /// Megabits delivered since the last sample.
     delivered_mb: f64,
     /// Megabits delivered over the agent's whole lifetime. Monotonic:
@@ -300,7 +375,7 @@ impl Simulation {
             alive: true,
             path_mask,
             settings: AgentSettings::default(),
-            ramps: vec![RateRamp::new(self.env.rtt_s)],
+            ramps: vec![(RateRamp::new(self.env.rtt_s), 1)],
             delivered_mb: 0.0,
             total_delivered_mb: 0.0,
             loss_integral: 0.0,
@@ -356,11 +431,7 @@ impl Simulation {
         if changed {
             self.scratch.targets = None;
         }
-        let want = settings.total_connections() as usize;
-        while st.ramps.len() < want {
-            st.ramps.push(RateRamp::new(rtt));
-        }
-        st.ramps.truncate(want);
+        resize_runs(&mut st.ramps, settings.total_connections(), rtt);
         true
     }
 
@@ -372,7 +443,12 @@ impl Simulation {
     /// Script a background cross-traffic flow.
     pub fn add_background_flow(&mut self, flow: BackgroundFlow) {
         self.scratch.targets = None;
-        self.background.push(flow);
+        // A flow has at least one connection, for the allocator and the
+        // loss model alike.
+        self.background.push(BackgroundFlow {
+            connections: flow.connections.max(1),
+            ..flow
+        });
     }
 
     /// Schedule environment events. Events may be added in any order; they
@@ -499,9 +575,7 @@ impl Simulation {
         }
         self.scratch.targets = None;
         a.alive = true;
-        a.ramps = (0..a.settings.total_connections())
-            .map(|_| RateRamp::new(rtt))
-            .collect();
+        resize_runs(&mut a.ramps, a.settings.total_connections(), rtt);
         // A fresh process starts a fresh measurement interval: drop
         // whatever partial accounting the dead period accumulated.
         a.delivered_mb = 0.0;
@@ -608,10 +682,11 @@ impl Simulation {
             .filter_map(|r| r.per_stream_cap_mbps)
             .fold(f64::INFINITY, f64::min);
 
-        // Streams are ordered: for each alive agent, its n*p connections;
-        // then one stream per active background flow. The vectors live in
-        // `self.scratch` and are cleared and refilled, so a rebuild
-        // allocates nothing once the buffers have grown to size.
+        // Entries are ordered: one per alive agent with connections, its
+        // n*p identical connections as the entry's count; then one per
+        // active background flow. The vectors live in `self.scratch` and
+        // are cleared and refilled, so a rebuild allocates nothing once
+        // the buffers have grown to size.
         let full_mask = self.env.full_path_mask();
         let link_mask: u64 = 1u64 << bottleneck;
 
@@ -632,11 +707,12 @@ impl Simulation {
             // sockets split that budget. Startup-gap efficiency scales the
             // thread's usable demand.
             let per_conn_cap = per_proc_cap / f64::from(s.parallelism) * s.efficiency;
-            for _ in 0..s.total_connections() {
+            if s.total_connections() > 0 {
                 self.scratch.streams.push(WeightedStreamDemand {
                     cap_mbps: per_conn_cap,
                     resource_mask: mask,
                     weight: s.share_weight,
+                    count: s.total_connections(),
                 });
                 self.scratch.owners.push(idx);
             }
@@ -660,20 +736,17 @@ impl Simulation {
             .fold(f64::INFINITY, f64::min);
         offered_mbps = offered_mbps.min(upstream_cap);
 
-        let n_agent_streams = self.scratch.streams.len();
+        let n_agent_entries = self.scratch.streams.len();
         for bg in &self.background {
             if t >= bg.start_s && t < bg.end_s {
                 // Each background connection competes as its own max-min
                 // stream, splitting the flow's demand.
-                let conns = bg.connections.max(1);
-                let per_conn = bg.demand_mbps / f64::from(conns);
-                for _ in 0..conns {
-                    self.scratch.streams.push(WeightedStreamDemand {
-                        cap_mbps: per_conn,
-                        resource_mask: link_mask,
-                        weight: 1.0,
-                    });
-                }
+                self.scratch.streams.push(WeightedStreamDemand {
+                    cap_mbps: bg.demand_mbps / f64::from(bg.connections),
+                    resource_mask: link_mask,
+                    weight: 1.0,
+                    count: bg.connections,
+                });
                 offered_mbps += bg.demand_mbps;
                 n_conns_total += bg.connections;
             }
@@ -726,32 +799,31 @@ impl Simulation {
             self.current_loss = loss;
 
             // --- 3. Congestion-control caps. ----------------------------------
+            // The response function is capped at the link capacity only;
+            // share enforcement happens in max-min.
             let loss_event_rate = loss / Self::LOSS_EVENT_BURST;
-            let n_at_link = self.scratch.streams.len().max(1) as f64;
-            let fair_share = link_capacity / n_at_link;
             let cca_cap = self.env.cca.sustainable_rate_mbps(
                 loss_event_rate,
                 self.env.rtt_s,
                 self.env.mss_bytes,
-                fair_share.max(link_capacity), // response-function cap only; share
-                                               // enforcement happens in max-min
+                link_capacity,
             );
-            for st in self.scratch.streams.iter_mut().take(n_agent_streams) {
+            for st in self.scratch.streams.iter_mut().take(n_agent_entries) {
                 st.cap_mbps = st.cap_mbps.min(cca_cap);
             }
         } else {
-            loss = self.routed_loss_and_cca_caps(full_mask, n_agent_streams);
+            loss = self.routed_loss_and_cca_caps(full_mask, n_agent_entries);
         }
 
         // --- 4. Max-min allocation over contended capacities. -----------------
         self.scratch.capacities.clear();
         if !routed {
-            let stream_count = self.scratch.streams.len() as u32;
+            // Every connection crosses every resource.
             self.scratch.capacities.extend(
                 self.env
                     .resources
                     .iter()
-                    .map(|r| r.effective_capacity_mbps(stream_count)),
+                    .map(|r| r.effective_capacity_mbps(n_conns_total)),
             );
         } else {
             // End-host contention is per-resource in routed mode: only the
@@ -762,7 +834,7 @@ impl Simulation {
             for st in &self.scratch.streams {
                 for (i, count) in self.scratch.res_streams.iter_mut().enumerate() {
                     if st.resource_mask & (1u64 << i) != 0 {
-                        *count += 1;
+                        *count += st.count;
                     }
                 }
             }
@@ -791,14 +863,14 @@ impl Simulation {
         (routed, loss)
     }
 
-    /// Advance each ramp across the whole segment in closed form and
+    /// Advance each cohort across the whole segment in closed form and
     /// accrue the *exact* integral of its rate curve
     /// ([`RateRamp::advance_integrated`]), so segment length does not
-    /// affect accuracy and an idle segment costs O(connections), not
+    /// affect accuracy and an idle segment costs O(cohorts), not
     /// O(ticks).
     fn integrate_exact(&mut self, dt_s: f64, routed: bool, loss: f64) {
         let mut segment = DecayMemo::new(dt_s);
-        let mut cursor = 0usize;
+        let mut entry = 0usize;
         for (idx, a) in self.agents.iter_mut().enumerate() {
             if !a.alive {
                 continue;
@@ -811,16 +883,10 @@ impl Simulation {
             } else {
                 (1.0 - loss, loss)
             };
-            let mut agg_end = 0.0;
-            let mut delivered = 0.0;
-            for ramp in a.ramps.iter_mut() {
-                debug_assert_eq!(self.scratch.owners[cursor], idx);
-                let target = self.scratch.rates[cursor];
-                let (end_rate, integral) = ramp.advance_integrated(target, &mut segment);
-                agg_end += end_rate * survival;
-                delivered += integral * survival;
-                cursor += 1;
-            }
+            let target = self.scratch.next_rate(&mut entry, idx);
+            let (agg_end, delivered) = advance_runs(&mut a.ramps, survival, |ramp| {
+                ramp.advance_integrated(target, &mut segment)
+            });
             a.instant_mbps = agg_end;
             a.delivered_mb += delivered;
             a.total_delivered_mb += delivered;
@@ -843,7 +909,7 @@ impl Simulation {
     /// each agent's streams by the congestion-control response at its own
     /// loss-event rate and min-capacity hop. Returns the worst per-path
     /// loss (reported as [`Simulation::current_loss`]).
-    fn routed_loss_and_cca_caps(&mut self, full_mask: u64, n_agent_streams: usize) -> f64 {
+    fn routed_loss_and_cca_caps(&mut self, full_mask: u64, n_agent_entries: usize) -> f64 {
         use crate::resource::ResourceKind;
         let n_res = self.env.resources.len();
         let scratch = &mut self.scratch;
@@ -867,16 +933,15 @@ impl Simulation {
                     .filter(|(i, _)| st.resource_mask & (1u64 << i) != 0)
                     .map(|(_, r)| r.capacity_mbps)
                     .fold(f64::INFINITY, f64::min);
-                let pool = scratch
-                    .owners
-                    .get(pos)
-                    .map_or(1, |&o| self.agents[o].settings.total_connections().max(1));
+                let pool = if pos < n_agent_entries { st.count } else { 1 };
                 path_cap / f64::from(pool)
             };
             for (i, r) in self.env.resources.iter().enumerate() {
                 if r.kind == ResourceKind::NetworkLink && st.resource_mask & (1u64 << i) != 0 {
-                    scratch.link_offered[i] += demand;
-                    scratch.link_conns[i] += 1;
+                    for _ in 0..st.count {
+                        scratch.link_offered[i] += demand;
+                    }
+                    scratch.link_conns[i] += st.count;
                 }
             }
         }
@@ -895,43 +960,46 @@ impl Simulation {
         }
         scratch.agent_survival.clear();
         scratch.agent_survival.resize(self.agents.len(), 1.0);
-        scratch.agent_cca_cap.clear();
-        scratch
-            .agent_cca_cap
-            .resize(self.agents.len(), f64::INFINITY);
+        // Loss and CCA cap depend on the route alone: derive them once
+        // per distinct mask.
+        scratch.routes.clear();
         let mut worst = 0.0f64;
         for (idx, a) in self.agents.iter().enumerate() {
             if !a.alive {
                 continue;
             }
             let mask = a.path_mask.unwrap_or(full_mask);
-            let mut survival = 1.0f64;
-            let mut path_cap = f64::INFINITY;
-            for (i, r) in self.env.resources.iter().enumerate() {
-                if mask & (1u64 << i) != 0 {
-                    path_cap = path_cap.min(r.capacity_mbps);
-                    if r.kind == ResourceKind::NetworkLink {
-                        survival *= 1.0 - scratch.link_loss[i];
+            let l = match scratch.routes.iter().find(|r| r.0 == mask) {
+                Some(route) => route.1,
+                None => {
+                    let mut survival = 1.0f64;
+                    let mut path_cap = f64::INFINITY;
+                    for (i, r) in self.env.resources.iter().enumerate() {
+                        if mask & (1u64 << i) != 0 {
+                            path_cap = path_cap.min(r.capacity_mbps);
+                            if r.kind == ResourceKind::NetworkLink {
+                                survival *= 1.0 - scratch.link_loss[i];
+                            }
+                        }
                     }
+                    let l = (1.0 - survival).clamp(0.0, 1.0).max(self.loss_floor);
+                    let cca_cap = self.env.cca.sustainable_rate_mbps(
+                        l / Self::LOSS_EVENT_BURST,
+                        self.env.rtt_s,
+                        self.env.mss_bytes,
+                        path_cap,
+                    );
+                    scratch.routes.push((mask, l, cca_cap));
+                    l
                 }
-            }
-            let l = (1.0 - survival).clamp(0.0, 1.0).max(self.loss_floor);
+            };
             scratch.agent_survival[idx] = 1.0 - l;
-            scratch.agent_cca_cap[idx] = self.env.cca.sustainable_rate_mbps(
-                l / Self::LOSS_EVENT_BURST,
-                self.env.rtt_s,
-                self.env.mss_bytes,
-                path_cap,
-            );
             worst = worst.max(l);
         }
-        for (st, &owner) in scratch
-            .streams
-            .iter_mut()
-            .take(n_agent_streams)
-            .zip(&scratch.owners)
-        {
-            st.cap_mbps = st.cap_mbps.min(scratch.agent_cca_cap[owner]);
+        // An agent entry's mask is its agent's route.
+        for st in scratch.streams.iter_mut().take(n_agent_entries) {
+            let route = scratch.routes.iter().find(|r| r.0 == st.resource_mask);
+            st.cap_mbps = st.cap_mbps.min(route.map_or(f64::INFINITY, |r| r.2));
         }
         self.current_loss = worst;
         worst
@@ -1553,6 +1621,145 @@ mod tests {
         assert_eq!(sim.settings(a).concurrency, 8);
         sim.advance(30.0);
         assert!(sim.try_instantaneous_rate_mbps(a).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn zero_connection_background_flow_counts_as_one() {
+        // The allocator and the loss model see the same one connection.
+        let run = |connections| {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 1);
+            let a = sim.add_agent();
+            assert!(sim.try_set_settings(a, AgentSettings::with_concurrency(12)));
+            sim.add_background_flow(BackgroundFlow {
+                start_s: 0.0,
+                end_s: f64::INFINITY,
+                demand_mbps: 400.0,
+                connections,
+            });
+            sim.advance(30.0);
+            let s = sim.try_take_sample(a).unwrap();
+            [s.throughput_mbps, s.loss_rate, sim.current_loss()].map(f64::to_bits)
+        };
+        assert_eq!(run(0), run(1));
+    }
+
+    /// The per-connection reference for the cohort stepper: one
+    /// `RateRamp` per connection, grown, shrunk, killed and revived the
+    /// way a plain list is, and advanced one by one toward the
+    /// simulator's per-agent rates.
+    #[derive(Default)]
+    struct PerConnection {
+        pools: Vec<Vec<RateRamp>>,
+        total: Vec<f64>,
+        instant: Vec<f64>,
+    }
+
+    impl PerConnection {
+        /// Mirror the sim's agents and pool sizes after an operation.
+        fn sync(&mut self, sim: &Simulation) {
+            for (idx, a) in sim.agents.iter().enumerate() {
+                if idx == self.pools.len() {
+                    self.pools.push(Vec::new());
+                    self.total.push(0.0);
+                    self.instant.push(0.0);
+                }
+                let pool = &mut self.pools[idx];
+                if !a.alive {
+                    pool.clear();
+                    self.instant[idx] = 0.0;
+                    continue;
+                }
+                let want = a.settings.total_connections() as usize;
+                while pool.len() < want {
+                    pool.push(RateRamp::new(sim.env.rtt_s));
+                }
+                pool.truncate(want);
+            }
+        }
+
+        /// Advance both the reference and `sim` by one segment of `dt_s`.
+        fn advance(&mut self, sim: &mut Simulation, dt_s: f64) {
+            let t_end_s = sim.time_s + dt_s;
+            let dt_s = t_end_s - sim.time_s;
+            let (routed, loss) = sim.prepare_targets();
+            let mut segment = DecayMemo::new(dt_s);
+            let mut entry = 0;
+            for (idx, _) in sim.agents.iter().enumerate().filter(|(_, a)| a.alive) {
+                let survival = if routed {
+                    sim.scratch.agent_survival[idx]
+                } else {
+                    1.0 - loss
+                };
+                let target = sim.scratch.next_rate(&mut entry, idx);
+                let (mut end, mut delivered) = (0.0, 0.0);
+                for ramp in &mut self.pools[idx] {
+                    let (e, i) = ramp.advance_integrated(target, &mut segment);
+                    end += e * survival;
+                    delivered += i * survival;
+                }
+                self.instant[idx] = end;
+                self.total[idx] += delivered;
+            }
+            sim.run_until(t_end_s);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Cohorts are per-connection ramps, bit for bit: under random
+        /// grows and shrinks (across run boundaries), kills, revives and
+        /// RTT shifts between grows, every agent's lifetime delivery and
+        /// instant rate equal a one-ramp-per-connection reference's.
+        #[test]
+        fn cohorts_match_per_connection_ramps(
+            ops in vec((0u32..6, 0usize..3, 0.0f64..1.0), 1..80),
+        ) {
+            let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 9);
+            for cc in [2, 5, 3] {
+                let h = sim.add_agent();
+                assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(cc)));
+            }
+            let mut reference = PerConnection::default();
+            reference.sync(&sim);
+            for (step, &(kind, pick, x)) in ops.iter().enumerate() {
+                let agent = AgentHandle(pick);
+                match kind {
+                    0 | 1 => reference.advance(&mut sim, 0.05 + 4.0 * x),
+                    2 => {
+                        let settings = AgentSettings {
+                            concurrency: 1 + (x * 12.0) as u32,
+                            parallelism: 1 + (x * 7.0) as u32 % 3,
+                            ..AgentSettings::default()
+                        };
+                        let _ = sim.try_set_settings(agent, settings);
+                    }
+                    3 => sim.kill_agent(agent),
+                    4 => sim.revive_agent(agent),
+                    _ => sim.apply_event_action(EventAction::RttShift {
+                        rtt_s: 0.002 + 0.15 * x,
+                    }),
+                }
+                reference.sync(&sim);
+                for (idx, a) in sim.agents.iter().enumerate() {
+                    let h = AgentHandle(idx);
+                    prop_assert_eq!(
+                        (
+                            sim.delivered_mbits_total(h).to_bits(),
+                            sim.try_instantaneous_rate_mbps(h).map(f64::to_bits),
+                        ),
+                        (
+                            reference.total[idx].to_bits(),
+                            a.alive.then_some(reference.instant[idx].to_bits()),
+                        ),
+                        "agent {} after op {} of {:?}",
+                        idx,
+                        step,
+                        ops
+                    );
+                }
+            }
+        }
     }
 
     /// Runs a sim with one mid-step event under `run_for`, advancing time

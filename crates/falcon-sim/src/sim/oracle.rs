@@ -9,7 +9,7 @@
 //! the same interior state-change times the discrete-event stepper stops
 //! at, so both agree on environment state at every instant.
 
-use super::Simulation;
+use super::{advance_runs, Simulation};
 
 /// Advance `sim` by `duration_s` in ticks of `dt_s`. Tick ends are
 /// computed as `start + i·dt_s`, never accumulated, so multi-hour runs
@@ -53,10 +53,10 @@ fn tick_to(sim: &mut Simulation, target_s: f64) {
     }
 }
 
-/// Advance each ramp by one tick and accrue goodput with the
+/// Advance each cohort by one tick and accrue goodput with the
 /// right-Riemann rule (`post_advance_rate × dt`).
 fn integrate_tick(sim: &mut Simulation, dt_s: f64, routed: bool, loss: f64) {
-    let mut cursor = 0usize;
+    let mut entry = 0usize;
     for (idx, a) in sim.agents.iter_mut().enumerate() {
         if !a.alive {
             continue;
@@ -67,14 +67,10 @@ fn integrate_tick(sim: &mut Simulation, dt_s: f64, routed: bool, loss: f64) {
         } else {
             (1.0 - loss, loss)
         };
-        let mut agg = 0.0;
-        for ramp in a.ramps.iter_mut() {
-            debug_assert_eq!(sim.scratch.owners[cursor], idx);
-            let target = sim.scratch.rates[cursor];
-            let actual = ramp.advance(target, dt_s);
-            agg += actual * survival;
-            cursor += 1;
-        }
+        let target = sim.scratch.next_rate(&mut entry, idx);
+        let (agg, _) = advance_runs(&mut a.ramps, survival, |ramp| {
+            (ramp.advance(target, dt_s), 0.0)
+        });
         a.instant_mbps = agg;
         let delivered = agg * dt_s;
         a.delivered_mb += delivered;

@@ -98,6 +98,14 @@ impl RateRamp {
         (self.rate_mbps, integral)
     }
 
+    /// Whether `other` has bit-identical rate and time constants, so that
+    /// any sequence of advances keeps the two ramps bit-identical.
+    pub fn same_state(&self, other: &RateRamp) -> bool {
+        self.rate_mbps.to_bits() == other.rate_mbps.to_bits()
+            && self.tau_up_s.to_bits() == other.tau_up_s.to_bits()
+            && self.tau_down_s.to_bits() == other.tau_down_s.to_bits()
+    }
+
     /// Force the rate (used when a connection is torn down).
     pub fn reset(&mut self) {
         self.rate_mbps = 0.0;

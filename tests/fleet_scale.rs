@@ -185,6 +185,7 @@ proptest! {
                     cap_mbps: *cap,
                     resource_mask: route.iter().fold(0u64, |m, &l| m | (1u64 << l)),
                     weight: *weight,
+                    count: 1,
                 })
                 .collect();
             let mut dense = Vec::new();

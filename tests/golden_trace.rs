@@ -20,7 +20,14 @@ use std::path::PathBuf;
 use falcon_cli::scenario::{self, Scenario};
 
 /// The scenarios with committed golden traces.
-const GOLDEN: [&str; 4] = ["link_flap", "fair_sharing", "fleet_churn", "rl_flap"];
+const GOLDEN: [&str; 6] = [
+    "link_flap",
+    "fair_sharing",
+    "fleet_churn",
+    "rl_flap",
+    "friendliness",
+    "harp_latecomer",
+];
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)

@@ -79,6 +79,7 @@ proptest! {
                 // Every stream crosses the first resource; others vary.
                 resource_mask: 0b1 | ((i as u64 % (1 << n_res)) & ((1 << n_res) - 1)),
                 weight: 1.0,
+                count: 1,
             })
             .collect();
         let mut rates = Vec::new();
@@ -103,7 +104,12 @@ proptest! {
     #[test]
     fn maxmin_symmetry(n in 1usize..60, capacity in 10.0f64..5000.0) {
         let streams = vec![
-            WeightedStreamDemand { cap_mbps: f64::INFINITY, resource_mask: 0b1, weight: 1.0 };
+            WeightedStreamDemand {
+                cap_mbps: f64::INFINITY,
+                resource_mask: 0b1,
+                weight: 1.0,
+                count: 1,
+            };
             n
         ];
         let mut rates = Vec::new();
@@ -112,6 +118,46 @@ proptest! {
         for r in rates {
             prop_assert!((r - expect).abs() < 1e-6);
         }
+    }
+
+    /// An entry of `count` k allocates exactly as k listed copies of it:
+    /// each entry's rate is bit-equal to every copy's. Non-unit weights,
+    /// finite and infinite caps, multi-resource masks.
+    #[test]
+    fn maxmin_count_equals_listed_copies(
+        entries in proptest::collection::vec(
+            // A cap drawn at or above 400 stands for an uncapped stream.
+            (1.0f64..500.0, 1u64..32, 0.1f64..3.0, 1u32..=64),
+            1..8,
+        ),
+        capacities in proptest::collection::vec(10.0f64..5000.0, 1..=5),
+    ) {
+        let n_res = capacities.len();
+        let grouped: Vec<WeightedStreamDemand> = entries
+            .iter()
+            .map(|&(cap, mask, weight, count)| WeightedStreamDemand {
+                cap_mbps: if cap >= 400.0 { f64::INFINITY } else { cap },
+                resource_mask: 1 | (mask & ((1 << n_res) - 1)),
+                weight,
+                count,
+            })
+            .collect();
+        let listed: Vec<WeightedStreamDemand> = grouped
+            .iter()
+            .flat_map(|&e| {
+                std::iter::repeat_n(WeightedStreamDemand { count: 1, ..e }, e.count as usize)
+            })
+            .collect();
+        let (mut by_entry, mut by_copy) = (Vec::new(), Vec::new());
+        weighted_max_min_allocate_into(&grouped, &capacities, &mut by_entry, &mut Default::default());
+        weighted_max_min_allocate_into(&listed, &capacities, &mut by_copy, &mut Default::default());
+        let expanded: Vec<u64> = grouped
+            .iter()
+            .zip(&by_entry)
+            .flat_map(|(e, r)| std::iter::repeat_n(r.to_bits(), e.count as usize))
+            .collect();
+        let copies: Vec<u64> = by_copy.iter().map(|r| r.to_bits()).collect();
+        prop_assert_eq!(expanded, copies);
     }
 
     /// The loss model is monotone in connection count at fixed utilization
