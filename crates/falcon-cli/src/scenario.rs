@@ -673,6 +673,15 @@ pub fn parse(text: &str) -> Result<Scenario, ParseError> {
         }
     }
     if let Some(f) = sc.fleet.as_mut().filter(|f| f.topology.is_some()) {
+        // The scale engine runs only the transfers it generates (the
+        // classic engine's per-route anchors run at `transfers = 0`), and
+        // numbers them in 32 bits.
+        if let Some(&(line_no, ..)) = seen.iter().find(|s| s.1 == "transfers") {
+            if !(1..=u32::MAX as usize).contains(&f.transfers) {
+                let msg = format!("transfers: the scale engine runs 1 to {}", u32::MAX);
+                return Err(err(line_no, format!("{msg}, got {}", f.transfers)));
+            }
+        }
         match seen.iter().find(|s| s.2 == TunerName) {
             // No `tuner` key: the scale engine's own default, spelled out so
             // the canonical form round-trips.
@@ -1609,12 +1618,26 @@ agent = 0
             ("diurnal = -0.1", "line 3: diurnal: must be in [0, 1)"),
             ("tenants = 0", "line 3: tenants: must be >= 1"),
             ("shards = 0", "line 3: shards: must be >= 1"),
+            (
+                "transfers = 0",
+                "line 3: transfers: the scale engine runs 1 to 4294967295, got 0",
+            ),
+            (
+                "transfers = 4294967296",
+                "line 3: transfers: the scale engine runs 1 to 4294967295, got 4294967296",
+            ),
         ] {
             let e = parse(&format!("[fleet]\ntopology = dtn:2x2\n{key}\n"))
                 .unwrap_err()
                 .0;
             assert!(e.starts_with(want), "{key}: {e}");
         }
+        // A count ahead of `topology` fails at its own line. The classic
+        // engine's per-route anchors still run with no churn at all.
+        let e = parse("[fleet]\ntransfers = 0\ntopology = dtn:2x2\n").unwrap_err();
+        assert!(e.0.starts_with("line 2: transfers:"), "{}", e.0);
+        let classic = parse("[fleet]\ntransfers = 0\n").unwrap();
+        assert_eq!(classic.fleet.unwrap().transfers, 0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! loop is a pure fluid-model DES — arrivals, completions, capacity
 //! changes and tuner probes are the only events, and each one re-solves
 //! *only* the dirty component of the bandwidth-sharing graph. It keeps no
-//! general event heap: arrivals and capacity events are sorted before a
-//! shard starts and probes are queued in time order, so `ShardEvents`
-//! merges those three with the departure heap by `(time, class)`.
+//! general event heap: capacity events are sorted before a shard starts,
+//! arrivals stream in from one shared generator in time order and probes
+//! are queued in time order, so `ShardEvents` merges those three with the
+//! departure heap by `(time, class)`.
 //!
 //! Sharding: routes in disjoint link components never contend, so the
 //! max-min fixed point decomposes per component. The engine groups
@@ -31,6 +32,7 @@ use falcon_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 use crate::topology::ScaleTopology;
 use crate::tuner::FleetTuner;
@@ -71,7 +73,7 @@ pub enum ScaleTuner {
 /// triple always generates the identical arrival sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleWorkload {
-    /// Total arrivals to generate.
+    /// Total arrivals to generate (at most `u32::MAX`).
     pub transfers: usize,
     /// Base mean arrival rate (per minute) before diurnal modulation.
     pub arrivals_per_min: f64,
@@ -240,18 +242,24 @@ impl ScaleCampaignSpec {
     }
 }
 
-/// One generated arrival.
-#[derive(Debug, Clone, Copy)]
+/// One generated arrival, 24 bytes: the record the feeder queues.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Arrival {
     t_s: f64,
-    route: u32,
     size_mbits: f64,
+    /// The global route as generated; the owner shard's local route once
+    /// queued.
+    route: u32,
+    /// Global arrival index. It seeds the transfer's tuner, so the seed
+    /// stream is shard-invariant.
+    index: u32,
 }
 
-/// Generate the arrival sequence: inhomogeneous Poisson by thinning
-/// (diurnal curve), tenant-churn suppression, uniform route choice,
-/// uniform size spread. Sorted by time by construction.
-fn generate_arrivals(spec: &ScaleCampaignSpec) -> Vec<Arrival> {
+/// The arrival stream: inhomogeneous Poisson by thinning (diurnal curve),
+/// tenant-churn suppression, uniform route choice, uniform size spread.
+/// Time-sorted by construction; it ends at `transfers` arrivals (at most
+/// `u32::MAX`) or the horizon, whichever comes first.
+fn generate_arrivals(spec: &ScaleCampaignSpec) -> impl Iterator<Item = Arrival> + '_ {
     let w = &spec.workload;
     debug_assert!(w.arrivals_per_min > 0.0 && w.mean_file_mb > 0.0);
     debug_assert!((0.0..1.0).contains(&w.diurnal));
@@ -259,14 +267,13 @@ fn generate_arrivals(spec: &ScaleCampaignSpec) -> Vec<Arrival> {
     let base_per_s = w.arrivals_per_min / 60.0;
     let max_per_s = base_per_s * (1.0 + w.diurnal);
     let tenants = w.tenants.max(1);
-    let mut out = Vec::with_capacity(w.transfers);
     let mut t = 0.0f64;
-    while out.len() < w.transfers {
+    let admitted = std::iter::from_fn(move || loop {
         let u: f64 = rng.gen::<f64>().max(1e-12);
         // falcon-lint::allow(float-time-accum, reason = "Poisson arrival times are cumulative sums of exponentials by definition; no closed-form grid exists")
         t += -u.ln() / max_per_s;
         if t > spec.duration_s {
-            break;
+            return None; // and again on every later call: `t` only grows
         }
         // Thinning against the diurnal curve. Every draw below happens
         // unconditionally so the rng stream is independent of the curve
@@ -287,13 +294,50 @@ fn generate_arrivals(spec: &ScaleCampaignSpec) -> Vec<Arrival> {
                 continue;
             }
         }
-        out.push(Arrival {
-            t_s: t,
+        return Some((t, route, w.mean_file_mb * (0.25 + 1.5 * spread) * 8.0));
+    });
+    let indices = 0..w.transfers.min(u32::MAX as usize) as u32;
+    indices
+        .zip(admitted)
+        .map(|(index, (t_s, route, size_mbits))| Arrival {
+            t_s,
+            size_mbits,
             route,
-            size_mbits: w.mean_file_mb * (0.25 + 1.5 * spread) * 8.0,
-        });
+            index,
+        })
+}
+
+/// Arrivals per refill of the feeder.
+const ARRIVAL_BLOCK: usize = 4096;
+
+/// The one arrival stream, shared by the shards and drawn on demand:
+/// memory holds only the arrivals generated and not yet fired.
+struct Feeder<I: Iterator<Item = Arrival>> {
+    arrivals: std::iter::Peekable<I>,
+    /// Arrivals generated so far.
+    generated: u32,
+    /// `(shard, local route)` per global route.
+    home: Vec<(u32, u32)>,
+    /// Per shard, the arrivals generated for it and not yet handed over.
+    queues: Vec<VecDeque<Arrival>>,
+    block: usize,
+}
+
+impl<I: Iterator<Item = Arrival>> Feeder<I> {
+    /// Hand `shard` its queued arrivals in exchange for its drained
+    /// `mine`, first generating blocks of the stream, in global order,
+    /// until it has one. `mine` stays empty once the stream has ended.
+    fn refill(&mut self, shard: usize, mine: &mut VecDeque<Arrival>) {
+        while self.queues[shard].is_empty() && self.arrivals.peek().is_some() {
+            for mut a in self.arrivals.by_ref().take(self.block) {
+                let (owner, local) = self.home[a.route as usize];
+                a.route = local;
+                self.queues[owner as usize].push_back(a);
+                self.generated += 1;
+            }
+        }
+        std::mem::swap(&mut self.queues[shard], mine);
     }
-    out
 }
 
 /// Self-contained input for one shard's DES (owned, `Send`).
@@ -308,10 +352,6 @@ struct ShardInput {
     /// allocator seam).
     route_links: Vec<Vec<u32>>,
     route_weight: Vec<f64>,
-    /// This shard's arrivals `(t, local route, size_mbits, global
-    /// arrival index)`, time-sorted. The global index seeds the
-    /// transfer's tuner, so the seed stream is shard-invariant.
-    arrivals: Vec<(f64, u32, f64, u64)>,
     /// Capacity events `(t, local link, new capacity)`, stably time-sorted.
     cap_events: Vec<(f64, u32, f64)>,
     /// Per-connection rate cap (the stream cap is `cc × per_conn_cap`).
@@ -379,9 +419,9 @@ pub struct ScaleReport {
     /// Peak engine-state bytes (allocator arena + transfer SoA) summed
     /// over shards.
     pub arena_bytes: usize,
-    /// Sum of per-shard peak pending-event counts. Bounded by arrivals +
-    /// capacity events + two entries (a departure, a probe) per
-    /// concurrent transfer; reported as the `fleet.scale.peak_queue`
+    /// Sum of per-shard peak pending-event counts. Bounded by capacity
+    /// events + one arrival per shard + two entries (a departure, a probe)
+    /// per concurrent transfer; reported as the `fleet.scale.peak_queue`
     /// trace counter, not in [`summary`](ScaleReport::summary).
     pub peak_queue: u64,
     /// Per-link `(name, mean utilization vs baseline over the makespan)`,
@@ -463,7 +503,12 @@ pub fn run_scale_campaign_traced(
     threads: usize,
     tracer: &Tracer,
 ) -> ScaleReport {
-    let arrivals = generate_arrivals(spec);
+    run(spec, threads, tracer, ARRIVAL_BLOCK)
+}
+
+/// [`run_scale_campaign_traced`], the feeder generating `block` arrivals
+/// at a time.
+fn run(spec: &ScaleCampaignSpec, threads: usize, tracer: &Tracer, block: usize) -> ScaleReport {
     let comps = spec.topology.route_components();
     let n_comp = comps.iter().copied().max().map(|m| m + 1).unwrap_or(0);
     let shards = spec.shards.clamp(1, n_comp.max(1));
@@ -482,7 +527,7 @@ pub fn run_scale_campaign_traced(
         .collect();
     let mut local_link = vec![u32::MAX; n_links];
     let mut link_shard = vec![u32::MAX; n_links];
-    let mut local_route = vec![u32::MAX; spec.topology.routes.len()];
+    let mut home = Vec::with_capacity(spec.topology.routes.len());
     for (ri, route) in spec.topology.routes.iter().enumerate() {
         let sh = comps[ri] % shards;
         let input = &mut shard_inputs[sh as usize];
@@ -501,7 +546,7 @@ pub fn run_scale_campaign_traced(
                 local_link[g as usize]
             })
             .collect();
-        local_route[ri] = input.route_links.len() as u32;
+        home.push((sh, input.route_links.len() as u32));
         input.route_links.push(links);
         // TCP's RTT bias: weight ∝ connections / RTT, normalized to a
         // 20 ms reference so classic fleet weights carry over, clamped
@@ -512,15 +557,6 @@ pub fn run_scale_campaign_traced(
         input
             .route_weight
             .push((0.020 / route.rtt_s.max(1e-4)).min(50.0));
-    }
-    for (gi, a) in arrivals.iter().enumerate() {
-        let sh = comps[a.route as usize] % shards;
-        shard_inputs[sh as usize].arrivals.push((
-            a.t_s,
-            local_route[a.route as usize],
-            a.size_mbits,
-            gi as u64,
-        ));
     }
     // Outage edges per shard: `(time, local link, factor, onset)`.
     let mut edges: Vec<Vec<(f64, u32, f64, bool)>> = vec![Vec::new(); shards as usize];
@@ -562,7 +598,7 @@ pub fn run_scale_campaign_traced(
         topology: spec.topology.name.clone(),
         shards,
         seed: spec.seed,
-        transfers: arrivals.len() as u64,
+        transfers: 0,
         completions: 0,
         stranded: 0,
         bytes_gb: 0.0,
@@ -576,12 +612,22 @@ pub fn run_scale_campaign_traced(
         peak_queue: 0,
         links: Vec::new(),
     };
+    let feeder = Mutex::new(Feeder {
+        arrivals: generate_arrivals(spec).peekable(),
+        generated: 0,
+        home,
+        queues: vec![VecDeque::new(); shards as usize],
+        block,
+    });
+    // A poisoned lock only means another shard panicked, which `fan_out`
+    // propagates; the feeder's queues stay whole.
+    let feeder_lock = || feeder.lock().unwrap_or_else(PoisonError::into_inner);
     let mut duration_sum = 0.0f64;
     let mut busy: Vec<(u32, f64)> = Vec::new();
     let mut report = falcon_par::fan_out_fold(
         shard_inputs,
         threads,
-        |_, input| run_shard(&input),
+        |shard, input| run_shard(&input, &mut |mine| feeder_lock().refill(shard, mine)),
         zero,
         |mut acc, out| {
             acc.completions += out.completions;
@@ -599,6 +645,8 @@ pub fn run_scale_campaign_traced(
             acc
         },
     );
+    // Every shard drained its arrivals, so the stream has ended.
+    report.transfers = u64::from(feeder_lock().generated);
     report.mean_duration_s = if report.completions > 0 {
         duration_sum / report.completions as f64
     } else {
@@ -636,40 +684,68 @@ const EV_ARRIVE: u8 = 1;
 const EV_DEPART: u8 = 2;
 const EV_PROBE: u8 = 3;
 
+/// A fired event: a capacity change `(local link, capacity)`, an arrival,
+/// a departure `(stream id)` or a probe `(stream id, generation)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
+    Cap(u32, f64),
+    Arrive(Arrival),
+    Depart(u32),
+    Probe(u32, u32),
+}
+
+/// Hands a shard's drained arrival buffer its next arrivals, in time
+/// order; leaves it empty once the shard has none left.
+type Refill<'a> = &'a mut dyn FnMut(&mut VecDeque<Arrival>);
+
 /// A shard's pending events: an ordered merge of four sources that are
 /// each in `(time, insertion)` order already. One class per source, so
 /// firing the head with the smallest `(time, class)` drains in the
 /// `(time, class, insertion)` order one heap holding all four would
 /// (`merge_order` tests exactly that), without sifting every probe
-/// through a heap as deep as the arrivals still to come.
+/// through a heap.
 #[derive(Default)]
 struct ShardEvents<'a> {
-    /// The shard's capacity events and arrivals, and how many have fired.
+    /// The shard's capacity events, and how many have fired.
     cap_events: &'a [(f64, u32, f64)],
-    arrivals: &'a [(f64, u32, f64, u64)],
     caps_fired: usize,
-    arrivals_fired: usize,
+    /// Arrivals handed over, refilled the moment they drain: the front
+    /// one is the shard's next arrival, in hand.
+    arrivals: VecDeque<Arrival>,
     departures: KeyedEventQueue,
     /// `(time, stream id, probe generation)` in push order. A probe its
     /// transfer did not wait for stays queued, its generation now stale.
     probes: VecDeque<(f64, u32, u32)>,
+    /// Queued probes whose transfer has departed: dead entries, which
+    /// `len` does not count.
+    stale_probes: usize,
 }
 
 impl ShardEvents<'_> {
-    /// Events yet to fire, over all four sources.
-    fn len(&self) -> usize {
-        (self.cap_events.len() - self.caps_fired)
-            + (self.arrivals.len() - self.arrivals_fired)
-            + self.departures.len()
-            + self.probes.len()
+    /// Take the next arrival in hand if there is none. This runs at start
+    /// and right after each arrival fires, so `len` never counts one short.
+    fn prefetch(&mut self, refill: Refill<'_>) {
+        if self.arrivals.is_empty() {
+            refill(&mut self.arrivals);
+        }
     }
 
-    /// Remove the next event: `(time, class, key, probe generation)`; the
-    /// key indexes `cap_events` or `arrivals`, or else is the stream id.
-    fn pop(&mut self) -> Option<(f64, u8, u32, u32)> {
+    /// Events yet to fire that will act, over all four sources. Of the
+    /// arrivals only the one in hand counts: how many are buffered behind
+    /// it depends on which thread generated them when.
+    fn len(&self) -> usize {
+        (self.cap_events.len() - self.caps_fired)
+            + usize::from(!self.arrivals.is_empty())
+            + self.departures.len()
+            + (self.probes.len() - self.stale_probes)
+    }
+
+    /// Remove the next event and its time, taking the next arrival in
+    /// hand from `refill` when one fires.
+    fn pop(&mut self, refill: Refill<'_>) -> Option<(f64, Event)> {
         let heads = [
             self.cap_events.get(self.caps_fired).map(|e| e.0),
-            self.arrivals.get(self.arrivals_fired).map(|a| a.0),
+            self.arrivals.front().map(|a| a.t_s),
             self.departures.peek().map(|(t, _)| t),
             self.probes.front().map(|p| p.0),
         ];
@@ -679,17 +755,25 @@ impl ShardEvents<'_> {
             .zip(heads)
             .filter_map(|(class, head)| Some((head?, class)))
             .min_by(|a, b| a.0.total_cmp(&b.0))?;
-        let advance = |fired: &mut usize| {
-            *fired += 1;
-            (*fired as u32 - 1, 0)
+        let event = match class {
+            EV_CAP => {
+                let &(_, link, cap) = self.cap_events.get(self.caps_fired)?;
+                self.caps_fired += 1;
+                Event::Cap(link, cap)
+            }
+            EV_ARRIVE => {
+                let a = self.arrivals.pop_front()?;
+                self.prefetch(refill);
+                Event::Arrive(a)
+            }
+            EV_DEPART => Event::Depart(self.departures.pop()?.2),
+            _ => {
+                debug_assert_eq!(class, EV_PROBE);
+                let (_, id, gen) = self.probes.pop_front()?;
+                Event::Probe(id, gen)
+            }
         };
-        let (key, gen) = match class {
-            EV_CAP => advance(&mut self.caps_fired),
-            EV_ARRIVE => advance(&mut self.arrivals_fired),
-            EV_DEPART => (self.departures.pop()?.2, 0),
-            _ => self.probes.pop_front().map(|(_, id, gen)| (id, gen))?,
-        };
-        Some((t, class, key, gen))
+        Some((t, event))
     }
 
     /// Start transfer `id`'s next probe interval at `t`: note what it has
@@ -784,15 +868,15 @@ impl TransferSoa {
 /// prediction per transfer with a non-zero rate (moved when the rate
 /// changes, withdrawn when it drops to zero — `departures` never holds
 /// a superseded entry), and lazy per-link busy integrals. Pending
-/// events are therefore bounded by what is yet to arrive plus two per
-/// live transfer, whatever the churn before.
-fn run_shard(input: &ShardInput) -> ShardOutcome {
+/// events are therefore bounded by the capacity events yet to fire, the
+/// next arrival and two per live transfer, whatever the churn before.
+fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
     let mut alloc = IncrementalMaxMin::with_links(&input.caps);
     let mut events = ShardEvents {
         cap_events: &input.cap_events,
-        arrivals: &input.arrivals,
         ..ShardEvents::default()
     };
+    events.prefetch(refill);
 
     let mut soa = TransferSoa::default();
     let mut load = vec![0.0f64; input.caps.len()];
@@ -819,23 +903,19 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
 
     loop {
         out.peak_queue = out.peak_queue.max(events.len() as u64);
-        let Some((t, class, key, gen)) = events.pop() else {
+        let Some((t, event)) = events.pop(refill) else {
             break;
         };
-        match class {
-            EV_CAP => {
-                let (_, link, cap) = input.cap_events[key as usize];
-                alloc.set_capacity(link, cap);
-            }
-            EV_ARRIVE => {
-                let (_, route, size_mbits, gidx) = input.arrivals[key as usize];
-                let r = route as usize;
+        match event {
+            Event::Cap(link, cap) => alloc.set_capacity(link, cap),
+            Event::Arrive(arrival) => {
+                let r = arrival.route as usize;
                 let mut cc = input.concurrency;
                 let mut agent = None;
                 if let ScaleTuner::Rl(kind) = input.tuner {
                     let a = kind.agent(
                         input.concurrency,
-                        falcon_par::task_seed(input.seed, gidx as usize),
+                        falcon_par::task_seed(input.seed, arrival.index as usize),
                     );
                     cc = a.initial_settings().concurrency.clamp(1, input.concurrency);
                     agent = Some(a);
@@ -847,12 +927,12 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 );
                 let i = id as usize;
                 soa.ensure(i, rl);
-                soa.remaining[i] = size_mbits;
+                soa.remaining[i] = arrival.size_mbits;
                 soa.last_t[i] = t;
                 soa.started[i] = t;
-                soa.size_mbits[i] = size_mbits;
+                soa.size_mbits[i] = arrival.size_mbits;
                 soa.rate[i] = 0.0;
-                soa.route[i] = route;
+                soa.route[i] = arrival.route;
                 soa.live[i] = true;
                 if let Some(a) = agent {
                     soa.agent[i] = Some(a);
@@ -866,8 +946,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                     out.arena_bytes = out.arena_bytes.max(state);
                 }
             }
-            EV_DEPART => {
-                let id = key;
+            Event::Depart(id) => {
                 let i = id as usize;
                 debug_assert!(soa.live[i] && soa.rate[i] > 0.0);
                 let dt = t - soa.last_t[i];
@@ -892,6 +971,7 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 soa.live[i] = false;
                 if rl {
                     soa.agent[i] = None; // free the tuner before id reuse
+                    events.stale_probes += usize::from(soa.probe_armed[i]);
                     soa.probe_armed[i] = false;
                 }
                 active -= 1;
@@ -906,12 +986,11 @@ fn run_shard(input: &ShardInput) -> ShardOutcome {
                 soa.rate[i] = 0.0;
                 alloc.remove_stream(id);
             }
-            _ => {
-                debug_assert_eq!(class, EV_PROBE);
-                let id = key;
+            Event::Probe(id, gen) => {
                 let i = id as usize;
                 if !soa.live[i] || soa.probe_gen[i] != gen {
-                    continue; // departed transfer, reused id, or re-armed probe
+                    events.stale_probes -= 1;
+                    continue; // departed transfer, or its id reused
                 }
                 // Fold the lazy integral to now so the probe measures the
                 // exact mbits delivered since the last decision.
@@ -1162,14 +1241,11 @@ mod tests {
         spec.workload.tenants = 4;
         spec.workload.tenant_rotation_s = 15.0;
         spec.workload.transfers = 100_000; // horizon-capped instead
-        let a = generate_arrivals(&spec);
-        let b = generate_arrivals(&spec);
+        let a: Vec<Arrival> = generate_arrivals(&spec).collect();
+        let b: Vec<Arrival> = generate_arrivals(&spec).collect();
         assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        assert!(a
-            .iter()
-            .zip(&b)
-            .all(|(x, y)| x.t_s == y.t_s && x.route == y.route && x.size_mbits == y.size_mbits));
+        assert_eq!(a, b);
+        assert!(a.iter().zip(0..).all(|(x, i)| x.index == i));
         // Thinning + churn admit fewer arrivals than the homogeneous rate.
         let expected_max = spec.workload.arrivals_per_min / 60.0 * spec.duration_s;
         assert!((a.len() as f64) < expected_max);
@@ -1241,6 +1317,35 @@ mod tests {
         assert_eq!(r.stranded, 0, "recovered outage must not strand");
         assert_eq!(r.completions, r.transfers);
         assert!(r.probes > 0);
+    }
+
+    /// Which thread generates which block, and how many arrivals each
+    /// shard has buffered, moves no number of the report, `peak_queue`
+    /// included: it counts the one arrival a shard holds in hand.
+    #[test]
+    fn reports_do_not_depend_on_threads_or_feeder_blocks() {
+        assert_eq!(std::mem::size_of::<Arrival>(), 24, "the queued record");
+        let mut fat_tree = ScaleCampaignSpec::fat_tree_local(4, 800, 11);
+        fat_tree.workload.arrivals_per_min = 6_000.0;
+        fat_tree.failures = correlated_failure_waves(&fat_tree.topology, 2, 8.0);
+        for spec in [rl_spec(RlKind::Bandit), fat_tree] {
+            let want = run_scale_campaign(&spec, 1);
+            for threads in [1, 2, 3, 8] {
+                for block in [1, 7, 4096] {
+                    let got = run(&spec, threads, &Tracer::disabled(), block);
+                    assert_eq!(got, want, "{threads} threads, blocks of {block}");
+                }
+            }
+        }
+        // Transfers that never overlap: the pending peak is the arrival
+        // in hand and the departure of the transfer before it.
+        let mut sparse = small_spec();
+        sparse.workload.arrivals_per_min = 0.1;
+        sparse.workload.transfers = 10;
+        sparse.duration_s = 1e6;
+        sparse.shards = 1;
+        let r = run(&sparse, 1, &Tracer::disabled(), 1);
+        assert_eq!((r.transfers, r.peak_active, r.peak_queue), (10, 1, 2));
     }
 
     #[test]
