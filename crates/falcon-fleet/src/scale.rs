@@ -9,7 +9,9 @@
 //! departure, no per-transfer allocation after warm-up), and the event
 //! loop is a pure fluid-model DES — arrivals, completions, capacity
 //! changes and tuner probes are the only events, and each one re-solves
-//! *only* the dirty component of the bandwidth-sharing graph. It keeps no
+//! *only* the dirty component of the bandwidth-sharing graph, except a
+//! tuner's re-rate on an unsaturated route, which the allocator applies
+//! in place with no solve at all. It keeps no
 //! general event heap: capacity events are sorted before a shard starts,
 //! arrivals stream in from one shared generator in time order and probes
 //! are queued in time order, so `ShardEvents` merges those three with the
@@ -375,6 +377,7 @@ struct ShardOutcome {
     makespan_s: f64,
     solves: u64,
     streams_resolved: u64,
+    in_place: u64,
     probes: u64,
     arena_bytes: usize,
     peak_queue: u64,
@@ -408,11 +411,16 @@ pub struct ScaleReport {
     /// Sum of per-shard peak concurrent transfers (an upper bound on the
     /// global peak; shards peak at different instants).
     pub peak_active: u32,
-    /// Incremental-allocator solve calls across shards.
+    /// Incremental-allocator full solves across shards (re-rates applied
+    /// in place are not solves).
     pub solves: u64,
-    /// Streams re-solved across all solves (a dense allocator would pay
-    /// `active × solves`).
+    /// Streams re-solved across all full solves (a dense allocator would
+    /// pay `active × solves`).
     pub streams_resolved: u64,
+    /// Tuner re-rates the allocator applied in place, with no solve;
+    /// reported as the `fleet.scale.in_place` trace counter, not in
+    /// [`summary`](ScaleReport::summary).
+    pub in_place: u64,
     /// Tuner probe decisions taken across shards (0 under
     /// [`ScaleTuner::Fixed`]).
     pub probes: u64,
@@ -607,6 +615,7 @@ fn run(spec: &ScaleCampaignSpec, threads: usize, tracer: &Tracer, block: usize) 
         peak_active: 0,
         solves: 0,
         streams_resolved: 0,
+        in_place: 0,
         probes: 0,
         arena_bytes: 0,
         peak_queue: 0,
@@ -638,6 +647,7 @@ fn run(spec: &ScaleCampaignSpec, threads: usize, tracer: &Tracer, block: usize) 
             acc.peak_active += out.peak_active;
             acc.solves += out.solves;
             acc.streams_resolved += out.streams_resolved;
+            acc.in_place += out.in_place;
             acc.probes += out.probes;
             acc.arena_bytes += out.arena_bytes;
             acc.peak_queue += out.peak_queue;
@@ -670,6 +680,7 @@ fn run(spec: &ScaleCampaignSpec, threads: usize, tracer: &Tracer, block: usize) 
     tracer.add("fleet.scale.stranded", report.stranded);
     tracer.add("fleet.scale.solves", report.solves);
     tracer.add("fleet.scale.streams_resolved", report.streams_resolved);
+    tracer.add("fleet.scale.in_place", report.in_place);
     tracer.add("fleet.scale.probes", report.probes);
     tracer.add("fleet.scale.peak_queue", report.peak_queue);
     report
@@ -892,6 +903,7 @@ fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
         makespan_s: 0.0,
         solves: 0,
         streams_resolved: 0,
+        in_place: 0,
         probes: 0,
         arena_bytes: 0,
         peak_queue: 0,
@@ -1024,11 +1036,13 @@ fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
                 if new_cc != soa.cc[i] {
                     soa.cc[i] = new_cc;
                     let r = soa.route[i] as usize;
-                    alloc.update_stream(
+                    if alloc.update_stream(
                         id,
                         f64::from(new_cc) * input.per_conn_cap,
                         f64::from(new_cc) * input.route_weight[r],
-                    );
+                    ) {
+                        affected.push(id); // re-rated in place: no solve
+                    }
                 }
                 events.arm_probe(&mut soa, id, t);
             }
@@ -1037,8 +1051,9 @@ fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
         // a probe for a departed or stranded transfer `continue`d above —
         // so the makespan ends at the last real event.
         out.makespan_s = t;
-        // Re-solve only the dirty component; apply the rate deltas.
-        affected.clear();
+        // Re-solve only the dirty component (a re-rate applied in place
+        // left nothing dirty and queued its stream above); apply the rate
+        // deltas.
         affected.extend_from_slice(alloc.solve());
         for &sid in &affected {
             let i = sid as usize;
@@ -1073,9 +1088,11 @@ fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
                 events.departures.remove(sid);
             }
         }
+        affected.clear();
     }
     out.solves = alloc.solves;
     out.streams_resolved = alloc.streams_resolved;
+    out.in_place = alloc.in_place;
     out.stranded = u64::from(active);
     for (l, &g) in input.global_link.iter().enumerate() {
         let settled = busy[l] + load[l] * (out.makespan_s - link_last_t[l]);
@@ -1357,6 +1374,15 @@ mod tests {
         assert_eq!(log.counter("fleet.scale.transfers"), Some(r.transfers));
         assert_eq!(log.counter("fleet.scale.completions"), Some(r.completions));
         assert_eq!(log.counter("fleet.scale.solves"), Some(r.solves));
+        assert_eq!(
+            log.counter("fleet.scale.in_place"),
+            Some(0),
+            "fixed never re-rates"
+        );
+        let r = run_scale_campaign_traced(&rl_spec(RlKind::Bandit), 2, &tracer);
+        let log = tracer.take_log();
+        assert!(r.in_place > 0);
+        assert_eq!(log.counter("fleet.scale.in_place"), Some(r.in_place));
     }
 
     #[test]

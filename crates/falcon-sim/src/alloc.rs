@@ -182,7 +182,9 @@ pub fn weighted_max_min_allocate_into(
 /// [`solve`](IncrementalMaxMin::solve) call expands the dirty worklist to
 /// the closure of links reachable through shared streams and re-runs
 /// progressive filling over that *affected component only*, leaving every
-/// other stream's cached rate untouched.
+/// other stream's cached rate untouched. A re-rate whose answer is already
+/// known — a cap-bound stream on unsaturated links — is applied in place
+/// and marks nothing.
 ///
 /// Invariant: a link's member list holds exactly the live streams whose
 /// route crosses it, once per crossing — `remove_stream` takes the
@@ -224,12 +226,22 @@ pub struct IncrementalMaxMin {
     remaining: Vec<f64>,
     active_w: Vec<f64>,
     frozen: Vec<bool>,
-    /// Number of [`solve`](IncrementalMaxMin::solve) calls that did work.
+    /// Number of [`solve`](IncrementalMaxMin::solve) calls that did work:
+    /// full solves only, not re-rates applied in place.
     pub solves: u64,
-    /// Total streams re-solved across all solve calls (the incremental
+    /// Total streams re-solved across all full solves (the incremental
     /// cost metric: dense re-solves would count `live × solves`).
     pub streams_resolved: u64,
+    /// Number of [`update_stream`](IncrementalMaxMin::update_stream) calls
+    /// applied in place, with no solve.
+    pub in_place: u64,
 }
+
+/// Slack (Mbps) that every link of a stream's route must keep, before and
+/// after a re-rate, for [`IncrementalMaxMin::update_stream`] to apply it in
+/// place. Far above the solver's 1e-9 freeze tolerance, so a link this
+/// calls unsaturated is one the solver never froze a stream at.
+const IN_PLACE_SLACK_MBPS: f64 = 1e-6;
 
 impl IncrementalMaxMin {
     /// An allocator over `capacities.len()` links with no streams.
@@ -326,21 +338,46 @@ impl IncrementalMaxMin {
         id
     }
 
-    /// Change a live stream's cap/weight in place (marks its links dirty).
-    pub fn update_stream(&mut self, id: u32, cap_mbps: f64, weight: f64) {
+    /// Change a live stream's cap/weight. Returns `true` when the change is
+    /// applied in place: the stream now runs at its new cap, no other rate
+    /// moved and nothing is dirty, so the caller applies this one stream's
+    /// rate delta instead of a [`solve`](IncrementalMaxMin::solve). That
+    /// holds for an empty route, and for a stream held by its own cap,
+    /// nothing dirty, whose every link (each named once) keeps more than
+    /// `IN_PLACE_SLACK_MBPS` of slack before and after the change: a
+    /// cap-bound stream on unsaturated links constrains no other stream.
+    /// Otherwise marks the route's links dirty and returns `false`.
+    pub fn update_stream(&mut self, id: u32, cap_mbps: f64, weight: f64) -> bool {
         debug_assert!(weight > 0.0, "weights must be positive");
         let i = id as usize;
         debug_assert!(self.alive[i], "update of a departed stream");
-        if self.cap[i] != cap_mbps || self.weight[i] != weight {
-            self.cap[i] = cap_mbps;
-            self.weight[i] = weight;
-            if self.links_of[i].is_empty() {
-                self.rate[i] = if cap_mbps.is_finite() { cap_mbps } else { 0.0 };
-            }
+        if self.cap[i] == cap_mbps && self.weight[i] == weight {
+            return false;
+        }
+        let (old_cap, rate) = (self.cap[i], self.rate[i]);
+        self.cap[i] = cap_mbps;
+        self.weight[i] = weight;
+        let route = &self.links_of[i];
+        // The solver's own freeze tests: held at the old cap, and every
+        // link unsaturated with the new cap's extra demand taken too.
+        let in_place = route.is_empty()
+            || (self.dirty.is_empty()
+                && rate >= old_cap - 1e-9
+                && route.iter().all(|&l| {
+                    let l = l as usize;
+                    let used: f64 = self.members[l].iter().map(|&m| self.rate[m as usize]).sum();
+                    let slack = self.capacity[l] - used;
+                    slack > IN_PLACE_SLACK_MBPS && slack - (cap_mbps - rate) > IN_PLACE_SLACK_MBPS
+                }));
+        if in_place {
+            self.rate[i] = if cap_mbps.is_finite() { cap_mbps } else { 0.0 };
+            self.in_place += 1;
+        } else {
             for k in 0..self.links_of[i].len() {
                 self.mark_dirty(self.links_of[i][k]);
             }
         }
+        in_place
     }
 
     /// Retire a stream: its membership entries are removed, its links go
@@ -769,6 +806,41 @@ mod tests {
         inc.set_capacity(0, 50.0);
         assert!(inc.solve().is_empty());
         assert_eq!(inc.solves, 1);
+    }
+
+    #[test]
+    fn empty_route_rerate_is_reported_in_place() {
+        // Nothing goes dirty, so `solve()` reports nothing: the `true`
+        // return is how a caller learns the rate moved.
+        let mut inc = IncrementalMaxMin::with_links(&[100.0]);
+        let free = inc.add_stream(33.0, 1.0, &[]);
+        assert!(inc.update_stream(free, 12.0, 2.0));
+        assert_eq!(inc.rate(free), 12.0);
+        assert!(inc.dirty_links().is_empty());
+        assert!(inc.solve().is_empty());
+        assert_eq!((inc.solves, inc.in_place), (0, 1));
+    }
+
+    #[test]
+    fn rerate_applies_in_place_only_while_the_route_keeps_slack() {
+        let mut inc = IncrementalMaxMin::with_links(&[100.0, 60.0]);
+        let a = inc.add_stream(20.0, 1.0, &[0, 1]);
+        let b = inc.add_stream(30.0, 1.0, &[1]);
+        inc.solve();
+        // Link 1 carries 50 of 60: `a` grows by less than the 10 in place,
+        // and its new weight is stored for later solves.
+        assert!(inc.update_stream(a, 25.0, 3.0));
+        assert_eq!(inc.rate(a), 25.0);
+        assert!(inc.solve().is_empty());
+        // Growing past the slack saturates link 1: a full solve, at the
+        // stored weights (3:1 until `a` caps at 40, then `b` takes 20).
+        assert!(!inc.update_stream(a, 40.0, 3.0));
+        assert_eq!(inc.dirty_links(), &[0, 1]);
+        inc.solve();
+        assert!((inc.rate(a) - 40.0).abs() < 1e-9 && (inc.rate(b) - 20.0).abs() < 1e-9);
+        // `b` is held by the saturated link, not by its cap.
+        assert!(!inc.update_stream(b, 25.0, 1.0));
+        assert_eq!((inc.solves, inc.in_place), (2, 1));
     }
 
     #[test]

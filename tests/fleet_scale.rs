@@ -6,8 +6,9 @@
 //!    from-scratch solve (and, for ≤64 links, with the mask-based
 //!    `weighted_max_min_allocate_into`) to 1e-9 relative tolerance, across
 //!    random topologies, memberships, and dirty-set sequences —
-//!    including empty links and single-member components — and a solve
-//!    touches exactly the connected components of the dirty links.
+//!    including empty links and single-member components, and re-rates
+//!    applied in place — and a solve touches exactly the connected
+//!    components of the dirty links.
 //! 2. **Differential**: a sharded 10⁵-transfer fat-tree campaign
 //!    produces byte-identical summaries at 1, 4, and 8 threads.
 //! 3. **Live-state bounds**: allocator work and memory stay flat over
@@ -72,6 +73,38 @@ fn decode_op((kind, a, b, bits): RawOp) -> Op {
     }
 }
 
+/// Map a raw draw onto an op whose caps mostly sit far under a link's
+/// capacity (5–100 Mbps) and one draw in five near or over it
+/// (400–2500 Mbps), so re-rates land on both sides of saturation. Kinds
+/// 0..3 add, 3 removes, 4 rescales a link (50–2000 Mbps), 5..8 update.
+fn decode_slack_op((kind, a, b, bits): RawOp) -> Op {
+    let cap = if a < 0.8 {
+        5.0 + 118.75 * a
+    } else {
+        400.0 + 10_500.0 * (a - 0.8)
+    };
+    let weight = 0.1 + 7.9 * b;
+    match kind {
+        0..=2 => Op::Add {
+            cap,
+            weight,
+            route: bits,
+        },
+        3 => Op::Remove {
+            pick: bits as usize,
+        },
+        4 => Op::SetCap {
+            link: bits as usize,
+            cap: 50.0 + 1950.0 * a,
+        },
+        _ => Op::Update {
+            pick: bits as usize,
+            cap,
+            weight,
+        },
+    }
+}
+
 fn raw_ops(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<RawOp>> {
     proptest::collection::vec((0u32..8, 0.0f64..1.0, 0.0f64..1.0, 0u64..u64::MAX), n)
 }
@@ -91,14 +124,16 @@ fn route_from_bits(bits: u64, n_links: usize) -> Vec<u32> {
 type Shadow = (u32, f64, f64, Vec<u32>);
 
 /// Apply `op` to the allocator and to the shadow state. An added stream's
-/// route is cut to `hops(selector bits)` links.
+/// route is cut to `hops(selector bits)` links. Returns whether the op was
+/// a re-rate the allocator applied in place, which leaves the stream at
+/// exactly its new cap.
 fn apply_op(
     inc: &mut IncrementalMaxMin,
     live: &mut Vec<Shadow>,
     link_caps: &mut [f64],
     op: &Op,
     hops: fn(u64) -> usize,
-) {
+) -> bool {
     match op {
         Op::Add {
             cap,
@@ -126,10 +161,25 @@ fn apply_op(
                 let i = pick % live.len();
                 live[i].1 = *cap;
                 live[i].2 = *weight;
-                inc.update_stream(live[i].0, *cap, *weight);
+                if inc.update_stream(live[i].0, *cap, *weight) {
+                    assert_eq!(inc.rate(live[i].0), *cap, "in place, off its cap");
+                    return true;
+                }
             }
         }
     }
+    false
+}
+
+/// Every live stream's rate from a fresh allocator solving from scratch.
+fn from_scratch(live: &[Shadow], link_caps: &[f64]) -> Vec<f64> {
+    let mut fresh = IncrementalMaxMin::with_links(link_caps);
+    let ids: Vec<u32> = live
+        .iter()
+        .map(|(_, cap, weight, route)| fresh.add_stream(*cap, *weight, route))
+        .collect();
+    fresh.solve_all();
+    ids.iter().map(|&id| fresh.rate(id)).collect()
 }
 
 /// Union-find root with path halving.
@@ -172,12 +222,7 @@ proptest! {
             inc.solve();
 
             // Oracle (a): a fresh incremental allocator, from scratch.
-            let mut fresh = IncrementalMaxMin::with_links(&link_caps);
-            let mut fresh_ids = Vec::with_capacity(live.len());
-            for (_, cap, weight, route) in &live {
-                fresh_ids.push(fresh.add_stream(*cap, *weight, route));
-            }
-            fresh.solve_all();
+            let fresh = from_scratch(&live, &link_caps);
             // Oracle (b): the mask-based dense allocator.
             let demands: Vec<WeightedStreamDemand> = live
                 .iter()
@@ -193,7 +238,7 @@ proptest! {
 
             for (k, (id, ..)) in live.iter().enumerate() {
                 let got = inc.rate(*id);
-                let scratch = fresh.rate(fresh_ids[k]);
+                let scratch = fresh[k];
                 prop_assert!(
                     rel_close(got, scratch),
                     "step {step}: stream {k} incremental {got} vs from-scratch {scratch}"
@@ -263,6 +308,43 @@ proptest! {
             got.sort_unstable();
             prop_assert!(got == expected, "step {step}: re-solved {got:?}, expected {expected:?}");
         }
+    }
+
+    /// A re-rate applied in place gives the rates a from-scratch solve
+    /// gives. With a solve after every op, each `update_stream` that
+    /// reports `true` has left nothing dirty and nothing to solve, and
+    /// every case takes that path at least once.
+    #[test]
+    fn in_place_rerates_match_from_scratch(
+        caps in proptest::collection::vec(300.0f64..2000.0, 1..8),
+        raw in raw_ops(30..90),
+    ) {
+        let ops: Vec<Op> = raw.into_iter().map(decode_slack_op).collect();
+        let mut inc = IncrementalMaxMin::with_links(&caps);
+        let mut live: Vec<Shadow> = Vec::new();
+        let mut link_caps = caps.clone();
+        let mut in_place = 0u64;
+
+        for (step, op) in ops.iter().enumerate() {
+            let one_to_three_hops = |bits: u64| 1 + (bits >> 62) as usize % 3;
+            if apply_op(&mut inc, &mut live, &mut link_caps, op, one_to_three_hops) {
+                in_place += 1;
+                prop_assert!(inc.dirty_links().is_empty(), "step {step}: {op:?} left links dirty");
+                prop_assert!(inc.solve().is_empty(), "step {step}: {op:?} left streams to solve");
+            }
+            inc.solve();
+            let fresh = from_scratch(&live, &link_caps);
+            for (k, (id, ..)) in live.iter().enumerate() {
+                let got = inc.rate(*id);
+                prop_assert!(
+                    rel_close(got, fresh[k]),
+                    "step {step} after {op:?}: stream {k} incremental {got} vs from-scratch {}",
+                    fresh[k]
+                );
+            }
+        }
+        prop_assert!(in_place > 0, "no re-rate was applied in place");
+        prop_assert_eq!(inc.in_place, in_place);
     }
 
     /// Per-link conservation: summed allocations never exceed capacity.

@@ -1,22 +1,27 @@
-//! Golden-summary gate for the shipped fleet soak scenario.
+//! Golden-summary gates for the scale engine.
 //!
 //! `scenarios/fleet_soak.ini` exercises the scale engine end to end —
 //! diurnal arrivals, correlated trunk failure waves, tenant churn, and
 //! sharded incremental allocation — and its rendered summary is part of
-//! the repo's contract. Any change that moves a byte of it (allocator
-//! ordering, arrival thinning, failure scheduling, report formatting)
-//! must be deliberate.
+//! the repo's contract. A tuned campaign, every transfer with its own
+//! `rl:bandit` tuner, is pinned beside it. Any change that moves a byte
+//! of either (allocator ordering, arrival thinning, failure scheduling,
+//! tuner decisions, report formatting) must be deliberate.
 //!
 //! To re-bless after an intentional behavior change:
 //!
 //! ```text
 //! FALCON_BLESS=1 cargo test --test fleet_soak
-//! git diff tests/golden/fleet_soak.summary.txt   # review, then commit
+//! git diff tests/golden/   # review, then commit
 //! ```
 
 use std::path::PathBuf;
 
 use falcon_cli::scenario;
+use falcon_repro::fleet::{
+    correlated_failure_waves, run_scale_campaign, RlKind, ScaleCampaignSpec, ScaleTopology,
+    ScaleTuner, ScaleWorkload,
+};
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -30,12 +35,12 @@ fn soak_summary() -> String {
     scenario::run(&sc).unwrap_or_else(|e| panic!("running fleet_soak: {e:?}"))
 }
 
-#[test]
-fn fleet_soak_summary_matches_golden() {
-    let got = soak_summary();
-    let golden = repo_path("tests/golden/fleet_soak.summary.txt");
+/// Compare `got` with the golden file `rel`, or write it under
+/// `FALCON_BLESS`.
+fn assert_matches_golden(got: &str, rel: &str) {
+    let golden = repo_path(rel);
     if std::env::var_os("FALCON_BLESS").is_some() {
-        std::fs::write(&golden, &got)
+        std::fs::write(&golden, got)
             .unwrap_or_else(|e| panic!("blessing {}: {e}", golden.display()));
         return;
     }
@@ -45,19 +50,55 @@ fn fleet_soak_summary_matches_golden() {
             golden.display()
         )
     });
+    let first_diff = got.lines().zip(want.lines()).find(|(a, b)| a != b);
     assert!(
         got == want,
-        "fleet_soak summary diverged from tests/golden/fleet_soak.summary.txt\n\
+        "summary diverged from {rel}\n\
          first differing line {:?} vs {:?}\n\
          If the change is intentional, re-bless with FALCON_BLESS=1.",
-        got.lines()
-            .zip(want.lines())
-            .find(|(a, b)| a != b)
-            .map(|(a, _)| a),
-        got.lines()
-            .zip(want.lines())
-            .find(|(a, b)| a != b)
-            .map(|(_, b)| b),
+        first_diff.map(|(a, _)| a),
+        first_diff.map(|(_, b)| b),
+    );
+}
+
+#[test]
+fn fleet_soak_summary_matches_golden() {
+    assert_matches_golden(&soak_summary(), "tests/golden/fleet_soak.summary.txt");
+}
+
+/// The `campaign-rl` bench shape at its warm-up size: 2,000 transfers on
+/// the WAN dumbbell, each with its own bandit tuner, through diurnal
+/// arrivals, tenant churn and six failure waves. Besides the bytes, the
+/// allocator must stay cheap: a tuner's re-rate on an unsaturated route
+/// is applied in place, so full solves stay near the two per transfer
+/// (arrival, departure) a fixed campaign pays, not one per re-rate.
+#[test]
+fn rl_campaign_summary_matches_golden_and_solves_stay_few() {
+    let topology = ScaleTopology::from_spec("dumbbell:8x3").expect("shipped spec syntax");
+    let duration_s = 15_000.0;
+    let spec = ScaleCampaignSpec {
+        failures: correlated_failure_waves(&topology, 6, duration_s),
+        topology,
+        workload: ScaleWorkload {
+            transfers: 2_000,
+            arrivals_per_min: 12.0,
+            mean_file_mb: 16_000.0,
+            diurnal: 0.4,
+            tenants: 3,
+            tuner: ScaleTuner::Rl(RlKind::Bandit),
+            ..ScaleWorkload::default()
+        },
+        duration_s,
+        seed: 1,
+        shards: 8,
+    };
+    let r = run_scale_campaign(&spec, 2);
+    assert_matches_golden(&r.summary(), "tests/golden/fleet_rl.summary.txt");
+    assert!(
+        r.solves <= 3 * r.transfers,
+        "{} solves for {} transfers",
+        r.solves,
+        r.transfers
     );
 }
 
