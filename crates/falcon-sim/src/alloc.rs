@@ -7,10 +7,17 @@
 //! for the fluid model, while honouring each stream's own rate cap (from
 //! per-process I/O throttles or the congestion-control response function).
 //!
-//! The dense progressive-filling loop exists once, in
-//! [`weighted_max_min_allocate_into`], which writes into caller-held
-//! buffers; [`IncrementalMaxMin`] re-solves only the components a change
-//! touches.
+//! There are two progressive-filling loops, kept apart on purpose:
+//!
+//! - [`weighted_max_min_allocate_into`] iterates resource bitmasks and
+//!   adds each of an entry's `count` members once, so it is bit-identical
+//!   to listed copies. The classic simulator calls it.
+//! - [`IncrementalMaxMin::solve`] iterates indexed route sets and
+//!   re-solves only the components a change touches. The scale engine
+//!   calls it.
+//!
+//! The dense loop is the incremental one's oracle in
+//! `tests/fleet_scale.rs`.
 
 /// A stream for [`weighted_max_min_allocate_into`]: at a saturated
 /// resource a stream receives bandwidth proportional to its weight. Equal

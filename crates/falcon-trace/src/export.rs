@@ -1,4 +1,4 @@
-//! JSONL and summary exporters for [`TraceLog`], plus the inverse parser.
+//! JSONL and summary exporters for [`TraceLog`].
 //!
 //! One JSON object per line: event records first (in emission order),
 //! then counter lines, then histogram lines. Key order within each line
@@ -6,33 +6,8 @@
 //! log always serializes to the same bytes — the contract the golden
 //! traces under `tests/golden/` rely on.
 
-use crate::json::{self, push_f64, push_str_lit, Json};
-use crate::{Candidate, EventKind, Histogram, TraceEvent, TraceLog, TraceRecord};
-
-/// Error from [`TraceLog::from_jsonl`]: the 1-based line and what was
-/// wrong with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-fn err(line: usize, message: impl Into<String>) -> TraceParseError {
-    TraceParseError {
-        line,
-        message: message.into(),
-    }
-}
+use crate::json::{push_f64, push_str_lit};
+use crate::{EventKind, Histogram, TraceEvent, TraceLog, TraceRecord};
 
 impl TraceLog {
     /// Serialize to JSONL. Byte-stable: the same log always produces the
@@ -55,42 +30,6 @@ impl TraceLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Parse a JSONL export back into a log. Inverse of
-    /// [`TraceLog::to_jsonl`] for everything the writer can emit.
-    pub fn from_jsonl(text: &str) -> Result<TraceLog, TraceParseError> {
-        let mut log = TraceLog::default();
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|m| err(lineno, m))?;
-            let kind_name = v
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| err(lineno, "missing \"kind\""))?;
-            match kind_name {
-                "counter" => {
-                    let name = v
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err(lineno, "counter missing \"name\""))?;
-                    let value = v
-                        .get("value")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| err(lineno, "counter missing \"value\""))?;
-                    log.counters.push((name.to_string(), value));
-                }
-                "histogram" => {
-                    let (name, h) = parse_histogram(&v, lineno)?;
-                    log.histograms.push((name, h));
-                }
-                _ => log.records.push(parse_record(&v, kind_name, lineno)?),
-            }
-        }
-        Ok(log)
     }
 
     /// Human-readable run summary: event totals per kind, per-agent
@@ -254,157 +193,13 @@ fn push_histogram(out: &mut String, name: &str, h: &Histogram) {
     out.push('}');
 }
 
-fn field_f64(v: &Json, key: &str, line: usize) -> Result<f64, TraceParseError> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| err(line, format!("missing number field {key:?}")))
-}
-
-fn field_u32(v: &Json, key: &str, line: usize) -> Result<u32, TraceParseError> {
-    v.get(key)
-        .and_then(Json::as_u32)
-        .ok_or_else(|| err(line, format!("missing integer field {key:?}")))
-}
-
-fn field_str(v: &Json, key: &str, line: usize) -> Result<String, TraceParseError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| err(line, format!("missing string field {key:?}")))
-}
-
-fn parse_record(v: &Json, kind_name: &str, line: usize) -> Result<TraceRecord, TraceParseError> {
-    let kind = EventKind::from_name(kind_name)
-        .ok_or_else(|| err(line, format!("unknown kind {kind_name:?}")))?;
-    let t_s = field_f64(v, "t", line)?;
-    let agent = match v.get("agent") {
-        Some(a) => Some(
-            a.as_u32()
-                .ok_or_else(|| err(line, "\"agent\" must be a small integer"))?,
-        ),
-        None => None,
-    };
-    let event = match kind {
-        EventKind::Probe => TraceEvent::Probe {
-            throughput_mbps: field_f64(v, "mbps", line)?,
-            loss_rate: field_f64(v, "loss", line)?,
-            concurrency: field_u32(v, "cc", line)?,
-            parallelism: field_u32(v, "p", line)?,
-            pipelining: field_u32(v, "pp", line)?,
-        },
-        EventKind::Decision => {
-            let terms_json = v
-                .get("terms")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err(line, "decision missing \"terms\""))?;
-            let mut terms = Vec::with_capacity(terms_json.len());
-            for t in terms_json {
-                let pair = t.as_arr().filter(|p| p.len() == 2);
-                let (name, value) = match pair {
-                    Some([n, val]) => (n.as_str(), val.as_f64()),
-                    _ => (None, None),
-                };
-                match (name, value) {
-                    (Some(n), Some(val)) => terms.push((n.to_string(), val)),
-                    _ => return Err(err(line, "terms must be [name, value] pairs")),
-                }
-            }
-            let cands_json = v
-                .get("candidates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| err(line, "decision missing \"candidates\""))?;
-            let mut candidates = Vec::with_capacity(cands_json.len());
-            for c in cands_json {
-                let triple = c.as_arr().filter(|p| p.len() == 3);
-                let parsed = match triple {
-                    Some([cc, p, u]) => match (cc.as_u32(), p.as_u32(), u.as_f64()) {
-                        (Some(cc), Some(p), Some(u)) => Some(Candidate {
-                            concurrency: cc,
-                            parallelism: p,
-                            utility: u,
-                        }),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                match parsed {
-                    Some(c) => candidates.push(c),
-                    None => return Err(err(line, "candidates must be [cc, p, utility] triples")),
-                }
-            }
-            TraceEvent::Decision {
-                optimizer: field_str(v, "optimizer", line)?,
-                concurrency: field_u32(v, "cc", line)?,
-                parallelism: field_u32(v, "p", line)?,
-                pipelining: field_u32(v, "pp", line)?,
-                terms,
-                candidates,
-            }
-        }
-        EventKind::SettingsChange => TraceEvent::SettingsChange {
-            concurrency: field_u32(v, "cc", line)?,
-            parallelism: field_u32(v, "p", line)?,
-            pipelining: field_u32(v, "pp", line)?,
-        },
-        EventKind::Recovery => TraceEvent::Recovery {
-            action: field_str(v, "action", line)?,
-            value: field_f64(v, "value", line)?,
-        },
-        EventKind::Environment => TraceEvent::Environment {
-            action: field_str(v, "action", line)?,
-            value: field_f64(v, "value", line)?,
-        },
-        EventKind::Connection => TraceEvent::Connection {
-            action: field_str(v, "action", line)?,
-            value: field_f64(v, "value", line)?,
-        },
-        EventKind::Convergence => TraceEvent::Convergence {
-            concurrency: field_u32(v, "cc", line)?,
-            probes: v
-                .get("probes")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(line, "missing integer field \"probes\""))?,
-        },
-    };
-    Ok(TraceRecord { t_s, agent, event })
-}
-
-fn parse_histogram(v: &Json, line: usize) -> Result<(String, Histogram), TraceParseError> {
-    let name = field_str(v, "name", line)?;
-    let bounds_json = v
-        .get("bounds")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err(line, "histogram missing \"bounds\""))?;
-    let mut bounds = Vec::with_capacity(bounds_json.len());
-    for b in bounds_json {
-        bounds.push(
-            b.as_f64()
-                .ok_or_else(|| err(line, "histogram bounds must be numbers"))?,
-        );
-    }
-    let counts_json = v
-        .get("counts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| err(line, "histogram missing \"counts\""))?;
-    let mut counts = Vec::with_capacity(counts_json.len());
-    for c in counts_json {
-        counts.push(
-            c.as_u64()
-                .ok_or_else(|| err(line, "histogram counts must be non-negative integers"))?,
-        );
-    }
-    let sum = field_f64(v, "sum", line)?;
-    let h = Histogram::from_parts(bounds, counts, sum)
-        .ok_or_else(|| err(line, "inconsistent histogram shape"))?;
-    Ok((name, h))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Candidate;
 
     fn sample_log() -> TraceLog {
-        let mut h = Histogram::log_default();
+        let mut h = Histogram::default();
         h.record(0.004);
         h.record(120.0);
         TraceLog {
@@ -491,37 +286,21 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_every_event_kind() {
-        let log = sample_log();
-        let text = log.to_jsonl();
-        let back = TraceLog::from_jsonl(&text).unwrap();
-        assert_eq!(back, log);
-    }
-
-    #[test]
-    fn jsonl_is_byte_stable() {
-        let log = sample_log();
-        assert_eq!(log.to_jsonl(), log.to_jsonl());
-        let reparsed = TraceLog::from_jsonl(&log.to_jsonl()).unwrap();
-        assert_eq!(reparsed.to_jsonl(), log.to_jsonl());
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let e = TraceLog::from_jsonl("{\"t\":1,\"kind\":\"probe\"}\nnot json\n").unwrap_err();
-        assert_eq!(e.line, 1, "first line is missing probe fields");
-        let e = TraceLog::from_jsonl(
-            "{\"t\":1,\"kind\":\"settings\",\"cc\":1,\"p\":1,\"pp\":1}\nnot json\n",
-        )
-        .unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.to_string().contains("line 2"), "{e}");
-    }
-
-    #[test]
-    fn unknown_kind_is_rejected() {
-        let e = TraceLog::from_jsonl("{\"t\":1,\"kind\":\"mystery\"}\n").unwrap_err();
-        assert!(e.message.contains("mystery"), "{e:?}");
+    fn jsonl_is_pinned_byte_for_byte() {
+        let expected = [
+            r#"{"t":5,"agent":0,"kind":"probe","mbps":931.5,"loss":0.0025,"cc":10,"p":1,"pp":1}"#,
+            r#"{"t":5,"agent":0,"kind":"decision","optimizer":"gradient-descent","cc":12,"p":1,"pp":1,"terms":[["raw_slope",1.25],["theta",2]],"candidates":[[9,1,430.5],[11,1,480.25]]}"#,
+            r#"{"t":5,"agent":0,"kind":"settings","cc":12,"p":1,"pp":1}"#,
+            r#"{"t":300,"kind":"environment","action":"link_capacity_factor","value":0.3}"#,
+            r#"{"t":310,"agent":1,"kind":"recovery","action":"restart_attempt","value":2}"#,
+            r#"{"t":42.5,"agent":0,"kind":"convergence","cc":48,"probes":9}"#,
+            r#"{"t":50,"agent":2,"kind":"connection","action":"workers_resized","value":4}"#,
+            r#"{"kind":"counter","name":"sim.steps","value":8000}"#,
+            r#"{"kind":"histogram","name":"sim.loss","bounds":[0.000001,0.00001,0.0001,0.001,0.01,0.1,1,10,100,1000,10000,100000],"counts":[0,0,0,0,1,0,0,0,0,1,0,0,0],"sum":120.004}"#,
+        ];
+        let text = sample_log().to_jsonl();
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert!(text.ends_with('\n'));
     }
 
     #[test]
@@ -532,12 +311,5 @@ mod tests {
         assert!(s.contains("first convergence at 42.5s"), "{s}");
         assert!(s.contains("counter sim.steps = 8000"), "{s}");
         assert!(s.contains("histogram sim.loss: total=2"), "{s}");
-    }
-
-    #[test]
-    fn blank_lines_are_ignored() {
-        let log = sample_log();
-        let spaced = log.to_jsonl().replace('\n', "\n\n");
-        assert_eq!(TraceLog::from_jsonl(&spaced).unwrap(), log);
     }
 }

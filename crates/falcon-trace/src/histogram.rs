@@ -1,94 +1,35 @@
-//! Fixed-bucket histogram with exact, order-independent merging.
+//! Fixed-bucket histogram over decade log bounds.
 //!
-//! Bucket bounds are fixed at construction (sorted, deduplicated), so two
-//! histograms over the same bounds merge by summing counts — an operation
-//! that is associative, commutative, and total-count-preserving, which
-//! the property tests in `tests/properties.rs` pin.
+//! Every histogram a run records uses the same twelve bounds, 1e-6 to
+//! 1e5 — wide enough for both loss rates (1e-6..1) and throughputs in
+//! Mbps (1..1e5).
+
+/// Upper bucket bounds, ascending.
+const BOUNDS: [f64; 12] = [
+    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0,
+];
 
 /// Fixed-bucket histogram. Bucket `i` counts values `v` with
 /// `bounds[i-1] < v <= bounds[i]`; the final bucket is the overflow
-/// (`v > bounds.last()`, including non-finite values).
-#[derive(Debug, Clone, PartialEq)]
+/// (`v > bounds.last()`, plus NaN and +∞). −∞ is below every bound, so it
+/// lands in the first bucket.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
+    counts: [u64; BOUNDS.len() + 1],
     sum: f64,
 }
 
 impl Histogram {
-    /// Histogram over the given upper bounds. Bounds are sorted and
-    /// deduplicated; non-finite bounds are dropped (the overflow bucket
-    /// already covers them).
-    #[must_use]
-    pub fn new(mut bounds: Vec<f64>) -> Histogram {
-        bounds.retain(|b| b.is_finite());
-        bounds.sort_by(f64::total_cmp);
-        bounds.dedup_by(|a, b| a.to_bits() == b.to_bits());
-        let counts = vec![0; bounds.len() + 1];
-        Histogram {
-            bounds,
-            counts,
-            sum: 0.0,
-        }
-    }
-
-    /// Decade log buckets from 1e-6 to 1e5 — wide enough for both loss
-    /// rates (1e-6..1) and throughputs in Mbps (1..1e5).
-    #[must_use]
-    pub fn log_default() -> Histogram {
-        Histogram::new(vec![
-            1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0,
-        ])
-    }
-
-    /// Rebuild a histogram from exported parts. Returns `None` when the
-    /// shape is inconsistent (`counts.len() != bounds.len() + 1`).
-    #[must_use]
-    pub fn from_parts(bounds: Vec<f64>, counts: Vec<u64>, sum: f64) -> Option<Histogram> {
-        let canonical = Histogram::new(bounds.clone());
-        if canonical.bounds != bounds || counts.len() != bounds.len() + 1 {
-            return None;
-        }
-        Some(Histogram {
-            bounds,
-            counts,
-            sum,
-        })
-    }
-
-    /// Record one value. Non-finite values land in the overflow bucket
-    /// and do not contribute to the running sum.
+    /// Record one value. Non-finite values are counted (see the struct
+    /// doc for which bucket) but do not contribute to the running sum.
     pub fn record(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
+        let idx = BOUNDS.iter().position(|b| v <= *b).unwrap_or(BOUNDS.len());
         if let Some(c) = self.counts.get_mut(idx) {
             *c += 1;
         }
         if v.is_finite() {
             self.sum += v;
         }
-    }
-
-    /// Merge another histogram's counts into this one. Returns `false`
-    /// (and leaves `self` untouched) when the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) -> bool {
-        let same = self.bounds.len() == other.bounds.len()
-            && self
-                .bounds
-                .iter()
-                .zip(&other.bounds)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same {
-            return false;
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.sum += other.sum;
-        true
     }
 
     /// Total recorded values across all buckets.
@@ -106,7 +47,7 @@ impl Histogram {
     /// Bucket upper bounds (ascending).
     #[must_use]
     pub fn bounds(&self) -> &[f64] {
-        &self.bounds
+        &BOUNDS
     }
 
     /// Per-bucket counts; one longer than [`Histogram::bounds`] (the last
@@ -123,53 +64,23 @@ mod tests {
 
     #[test]
     fn buckets_are_upper_inclusive() {
-        let mut h = Histogram::new(vec![1.0, 10.0]);
+        let mut h = Histogram::default();
         h.record(0.5); // <= 1.0
         h.record(1.0); // <= 1.0 (inclusive upper bound)
         h.record(5.0); // <= 10.0
-        h.record(50.0); // overflow
-        assert_eq!(h.counts(), &[2, 1, 1]);
+        h.record(5e5); // overflow
+        assert_eq!(h.counts(), &[0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 1]);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.sum(), 56.5);
+        assert_eq!(h.sum(), 500_006.5);
     }
 
     #[test]
-    fn bounds_are_canonicalized() {
-        let h = Histogram::new(vec![10.0, 1.0, 10.0, f64::INFINITY, f64::NAN]);
-        assert_eq!(h.bounds(), &[1.0, 10.0]);
-        assert_eq!(h.counts().len(), 3);
-    }
-
-    #[test]
-    fn non_finite_values_overflow_without_poisoning_sum() {
-        let mut h = Histogram::new(vec![1.0]);
+    fn non_finite_values_are_counted_without_poisoning_sum() {
+        let mut h = Histogram::default();
         h.record(f64::NAN);
         h.record(f64::INFINITY);
-        assert_eq!(h.counts(), &[0, 2]);
+        h.record(f64::NEG_INFINITY);
+        assert_eq!(h.counts(), &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]);
         assert_eq!(h.sum(), 0.0);
-    }
-
-    #[test]
-    fn merge_requires_matching_bounds() {
-        let mut a = Histogram::new(vec![1.0, 10.0]);
-        let mut b = Histogram::new(vec![1.0, 10.0]);
-        let c = Histogram::new(vec![1.0]);
-        a.record(0.5);
-        b.record(5.0);
-        assert!(a.merge(&b));
-        assert_eq!(a.counts(), &[1, 1, 0]);
-        assert_eq!(a.total(), 2);
-        assert!(!a.merge(&c));
-        assert_eq!(a.total(), 2, "failed merge must not mutate");
-    }
-
-    #[test]
-    fn from_parts_validates_shape() {
-        assert!(Histogram::from_parts(vec![1.0, 2.0], vec![0, 1, 2], 3.0).is_some());
-        assert!(Histogram::from_parts(vec![1.0, 2.0], vec![0, 1], 3.0).is_none());
-        assert!(
-            Histogram::from_parts(vec![2.0, 1.0], vec![0, 1, 2], 3.0).is_none(),
-            "unsorted bounds are not canonical"
-        );
     }
 }

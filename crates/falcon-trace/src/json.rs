@@ -1,67 +1,11 @@
-//! Minimal JSON value model, writer helpers, and recursive-descent
-//! parser used by the JSONL exporter. Hand-rolled: the offline dependency
-//! set has no JSON crate, and the subset the trace format needs is small.
+//! JSON writer helpers for the JSONL exporter. Hand-rolled: the offline
+//! dependency set has no JSON crate, and the trace format writes only
+//! strings, numbers, arrays and flat objects.
 //!
 //! Writer invariants that make exports byte-stable: object keys are
 //! emitted in a fixed order per record kind, floats use Rust's shortest
 //! round-trip `Display` form (re-parsing yields the identical bits), and
 //! strings escape only what JSON requires.
-
-/// A parsed JSON value. Objects preserve key order.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object-field lookup (first match).
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            // falcon-lint::allow(float-cmp, reason = "exact integrality check; a fractional part means the value is not an integer field")
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_u32(&self) -> Option<u32> {
-        self.as_u64().and_then(|v| u32::try_from(v).ok())
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
 
 /// Append a JSON-escaped string literal (with quotes).
 pub(crate) fn push_str_lit(out: &mut String, s: &str) {
@@ -89,264 +33,29 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Parse one JSON document (must consume the whole string).
-pub(crate) fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.i,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.i
-            )),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| format!("non-utf8 number at byte {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        // Copy unescaped byte runs wholesale (the input is a &str, so
-        // runs between structural bytes are valid UTF-8).
-        let mut run_start = self.i;
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    if let Ok(chunk) = std::str::from_utf8(&self.b[run_start..self.i]) {
-                        out.push_str(chunk);
-                    }
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    if let Ok(chunk) = std::str::from_utf8(&self.b[run_start..self.i]) {
-                        out.push_str(chunk);
-                    }
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => {
-                            return Err(format!("bad escape {:?}", other.map(|b| b as char)));
-                        }
-                    }
-                    self.i += 1;
-                    run_start = self.i;
-                }
-                Some(_) => {
-                    self.i += 1;
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ));
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.i,
-                        other.map(|b| b as char)
-                    ));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_scalars_and_containers() {
-        assert_eq!(parse("null").unwrap(), Json::Null);
-        assert_eq!(parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(parse("-2.5e2").unwrap(), Json::Num(-250.0));
-        assert_eq!(parse("\"hi\"").unwrap(), Json::Str("hi".to_string()));
-        assert_eq!(
-            parse("[1, 2]").unwrap(),
-            Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])
-        );
-        let obj = parse("{\"a\": 1, \"b\": [true]}").unwrap();
-        assert_eq!(obj.get("a"), Some(&Json::Num(1.0)));
-        assert_eq!(obj.get("b").unwrap().as_arr().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn rejects_trailing_garbage_and_bad_tokens() {
-        assert!(parse("1 2").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("\"unterminated").is_err());
-        assert!(parse("nul").is_err());
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
+    fn string_escapes_are_exact() {
         let mut out = String::new();
         push_str_lit(&mut out, "a\"b\\c\nd\u{1}é→");
-        let parsed = parse(&out).unwrap();
-        assert_eq!(parsed, Json::Str("a\"b\\c\nd\u{1}é→".to_string()));
+        assert_eq!(out, r#""a\"b\\c\u000ad\u0001é→""#);
     }
 
     #[test]
-    fn float_display_round_trips_exactly() {
-        for v in [0.0, 1.5, -0.001, 12345.6789, 1e300, 5e-324, 0.1 + 0.2] {
+    fn floats_re_parse_to_the_same_bits() {
+        for v in [0.0, 1.5, -0.001, 1e300, 5e-324, 0.1 + 0.2] {
             let mut out = String::new();
             push_f64(&mut out, v);
-            let back = parse(&out).unwrap().as_f64().unwrap();
+            let back: f64 = out.parse().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {out}");
         }
-        let mut out = String::new();
-        push_f64(&mut out, f64::NAN);
-        assert_eq!(out, "null");
-    }
-
-    #[test]
-    fn integer_coercions() {
-        assert_eq!(parse("7").unwrap().as_u32(), Some(7));
-        assert_eq!(parse("7.5").unwrap().as_u32(), None);
-        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::new();
+            push_f64(&mut out, v);
+            assert_eq!(out, "null", "{v}");
+        }
     }
 }

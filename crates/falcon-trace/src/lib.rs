@@ -20,8 +20,9 @@
 //!   the owning layer via [`Tracer::set_time`] (monotonically clamped) —
 //!   never wall clock. No `HashMap` iteration anywhere; counter and
 //!   histogram order is insertion order, which is itself deterministic.
-//! - **Dependency-free and panic-free.** The JSONL writer and parser are
-//!   hand-rolled; every fallible path returns `Result`/`Option`.
+//! - **Dependency-free and panic-free.** The JSONL writer is hand-rolled
+//!   and nothing in the workspace reads a trace back; every fallible path
+//!   returns `Result`/`Option`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -31,7 +32,6 @@ mod histogram;
 mod json;
 mod query;
 
-pub use export::TraceParseError;
 pub use histogram::Histogram;
 pub use query::{ConvergenceDetector, TraceQuery};
 
@@ -153,21 +153,6 @@ impl EventKind {
             EventKind::Convergence => "convergence",
             EventKind::Connection => "connection",
         }
-    }
-
-    /// Inverse of [`EventKind::name`].
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<EventKind> {
-        Some(match s {
-            "probe" => EventKind::Probe,
-            "decision" => EventKind::Decision,
-            "settings" => EventKind::SettingsChange,
-            "recovery" => EventKind::Recovery,
-            "environment" => EventKind::Environment,
-            "convergence" => EventKind::Convergence,
-            "connection" => EventKind::Connection,
-            _ => return None,
-        })
     }
 }
 
@@ -314,15 +299,15 @@ impl Tracer {
         }
     }
 
-    /// Record `value` into the named log-bucketed histogram (created with
-    /// [`Histogram::log_default`] bounds on first use).
+    /// Record `value` into the named log-bucketed histogram (created
+    /// empty on first use).
     pub fn observe(&self, name: &'static str, value: f64) {
         let Some(sink) = &self.sink else { return };
         if let Ok(mut s) = sink.lock() {
             if let Some(entry) = s.histograms.iter_mut().find(|(k, _)| *k == name) {
                 entry.1.record(value);
             } else {
-                let mut h = Histogram::log_default();
+                let mut h = Histogram::default();
                 h.record(value);
                 s.histograms.push((name, h));
             }

@@ -1,27 +1,10 @@
-//! Property-based tests over falcon-trace's invariants: histogram merging
-//! is associative, commutative, and total-count-preserving; JSONL export
-//! round-trips through the parser for arbitrary event sequences; and
-//! `TraceQuery` time windows partition a record stream exactly.
+//! Property-based tests over falcon-trace's invariants: `TraceQuery`
+//! time windows partition a record stream exactly.
 
-use falcon_trace::{Candidate, Histogram, TraceEvent, TraceLog, TraceQuery, TraceRecord};
+use falcon_trace::{Candidate, TraceEvent, TraceQuery, TraceRecord};
 use proptest::prelude::*;
 
-fn hist_from(values: &[f64]) -> Histogram {
-    let mut h = Histogram::log_default();
-    for &v in values {
-        h.record(v);
-    }
-    h
-}
-
-fn merged(a: &Histogram, b: &Histogram) -> Histogram {
-    let mut out = a.clone();
-    assert!(out.merge(b), "log_default bounds always match");
-    out
-}
-
-/// Short label palette, including every character class the JSON escaper
-/// must handle (quotes, backslashes, control characters, non-ASCII).
+/// Short label palette for the generated records' string fields.
 const LABELS: [&str; 6] = [
     "slope",
     "θ-term",
@@ -104,68 +87,6 @@ fn record_specs(max: usize) -> impl Strategy<Value = Vec<RecordSpec>> {
 }
 
 proptest! {
-    /// Merging histograms built over the same (log-default) bounds is
-    /// associative and commutative on bucket counts, and the merged total
-    /// is the sum of the parts — no value is lost or double-counted.
-    #[test]
-    fn histogram_merge_is_associative_commutative_and_count_preserving(
-        xs in proptest::collection::vec(1e-7f64..1e6, 0..50),
-        ys in proptest::collection::vec(1e-7f64..1e6, 0..50),
-        zs in proptest::collection::vec(1e-7f64..1e6, 0..50),
-    ) {
-        let (a, b, c) = (hist_from(&xs), hist_from(&ys), hist_from(&zs));
-
-        // Commutativity is exact: count addition commutes and f64 `+`
-        // is commutative, so the whole struct matches.
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-
-        // Associativity is exact on counts; the running f64 sum is only
-        // approximately associative, so compare it with a tolerance.
-        let left = merged(&merged(&a, &b), &c);
-        let right = merged(&a, &merged(&b, &c));
-        prop_assert_eq!(left.counts(), right.counts());
-        prop_assert!((left.sum() - right.sum()).abs() <= 1e-6 * (1.0 + left.sum().abs()));
-
-        // Total-count preservation.
-        prop_assert_eq!(
-            merged(&a, &b).total(),
-            (xs.len() + ys.len()) as u64
-        );
-    }
-
-    /// Any log the writer can emit parses back to an identical log, and
-    /// re-serializing the parse is byte-identical (the export is a
-    /// fixed point).
-    #[test]
-    fn jsonl_round_trips_arbitrary_event_sequences(
-        specs in record_specs(40),
-        counters in proptest::collection::vec((0u32..6, 0u64..1_000_000_000), 0..4),
-        hist_values in proptest::collection::vec(1e-7f64..1e6, 0..20),
-    ) {
-        let log = TraceLog {
-            records: specs.into_iter().map(build_record).collect(),
-            counters: counters
-                .into_iter()
-                .enumerate()
-                .map(|(i, (label, v))| {
-                    // Suffix with the index so escaping is exercised but
-                    // names stay unique within the log.
-                    (format!("{}#{i}", LABELS[label as usize % LABELS.len()]), v)
-                })
-                .collect(),
-            histograms: if hist_values.is_empty() {
-                Vec::new()
-            } else {
-                vec![("h".to_string(), hist_from(&hist_values))]
-            },
-        };
-        let text = log.to_jsonl();
-        let back = TraceLog::from_jsonl(&text)
-            .map_err(|e| TestCaseError::fail(format!("parse failed: {e}")))?;
-        prop_assert_eq!(&back, &log);
-        prop_assert_eq!(back.to_jsonl(), text);
-    }
-
     /// Adjacent half-open windows partition a record stream: every record
     /// inside `[t0, t1)` lands in exactly one of `[t0, mid)` / `[mid, t1)`,
     /// in order, with nothing lost or duplicated.
