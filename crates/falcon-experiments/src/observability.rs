@@ -1,11 +1,11 @@
 //! Shared observability helpers: traced fault-injection runs and the
 //! trace-derived convergence metrics the regression suite asserts on.
 //!
-//! `tests/recovery.rs` used to re-derive "achievable throughput after the
-//! event" inline at every assertion; [`achievable_mbps`] is that derivation
-//! in one place, and [`flap_run`] is the traced version of its scripted
-//! bottleneck flap so assertions can read convergence markers and decision
-//! counts off the structured trace instead of raw CSV rows.
+//! [`achievable_mbps`] is the one derivation of "achievable throughput
+//! after the event" that `tests/recovery.rs` asserts against, and
+//! [`flap_run`] runs its scripted bottleneck flap traced, so assertions
+//! read convergence markers and decision counts off the structured trace
+//! instead of raw CSV rows.
 
 use falcon_sim::{Environment, EnvironmentEvent, EventAction, Simulation};
 use falcon_trace::{EventKind, TraceLog, TraceQuery, Tracer};

@@ -48,9 +48,9 @@ pub const PROBE_INTERVAL_S: f64 = 5.0;
 /// Per-transfer tuning policy for the scale engine.
 ///
 /// `Fixed` is the classic path: every transfer runs
-/// [`ScaleWorkload::concurrency`] connections for its whole life and the
-/// engine schedules no probe events at all — bit-for-bit the same
-/// numbers as before the tuner hook existed.
+/// [`ScaleWorkload::concurrency`] connections for its whole life, and the
+/// engine schedules no probe events and allocates no tuner state, so a
+/// fixed campaign pays nothing for the tuner path.
 ///
 /// The `Rl` kinds give every transfer its *own* learning tuner from
 /// `falcon-rl`, seeded by `falcon_par::task_seed(spec.seed, global
@@ -63,7 +63,7 @@ pub const PROBE_INTERVAL_S: f64 = 5.0;
 /// of the pinned value.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ScaleTuner {
-    /// Pinned concurrency, no probes (the pre-tuner engine).
+    /// Pinned concurrency, no probes.
     #[default]
     Fixed,
     /// A per-transfer `falcon-rl` tuner.
@@ -367,7 +367,7 @@ struct ShardInput {
 }
 
 /// What one shard's DES produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct ShardOutcome {
     completions: u64,
     stranded: u64,
@@ -386,7 +386,7 @@ struct ShardOutcome {
 }
 
 /// Merged campaign outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScaleReport {
     /// Topology label.
     pub topology: String,
@@ -560,8 +560,8 @@ fn run(spec: &ScaleCampaignSpec, threads: usize, tracer: &Tracer, block: usize) 
         // 20 ms reference so classic fleet weights carry over, clamped
         // so sub-ms datacenter routes don't drown WAN routes entirely.
         // Stored per connection; the shard multiplies by the transfer's
-        // live connection count (the same product as before for the
-        // fixed path, bit for bit).
+        // live connection count, so a tuner's re-rate changes only that
+        // factor.
         input
             .route_weight
             .push((0.020 / route.rtt_s.max(1e-4)).min(50.0));
@@ -606,20 +606,7 @@ fn run(spec: &ScaleCampaignSpec, threads: usize, tracer: &Tracer, block: usize) 
         topology: spec.topology.name.clone(),
         shards,
         seed: spec.seed,
-        transfers: 0,
-        completions: 0,
-        stranded: 0,
-        bytes_gb: 0.0,
-        mean_duration_s: 0.0,
-        makespan_s: 0.0,
-        peak_active: 0,
-        solves: 0,
-        streams_resolved: 0,
-        in_place: 0,
-        probes: 0,
-        arena_bytes: 0,
-        peak_queue: 0,
-        links: Vec::new(),
+        ..ScaleReport::default()
     };
     let feeder = Mutex::new(Feeder {
         arrivals: generate_arrivals(spec).peekable(),
@@ -816,8 +803,8 @@ impl ShardEvents<'_> {
 /// The `probe_*`/`cc`/`agent` columns are the tuner state. They live in
 /// the same arena (indexed by the same stream ids, grown by the same
 /// `ensure`), but are only materialized under [`ScaleTuner::Rl`] — a
-/// fixed-mode run allocates none of them, so its `arena_bytes`
-/// accounting is unchanged.
+/// fixed-mode run allocates none of them, so its `arena_bytes` counts
+/// the fluid columns alone.
 #[derive(Default)]
 struct TransferSoa {
     remaining: Vec<f64>,
@@ -894,21 +881,7 @@ fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
     let mut link_last_t = vec![0.0f64; input.caps.len()];
     let mut busy = vec![0.0f64; input.caps.len()];
 
-    let mut out = ShardOutcome {
-        completions: 0,
-        stranded: 0,
-        bytes_mbits: 0.0,
-        duration_sum_s: 0.0,
-        peak_active: 0,
-        makespan_s: 0.0,
-        solves: 0,
-        streams_resolved: 0,
-        in_place: 0,
-        probes: 0,
-        arena_bytes: 0,
-        peak_queue: 0,
-        link_busy: Vec::new(),
-    };
+    let mut out = ShardOutcome::default();
     let mut active = 0u32;
     let mut affected: Vec<u32> = Vec::new();
     let rl = input.tuner != ScaleTuner::Fixed;
@@ -1224,9 +1197,9 @@ mod tests {
 
     /// Two outages overlapping on the same trunks hold them at the deeper
     /// factor until the *last* one ends — the campaign runs exactly as
-    /// under the disjoint schedule that spells that timeline out. (The
-    /// first recovery used to write the baseline back, so the trunks ran
-    /// at full capacity from t=25 and the backlog drained 13 s early.)
+    /// under the disjoint schedule that spells that timeline out. (A first
+    /// recovery that wrote the baseline back would run the trunks at full
+    /// capacity from t=25 and drain the backlog 13 s early.)
     #[test]
     fn overlapping_outages_recover_when_the_last_one_ends() {
         let mut spec = small_spec();

@@ -614,7 +614,7 @@ fn check_float_time_accum(input: &FileInput<'_>, out: &mut Vec<Finding>) {
                     format!(
                         "`{name}` accumulates float time incrementally in a loop; \
                          rounding drift compounds per iteration — derive the grid as \
-                         `start + i*dt` or schedule absolute event times (DESIGN.md §11)"
+                         `start + i*dt` or schedule absolute event times (DESIGN.md §4)"
                     ),
                 ));
             }

@@ -546,7 +546,7 @@ impl Runner {
                             });
                         }
                     }
-                    // falcon-lint::allow(float-time-accum, reason = "probe cadence re-anchors to the event clock at every settings change; drift accumulates only within one convergence window")
+                    // falcon-lint::allow(float-time-accum, reason = "probe cadence is anchored at join and after a restart; between those each probe adds one interval, at most half an ulp of rounding per probe, and the probe instants are pinned by the golden traces")
                     live[i].next_probe_s += interval;
                     live[i].discard_at_s = Some(t + warmup);
                     wakeups.push(live[i].next_probe_s, WAKE_AGENT, ());
