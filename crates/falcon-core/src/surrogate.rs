@@ -2,8 +2,9 @@
 //!
 //! A full `fit_auto` refit is an O(n³) factorization times a 12-point
 //! hyperparameter grid (factored in lockstep, but still the expensive
-//! path); updating an already-factored GP is O(n²) (append
-//! via [`GpRegressor::extend`], evict via [`GpRegressor::drop_oldest`]).
+//! path); updating an already-factored GP is O(n²) (append via
+//! [`GpRegressor::extend`] while the window fills, then append and evict
+//! with one re-solve via [`GpRegressor::slide`]).
 //! The cache keeps the GP on a **true sliding window**: every surrogate
 //! probe appends the newest observation and drops the oldest once the
 //! window is full, under the normalization constants frozen at the last
@@ -112,7 +113,12 @@ impl CachedSurrogate {
         if y.abs() > Y_NORM_LIMIT {
             return false;
         }
-        if self.gp.extend(&x, y).is_err() {
+        let stepped = if self.gp.len() < window.max(1) {
+            self.gp.extend(&x, y)
+        } else {
+            self.gp.slide(&x, y)
+        };
+        if stepped.is_err() {
             return false;
         }
         while self.gp.len() > window.max(1) {

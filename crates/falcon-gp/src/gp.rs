@@ -57,7 +57,7 @@ const GRID: usize = LENGTH_SCALE_FRACS.len() * VARIANCE_MULS.len();
 #[derive(Debug, Clone)]
 pub struct GpRegressor {
     /// The training points, flattened row-major (`n×dim`): the storage
-    /// [`Matern52::eval_row`] streams over.
+    /// [`Matern52::eval_rows`] streams over.
     x_flat: Vec<f64>,
     /// Input dimension (1 for concurrency-only, 2 for cc×p).
     dim: usize,
@@ -76,14 +76,15 @@ pub struct GpRegressor {
     work: Vec<f64>,
 }
 
-/// Reusable buffers for [`GpRegressor::predict_into`]: holding one across
-/// calls makes repeated posterior queries (acquisition sweeps over a
-/// candidate grid) allocation-free, and keeps the 1-D kernel profile
-/// table warm while the model's kernel is unchanged.
+/// Reusable buffers for [`GpRegressor::predict_into`] and
+/// [`GpRegressor::predict_lanes`]: holding one across calls makes repeated
+/// posterior queries (acquisition sweeps over a candidate grid)
+/// allocation-free, and keeps the 1-D kernel profile table warm while the
+/// model's kernel is unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
-    k_star: Vec<f64>,
-    v: Vec<f64>,
+    /// The lanes' kernel rows, then (in place) their forward solves.
+    rows: Vec<f64>,
     kernel: KernelRowScratch,
 }
 
@@ -188,10 +189,6 @@ impl GpRegressor {
 
         // Packed lower triangle: entry (i, j ≤ i) lives at i(i+1)/2 + j.
         let at = |i: usize, j: usize| i * (i + 1) / 2 + j;
-        let mut d2 = Vec::with_capacity(at(n, 0));
-        for i in 0..n {
-            d2.extend((0..=i).map(|j| squared_distance(&x[i], &x[j])));
-        }
         // Radial terms once per distinct length-scale: a lane reuses those
         // of the first lane with the same ℓ.
         let ls_source: [usize; L] = std::array::from_fn(|l| {
@@ -213,20 +210,34 @@ impl GpRegressor {
             }
             k
         };
+        // Every lane's kernel entries, built once per distinct squared
+        // distance through a direct-mapped memo on its bits: a window on the
+        // concurrency line has a few dozen among its n(n+1)/2 pairs.
+        let mut memo: Vec<Option<(u64, [f64; L])>> = vec![None; 64];
+        let pairs = (0..n).flat_map(|i| (0..=i).map(move |j| (i, j)));
+        let kernel_entries: Vec<[f64; L]> = pairs
+            .map(|(i, j)| {
+                let bits = squared_distance(&x[i], &x[j]).to_bits();
+                let slot = &mut memo[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize];
+                let k = slot
+                    .filter(|&(b, _)| b == bits)
+                    .map_or_else(|| entries(f64::from_bits(bits)), |(_, k)| k);
+                *slot = Some((bits, k));
+                k
+            })
+            .collect();
         // Each lane's diagonal, noise included, as its jitter ladder
         // raises it.
         let mut diag: Vec<[f64; L]> = (0..n)
-            .map(|i| entries(d2[at(i, i)]).map(|k| k + noise_variance))
+            .map(|i| kernel_entries[at(i, i)].map(|k| k + noise_variance))
             .collect();
         let mut jitter: [f64; L] = std::array::from_fn(|l| 1e-10 * kernels[l].diag());
         let mut live = [true; L];
-        let mut a = vec![[0.0; L]; d2.len()];
+        let mut a = Vec::new();
         loop {
-            for i in 0..n {
-                for j in 0..i {
-                    a[at(i, j)] = entries(d2[at(i, j)]);
-                }
-                a[at(i, i)] = diag[i];
+            a.clone_from(&kernel_entries);
+            for (i, d) in diag.iter().enumerate() {
+                a[at(i, i)] = *d;
             }
             let factored = cholesky_lanes(&mut a, n);
             let mut retry = false;
@@ -316,6 +327,31 @@ impl GpRegressor {
     /// sequence with the same hyperparameters. On error the model is left
     /// as it was.
     pub fn extend(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
+        self.append_factor(x_new)?;
+        self.x_flat.extend_from_slice(x_new);
+        self.y_raw.push(y_new);
+        self.recenter_and_resolve()
+    }
+
+    /// Slide the window by one observation, re-solving `alpha` once: bit for
+    /// bit [`GpRegressor::extend`] then [`GpRegressor::drop_oldest`], which
+    /// re-solve it twice. On error the model is left as it was.
+    pub fn slide(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
+        // `drop_oldest` refuses a factor with a non-positive pivot: refuse
+        // it before bordering, whose own pivot is a positive square root.
+        if (0..self.len()).any(|i| self.chol[(i, i)] <= 0.0) {
+            return Err(GpError::NotPositiveDefinite);
+        }
+        self.append_factor(x_new)?;
+        self.x_flat.extend_from_slice(x_new);
+        self.y_raw.push(y_new);
+        self.drop_oldest()
+    }
+
+    /// Border the factor with the row of `x_new` ([`Matrix::cholesky_append_row`]),
+    /// escalating jitter on the new diagonal entry only, as `fit` does. On
+    /// error the factor is left as it was.
+    fn append_factor(&mut self, x_new: &[f64]) -> Result<(), GpError> {
         if x_new.len() != self.dim {
             return Err(GpError::DimensionMismatch);
         }
@@ -325,11 +361,10 @@ impl GpRegressor {
             rows(&self.x_flat, self.dim, self.y_raw.len()).map(|xi| kernel.eval(xi, x_new)),
         );
         let mut diag = self.kernel.eval(x_new, x_new) + self.noise_variance;
-        // Jitter escalation on the new diagonal entry only, mirroring `fit`.
         let mut jitter = 1e-10 * self.kernel.diag();
         loop {
             match self.chol.cholesky_append_row(&self.work, diag) {
-                Ok(()) => break,
+                Ok(()) => return Ok(()),
                 Err(LinalgError::DimensionMismatch) => return Err(GpError::DimensionMismatch),
                 Err(LinalgError::NotPositiveDefinite) => {
                     if jitter > 1e3 * self.kernel.diag() {
@@ -340,9 +375,6 @@ impl GpRegressor {
                 }
             }
         }
-        self.x_flat.extend_from_slice(x_new);
-        self.y_raw.push(y_new);
-        self.recenter_and_resolve()
     }
 
     /// Remove the oldest training point in `O(n²)` by downdating the
@@ -364,10 +396,7 @@ impl GpRegressor {
             LinalgError::DimensionMismatch => GpError::DimensionMismatch,
             LinalgError::NotPositiveDefinite => GpError::NotPositiveDefinite,
         })?;
-        // Drop the oldest row of the flat buffer in place.
-        let keep = self.x_flat.len() - self.dim;
-        self.x_flat.copy_within(self.dim.., 0);
-        self.x_flat.truncate(keep);
+        self.x_flat.drain(..self.dim);
         self.y_raw.remove(0);
         self.recenter_and_resolve()
     }
@@ -410,29 +439,44 @@ impl GpRegressor {
 
     /// Posterior mean and variance at a query point, using caller-owned
     /// buffers, so sweeping a candidate grid performs no per-query
-    /// allocation.
+    /// allocation. The one-lane case of [`GpRegressor::predict_lanes`].
     pub fn predict_into(&self, xq: &[f64], scratch: &mut PredictScratch) -> (f64, f64) {
-        let n = self.y_raw.len();
-        if scratch.k_star.len() != n {
-            scratch.k_star.clear();
-            scratch.k_star.resize(n, 0.0);
+        self.predict_lanes([xq], scratch)[0]
+    }
+
+    /// Posterior mean and variance at `L` query points in one pass: kernel
+    /// rows, one forward substitution over `[f64; L]` rows and lane-wise
+    /// dots. Each lane runs a single query's operations in their order
+    /// (`-0.0`-seeded sums, no fused multiply-add), so each `(μ, σ²)` is
+    /// bit-identical to querying its point alone.
+    pub fn predict_lanes<const L: usize>(
+        &self,
+        queries: [&[f64]; L],
+        scratch: &mut PredictScratch,
+    ) -> [(f64, f64); L] {
+        scratch.rows.resize(self.y_raw.len() * L, 0.0);
+        let (k, _) = scratch.rows.as_chunks_mut::<L>();
+        self.kernel
+            .eval_rows(queries, &self.x_flat, self.dim, &mut scratch.kernel, k);
+        let mut k_alpha = [-0.0; L];
+        for (kj, aj) in k.iter().zip(&self.alpha) {
+            for l in 0..L {
+                k_alpha[l] += kj[l] * aj;
+            }
         }
-        self.kernel.eval_row(
-            xq,
-            &self.x_flat,
-            self.dim,
-            &mut scratch.kernel,
-            &mut scratch.k_star,
-        );
-        let mean = self.y_mean + dot(&scratch.k_star, &self.alpha);
-        // A solve failure cannot happen for a factor built by `fit`, but if
-        // it ever did the GP degrades to the prior variance instead of
-        // panicking mid-transfer.
-        let var = match self.chol.solve_lower_into(&scratch.k_star, &mut scratch.v) {
-            Ok(()) => self.kernel.diag() + self.noise_variance - dot(&scratch.v, &scratch.v),
-            Err(_) => self.kernel.diag() + self.noise_variance,
-        };
-        (mean, var.max(1e-12))
+        // v = L⁻¹k in place. A solve failure cannot happen for a factor
+        // built by `fit`, but if it ever did the GP degrades to the prior
+        // variance instead of panicking mid-transfer.
+        let mut vv = [-0.0; L];
+        if self.chol.solve_lower_lanes(k).is_ok() {
+            for vj in k.iter() {
+                for l in 0..L {
+                    vv[l] += vj[l] * vj[l];
+                }
+            }
+        }
+        let prior = self.kernel.diag() + self.noise_variance;
+        std::array::from_fn(|l| (self.y_mean + k_alpha[l], (prior - vv[l]).max(1e-12)))
     }
 
     /// Log marginal likelihood of the training data under the fitted model.
@@ -656,6 +700,70 @@ mod tests {
             assert!((sm - fm).abs() < 1e-9, "mean {sm} vs {fm} at {q}");
             assert!((sv - fv).abs() < 1e-9, "var {sv} vs {fv} at {q}");
         }
+    }
+
+    /// Every value a window step leaves in the model, as bits.
+    fn model_bits(gp: &GpRegressor) -> Vec<u64> {
+        let n = gp.len();
+        let chol = (0..n).flat_map(|i| (0..=i).map(move |j| (i, j)));
+        [gp.y_mean, gp.kernel.variance, gp.kernel.length_scale]
+            .into_iter()
+            .chain(gp.x_flat.iter().copied())
+            .chain(gp.y_raw.iter().copied())
+            .chain(gp.y_centered.iter().copied())
+            .chain(gp.alpha.iter().copied())
+            .chain(chol.map(|(i, j)| gp.chol[(i, j)]))
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn slide_equals_extend_then_drop_oldest_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(47);
+        // Lattice points (repeats included) or fractional ones, 1-D or 2-D.
+        let point = |rng: &mut StdRng, dim: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|_| match rng.gen_range(0..2u32) {
+                    0 => f64::from(rng.gen_range(1..40u32)),
+                    _ => rng.gen_range(-5.0..45.0),
+                })
+                .collect()
+        };
+        for case in 0..200 {
+            let dim = 1 + case % 2;
+            let n = rng.gen_range(1..=20usize);
+            let x: Vec<Vec<f64>> = (0..n).map(|_| point(&mut rng, dim)).collect();
+            let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let mut slid = GpRegressor::fit_auto(&x, &y, 0.02).unwrap();
+            let mut stepped = slid.clone();
+            for _ in 0..6 {
+                let (xn, yn) = (point(&mut rng, dim), rng.gen_range(-3.0..3.0));
+                let got = slid.slide(&xn, yn);
+                let want = stepped.extend(&xn, yn).and_then(|()| stepped.drop_oldest());
+                assert_eq!(got, want, "case {case}");
+                assert_eq!(model_bits(&slid), model_bits(&stepped), "case {case}");
+            }
+        }
+        // The error paths: the step fails as `extend` does, and leaves the
+        // model as it was.
+        let mut gp =
+            GpRegressor::fit(&xs(&[0.0, 1.0]), &[0.0, 1.0], Matern52::new(1.0, 1.0), 1e-4).unwrap();
+        let before = model_bits(&gp);
+        let err = gp.clone().extend(&[1.0, 2.0], 3.0).unwrap_err();
+        assert_eq!(err, GpError::DimensionMismatch);
+        assert_eq!(gp.slide(&[1.0, 2.0], 3.0).unwrap_err(), err);
+        assert_eq!(model_bits(&gp), before);
+        // A noise so negative that only the top of the jitter ladder
+        // factors one point; bordering a second copy of it fails outright.
+        let mut gp =
+            GpRegressor::fit(&xs(&[0.0]), &[1.0], Matern52::new(1.0, 1.0), -1112.1).unwrap();
+        let before = model_bits(&gp);
+        let err = gp.clone().extend(&[0.0], 2.0).unwrap_err();
+        assert_eq!(err, GpError::NotPositiveDefinite);
+        assert_eq!(gp.slide(&[0.0], 2.0).unwrap_err(), err);
+        assert_eq!(model_bits(&gp), before);
     }
 
     #[test]

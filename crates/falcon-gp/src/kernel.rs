@@ -4,7 +4,10 @@
 /// [`KernelRowScratch`].
 const PROFILE_TABLE_LEN: usize = 1024;
 
-/// Reusable buffers for [`Matern52::eval_row`].
+/// Adding and subtracting this rounds a magnitude below it to an integer.
+const ROUND: f64 = (1u64 << 52) as f64;
+
+/// Reusable buffers for [`Matern52::eval_rows`].
 ///
 /// The squared-distance pass is staged in `d2` so the distance loop stays
 /// a tight, auto-vectorizable sweep over flattened point storage, separate
@@ -102,33 +105,84 @@ impl Matern52 {
         self.variance * poly * decay
     }
 
+    /// `k` at 1-D offset `t`, out of line: inlined, the compiler may
+    /// compute its `exp` ahead of the table lookup that exists to skip it.
+    #[inline(never)]
+    fn at_offset(&self, t: f64) -> f64 {
+        self.at_squared_distance(t * t)
+    }
+
     /// Prior variance at a point (`k(x, x)`).
     pub fn diag(&self) -> f64 {
         self.variance
     }
 
-    /// Fused kernel row `k(xq, X)` against flattened row-major point
-    /// storage (`n×dim`), written into `out` (`n` entries), with the same
-    /// value per element as [`Matern52::eval`]: vectorized squared
-    /// distances, then the radial profile. From the second 1-D row under
-    /// one kernel on, integral distances are read from the scratch's
-    /// profile table instead.
-    pub fn eval_row(
+    /// Fused kernel rows `k(q_l, X)` of `L` queries against flattened
+    /// row-major point storage (`n×dim`), written into `out` as `n` rows of
+    /// `L` lanes, with the same value per element as [`Matern52::eval`]:
+    /// vectorized squared distances, then the radial profile. From the
+    /// second call under one kernel on, 1-D entries at integral distances
+    /// are read from the scratch's profile table instead.
+    pub fn eval_rows<const L: usize>(
         &self,
-        xq: &[f64],
+        queries: [&[f64]; L],
         xs_flat: &[f64],
         dim: usize,
         scratch: &mut KernelRowScratch,
-        out: &mut [f64],
+        out: &mut [[f64; L]],
     ) {
         if dim == 1 {
             let key = (self.variance.to_bits(), self.length_scale.to_bits());
             if scratch.key == key {
-                self.eval_row_from_table(xq[0], xs_flat, &mut scratch.table, out);
+                let qs = queries.map(|q| q[0]);
+                // With points and queries integers within ±512, every offset
+                // is an integer index into the table. The scan pays for itself
+                // across several lanes; a one-lane row checks each offset.
+                let half = (PROFILE_TABLE_LEN / 2) as f64;
+                let integral = |v: f64| v.abs() < half && v.abs() + ROUND - ROUND == v.abs();
+                if L > 1 && xs_flat.iter().chain(&qs).all(|&v| integral(v)) {
+                    let (table, qi) = (&mut scratch.table, qs.map(|q| q as i64));
+                    for (o, &x) in out.iter_mut().zip(xs_flat) {
+                        let xi = x as i64;
+                        for l in 0..L {
+                            let i = (xi - qi[l]).unsigned_abs() as usize;
+                            if i >= table.len() {
+                                table.resize(i + 1, f64::NAN);
+                            }
+                            let slot = &mut table[i];
+                            if slot.is_nan() {
+                                *slot = self.at_offset(x - qs[l]);
+                            }
+                            o[l] = *slot;
+                        }
+                    }
+                } else {
+                    let table = &mut scratch.table;
+                    for (o, &x) in out.iter_mut().zip(xs_flat) {
+                        for l in 0..L {
+                            let t = x - qs[l];
+                            let a = t.abs();
+                            // Integral and below the bound (NaN fails it).
+                            o[l] = if a < PROFILE_TABLE_LEN as f64 && (a as usize) as f64 == a {
+                                let i = a as usize;
+                                if i >= table.len() {
+                                    table.resize(i + 1, f64::NAN);
+                                }
+                                let slot = &mut table[i];
+                                if slot.is_nan() {
+                                    *slot = self.at_offset(t);
+                                }
+                                *slot
+                            } else {
+                                self.at_offset(t)
+                            };
+                        }
+                    }
+                }
                 return;
             }
-            // A new kernel: its table starts empty and later rows fill it;
-            // this row streams, so a one-off query pays nothing for it.
+            // A new kernel: its table starts empty and later calls fill
+            // it; this one streams, so a one-off query pays nothing for it.
             scratch.key = key;
             scratch.table.clear();
         }
@@ -136,33 +190,11 @@ impl Matern52 {
             scratch.d2.clear();
             scratch.d2.resize(out.len(), 0.0);
         }
-        squared_distances(xq, xs_flat, dim, &mut scratch.d2);
-        for (o, &d2) in out.iter_mut().zip(&scratch.d2) {
-            *o = self.at_squared_distance(d2);
-        }
-    }
-
-    /// The 1-D row against query `q`, reading `k` at integral distances
-    /// below [`PROFILE_TABLE_LEN`] from `table` (this kernel's) and filling
-    /// untouched (NaN) slots from the same expression as `eval`.
-    fn eval_row_from_table(&self, q: f64, xs: &[f64], table: &mut Vec<f64>, out: &mut [f64]) {
-        for (o, &x) in out.iter_mut().zip(xs) {
-            let t = x - q;
-            let a = t.abs();
-            // Integral and below the bound (NaN fails the bound).
-            *o = if a < PROFILE_TABLE_LEN as f64 && (a as usize) as f64 == a {
-                let i = a as usize;
-                if i >= table.len() {
-                    table.resize(i + 1, f64::NAN);
-                }
-                let slot = &mut table[i];
-                if slot.is_nan() {
-                    *slot = self.at_squared_distance(t * t);
-                }
-                *slot
-            } else {
-                self.at_squared_distance(t * t)
-            };
+        for (l, xq) in queries.iter().enumerate() {
+            squared_distances(xq, xs_flat, dim, &mut scratch.d2);
+            for (o, &d2) in out.iter_mut().zip(&scratch.d2) {
+                o[l] = self.at_squared_distance(d2);
+            }
         }
     }
 }
@@ -189,38 +221,56 @@ mod tests {
     }
 
     #[test]
-    fn eval_row_bit_identical_to_per_point_eval() {
-        // The fused row must agree with `eval` per element *bitwise*, so
-        // swapping predict onto it cannot perturb decision sequences. One
-        // scratch serves alternating kernels, so a profile table kept
-        // across a kernel change would show.
+    fn eval_rows_bit_identical_to_per_point_eval() {
+        // Every lane of the fused rows must agree with `eval` per element
+        // *bitwise*, so swapping predict onto it cannot perturb decision
+        // sequences. One scratch serves alternating kernels and lane
+        // counts, so a profile table kept across a kernel change would
+        // show.
         let mut scratch = KernelRowScratch::default();
         let kernels = [Matern52::new(0.9, 5.1), Matern52::new(2.3, 40.0)];
-        let mut check = |k: &Matern52, xq: &[f64], flat: &[f64], dim: usize| {
-            let mut out = vec![0.0; flat.len() / dim];
-            k.eval_row(xq, flat, dim, &mut scratch, &mut out);
+        let mut check = |k: &Matern52, qs: [&[f64]; 3], flat: &[f64], dim: usize| {
+            let mut one = vec![[0.0; 1]; flat.len() / dim];
+            let mut three = vec![[0.0; 3]; flat.len() / dim];
+            k.eval_rows([qs[0]], flat, dim, &mut scratch, &mut one);
+            k.eval_rows(qs, flat, dim, &mut scratch, &mut three);
             for (i, p) in flat.chunks_exact(dim).enumerate() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    k.eval(xq, p).to_bits(),
-                    "dim {dim}, query {xq:?}, point {p:?}, kernel {k:?}"
-                );
+                let want = k.eval(qs[0], p).to_bits();
+                assert_eq!(one[i][0].to_bits(), want, "dim {dim}, {qs:?}, {p:?}, {k:?}");
+                for (l, q) in qs.iter().enumerate() {
+                    let want = k.eval(q, p).to_bits();
+                    assert_eq!(
+                        three[i][l].to_bits(),
+                        want,
+                        "dim {dim}, {q:?}, {p:?}, {k:?}"
+                    );
+                }
             }
         };
         for k in kernels.iter().chain(&kernels) {
             for dim in [1usize, 2, 3] {
                 let n = 9;
                 let flat: Vec<f64> = (0..n * dim).map(|i| (i as f64) * 0.73 - 4.0).collect();
-                let xq: Vec<f64> = (0..dim).map(|i| i as f64 + 0.31).collect();
-                check(k, &xq, &flat, dim);
+                let qs: Vec<Vec<f64>> = (0..3)
+                    .map(|l| (0..dim).map(|i| (i + l) as f64 + 0.31).collect())
+                    .collect();
+                check(k, [&qs[0], &qs[1], &qs[2]], &flat, dim);
             }
             // 1-D integer lattice reaching distance 1,100 on both sides of
-            // the query (past the table's bound), with half-integers.
+            // the queries (past the table's bound), with half-integers.
             let lattice: Vec<f64> = (-1100..=1100)
                 .flat_map(|i| [f64::from(i), f64::from(i) + 0.5])
                 .collect();
             for q in [0.0, 7.0, -3.0, 2.5, 1100.0] {
-                check(k, &[q], &lattice, 1);
+                check(k, [&[q], &[q + 1.0], &[-q - 0.5]], &lattice, 1);
+            }
+            // All-integral rows index the table by integer distance, until
+            // the reach passes its bound.
+            for reach in [40, 1100] {
+                let ints: Vec<f64> = (-reach..=reach).map(f64::from).collect();
+                for q in [0.0, 7.0, -3.0] {
+                    check(k, [&[q], &[q + 1.0], &[-q - 2.0]], &ints, 1);
+                }
             }
         }
     }

@@ -16,13 +16,15 @@
 //! and pipelining), and the training set is ≤ 20 points, so dense
 //! factorizations are the right tool — no BLAS needed.
 //!
-//! Two things keep a decision cheap without changing a bit of it.
+//! Lanes keep a decision cheap without changing a bit of it.
 //! [`GpRegressor::fit_auto`] factors its 12 grid points in lockstep, one
 //! packed triangle of `[f64; 12]` lanes, and builds a regressor only for
 //! the winner; [`GpRegressor::fit`] is the one-lane case of the same
-//! routine. And a 1-D posterior query reads the kernel at integral
-//! distances from a per-kernel profile table in [`KernelRowScratch`]
-//! instead of calling `exp` once per training point.
+//! routine. [`GpRegressor::predict_lanes`] solves several posteriors in one
+//! forward substitution ([`SweepCache`] fills blocks of four), and
+//! [`GpRegressor::predict_into`] is its one-lane case. A 1-D query on the
+//! integer lattice reads the kernel from a per-kernel profile table in
+//! [`KernelRowScratch`] instead of calling `exp` once per training point.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

@@ -204,22 +204,35 @@ impl Matrix {
     /// Solve `L·x = b` for lower-triangular `L` (forward substitution) into
     /// a caller-owned buffer (resized to `n` and fully overwritten), so
     /// repeated solves allocate nothing once the buffer has grown to size.
+    /// The one-lane case of [`Matrix::solve_lower_lanes`].
     pub fn solve_lower_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), LinalgError> {
+        if b.len() != self.rows {
+            return Err(LinalgError::DimensionMismatch);
+        }
+        x.clear();
+        x.extend_from_slice(b);
+        self.solve_lower_lanes(x.as_chunks_mut::<1>().0)
+    }
+
+    /// Solve `L·x = b` in place for `L` right-hand sides at once, lane `l`
+    /// of each row holding `b[l]` on entry and `x[l]` on return. Every lane
+    /// runs the operations of a single forward substitution in its order
+    /// (`sum = b_i`, then `sum -= L_ik·x_k` for `k < i`, then `/ L_ii`), so
+    /// each is bit-identical to solving its column alone.
+    pub fn solve_lower_lanes<const L: usize>(&self, b: &mut [[f64; L]]) -> Result<(), LinalgError> {
         let n = self.rows;
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
         }
-        if x.len() != n {
-            x.clear();
-            x.resize(n, 0.0);
-        }
-        for ((i, row), &bi) in self.data.chunks_exact(n.max(1)).enumerate().zip(b) {
-            let (done, rest) = x.split_at_mut(i);
-            let mut sum = bi;
+        for (i, row) in self.data.chunks_exact(n.max(1)).take(n).enumerate() {
+            let (done, rest) = b.split_at_mut(i);
+            let mut sum = rest[0];
             for (lik, xk) in row[..i].iter().zip(done.iter()) {
-                sum -= lik * xk;
+                for l in 0..L {
+                    sum[l] -= lik * xk[l];
+                }
             }
-            rest[0] = sum / row[i];
+            rest[0] = sum.map(|v| v / row[i]);
         }
         Ok(())
     }

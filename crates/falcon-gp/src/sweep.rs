@@ -21,14 +21,20 @@
 use crate::acquisition::Acquisition;
 use crate::gp::{GpRegressor, PredictScratch};
 
+/// Candidates whose posteriors one [`SweepCache`] fill computes together.
+const LANES: usize = 4;
+
 /// Per-decision memo of posterior `(μ, σ)` by candidate index, shared by
 /// every acquisition-function member and every ascent path within one
 /// decision. `begin` starts a new decision epoch in O(1); entries are
-/// recomputed lazily on first touch.
+/// computed lazily on first touch, in aligned blocks of four candidates
+/// ([`GpRegressor::predict_lanes`]): an ascent step's neighbours mostly
+/// share the block, and four lanes cost little more than one.
 #[derive(Debug, Clone, Default)]
 pub struct SweepCache {
     mu: Vec<f64>,
     sigma: Vec<f64>,
+    /// Epoch in which each block was last filled.
     stamp: Vec<u64>,
     epoch: u64,
     scratch: PredictScratch,
@@ -44,33 +50,42 @@ impl SweepCache {
     /// Start a new decision epoch over `n` candidates. Previously cached
     /// posteriors are invalidated without clearing storage.
     pub fn begin(&mut self, n: usize) {
-        if self.stamp.len() != n {
+        if self.mu.len() != n {
             self.mu.clear();
             self.mu.resize(n, 0.0);
             self.sigma.clear();
             self.sigma.resize(n, 0.0);
             self.stamp.clear();
-            self.stamp.resize(n, 0);
+            self.stamp.resize(n.div_ceil(LANES), 0);
         }
         self.epoch += 1;
         self.evals = 0;
     }
 
-    /// Posterior `(μ, σ)` of candidate `i`, computed on first touch this
-    /// epoch and served from the memo afterwards.
+    /// Posterior `(μ, σ)` of candidate `i`, computed with the rest of its
+    /// block on first touch this epoch and served from the memo
+    /// afterwards. A block past the last candidate repeats it in the
+    /// padding lanes and keeps only the real ones.
     pub fn posterior(&mut self, gp: &GpRegressor, candidates: &[Vec<f64>], i: usize) -> (f64, f64) {
-        if self.stamp[i] != self.epoch {
-            let (m, v) = gp.predict_into(&candidates[i], &mut self.scratch);
-            self.mu[i] = m;
-            self.sigma[i] = v.sqrt();
-            self.stamp[i] = self.epoch;
-            self.evals += 1;
+        let block = i / LANES;
+        if self.stamp[block] != self.epoch {
+            let first = block * LANES;
+            let last = candidates.len() - 1;
+            let queries: [&[f64]; LANES] =
+                std::array::from_fn(|l| candidates[(first + l).min(last)].as_slice());
+            let lanes = gp.predict_lanes(queries, &mut self.scratch);
+            for (j, (m, v)) in (first..=last).zip(lanes) {
+                self.mu[j] = m;
+                self.sigma[j] = v.sqrt();
+                self.evals += 1;
+            }
+            self.stamp[block] = self.epoch;
         }
         (self.mu[i], self.sigma[i])
     }
 
-    /// Distinct posterior evaluations since the last `begin` — the number
-    /// the local-ascent path exists to keep small.
+    /// Posteriors computed since the last `begin`, padding lanes not
+    /// counted — the number the local-ascent path exists to keep small.
     pub fn evals(&self) -> usize {
         self.evals
     }
@@ -262,21 +277,32 @@ mod tests {
 
     #[test]
     fn cache_computes_each_posterior_once_per_epoch() {
+        // Fills come in aligned blocks of four: 11 candidates make blocks
+        // 0..4, 4..8 and a padded 8..11.
         let gp = toy_gp();
         let candidates = grid(11);
         let mut cache = SweepCache::new();
         cache.begin(candidates.len());
         let a = cache.posterior(&gp, &candidates, 3);
+        assert_eq!(cache.evals(), 4);
+        // A repeat query computes nothing, nor does a candidate of a
+        // filled block.
         let b = cache.posterior(&gp, &candidates, 3);
         assert_eq!(a, b);
-        assert_eq!(cache.evals(), 1);
+        cache.posterior(&gp, &candidates, 0);
+        assert_eq!(cache.evals(), 4);
         cache.posterior(&gp, &candidates, 7);
-        assert_eq!(cache.evals(), 2);
+        assert_eq!(cache.evals(), 8);
+        // The padded tail counts its real candidates only.
+        cache.posterior(&gp, &candidates, 10);
+        assert_eq!(cache.evals(), 11);
+        cache.posterior(&gp, &candidates, 8);
+        assert_eq!(cache.evals(), 11);
         // New epoch invalidates.
         cache.begin(candidates.len());
         assert_eq!(cache.evals(), 0);
         cache.posterior(&gp, &candidates, 3);
-        assert_eq!(cache.evals(), 1);
+        assert_eq!(cache.evals(), 4);
     }
 
     #[test]

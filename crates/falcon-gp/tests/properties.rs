@@ -435,4 +435,84 @@ proptest! {
             prop_assert!(same_bits(gm, wm) && same_bits(gv, wv), "posterior at {:?}: ({}, {}) vs ({}, {})", q, gm, gv, wm, wv);
         }
     }
+
+    /// The sweep cache's four-lane block fills and `predict_lanes` equal
+    /// one-lane `predict_into` bit for bit, in μ and σ: over 1-D integral
+    /// inputs (the kernel table), 1-D fractional ones, a 2-D cc×p grid and
+    /// lattice points past the table's reach; with candidates touched in
+    /// a random order, so every block is filled from every alignment, the
+    /// padded tail included; as fitted, after two window slides and after
+    /// a refit, through one cache and one lane scratch throughout.
+    #[test]
+    fn lane_posteriors_match_one_lane_bitwise(
+        shape in 0u32..4,
+        n in 1usize..=20,
+        codes in proptest::collection::vec(0u32..40, 22),
+        fracs in proptest::collection::vec(-0.5f64..0.5, 22),
+        ys in proptest::collection::vec(-3.0f64..3.0, 22),
+        n_candidates in 1usize..=23,
+        order in proptest::collection::vec(0usize..1000, 23),
+    ) {
+        let point = |k: usize| -> Vec<f64> {
+            let c = f64::from(codes[k]);
+            match shape {
+                0 => vec![c + 1.0],
+                1 => vec![c + 1.0 + fracs[k]],
+                2 => vec![c % 8.0 + 1.0, (c / 8.0).floor() + 1.0],
+                _ => vec![c * 97.0],
+            }
+        };
+        let candidates: Vec<Vec<f64>> = (0..n_candidates)
+            .map(|i| {
+                let c = i as f64;
+                match shape {
+                    0 => vec![c + 1.0],
+                    1 => vec![c + 1.5],
+                    2 => vec![c % 5.0 + 1.0, (c / 5.0).floor() + 1.0],
+                    _ => vec![c * 89.0],
+                }
+            })
+            .collect();
+        // Touch order: candidates sorted by a random key.
+        let mut touch: Vec<usize> = (0..n_candidates).collect();
+        touch.sort_by_key(|&i| order[i]);
+
+        let xs: Vec<Vec<f64>> = (0..n).map(point).collect();
+        let Ok(mut gp) = GpRegressor::fit_auto(&xs, &ys[..n], 0.02) else {
+            return Ok(());
+        };
+        let mut cache = SweepCache::new();
+        let mut lanes = PredictScratch::default();
+        for phase in 0..4 {
+            cache.begin(n_candidates);
+            for &i in &touch {
+                let (m, s) = cache.posterior(&gp, &candidates, i);
+                let (wm, wv) = gp.predict_into(&candidates[i], &mut PredictScratch::default());
+                prop_assert!(
+                    same_bits(m, wm) && same_bits(s, wv.sqrt()),
+                    "phase {phase}, candidate {i}: ({m}, {s}) vs ({wm}, {})", wv.sqrt()
+                );
+            }
+            let quad: [&[f64]; 4] =
+                std::array::from_fn(|l| candidates[touch[l % n_candidates]].as_slice());
+            for (l, (m, v)) in gp.predict_lanes(quad, &mut lanes).into_iter().enumerate() {
+                let (wm, wv) = gp.predict_into(quad[l], &mut PredictScratch::default());
+                prop_assert!(same_bits(m, wm) && same_bits(v, wv), "phase {phase}, lane {l}");
+            }
+            match phase {
+                0 | 1 => {
+                    if gp.slide(&point(n + phase), ys[n + phase]).is_err() {
+                        return Ok(());
+                    }
+                }
+                _ => {
+                    let window: Vec<Vec<f64>> = gp.inputs().map(<[f64]>::to_vec).collect();
+                    let Ok(refit) = GpRegressor::fit_auto(&window, gp.targets(), 0.02) else {
+                        return Ok(());
+                    };
+                    gp = refit;
+                }
+            }
+        }
+    }
 }

@@ -305,7 +305,6 @@ struct Live {
     next_probe_s: f64,
     /// When to throw away the warm-up metrics of the current probe.
     discard_at_s: Option<f64>,
-    joined: bool,
     done: bool,
     /// Watchdog state: the process is currently dead.
     detached: bool,
@@ -328,6 +327,8 @@ const WAKE_LEAVE: u8 = 1;
 const WAKE_AGENT: u8 = 2;
 const WAKE_TRACE: u8 = 3;
 const WAKE_END: u8 = 4;
+/// Payload of a join, departure, trace or end wakeup: no single agent.
+const NO_AGENT: usize = usize::MAX;
 
 impl Runner {
     /// Run `plans` against `harness` for `duration_s`, returning the trace.
@@ -360,7 +361,6 @@ impl Runner {
                 slot: usize::MAX,
                 next_probe_s: 0.0,
                 discard_at_s: None,
-                joined: false,
                 done: false,
                 detached: false,
                 retry_at_s: 0.0,
@@ -380,26 +380,39 @@ impl Runner {
         // The wakeup queue holds every instant the runner might need to
         // act: scheduled joins and departures, probe and warm-up-discard
         // deadlines, restart retries, trace instants, and the end of the
-        // run. Between wakeups the harness advances in one hop (exactly to
-        // the wakeup time — no tick quantization), and at each wakeup the
-        // full per-agent body re-runs. Every deadline check is of the form
-        // `now >= deadline`, so a stale entry — a deadline that moved later
-        // after its wakeup was queued — is a harmless no-op, and a deadline
-        // is never missed because every (re)setting site queues a wakeup.
-        let mut wakeups: EventQueue<()> = EventQueue::new();
-        for plan in &plans {
-            wakeups.push(plan.start_s.max(t0), WAKE_JOIN, ());
+        // run. An agent's deadline carries the agent's index. Between
+        // wakeups the harness advances in one hop (exactly to the wakeup
+        // time — no tick quantization). Every deadline check is of the
+        // form `now >= deadline`, so a stale entry — a deadline that moved
+        // later after its wakeup was queued — is a harmless no-op, and a
+        // deadline is never missed because every (re)setting site queues
+        // a wakeup.
+        let mut wakeups: EventQueue<usize> = EventQueue::new();
+        // Joins in the order they fall due, ties by plan index; a plan
+        // with a NaN start never joins.
+        let join_at: Vec<f64> = plans.iter().map(|p| p.start_s.max(t0)).collect();
+        let mut join_order: Vec<usize> = (0..plans.len())
+            .filter(|&i| !plans[i].start_s.is_nan())
+            .collect();
+        join_order.sort_by(|&a, &b| join_at[a].total_cmp(&join_at[b]).then(a.cmp(&b)));
+        let mut next_join = 0;
+        for (plan, &at) in plans.iter().zip(&join_at) {
+            wakeups.push(at, WAKE_JOIN, NO_AGENT);
             if let Some(leave) = plan.leave_s {
-                wakeups.push(leave.max(plan.start_s).max(t0), WAKE_LEAVE, ());
+                wakeups.push(leave.max(plan.start_s).max(t0), WAKE_LEAVE, NO_AGENT);
             }
         }
         let mut trace_k: u64 = 1;
         if t0 + TRACE_EVERY_S <= end_s {
-            wakeups.push(t0 + TRACE_EVERY_S, WAKE_TRACE, ());
+            wakeups.push(t0 + TRACE_EVERY_S, WAKE_TRACE, NO_AGENT);
         }
-        wakeups.push(end_s, WAKE_END, ());
+        wakeups.push(end_s, WAKE_END, NO_AGENT);
+        // The joined, not-done agents in plan order, and which of them
+        // have a deadline wakeup due at the current instant.
+        let mut active: Vec<usize> = Vec::new();
+        let mut due = vec![false; plans.len()];
 
-        while let Some((at_s, class, ())) = wakeups.pop() {
+        while let Some((at_s, class, agent)) = wakeups.pop() {
             if at_s > end_s {
                 continue;
             }
@@ -407,43 +420,62 @@ impl Runner {
             let t = harness.time_s();
             self.tracer.set_time(t);
 
-            // Joins.
-            for (i, plan) in plans.iter_mut().enumerate() {
-                if !live[i].joined && t >= plan.start_s {
-                    // The dataset moves into the harness; the plan keeps an
-                    // empty one that nothing reads.
-                    let slot = harness.join(std::mem::take(&mut plan.dataset));
-                    harness.apply(slot, plan.tuner.initial());
-                    live[i].slot = slot;
-                    live[i].joined = true;
-                    // Stagger probe clocks: independently started transfers
-                    // are never phase-locked. Synchronized probing would
-                    // make every agent measure the *joint* gradient (flat
-                    // past saturation) instead of its own marginal share.
-                    const PHASES: [f64; 8] = [0.0, 0.37, 0.71, 0.19, 0.53, 0.89, 0.11, 0.67];
-                    live[i].next_probe_s = t + interval * (1.0 + PHASES[i % PHASES.len()]);
-                    live[i].discard_at_s = Some(t + warmup);
-                    wakeups.push(live[i].next_probe_s, WAKE_AGENT, ());
-                    wakeups.push(t + warmup, WAKE_AGENT, ());
+            // One pass serves every wakeup due by `t`: a second pass at the
+            // same instant would find nothing left to do.
+            let (mut trace_due, mut end_due) = (false, false);
+            let due_now = std::iter::once((class, agent)).chain(std::iter::from_fn(|| {
+                wakeups.peek().filter(|&(at, _)| at <= t)?;
+                wakeups.pop().map(|(_, class, agent)| (class, agent))
+            }));
+            for (class, agent) in due_now {
+                trace_due |= class == WAKE_TRACE;
+                end_due |= class == WAKE_END;
+                if agent != NO_AGENT {
+                    due[agent] = true;
                 }
+            }
+
+            // Joins, in plan order among those due together.
+            let first_join = next_join;
+            while join_order.get(next_join).is_some_and(|&i| join_at[i] <= t) {
+                next_join += 1;
+            }
+            join_order[first_join..next_join].sort_unstable();
+            for &i in &join_order[first_join..next_join] {
+                let plan = &mut plans[i];
+                // The dataset moves into the harness; the plan keeps an
+                // empty one that nothing reads.
+                let slot = harness.join(std::mem::take(&mut plan.dataset));
+                harness.apply(slot, plan.tuner.initial());
+                live[i].slot = slot;
+                // Stagger probe clocks: independently started transfers
+                // are never phase-locked. Synchronized probing would
+                // make every agent measure the *joint* gradient (flat
+                // past saturation) instead of its own marginal share.
+                const PHASES: [f64; 8] = [0.0, 0.37, 0.71, 0.19, 0.53, 0.89, 0.11, 0.67];
+                live[i].next_probe_s = t + interval * (1.0 + PHASES[i % PHASES.len()]);
+                live[i].discard_at_s = Some(t + warmup);
+                wakeups.push(live[i].next_probe_s, WAKE_AGENT, i);
+                wakeups.push(t + warmup, WAKE_AGENT, i);
+                let at = active.partition_point(|&j| j < i);
+                active.insert(at, i);
             }
 
             // Scripted departures.
-            for (i, plan) in plans.iter().enumerate() {
-                if live[i].joined && !live[i].done {
-                    if let Some(leave) = plan.leave_s {
-                        if t >= leave {
-                            harness.leave(live[i].slot);
-                            live[i].done = true;
-                            completed_at[i].get_or_insert(t);
-                        }
-                    }
+            for &i in &active {
+                if plans[i].leave_s.is_some_and(|l| t >= l) {
+                    harness.leave(live[i].slot);
+                    live[i].done = true;
+                    completed_at[i].get_or_insert(t);
                 }
             }
 
-            // Completion + probes.
-            for (i, plan) in plans.iter_mut().enumerate() {
-                if !live[i].joined || live[i].done {
+            // Completion + probes. Every live agent is checked for
+            // completion and a dead process, which come without a wakeup of
+            // its own; only one with a deadline due checks its deadlines.
+            for &i in &active {
+                let is_due = std::mem::take(&mut due[i]);
+                if live[i].done {
                     continue;
                 }
                 let slot = live[i].slot;
@@ -461,7 +493,7 @@ impl Runner {
                         live[i].detached = true;
                         live[i].backoff_s = RESTART_BACKOFF_S;
                         live[i].retry_at_s = t + live[i].backoff_s;
-                        wakeups.push(live[i].retry_at_s, WAKE_AGENT, ());
+                        wakeups.push(live[i].retry_at_s, WAKE_AGENT, i);
                         tracers[i].emit(|| TraceEvent::Recovery {
                             action: "detached".to_string(),
                             value: 0.0,
@@ -469,7 +501,7 @@ impl Runner {
                     } else if t >= live[i].retry_at_s {
                         live[i].backoff_s = (live[i].backoff_s * 2.0).min(RESTART_BACKOFF_MAX_S);
                         live[i].retry_at_s = t + live[i].backoff_s;
-                        wakeups.push(live[i].retry_at_s, WAKE_AGENT, ());
+                        wakeups.push(live[i].retry_at_s, WAKE_AGENT, i);
                         let next_backoff_s = live[i].backoff_s;
                         tracers[i].emit(|| TraceEvent::Recovery {
                             action: "restart_attempt".to_string(),
@@ -499,8 +531,14 @@ impl Runner {
                     let _ = harness.sample(slot); // drop dead-period metrics
                     live[i].next_probe_s = t + interval;
                     live[i].discard_at_s = Some(t + warmup);
-                    wakeups.push(live[i].next_probe_s, WAKE_AGENT, ());
-                    wakeups.push(t + warmup, WAKE_AGENT, ());
+                    wakeups.push(live[i].next_probe_s, WAKE_AGENT, i);
+                    wakeups.push(t + warmup, WAKE_AGENT, i);
+                }
+                if !is_due {
+                    // Every deadline queues its own wakeup.
+                    debug_assert!(live[i].discard_at_s.is_none_or(|d| d > t));
+                    debug_assert!(live[i].next_probe_s > t);
+                    continue;
                 }
                 if let Some(discard_at) = live[i].discard_at_s {
                     if t >= discard_at {
@@ -529,7 +567,7 @@ impl Runner {
                             pipelining: metrics.settings.pipelining,
                         });
                         let prev = harness.current_settings(slot);
-                        let settings = plan.tuner.on_sample(&metrics);
+                        let settings = plans[i].tuner.on_sample(&metrics);
                         harness.apply(slot, settings);
                         if settings != prev {
                             tracers[i].emit(|| TraceEvent::SettingsChange {
@@ -549,33 +587,33 @@ impl Runner {
                     // falcon-lint::allow(float-time-accum, reason = "probe cadence is anchored at join and after a restart; between those each probe adds one interval, at most half an ulp of rounding per probe, and the probe instants are pinned by the golden traces")
                     live[i].next_probe_s += interval;
                     live[i].discard_at_s = Some(t + warmup);
-                    wakeups.push(live[i].next_probe_s, WAKE_AGENT, ());
-                    wakeups.push(t + warmup, WAKE_AGENT, ());
+                    wakeups.push(live[i].next_probe_s, WAKE_AGENT, i);
+                    wakeups.push(t + warmup, WAKE_AGENT, i);
                 }
             }
+            active.retain(|&i| !live[i].done);
 
             // Trace.
-            if class == WAKE_TRACE {
-                for (i, l) in live.iter().enumerate() {
-                    if l.joined && !l.done {
-                        points.push(TracePoint {
-                            t_s: t,
-                            agent: i,
-                            mbps: harness.instantaneous_mbps(l.slot),
-                            settings: harness.current_settings(l.slot),
-                        });
-                    }
+            if trace_due {
+                for &i in &active {
+                    let slot = live[i].slot;
+                    points.push(TracePoint {
+                        t_s: t,
+                        agent: i,
+                        mbps: harness.instantaneous_mbps(slot),
+                        settings: harness.current_settings(slot),
+                    });
                 }
                 // Drift-free trace grid: the k-th trace instant is
                 // t0 + k·Δ, never an accumulated sum.
                 trace_k += 1;
                 let next = t0 + trace_k as f64 * TRACE_EVERY_S;
                 if next <= end_s {
-                    wakeups.push(next, WAKE_TRACE, ());
+                    wakeups.push(next, WAKE_TRACE, NO_AGENT);
                 }
             }
 
-            if class == WAKE_END {
+            if end_due {
                 break;
             }
         }

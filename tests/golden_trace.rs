@@ -20,13 +20,14 @@ use std::path::PathBuf;
 use falcon_cli::scenario::{self, Scenario};
 
 /// The scenarios with committed golden traces.
-const GOLDEN: [&str; 6] = [
+const GOLDEN: [&str; 7] = [
     "link_flap",
     "fair_sharing",
     "fleet_churn",
     "rl_flap",
     "friendliness",
     "harp_latecomer",
+    "watchdog_trio",
 ];
 
 fn repo_path(rel: &str) -> PathBuf {
