@@ -4,18 +4,16 @@
 /// [`KernelRowScratch`].
 const PROFILE_TABLE_LEN: usize = 1024;
 
-/// Adding and subtracting this rounds a magnitude below it to an integer.
-const ROUND: f64 = (1u64 << 52) as f64;
-
 /// Reusable buffers for [`Matern52::eval_rows`].
 ///
 /// The squared-distance pass is staged in `d2` so the distance loop stays
 /// a tight, auto-vectorizable sweep over flattened point storage, separate
 /// from the transcendental pass. A 1-D row under the same kernel as the
-/// last one reads the radial profile at integral distances from `table`
-/// instead: candidate and training points of a concurrency search sit on
-/// the integer lattice, so posterior queries keep revisiting the same few
-/// dozen distances, and each costs an `exp` only on first touch.
+/// last one, with points and queries on the integer lattice, reads the
+/// radial profile from `table` by integer distance instead: candidate and
+/// training points of a concurrency search sit there, so posterior queries
+/// keep revisiting the same few dozen distances, and each costs an `exp`
+/// only on first touch.
 #[derive(Debug, Clone, Default)]
 pub struct KernelRowScratch {
     d2: Vec<f64>,
@@ -121,8 +119,8 @@ impl Matern52 {
     /// row-major point storage (`n×dim`), written into `out` as `n` rows of
     /// `L` lanes, with the same value per element as [`Matern52::eval`]:
     /// vectorized squared distances, then the radial profile. From the
-    /// second call under one kernel on, 1-D entries at integral distances
-    /// are read from the scratch's profile table instead.
+    /// second call under one kernel on, a 1-D row whose points and queries
+    /// are integers within ±512 reads the scratch's profile table instead.
     pub fn eval_rows<const L: usize>(
         &self,
         queries: [&[f64]; L],
@@ -133,58 +131,37 @@ impl Matern52 {
     ) {
         if dim == 1 {
             let key = (self.variance.to_bits(), self.length_scale.to_bits());
-            if scratch.key == key {
-                let qs = queries.map(|q| q[0]);
-                // With points and queries integers within ±512, every offset
-                // is an integer index into the table. The scan pays for itself
-                // across several lanes; a one-lane row checks each offset.
-                let half = (PROFILE_TABLE_LEN / 2) as f64;
-                let integral = |v: f64| v.abs() < half && v.abs() + ROUND - ROUND == v.abs();
-                if L > 1 && xs_flat.iter().chain(&qs).all(|&v| integral(v)) {
-                    let (table, qi) = (&mut scratch.table, qs.map(|q| q as i64));
-                    for (o, &x) in out.iter_mut().zip(xs_flat) {
-                        let xi = x as i64;
-                        for l in 0..L {
-                            let i = (xi - qi[l]).unsigned_abs() as usize;
-                            if i >= table.len() {
-                                table.resize(i + 1, f64::NAN);
-                            }
-                            let slot = &mut table[i];
-                            if slot.is_nan() {
-                                *slot = self.at_offset(x - qs[l]);
-                            }
-                            o[l] = *slot;
+            let qs = queries.map(|q| q[0]);
+            // Points and queries that are integers within ±512 put every
+            // offset on an integer index below the table's bound (NaN fails
+            // the bound). Other rows stream.
+            let half = (PROFILE_TABLE_LEN / 2) as f64;
+            let on_lattice = |v: f64| v.abs() < half && (v as i64) as f64 == v;
+            if scratch.key == key && xs_flat.iter().chain(&qs).all(|&v| on_lattice(v)) {
+                let (table, qi) = (&mut scratch.table, qs.map(|q| q as i64));
+                for (o, &x) in out.iter_mut().zip(xs_flat) {
+                    let xi = x as i64;
+                    for l in 0..L {
+                        let i = (xi - qi[l]).unsigned_abs() as usize;
+                        if i >= table.len() {
+                            table.resize(i + 1, f64::NAN);
                         }
-                    }
-                } else {
-                    let table = &mut scratch.table;
-                    for (o, &x) in out.iter_mut().zip(xs_flat) {
-                        for l in 0..L {
-                            let t = x - qs[l];
-                            let a = t.abs();
-                            // Integral and below the bound (NaN fails it).
-                            o[l] = if a < PROFILE_TABLE_LEN as f64 && (a as usize) as f64 == a {
-                                let i = a as usize;
-                                if i >= table.len() {
-                                    table.resize(i + 1, f64::NAN);
-                                }
-                                let slot = &mut table[i];
-                                if slot.is_nan() {
-                                    *slot = self.at_offset(t);
-                                }
-                                *slot
-                            } else {
-                                self.at_offset(t)
-                            };
+                        let slot = &mut table[i];
+                        if slot.is_nan() {
+                            *slot = self.at_offset(x - qs[l]);
                         }
+                        o[l] = *slot;
                     }
                 }
                 return;
             }
-            // A new kernel: its table starts empty and later calls fill
-            // it; this one streams, so a one-off query pays nothing for it.
-            scratch.key = key;
-            scratch.table.clear();
+            if scratch.key != key {
+                // A new kernel: its table starts empty and later calls
+                // fill it; this one streams, so a one-off query pays
+                // nothing for it.
+                scratch.key = key;
+                scratch.table.clear();
+            }
         }
         if scratch.d2.len() != out.len() {
             scratch.d2.clear();
@@ -264,8 +241,7 @@ mod tests {
             for q in [0.0, 7.0, -3.0, 2.5, 1100.0] {
                 check(k, [&[q], &[q + 1.0], &[-q - 0.5]], &lattice, 1);
             }
-            // All-integral rows index the table by integer distance, until
-            // the reach passes its bound.
+            // All-integral rows, reaching inside and past the table's bound.
             for reach in [40, 1100] {
                 let ints: Vec<f64> = (-reach..=reach).map(f64::from).collect();
                 for q in [0.0, 7.0, -3.0] {

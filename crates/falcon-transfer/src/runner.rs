@@ -327,7 +327,7 @@ const WAKE_LEAVE: u8 = 1;
 const WAKE_AGENT: u8 = 2;
 const WAKE_TRACE: u8 = 3;
 const WAKE_END: u8 = 4;
-/// Payload of a join, departure, trace or end wakeup: no single agent.
+/// Payload of a departure, trace or end wakeup: no single agent.
 const NO_AGENT: usize = usize::MAX;
 
 impl Runner {
@@ -388,16 +388,11 @@ impl Runner {
         // deadline is never missed because every (re)setting site queues
         // a wakeup.
         let mut wakeups: EventQueue<usize> = EventQueue::new();
-        // Joins in the order they fall due, ties by plan index; a plan
-        // with a NaN start never joins.
-        let join_at: Vec<f64> = plans.iter().map(|p| p.start_s.max(t0)).collect();
-        let mut join_order: Vec<usize> = (0..plans.len())
-            .filter(|&i| !plans[i].start_s.is_nan())
-            .collect();
-        join_order.sort_by(|&a, &b| join_at[a].total_cmp(&join_at[b]).then(a.cmp(&b)));
-        let mut next_join = 0;
-        for (plan, &at) in plans.iter().zip(&join_at) {
-            wakeups.push(at, WAKE_JOIN, NO_AGENT);
+        for (i, plan) in plans.iter().enumerate() {
+            // A plan with a NaN start never joins.
+            if !plan.start_s.is_nan() {
+                wakeups.push(plan.start_s.max(t0), WAKE_JOIN, i);
+            }
             if let Some(leave) = plan.leave_s {
                 wakeups.push(leave.max(plan.start_s).max(t0), WAKE_LEAVE, NO_AGENT);
             }
@@ -407,10 +402,12 @@ impl Runner {
             wakeups.push(t0 + TRACE_EVERY_S, WAKE_TRACE, NO_AGENT);
         }
         wakeups.push(end_s, WAKE_END, NO_AGENT);
-        // The joined, not-done agents in plan order, and which of them
-        // have a deadline wakeup due at the current instant.
+        // The joined, not-done agents in plan order, which of them have a
+        // deadline wakeup due at the current instant, and the plans due to
+        // join at it.
         let mut active: Vec<usize> = Vec::new();
         let mut due = vec![false; plans.len()];
+        let mut joins: Vec<usize> = Vec::new();
 
         while let Some((at_s, class, agent)) = wakeups.pop() {
             if at_s > end_s {
@@ -428,20 +425,18 @@ impl Runner {
                 wakeups.pop().map(|(_, class, agent)| (class, agent))
             }));
             for (class, agent) in due_now {
-                trace_due |= class == WAKE_TRACE;
-                end_due |= class == WAKE_END;
-                if agent != NO_AGENT {
-                    due[agent] = true;
+                match class {
+                    WAKE_JOIN => joins.push(agent),
+                    WAKE_AGENT => due[agent] = true,
+                    WAKE_TRACE => trace_due = true,
+                    WAKE_END => end_due = true,
+                    _ => {}
                 }
             }
 
             // Joins, in plan order among those due together.
-            let first_join = next_join;
-            while join_order.get(next_join).is_some_and(|&i| join_at[i] <= t) {
-                next_join += 1;
-            }
-            join_order[first_join..next_join].sort_unstable();
-            for &i in &join_order[first_join..next_join] {
+            joins.sort_unstable();
+            for i in joins.drain(..) {
                 let plan = &mut plans[i];
                 // The dataset moves into the harness; the plan keeps an
                 // empty one that nothing reads.
