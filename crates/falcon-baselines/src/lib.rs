@@ -14,7 +14,7 @@
 //!   grabs more than its fair share from incumbents that tuned while alone
 //!   (Figure 2b).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod globus;
 pub mod harp;

@@ -675,8 +675,8 @@ fn bench_lint(q: &mut QuickBench) {
     // Full workspace analysis (lex + every per-file rule + the lock-order
     // cycle check) over every library source file, with the sources
     // preloaded so the number tracks analysis cost, not disk IO.
-    // This is the wall time a `cargo run -p falcon-lint` gate pays per CI
-    // run, so it must stay flat as rule families grow.
+    // This is the wall time `tests/lint.rs` pays per tier-1 run, so it
+    // must stay flat as rule families grow.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     match falcon_lint::workspace_sources(&root) {
         Ok(specs) => {

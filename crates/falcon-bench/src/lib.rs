@@ -16,7 +16,7 @@
 //! trajectory that CI can archive.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -14,7 +14,7 @@
 //! the offline dependency set; [`args`] holds the parser, [`run`] the
 //! command implementations.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod args;
 pub mod run;

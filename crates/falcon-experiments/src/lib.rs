@@ -9,7 +9,7 @@
 //!
 //! All experiments are deterministic (fixed seeds).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod ablations;
 pub mod extensions;

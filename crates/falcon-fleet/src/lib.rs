@@ -31,7 +31,8 @@
 //! fluid-model DES, and component-sharded execution whose merge is
 //! byte-identical at any thread count.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 mod campaign;
 mod report;

@@ -27,7 +27,8 @@
 //! [`KernelRowScratch`] instead of calling `exp` once per training point.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod acquisition;
 pub mod gp;

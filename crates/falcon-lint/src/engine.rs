@@ -13,13 +13,10 @@ use std::path::{Path, PathBuf};
 use crate::lexer;
 use crate::rules::{check_file, check_lock_order, FileInput, Finding, LockEdge, Rule};
 
-/// One file handed to the linter: repo-relative path, owning crate, and
-/// source text.
+/// One file handed to the linter: repo-relative path and source text.
 pub struct SourceSpec {
     /// Repo-relative path with forward slashes (used in reports).
     pub rel_path: String,
-    /// Crate the file belongs to (scopes crate-specific rules).
-    pub crate_name: String,
     /// Full source text.
     pub src: String,
 }
@@ -55,11 +52,8 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceSpec>> {
     let mut specs = Vec::new();
     for path in files {
         let src = std::fs::read_to_string(&path)?;
-        let rel = relative_path(root, &path);
-        let crate_name = crate_of(&rel);
         specs.push(SourceSpec {
-            rel_path: rel,
-            crate_name,
+            rel_path: relative_path(root, &path),
             src,
         });
     }
@@ -67,12 +61,10 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceSpec>> {
 }
 
 /// Lint one file's source text. `rel_path` is the repo-relative path used
-/// in reports; `crate_name` scopes crate-specific rules (determinism).
-/// This is the seam the fixture corpus drives directly.
-pub fn lint_source(rel_path: &str, crate_name: &str, src: &str) -> Vec<Finding> {
+/// in reports. This is the seam the fixture corpus drives directly.
+pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     lint_files(&[SourceSpec {
         rel_path: rel_path.to_string(),
-        crate_name: crate_name.to_string(),
         src: src.to_string(),
     }])
 }
@@ -98,7 +90,6 @@ pub fn lint_files(specs: &[SourceSpec]) -> Vec<Finding> {
         let input = FileInput {
             tokens: &lexed.tokens,
             test_mask: &test_mask,
-            crate_name: &spec.crate_name,
             file: &spec.rel_path,
         };
         check_file(&input, &mut findings, &mut edges);
@@ -153,17 +144,6 @@ pub fn lint_files(specs: &[SourceSpec]) -> Vec<Finding> {
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
-}
-
-/// Crate name from a repo-relative path (`crates/falcon-sim/src/...` →
-/// `falcon-sim`; the root `src/` belongs to the umbrella crate).
-fn crate_of(rel_path: &str) -> String {
-    let mut parts = rel_path.split('/');
-    if parts.next() == Some("crates") {
-        parts.next().unwrap_or("unknown").to_string()
-    } else {
-        "falcon-repro".to_string()
-    }
 }
 
 fn relative_path(root: &Path, path: &Path) -> String {
@@ -413,8 +393,8 @@ fn split_top_level_commas(s: &str) -> Vec<&str> {
 mod tests {
     use super::*;
 
-    fn rules_of(src: &str, crate_name: &str) -> Vec<&'static str> {
-        lint_source("x.rs", crate_name, src)
+    fn rules_of(src: &str) -> Vec<&'static str> {
+        lint_source("x.rs", src)
             .into_iter()
             .map(|f| f.rule.name())
             .collect()
@@ -423,68 +403,68 @@ mod tests {
     #[test]
     fn cfg_test_modules_are_exempt() {
         let src = r#"
-            pub fn lib_code(x: Option<u32>) -> u32 { x.unwrap() }
+            pub fn lib_code(x: u32) { assert!(x > 0); }
             #[cfg(test)]
             mod tests {
-                fn helper(x: Option<u32>) -> u32 { x.unwrap() }
+                fn helper(x: u32) { assert!(x > 0); }
                 #[test]
-                fn t() { assert_eq!(helper(Some(1)), 1); }
+                fn t() { assert_eq!(helper(1), ()); }
             }
         "#;
-        let found = rules_of(src, "falcon-transfer");
-        assert_eq!(found, ["panic-safety"], "only the lib unwrap fires");
+        let found = rules_of(src);
+        assert_eq!(found, ["panic-safety"], "only the lib assert fires");
     }
 
     #[test]
     fn test_attribute_functions_are_exempt() {
         let src = r#"
             #[test]
-            fn t() { Some(1).unwrap(); }
-            fn lib() { Some(1).unwrap(); }
+            fn t() { panic!("test"); }
+            fn lib() { panic!("lib"); }
         "#;
-        assert_eq!(rules_of(src, "falcon-core").len(), 1);
+        assert_eq!(rules_of(src).len(), 1);
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
         let src = r#"
             #[cfg(not(test))]
-            fn lib() { Some(1).unwrap(); }
+            fn lib() { unreachable!(); }
         "#;
-        assert_eq!(rules_of(src, "falcon-core"), ["panic-safety"]);
+        assert_eq!(rules_of(src), ["panic-safety"]);
     }
 
     #[test]
     fn suppression_with_reason_silences_next_line() {
         let src = r#"
             // falcon-lint::allow(panic-safety, reason = "boot-time config, fail fast")
-            fn lib(x: Option<u32>) -> u32 { x.unwrap() }
+            fn lib(x: u32) { assert!(x > 0); }
         "#;
-        assert!(rules_of(src, "falcon-core").is_empty());
+        assert!(rules_of(src).is_empty());
     }
 
     #[test]
     fn suppression_covers_trailing_comment_line() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // falcon-lint::allow(panic-safety, reason = \"demo\")\n";
-        assert!(rules_of(src, "falcon-core").is_empty());
+        let src = "fn f(x: u32) { assert!(x > 0); } // falcon-lint::allow(panic-safety, reason = \"demo\")\n";
+        assert!(rules_of(src).is_empty());
     }
 
     #[test]
     fn suppression_reason_may_contain_parens() {
         let src = r#"
             // falcon-lint::allow(panic-safety, reason = "validated by new() so (1,1) always qualifies")
-            fn lib(x: Option<u32>) -> u32 { x.unwrap() }
+            fn lib(x: u32) { assert!(x > 0); }
         "#;
-        assert!(rules_of(src, "falcon-core").is_empty());
+        assert!(rules_of(src).is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_reported() {
         let src = r#"
             // falcon-lint::allow(panic-safety)
-            fn lib(x: Option<u32>) -> u32 { x.unwrap() }
+            fn lib(x: u32) { assert!(x > 0); }
         "#;
-        let found = rules_of(src, "falcon-core");
+        let found = rules_of(src);
         assert!(found.contains(&"bad-suppression"), "{found:?}");
         assert!(found.contains(&"panic-safety"), "{found:?}");
     }
@@ -495,12 +475,9 @@ mod tests {
         // reported as well.
         let src = r#"
             // falcon-lint::allow(float-cmp, reason = "wrong rule named")
-            fn lib(x: Option<u32>) -> u32 { x.unwrap() }
+            fn lib(x: u32) { assert!(x > 0); }
         "#;
-        assert_eq!(
-            rules_of(src, "falcon-core"),
-            ["bad-suppression", "panic-safety"]
-        );
+        assert_eq!(rules_of(src), ["bad-suppression", "panic-safety"]);
     }
 
     #[test]
@@ -513,26 +490,12 @@ mod tests {
         .enumerate()
         .map(|(i, src)| SourceSpec {
             rel_path: format!("crates/falcon-net/src/f{i}.rs"),
-            crate_name: "falcon-net".to_string(),
             src: src.to_string(),
         })
         .collect();
         let found = lint_files(&specs);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].rule, Rule::LockOrder);
-    }
-
-    #[test]
-    fn determinism_scoped_to_seeded_crates() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert_eq!(rules_of(src, "falcon-sim"), ["determinism"]);
-        assert!(rules_of(src, "falcon-net").is_empty());
-    }
-
-    #[test]
-    fn crate_of_paths() {
-        assert_eq!(crate_of("crates/falcon-sim/src/sim.rs"), "falcon-sim");
-        assert_eq!(crate_of("src/lib.rs"), "falcon-repro");
     }
 
     #[test]
@@ -543,7 +506,7 @@ mod tests {
                 std::thread::sleep(d);
             }
         "#;
-        assert_eq!(rules_of(bad, "falcon-net"), ["lock-across-blocking"]);
+        assert_eq!(rules_of(bad), ["lock-across-blocking"]);
         let good = r#"
             fn f(m: &Mutex<u32>) {
                 let g = m.lock();
@@ -551,7 +514,7 @@ mod tests {
                 std::thread::sleep(d);
             }
         "#;
-        assert!(rules_of(good, "falcon-net").is_empty());
+        assert!(rules_of(good).is_empty());
     }
 
     #[test]
@@ -565,7 +528,7 @@ mod tests {
                 for w in retired { let _ = w.handle.join(); }
             }
         "#;
-        assert!(rules_of(good, "falcon-net").is_empty());
+        assert!(rules_of(good).is_empty());
         // But `.lock().unwrap()` still binds the guard itself.
         let bad = r#"
             fn f(m: &std::sync::Mutex<u32>) {
@@ -573,19 +536,12 @@ mod tests {
                 std::thread::sleep(d);
             }
         "#;
-        // (`.unwrap()` on the poisoning lock also trips panic-safety.)
-        assert_eq!(
-            rules_of(bad, "falcon-net"),
-            ["panic-safety", "lock-across-blocking"]
-        );
+        assert_eq!(rules_of(bad), ["lock-across-blocking"]);
     }
 
     #[test]
     fn float_eq_fires_only_on_literals() {
-        assert_eq!(
-            rules_of("fn f(x: f64) -> bool { x == 1.0 }", "falcon-core"),
-            ["float-cmp"]
-        );
-        assert!(rules_of("fn f(x: u32) -> bool { x == 1 }", "falcon-core").is_empty());
+        assert_eq!(rules_of("fn f(x: f64) -> bool { x == 1.0 }"), ["float-cmp"]);
+        assert!(rules_of("fn f(x: u32) -> bool { x == 1 }").is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal Rust lexer: just enough to lint reliably.
 //!
-//! Strips comments and string/char literals (so `"Instant"` in a message or
-//! `// uses thread_rng` in prose never trips a rule), tracks line numbers,
+//! Strips comments and string/char literals (so `"panic!"` in a message or
+//! `// t += dt` in prose never trips a rule), tracks line numbers,
 //! and merges the two-character operators the rules care about (`==`, `!=`,
 //! `..`, `::`, `->`, `=>`). Everything else the rules need — identifiers,
 //! numeric literals with a float/integer distinction, single punctuation —
@@ -13,7 +13,7 @@
 /// What a token is, coarsely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword (`fn`, `HashMap`, `unwrap`, ...).
+    /// Identifier or keyword (`fn`, `Mutex`, `lock`, ...).
     Ident,
     /// Integer literal (`42`, `0xFF`, `1_000u64`).
     Int,

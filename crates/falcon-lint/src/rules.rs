@@ -2,7 +2,7 @@
 //!
 //! Every rule is a linear scan over one file's lexed token stream with a
 //! test-region mask (tokens inside `#[cfg(test)]` modules and `#[test]`
-//! functions are exempt — test code may unwrap and compare floats freely).
+//! functions are exempt — test code may assert and compare floats freely).
 //! The one cross-file rule, `lock-order`, is a per-file scan too: each file
 //! contributes `A → B` lock edges, and `check_lock_order` looks for cycles
 //! once over the edges of every file.
@@ -18,11 +18,8 @@ use crate::parse::{loop_bodies, matching_delim};
 /// The rule families falcon-lint enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Wall-clock time, ambient RNG, or iteration-order-dependent
-    /// containers in the deterministic crates.
-    Determinism,
-    /// `unwrap`/`expect`/`panic!`/`unreachable!`/asserts in non-test
-    /// library code.
+    /// `panic!`/`unreachable!`/`todo!`/`unimplemented!`/asserts in
+    /// non-test library code.
     PanicSafety,
     /// A mutex guard held across a blocking operation.
     LockAcrossBlocking,
@@ -46,7 +43,6 @@ impl Rule {
     /// Stable rule name used in suppressions and reports.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::Determinism => "determinism",
             Rule::PanicSafety => "panic-safety",
             Rule::LockAcrossBlocking => "lock-across-blocking",
             Rule::FloatCmp => "float-cmp",
@@ -59,23 +55,15 @@ impl Rule {
 
     /// Parse a rule name (as written in suppressions).
     pub fn from_name(s: &str) -> Option<Rule> {
-        Some(match s {
-            "determinism" => Rule::Determinism,
-            "panic-safety" => Rule::PanicSafety,
-            "lock-across-blocking" => Rule::LockAcrossBlocking,
-            "float-cmp" => Rule::FloatCmp,
-            "unit-mismatch" => Rule::UnitMismatch,
-            "float-time-accum" => Rule::FloatTimeAccum,
-            "lock-order" => Rule::LockOrder,
-            "bad-suppression" => Rule::BadSuppression,
-            _ => return None,
-        })
+        Rule::FAMILIES
+            .into_iter()
+            .chain([Rule::BadSuppression])
+            .find(|r| r.name() == s)
     }
 
     /// All enforceable rule families (excludes the internal
     /// [`Rule::BadSuppression`]).
-    pub const FAMILIES: [Rule; 7] = [
-        Rule::Determinism,
+    pub const FAMILIES: [Rule; 6] = [
         Rule::PanicSafety,
         Rule::LockAcrossBlocking,
         Rule::FloatCmp,
@@ -127,27 +115,6 @@ pub(crate) struct LockEdge {
     pub line: u32,
 }
 
-/// Crates whose library code must be deterministic under a seed (the
-/// paper's figures are rerun-comparable only if these never read ambient
-/// entropy or wall-clock time). Wall-clock time is legal only in
-/// `falcon-net`/`falcon-transfer`/`falcon-cli`, behind the harness seam.
-pub const DETERMINISM_CRATES: [&str; 7] = [
-    "falcon-sim",
-    "falcon-core",
-    "falcon-gp",
-    "falcon-tcp",
-    "falcon-trace",
-    "falcon-fleet",
-    "falcon-rl",
-];
-
-/// Identifiers that read wall-clock time.
-const WALL_CLOCK: [&str; 2] = ["Instant", "SystemTime"];
-/// Identifiers that read ambient entropy.
-const AMBIENT_RNG: [&str; 3] = ["thread_rng", "from_entropy", "random"];
-/// Containers whose iteration order is nondeterministic across runs.
-const ORDER_HAZARD: [&str; 2] = ["HashMap", "HashSet"];
-
 /// Method names that block the calling thread (used by
 /// [`Rule::LockAcrossBlocking`]).
 const BLOCKING_METHODS: [&str; 10] = [
@@ -179,8 +146,6 @@ pub(crate) struct FileInput<'a> {
     pub tokens: &'a [Token],
     /// `test_mask[i]` is true when token `i` is inside a test region.
     pub test_mask: &'a [bool],
-    /// Name of the crate the file belongs to (e.g. `falcon-sim`).
-    pub crate_name: &'a str,
     /// Repo-relative path.
     pub file: &'a str,
 }
@@ -199,7 +164,6 @@ impl FileInput<'_> {
 /// Run every rule family over one file. Findings go to `out`; the file's
 /// lock-order edges go to `edges` for the workspace-wide cycle check.
 pub(crate) fn check_file(input: &FileInput<'_>, out: &mut Vec<Finding>, edges: &mut Vec<LockEdge>) {
-    check_determinism(input, out);
     check_panic_safety(input, out);
     check_locks(input, out, edges);
     check_float_cmp(input, out);
@@ -207,67 +171,18 @@ pub(crate) fn check_file(input: &FileInput<'_>, out: &mut Vec<Finding>, edges: &
     check_float_time_accum(input, out);
 }
 
-/// Rule 1: determinism. The seeded crates must not read wall-clock time or
-/// ambient entropy, and must not use iteration-order-dependent containers.
-fn check_determinism(input: &FileInput<'_>, out: &mut Vec<Finding>) {
-    if !DETERMINISM_CRATES.contains(&input.crate_name) {
-        return;
-    }
-    for (i, tok) in input.tokens.iter().enumerate() {
-        if input.test_mask[i] || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let name = tok.text.as_str();
-        if WALL_CLOCK.contains(&name) {
-            out.push(input.finding(
-                Rule::Determinism,
-                tok.line,
-                format!(
-                    "`{name}` reads wall-clock time; {} must be deterministic under a seed \
-                     (route time through the harness, or move this to falcon-net/falcon-transfer)",
-                    input.crate_name
-                ),
-            ));
-        } else if AMBIENT_RNG.contains(&name) {
-            // `random` is only a hazard as a call (`random()`), not as a
-            // field or module name.
-            if name == "random" && !next_is(input.tokens, i, "(") {
-                continue;
-            }
-            out.push(input.finding(
-                Rule::Determinism,
-                tok.line,
-                format!(
-                    "`{name}` draws ambient entropy; use an explicitly seeded `StdRng` \
-                     so reruns are bit-identical"
-                ),
-            ));
-        } else if ORDER_HAZARD.contains(&name) {
-            out.push(input.finding(
-                Rule::Determinism,
-                tok.line,
-                format!(
-                    "`{name}` iterates in a nondeterministic order; use `BTreeMap`/`BTreeSet` \
-                     or a `Vec` so traces are rerun-stable"
-                ),
-            ));
-        }
-    }
-}
-
-/// Rule 2: panic-safety. Library code on the probe/transfer path must
-/// degrade, not abort: no `unwrap`, `expect`, `panic!`, `unreachable!`,
-/// `todo!`, `unimplemented!`, or `assert!`-family macros outside tests.
-/// (`debug_assert!` is fine: it vanishes in release builds.)
+/// Rule 1: panic-safety. Library code on the probe/transfer path must
+/// degrade, not abort: no `panic!`, `unreachable!`, `todo!`,
+/// `unimplemented!`, or `assert!`-family macros outside tests.
+/// (`debug_assert!` is fine: it vanishes in release builds. `.unwrap()`
+/// and `.expect()` are clippy's `unwrap_used`/`expect_used`, denied in
+/// every crate root.)
 fn check_panic_safety(input: &FileInput<'_>, out: &mut Vec<Finding>) {
     for (i, tok) in input.tokens.iter().enumerate() {
         if input.test_mask[i] || tok.kind != TokenKind::Ident {
             continue;
         }
         let name = tok.text.as_str();
-        let is_method = matches!(name, "unwrap" | "expect")
-            && prev_is(input.tokens, i, ".")
-            && next_is(input.tokens, i, "(");
         let is_macro = matches!(
             name,
             "panic"
@@ -278,16 +193,7 @@ fn check_panic_safety(input: &FileInput<'_>, out: &mut Vec<Finding>) {
                 | "assert_eq"
                 | "assert_ne"
         ) && next_is(input.tokens, i, "!");
-        if is_method {
-            out.push(input.finding(
-                Rule::PanicSafety,
-                tok.line,
-                format!(
-                    "`.{name}()` aborts the transfer on failure; return a `Result`, \
-                     provide a fallback, or suppress with a reason"
-                ),
-            ));
-        } else if is_macro {
+        if is_macro {
             out.push(input.finding(
                 Rule::PanicSafety,
                 tok.line,
@@ -309,7 +215,7 @@ struct LockSite<'t> {
     range_end: usize,
 }
 
-/// Rules 3 and 7, one scan over every `.lock()`.
+/// Rules 2 and 6, one scan over every `.lock()`.
 ///
 /// Lock hygiene: a mutex guard held across a blocking operation (sleep,
 /// join, channel send/recv, blocking I/O) serializes every other path
@@ -412,7 +318,7 @@ fn check_locks(input: &FileInput<'_>, out: &mut Vec<Finding>, edges: &mut Vec<Lo
     }
 }
 
-/// Rule 4: float discipline. Exact `==`/`!=` against a float literal is
+/// Rule 3: float discipline. Exact `==`/`!=` against a float literal is
 /// almost always a latent bug on a measured quantity; use a tolerance
 /// helper. (Comparisons between two float *variables* are out of reach for
 /// a lexer — this catches the literal form, which is the common one.)
@@ -503,7 +409,7 @@ fn chain_end(tokens: &[Token], mut i: usize) -> Option<(usize, usize)> {
     }
 }
 
-/// Rule 5: unit-suffix dimensional analysis. Flags
+/// Rule 4: unit-suffix dimensional analysis. Flags
 /// additive/comparison/assignment operators whose two operands carry
 /// different recognised unit suffixes — `at_s + backoff_ms` is a bug even
 /// though both are `f64`s to the compiler.
@@ -583,7 +489,7 @@ fn is_time_var(ident: &str) -> bool {
     matches!(unit_of(ident), Some("s" | "ms" | "us" | "ns"))
 }
 
-/// Rule 6: float-time-accumulation. `t += dt` in a loop compounds rounding
+/// Rule 5: float-time-accumulation. `t += dt` in a loop compounds rounding
 /// error across iterations — the exact drift class the DES rewrite removed
 /// (a tick grid must be `start + i*dt`, an event time absolute). Flagged
 /// everywhere except the blessed integration modules.
@@ -622,7 +528,7 @@ fn check_float_time_accum(input: &FileInput<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule 7, workspace side: any cycle in the graph of every file's
+/// Rule 6, workspace side: any cycle in the graph of every file's
 /// [`LockEdge`]s is a potential deadlock. Each cycle is reported once, at
 /// the first witness of the edge that closes it.
 pub(crate) fn check_lock_order(edges: &[LockEdge]) -> Vec<Finding> {

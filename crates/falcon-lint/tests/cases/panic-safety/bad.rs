@@ -1,13 +1,5 @@
 //! Fixture: library code that aborts instead of degrading.
 
-pub fn first(xs: &[f64]) -> f64 {
-    *xs.first().unwrap()
-}
-
-pub fn parse(s: &str) -> u32 {
-    s.parse().expect("numeric")
-}
-
 pub fn pick(kind: u8) -> &'static str {
     match kind {
         0 => "hill-climbing",

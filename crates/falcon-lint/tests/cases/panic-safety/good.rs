@@ -1,13 +1,5 @@
-//! Fixture: the graceful counterparts — Results, fallbacks, debug_asserts,
-//! and unwraps confined to test code.
-
-pub fn first(xs: &[f64]) -> Option<f64> {
-    xs.first().copied()
-}
-
-pub fn parse(s: &str) -> Result<u32, std::num::ParseIntError> {
-    s.parse()
-}
+//! Fixture: the graceful counterparts — fallbacks, debug_asserts, and
+//! asserts confined to test code.
 
 pub fn pick(kind: u8) -> &'static str {
     match kind {
@@ -24,14 +16,14 @@ pub fn validate(concurrency: u32) -> u32 {
 
 pub fn sanctioned(xs: &[f64]) -> f64 {
     // falcon-lint::allow(panic-safety, reason = "fixture: demonstrates a justified inline suppression")
-    *xs.first().expect("callers pass a non-empty slice")
+    assert!(!xs.is_empty(), "callers pass a non-empty slice");
+    xs[0]
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_is_idiomatic_here() {
-        let v: Result<u32, ()> = Ok(3);
-        assert_eq!(v.unwrap(), 3);
+    fn assert_is_idiomatic_here() {
+        assert_eq!(super::pick(0), "hill-climbing");
     }
 }

@@ -17,27 +17,16 @@ fn load(rule: &str, which: &str) -> String {
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
 }
 
-/// Lint a fixture as if it lived in `crate_name`, returning all findings.
-fn lint_fixture(rule: &str, which: &str, crate_name: &str) -> Vec<Finding> {
+/// Lint a fixture, returning all findings.
+fn lint_fixture(rule: &str, which: &str) -> Vec<Finding> {
     let rel = format!("tests/cases/{rule}/{which}");
-    lint_source(&rel, crate_name, &load(rule, which))
-}
-
-/// The crate a rule's fixtures are linted under. Determinism is scoped to
-/// the simulation crates; the other rules apply workspace-wide, so any
-/// crate name works — `falcon-net` keeps wall-clock uses in those fixtures
-/// out of scope.
-fn fixture_crate(rule: Rule) -> &'static str {
-    match rule {
-        Rule::Determinism => "falcon-sim",
-        _ => "falcon-net",
-    }
+    lint_source(&rel, &load(rule, which))
 }
 
 #[test]
 fn bad_fixtures_trip_their_rule() {
     for rule in Rule::FAMILIES {
-        let findings = lint_fixture(rule.name(), "bad.rs", fixture_crate(rule));
+        let findings = lint_fixture(rule.name(), "bad.rs");
         assert!(
             findings.iter().any(|f| f.rule == rule),
             "cases/{}/bad.rs should trip [{}], found: {findings:?}",
@@ -55,7 +44,7 @@ fn bad_fixtures_trip_their_rule() {
 #[test]
 fn good_fixtures_stay_clean() {
     for rule in Rule::FAMILIES {
-        let findings = lint_fixture(rule.name(), "good.rs", fixture_crate(rule));
+        let findings = lint_fixture(rule.name(), "good.rs");
         let tripped: Vec<&Finding> = findings
             .iter()
             .filter(|f| f.rule == rule || f.rule == Rule::BadSuppression)
@@ -73,7 +62,7 @@ fn good_fixtures_stay_clean() {
 /// cycle check must find it, not just the same-function re-acquisition.
 #[test]
 fn lock_order_cycle_across_functions_is_found() {
-    let findings = lint_fixture("lock-order", "bad.rs", "falcon-net");
+    let findings = lint_fixture("lock-order", "bad.rs");
     let kinds: Vec<bool> = findings
         .iter()
         .filter(|f| f.rule == Rule::LockOrder)
@@ -91,24 +80,35 @@ fn lock_order_cycle_across_functions_is_found() {
 /// itself a finding, while every directive in `good.rs` silences one.
 #[test]
 fn directives_that_silence_nothing_are_reported() {
-    let bad = lint_fixture("bad-suppression", "bad.rs", "falcon-net");
+    let bad = lint_fixture("bad-suppression", "bad.rs");
     let unused: Vec<u32> = bad
         .iter()
         .filter(|f| f.rule == Rule::BadSuppression && f.message.contains("silences nothing"))
         .map(|f| f.line)
         .collect();
-    assert_eq!(unused, [5, 10, 15], "{bad:?}");
-    let good = lint_fixture("bad-suppression", "good.rs", "falcon-net");
+    assert_eq!(unused, [6, 11, 16], "{bad:?}");
+    let good = lint_fixture("bad-suppression", "good.rs");
     assert!(good.is_empty(), "{good:?}");
 }
 
+/// A directive naming a rule the checker no longer has (`determinism`
+/// moved to clippy) is malformed, not silently accepted: the message names
+/// the stale rule and lists exactly the families that remain.
 #[test]
-fn determinism_fixture_is_scoped_to_sim_crates() {
-    // The same wall-clock-heavy source is legal in falcon-net, where real
-    // sockets genuinely need real time.
-    let findings = lint_fixture("determinism", "bad.rs", "falcon-net");
-    assert!(
-        !findings.iter().any(|f| f.rule == Rule::Determinism),
-        "determinism must not fire outside its scoped crates: {findings:?}"
+fn stale_rule_name_is_reported_as_unknown() {
+    let bad = lint_fixture("bad-suppression", "bad.rs");
+    let unknown: Vec<(u32, &str)> = bad
+        .iter()
+        .filter(|f| f.rule == Rule::BadSuppression && !f.message.contains("silences nothing"))
+        .map(|f| (f.line, f.message.as_str()))
+        .collect();
+    assert_eq!(
+        unknown,
+        [(
+            19,
+            "falcon-lint::allow names unknown rule \"determinism\" (known: panic-safety, \
+             lock-across-blocking, float-cmp, unit-mismatch, float-time-accum, lock-order)"
+        )],
+        "{bad:?}"
     );
 }

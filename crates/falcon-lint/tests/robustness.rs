@@ -31,7 +31,7 @@ const FRAGMENTS: [&str; 28] = [
     "loop {",
     "self.m.lock()",
     ".lock().unwrap()",
-    "// falcon-lint::allow(determinism, reason = \"x\")",
+    "// falcon-lint::allow(lock-order, reason = \"x\")",
     "// falcon-lint::allow(bogus",
     "#[cfg(test)]",
     "#[test]",
@@ -46,7 +46,7 @@ const FRAGMENTS: [&str; 28] = [
 /// Run every stage of the pipeline over one source; panics fail the test.
 fn exercise(src: &str) {
     let _ = loop_bodies(&lex(src).tokens);
-    let _ = lint_source("crates/falcon-sim/src/soup.rs", "falcon-sim", src);
+    let _ = lint_source("crates/falcon-sim/src/soup.rs", src);
 }
 
 /// Render a token stream back to compilable-ish text, one space between

@@ -24,7 +24,7 @@
 //! all run that way; the engine's types stay public for callers that
 //! measure it directly.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod harness;
 pub mod receiver;

@@ -18,7 +18,7 @@
 //! wall-clock time and nothing else.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

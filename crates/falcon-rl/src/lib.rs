@@ -34,11 +34,12 @@
 //!
 //! Determinism discipline: all exploration flows through [`SplitMix64`],
 //! the same finalizer as `falcon_par::task_seed`, keyed only by the
-//! constructor seed — no `HashMap`, no `Instant`, no thread RNG. The crate
-//! is part of falcon-lint's determinism crate set.
+//! constructor seed — no `HashMap`, no `Instant` (both clippy
+//! `disallowed_types` here), no thread RNG.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 mod bandit;
 mod qlearn;

@@ -28,7 +28,8 @@
 //!
 //! The simulator is deterministic given a seed.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod alloc;
 pub mod des;

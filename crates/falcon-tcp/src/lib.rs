@@ -21,7 +21,8 @@
 //! AIMD ramp) is approximated by [`ramp::RateRamp`].
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod cca;
 pub mod loss;

@@ -25,7 +25,8 @@
 //!   returns `Result`/`Option`.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 mod export;
 mod histogram;

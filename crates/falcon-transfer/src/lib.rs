@@ -20,7 +20,7 @@
 //!   largest-first, smallest-first) and a makespan evaluator for the
 //!   straggler analysis on heterogeneous datasets.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dataset;
 pub mod harness;

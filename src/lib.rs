@@ -3,7 +3,7 @@
 //! Re-exports the public API of every workspace crate so examples and
 //! integration tests can use a single dependency.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub use falcon_baselines as baselines;
 pub use falcon_core as core;

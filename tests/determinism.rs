@@ -2,11 +2,11 @@
 //!
 //! The simulator stack (falcon-sim, falcon-core, falcon-gp, falcon-tcp) must
 //! be a pure function of the scenario and the seed: rerunning any figure
-//! with the same inputs must reproduce it bit for bit. falcon-lint's
-//! `determinism` rule keeps wall-clock and ambient RNG out of those crates
-//! statically; this test checks the property end to end by running the
-//! shipped link-flap scenario twice and comparing the serialized traces
-//! byte for byte.
+//! with the same inputs must reproduce it bit for bit. Clippy's
+//! `disallowed_types` keeps wall clocks and hash containers out of those
+//! crates statically; this test checks the property end to end by running
+//! the shipped link-flap scenario twice and comparing the serialized
+//! traces byte for byte.
 
 use falcon_cli::scenario;
 use falcon_repro::trace::{EventKind, TraceLog, TraceQuery};

@@ -1,6 +1,6 @@
 //! The docs check (tier 1): DESIGN.md, README.md and EXPERIMENTS.md may
 //! refer only to what the workspace has, and may quote host cost only
-//! with its source. Five rules, each reported as `doc:line: (rule) what`:
+//! with its source. Six rules, each reported as `doc:line: (rule) what`:
 //!
 //! - (a) no `<file>.rs:<line>` reference; a line number rots with the
 //!   next edit above it, so name the function instead;
@@ -11,7 +11,10 @@
 //! - (d) a paragraph (a blank-line-separated block; a table is one) that
 //!   quotes a figure in ns, µs or us says which PR measured it, `(PR N)`;
 //! - (e) every `-p`, `--bin`, `--example` and `--test` names a package,
-//!   binary, example or test target of the workspace.
+//!   binary, example or test target of the workspace;
+//! - (f) every `DESIGN.md §N` names a `## N.` heading of DESIGN.md. This
+//!   rule also reads CI's workflow and the workspace's `.rs` sources,
+//!   which cite DESIGN.md's sections too.
 //!
 //! Std only; the source index is built once per test binary.
 
@@ -27,6 +30,8 @@ const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
 const SOURCE_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "vendor"];
 /// This file plants names that exist nowhere else; it must not vouch for them.
 const SELF: &str = "tests/docs.rs";
+/// CI's workflow, checked for rule (f) only.
+const CI: &str = ".github/workflows/ci.yml";
 /// A backticked word starting with one of these is a path into the repo.
 const REPO_DIRS: [&str; 8] = [
     "crates/",
@@ -46,8 +51,10 @@ const UNITS: [&str; 3] = ["ns", "µs", "us"];
 /// What the workspace has for the docs to name.
 struct Workspace {
     root: PathBuf,
-    /// Every `.rs` file of the workspace, concatenated.
-    sources: String,
+    /// Every `.rs` file of the workspace: repo-relative path and text.
+    sources: Vec<(String, String)>,
+    /// DESIGN.md's section numbers, from its `## N.` headings.
+    sections: BTreeSet<String>,
     packages: BTreeSet<String>,
     bins: BTreeSet<String>,
     examples: BTreeSet<String>,
@@ -76,12 +83,19 @@ fn workspace() -> &'static Workspace {
     static WS: OnceLock<Workspace> = OnceLock::new();
     WS.get_or_init(|| {
         let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        let mut sources = String::new();
+        let mut sources = Vec::new();
         for dir in SOURCE_DIRS {
-            read_sources(&root.join(dir), &mut sources);
+            read_sources(&root, &root.join(dir), &mut sources);
         }
+        let design = fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
+        let sections = design
+            .lines()
+            .filter_map(|l| l.strip_prefix("## ")?.split_once('.'))
+            .map(|(n, _)| n.to_string())
+            .collect();
         let mut ws = Workspace {
             sources,
+            sections,
             packages: BTreeSet::new(),
             bins: BTreeSet::new(),
             examples: BTreeSet::new(),
@@ -106,11 +120,12 @@ fn workspace() -> &'static Workspace {
 impl Workspace {
     /// Whether `name` occurs as a whole identifier-shaped word in the sources.
     fn has_ident(&self, name: &str) -> bool {
-        let s = &self.sources;
-        s.match_indices(name).any(|(i, _)| {
-            let before = s[..i].chars().next_back();
-            let after = s[i + name.len()..].chars().next();
-            !before.is_some_and(is_ident_char) && !after.is_some_and(is_ident_char)
+        self.sources.iter().any(|(_, s)| {
+            s.match_indices(name).any(|(i, _)| {
+                let before = s[..i].chars().next_back();
+                let after = s[i + name.len()..].chars().next();
+                !before.is_some_and(is_ident_char) && !after.is_some_and(is_ident_char)
+            })
         })
     }
 }
@@ -123,16 +138,18 @@ fn sorted_entries(dir: &Path) -> Vec<PathBuf> {
     paths
 }
 
-/// Appends every `.rs` file under `dir` to `out`.
-fn read_sources(dir: &Path, out: &mut String) {
+/// Appends every `.rs` file under `dir` to `out`, keyed by its path
+/// relative to `root`.
+fn read_sources(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
     for path in sorted_entries(dir) {
         if path.is_dir() {
             if path.file_name().is_some_and(|n| n != "target") {
-                read_sources(&path, out);
+                read_sources(root, &path, out);
             }
         } else if path.extension().is_some_and(|e| e == "rs") && !path.ends_with(SELF) {
-            out.push_str(&fs::read_to_string(&path).unwrap_or_default());
-            out.push('\n');
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            let text = fs::read_to_string(&path).unwrap_or_default();
+            out.push((rel.display().to_string(), text));
         }
     }
 }
@@ -300,6 +317,30 @@ fn cost_figures(line: &str) -> Vec<String> {
     out
 }
 
+/// (f) each section number a line cites as `DESIGN.md §N` (or `DESIGN §N`)
+/// that DESIGN.md has no `## N.` heading for.
+fn check_sections(doc: &str, text: &str, ws: &Workspace) -> Vec<Finding> {
+    let mut found = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        for rest in line.split("DESIGN").skip(1) {
+            let rest = rest.strip_prefix(".md").unwrap_or(rest).trim_start();
+            let Some(rest) = rest.strip_prefix('§') else {
+                continue;
+            };
+            let section = &rest[..rest.chars().take_while(char::is_ascii_digit).count()];
+            if !section.is_empty() && !ws.sections.contains(section) {
+                found.push(Finding {
+                    doc: doc.to_string(),
+                    line: n + 1,
+                    rule: 'f',
+                    what: format!("`DESIGN.md §{section}`: DESIGN.md has no `## {section}.`"),
+                });
+            }
+        }
+    }
+    found
+}
+
 fn attributed(paragraph: &[(usize, &str)]) -> bool {
     paragraph.iter().any(|(_, line)| {
         line.match_indices("(PR ").any(|(i, _)| {
@@ -388,6 +429,7 @@ fn check(doc: &str, text: &str, ws: &Workspace) -> Vec<Finding> {
             );
         }
     }
+    found.extend(check_sections(doc, text, ws));
     found.sort_by_key(|f| (f.line, f.rule));
     found
 }
@@ -399,6 +441,11 @@ fn docs_refer_only_to_what_the_workspace_has() {
     for doc in DOCS {
         let text = fs::read_to_string(ws.root.join(doc)).expect("doc readable");
         all.extend(check(doc, &text, ws));
+    }
+    let ci = fs::read_to_string(ws.root.join(CI)).expect("CI workflow readable");
+    all.extend(check_sections(CI, &ci, ws));
+    for (path, text) in &ws.sources {
+        all.extend(check_sections(path, text, ws));
     }
     let listing: Vec<String> = all.iter().map(ToString::to_string).collect();
     assert!(
@@ -423,13 +470,12 @@ A GP fit ≈ 33.6 µs on a 2-core host (PR 40).
 
 `cargo run -p falcon-nope --bin falcon`
 `cargo test --test golden_trace --example quickstart --bin nope`
+The engines are DESIGN.md §7; the old DES section was DESIGN.md §11.
 ";
     let found = check("PLANTED.md", planted, workspace());
-    let got: Vec<(&str, usize, char)> = found
+    let got: Vec<String> = found
         .iter()
-        .map(|f| (f.doc.as_str(), f.line, f.rule))
+        .map(|f| format!("{}{}", f.line, f.rule))
         .collect();
-    let want = [(2, 'a'), (3, 'b'), (4, 'c'), (6, 'd'), (10, 'e'), (11, 'e')];
-    let want: Vec<(&str, usize, char)> = want.iter().map(|&(l, r)| ("PLANTED.md", l, r)).collect();
-    assert_eq!(got, want, "{found:#?}");
+    assert_eq!(got.join(" "), "2a 3b 4c 6d 10e 11e 12f", "{found:#?}");
 }
