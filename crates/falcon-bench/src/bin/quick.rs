@@ -20,7 +20,7 @@ use falcon_core::{
 };
 use falcon_gp::{
     Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpRegressor, LineLattice, Matern52,
-    SweepCache,
+    Points, SweepCache,
 };
 use falcon_sim::alloc::{weighted_max_min_allocate_into, AllocScratch, WeightedStreamDemand};
 use falcon_sim::{
@@ -41,14 +41,11 @@ fn observation(cc: u32) -> Observation {
     }
 }
 
-fn training_set(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![(i % 64) as f64]).collect();
+fn training_set(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = (0..n).map(|i| (i % 64) as f64).collect();
     let ys: Vec<f64> = xs
         .iter()
-        .map(|x| {
-            let n = x[0];
-            n * 21.0f64.min(1008.0 / n.max(1.0)) / 1.02f64.powf(n)
-        })
+        .map(|&n| n * 21.0f64.min(1008.0 / n.max(1.0)) / 1.02f64.powf(n))
         .collect();
     (xs, ys)
 }
@@ -103,13 +100,23 @@ fn bench_utility(q: &mut QuickBench) {
 fn bench_gp(q: &mut QuickBench) {
     let (xs, ys) = training_set(20);
     q.bench("gp", "fit_n20", || {
-        black_box(GpRegressor::fit(&xs, &ys, Matern52::new(1.0, 10.0), 1e-3))
+        black_box(GpRegressor::fit(
+            Points::new(&xs, 1),
+            &ys,
+            Matern52::new(1.0, 10.0),
+            1e-3,
+        ))
     });
     // The incremental path at the same window size: clone a 19-point model
     // and append the 20th observation — the clone is part of the measured
     // cost, so the fit/extend ratio below is a *lower* bound on the
     // algorithmic speedup.
-    let base = match GpRegressor::fit(&xs[..19], &ys[..19], Matern52::new(1.0, 10.0), 1e-3) {
+    let base = match GpRegressor::fit(
+        Points::new(&xs[..19], 1),
+        &ys[..19],
+        Matern52::new(1.0, 10.0),
+        1e-3,
+    ) {
         Ok(gp) => gp,
         Err(e) => {
             eprintln!("gp fit failed during bench setup: {e:?}");
@@ -119,15 +126,15 @@ fn bench_gp(q: &mut QuickBench) {
     q.bench("gp", "clone_n19_baseline", || black_box(base.clone()));
     q.bench("gp", "extend_to_n20_incl_clone", || {
         let mut gp = base.clone();
-        if gp.extend(&xs[19], ys[19]).is_err() {
+        if gp.extend(&xs[19..20], ys[19]).is_err() {
             std::process::exit(1);
         }
         black_box(gp)
     });
     q.bench("gp", "fit_auto_window20", || {
-        black_box(GpRegressor::fit_auto(&xs, &ys, 0.02))
+        black_box(GpRegressor::fit_auto(Points::new(&xs, 1), &ys, 0.02))
     });
-    let full = match GpRegressor::fit(&xs, &ys, Matern52::new(1.0, 10.0), 1e-3) {
+    let full = match GpRegressor::fit(Points::new(&xs, 1), &ys, Matern52::new(1.0, 10.0), 1e-3) {
         Ok(gp) => gp,
         Err(e) => {
             eprintln!("gp fit failed during bench setup: {e:?}");
@@ -160,7 +167,8 @@ fn bench_gp(q: &mut QuickBench) {
         }
         black_box(gp)
     });
-    let candidates: Vec<Vec<f64>> = (1..=100).map(|i| vec![f64::from(i)]).collect();
+    let flat: Vec<f64> = (1..=100).map(f64::from).collect();
+    let candidates = Points::new(&flat, 1);
     let acq = Acquisition::with_defaults(AcquisitionKind::ExpectedImprovement);
     let lattice = LineLattice::new(candidates.len());
     let mut cache = SweepCache::new();
@@ -175,7 +183,7 @@ fn bench_gp(q: &mut QuickBench) {
         black_box(falcon_gp::sweep::nominate(
             &acq,
             &full,
-            &candidates,
+            candidates,
             &lattice,
             &full_scan,
             &mut cache,
@@ -195,7 +203,7 @@ fn bench_gp(q: &mut QuickBench) {
         black_box(falcon_gp::sweep::nominate(
             &acq,
             &full,
-            &candidates,
+            candidates,
             &lattice,
             &plan,
             &mut cache,

@@ -109,6 +109,13 @@ impl FalconAgent {
     pub fn set_tracer(&mut self, tracer: falcon_trace::Tracer) {
         self.optimizer.set_tracer(tracer);
     }
+
+    /// Heap bytes the agent holds: its boxed optimizer and everything that
+    /// owns ([`OnlineOptimizer::memory_bytes`]). The agent's own struct is
+    /// its owner's to count.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.optimizer) + self.optimizer.memory_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -19,17 +19,16 @@
 //! random phase, surrogate upkeep, ascent plan, Hedge round, decision
 //! trace — is shared.
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use falcon_gp::{AscentPlan, AscentScratch, GpHedge, Lattice, LineLattice, SweepCache};
+use falcon_gp::{AscentPlan, AscentScratch, GpHedge, Lattice, LineLattice, Points, SweepCache};
 use falcon_trace::{Candidate, TraceEvent, Tracer};
 
 use crate::optimizer::{Observation, OnlineOptimizer};
 use crate::settings::{SearchBounds, TransferSettings};
 use crate::surrogate::CachedSurrogate;
+use crate::vec_bytes;
 
 /// Random probes before the surrogate takes over (paper: 3).
 const RANDOM_INIT: usize = 3;
@@ -59,34 +58,44 @@ pub trait Space: Send {
     /// Optimizer name for logs and decision events.
     const NAME: &'static str;
 
-    /// GP query point of every current candidate.
-    fn points(&self) -> &[Vec<f64>];
+    /// Coordinates of a GP input.
+    const DIM: usize;
+
+    /// GP query point of every current candidate, `DIM` coordinates each.
+    fn points(&self) -> Points<'_>;
 
     /// Lattice over the current candidates.
     fn lattice(&self) -> &Self::Lattice;
 
-    /// GP input of an observed setting (candidate or not).
-    fn input(s: TransferSettings) -> Vec<f64>;
+    /// Append the `DIM` coordinates of an observed setting's GP input
+    /// (candidate or not) to `out`.
+    fn push_input(s: TransferSettings, out: &mut Vec<f64>);
 
     /// The setting candidate `idx` stands for.
     fn setting(&self, idx: usize) -> TransferSettings;
 
-    /// Candidate index an observed setting maps to, if any.
-    fn index_of(&self, s: TransferSettings) -> Option<usize>;
+    /// Candidate index an observed GP input maps to, if any.
+    fn index_of(&self, x: &[f64]) -> Option<usize>;
 
     /// Uniform draw over the current candidates.
     fn draw(&self, rng: &mut StdRng) -> TransferSettings;
 
     /// Told every surrogate decision, after it is made.
     fn decided(&mut self, _chosen: TransferSettings) {}
+
+    /// Heap bytes the space holds, by capacity.
+    fn memory_bytes(&self) -> usize;
 }
 
 /// Bayesian Optimization over a candidate [`Space`].
 pub struct BayesianSearch<S: Space> {
     pub(crate) space: S,
     rng: StdRng,
-    /// Sliding window of (setting, utility) observations.
-    history: VecDeque<(TransferSettings, f64)>,
+    /// GP inputs of the sliding window's observations, oldest first, flat
+    /// with `S::DIM` coordinates each.
+    inputs: Vec<f64>,
+    /// Their utilities.
+    utilities: Vec<f64>,
     hedge: GpHedge,
     first_probe: TransferSettings,
     probes_issued: usize,
@@ -114,7 +123,8 @@ impl<S: Space> BayesianSearch<S> {
         BayesianSearch {
             space,
             rng,
-            history: VecDeque::with_capacity(WINDOW + 1),
+            inputs: Vec::with_capacity(WINDOW * S::DIM),
+            utilities: Vec::with_capacity(WINDOW),
             hedge: GpHedge::new(),
             first_probe,
             probes_issued: 1,
@@ -129,7 +139,7 @@ impl<S: Space> BayesianSearch<S> {
 
     /// Observations currently inside the sliding window.
     pub fn window_len(&self) -> usize {
-        self.history.len()
+        self.utilities.len()
     }
 
     /// The acquisition function GP-Hedge followed most recently.
@@ -160,9 +170,8 @@ impl<S: Space> BayesianSearch<S> {
     /// Full `fit_auto` over the current window; replaces the cached
     /// surrogate (or clears it on fit failure).
     fn refit_surrogate(&mut self) {
-        let xs: Vec<Vec<f64>> = self.history.iter().map(|&(s, _)| S::input(s)).collect();
-        let ys: Vec<f64> = self.history.iter().map(|&(_, u)| u).collect();
-        self.surrogate = CachedSurrogate::fit(&xs, &ys, NOISE_VARIANCE);
+        let xs = Points::new(&self.inputs, S::DIM);
+        self.surrogate = CachedSurrogate::fit(xs, &self.utilities, NOISE_VARIANCE);
     }
 
     fn surrogate_probe(&mut self) -> TransferSettings {
@@ -176,8 +185,9 @@ impl<S: Space> BayesianSearch<S> {
             .is_none_or(CachedSurrogate::due_for_refit);
         if due_for_refit {
             self.refit_surrogate();
-        } else if let (Some(su), Some(&(s, u))) = (self.surrogate.as_mut(), self.history.back()) {
-            if !su.slide(S::input(s), u, WINDOW) {
+        } else if let (Some(su), Some(&u)) = (self.surrogate.as_mut(), self.utilities.last()) {
+            let x = &self.inputs[self.inputs.len() - S::DIM..];
+            if !su.slide(x, u, WINDOW) {
                 self.refit_surrogate();
             }
         }
@@ -191,10 +201,14 @@ impl<S: Space> BayesianSearch<S> {
         let points = self.space.points();
         let len = points.len();
         let incumbent = self
-            .history
+            .utilities
             .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .and_then(|&(s, _)| self.space.index_of(s))
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .and_then(|(i, _)| {
+                let window = Points::new(&self.inputs, S::DIM);
+                self.space.index_of(window.get(i))
+            })
             .unwrap_or(0);
         let starts = [
             incumbent,
@@ -251,10 +265,14 @@ impl<S: Space> OnlineOptimizer for BayesianSearch<S> {
     }
 
     fn next(&mut self, obs: &Observation) -> TransferSettings {
-        self.history.push_back((obs.settings, obs.utility));
-        while self.history.len() > WINDOW {
-            self.history.pop_front();
+        // Slide the window in place: evict the oldest before appending, so
+        // the buffers never outgrow it.
+        if self.utilities.len() == WINDOW {
+            self.inputs.drain(..S::DIM);
+            self.utilities.remove(0);
         }
+        S::push_input(obs.settings, &mut self.inputs);
+        self.utilities.push(obs.utility);
         let next = if self.probes_issued < RANDOM_INIT {
             let s = self.space.draw(&mut self.rng);
             self.emit_decision(s, &[("random_phase", 1.0)], None);
@@ -268,6 +286,15 @@ impl<S: Space> OnlineOptimizer for BayesianSearch<S> {
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
+    }
+
+    fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.inputs)
+            + vec_bytes(&self.utilities)
+            + self.space.memory_bytes()
+            + self.surrogate.as_ref().map_or(0, |su| su.gp.memory_bytes())
+            + self.sweep_cache.memory_bytes()
+            + self.ascent_scratch.memory_bytes()
     }
 }
 
@@ -318,9 +345,9 @@ pub struct LineSpace {
     hard_hi: u32,
     /// Consecutive surrogate decisions that landed near the ceiling.
     near_max_streak: u32,
-    /// Query points of `lo..=hard_hi`; the candidates are the prefix up to
-    /// the current ceiling.
-    points: Vec<Vec<f64>>,
+    /// Query points of `lo..=hard_hi`, one coordinate each; the
+    /// candidates are the prefix up to the current ceiling.
+    points: Vec<f64>,
     /// `lo..=ceiling` as a lattice; its length is what moves the ceiling.
     lattice: LineLattice,
 }
@@ -333,7 +360,7 @@ impl LineSpace {
             lo,
             hard_hi,
             near_max_streak: 0,
-            points: (lo..=hard_hi).map(|n| vec![f64::from(n)]).collect(),
+            points: (lo..=hard_hi).map(f64::from).collect(),
             lattice: LineLattice::new((ceiling - lo + 1) as usize),
         }
     }
@@ -349,24 +376,28 @@ impl Space for LineSpace {
 
     const NAME: &'static str = "bayesian-optimization";
 
-    fn points(&self) -> &[Vec<f64>] {
-        &self.points[..self.lattice.len()]
+    const DIM: usize = 1;
+
+    fn points(&self) -> Points<'_> {
+        Points::new(&self.points[..self.lattice.len()], Self::DIM)
     }
 
     fn lattice(&self) -> &LineLattice {
         &self.lattice
     }
 
-    fn input(s: TransferSettings) -> Vec<f64> {
-        vec![f64::from(s.concurrency)]
+    fn push_input(s: TransferSettings, out: &mut Vec<f64>) {
+        out.push(f64::from(s.concurrency));
     }
 
     fn setting(&self, idx: usize) -> TransferSettings {
         TransferSettings::with_concurrency(self.lo + idx as u32)
     }
 
-    fn index_of(&self, s: TransferSettings) -> Option<usize> {
-        Some((s.concurrency.clamp(self.lo, self.ceiling()) - self.lo) as usize)
+    /// `x[0]` is an observed concurrency, so the cast is exact.
+    fn index_of(&self, x: &[f64]) -> Option<usize> {
+        let concurrency = x[0] as u32;
+        Some((concurrency.clamp(self.lo, self.ceiling()) - self.lo) as usize)
     }
 
     fn draw(&self, rng: &mut StdRng) -> TransferSettings {
@@ -390,6 +421,10 @@ impl Space for LineSpace {
         } else {
             self.near_max_streak = 0;
         }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.points)
     }
 }
 

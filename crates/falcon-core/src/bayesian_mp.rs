@@ -18,18 +18,22 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use falcon_gp::Lattice;
+use falcon_gp::{Lattice, Points};
 
 use crate::bayesian::{BayesianSearch, Space};
 use crate::settings::{SearchBounds, TransferSettings};
+use crate::vec_bytes;
 
 /// 4-neighbour lattice over the (possibly connection-capped) candidate
 /// grid: candidate `i` neighbours the candidates one concurrency or one
 /// parallelism step away *that survived the cap filter*. Neighbour lists
 /// are precomputed once (the grid is fixed for the optimizer's lifetime)
-/// through a dense `(cc, p) → index` table — no hashing, deterministic.
+/// through a dense `(cc, p) → index` table — no hashing, deterministic —
+/// and stored back to back: candidate `i`'s are
+/// `nbrs[starts[i]..starts[i + 1]]`.
 pub struct GridLattice {
-    nbrs: Vec<Vec<usize>>,
+    nbrs: Vec<usize>,
+    starts: Vec<usize>,
     /// Dense `(cc - cc_lo) * p_span + (p - p_lo) → candidate index` table
     /// (`usize::MAX` = filtered out), kept for incumbent lookups.
     index: Vec<usize>,
@@ -61,18 +65,19 @@ impl GridLattice {
             let cell = (cc - i64::from(cc_lo)) as usize * p_span + (p - i64::from(p_lo)) as usize;
             (index[cell] != usize::MAX).then_some(index[cell])
         };
-        let nbrs = candidates
-            .iter()
-            .map(|s| {
-                let (cc, p) = (i64::from(s.concurrency), i64::from(s.parallelism));
-                [(cc - 1, p), (cc + 1, p), (cc, p - 1), (cc, p + 1)]
-                    .into_iter()
-                    .filter_map(|(c, q)| lookup(c, q))
-                    .collect()
-            })
-            .collect();
+        let mut nbrs = Vec::new();
+        let mut starts = Vec::with_capacity(candidates.len() + 1);
+        starts.push(0);
+        for s in candidates {
+            let (cc, p) = (i64::from(s.concurrency), i64::from(s.parallelism));
+            let adjacent = [(cc - 1, p), (cc + 1, p), (cc, p - 1), (cc, p + 1)];
+            nbrs.extend(adjacent.into_iter().filter_map(|(c, q)| lookup(c, q)));
+            starts.push(nbrs.len());
+        }
+        nbrs.shrink_to_fit();
         GridLattice {
             nbrs,
+            starts,
             index,
             cc_lo,
             p_lo,
@@ -96,11 +101,11 @@ impl GridLattice {
 
 impl Lattice for GridLattice {
     fn len(&self) -> usize {
-        self.nbrs.len()
+        self.starts.len() - 1
     }
 
     fn neighbors(&self, idx: usize, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.nbrs[idx]);
+        out.extend_from_slice(&self.nbrs[self.starts[idx]..self.starts[idx + 1]]);
     }
 }
 
@@ -144,8 +149,8 @@ impl BoMpParams {
 /// inputs, fixed for the optimizer's lifetime.
 pub struct GridSpace {
     candidates: Vec<TransferSettings>,
-    /// Candidate grid as GP query points.
-    points: Vec<Vec<f64>>,
+    /// Candidate grid as GP query points, flat, two coordinates each.
+    points: Vec<f64>,
     /// Neighbourhood structure + index table over the grid.
     lattice: GridLattice,
 }
@@ -176,8 +181,12 @@ impl GridSpace {
             !candidates.is_empty(),
             "connection cap excludes every candidate"
         );
+        let mut points = Vec::with_capacity(candidates.len() * Self::DIM);
+        for &s in &candidates {
+            Self::push_input(s, &mut points);
+        }
         GridSpace {
-            points: candidates.iter().map(|&s| Self::input(s)).collect(),
+            points,
             lattice: GridLattice::new(&candidates, &params.bounds),
             candidates,
         }
@@ -189,28 +198,44 @@ impl Space for GridSpace {
 
     const NAME: &'static str = "bayesian-optimization-mp";
 
-    fn points(&self) -> &[Vec<f64>] {
-        &self.points
+    const DIM: usize = 2;
+
+    fn points(&self) -> Points<'_> {
+        Points::new(&self.points, Self::DIM)
     }
 
     fn lattice(&self) -> &GridLattice {
         &self.lattice
     }
 
-    fn input(s: TransferSettings) -> Vec<f64> {
-        vec![f64::from(s.concurrency), f64::from(s.parallelism)]
+    fn push_input(s: TransferSettings, out: &mut Vec<f64>) {
+        out.extend([f64::from(s.concurrency), f64::from(s.parallelism)]);
     }
 
     fn setting(&self, idx: usize) -> TransferSettings {
         self.candidates[idx]
     }
 
-    fn index_of(&self, s: TransferSettings) -> Option<usize> {
-        self.lattice.index_of(s)
+    /// `x` is an observed `(cc, p)`, so the casts are exact; the lattice
+    /// reads nothing else.
+    fn index_of(&self, x: &[f64]) -> Option<usize> {
+        self.lattice.index_of(TransferSettings {
+            concurrency: x[0] as u32,
+            parallelism: x[1] as u32,
+            pipelining: 1,
+        })
     }
 
     fn draw(&self, rng: &mut StdRng) -> TransferSettings {
         self.candidates[rng.gen_range(0..self.candidates.len())]
+    }
+
+    fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.candidates)
+            + vec_bytes(&self.points)
+            + vec_bytes(&self.lattice.nbrs)
+            + vec_bytes(&self.lattice.starts)
+            + vec_bytes(&self.lattice.index)
     }
 }
 

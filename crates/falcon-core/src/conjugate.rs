@@ -229,6 +229,11 @@ impl OnlineOptimizer for ConjugateGradientOptimizer {
         }
         self.probe_for(PLANS[self.plan_idx])
     }
+
+    /// All state is inline.
+    fn memory_bytes(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

@@ -110,6 +110,11 @@ impl OnlineOptimizer for GoldenSectionOptimizer {
             Phase::Pinned => TransferSettings::with_concurrency(self.midpoint()),
         }
     }
+
+    /// All state is inline.
+    fn memory_bytes(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

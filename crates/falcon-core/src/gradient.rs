@@ -261,6 +261,10 @@ impl OnlineOptimizer for GradientDescentOptimizer {
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
+
+    fn memory_bytes(&self) -> usize {
+        crate::vec_bytes(&self.u_cache)
+    }
 }
 
 #[cfg(test)]

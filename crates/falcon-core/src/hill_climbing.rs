@@ -122,6 +122,11 @@ impl OnlineOptimizer for HillClimbingOptimizer {
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
+
+    /// All state is inline.
+    fn memory_bytes(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

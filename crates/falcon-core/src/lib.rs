@@ -65,6 +65,11 @@ pub use settings::{SearchBounds, TransferSettings};
 pub use stochastic::SpsaOptimizer;
 pub use utility::{best_response, best_response_equilibrium, UtilityFunction};
 
+/// Heap bytes of a vector's allocation (its capacity, not its length).
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 /// The optimizer unit tests' probe loop and throughput curves.
 #[cfg(test)]
 pub(crate) mod testkit {

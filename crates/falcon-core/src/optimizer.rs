@@ -34,6 +34,10 @@ pub trait OnlineOptimizer: Send {
     /// Install a tracer for decision events. Default: ignore (optimizers
     /// that do not emit decision events need no storage for it).
     fn set_tracer(&mut self, _tracer: Tracer) {}
+
+    /// Heap bytes the optimizer's state holds beyond its own struct, by
+    /// allocation capacity (a shared tracer is not its own).
+    fn memory_bytes(&self) -> usize;
 }
 
 #[cfg(test)]
@@ -52,6 +56,9 @@ mod tests {
         }
         fn next(&mut self, _obs: &Observation) -> TransferSettings {
             TransferSettings::with_concurrency(2)
+        }
+        fn memory_bytes(&self) -> usize {
+            0
         }
     }
 

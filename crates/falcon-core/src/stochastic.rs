@@ -142,6 +142,11 @@ impl OnlineOptimizer for SpsaOptimizer {
             }
         }
     }
+
+    /// All state is inline.
+    fn memory_bytes(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

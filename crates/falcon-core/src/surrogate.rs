@@ -21,7 +21,7 @@
 //! landscape the expensive hyper-grid refit effectively disappears from
 //! the steady-state probe path; a regime change triggers one immediately.
 
-use falcon_gp::GpRegressor;
+use falcon_gp::{GpRegressor, Points};
 
 /// Refit when the per-point average log marginal likelihood has fallen
 /// this many nats below its value at the last refit. Utility landscapes in
@@ -72,7 +72,7 @@ impl CachedSurrogate {
     /// Fit from scratch: normalize `ys_raw` to zero mean / unit variance
     /// (so kernel hyper-grids and the noise variance are scale-free) and
     /// run the `fit_auto` hyperparameter grid. `None` when fitting fails.
-    pub fn fit(xs: &[Vec<f64>], ys_raw: &[f64], noise_variance: f64) -> Option<Self> {
+    pub fn fit(xs: Points<'_>, ys_raw: &[f64], noise_variance: f64) -> Option<Self> {
         let n = ys_raw.len() as f64;
         let mean = ys_raw.iter().sum::<f64>() / n;
         let var = ys_raw.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>() / n;
@@ -108,15 +108,15 @@ impl CachedSurrogate {
     /// stale) when the incremental path refuses — the observation lands
     /// outside the frozen normalization, or a rank-1 update fails — in
     /// which case the caller must fall back to a full refit.
-    pub fn slide(&mut self, x: Vec<f64>, y_raw: f64, window: usize) -> bool {
+    pub fn slide(&mut self, x: &[f64], y_raw: f64, window: usize) -> bool {
         let y = (y_raw - self.y_mean) / self.y_std;
         if y.abs() > Y_NORM_LIMIT {
             return false;
         }
         let stepped = if self.gp.len() < window.max(1) {
-            self.gp.extend(&x, y)
+            self.gp.extend(x, y)
         } else {
-            self.gp.slide(&x, y)
+            self.gp.slide(x, y)
         };
         if stepped.is_err() {
             return false;

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use falcon_core::surrogate::CachedSurrogate;
-use falcon_gp::{GpRegressor, PredictScratch};
+use falcon_gp::{GpRegressor, Points, PredictScratch};
 
 const WINDOW: usize = 8;
 
@@ -45,14 +45,14 @@ proptest! {
             }
             let due = surrogate.as_ref().is_none_or(CachedSurrogate::due_for_refit);
             let refit = |history: &[(Vec<f64>, f64)]| {
-                let xs: Vec<Vec<f64>> = history.iter().map(|(x, _)| x.clone()).collect();
+                let xs: Vec<f64> = history.iter().flat_map(|(x, _)| x.clone()).collect();
                 let ys: Vec<f64> = history.iter().map(|&(_, y)| y).collect();
-                CachedSurrogate::fit(&xs, &ys, 0.02)
+                CachedSurrogate::fit(Points::new(&xs, 1), &ys, 0.02)
             };
             if due {
                 surrogate = refit(&history);
             } else if let Some(s) = surrogate.as_mut() {
-                if !s.slide(x, y, WINDOW) {
+                if !s.slide(&x, y, WINDOW) {
                     surrogate = refit(&history);
                 }
             }
@@ -61,8 +61,8 @@ proptest! {
             // Oracle: from-scratch factorization over the cache's own
             // window, hyperparameters, and normalization.
             let (kernel, noise) = s.gp.hyperparameters();
-            let inputs: Vec<Vec<f64>> = s.gp.inputs().map(<[f64]>::to_vec).collect();
-            let oracle = GpRegressor::fit(&inputs, s.gp.targets(), kernel, noise)
+            let inputs: Vec<f64> = s.gp.inputs().flatten().copied().collect();
+            let oracle = GpRegressor::fit(Points::new(&inputs, 1), s.gp.targets(), kernel, noise)
                 .expect("oracle refit over the live window must succeed");
             for probe in [q, 1.0, 32.0, 64.0] {
                 let (im, iv) = s.gp.predict_into(&[probe], &mut PredictScratch::default());

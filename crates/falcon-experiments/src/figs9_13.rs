@@ -120,7 +120,7 @@ fn stability_run(mk: &dyn Fn(u64) -> FalconAgent, title: &str) -> Table {
             row_t = p.t_s;
             next = p.t_s + 10.0;
         }
-        row[p.agent] = Some(p.mbps);
+        row[p.agent as usize] = Some(p.mbps);
     }
     t
 }
@@ -207,9 +207,10 @@ pub fn fig13() -> Table {
             row_t = p.t_s;
             next = p.t_s + 15.0;
         }
-        ccs[p.agent] = Some(p.settings.concurrency);
-        sums[p.agent] += p.mbps;
-        counts[p.agent] += 1;
+        let a = p.agent as usize;
+        ccs[a] = Some(p.settings.concurrency);
+        sums[a] += p.mbps;
+        counts[a] += 1;
     }
     flush(&mut t, row_t, &ccs, &sums, &counts);
     t

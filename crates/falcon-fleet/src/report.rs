@@ -74,9 +74,10 @@ impl FleetReport {
         let mut sum = vec![0.0f64; n];
         let mut count = vec![0usize; n];
         for p in &trace.points {
-            if p.agent < n && p.t_s >= w0 && p.t_s < w1 {
-                sum[p.agent] += p.mbps;
-                count[p.agent] += 1;
+            let a = p.agent as usize;
+            if a < n && p.t_s >= w0 && p.t_s < w1 {
+                sum[a] += p.mbps;
+                count[a] += 1;
             }
         }
         // The runner's trace-point cadence says how much of the window an

@@ -424,8 +424,8 @@ pub struct ScaleReport {
     /// Tuner probe decisions taken across shards (0 under
     /// [`ScaleTuner::Fixed`]).
     pub probes: u64,
-    /// Peak engine-state bytes (allocator arena + transfer SoA) summed
-    /// over shards.
+    /// Peak engine-state bytes (allocator arena + transfer SoA + the live
+    /// tuners' heap, [`FalconAgent::memory_bytes`]) summed over shards.
     pub arena_bytes: usize,
     /// Sum of per-shard peak pending-event counts. Bounded by capacity
     /// events + one arrival per shard + two entries (a departure, a probe)
@@ -927,7 +927,16 @@ fn run_shard(input: &ShardInput, refill: Refill<'_>) -> ShardOutcome {
                 active += 1;
                 if active > out.peak_active {
                     out.peak_active = active;
-                    let state = alloc.memory_bytes() + soa.memory_bytes();
+                    // The live tuners' heap, summed afresh: a shard reaches
+                    // a new peak at most `peak_active` times, each a scan
+                    // of slots bounded by that peak.
+                    let tuners: usize = soa
+                        .agent
+                        .iter()
+                        .flatten()
+                        .map(FalconAgent::memory_bytes)
+                        .sum();
+                    let state = alloc.memory_bytes() + soa.memory_bytes() + tuners;
                     out.arena_bytes = out.arena_bytes.max(state);
                 }
             }

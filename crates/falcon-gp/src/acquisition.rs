@@ -93,7 +93,7 @@ impl Acquisition {
     pub(crate) fn argmax(
         &self,
         gp: &crate::gp::GpRegressor,
-        candidates: &[Vec<f64>],
+        candidates: crate::gp::Points<'_>,
         best_y: f64,
     ) -> usize {
         let mut best_i = 0;
@@ -117,12 +117,15 @@ mod tests {
 
     fn toy_gp() -> GpRegressor {
         // Peak near x = 5 on [0, 10].
-        let x: Vec<Vec<f64>> = [0.0, 2.0, 5.0, 8.0, 10.0]
-            .iter()
-            .map(|&v| vec![v])
-            .collect();
+        let x = [0.0, 2.0, 5.0, 8.0, 10.0];
         let y = [0.0, 3.0, 5.0, 3.0, 0.0];
-        GpRegressor::fit(&x, &y, Matern52::new(4.0, 2.0), 1e-4).unwrap()
+        GpRegressor::fit(
+            crate::gp::Points::new(&x, 1),
+            &y,
+            Matern52::new(4.0, 2.0),
+            1e-4,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -164,11 +167,12 @@ mod tests {
     #[test]
     fn argmax_prefers_region_near_peak() {
         let gp = toy_gp();
-        let candidates: Vec<Vec<f64>> = (0..=10).map(|i| vec![f64::from(i)]).collect();
+        let flat: Vec<f64> = (0..=10).map(f64::from).collect();
+        let candidates = crate::gp::Points::new(&flat, 1);
         for kind in AcquisitionKind::portfolio() {
             let acq = Acquisition::with_defaults(kind);
-            let i = acq.argmax(&gp, &candidates, 4.5);
-            let x = candidates[i][0];
+            let i = acq.argmax(&gp, candidates, 4.5);
+            let x = candidates.get(i)[0];
             assert!(
                 (3.0..=7.0).contains(&x),
                 "{} picked x={x}, far from peak",

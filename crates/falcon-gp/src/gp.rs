@@ -1,7 +1,8 @@
 //! Gaussian-process regression.
 
 use crate::kernel::{radial, squared_distance, KernelRowScratch, Matern52};
-use crate::linalg::{dot, LinalgError, Matrix};
+use crate::linalg::{dot, Cholesky, LinalgError};
+use crate::{resize_exact, vec_bytes};
 
 /// Errors from GP fitting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,11 +45,11 @@ const GRID: usize = LENGTH_SCALE_FRACS.len() * VARIANCE_MULS.len();
 /// # Examples
 ///
 /// ```
-/// use falcon_gp::{GpRegressor, Matern52, PredictScratch};
+/// use falcon_gp::{GpRegressor, Matern52, Points, PredictScratch};
 ///
-/// let xs: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i)]).collect();
-/// let ys: Vec<f64> = xs.iter().map(|x| (x[0] - 3.0).powi(2) * -1.0).collect();
-/// let gp = GpRegressor::fit(&xs, &ys, Matern52::new(5.0, 2.0), 1e-4).unwrap();
+/// let xs: Vec<f64> = (0..6).map(f64::from).collect();
+/// let ys: Vec<f64> = xs.iter().map(|x| (x - 3.0).powi(2) * -1.0).collect();
+/// let gp = GpRegressor::fit(Points::new(&xs, 1), &ys, Matern52::new(5.0, 2.0), 1e-4).unwrap();
 /// let mut scratch = PredictScratch::default();
 /// let (mean_at_peak, _) = gp.predict_into(&[3.0], &mut scratch);
 /// let (mean_at_edge, _) = gp.predict_into(&[0.0], &mut scratch);
@@ -69,7 +70,7 @@ pub struct GpRegressor {
     y_mean: f64,
     kernel: Matern52,
     noise_variance: f64,
-    chol: Matrix,
+    chol: Cholesky,
     alpha: Vec<f64>,
     /// Scratch for the incremental paths (the new kernel column, then the
     /// forward solve), so a window slide allocates nothing.
@@ -97,15 +98,60 @@ fn log_marginal_likelihood(n: usize, fit: f64, log_det: f64) -> f64 {
     data_fit + complexity + norm
 }
 
-/// The rows of `n` points stored flat with `dim` coordinates each.
-fn rows(flat: &[f64], dim: usize, n: usize) -> impl ExactSizeIterator<Item = &[f64]> {
-    (0..n).map(move |i| &flat[i * dim..(i + 1) * dim])
+/// Points stored flat, row-major, `dim` coordinates each: the layout of a
+/// [`GpRegressor`]'s training inputs and of a Bayesian search's candidate
+/// set, one allocation however many points.
+#[derive(Debug, Clone, Copy)]
+pub struct Points<'a> {
+    flat: &'a [f64],
+    dim: usize,
+}
+
+impl<'a> Points<'a> {
+    /// `flat` read as consecutive rows of `dim` coordinates. A fit rejects
+    /// `dim == 0` or a length that is not a whole number of rows with
+    /// [`GpError::DimensionMismatch`].
+    pub fn new(flat: &'a [f64], dim: usize) -> Self {
+        Points { flat, dim }
+    }
+
+    /// Number of whole points.
+    pub fn len(&self) -> usize {
+        self.flat.len().checked_div(self.dim).unwrap_or(0)
+    }
+
+    /// True when there is no whole point.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Coordinates per point.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Point `i`.
+    pub fn get(&self, i: usize) -> &'a [f64] {
+        &self.flat[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// The points in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [f64]> {
+        let points = *self;
+        (0..points.len()).map(move |i| points.get(i))
+    }
+
+    /// Whether the flat storage is a whole number of rows of a positive
+    /// dimension.
+    fn well_formed(&self) -> bool {
+        self.dim > 0 && self.flat.len().is_multiple_of(self.dim)
+    }
 }
 
 impl GpRegressor {
     /// Fit a GP with the given hyperparameters.
     pub fn fit(
-        x: &[Vec<f64>],
+        x: Points<'_>,
         y: &[f64],
         kernel: Matern52,
         noise_variance: f64,
@@ -122,19 +168,18 @@ impl GpRegressor {
     /// [`GpRegressor::fit`], and only the winner becomes a regressor: the
     /// result is bit-identical to fitting each point alone and keeping the
     /// first with the highest log marginal likelihood.
-    pub fn fit_auto(x: &[Vec<f64>], y: &[f64], noise_variance: f64) -> Result<Self, GpError> {
+    pub fn fit_auto(x: Points<'_>, y: &[f64], noise_variance: f64) -> Result<Self, GpError> {
+        if !x.well_formed() {
+            return Err(GpError::DimensionMismatch);
+        }
         if x.is_empty() || x.len() != y.len() {
             return Err(GpError::Empty);
         }
         // Data-driven scales.
-        let dim = x[0].len();
-        if x.iter().any(|p| p.len() != dim) {
-            return Err(GpError::DimensionMismatch);
-        }
         let mut span: f64 = 0.0;
-        for d in 0..dim {
+        for d in 0..x.dim() {
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for p in x {
+            for p in x.iter() {
                 lo = lo.min(p[d]);
                 hi = hi.max(p[d]);
             }
@@ -171,17 +216,16 @@ impl GpRegressor {
     /// packed lower triangle of `[f64; L]` entries, so the inner loops run
     /// across all lanes at once.
     fn fit_best<const L: usize>(
-        x: &[Vec<f64>],
+        x: Points<'_>,
         y: &[f64],
         kernels: &[Matern52; L],
         noise_variance: f64,
     ) -> Result<Self, GpError> {
+        if !x.well_formed() {
+            return Err(GpError::DimensionMismatch);
+        }
         if x.is_empty() || x.len() != y.len() {
             return Err(GpError::Empty);
-        }
-        let dim = x[0].len();
-        if x.iter().any(|p| p.len() != dim) {
-            return Err(GpError::DimensionMismatch);
         }
         let n = x.len();
         let y_mean = y.iter().sum::<f64>() / n as f64;
@@ -217,7 +261,7 @@ impl GpRegressor {
         let pairs = (0..n).flat_map(|i| (0..=i).map(move |j| (i, j)));
         let kernel_entries: Vec<[f64; L]> = pairs
             .map(|(i, j)| {
-                let bits = squared_distance(&x[i], &x[j]).to_bits();
+                let bits = squared_distance(x.get(i), x.get(j)).to_bits();
                 let slot = &mut memo[(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize];
                 let k = slot
                     .filter(|&(b, _)| b == bits)
@@ -298,28 +342,22 @@ impl GpRegressor {
             }
         }
         let (_, w) = best.ok_or(GpError::NotPositiveDefinite)?;
-        let mut chol = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                chol[(i, j)] = a[at(i, j)][w];
-            }
-        }
         Ok(GpRegressor {
-            x_flat: x.iter().flatten().copied().collect(),
-            dim,
+            x_flat: x.flat.to_vec(),
+            dim: x.dim(),
             y_raw: y.to_vec(),
             y_centered,
             y_mean,
             kernel: kernels[w],
             noise_variance,
-            chol,
+            chol: Cholesky::from_packed(n, a.iter().map(|v| v[w]).collect()),
             alpha: alpha.iter().map(|v| v[w]).collect(),
             work: Vec::new(),
         })
     }
 
     /// Append one observation in `O(n²)` by bordering the Cholesky factor
-    /// ([`Matrix::cholesky_append_row`]) instead of refitting in `O(n³)`.
+    /// ([`Cholesky::append_row`]) instead of refitting in `O(n³)`.
     ///
     /// Hyperparameters are kept as fitted; the target mean and `alpha` are
     /// recomputed over all points, so when no jitter retry fires the
@@ -328,8 +366,7 @@ impl GpRegressor {
     /// as it was.
     pub fn extend(&mut self, x_new: &[f64], y_new: f64) -> Result<(), GpError> {
         self.append_factor(x_new)?;
-        self.x_flat.extend_from_slice(x_new);
-        self.y_raw.push(y_new);
+        self.push_point(x_new, y_new);
         self.recenter_and_resolve()
     }
 
@@ -343,12 +380,20 @@ impl GpRegressor {
             return Err(GpError::NotPositiveDefinite);
         }
         self.append_factor(x_new)?;
-        self.x_flat.extend_from_slice(x_new);
-        self.y_raw.push(y_new);
+        self.push_point(x_new, y_new);
         self.drop_oldest()
     }
 
-    /// Border the factor with the row of `x_new` ([`Matrix::cholesky_append_row`]),
+    /// Store a new training point, growing each buffer by exactly one
+    /// point: a window keeps at most one point more than it fits.
+    fn push_point(&mut self, x_new: &[f64], y_new: f64) {
+        self.x_flat.reserve_exact(self.dim);
+        self.x_flat.extend_from_slice(x_new);
+        self.y_raw.reserve_exact(1);
+        self.y_raw.push(y_new);
+    }
+
+    /// Border the factor with the row of `x_new` ([`Cholesky::append_row`]),
     /// escalating jitter on the new diagonal entry only, as `fit` does. On
     /// error the factor is left as it was.
     fn append_factor(&mut self, x_new: &[f64]) -> Result<(), GpError> {
@@ -356,14 +401,14 @@ impl GpRegressor {
             return Err(GpError::DimensionMismatch);
         }
         self.work.clear();
-        let kernel = self.kernel;
-        self.work.extend(
-            rows(&self.x_flat, self.dim, self.y_raw.len()).map(|xi| kernel.eval(xi, x_new)),
-        );
+        self.work.reserve_exact(self.y_raw.len());
+        let (kernel, inputs) = (self.kernel, Points::new(&self.x_flat, self.dim));
+        self.work
+            .extend(inputs.iter().map(|xi| kernel.eval(xi, x_new)));
         let mut diag = self.kernel.eval(x_new, x_new) + self.noise_variance;
         let mut jitter = 1e-10 * self.kernel.diag();
         loop {
-            match self.chol.cholesky_append_row(&self.work, diag) {
+            match self.chol.append_row(&self.work, diag) {
                 Ok(()) => return Ok(()),
                 Err(LinalgError::DimensionMismatch) => return Err(GpError::DimensionMismatch),
                 Err(LinalgError::NotPositiveDefinite) => {
@@ -378,7 +423,7 @@ impl GpRegressor {
     }
 
     /// Remove the oldest training point in `O(n²)` by downdating the
-    /// Cholesky factor ([`Matrix::cholesky_drop_row`]) instead of
+    /// Cholesky factor ([`Cholesky::drop_row`]) instead of
     /// refitting in `O(n³)`. Together with [`GpRegressor::extend`] this
     /// makes a true sliding window: `drop_oldest` + `extend` per probe
     /// keeps the factor exact (to rank-1-update accumulation, ~1e-12)
@@ -392,7 +437,7 @@ impl GpRegressor {
         if self.y_raw.len() <= 1 {
             return Err(GpError::Empty);
         }
-        self.chol.cholesky_drop_row(0).map_err(|e| match e {
+        self.chol.drop_row(0).map_err(|e| match e {
             LinalgError::DimensionMismatch => GpError::DimensionMismatch,
             LinalgError::NotPositiveDefinite => GpError::NotPositiveDefinite,
         })?;
@@ -407,6 +452,7 @@ impl GpRegressor {
     fn recenter_and_resolve(&mut self) -> Result<(), GpError> {
         self.y_mean = self.y_raw.iter().sum::<f64>() / self.y_raw.len() as f64;
         self.y_centered.clear();
+        self.y_centered.reserve_exact(self.y_raw.len());
         let mean = self.y_mean;
         self.y_centered.extend(self.y_raw.iter().map(|v| v - mean));
         self.chol
@@ -427,7 +473,7 @@ impl GpRegressor {
 
     /// The training inputs currently in the model, oldest first.
     pub fn inputs(&self) -> impl ExactSizeIterator<Item = &[f64]> {
-        rows(&self.x_flat, self.dim, self.y_raw.len())
+        Points::new(&self.x_flat, self.dim).iter()
     }
 
     /// Kernel hyperparameters and noise variance currently in effect —
@@ -454,7 +500,7 @@ impl GpRegressor {
         queries: [&[f64]; L],
         scratch: &mut PredictScratch,
     ) -> [(f64, f64); L] {
-        scratch.rows.resize(self.y_raw.len() * L, 0.0);
+        resize_exact(&mut scratch.rows, self.y_raw.len() * L, 0.0);
         let (k, _) = scratch.rows.as_chunks_mut::<L>();
         self.kernel
             .eval_rows(queries, &self.x_flat, self.dim, &mut scratch.kernel, k);
@@ -484,7 +530,7 @@ impl GpRegressor {
         log_marginal_likelihood(
             self.y_raw.len(),
             dot(&self.y_centered, &self.alpha),
-            self.chol.cholesky_log_det(),
+            self.chol.log_det(),
         )
     }
 
@@ -498,10 +544,28 @@ impl GpRegressor {
     pub fn is_empty(&self) -> bool {
         self.y_raw.is_empty()
     }
+
+    /// Heap bytes the model holds: training data, factor, weights and
+    /// update scratch, by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.x_flat)
+            + vec_bytes(&self.y_raw)
+            + vec_bytes(&self.y_centered)
+            + vec_bytes(&self.alpha)
+            + vec_bytes(&self.work)
+            + self.chol.memory_bytes()
+    }
+}
+
+impl PredictScratch {
+    /// Heap bytes the buffers hold, by capacity.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        vec_bytes(&self.rows) + self.kernel.memory_bytes()
+    }
 }
 
 /// Cholesky-factor `L` packed lower triangles of `[f64; L]` lanes in place,
-/// row by row in the order of [`Matrix::cholesky`]. Returns which lanes
+/// row by row in the order of [`crate::Matrix::cholesky`]. Returns which lanes
 /// factored; a lane whose pivot fails keeps computing (into NaNs) and is
 /// ignored by the caller.
 fn cholesky_lanes<const L: usize>(a: &mut [[f64; L]], n: usize) -> [bool; L] {
@@ -540,15 +604,16 @@ fn cholesky_lanes<const L: usize>(a: &mut [[f64; L]], n: usize) -> [bool; L] {
 mod tests {
     use super::*;
 
-    fn xs(points: &[f64]) -> Vec<Vec<f64>> {
-        points.iter().map(|&p| vec![p]).collect()
+    /// Points on a line.
+    fn xs(points: &[f64]) -> Points<'_> {
+        Points::new(points, 1)
     }
 
     #[test]
     fn interpolates_training_points_with_low_noise() {
         let x = xs(&[0.0, 1.0, 2.0, 3.0]);
         let y = [0.0, 1.0, 4.0, 9.0];
-        let gp = GpRegressor::fit(&x, &y, Matern52::new(10.0, 1.0), 1e-6).unwrap();
+        let gp = GpRegressor::fit(x, &y, Matern52::new(10.0, 1.0), 1e-6).unwrap();
         for (xi, yi) in x.iter().zip(y.iter()) {
             let (m, v) = gp.predict_into(xi, &mut PredictScratch::default());
             assert!((m - yi).abs() < 0.05, "mean {m} vs {yi}");
@@ -560,7 +625,7 @@ mod tests {
     fn uncertainty_grows_away_from_data() {
         let x = xs(&[0.0, 1.0]);
         let y = [0.0, 1.0];
-        let gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
+        let gp = GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         let (_, v_near) = gp.predict_into(&[0.5], &mut PredictScratch::default());
         let (_, v_far) = gp.predict_into(&[10.0], &mut PredictScratch::default());
         assert!(v_far > v_near * 2.0, "{v_far} vs {v_near}");
@@ -570,7 +635,7 @@ mod tests {
     fn reverts_to_mean_far_from_data() {
         let x = xs(&[0.0, 1.0, 2.0]);
         let y = [5.0, 6.0, 7.0];
-        let gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
+        let gp = GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         let (m, _) = gp.predict_into(&[100.0], &mut PredictScratch::default());
         assert!((m - 6.0).abs() < 1e-6, "far mean {m} should be y-mean 6");
     }
@@ -579,7 +644,7 @@ mod tests {
     fn noise_smooths_predictions() {
         let x = xs(&[0.0, 0.0, 0.0, 1.0]);
         let y = [1.0, 2.0, 3.0, 0.0]; // conflicting repeats need noise
-        let gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 0.5).unwrap();
+        let gp = GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 0.5).unwrap();
         let (m, _) = gp.predict_into(&[0.0], &mut PredictScratch::default());
         assert!((m - 2.0).abs() < 0.5, "mean at repeated x: {m}");
     }
@@ -587,17 +652,22 @@ mod tests {
     #[test]
     fn empty_input_rejected() {
         assert_eq!(
-            GpRegressor::fit(&[], &[], Matern52::new(1.0, 1.0), 0.1).unwrap_err(),
+            GpRegressor::fit(xs(&[]), &[], Matern52::new(1.0, 1.0), 0.1).unwrap_err(),
             GpError::Empty
         );
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let x = vec![vec![0.0], vec![0.0, 1.0]];
+        // Three coordinates are no whole number of 2-D points.
+        let x = Points::new(&[0.0, 0.0, 1.0], 2);
         let y = [1.0, 2.0];
         assert_eq!(
-            GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 0.1).unwrap_err(),
+            GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 0.1).unwrap_err(),
+            GpError::DimensionMismatch
+        );
+        assert_eq!(
+            GpRegressor::fit(Points::new(&[], 0), &[], Matern52::new(1.0, 1.0), 0.1).unwrap_err(),
             GpError::DimensionMismatch
         );
     }
@@ -607,7 +677,7 @@ mod tests {
         let points: Vec<f64> = (0..15).map(|i| f64::from(i) * 0.5).collect();
         let x = xs(&points);
         let y: Vec<f64> = points.iter().map(|p| (p * 0.8).sin() * 3.0).collect();
-        let gp = GpRegressor::fit_auto(&x, &y, 1e-4).unwrap();
+        let gp = GpRegressor::fit_auto(x, &y, 1e-4).unwrap();
         // Predict at held-out midpoints.
         for p in points.iter().take(14) {
             let mid = p + 0.25;
@@ -624,10 +694,10 @@ mod tests {
         let points: Vec<f64> = (0..12).map(f64::from).collect();
         let x = xs(&points);
         let y: Vec<f64> = points.iter().map(|p| (p / 6.0).sin()).collect();
-        let good = GpRegressor::fit(&x, &y, Matern52::new(1.0, 4.0), 1e-4)
+        let good = GpRegressor::fit(x, &y, Matern52::new(1.0, 4.0), 1e-4)
             .unwrap()
             .log_marginal_likelihood();
-        let bad = GpRegressor::fit(&x, &y, Matern52::new(1.0, 0.05), 1e-4)
+        let bad = GpRegressor::fit(x, &y, Matern52::new(1.0, 0.05), 1e-4)
             .unwrap()
             .log_marginal_likelihood();
         assert!(good > bad, "good {good} vs bad {bad}");
@@ -637,20 +707,21 @@ mod tests {
     fn constant_targets_do_not_crash_fit_auto() {
         let x = xs(&[1.0, 2.0, 3.0]);
         let y = [5.0, 5.0, 5.0];
-        let gp = GpRegressor::fit_auto(&x, &y, 1e-4).unwrap();
+        let gp = GpRegressor::fit_auto(x, &y, 1e-4).unwrap();
         let (m, _) = gp.predict_into(&[2.5], &mut PredictScratch::default());
         assert!((m - 5.0).abs() < 0.2);
     }
 
     #[test]
     fn extend_matches_full_refit_bitwise() {
-        let x = xs(&[0.0, 1.0, 2.0, 3.0, 4.0]);
+        let x = [0.0, 1.0, 2.0, 3.0, 4.0];
         let y = [0.0, 1.0, 4.0, 9.0, 16.0];
         let kernel = Matern52::new(10.0, 1.5);
-        let mut grown = GpRegressor::fit(&x[..3], &y[..3], kernel, 1e-4).unwrap();
-        grown.extend(&x[3], y[3]).unwrap();
-        grown.extend(&x[4], y[4]).unwrap();
-        let full = GpRegressor::fit(&x, &y, kernel, 1e-4).unwrap();
+        let mut grown = GpRegressor::fit(xs(&x[..3]), &y[..3], kernel, 1e-4).unwrap();
+        grown.extend(&x[3..4], y[3]).unwrap();
+        grown.extend(&x[4..5], y[4]).unwrap();
+        let x = xs(&x);
+        let full = GpRegressor::fit(x, &y, kernel, 1e-4).unwrap();
         for q in [0.5, 2.5, 3.7, 10.0] {
             let (gm, gv) = grown.predict_into(&[q], &mut PredictScratch::default());
             let (fm, fv) = full.predict_into(&[q], &mut PredictScratch::default());
@@ -667,7 +738,7 @@ mod tests {
     fn extend_rejects_dimension_mismatch_without_corrupting() {
         let x = xs(&[0.0, 1.0]);
         let y = [0.0, 1.0];
-        let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
+        let mut gp = GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         let before = gp.predict_into(&[0.5], &mut PredictScratch::default());
         assert_eq!(
             gp.extend(&[1.0, 2.0], 3.0).unwrap_err(),
@@ -683,16 +754,16 @@ mod tests {
     #[test]
     fn drop_oldest_matches_refit_on_window() {
         let points: Vec<f64> = (0..8).map(f64::from).collect();
-        let x = xs(&points);
+        let x = &points;
         let y: Vec<f64> = points.iter().map(|p| (p * 0.7).sin() * 2.0).collect();
         let kernel = Matern52::new(2.0, 3.0);
-        let mut slid = GpRegressor::fit(&x[..5], &y[..5], kernel, 1e-4).unwrap();
+        let mut slid = GpRegressor::fit(xs(&x[..5]), &y[..5], kernel, 1e-4).unwrap();
         // Slide the window [0,5) → [3,8): drop + extend per step.
         for i in 5..8 {
             slid.drop_oldest().unwrap();
-            slid.extend(&x[i], y[i]).unwrap();
+            slid.extend(&x[i..=i], y[i]).unwrap();
         }
-        let fresh = GpRegressor::fit(&x[3..], &y[3..], kernel, 1e-4).unwrap();
+        let fresh = GpRegressor::fit(xs(&x[3..]), &y[3..], kernel, 1e-4).unwrap();
         assert_eq!(slid.len(), 5);
         for q in [0.5, 3.5, 5.1, 9.0] {
             let (sm, sv) = slid.predict_into(&[q], &mut PredictScratch::default());
@@ -734,9 +805,9 @@ mod tests {
         for case in 0..200 {
             let dim = 1 + case % 2;
             let n = rng.gen_range(1..=20usize);
-            let x: Vec<Vec<f64>> = (0..n).map(|_| point(&mut rng, dim)).collect();
+            let x: Vec<f64> = (0..n).flat_map(|_| point(&mut rng, dim)).collect();
             let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
-            let mut slid = GpRegressor::fit_auto(&x, &y, 0.02).unwrap();
+            let mut slid = GpRegressor::fit_auto(Points::new(&x, dim), &y, 0.02).unwrap();
             let mut stepped = slid.clone();
             for _ in 0..6 {
                 let (xn, yn) = (point(&mut rng, dim), rng.gen_range(-3.0..3.0));
@@ -749,7 +820,7 @@ mod tests {
         // The error paths: the step fails as `extend` does, and leaves the
         // model as it was.
         let mut gp =
-            GpRegressor::fit(&xs(&[0.0, 1.0]), &[0.0, 1.0], Matern52::new(1.0, 1.0), 1e-4).unwrap();
+            GpRegressor::fit(xs(&[0.0, 1.0]), &[0.0, 1.0], Matern52::new(1.0, 1.0), 1e-4).unwrap();
         let before = model_bits(&gp);
         let err = gp.clone().extend(&[1.0, 2.0], 3.0).unwrap_err();
         assert_eq!(err, GpError::DimensionMismatch);
@@ -758,7 +829,7 @@ mod tests {
         // A noise so negative that only the top of the jitter ladder
         // factors one point; bordering a second copy of it fails outright.
         let mut gp =
-            GpRegressor::fit(&xs(&[0.0]), &[1.0], Matern52::new(1.0, 1.0), -1112.1).unwrap();
+            GpRegressor::fit(xs(&[0.0]), &[1.0], Matern52::new(1.0, 1.0), -1112.1).unwrap();
         let before = model_bits(&gp);
         let err = gp.clone().extend(&[0.0], 2.0).unwrap_err();
         assert_eq!(err, GpError::NotPositiveDefinite);
@@ -770,7 +841,7 @@ mod tests {
     fn drop_oldest_rejects_last_point_without_corrupting() {
         let x = xs(&[0.0, 1.0]);
         let y = [0.0, 1.0];
-        let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
+        let mut gp = GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         gp.drop_oldest().unwrap();
         assert_eq!(gp.len(), 1);
         let before = gp.predict_into(&[0.5], &mut PredictScratch::default());
@@ -786,7 +857,7 @@ mod tests {
     fn targets_and_inputs_track_the_window() {
         let x = xs(&[0.0, 1.0, 2.0]);
         let y = [5.0, 6.0, 7.0];
-        let mut gp = GpRegressor::fit(&x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
+        let mut gp = GpRegressor::fit(x, &y, Matern52::new(1.0, 1.0), 1e-4).unwrap();
         gp.drop_oldest().unwrap();
         gp.extend(&[3.0], 8.0).unwrap();
         assert_eq!(gp.targets(), &[6.0, 7.0, 8.0]);
@@ -797,7 +868,7 @@ mod tests {
     fn predict_into_with_reused_scratch_matches_fresh() {
         let x = xs(&[0.0, 1.0, 2.0]);
         let y = [1.0, -1.0, 2.0];
-        let gp = GpRegressor::fit(&x, &y, Matern52::new(2.0, 1.0), 1e-4).unwrap();
+        let gp = GpRegressor::fit(x, &y, Matern52::new(2.0, 1.0), 1e-4).unwrap();
         let mut scratch = PredictScratch::default();
         for q in [-1.0, 0.5, 1.5, 4.0] {
             let fresh = gp.predict_into(&[q], &mut PredictScratch::default());
@@ -813,7 +884,7 @@ mod tests {
         let points: Vec<f64> = (0..20).map(f64::from).collect();
         let x = xs(&points);
         let y: Vec<f64> = points.iter().map(|p| -((p - 10.0) * (p - 10.0))).collect();
-        let gp = GpRegressor::fit_auto(&x, &y, 0.01).unwrap();
+        let gp = GpRegressor::fit_auto(x, &y, 0.01).unwrap();
         let (m_peak, _) = gp.predict_into(&[10.0], &mut PredictScratch::default());
         let (m_edge, _) = gp.predict_into(&[0.0], &mut PredictScratch::default());
         assert!(m_peak > m_edge);

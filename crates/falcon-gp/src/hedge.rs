@@ -11,41 +11,40 @@
 use rand::Rng;
 
 use crate::acquisition::{Acquisition, AcquisitionKind};
-use crate::gp::GpRegressor;
+use crate::gp::{GpRegressor, Points};
 use crate::sweep::{self, AscentPlan, AscentScratch, Lattice, SweepCache};
 
-/// Hedge state over the standard three-member portfolio (EI, PI, UCB).
+/// Members of the portfolio.
+const MEMBERS: usize = 3;
+
+/// Hedge state over the standard three-member portfolio (EI, PI, UCB),
+/// held inline: a portfolio owns no heap.
 #[derive(Debug, Clone)]
 pub struct GpHedge {
-    members: Vec<Acquisition>,
-    gains: Vec<f64>,
+    members: [Acquisition; MEMBERS],
+    gains: [f64; MEMBERS],
     /// Hedge learning rate η.
     eta: f64,
     /// Index of the member whose nomination was used last round.
     last_choice: Option<usize>,
     /// Nominated candidate per member from the last `nominate` call.
-    last_nominations: Vec<usize>,
+    last_nominations: [usize; MEMBERS],
 }
 
 impl GpHedge {
     /// New portfolio with the default members and learning rate.
     pub fn new() -> Self {
-        let members: Vec<Acquisition> = AcquisitionKind::portfolio()
-            .into_iter()
-            .map(Acquisition::with_defaults)
-            .collect();
-        let n = members.len();
         GpHedge {
-            members,
-            gains: vec![0.0; n],
+            members: AcquisitionKind::portfolio().map(Acquisition::with_defaults),
+            gains: [0.0; MEMBERS],
             eta: 1.0,
             last_choice: None,
-            last_nominations: vec![0; n],
+            last_nominations: [0; MEMBERS],
         }
     }
 
     /// Current softmax probabilities of each member being followed.
-    pub fn probabilities(&self) -> Vec<f64> {
+    pub fn probabilities(&self) -> [f64; MEMBERS] {
         // Subtract max gain for numerical stability; rescale gains so the
         // softmax operates on O(1) numbers regardless of utility scale.
         let max = self.gains.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -54,13 +53,9 @@ impl GpHedge {
             .iter()
             .map(|g| (g - max).abs())
             .fold(1e-9_f64, f64::max);
-        let exps: Vec<f64> = self
-            .gains
-            .iter()
-            .map(|g| (self.eta * (g - max) / scale).exp())
-            .collect();
+        let exps = self.gains.map(|g| (self.eta * (g - max) / scale).exp());
         let sum: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
+        exps.map(|e| e / sum)
     }
 
     /// One round: every member nominates via greedy lattice ascent from
@@ -73,7 +68,7 @@ impl GpHedge {
     pub fn choose_ascent<L: Lattice, R: Rng>(
         &mut self,
         gp: &GpRegressor,
-        candidates: &[Vec<f64>],
+        candidates: Points<'_>,
         lattice: &L,
         plan: &AscentPlan<'_>,
         cache: &mut SweepCache,
@@ -82,11 +77,8 @@ impl GpHedge {
         rng: &mut R,
     ) -> usize {
         debug_assert!(!candidates.is_empty());
-        self.last_nominations.clear();
-        for m in &self.members {
-            self.last_nominations.push(sweep::nominate(
-                m, gp, candidates, lattice, plan, cache, scratch, best_y,
-            ));
+        for (m, nomination) in self.members.iter().zip(&mut self.last_nominations) {
+            *nomination = sweep::nominate(m, gp, candidates, lattice, plan, cache, scratch, best_y);
         }
         self.follow(rng)
     }
@@ -143,15 +135,11 @@ impl GpHedge {
     fn choose<R: Rng>(
         &mut self,
         gp: &GpRegressor,
-        candidates: &[Vec<f64>],
+        candidates: Points<'_>,
         best_y: f64,
         rng: &mut R,
     ) -> usize {
-        self.last_nominations = self
-            .members
-            .iter()
-            .map(|m| m.argmax(gp, candidates, best_y))
-            .collect();
+        self.last_nominations = self.members.map(|m| m.argmax(gp, candidates, best_y));
         self.follow(rng)
     }
 }
@@ -164,12 +152,9 @@ mod tests {
     use rand::SeedableRng;
 
     fn toy_gp() -> GpRegressor {
-        let x: Vec<Vec<f64>> = [0.0, 2.0, 5.0, 8.0, 10.0]
-            .iter()
-            .map(|&v| vec![v])
-            .collect();
+        let x = [0.0, 2.0, 5.0, 8.0, 10.0];
         let y = [0.0, 3.0, 5.0, 3.0, 0.0];
-        GpRegressor::fit(&x, &y, Matern52::new(4.0, 2.0), 1e-4).unwrap()
+        GpRegressor::fit(Points::new(&x, 1), &y, Matern52::new(4.0, 2.0), 1e-4).unwrap()
     }
 
     #[test]
@@ -184,11 +169,12 @@ mod tests {
     fn probabilities_sum_to_one_after_updates() {
         let mut h = GpHedge::new();
         let gp = toy_gp();
-        let candidates: Vec<Vec<f64>> = (0..=10).map(|i| vec![f64::from(i)]).collect();
+        let flat: Vec<f64> = (0..=10).map(f64::from).collect();
+        let candidates = Points::new(&flat, 1);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5 {
-            h.choose(&gp, &candidates, 4.0, &mut rng);
-            h.update(|i| candidates[i][0]); // arbitrary reward
+            h.choose(&gp, candidates, 4.0, &mut rng);
+            h.update(|i| candidates.get(i)[0]); // arbitrary reward
         }
         let s: f64 = h.probabilities().iter().sum();
         assert!((s - 1.0).abs() < 1e-9);
@@ -201,7 +187,7 @@ mod tests {
         // which case Hedge keeps them tied — so force them apart here).
         let mut h = GpHedge::new();
         for _ in 0..20 {
-            h.last_nominations = vec![0, 1, 2];
+            h.last_nominations = [0, 1, 2];
             h.update(|i| if i == 0 { 10.0 } else { 0.0 });
         }
         let p = h.probabilities();
@@ -215,7 +201,7 @@ mod tests {
     fn identical_nominations_keep_members_tied() {
         let mut h = GpHedge::new();
         for _ in 0..10 {
-            h.last_nominations = vec![4, 4, 4];
+            h.last_nominations = [4, 4, 4];
             h.update(|_| 7.0);
         }
         let p = h.probabilities();
@@ -228,10 +214,11 @@ mod tests {
     fn choose_returns_valid_candidate_index() {
         let mut h = GpHedge::new();
         let gp = toy_gp();
-        let candidates: Vec<Vec<f64>> = (0..=10).map(|i| vec![f64::from(i)]).collect();
+        let flat: Vec<f64> = (0..=10).map(f64::from).collect();
+        let candidates = Points::new(&flat, 1);
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..30 {
-            let i = h.choose(&gp, &candidates, 4.0, &mut rng);
+            let i = h.choose(&gp, candidates, 4.0, &mut rng);
             assert!(i < candidates.len());
         }
     }
@@ -240,7 +227,8 @@ mod tests {
     fn choose_ascent_matches_full_scan_choose_on_smooth_surface() {
         use crate::sweep::{AscentPlan, AscentScratch, LineLattice, SweepCache};
         let gp = toy_gp();
-        let candidates: Vec<Vec<f64>> = (0..=20).map(|i| vec![f64::from(i) * 0.5]).collect();
+        let flat: Vec<f64> = (0..=20).map(|i| f64::from(i) * 0.5).collect();
+        let candidates = Points::new(&flat, 1);
         let lattice = LineLattice::new(candidates.len());
         let mut cache = SweepCache::new();
         let mut scratch = AscentScratch::default();
@@ -256,11 +244,11 @@ mod tests {
         let mut scan = GpHedge::new();
         let mut ascent = GpHedge::new();
         for _ in 0..6 {
-            let a = scan.choose(&gp, &candidates, 4.0, &mut rng_a);
+            let a = scan.choose(&gp, candidates, 4.0, &mut rng_a);
             cache.begin(candidates.len());
             let b = ascent.choose_ascent(
                 &gp,
-                &candidates,
+                candidates,
                 &lattice,
                 &plan,
                 &mut cache,
@@ -270,8 +258,8 @@ mod tests {
             );
             assert_eq!(a, b);
             assert!(cache.evals() < candidates.len());
-            scan.update(|i| candidates[i][0]);
-            ascent.update(|i| candidates[i][0]);
+            scan.update(|i| candidates.get(i)[0]);
+            ascent.update(|i| candidates.get(i)[0]);
         }
     }
 
@@ -280,9 +268,10 @@ mod tests {
         let mut h = GpHedge::new();
         assert!(h.last_choice().is_none());
         let gp = toy_gp();
-        let candidates: Vec<Vec<f64>> = (0..=10).map(|i| vec![f64::from(i)]).collect();
+        let flat: Vec<f64> = (0..=10).map(f64::from).collect();
+        let candidates = Points::new(&flat, 1);
         let mut rng = StdRng::seed_from_u64(5);
-        h.choose(&gp, &candidates, 4.0, &mut rng);
+        h.choose(&gp, candidates, 4.0, &mut rng);
         assert!(h.last_choice().is_some());
     }
 }

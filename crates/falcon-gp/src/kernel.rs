@@ -24,6 +24,13 @@ pub struct KernelRowScratch {
     key: (u64, u64),
 }
 
+impl KernelRowScratch {
+    /// Heap bytes the buffers hold, by capacity.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        crate::vec_bytes(&self.d2) + crate::vec_bytes(&self.table)
+    }
+}
+
 /// Squared Euclidean distance, in the summation order every kernel entry
 /// is built from.
 pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -144,7 +151,7 @@ impl Matern52 {
                     for l in 0..L {
                         let i = (xi - qi[l]).unsigned_abs() as usize;
                         if i >= table.len() {
-                            table.resize(i + 1, f64::NAN);
+                            crate::resize_exact(table, i + 1, f64::NAN);
                         }
                         let slot = &mut table[i];
                         if slot.is_nan() {
@@ -165,7 +172,7 @@ impl Matern52 {
         }
         if scratch.d2.len() != out.len() {
             scratch.d2.clear();
-            scratch.d2.resize(out.len(), 0.0);
+            crate::resize_exact(&mut scratch.d2, out.len(), 0.0);
         }
         for (l, xq) in queries.iter().enumerate() {
             squared_distances(xq, xs_flat, dim, &mut scratch.d2);

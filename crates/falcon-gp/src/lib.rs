@@ -39,8 +39,22 @@ pub mod normal;
 pub mod sweep;
 
 pub use acquisition::{Acquisition, AcquisitionKind};
-pub use gp::{GpError, GpRegressor, PredictScratch};
+pub use gp::{GpError, GpRegressor, Points, PredictScratch};
 pub use hedge::GpHedge;
 pub use kernel::{KernelRowScratch, Matern52};
-pub use linalg::{LinalgError, Matrix};
+pub use linalg::{Cholesky, LinalgError, Matrix};
 pub use sweep::{AscentPlan, AscentScratch, Lattice, LineLattice, SweepCache};
+
+/// Heap bytes of a vector's allocation (its capacity, not its length).
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// `v.resize(len, value)`, allocating exactly `len` when it must grow
+/// rather than doubling: the per-agent buffers here settle at a window's
+/// size, and amortized growth would hold up to twice that for the agent's
+/// lifetime.
+fn resize_exact<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.reserve_exact(len.saturating_sub(v.len()));
+    v.resize(len, value);
+}

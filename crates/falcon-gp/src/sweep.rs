@@ -19,7 +19,7 @@
 //!    exploration (see `AscentPlan::scan_stride`).
 
 use crate::acquisition::Acquisition;
-use crate::gp::{GpRegressor, PredictScratch};
+use crate::gp::{GpRegressor, Points, PredictScratch};
 
 /// Candidates whose posteriors one [`SweepCache`] fill computes together.
 const LANES: usize = 4;
@@ -32,8 +32,8 @@ const LANES: usize = 4;
 /// share the block, and four lanes cost little more than one.
 #[derive(Debug, Clone, Default)]
 pub struct SweepCache {
-    mu: Vec<f64>,
-    sigma: Vec<f64>,
+    /// `(μ, σ)` per candidate.
+    post: Vec<(f64, f64)>,
     /// Epoch in which each block was last filled.
     stamp: Vec<u64>,
     epoch: u64,
@@ -48,15 +48,12 @@ impl SweepCache {
     }
 
     /// Start a new decision epoch over `n` candidates. Previously cached
-    /// posteriors are invalidated without clearing storage.
+    /// posteriors are invalidated without clearing storage; a new
+    /// candidate count reallocates both memos at exactly its size.
     pub fn begin(&mut self, n: usize) {
-        if self.mu.len() != n {
-            self.mu.clear();
-            self.mu.resize(n, 0.0);
-            self.sigma.clear();
-            self.sigma.resize(n, 0.0);
-            self.stamp.clear();
-            self.stamp.resize(n.div_ceil(LANES), 0);
+        if self.post.len() != n {
+            self.post = vec![(0.0, 0.0); n];
+            self.stamp = vec![0; n.div_ceil(LANES)];
         }
         self.epoch += 1;
         self.evals = 0;
@@ -66,28 +63,32 @@ impl SweepCache {
     /// block on first touch this epoch and served from the memo
     /// afterwards. A block past the last candidate repeats it in the
     /// padding lanes and keeps only the real ones.
-    pub fn posterior(&mut self, gp: &GpRegressor, candidates: &[Vec<f64>], i: usize) -> (f64, f64) {
+    pub fn posterior(&mut self, gp: &GpRegressor, candidates: Points<'_>, i: usize) -> (f64, f64) {
         let block = i / LANES;
         if self.stamp[block] != self.epoch {
             let first = block * LANES;
             let last = candidates.len() - 1;
             let queries: [&[f64]; LANES] =
-                std::array::from_fn(|l| candidates[(first + l).min(last)].as_slice());
+                std::array::from_fn(|l| candidates.get((first + l).min(last)));
             let lanes = gp.predict_lanes(queries, &mut self.scratch);
             for (j, (m, v)) in (first..=last).zip(lanes) {
-                self.mu[j] = m;
-                self.sigma[j] = v.sqrt();
+                self.post[j] = (m, v.sqrt());
                 self.evals += 1;
             }
             self.stamp[block] = self.epoch;
         }
-        (self.mu[i], self.sigma[i])
+        self.post[i]
     }
 
     /// Posteriors computed since the last `begin`, padding lanes not
     /// counted — the number the local-ascent path exists to keep small.
     pub fn evals(&self) -> usize {
         self.evals
+    }
+
+    /// Heap bytes the memo and its predict buffers hold, by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        crate::vec_bytes(&self.post) + crate::vec_bytes(&self.stamp) + self.scratch.memory_bytes()
     }
 }
 
@@ -161,6 +162,13 @@ pub struct AscentScratch {
     nbrs: Vec<usize>,
 }
 
+impl AscentScratch {
+    /// Heap bytes the buffer holds, by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        crate::vec_bytes(&self.nbrs)
+    }
+}
+
 /// Greedy ascent of `acq`'s score from `start`: move to the best strictly
 /// improving neighbour until none exists. Returns `(argmax index, score)`.
 /// Termination: the score strictly increases each move and the candidate
@@ -169,7 +177,7 @@ pub struct AscentScratch {
 pub fn ascend<L: Lattice>(
     acq: &Acquisition,
     gp: &GpRegressor,
-    candidates: &[Vec<f64>],
+    candidates: Points<'_>,
     lattice: &L,
     cache: &mut SweepCache,
     scratch: &mut AscentScratch,
@@ -209,7 +217,7 @@ pub fn ascend<L: Lattice>(
 pub fn nominate<L: Lattice>(
     acq: &Acquisition,
     gp: &GpRegressor,
-    candidates: &[Vec<f64>],
+    candidates: Points<'_>,
     lattice: &L,
     plan: &AscentPlan<'_>,
     cache: &mut SweepCache,
@@ -261,18 +269,14 @@ mod tests {
 
     fn toy_gp() -> GpRegressor {
         // Peak near x = 5 on [0, 10].
-        let x: Vec<Vec<f64>> = [0.0, 2.0, 5.0, 8.0, 10.0]
-            .iter()
-            .map(|&v| vec![v])
-            .collect();
+        let x = [0.0, 2.0, 5.0, 8.0, 10.0];
         let y = [0.0, 3.0, 5.0, 3.0, 0.0];
-        GpRegressor::fit(&x, &y, Matern52::new(4.0, 2.0), 1e-4).unwrap()
+        GpRegressor::fit(Points::new(&x, 1), &y, Matern52::new(4.0, 2.0), 1e-4).unwrap()
     }
 
-    fn grid(n: usize) -> Vec<Vec<f64>> {
-        (0..n)
-            .map(|i| vec![i as f64 * 10.0 / (n - 1) as f64])
-            .collect()
+    /// `n` evenly spaced points on [0, 10], flat.
+    fn grid(n: usize) -> Vec<f64> {
+        (0..n).map(|i| i as f64 * 10.0 / (n - 1) as f64).collect()
     }
 
     #[test]
@@ -280,40 +284,42 @@ mod tests {
         // Fills come in aligned blocks of four: 11 candidates make blocks
         // 0..4, 4..8 and a padded 8..11.
         let gp = toy_gp();
-        let candidates = grid(11);
+        let flat = grid(11);
+        let candidates = Points::new(&flat, 1);
         let mut cache = SweepCache::new();
         cache.begin(candidates.len());
-        let a = cache.posterior(&gp, &candidates, 3);
+        let a = cache.posterior(&gp, candidates, 3);
         assert_eq!(cache.evals(), 4);
         // A repeat query computes nothing, nor does a candidate of a
         // filled block.
-        let b = cache.posterior(&gp, &candidates, 3);
+        let b = cache.posterior(&gp, candidates, 3);
         assert_eq!(a, b);
-        cache.posterior(&gp, &candidates, 0);
+        cache.posterior(&gp, candidates, 0);
         assert_eq!(cache.evals(), 4);
-        cache.posterior(&gp, &candidates, 7);
+        cache.posterior(&gp, candidates, 7);
         assert_eq!(cache.evals(), 8);
         // The padded tail counts its real candidates only.
-        cache.posterior(&gp, &candidates, 10);
+        cache.posterior(&gp, candidates, 10);
         assert_eq!(cache.evals(), 11);
-        cache.posterior(&gp, &candidates, 8);
+        cache.posterior(&gp, candidates, 8);
         assert_eq!(cache.evals(), 11);
         // New epoch invalidates.
         cache.begin(candidates.len());
         assert_eq!(cache.evals(), 0);
-        cache.posterior(&gp, &candidates, 3);
+        cache.posterior(&gp, candidates, 3);
         assert_eq!(cache.evals(), 4);
     }
 
     #[test]
     fn cache_matches_direct_predict() {
         let gp = toy_gp();
-        let candidates = grid(11);
+        let flat = grid(11);
+        let candidates = Points::new(&flat, 1);
         let mut cache = SweepCache::new();
         cache.begin(candidates.len());
         for i in 0..candidates.len() {
-            let (m, s) = cache.posterior(&gp, &candidates, i);
-            let (dm, dv) = gp.predict_into(&candidates[i], &mut PredictScratch::default());
+            let (m, s) = cache.posterior(&gp, candidates, i);
+            let (dm, dv) = gp.predict_into(candidates.get(i), &mut PredictScratch::default());
             assert_eq!(m, dm);
             assert_eq!(s, dv.sqrt());
         }
@@ -340,7 +346,8 @@ mod tests {
         // argmax: score never below the start, no neighbour strictly
         // better, and far fewer posterior evals than a full scan.
         let gp = toy_gp();
-        let candidates = grid(21);
+        let flat = grid(21);
+        let candidates = Points::new(&flat, 1);
         let lattice = LineLattice::new(candidates.len());
         for kind in AcquisitionKind::portfolio() {
             let acq = Acquisition::with_defaults(kind);
@@ -351,7 +358,7 @@ mod tests {
                 let (i, score) = ascend(
                     &acq,
                     &gp,
-                    &candidates,
+                    candidates,
                     &lattice,
                     &mut cache,
                     &mut scratch,
@@ -359,7 +366,7 @@ mod tests {
                     4.0,
                 );
                 let at = |j: usize, cache: &mut SweepCache| {
-                    let (mu, sg) = cache.posterior(&gp, &candidates, j);
+                    let (mu, sg) = cache.posterior(&gp, candidates, j);
                     acq.score_from(mu, sg, 4.0)
                 };
                 assert!(
@@ -392,7 +399,8 @@ mod tests {
         // plan exists for exactly that. Under the production-shaped plan,
         // every portfolio member must recover the full-scan argmax.
         let gp = toy_gp();
-        let candidates = grid(21);
+        let flat = grid(21);
+        let candidates = Points::new(&flat, 1);
         let lattice = LineLattice::new(candidates.len());
         let starts = [0usize, candidates.len() / 2, candidates.len() - 1];
         let plan = AscentPlan {
@@ -401,14 +409,14 @@ mod tests {
         };
         for kind in AcquisitionKind::portfolio() {
             let acq = Acquisition::with_defaults(kind);
-            let full = acq.argmax(&gp, &candidates, 4.0);
+            let full = acq.argmax(&gp, candidates, 4.0);
             let mut cache = SweepCache::new();
             cache.begin(candidates.len());
             let mut scratch = AscentScratch::default();
             let i = nominate(
                 &acq,
                 &gp,
-                &candidates,
+                candidates,
                 &lattice,
                 &plan,
                 &mut cache,
@@ -424,10 +432,11 @@ mod tests {
         // A surface whose acquisition argmax is far from every start:
         // starts pinned at 0, strided scan must still find the peak.
         let gp = toy_gp();
-        let candidates = grid(41);
+        let flat = grid(41);
+        let candidates = Points::new(&flat, 1);
         let lattice = LineLattice::new(candidates.len());
         let acq = Acquisition::with_defaults(AcquisitionKind::UpperConfidenceBound);
-        let full = acq.argmax(&gp, &candidates, 4.0);
+        let full = acq.argmax(&gp, candidates, 4.0);
         let mut cache = SweepCache::new();
         cache.begin(candidates.len());
         let mut scratch = AscentScratch::default();
@@ -439,7 +448,7 @@ mod tests {
         let i = nominate(
             &acq,
             &gp,
-            &candidates,
+            candidates,
             &lattice,
             &plan,
             &mut cache,
@@ -452,7 +461,8 @@ mod tests {
     #[test]
     fn out_of_range_start_is_clamped() {
         let gp = toy_gp();
-        let candidates = grid(11);
+        let flat = grid(11);
+        let candidates = Points::new(&flat, 1);
         let lattice = LineLattice::new(candidates.len());
         let acq = Acquisition::with_defaults(AcquisitionKind::ExpectedImprovement);
         let mut cache = SweepCache::new();
@@ -461,7 +471,7 @@ mod tests {
         let (i, _) = ascend(
             &acq,
             &gp,
-            &candidates,
+            candidates,
             &lattice,
             &mut cache,
             &mut scratch,

@@ -2,12 +2,22 @@
 
 use proptest::prelude::*;
 
-use falcon_gp::linalg::{dot, Matrix};
+use falcon_gp::linalg::{dot, Cholesky, Matrix};
 use falcon_gp::sweep::nominate;
 use falcon_gp::{
     Acquisition, AcquisitionKind, AscentPlan, AscentScratch, GpError, GpRegressor, LineLattice,
-    Matern52, PredictScratch, SweepCache,
+    Matern52, Points, PredictScratch, SweepCache,
 };
+
+/// `GpRegressor::fit` over points given one `Vec` each.
+fn fit(x: &[Vec<f64>], y: &[f64], kernel: Matern52, noise: f64) -> Result<GpRegressor, GpError> {
+    GpRegressor::fit(Points::new(&x.concat(), x[0].len()), y, kernel, noise)
+}
+
+/// `GpRegressor::fit_auto` over points given one `Vec` each.
+fn fit_auto(x: &[Vec<f64>], y: &[f64], noise: f64) -> Result<GpRegressor, GpError> {
+    GpRegressor::fit_auto(Points::new(&x.concat(), x[0].len()), y, noise)
+}
 
 /// Build a random symmetric positive-definite matrix `A = B·Bᵀ + εI`.
 fn spd(values: &[f64], n: usize) -> Matrix {
@@ -40,7 +50,7 @@ struct DenseFit {
     noise: f64,
     x: Vec<Vec<f64>>,
     y_mean: f64,
-    chol: Matrix,
+    chol: Cholesky,
     alpha: Vec<f64>,
     lml: f64,
 }
@@ -76,7 +86,7 @@ impl DenseFit {
         chol.solve_lower_into(&y_centered, &mut tmp).ok()?;
         chol.solve_lower_transpose_into(&tmp, &mut alpha).ok()?;
         let data_fit = -0.5 * dot(&y_centered, &alpha);
-        let complexity = -0.5 * chol.cholesky_log_det();
+        let complexity = -0.5 * chol.log_det();
         let norm = -0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
         Some(DenseFit {
             kernel,
@@ -186,7 +196,7 @@ proptest! {
                 prop_assert_eq!(l[(i, j)], 0.0);
             }
         }
-        prop_assert!(l.cholesky_log_det().is_finite());
+        prop_assert!(l.log_det().is_finite());
     }
 
     /// The kernel is symmetric, bounded by its variance, and maximal at
@@ -215,7 +225,7 @@ proptest! {
         q in -100.0f64..100.0,
     ) {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64 * 3.0]).collect();
-        let gp = GpRegressor::fit(&xs, &ys, Matern52::new(1.0, 5.0), 1e-3).unwrap();
+        let gp = fit(&xs, &ys, Matern52::new(1.0, 5.0), 1e-3).unwrap();
         let (m, v) = gp.predict_into(&[q], &mut PredictScratch::default());
         prop_assert!(m.is_finite());
         prop_assert!(v >= 0.0 && v.is_finite());
@@ -232,8 +242,9 @@ proptest! {
         stride in 0usize..50,
     ) {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64]).collect();
-        let gp = GpRegressor::fit(&xs, &ys, Matern52::new(1.0, 2.0), 1e-2).unwrap();
-        let candidates: Vec<Vec<f64>> = (0..n_candidates).map(|i| vec![i as f64 * 0.5]).collect();
+        let gp = fit(&xs, &ys, Matern52::new(1.0, 2.0), 1e-2).unwrap();
+        let flat: Vec<f64> = (0..n_candidates).map(|i| i as f64 * 0.5).collect();
+        let candidates = Points::new(&flat, 1);
         let lattice = LineLattice::new(candidates.len());
         let starts = [start];
         let plan = AscentPlan { starts: &starts, scan_stride: (stride > 0).then_some(stride) };
@@ -243,7 +254,7 @@ proptest! {
             let acq = Acquisition::with_defaults(kind);
             cache.begin(candidates.len());
             let idx = nominate(
-                &acq, &gp, &candidates, &lattice, &plan, &mut cache, &mut scratch, best,
+                &acq, &gp, candidates, &lattice, &plan, &mut cache, &mut scratch, best,
             );
             prop_assert!(idx < candidates.len());
         }
@@ -273,10 +284,10 @@ proptest! {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![(i * 5 % 64) as f64]).collect();
         let kernel = Matern52::new(1.0, 10.0);
 
-        let mut grown = GpRegressor::fit(&xs[..split], &ys[..split], kernel, 1e-3).unwrap();
+        let mut grown = fit(&xs[..split], &ys[..split], kernel, 1e-3).unwrap();
         for i in split..n {
             grown.extend(&xs[i], ys[i]).expect("extend must accept in-domain points");
-            let full = GpRegressor::fit(&xs[..=i], &ys[..=i], kernel, 1e-3).unwrap();
+            let full = fit(&xs[..=i], &ys[..=i], kernel, 1e-3).unwrap();
             let (gm, gv) = grown.predict_into(&[q], &mut PredictScratch::default());
             let (fm, fv) = full.predict_into(&[q], &mut PredictScratch::default());
             prop_assert!((gm - fm).abs() < 1e-9, "mean {gm} vs {fm} at n={}", i + 1);
@@ -296,7 +307,7 @@ proptest! {
     ) {
         let a = spd(&vals, 5);
         let mut dropped = a.cholesky().expect("SPD by construction");
-        dropped.cholesky_drop_row(idx).expect("reduced matrix stays SPD");
+        dropped.drop_row(idx).expect("reduced matrix stays SPD");
         let mut reduced = Matrix::zeros(4, 4);
         for i in 0..4 {
             for j in 0..4 {
@@ -328,12 +339,12 @@ proptest! {
         let n = ys.len();
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![(i * 7 % 64) as f64]).collect();
         let kernel = Matern52::new(1.0, 10.0);
-        let mut slid = GpRegressor::fit(&xs[..window], &ys[..window], kernel, 1e-3).unwrap();
+        let mut slid = fit(&xs[..window], &ys[..window], kernel, 1e-3).unwrap();
         for i in window..n {
             slid.drop_oldest().expect("window > 1");
             slid.extend(&xs[i], ys[i]).expect("extend must accept in-domain points");
             let lo = i + 1 - window;
-            let fresh = GpRegressor::fit(&xs[lo..=i], &ys[lo..=i], kernel, 1e-3).unwrap();
+            let fresh = fit(&xs[lo..=i], &ys[lo..=i], kernel, 1e-3).unwrap();
             let (sm, sv) = slid.predict_into(&[q], &mut PredictScratch::default());
             let (fm, fv) = fresh.predict_into(&[q], &mut PredictScratch::default());
             prop_assert!((sm - fm).abs() < 1e-9, "mean {sm} vs {fm} at slide {i}");
@@ -358,7 +369,7 @@ proptest! {
         }
         let mut grown = lead.cholesky().expect("leading block of SPD is SPD");
         let k: Vec<f64> = (0..4).map(|j| a[(4, j)]).collect();
-        grown.cholesky_append_row(&k, a[(4, 4)]).expect("bordered matrix stays SPD");
+        grown.append_row(&k, a[(4, 4)]).expect("bordered matrix stays SPD");
         for i in 0..5 {
             for j in 0..=i {
                 prop_assert!(
@@ -400,7 +411,7 @@ proptest! {
             .collect();
         let noise = [0.02, 1e-3, 0.0, -1e-6, -0.5][noise_code];
 
-        let got = GpRegressor::fit_auto(&x, &y, noise);
+        let got = fit_auto(&x, &y, noise);
         let want = dense_fit_auto(&x, &y, noise);
         let (got, want) = match (got, want) {
             (Err(e), None) => {
@@ -473,12 +484,13 @@ proptest! {
                 }
             })
             .collect();
+        let (flat, dim) = (candidates.concat(), candidates[0].len());
         // Touch order: candidates sorted by a random key.
         let mut touch: Vec<usize> = (0..n_candidates).collect();
         touch.sort_by_key(|&i| order[i]);
 
         let xs: Vec<Vec<f64>> = (0..n).map(point).collect();
-        let Ok(mut gp) = GpRegressor::fit_auto(&xs, &ys[..n], 0.02) else {
+        let Ok(mut gp) = fit_auto(&xs, &ys[..n], 0.02) else {
             return Ok(());
         };
         let mut cache = SweepCache::new();
@@ -486,7 +498,7 @@ proptest! {
         for phase in 0..4 {
             cache.begin(n_candidates);
             for &i in &touch {
-                let (m, s) = cache.posterior(&gp, &candidates, i);
+                let (m, s) = cache.posterior(&gp, Points::new(&flat, dim), i);
                 let (wm, wv) = gp.predict_into(&candidates[i], &mut PredictScratch::default());
                 prop_assert!(
                     same_bits(m, wm) && same_bits(s, wv.sqrt()),
@@ -507,7 +519,7 @@ proptest! {
                 }
                 _ => {
                     let window: Vec<Vec<f64>> = gp.inputs().map(<[f64]>::to_vec).collect();
-                    let Ok(refit) = GpRegressor::fit_auto(&window, gp.targets(), 0.02) else {
+                    let Ok(refit) = fit_auto(&window, gp.targets(), 0.02) else {
                         return Ok(());
                     };
                     gp = refit;

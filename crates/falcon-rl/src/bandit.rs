@@ -423,6 +423,11 @@ impl OnlineOptimizer for BanditOptimizer {
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
+
+    fn memory_bytes(&self) -> usize {
+        self.arms.capacity() * std::mem::size_of::<u32>()
+            + (self.values.capacity() + self.counts.capacity()) * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]

@@ -347,6 +347,11 @@ impl OnlineOptimizer for TabularQOptimizer {
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
+
+    fn memory_bytes(&self) -> usize {
+        (self.lattice.capacity() + self.visits.capacity()) * std::mem::size_of::<u32>()
+            + self.q.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]

@@ -393,11 +393,13 @@ impl Simulation {
             .unwrap_or(self.env.full_path_mask())
     }
 
-    /// Remove a transfer task (e.g., its dataset completed).
+    /// Remove a transfer task (e.g., its dataset completed). Its
+    /// connection runs are freed, not just emptied: unlike
+    /// [`Simulation::kill_agent`], nothing refills them.
     pub fn remove_agent(&mut self, h: AgentHandle) {
         self.scratch.targets = None;
         self.agents[h.0].alive = false;
-        self.agents[h.0].ramps.clear();
+        self.agents[h.0].ramps = Vec::new();
     }
 
     /// Whether the agent is still registered.
@@ -1480,6 +1482,22 @@ mod tests {
             "revived agent should ramp back: {}",
             s.throughput_mbps
         );
+    }
+
+    #[test]
+    fn remove_agent_frees_its_runs_and_kill_keeps_them() {
+        let mut sim = Simulation::new(Environment::emulab(100.0).without_noise(), 4);
+        let (killed, removed) = (sim.add_agent(), sim.add_agent());
+        for h in [killed, removed] {
+            assert!(sim.try_set_settings(h, AgentSettings::with_concurrency(10)));
+        }
+        sim.advance(5.0);
+        sim.kill_agent(killed);
+        sim.remove_agent(removed);
+        // A killed agent keeps the storage its revival refills.
+        let kept = &sim.agents[killed.0].ramps;
+        assert!(kept.is_empty() && kept.capacity() > 0);
+        assert_eq!(sim.agents[removed.0].ramps.capacity(), 0);
     }
 
     #[test]

@@ -108,13 +108,13 @@ impl AgentPlan {
     }
 }
 
-/// One recorded point of an agent's trace.
+/// One recorded point of an agent's trace (32 bytes).
 #[derive(Debug, Clone)]
 pub struct TracePoint {
     /// Wall-clock time (seconds).
     pub t_s: f64,
     /// Agent index in the plan order.
-    pub agent: usize,
+    pub agent: u32,
     /// Instantaneous goodput (Mbps).
     pub mbps: f64,
     /// Settings in effect.
@@ -155,7 +155,7 @@ impl RunTrace {
     ) -> impl Iterator<Item = &TracePoint> + Clone {
         self.points
             .iter()
-            .filter(move |p| p.agent == agent && p.t_s >= from_s && p.t_s < to_s)
+            .filter(move |p| p.agent as usize == agent && p.t_s >= from_s && p.t_s < to_s)
     }
 
     /// Mean of `f` over one agent's window (0 when the window is empty).
@@ -180,7 +180,7 @@ impl RunTrace {
     pub fn series(&self, agent: usize) -> Vec<(f64, f64, u32)> {
         self.points
             .iter()
-            .filter(|p| p.agent == agent)
+            .filter(|p| p.agent as usize == agent)
             .map(|p| (p.t_s, p.mbps, p.settings.concurrency))
             .collect()
     }
@@ -205,7 +205,9 @@ impl RunTrace {
                 "{:.1},{},{},{:.1},{},{},{}\n",
                 p.t_s,
                 p.agent,
-                self.labels.get(p.agent).map_or("?", |s| s.as_str()),
+                self.labels
+                    .get(p.agent as usize)
+                    .map_or("?", |s| s.as_str()),
                 p.mbps,
                 p.settings.concurrency,
                 p.settings.parallelism,
@@ -300,7 +302,14 @@ const RESTART_BACKOFF_MAX_S: f64 = 30.0;
 /// re-probed. Real transfers always clear ~1 Mbps.
 const STALL_MBPS: f64 = 1.0;
 
+/// One plan's transfer while the run lasts.
 struct Live {
+    /// The tuner steering it, dropped as soon as the transfer is done:
+    /// nothing reads it after that.
+    tuner: Option<Box<dyn Tuner>>,
+    /// The dataset, until the join moves it into the harness.
+    dataset: Dataset,
+    leave_s: Option<f64>,
     slot: usize,
     next_probe_s: f64,
     /// When to throw away the warm-up metrics of the current probe.
@@ -316,6 +325,15 @@ struct Live {
     /// judged strictly after this instant: a same-instant wakeup would see
     /// the process alive before the world had any chance to kill it again.
     verify_after_s: f64,
+}
+
+impl Live {
+    /// The transfer completed or departed: it is never visited again, and
+    /// its tuner's memory goes back now rather than when the run ends.
+    fn finish(&mut self) {
+        self.done = true;
+        self.tuner = None;
+    }
 }
 
 // Tie-break classes of the runner's wakeup queue: at one instant, joins
@@ -335,7 +353,7 @@ impl Runner {
     pub fn run<H: TransferHarness>(
         &self,
         harness: &mut H,
-        mut plans: Vec<AgentPlan>,
+        plans: Vec<AgentPlan>,
         duration_s: f64,
     ) -> RunTrace {
         let interval = harness.sample_interval_s();
@@ -345,34 +363,15 @@ impl Runner {
         // runner's sink. Tuners get theirs installed so decision events
         // carry the right agent id; convergence is detected runner-side
         // from the settings the tuners actually commit.
-        let tracers: Vec<Tracer> = (0..plans.len())
-            .map(|i| self.tracer.for_agent(i as u32))
-            .collect();
-        for (plan, tr) in plans.iter_mut().zip(&tracers) {
-            plan.tuner.set_tracer(tr.clone());
-        }
-        let mut convergence: Vec<ConvergenceDetector> = plans
-            .iter()
-            .map(|_| ConvergenceDetector::default())
-            .collect();
-        let mut live: Vec<Live> = plans
-            .iter()
-            .map(|_| Live {
-                slot: usize::MAX,
-                next_probe_s: 0.0,
-                discard_at_s: None,
-                done: false,
-                detached: false,
-                retry_at_s: 0.0,
-                backoff_s: 0.0,
-                verify_after_s: f64::NEG_INFINITY,
-            })
-            .collect();
+        let n = plans.len();
+        let tracers: Vec<Tracer> = (0..n).map(|i| self.tracer.for_agent(i as u32)).collect();
+        let mut convergence: Vec<ConvergenceDetector> =
+            (0..n).map(|_| ConvergenceDetector::default()).collect();
         let mut points = Vec::new();
-        let mut completed_at: Vec<Option<f64>> = vec![None; plans.len()];
-        let mut converged_at: Vec<Option<f64>> = vec![None; plans.len()];
-        let mut restarts = vec![0usize; plans.len()];
-        let mut discarded_probes = vec![0usize; plans.len()];
+        let mut completed_at: Vec<Option<f64>> = vec![None; n];
+        let mut converged_at: Vec<Option<f64>> = vec![None; n];
+        let mut restarts = vec![0usize; n];
+        let mut discarded_probes = vec![0usize; n];
 
         let t0 = harness.time_s();
         let end_s = t0 + duration_s;
@@ -388,7 +387,9 @@ impl Runner {
         // deadline is never missed because every (re)setting site queues
         // a wakeup.
         let mut wakeups: EventQueue<usize> = EventQueue::new();
-        for (i, plan) in plans.iter().enumerate() {
+        let mut live: Vec<Live> = Vec::with_capacity(n);
+        for (i, (mut plan, tracer)) in plans.into_iter().zip(&tracers).enumerate() {
+            plan.tuner.set_tracer(tracer.clone());
             // A plan with a NaN start never joins.
             if !plan.start_s.is_nan() {
                 wakeups.push(plan.start_s.max(t0), WAKE_JOIN, i);
@@ -396,6 +397,19 @@ impl Runner {
             if let Some(leave) = plan.leave_s {
                 wakeups.push(leave.max(plan.start_s).max(t0), WAKE_LEAVE, NO_AGENT);
             }
+            live.push(Live {
+                tuner: Some(plan.tuner),
+                dataset: plan.dataset,
+                leave_s: plan.leave_s,
+                slot: usize::MAX,
+                next_probe_s: 0.0,
+                discard_at_s: None,
+                done: false,
+                detached: false,
+                retry_at_s: 0.0,
+                backoff_s: 0.0,
+                verify_after_s: f64::NEG_INFINITY,
+            });
         }
         let mut trace_k: u64 = 1;
         if t0 + TRACE_EVERY_S <= end_s {
@@ -406,7 +420,7 @@ impl Runner {
         // deadline wakeup due at the current instant, and the plans due to
         // join at it.
         let mut active: Vec<usize> = Vec::new();
-        let mut due = vec![false; plans.len()];
+        let mut due = vec![false; n];
         let mut joins: Vec<usize> = Vec::new();
 
         while let Some((at_s, class, agent)) = wakeups.pop() {
@@ -437,11 +451,12 @@ impl Runner {
             // Joins, in plan order among those due together.
             joins.sort_unstable();
             for i in joins.drain(..) {
-                let plan = &mut plans[i];
-                // The dataset moves into the harness; the plan keeps an
-                // empty one that nothing reads.
-                let slot = harness.join(std::mem::take(&mut plan.dataset));
-                harness.apply(slot, plan.tuner.initial());
+                // The dataset moves into the harness, leaving an empty one
+                // that nothing reads.
+                let slot = harness.join(std::mem::take(&mut live[i].dataset));
+                if let Some(tuner) = live[i].tuner.as_mut() {
+                    harness.apply(slot, tuner.initial());
+                }
                 live[i].slot = slot;
                 // Stagger probe clocks: independently started transfers
                 // are never phase-locked. Synchronized probing would
@@ -458,9 +473,9 @@ impl Runner {
 
             // Scripted departures.
             for &i in &active {
-                if plans[i].leave_s.is_some_and(|l| t >= l) {
+                if live[i].leave_s.is_some_and(|l| t >= l) {
                     harness.leave(live[i].slot);
-                    live[i].done = true;
+                    live[i].finish();
                     completed_at[i].get_or_insert(t);
                 }
             }
@@ -475,7 +490,7 @@ impl Runner {
                 }
                 let slot = live[i].slot;
                 if harness.is_complete(slot) {
-                    live[i].done = true;
+                    live[i].finish();
                     completed_at[i] = Some(t);
                     continue;
                 }
@@ -562,7 +577,10 @@ impl Runner {
                             pipelining: metrics.settings.pipelining,
                         });
                         let prev = harness.current_settings(slot);
-                        let settings = plans[i].tuner.on_sample(&metrics);
+                        let settings = match live[i].tuner.as_mut() {
+                            Some(tuner) => tuner.on_sample(&metrics),
+                            None => prev,
+                        };
                         harness.apply(slot, settings);
                         if settings != prev {
                             tracers[i].emit(|| TraceEvent::SettingsChange {
@@ -594,7 +612,7 @@ impl Runner {
                     let slot = live[i].slot;
                     points.push(TracePoint {
                         t_s: t,
-                        agent: i,
+                        agent: i as u32,
                         mbps: harness.instantaneous_mbps(slot),
                         settings: harness.current_settings(slot),
                     });
@@ -645,6 +663,12 @@ mod tests {
         assert!(unfair < 0.95, "got {unfair}");
         assert_eq!(jain_index(&[]), 1.0);
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
+    }
+
+    #[test]
+    fn trace_point_is_32_bytes() {
+        // A classic campaign holds tens of thousands of these.
+        assert_eq!(std::mem::size_of::<TracePoint>(), 32);
     }
 
     #[test]

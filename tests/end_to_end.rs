@@ -2,11 +2,14 @@
 //! (optimizer → utility → harness → simulator → datasets) across every
 //! environment preset.
 
-use falcon_repro::core::{FalconAgent, SearchBounds};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use falcon_repro::core::{FalconAgent, ProbeMetrics, SearchBounds, TransferSettings};
 use falcon_repro::sim::{Environment, EnvironmentKind, Simulation};
 use falcon_repro::transfer::dataset::Dataset;
 use falcon_repro::transfer::harness::SimHarness;
-use falcon_repro::transfer::runner::{AgentPlan, Runner};
+use falcon_repro::transfer::runner::{AgentPlan, Runner, Tuner};
 
 fn big_dataset() -> Dataset {
     Dataset::uniform_1gb(1_000_000)
@@ -157,4 +160,96 @@ fn adapts_to_background_traffic() {
         "during {during:.0} vs before {before:.0}"
     );
     assert!(after > 0.85 * before, "after {after:.0} did not recover");
+}
+
+/// A GD tuner that says when it is dropped and counts its samples.
+struct Watched {
+    agent: FalconAgent,
+    samples: Rc<Cell<usize>>,
+    freed: Rc<Cell<bool>>,
+}
+
+impl Drop for Watched {
+    fn drop(&mut self) {
+        self.freed.set(true);
+    }
+}
+
+/// A GD tuner that records whether the watched tuner was already freed
+/// when one of its own samples arrived — that is, during the run.
+struct Watcher {
+    agent: FalconAgent,
+    freed: Rc<Cell<bool>>,
+    saw_freed: Rc<Cell<bool>>,
+}
+
+impl Tuner for Watched {
+    fn label(&self) -> String {
+        "watched".into()
+    }
+    fn initial(&mut self) -> TransferSettings {
+        self.agent.initial_settings()
+    }
+    fn on_sample(&mut self, metrics: &ProbeMetrics) -> TransferSettings {
+        self.samples.set(self.samples.get() + 1);
+        self.agent.observe(*metrics)
+    }
+}
+
+impl Tuner for Watcher {
+    fn label(&self) -> String {
+        "watcher".into()
+    }
+    fn initial(&mut self) -> TransferSettings {
+        self.agent.initial_settings()
+    }
+    fn on_sample(&mut self, metrics: &ProbeMetrics) -> TransferSettings {
+        if self.freed.get() {
+            self.saw_freed.set(true);
+        }
+        self.agent.observe(*metrics)
+    }
+}
+
+/// The runner drops a transfer's tuner once the transfer is done, whether
+/// it completed or left on schedule, while the run goes on: a watcher
+/// that outlives it sees the drop from inside the run.
+#[test]
+fn runner_frees_a_finished_tuner_before_the_run_ends() {
+    let ten_gb = || Dataset::uniform_1gb(10);
+    for (case, dataset, leave_s) in [
+        ("completion", ten_gb(), None),
+        ("departure", big_dataset(), Some(60.0)),
+    ] {
+        let (samples, freed, saw_freed) = (Rc::default(), Rc::default(), Rc::default());
+        let watched = Watched {
+            agent: FalconAgent::gradient_descent(32),
+            samples: Rc::clone(&samples),
+            freed: Rc::clone(&freed),
+        };
+        let watcher = Watcher {
+            agent: FalconAgent::gradient_descent(32),
+            freed: Rc::clone(&freed),
+            saw_freed: Rc::clone(&saw_freed),
+        };
+        let mut plan = AgentPlan::at_start(Box::new(watched), dataset);
+        plan.leave_s = leave_s;
+        let env = Environment::emulab(100.0).without_noise();
+        let mut h = SimHarness::new(Simulation::new(env, 5));
+        let plans = vec![plan, AgentPlan::at_start(Box::new(watcher), big_dataset())];
+        let trace = Runner::default().run(&mut h, plans, 400.0);
+        let done = trace.completed_at[0];
+        assert!(
+            done.is_some_and(|t| t < 300.0),
+            "{case}: finished at {done:?}"
+        );
+        assert!(
+            samples.get() > 0,
+            "{case}: the tuner steered before it was freed"
+        );
+        assert!(
+            saw_freed.get(),
+            "{case}: tuner still held after its transfer finished"
+        );
+    }
 }

@@ -7,7 +7,7 @@ use falcon_repro::core::{
     UtilityFunction,
 };
 use falcon_repro::fleet::FleetTuner;
-use falcon_repro::gp::{GpRegressor, Matern52, PredictScratch};
+use falcon_repro::gp::{GpRegressor, Matern52, Points, PredictScratch};
 use falcon_repro::rl::{BanditOptimizer, QParams, TabularQOptimizer};
 use falcon_repro::sim::alloc::{weighted_max_min_allocate_into, WeightedStreamDemand};
 use falcon_repro::sim::{AgentSettings, Environment, Simulation};
@@ -253,7 +253,8 @@ proptest! {
         ys in proptest::collection::vec(-100.0f64..100.0, 3..10),
     ) {
         let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64 * 2.0]).collect();
-        let gp = GpRegressor::fit(&xs, &ys, Matern52::new(50.0, 1.0), 1e-8).unwrap();
+        let gp = GpRegressor::fit(Points::new(&xs.concat(), 1), &ys, Matern52::new(50.0, 1.0), 1e-8)
+            .unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             let (m, v) = gp.predict_into(x, &mut PredictScratch::default());
             prop_assert!((m - y).abs() < 1.0, "mean {m} vs {y}");
