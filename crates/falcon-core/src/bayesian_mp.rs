@@ -30,13 +30,14 @@ use crate::vec_bytes;
 /// are precomputed once (the grid is fixed for the optimizer's lifetime)
 /// through a dense `(cc, p) → index` table — no hashing, deterministic —
 /// and stored back to back: candidate `i`'s are
-/// `nbrs[starts[i]..starts[i + 1]]`.
+/// `nbrs[starts[i]..starts[i + 1]]`. Indices and offsets are `u32`: the
+/// dense table would exhaust memory long before a grid had 2³² cells.
 pub struct GridLattice {
-    nbrs: Vec<usize>,
-    starts: Vec<usize>,
+    nbrs: Vec<u32>,
+    starts: Vec<u32>,
     /// Dense `(cc - cc_lo) * p_span + (p - p_lo) → candidate index` table
-    /// (`usize::MAX` = filtered out), kept for incumbent lookups.
-    index: Vec<usize>,
+    /// (`u32::MAX` = filtered out), kept for incumbent lookups.
+    index: Vec<u32>,
     cc_lo: u32,
     p_lo: u32,
     cc_span: usize,
@@ -49,12 +50,12 @@ impl GridLattice {
         let (p_lo, p_hi) = bounds.parallelism;
         let cc_span = (cc_hi - cc_lo + 1) as usize;
         let p_span = (p_hi - p_lo + 1) as usize;
-        let mut index = vec![usize::MAX; cc_span * p_span];
-        for (i, s) in candidates.iter().enumerate() {
+        let mut index = vec![u32::MAX; cc_span * p_span];
+        for (i, s) in (0u32..).zip(candidates) {
             let cell = (s.concurrency - cc_lo) as usize * p_span + (s.parallelism - p_lo) as usize;
             index[cell] = i;
         }
-        let lookup = |cc: i64, p: i64| -> Option<usize> {
+        let lookup = |cc: i64, p: i64| -> Option<u32> {
             if cc < i64::from(cc_lo)
                 || cc > i64::from(cc_hi)
                 || p < i64::from(p_lo)
@@ -63,7 +64,7 @@ impl GridLattice {
                 return None;
             }
             let cell = (cc - i64::from(cc_lo)) as usize * p_span + (p - i64::from(p_lo)) as usize;
-            (index[cell] != usize::MAX).then_some(index[cell])
+            (index[cell] != u32::MAX).then_some(index[cell])
         };
         let mut nbrs = Vec::new();
         let mut starts = Vec::with_capacity(candidates.len() + 1);
@@ -72,7 +73,7 @@ impl GridLattice {
             let (cc, p) = (i64::from(s.concurrency), i64::from(s.parallelism));
             let adjacent = [(cc - 1, p), (cc + 1, p), (cc, p - 1), (cc, p + 1)];
             nbrs.extend(adjacent.into_iter().filter_map(|(c, q)| lookup(c, q)));
-            starts.push(nbrs.len());
+            starts.push(nbrs.len() as u32);
         }
         nbrs.shrink_to_fit();
         GridLattice {
@@ -95,7 +96,7 @@ impl GridLattice {
             return None;
         }
         let i = self.index[cc * self.p_span + p];
-        (i != usize::MAX).then_some(i)
+        (i != u32::MAX).then_some(i as usize)
     }
 }
 
@@ -105,7 +106,8 @@ impl Lattice for GridLattice {
     }
 
     fn neighbors(&self, idx: usize, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.nbrs[self.starts[idx]..self.starts[idx + 1]]);
+        let (from, to) = (self.starts[idx] as usize, self.starts[idx + 1] as usize);
+        out.extend(self.nbrs[from..to].iter().map(|&j| j as usize));
     }
 }
 
@@ -148,9 +150,11 @@ impl BoMpParams {
 /// The `(cc, p)` grid minus the candidates over the connection cap: 2-D GP
 /// inputs, fixed for the optimizer's lifetime.
 pub struct GridSpace {
-    candidates: Vec<TransferSettings>,
-    /// Candidate grid as GP query points, flat, two coordinates each.
+    /// The candidates, stored once, as GP query points: flat, `(cc, p)`
+    /// each.
     points: Vec<f64>,
+    /// The pipelining every candidate runs.
+    pipelining: u32,
     /// Neighbourhood structure + index table over the grid.
     lattice: GridLattice,
 }
@@ -187,9 +191,13 @@ impl GridSpace {
         }
         GridSpace {
             points,
+            pipelining: pp,
             lattice: GridLattice::new(&candidates, &params.bounds),
-            candidates,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.points.len() / Self::DIM
     }
 }
 
@@ -212,8 +220,13 @@ impl Space for GridSpace {
         out.extend([f64::from(s.concurrency), f64::from(s.parallelism)]);
     }
 
+    /// The coordinates are the grid's integers, so the casts are exact.
     fn setting(&self, idx: usize) -> TransferSettings {
-        self.candidates[idx]
+        TransferSettings {
+            concurrency: self.points[idx * Self::DIM] as u32,
+            parallelism: self.points[idx * Self::DIM + 1] as u32,
+            pipelining: self.pipelining,
+        }
     }
 
     /// `x` is an observed `(cc, p)`, so the casts are exact; the lattice
@@ -227,12 +240,11 @@ impl Space for GridSpace {
     }
 
     fn draw(&self, rng: &mut StdRng) -> TransferSettings {
-        self.candidates[rng.gen_range(0..self.candidates.len())]
+        self.setting(rng.gen_range(0..self.len()))
     }
 
     fn memory_bytes(&self) -> usize {
-        vec_bytes(&self.candidates)
-            + vec_bytes(&self.points)
+        vec_bytes(&self.points)
             + vec_bytes(&self.lattice.nbrs)
             + vec_bytes(&self.lattice.starts)
             + vec_bytes(&self.lattice.index)
@@ -250,15 +262,13 @@ impl BayesianMpOptimizer {
 
     /// Number of candidate settings in the (possibly capped) grid.
     pub fn grid_size(&self) -> usize {
-        self.space.candidates.len()
+        self.space.len()
     }
 
     /// Largest total connection count any candidate can create.
     pub fn max_candidate_connections(&self) -> u32 {
-        self.space
-            .candidates
-            .iter()
-            .map(TransferSettings::total_connections)
+        (0..self.space.len())
+            .map(|i| self.space.setting(i).total_connections())
             .max()
             .unwrap_or(0)
     }

@@ -1,10 +1,11 @@
 //! The campaign runner: drive a generated workload of concurrently-tuning
 //! transfers through the shared experiment runner.
 
+use falcon_core::{ProbeMetrics, TransferSettings};
 use falcon_sim::Simulation;
 use falcon_trace::{TraceLog, Tracer};
 use falcon_transfer::harness::SimHarness;
-use falcon_transfer::runner::{AgentPlan, RunTrace, Runner};
+use falcon_transfer::runner::{AgentPlan, RunTrace, Runner, Tuner};
 
 use crate::report::FleetReport;
 use crate::topology::FleetTopology;
@@ -61,7 +62,7 @@ pub struct CampaignOutcome {
 /// simulation advances between them event by event — a transfer arriving
 /// at t = 137.42 s joins at exactly that instant, not at the next tick.
 pub fn run_campaign(spec: &CampaignSpec, tracer: Tracer) -> CampaignOutcome {
-    let specs = generate(&spec.topology, &spec.workload, spec.seed);
+    let mut specs = generate(&spec.topology, &spec.workload, spec.seed);
     let mut sim = Simulation::new(spec.topology.env.clone(), spec.seed);
     sim.set_tracer(tracer.clone());
     let masks = specs
@@ -70,12 +71,22 @@ pub fn run_campaign(spec: &CampaignSpec, tracer: Tracer) -> CampaignOutcome {
         .collect();
     let mut harness = SimHarness::new(sim).with_agent_paths(masks);
     let max_cc = spec.topology.env.max_concurrency;
-    let plans: Vec<AgentPlan> = specs
-        .iter()
-        .enumerate()
+    // Every transfer runs the same entry, so one built tuner names them all.
+    let label = spec.tuner.make(max_cc, spec.seed).label();
+    // The datasets move into the plans; the report reads routes and times.
+    let plans: Vec<AgentPlan> = (0u64..)
+        .zip(&mut specs)
         .map(|(i, t)| {
-            let tuner = spec.tuner.make(max_cc, spec.seed.wrapping_add(i as u64));
-            AgentPlan::joining_at(tuner, t.dataset.clone(), t.start_s)
+            let tuner = BuiltAtJoin {
+                entry: spec.tuner,
+                max_cc,
+                seed: spec.seed.wrapping_add(i),
+                label: label.clone(),
+                tracer: Tracer::disabled(),
+                built: None,
+            };
+            let dataset = std::mem::take(&mut t.dataset);
+            AgentPlan::joining_at(Box::new(tuner), dataset, t.start_s)
         })
         .collect();
     let runner = Runner {
@@ -90,6 +101,52 @@ pub fn run_campaign(spec: &CampaignSpec, tracer: Tracer) -> CampaignOutcome {
         trace,
         log: tracer.take_log(),
         report,
+    }
+}
+
+/// A transfer's tuner, built when the transfer joins: the campaign holds
+/// one only for each transfer that has started and not finished.
+struct BuiltAtJoin {
+    entry: FleetTuner,
+    max_cc: u32,
+    seed: u64,
+    label: String,
+    /// Installed on the tuner once it is built.
+    tracer: Tracer,
+    built: Option<Box<dyn Tuner>>,
+}
+
+impl BuiltAtJoin {
+    fn tuner(&mut self) -> &mut dyn Tuner {
+        self.built
+            .get_or_insert_with(|| {
+                let mut tuner = self.entry.make(self.max_cc, self.seed);
+                tuner.set_tracer(std::mem::take(&mut self.tracer));
+                tuner
+            })
+            .as_mut()
+    }
+}
+
+impl Tuner for BuiltAtJoin {
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+
+    /// The runner asks for this as the transfer joins.
+    fn initial(&mut self) -> TransferSettings {
+        self.tuner().initial()
+    }
+
+    fn on_sample(&mut self, metrics: &ProbeMetrics) -> TransferSettings {
+        self.tuner().on_sample(metrics)
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        match self.built.as_mut() {
+            Some(tuner) => tuner.set_tracer(tracer),
+            None => self.tracer = tracer,
+        }
     }
 }
 
@@ -129,6 +186,33 @@ mod tests {
             .filter(|(name, _)| name.starts_with("fleet."))
             .collect();
         assert_eq!(counters.len(), 2);
+    }
+
+    /// A plan's tuner holds nothing until its transfer joins, then decides
+    /// exactly as the same entry built up front.
+    #[test]
+    fn a_tuner_built_at_join_decides_as_one_built_up_front() {
+        let entry = FleetTuner::Bayesian;
+        let mut eager = entry.make(32, 9);
+        let mut lazy = BuiltAtJoin {
+            entry,
+            max_cc: 32,
+            seed: 9,
+            label: eager.label(),
+            tracer: Tracer::disabled(),
+            built: None,
+        };
+        lazy.set_tracer(Tracer::recording());
+        assert!(lazy.built.is_none());
+        let (mut a, mut b) = (lazy.initial(), eager.initial());
+        assert!(lazy.built.is_some());
+        for k in 0..12 {
+            assert_eq!(a, b, "decision {k}");
+            let mbps = |s: TransferSettings| 90.0 * f64::from(s.concurrency.min(6) + k % 3);
+            a = lazy.on_sample(&ProbeMetrics::from_aggregate(a, mbps(a), 0.0, 5.0));
+            b = eager.on_sample(&ProbeMetrics::from_aggregate(b, mbps(b), 0.0, 5.0));
+        }
+        assert_eq!(lazy.label(), eager.label());
     }
 
     #[test]

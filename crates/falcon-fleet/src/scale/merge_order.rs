@@ -9,7 +9,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use super::{
-    Arrival, Event, Refill, ShardEvents, TransferSoa, EV_ARRIVE, EV_CAP, EV_DEPART, EV_PROBE,
+    Arrival, Event, Feed, Refill, ShardEvents, TransferSoa, EV_ARRIVE, EV_CAP, EV_DEPART, EV_PROBE,
     PROBE_INTERVAL_S,
 };
 
@@ -35,11 +35,11 @@ fn arrivals_at(ticks: &[u32]) -> Vec<Arrival> {
 
 /// The feeder's contract at any block size: refill a drained buffer with
 /// the next `sizes` arrivals (cycled, each >= 1; all at once when `sizes`
-/// is empty), and with nothing once they are all handed over.
+/// is empty), and say the stream ended once they are all handed over.
 fn batched<'a>(
     arrivals: &'a [Arrival],
     sizes: &'a [usize],
-) -> impl FnMut(&mut VecDeque<Arrival>) + 'a {
+) -> impl FnMut(&mut VecDeque<Arrival>) -> Feed + 'a {
     let (mut next, mut sizes) = (0, sizes.iter().cycle());
     move |buffered| {
         debug_assert!(
@@ -50,6 +50,11 @@ fn batched<'a>(
         let end = (next + n).min(arrivals.len());
         buffered.extend(&arrivals[next..end]);
         next = end;
+        if buffered.is_empty() {
+            Feed::Ended
+        } else {
+            Feed::Handed
+        }
     }
 }
 
@@ -59,8 +64,16 @@ fn merge_of<'a>(cap_events: &'a [(f64, u32, f64)], refill: Refill<'_>) -> ShardE
         cap_events,
         ..ShardEvents::default()
     };
-    events.prefetch(refill);
+    let fed = events.take_arrivals(refill);
+    debug_assert!(fed, "the feeder never says wait");
     events
+}
+
+/// One turn of the shard loop: the next arrival in hand, then the pop.
+fn pop(events: &mut ShardEvents<'_>, refill: Refill<'_>) -> Option<(f64, Event)> {
+    let fed = events.take_arrivals(refill);
+    debug_assert!(fed, "the feeder never says wait");
+    events.pop()
 }
 
 /// A popped event as the oracle spells it: `(time, class, key, tag)`.
@@ -144,7 +157,7 @@ fn check(
     let rounds = 4 * (arrivals.len() + cap_events.len()) + 64;
     for (n, &(op, id, ticks)) in ops.iter().cycle().take(rounds).enumerate() {
         let want = oracle.pop();
-        let got = events.pop(&mut refill).map(flat);
+        let got = pop(&mut events, &mut refill).map(flat);
         prop_assert_eq!(got, want, "event #{} differs", n);
         let Some((now, ..)) = got else { break };
         match op {
@@ -199,16 +212,17 @@ fn all_four_classes_at_one_instant_fire_by_class_then_insertion() {
     let mut soa = TransferSoa::default();
     (0..4).for_each(|id| soa.ensure(id, true));
     assert_eq!(
-        events.pop(&mut refill).map(flat),
+        pop(&mut events, &mut refill).map(flat),
         Some((0.0, EV_ARRIVE, 0, 0))
     );
+    assert!(events.take_arrivals(&mut refill));
     events.arm_probe(&mut soa, 2, 0.0);
     events.arm_probe(&mut soa, 1, 0.0);
     events.departures.set(3, 5.0, EV_DEPART);
     events.departures.set(0, 5.0, EV_DEPART);
     // Two capacity events, the arrival in hand, two departures, two probes.
     assert_eq!(events.len(), 7);
-    let order: Vec<_> = std::iter::from_fn(|| events.pop(&mut refill).map(flat)).collect();
+    let order: Vec<_> = std::iter::from_fn(|| pop(&mut events, &mut refill).map(flat)).collect();
     let at_five = |class, key, gen| (5.0, class, key, gen);
     assert_eq!(
         order,

@@ -6,7 +6,8 @@
 //!
 //! - **Ordered results**: [`fan_out`] returns outputs in task order, no
 //!   matter which worker finished first — byte-identical to running the
-//!   tasks serially.
+//!   tasks serially. [`fan_out_resumable`] does the same for tasks that
+//!   yield part-way and wait on state they share.
 //! - **Per-task seeds**: [`task_seed`] derives an independent RNG seed for
 //!   each task index from one master seed, so a task's randomness depends
 //!   only on `(master_seed, index)`, never on scheduling.
@@ -20,8 +21,9 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// Derive the RNG seed for task `index` from a master seed.
 ///
@@ -116,24 +118,170 @@ where
         .collect()
 }
 
-/// Fan tasks out over `threads` workers and fold the results **in task
-/// order** — the deterministic-merge primitive for sharded state: because
-/// the fold visits shard outputs in shard order regardless of which
-/// worker finished first, an N-thread run folds to exactly the bytes a
-/// 1-thread run does.
-pub fn fan_out_fold<T, R, A, F, G>(tasks: Vec<T>, threads: usize, f: F, init: A, fold: G) -> A
+/// Run tasks that may yield part-way over `threads` workers sharing
+/// `state`, and return the state and the results **in task order**.
+///
+/// `resume(index, task, shared)` runs a task until it finishes, `Ok`, or
+/// cannot go on, `Err` with the task to resume later. A yielded task stays
+/// parked until `ready(state, index)` holds, and then whichever worker is
+/// free resumes it: a task waiting on the others never holds a worker.
+/// Tasks reach `state` only through [`Shared::with`], under the lock that
+/// also guards the parked tasks. Every `with` call, yield and finish wakes
+/// the idle workers, so a worker with nothing ready blocks until one of
+/// those can have readied a task, and never misses it.
+///
+/// `threads` is clamped to `[1, tasks.len()]`; with 1 the tasks run on the
+/// caller's thread. Which worker resumes which task, and when, depends on
+/// scheduling; the results do not, as long as each task's result is a
+/// function of what it reads through `state` and that is scheduling-free.
+///
+/// # Panics
+///
+/// If a task panics, every idle worker is woken, the others stop at their
+/// next yield or finish, and the first panic is propagated to the caller.
+/// Panics too when every unfinished task is parked and none is ready.
+pub fn fan_out_resumable<S, T, R, P, F>(
+    state: S,
+    tasks: Vec<T>,
+    threads: usize,
+    ready: P,
+    resume: F,
+) -> (S, Vec<R>)
 where
+    S: Send,
     T: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    G: FnMut(A, R) -> A,
+    P: Fn(&S, usize) -> bool + Sync,
+    F: Fn(usize, T, &Shared<'_, S>) -> Result<R, T> + Sync,
 {
-    fan_out(tasks, threads, f).into_iter().fold(init, fold)
+    let n = tasks.len();
+    let threads = threads.clamp(1, n.max(1));
+    let pool = Mutex::new(Pool {
+        state,
+        parked: (0..n).collect(),
+        running: 0,
+        unfinished: n,
+        abandoned: false,
+    });
+    let shared = Shared {
+        pool: &pool,
+        wake: &Condvar::new(),
+    };
+    let slots: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let work = || shared.work(&slots, &results, &ready, &resume);
+    if threads == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
+
+    let results = results
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| match recover(m.into_inner()) {
+            Some(r) => r,
+            // falcon-lint::allow(panic-safety, reason = "post-join invariant: every task finished; a hole means a worker died, which join() already propagated")
+            None => unreachable!("fan_out_resumable task {i} never finished"),
+        })
+        .collect();
+    (recover(pool.into_inner()).state, results)
+}
+
+/// The state of a [`fan_out_resumable`] run, as its tasks reach it.
+pub struct Shared<'a, S> {
+    pool: &'a Mutex<Pool<S>>,
+    wake: &'a Condvar,
+}
+
+/// Everything under the one lock of a [`fan_out_resumable`] run.
+struct Pool<S> {
+    state: S,
+    /// Tasks not started or yielded, in the order they parked.
+    parked: VecDeque<usize>,
+    /// Tasks a worker is running now.
+    running: usize,
+    unfinished: usize,
+    /// A worker panicked: the others stop instead of resuming more tasks.
+    abandoned: bool,
+}
+
+impl<S> Shared<'_, S> {
+    /// Run `f` on the shared state under the run's lock, then wake every
+    /// idle worker: what `f` changed may let a parked task proceed.
+    pub fn with<X>(&self, f: impl FnOnce(&mut S) -> X) -> X {
+        let x = f(&mut recover(self.pool.lock()).state);
+        self.wake.notify_all();
+        x
+    }
+
+    /// One worker: resume ready tasks until none is left unfinished.
+    fn work<T, R>(
+        &self,
+        slots: &[Mutex<Option<T>>],
+        results: &[Mutex<Option<R>>],
+        ready: &impl Fn(&S, usize) -> bool,
+        resume: &impl Fn(usize, T, &Self) -> Result<R, T>,
+    ) {
+        let _wake_on_panic = WakeOnPanic(self);
+        let mut pool = recover(self.pool.lock());
+        while !pool.abandoned && pool.unfinished > 0 {
+            let Some(at) = pool.parked.iter().position(|&i| ready(&pool.state, i)) else {
+                // falcon-lint::allow(panic-safety, reason = "a task set that can never proceed would otherwise block every worker for ever")
+                assert!(pool.running > 0, "no parked task can proceed");
+                pool = recover(self.wake.wait(pool));
+                continue;
+            };
+            let Some(i) = pool.parked.remove(at) else {
+                continue;
+            };
+            pool.running += 1;
+            drop(pool);
+            // Parked tasks sit in their slots, and only the worker that
+            // unparked index `i` reads slot `i`.
+            let task = recover(slots[i].lock()).take();
+            let outcome = task.map(|t| resume(i, t, self));
+            pool = recover(self.pool.lock());
+            pool.running -= 1;
+            match outcome {
+                Some(Ok(r)) => {
+                    *recover(results[i].lock()) = Some(r);
+                    pool.unfinished -= 1;
+                }
+                Some(Err(t)) => {
+                    *recover(slots[i].lock()) = Some(t);
+                    pool.parked.push_back(i);
+                }
+                None => {}
+            }
+            self.wake.notify_all();
+        }
+    }
+}
+
+/// Marks the run abandoned and wakes every idle worker when its worker
+/// unwinds, so no worker waits for a task that will never yield.
+struct WakeOnPanic<'a, 'b, S>(&'a Shared<'b, S>);
+
+impl<S> Drop for WakeOnPanic<'_, '_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            recover(self.0.pool.lock()).abandoned = true;
+            self.0.wake.notify_all();
+        }
+    }
 }
 
 /// A poisoned mutex only means another worker panicked mid-task; the data
-/// under our locks is a plain `Option` move with no invariants to break,
-/// so recover the guard instead of unwrapping.
+/// under our locks is a plain `Option` move or counter update with no
+/// invariants to break, so recover the guard instead of unwrapping.
 fn recover<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
     match r {
         Ok(g) => g,
@@ -198,25 +346,89 @@ mod tests {
         assert_eq!(out, vec![11, 21, 31]);
     }
 
+    /// Task `i` of `n` may take its `j`-th step only on turn `j·n + i`: one
+    /// task is ready at a time, so every step hands over to another task,
+    /// parked or running.
+    struct Turns {
+        turn: usize,
+        log: Vec<usize>,
+    }
+
+    /// `n` tasks of `steps` steps each in turn order over `threads`
+    /// workers; task `panics_at`, if any, panics on its third step.
+    fn take_turns(n: usize, steps: usize, threads: usize, panics_at: Option<usize>) -> Vec<usize> {
+        let (turns, results) = fan_out_resumable(
+            Turns {
+                turn: 0,
+                log: Vec::new(),
+            },
+            vec![0usize; n],
+            threads,
+            |s, i| s.turn % n == i,
+            |i, mut done, shared| loop {
+                let mine = shared.with(|s| {
+                    let mine = s.turn % n == i;
+                    if mine {
+                        assert!(panics_at != Some(i) || done < 2, "boom");
+                        s.log.push(i);
+                        s.turn += 1;
+                    }
+                    mine
+                });
+                if !mine {
+                    return Err(done);
+                }
+                done += 1;
+                if done == steps {
+                    return Ok(10 * i + done);
+                }
+            },
+        );
+        let want: Vec<usize> = (0..n).map(|i| 10 * i + steps).collect();
+        assert_eq!(results, want);
+        turns.log
+    }
+
     #[test]
-    fn fold_visits_results_in_task_order_for_any_thread_count() {
-        let merged = |threads| {
-            fan_out_fold(
-                (0..40u64).collect::<Vec<u64>>(),
-                threads,
-                |i, t| format!("{i}:{t}"),
-                String::new(),
-                |mut acc, r| {
-                    acc.push_str(&r);
-                    acc.push(';');
-                    acc
-                },
-            )
-        };
-        let serial = merged(1);
-        assert_eq!(serial, merged(4));
-        assert_eq!(serial, merged(9));
-        assert!(serial.starts_with("0:0;1:1;"));
+    fn resumable_tasks_finish_in_order_whoever_resumes_them() {
+        let want: Vec<usize> = (0..5).flat_map(|_| 0..7).collect();
+        for threads in [1, 2, 4, 9] {
+            assert_eq!(take_turns(7, 5, threads, None), want, "{threads} threads");
+        }
+        let (state, none) = fan_out_resumable(
+            3u8,
+            Vec::<u8>::new(),
+            4,
+            |_, _| true,
+            |_, t, _| Ok::<u8, u8>(t),
+        );
+        assert_eq!((state, none), (3, Vec::new()));
+    }
+
+    /// The panicking task leaves the others parked for a turn that never
+    /// comes: the run must end in its panic, not hang on the idle workers.
+    #[test]
+    fn a_panicking_resumable_task_propagates_and_wakes_the_idle_workers() {
+        for threads in [1, 2, 4] {
+            let r = std::panic::catch_unwind(|| take_turns(6, 5, threads, Some(3)));
+            assert!(r.is_err(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn resumable_tasks_that_can_never_proceed_panic_instead_of_hanging() {
+        for threads in [1, 3] {
+            let r = std::panic::catch_unwind(|| {
+                fan_out_resumable(
+                    (),
+                    vec![1, 2, 3],
+                    threads,
+                    |_, _| false,
+                    |_, t, _| Err::<u8, u8>(t),
+                )
+            });
+            assert!(r.is_err(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -119,6 +119,13 @@ fn memory_bytes_matches_the_live_heap_of_every_agent() {
             (claimed as f64 - heap).abs() <= 0.1 * heap,
             "{name}: memory_bytes {claimed} vs live heap {heap}"
         );
+        if name.starts_with("bo-mp") {
+            assert!(
+                built - bytes0 <= 12 * 1024,
+                "BO-MP on a 32×8 grid is built in {} B",
+                built - bytes0
+            );
+        }
         if name == "falcon-bo" {
             assert!(
                 claimed <= 6 * 1024,
