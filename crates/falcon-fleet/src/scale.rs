@@ -9,13 +9,13 @@
 //! departure, no per-transfer allocation after warm-up), and the event
 //! loop is a pure fluid-model DES — arrivals, completions, capacity
 //! changes and tuner probes are the only events, and each one re-solves
-//! *only* the dirty component of the bandwidth-sharing graph, except a
-//! tuner's re-rate on an unsaturated route, which the allocator applies
-//! in place with no solve at all. It keeps no general event heap:
-//! capacity events are sorted before a shard starts, arrivals stream in
-//! from one shared generator in time order and probes are queued in time
-//! order, so `ShardEvents` merges those three with the departure heap by
-//! `(time, class)`.
+//! *only* the dirty component of the bandwidth-sharing graph, except an
+//! arrival, departure or tuner re-rate on an unsaturated route, which
+//! the allocator applies in place with no solve at all. It keeps no
+//! general event heap: capacity events are sorted before a shard starts,
+//! arrivals stream in from one shared generator in time order and probes
+//! are queued in time order, so `ShardEvents` merges those three with the
+//! departure heap by `(time, class)`.
 //!
 //! Sharding: routes in disjoint link components never contend, so the
 //! max-min fixed point decomposes per component. The engine groups
@@ -454,8 +454,8 @@ pub struct ScaleReport {
     /// Sum of per-shard peak concurrent transfers (an upper bound on the
     /// global peak; shards peak at different instants).
     pub peak_active: u32,
-    /// Incremental-allocator full solves across shards (re-rates applied
-    /// in place are not solves).
+    /// Incremental-allocator full solves across shards (joins, leaves and
+    /// re-rates applied in place are not solves).
     pub solves: u64,
     /// Streams re-solved across all full solves (a dense allocator would
     /// pay `active × solves`).
@@ -1022,6 +1022,9 @@ impl<'a> ShardRun<'a> {
                         f64::from(cc) * input.route_weight[r],
                         &input.route_links[r],
                     );
+                    if alloc.dirty_links().is_empty() {
+                        affected.push(id); // joined in place: no solve
+                    }
                     let i = id as usize;
                     soa.ensure(i, rl);
                     soa.remaining[i] = arrival.size_mbits;
@@ -1146,9 +1149,9 @@ impl<'a> ShardRun<'a> {
             // a probe for a departed or stranded transfer `continue`d above —
             // so the makespan ends at the last real event.
             out.makespan_s = t;
-            // Re-solve only the dirty component (a re-rate applied in place
-            // left nothing dirty and queued its stream above); apply the rate
-            // deltas.
+            // Re-solve only the dirty component (a join or re-rate applied
+            // in place left nothing dirty and queued its stream above, a
+            // leave in place moves no other rate); apply the rate deltas.
             affected.extend_from_slice(alloc.solve());
             for &sid in &affected {
                 let i = sid as usize;

@@ -189,16 +189,17 @@ pub fn weighted_max_min_allocate_into(
 /// [`solve`](IncrementalMaxMin::solve) call expands the dirty worklist to
 /// the closure of links reachable through shared streams and re-runs
 /// progressive filling over that *affected component only*, leaving every
-/// other stream's cached rate untouched. A re-rate whose answer is already
-/// known — a cap-bound stream on unsaturated links — is applied in place
-/// and marks nothing.
+/// other stream's cached rate untouched. A join, leave or re-rate whose
+/// answer is already known — a cap-bound stream on links that keep
+/// slack — is applied in place and marks nothing, so what is left to
+/// solve is contention alone.
 ///
-/// Invariant: a link's member list holds exactly the live streams whose
-/// route crosses it, once per crossing — `remove_stream` takes the
-/// entries out before the id returns to the free list. So a reused id
-/// carries nothing of its previous route, the closure is the true
-/// connected component, and allocator state is proportional to live
-/// streams however much churn came before.
+/// A route names each link at most once. Invariant: a link's member list
+/// holds exactly the live streams whose route crosses it —
+/// `remove_stream` takes the entries out before the id returns to the
+/// free list. So a reused id carries nothing of its previous route, the
+/// closure is the true connected component, and allocator state is
+/// proportional to live streams however much churn came before.
 ///
 /// This is exact, not approximate: weighted max-min with caps has a
 /// unique fixed point, and the fixed point decomposes over connected
@@ -234,7 +235,7 @@ pub struct IncrementalMaxMin {
     active_w: Vec<f64>,
     frozen: Vec<bool>,
     /// Number of [`solve`](IncrementalMaxMin::solve) calls that did work:
-    /// full solves only, not re-rates applied in place.
+    /// full solves only, not mutations applied in place.
     pub solves: u64,
     /// Total streams re-solved across all full solves (the incremental
     /// cost metric: dense re-solves would count `live × solves`).
@@ -245,8 +246,8 @@ pub struct IncrementalMaxMin {
 }
 
 /// Slack (Mbps) that every link of a stream's route must keep, before and
-/// after a re-rate, for [`IncrementalMaxMin::update_stream`] to apply it in
-/// place. Far above the solver's 1e-9 freeze tolerance, so a link this
+/// after a join, leave or re-rate, for [`IncrementalMaxMin`] to apply it
+/// in place. Far above the solver's 1e-9 freeze tolerance, so a link this
 /// calls unsaturated is one the solver never froze a stream at.
 const IN_PLACE_SLACK_MBPS: f64 = 1e-6;
 
@@ -306,14 +307,32 @@ impl IncrementalMaxMin {
     }
 
     /// Admit a stream crossing `route` (link indices): returns a stable
-    /// id, reused from the free list when available. A stream with an
-    /// empty route is only bounded by its own cap.
+    /// id, reused from the free list when available. The join is applied
+    /// in place — the stream runs at its cap, no other rate moves and no
+    /// link goes dirty — when nothing is dirty, the cap is finite and
+    /// every route link keeps more than `IN_PLACE_SLACK_MBPS` of slack
+    /// before and after taking the cap: a cap-bound stream on unsaturated
+    /// links constrains no other stream. A caller learns this from an
+    /// empty [`dirty_links`](IncrementalMaxMin::dirty_links) after the
+    /// call. Otherwise the route's links go dirty and the stream reads
+    /// rate 0 until the next [`solve`](IncrementalMaxMin::solve). A stream
+    /// with an empty route is only bounded by its own cap.
     pub fn add_stream(&mut self, cap_mbps: f64, weight: f64, route: &[u32]) -> u32 {
         debug_assert!(weight > 0.0, "weights must be positive");
         debug_assert!(
             route.iter().all(|&l| (l as usize) < self.capacity.len()),
             "route names an unknown link"
         );
+        debug_assert!(
+            route
+                .iter()
+                .enumerate()
+                .all(|(k, l)| !route[..k].contains(l)),
+            "route names a link twice"
+        );
+        // An infinite cap keeps no link's slack, so it is never in place.
+        let in_place =
+            route.is_empty() || (self.dirty.is_empty() && self.route_keeps_slack(route, cap_mbps));
         let id = if let Some(id) = self.free.pop() {
             let i = id as usize;
             self.cap[i] = cap_mbps;
@@ -321,7 +340,6 @@ impl IncrementalMaxMin {
             self.links_of[i].clear();
             self.links_of[i].extend_from_slice(route);
             self.alive[i] = true;
-            self.rate[i] = 0.0;
             id
         } else {
             let id = self.cap.len() as u32;
@@ -335,12 +353,16 @@ impl IncrementalMaxMin {
             id
         };
         self.live += 1;
-        if route.is_empty() {
-            self.rate[id as usize] = if cap_mbps.is_finite() { cap_mbps } else { 0.0 };
-        }
+        self.rate[id as usize] = if in_place && cap_mbps.is_finite() {
+            cap_mbps
+        } else {
+            0.0
+        };
         for &l in route {
             self.members[l as usize].push(id);
-            self.mark_dirty(l);
+            if !in_place {
+                self.mark_dirty(l);
+            }
         }
         id
     }
@@ -350,10 +372,10 @@ impl IncrementalMaxMin {
     /// moved and nothing is dirty, so the caller applies this one stream's
     /// rate delta instead of a [`solve`](IncrementalMaxMin::solve). That
     /// holds for an empty route, and for a stream held by its own cap,
-    /// nothing dirty, whose every link (each named once) keeps more than
-    /// `IN_PLACE_SLACK_MBPS` of slack before and after the change: a
-    /// cap-bound stream on unsaturated links constrains no other stream.
-    /// Otherwise marks the route's links dirty and returns `false`.
+    /// nothing dirty, whose every link keeps more than
+    /// `IN_PLACE_SLACK_MBPS` of slack before and after the change — the
+    /// rule [`add_stream`](IncrementalMaxMin::add_stream) applies to a
+    /// join. Otherwise marks the route's links dirty and returns `false`.
     pub fn update_stream(&mut self, id: u32, cap_mbps: f64, weight: f64) -> bool {
         debug_assert!(weight > 0.0, "weights must be positive");
         let i = id as usize;
@@ -364,18 +386,13 @@ impl IncrementalMaxMin {
         let (old_cap, rate) = (self.cap[i], self.rate[i]);
         self.cap[i] = cap_mbps;
         self.weight[i] = weight;
-        let route = &self.links_of[i];
         // The solver's own freeze tests: held at the old cap, and every
         // link unsaturated with the new cap's extra demand taken too.
+        let route = &self.links_of[i];
         let in_place = route.is_empty()
             || (self.dirty.is_empty()
                 && rate >= old_cap - 1e-9
-                && route.iter().all(|&l| {
-                    let l = l as usize;
-                    let used: f64 = self.members[l].iter().map(|&m| self.rate[m as usize]).sum();
-                    let slack = self.capacity[l] - used;
-                    slack > IN_PLACE_SLACK_MBPS && slack - (cap_mbps - rate) > IN_PLACE_SLACK_MBPS
-                }));
+                && self.route_keeps_slack(route, cap_mbps - rate));
         if in_place {
             self.rate[i] = if cap_mbps.is_finite() { cap_mbps } else { 0.0 };
             self.in_place += 1;
@@ -387,11 +404,18 @@ impl IncrementalMaxMin {
         in_place
     }
 
-    /// Retire a stream: its membership entries are removed, its links go
-    /// dirty, and its id returns to the free list.
+    /// Retire a stream: its membership entries are removed and its id
+    /// returns to the free list. The leave is applied in place — no link
+    /// goes dirty — when nothing is dirty and every route link had more
+    /// than `IN_PLACE_SLACK_MBPS` of slack before the removal: no stream
+    /// is held by an unsaturated link, so no other rate moves. A caller
+    /// learns this from an empty
+    /// [`dirty_links`](IncrementalMaxMin::dirty_links) after the call.
+    /// Otherwise the route's links go dirty.
     pub fn remove_stream(&mut self, id: u32) {
         let i = id as usize;
         debug_assert!(self.alive[i], "double remove");
+        let in_place = self.dirty.is_empty() && self.route_keeps_slack(&self.links_of[i], 0.0);
         self.alive[i] = false;
         self.rate[i] = 0.0;
         self.live -= 1;
@@ -403,9 +427,29 @@ impl IncrementalMaxMin {
             if let Some(at) = at {
                 members.swap_remove(at);
             }
-            self.mark_dirty(l);
+            if !in_place {
+                self.mark_dirty(l);
+            }
         }
         self.free.push(id);
+    }
+
+    /// A link's capacity less its members' cached rates.
+    fn slack(&self, link: u32) -> f64 {
+        let l = link as usize;
+        let used: f64 = self.members[l].iter().map(|&m| self.rate[m as usize]).sum();
+        self.capacity[l] - used
+    }
+
+    /// Whether every link of `route` keeps more than
+    /// `IN_PLACE_SLACK_MBPS` of slack, both now and after `extra_mbps`
+    /// more demand: the one in-place test of a join, a leave and a
+    /// re-rate.
+    fn route_keeps_slack(&self, route: &[u32], extra_mbps: f64) -> bool {
+        route.iter().all(|&l| {
+            let slack = self.slack(l);
+            slack > IN_PLACE_SLACK_MBPS && slack - extra_mbps > IN_PLACE_SLACK_MBPS
+        })
     }
 
     /// The cached allocation for a stream (0 for departed streams).
@@ -847,7 +891,55 @@ mod tests {
         assert!((inc.rate(a) - 40.0).abs() < 1e-9 && (inc.rate(b) - 20.0).abs() < 1e-9);
         // `b` is held by the saturated link, not by its cap.
         assert!(!inc.update_stream(b, 25.0, 1.0));
-        assert_eq!((inc.solves, inc.in_place), (2, 1));
+        // Both joins had slack, so the one solve is the re-rate's.
+        assert_eq!((inc.solves, inc.in_place), (1, 1));
+    }
+
+    #[test]
+    fn join_applies_in_place_only_while_the_route_keeps_slack() {
+        let mut inc = IncrementalMaxMin::with_links(&[100.0, 60.0]);
+        // Link 1 ends with 50 of 60 taken: both joins run at their caps.
+        let a = inc.add_stream(30.0, 1.0, &[0, 1]);
+        let b = inc.add_stream(20.0, 1.0, &[1]);
+        assert!(inc.dirty_links().is_empty());
+        assert_eq!((inc.rate(a), inc.rate(b)), (30.0, 20.0));
+        // 20 more overruns link 1's slack: a solve shares it 20/20/20.
+        let c = inc.add_stream(20.0, 1.0, &[1]);
+        assert_eq!(inc.dirty_links(), &[1]);
+        assert_eq!(inc.rate(c), 0.0);
+        inc.solve();
+        assert!([a, b, c].iter().all(|&s| (inc.rate(s) - 20.0).abs() < 1e-9));
+        // A join onto the saturated link, however small, is not in place.
+        let d = inc.add_stream(1.0, 1.0, &[0, 1]);
+        assert_eq!(inc.dirty_links(), &[0, 1]);
+        inc.remove_stream(d);
+        inc.solve();
+        // Nor is a join with no cap of its own, even onto links with slack.
+        inc.add_stream(f64::INFINITY, 1.0, &[0]);
+        assert_eq!(inc.dirty_links(), &[0]);
+        assert_eq!((inc.solves, inc.in_place), (2, 0));
+    }
+
+    #[test]
+    fn leave_applies_in_place_only_from_links_with_slack() {
+        let mut inc = IncrementalMaxMin::with_links(&[100.0, 60.0]);
+        let a = inc.add_stream(40.0, 1.0, &[0, 1]);
+        let b = inc.add_stream(40.0, 1.0, &[1]);
+        let c = inc.add_stream(10.0, 1.0, &[0]);
+        inc.solve();
+        assert!((inc.rate(a) - 30.0).abs() < 1e-9 && (inc.rate(b) - 30.0).abs() < 1e-9);
+        // `c` crosses link 0 alone, which carries 40 of 100: in place.
+        inc.remove_stream(c);
+        assert!(inc.dirty_links().is_empty());
+        // `b` leaves the saturated link 1, freeing share for `a`: a solve.
+        inc.remove_stream(b);
+        assert_eq!(inc.dirty_links(), &[1]);
+        assert_eq!(inc.solve(), &[a]);
+        assert_eq!(inc.rate(a), 40.0);
+        // With link 1 unsaturated again, `a` leaves in place.
+        inc.remove_stream(a);
+        assert!(inc.dirty_links().is_empty());
+        assert_eq!((inc.solves, inc.in_place), (2, 0));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!    from-scratch solve (and, for ≤64 links, with the mask-based
 //!    `weighted_max_min_allocate_into`) to 1e-9 relative tolerance, across
 //!    random topologies, memberships, and dirty-set sequences —
-//!    including empty links and single-member components, and re-rates
-//!    applied in place — and a solve touches exactly the connected
-//!    components of the dirty links.
+//!    including empty links and single-member components, and joins,
+//!    leaves and re-rates applied in place — and a solve touches exactly
+//!    the connected components of the dirty links.
 //! 2. **Differential**: a sharded 10⁵-transfer fat-tree campaign
 //!    produces byte-identical summaries at 1, 4, and 8 threads.
 //! 3. **Live-state bounds**: allocator work and memory stay flat over
@@ -347,6 +347,68 @@ proptest! {
         prop_assert_eq!(inc.in_place, in_place);
     }
 
+    /// A join or leave applied in place gives the rates a from-scratch
+    /// solve gives. With a solve after every op, each join or leave that
+    /// leaves the worklist empty has nothing left to solve, a stream that
+    /// joined so runs at exactly its cap, and every case takes at least
+    /// one such join and one such leave on a non-empty route.
+    #[test]
+    fn in_place_joins_and_leaves_match_from_scratch(
+        caps in proptest::collection::vec(300.0f64..2000.0, 2..8),
+        raw in raw_ops(40..120),
+    ) {
+        // Kinds 0..3 join, 3..6 leave, 6 rescales a link, 7 re-rates: as
+        // many leaves as joins, and two links or more, so a saturated link
+        // rarely holds the whole fabric for a case.
+        const KIND: [u32; 8] = [0, 0, 0, 3, 3, 3, 4, 5];
+        let ops: Vec<Op> = raw
+            .into_iter()
+            .map(|(kind, a, b, bits)| decode_slack_op((KIND[kind as usize], a, b, bits)))
+            .collect();
+        let mut inc = IncrementalMaxMin::with_links(&caps);
+        let mut live: Vec<Shadow> = Vec::new();
+        let mut link_caps = caps.clone();
+        let (mut joins, mut leaves) = (0u32, 0u32);
+
+        for (step, op) in ops.iter().enumerate() {
+            let one_to_three_hops = |bits: u64| 1 + (bits >> 62) as usize % 3;
+            // Whether a leave takes out a stream with a non-empty route.
+            let leave_routed = match op {
+                Op::Remove { pick } if !live.is_empty() => {
+                    Some(!live[pick % live.len()].3.is_empty())
+                }
+                _ => None,
+            };
+            apply_op(&mut inc, &mut live, &mut link_caps, op, one_to_three_hops);
+            if inc.dirty_links().is_empty() {
+                match (op, leave_routed) {
+                    (Op::Add { cap, .. }, _) => {
+                        let (id, .., route) = live.last().expect("just joined");
+                        prop_assert!(
+                            inc.rate(*id) == *cap,
+                            "step {step}: joined in place, off its cap"
+                        );
+                        joins += u32::from(!route.is_empty());
+                    }
+                    (_, Some(routed)) => leaves += u32::from(routed),
+                    _ => {}
+                }
+                prop_assert!(inc.solve().is_empty(), "step {step}: {op:?} left streams to solve");
+            }
+            inc.solve();
+            let fresh = from_scratch(&live, &link_caps);
+            for (k, (id, ..)) in live.iter().enumerate() {
+                let got = inc.rate(*id);
+                prop_assert!(
+                    rel_close(got, fresh[k]),
+                    "step {step} after {op:?}: stream {k} incremental {got} vs from-scratch {}",
+                    fresh[k]
+                );
+            }
+        }
+        prop_assert!(joins > 0 && leaves > 0, "{joins} joins and {leaves} leaves in place");
+    }
+
     /// Per-link conservation: summed allocations never exceed capacity.
     #[test]
     fn incremental_never_oversubscribes_a_link(
@@ -472,35 +534,56 @@ fn ten_thousand_transfer_rl_campaign_is_thread_invariant() {
 // ---------------------------------------------------------------------------
 
 /// Five live streams, 10⁵ departures each followed by an arrival that
-/// takes the departed id onto a *different* route: a solve never sees
-/// more than the five, and the allocator stops growing after warm-up.
+/// takes the departed id onto a *different* route, and the allocator
+/// stops growing after warm-up. At 600 Mbps the two streams sharing each
+/// 1000-Mbps link contend for it, so every join and leave re-solves and a
+/// solve never sees more than the five; at 400 Mbps no link saturates, so
+/// every join and leave is applied in place and nothing is solved.
 #[test]
 fn churn_history_costs_neither_solve_work_nor_memory() {
     const LINKS: u32 = 8;
-    let mut inc = IncrementalMaxMin::with_links(&[1000.0; LINKS as usize]);
+    const WARM: u32 = 1_000;
+    const STEPS: u32 = 100_000;
     // Stream n crosses links n and n+1 (mod 8).
     let route = |n: u32| [n % LINKS, (n + 1) % LINKS];
-    let mut live: std::collections::VecDeque<u32> = (0..5)
-        .map(|n| inc.add_stream(400.0, 1.0, &route(n)))
-        .collect();
-    inc.solve();
-    let mut warm = (0, 0, 0);
-    for step in 0..100_000u32 {
-        inc.remove_stream(live.pop_front().expect("five live"));
+    for cap in [600.0, 400.0] {
+        let mut inc = IncrementalMaxMin::with_links(&[1000.0; LINKS as usize]);
+        let mut live: std::collections::VecDeque<u32> = (0..5)
+            .map(|n| inc.add_stream(cap, 1.0, &route(n)))
+            .collect();
         inc.solve();
-        live.push_back(inc.add_stream(400.0, 1.0, &route(step + 5)));
-        inc.solve();
-        if step == 1_000 {
-            warm = (inc.memory_bytes(), inc.solves, inc.streams_resolved);
+        let mut warm = (0, 0, 0);
+        for step in 0..STEPS {
+            inc.remove_stream(live.pop_front().expect("five live"));
+            inc.solve();
+            live.push_back(inc.add_stream(cap, 1.0, &route(step + 5)));
+            inc.solve();
+            if step == WARM {
+                warm = (inc.memory_bytes(), inc.solves, inc.streams_resolved);
+            }
         }
+        assert_eq!(inc.live_streams(), 5);
+        assert_eq!(
+            inc.memory_bytes(),
+            warm.0,
+            "allocator grew with churn at {cap} Mbps"
+        );
+        let solves = inc.solves - warm.1;
+        if cap == 400.0 {
+            assert_eq!(solves, 0, "unsaturated churn solved");
+            continue;
+        }
+        assert_eq!(
+            solves,
+            2 * u64::from(STEPS - WARM - 1),
+            "a contended join or leave skipped its solve"
+        );
+        let per_solve = (inc.streams_resolved - warm.2) as f64 / solves as f64;
+        assert!(
+            per_solve <= 5.0,
+            "{per_solve} streams per solve with 5 live"
+        );
     }
-    assert_eq!(inc.live_streams(), 5);
-    assert_eq!(inc.memory_bytes(), warm.0, "allocator grew with churn");
-    let per_solve = (inc.streams_resolved - warm.2) as f64 / (inc.solves - warm.1) as f64;
-    assert!(
-        per_solve <= 5.0,
-        "{per_solve} streams per solve with 5 live"
-    );
 }
 
 /// The shape `bench/README.md` records as OOM-killed at the parent of

@@ -69,9 +69,10 @@ fn fleet_soak_summary_matches_golden() {
 /// The `campaign-rl` bench shape at its warm-up size: 2,000 transfers on
 /// the WAN dumbbell, each with its own bandit tuner, through diurnal
 /// arrivals, tenant churn and six failure waves. Besides the bytes, the
-/// allocator must stay cheap: a tuner's re-rate on an unsaturated route
-/// is applied in place, so full solves stay near the two per transfer
-/// (arrival, departure) a fixed campaign pays, not one per re-rate.
+/// allocator must stay cheap: an arrival, departure or tuner re-rate on
+/// an unsaturated route is applied in place, so full solves are left to
+/// contention and capacity flaps, under one per ten transfers, not two
+/// per transfer plus one per re-rate.
 #[test]
 fn rl_campaign_summary_matches_golden_and_solves_stay_few() {
     let topology = ScaleTopology::from_spec("dumbbell:8x3").expect("shipped spec syntax");
@@ -95,7 +96,7 @@ fn rl_campaign_summary_matches_golden_and_solves_stay_few() {
     let r = run_scale_campaign(&spec, 2);
     assert_matches_golden(&r.summary(), "tests/golden/fleet_rl.summary.txt");
     assert!(
-        r.solves <= 3 * r.transfers,
+        r.solves <= r.transfers / 10,
         "{} solves for {} transfers",
         r.solves,
         r.transfers
