@@ -16,7 +16,33 @@
 //! sets the largest concurrency with an equilibrium guarantee — 1.02 bounds
 //! it at ≈ 101, the paper's recommended balance of stability and headroom.
 
+use std::sync::LazyLock;
+
 use crate::metrics::ProbeMetrics;
+
+/// The regret base of [`UtilityFunction::falcon_default`] and
+/// [`UtilityFunction::falcon_multi_param`].
+const K_DEFAULT: f64 = 1.02;
+
+/// Largest exponent whose `K_DEFAULT.powf(n)` is tabled: past Eq 4's
+/// concavity limit at `K = 1.02` (n < 2/ln K ≈ 101).
+const POW_TABLE_MAX: u32 = 128;
+
+/// `K_DEFAULT.powf(n)` for `n` in `0..=POW_TABLE_MAX`, each entry from the
+/// same libm call [`k_pow`] makes for any other `K` or `n`, so a tabled
+/// power has the bits that call would return. `black_box` keeps the
+/// compiler from folding the calls with its own `pow`.
+static POW_TABLE: LazyLock<[f64; POW_TABLE_MAX as usize + 1]> =
+    LazyLock::new(|| std::array::from_fn(|n| std::hint::black_box(K_DEFAULT).powf(n as f64)));
+
+/// `Kⁿ` for an integer `n`: a table read for the default `K`, else `powf`.
+fn k_pow(k: f64, n: u32) -> f64 {
+    if k.to_bits() == K_DEFAULT.to_bits() && n <= POW_TABLE_MAX {
+        POW_TABLE[n as usize]
+    } else {
+        k.powf(f64::from(n))
+    }
+}
 
 /// The utility model an agent maximizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,10 +123,11 @@ impl UtilityFunction {
             UtilityFunction::Throughput => nt,
             UtilityFunction::LossRegret { b } => nt - nt * l * b,
             UtilityFunction::LinearRegret { b, c } => nt - nt * l * b - nt * n * c,
-            UtilityFunction::NonlinearRegret { b, k } => nt / k.powf(n) - nt * l * b,
+            UtilityFunction::NonlinearRegret { b, k } => {
+                nt / k_pow(k, m.settings.concurrency) - nt * l * b
+            }
             UtilityFunction::MultiParam { b, k } => {
-                let conns = f64::from(m.settings.total_connections());
-                nt / k.powf(conns) - nt * l * b
+                nt / k_pow(k, m.settings.total_connections()) - nt * l * b
             }
         }
     }
@@ -360,6 +387,44 @@ mod tests {
         m.settings.parallelism = 4; // 20 connections total
         let expect = 100.0 / 1.02_f64.powi(20);
         assert!((u.evaluate(&m) - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tabled_powers_have_the_bits_of_powf() {
+        use std::hint::black_box;
+        // The untabled expression, with `powf` called at run time.
+        let reference = |k: f64, conns: u32, m: &ProbeMetrics| {
+            let nt = f64::from(m.settings.concurrency) * m.per_thread_mbps;
+            nt / black_box(k).powf(f64::from(conns)) - nt * m.loss_rate * 10.0
+        };
+        for k in [K_DEFAULT, 1.05] {
+            let eq4 = UtilityFunction::NonlinearRegret { b: 10.0, k };
+            let eq7 = UtilityFunction::MultiParam { b: 10.0, k };
+            // Every tabled exponent, and the first one past the table.
+            for n in 0..=POW_TABLE_MAX + 1 {
+                assert_eq!(
+                    k_pow(k, n).to_bits(),
+                    black_box(k).powf(f64::from(n)).to_bits(),
+                    "K={k} n={n}"
+                );
+                let m = metrics(n, 37.3, 0.004);
+                let (got, want) = (eq4.evaluate(&m), reference(k, n, &m));
+                assert_eq!(got.to_bits(), want.to_bits(), "Eq 4 K={k} n={n}");
+                let mut mp = metrics(n.div_ceil(4), 37.3, 0.004);
+                mp.settings.parallelism = 4;
+                let conns = mp.settings.total_connections();
+                let (got, want) = (eq7.evaluate(&mp), reference(k, conns, &mp));
+                assert_eq!(got.to_bits(), want.to_bits(), "Eq 7 K={k} n·p={conns}");
+            }
+        }
+        // The comparison can tell: a table built by a running product has
+        // other bits somewhere in the range.
+        let mut running = 1.0;
+        let differs = (1..=POW_TABLE_MAX).any(|n| {
+            running *= K_DEFAULT;
+            running.to_bits() != k_pow(K_DEFAULT, n).to_bits()
+        });
+        assert!(differs, "a running product matched powf at every n");
     }
 
     #[test]

@@ -749,6 +749,16 @@ enum Event {
     Probe(u32, u32),
 }
 
+/// `head` of `class` if it is strictly earlier than `next` under
+/// `total_cmp` (or there is no `next`), else `next`.
+fn earlier(next: Option<(f64, u8)>, head: Option<f64>, class: u8) -> Option<(f64, u8)> {
+    match (next, head) {
+        (Some((t, _)), Some(h)) if h.total_cmp(&t).is_lt() => Some((h, class)),
+        (None, Some(h)) => Some((h, class)),
+        _ => next,
+    }
+}
+
 /// Hands a shard's drained arrival buffer its next arrivals, in time
 /// order, or says why it cannot.
 type Refill<'a> = &'a mut dyn FnMut(&mut VecDeque<Arrival>) -> Feed;
@@ -806,18 +816,13 @@ impl ShardEvents<'_> {
 
     /// Remove the next event and its time.
     fn pop(&mut self) -> Option<(f64, Event)> {
-        let heads = [
-            self.cap_events.get(self.caps_fired).map(|e| e.0),
-            self.arrivals.front().map(|a| a.t_s),
-            self.departures.peek().map(|(t, _)| t),
-            self.probes.front().map(|p| p.0),
-        ];
-        // Heads are in class order and `min_by` keeps the first of equals:
-        // the lowest class among equal times.
-        let (t, class) = (0u8..)
-            .zip(heads)
-            .filter_map(|(class, head)| Some((head?, class)))
-            .min_by(|a, b| a.0.total_cmp(&b.0))?;
+        // Heads in class order, each taking over only when strictly
+        // earlier: the lowest class among equal times.
+        let mut next = self.cap_events.get(self.caps_fired).map(|e| (e.0, EV_CAP));
+        next = earlier(next, self.arrivals.front().map(|a| a.t_s), EV_ARRIVE);
+        next = earlier(next, self.departures.peek().map(|(t, _)| t), EV_DEPART);
+        next = earlier(next, self.probes.front().map(|p| p.0), EV_PROBE);
+        let (t, class) = next?;
         let event = match class {
             EV_CAP => {
                 let &(_, link, cap) = self.cap_events.get(self.caps_fired)?;

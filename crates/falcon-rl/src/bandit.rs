@@ -44,13 +44,22 @@ const DRIFT: f64 = 0.5;
 /// Relative utility gain that counts as an improvement (noise gate).
 const ETA: f64 = 0.03;
 
+/// What the table knows of one arm.
+#[derive(Debug, Clone, Copy, Default)]
+struct ArmValue {
+    /// Recency-weighted utility.
+    value: f64,
+    /// Observations folded in since the last sweep began.
+    count: f64,
+}
+
 /// What the most recent proposal was, so the next observation can be
 /// interpreted (sweep sample, center re-test, neighbor probe, climb step,
 /// or far jump).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Mode {
     /// Measuring `order[pos]`; earlier positions already folded in.
-    Sweep { order: Vec<usize>, pos: usize },
+    Sweep { pos: usize },
     /// Local probe cycle around the center.
     Steer { phase: u8, last: SteerKind },
     /// Chaining doubling steps in one direction while utility improves.
@@ -78,8 +87,14 @@ pub struct BanditOptimizer {
     name: &'static str,
     /// Arm concurrencies: the lattice of `[1, max_cc]`.
     arms: Vec<u32>,
-    values: Vec<f64>,
-    counts: Vec<f64>,
+    /// Value and count of each arm, parallel to `arms`.
+    table: Vec<ArmValue>,
+    /// The sweep order of arm indices, kept between sweeps so a re-sweep
+    /// sorts it in place and a decision allocates nothing. One byte per
+    /// arm, as the lattice of any `u32` range has under 100 points;
+    /// `memory_bytes` counts the `20·n` bytes of `arms` and `table`, not
+    /// these `n`.
+    order: Vec<u8>,
     rng: SplitMix64,
     mode: Mode,
     /// Fine-grained operating point the steer cycle orbits.
@@ -102,15 +117,14 @@ impl BanditOptimizer {
         let max_cc = max_concurrency.max(1);
         let arms = concurrency_lattice(max_cc);
         let n = arms.len();
-        let order: Vec<usize> = (0..n).collect();
         let first = TransferSettings::with_concurrency(arms[0]);
         BanditOptimizer {
             max_cc,
             name: "rl-bandit",
-            values: vec![0.0; n],
-            counts: vec![0.0; n],
+            table: vec![ArmValue::default(); n],
+            order: (0..=u8::MAX).take(n).collect(),
             rng: SplitMix64::new(seed),
-            mode: Mode::Sweep { order, pos: 0 },
+            mode: Mode::Sweep { pos: 0 },
             center: first,
             center_u: 0.0,
             u_scale: 1.0,
@@ -132,14 +146,16 @@ impl BanditOptimizer {
         opt.name = "rl-warm";
         for (cc, v) in &table.entries {
             if let Some(i) = opt.arms.iter().position(|a| a == cc) {
-                opt.values[i] = *v;
-                opt.counts[i] = 1.0;
+                opt.table[i] = ArmValue {
+                    value: *v,
+                    count: 1.0,
+                };
             }
         }
         let best = opt.argmax_value();
         opt.center = TransferSettings::with_concurrency(opt.arms[best]);
-        opt.center_u = opt.values[best];
-        opt.u_scale = opt.values.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        opt.center_u = opt.table[best].value;
+        opt.u_scale = opt.table.iter().fold(1.0f64, |m, a| m.max(a.value.abs()));
         opt.mode = Mode::Steer {
             phase: 1,
             last: SteerKind::Center,
@@ -165,10 +181,10 @@ impl BanditOptimizer {
     fn argmax_value(&self) -> usize {
         let mut best = 0usize;
         let mut best_v = f64::NEG_INFINITY;
-        for (i, (&v, &c)) in self.values.iter().zip(&self.counts).enumerate() {
-            if c > 0.0 && v > best_v {
+        for (i, a) in self.table.iter().enumerate() {
+            if a.count > 0.0 && a.value > best_v {
                 best = i;
-                best_v = v;
+                best_v = a.value;
             }
         }
         best
@@ -179,11 +195,11 @@ impl BanditOptimizer {
         let ln_t = (self.t.max(2) as f64).ln();
         let mut best = 0usize;
         let mut best_v = f64::NEG_INFINITY;
-        for (i, (&v, &c)) in self.values.iter().zip(&self.counts).enumerate() {
-            if c <= 0.0 {
+        for (i, a) in self.table.iter().enumerate() {
+            if a.count <= 0.0 {
                 continue;
             }
-            let score = v + UCB_C * self.u_scale * (ln_t / c).sqrt();
+            let score = a.value + UCB_C * self.u_scale * (ln_t / a.count).sqrt();
             if score > best_v {
                 best = i;
                 best_v = score;
@@ -207,28 +223,33 @@ impl BanditOptimizer {
         }
     }
 
-    /// Fold one observation into the arm table.
-    fn record(&mut self, s: TransferSettings, u: f64) {
-        let a = self.nearest_arm(s);
-        self.counts[a] += 1.0;
-        let alpha = if self.counts[a] <= 1.0 {
+    /// Fold one observation of `arm` into the arm table.
+    fn record(&mut self, arm: usize, u: f64) {
+        let a = &mut self.table[arm];
+        a.count += 1.0;
+        let alpha = if a.count <= 1.0 {
             1.0
         } else {
-            (1.0 / self.counts[a]).max(ALPHA_FLOOR)
+            (1.0 / a.count).max(ALPHA_FLOOR)
         };
-        self.values[a] += alpha * (u - self.values[a]);
+        a.value += alpha * (u - a.value);
     }
 
     /// Begin a sweep ordered by current value descending (stale-promising
-    /// arms first), resetting counts so sweep samples overwrite.
+    /// arms first), resetting counts so sweep samples overwrite. The order
+    /// is total, so sorting the last sweep's permutation gives the same
+    /// order as sorting `0..n`.
     fn start_sweep(&mut self) {
-        let mut order: Vec<usize> = (0..self.arms.len()).collect();
-        order.sort_by(|&a, &b| self.values[b].total_cmp(&self.values[a]).then(a.cmp(&b)));
-        for c in &mut self.counts {
-            *c = 0.0;
+        let table = &self.table;
+        self.order.sort_unstable_by(|&a, &b| {
+            let (va, vb) = (table[usize::from(a)].value, table[usize::from(b)].value);
+            vb.total_cmp(&va).then(a.cmp(&b))
+        });
+        for a in &mut self.table {
+            a.count = 0.0;
         }
-        self.proposed = TransferSettings::with_concurrency(self.arms[order[0]]);
-        self.mode = Mode::Sweep { order, pos: 0 };
+        self.proposed = TransferSettings::with_concurrency(self.arms[usize::from(self.order[0])]);
+        self.mode = Mode::Sweep { pos: 0 };
     }
 
     /// Leave sweep/climb for the steering cycle at `center`.
@@ -288,12 +309,12 @@ impl BanditOptimizer {
             candidates: self
                 .arms
                 .iter()
-                .zip(self.values.iter().zip(&self.counts))
-                .filter(|(_, (_, &c))| c > 0.0)
-                .map(|(&a, (&v, _))| Candidate {
-                    concurrency: a,
+                .zip(&self.table)
+                .filter(|(_, a)| a.count > 0.0)
+                .map(|(&cc, a)| Candidate {
+                    concurrency: cc,
                     parallelism: 1,
-                    utility: v,
+                    utility: a.value,
                 })
                 .collect(),
         });
@@ -324,12 +345,12 @@ impl OnlineOptimizer for BanditOptimizer {
                 last: SteerKind::Center,
                 ..
             }
-        ) && self.counts[arm] >= 1.0
+        ) && self.table[arm].count >= 1.0
             && {
-                let v = self.values[arm];
+                let v = self.table[arm].value;
                 (u - v).abs() / v.abs().max(u.abs()).max(1.0) > DRIFT
             };
-        self.record(obs.settings, u);
+        self.record(arm, u);
 
         let mode_code;
         if drifted {
@@ -339,17 +360,17 @@ impl OnlineOptimizer for BanditOptimizer {
             return self.proposed;
         }
 
-        match self.mode.clone() {
-            Mode::Sweep { order, pos } => {
+        match self.mode {
+            Mode::Sweep { pos } => {
                 mode_code = 0.0;
                 let next = pos + 1;
-                if next < order.len() {
-                    self.proposed = TransferSettings::with_concurrency(self.arms[order[next]]);
-                    self.mode = Mode::Sweep { order, pos: next };
+                if let Some(&arm) = self.order.get(next) {
+                    self.proposed = TransferSettings::with_concurrency(self.arms[usize::from(arm)]);
+                    self.mode = Mode::Sweep { pos: next };
                 } else {
                     let best = self.argmax_ucb();
                     let center = TransferSettings::with_concurrency(self.arms[best]);
-                    let center_u = self.values[best];
+                    let center_u = self.table[best].value;
                     self.settle(center, center_u);
                 }
             }
@@ -426,7 +447,7 @@ impl OnlineOptimizer for BanditOptimizer {
 
     fn memory_bytes(&self) -> usize {
         self.arms.capacity() * std::mem::size_of::<u32>()
-            + (self.values.capacity() + self.counts.capacity()) * std::mem::size_of::<f64>()
+            + self.table.capacity() * std::mem::size_of::<ArmValue>()
     }
 }
 
@@ -482,6 +503,12 @@ mod tests {
         let tail = &trace[25..];
         let near = tail.iter().filter(|&&c| (8..=20).contains(&c)).count();
         assert!(near * 2 > tail.len(), "tail after restore: {tail:?}");
+    }
+
+    #[test]
+    fn sweep_order_covers_every_arm_of_the_widest_lattice() {
+        let opt = BanditOptimizer::new(u32::MAX, 1);
+        assert_eq!(opt.order.len(), opt.arms.len());
     }
 
     #[test]
