@@ -85,24 +85,8 @@ pub fn shootout() -> Table {
         let steady = trace.avg_mbps(0, 400.0, 600.0);
         let released = trace.avg_mbps(0, 900.0, 1200.0);
         // Convergence time measured from the release at 600 s.
-        let conv = {
-            let shifted: Vec<_> = trace
-                .points
-                .iter()
-                .filter(|p| p.t_s >= 600.0)
-                .cloned()
-                .collect();
-            let sub = falcon_transfer::runner::RunTrace {
-                labels: trace.labels.clone(),
-                points: shifted,
-                completed_at: vec![None],
-                converged_at: vec![None],
-                restarts: vec![0],
-                discarded_probes: vec![0],
-            };
-            time_to_sustained(&sub, 0, 1000.0, 0.75, 620.0 + 20.0)
-                .map_or("none".to_string(), |v| format!("{:.0}", v - 600.0))
-        };
+        let conv = time_to_sustained(&trace, 0, 600.0, 1000.0, 0.75, 620.0 + 20.0)
+            .map_or("none".to_string(), |v| format!("{:.0}", v - 600.0));
         vec![
             name.to_string(),
             conv,
@@ -172,8 +156,7 @@ pub fn bo_search_space() -> Table {
             400.0,
         );
         let max_probed = trace
-            .points
-            .iter()
+            .points()
             .map(|p| p.settings.concurrency)
             .max()
             .unwrap_or(0);
@@ -231,8 +214,7 @@ pub fn bo_mp() -> Table {
             400.0,
         );
         let max_conns = trace
-            .points
-            .iter()
+            .points()
             .map(|p| p.settings.total_connections())
             .max()
             .unwrap_or(0);

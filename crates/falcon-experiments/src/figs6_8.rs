@@ -175,23 +175,28 @@ pub fn fig6c() -> Table {
 /// the exploration dips that all three of Falcon's searches keep making
 /// after convergence (continuous optimization), so this measures "found and
 /// holds the high-performance region", the quantity Figure 7 compares.
+/// Only the agent's points from `from_s` on are read.
 pub fn time_to_sustained(
     trace: &RunTrace,
     agent: usize,
+    from_s: f64,
     capacity_mbps: f64,
     frac: f64,
     window_s: f64,
 ) -> Option<f64> {
-    let series = trace.series(agent);
+    let series: Vec<(f64, f64)> = trace
+        .window(agent, from_s, f64::INFINITY)
+        .map(|p| (p.t_s, p.mbps))
+        .collect();
     let threshold = frac * capacity_mbps;
-    for (i, &(t, _, _)) in series.iter().enumerate() {
+    for (i, &(t, _)) in series.iter().enumerate() {
         if t < window_s {
             continue;
         }
         let window: Vec<f64> = series[..=i]
             .iter()
-            .filter(|&&(tt, _, _)| tt >= t - window_s)
-            .map(|&(_, m, _)| m)
+            .filter(|&&(tt, _)| tt >= t - window_s)
+            .map(|&(_, m)| m)
             .collect();
         if !window.is_empty() && window.iter().sum::<f64>() / window.len() as f64 >= threshold {
             return Some(t);
@@ -218,7 +223,7 @@ pub fn fig7() -> Table {
             vec![AgentPlan::at_start(Box::new(mk()), endless())],
             600.0,
         );
-        let conv = time_to_sustained(&trace, 0, 1000.0, 0.75, 20.0);
+        let conv = time_to_sustained(&trace, 0, f64::NEG_INFINITY, 1000.0, 0.75, 20.0);
         (name, conv, trace.avg_mbps(0, 400.0, 600.0))
     });
 

@@ -106,7 +106,7 @@ fn stability_run(mk: &dyn Fn(u64) -> FalconAgent, title: &str) -> Table {
     let mut next = 0.0;
     let mut row: Vec<Option<f64>> = vec![None; 3];
     let mut row_t = 0.0;
-    for p in &trace.points {
+    for p in trace.points() {
         if p.t_s >= next {
             if row.iter().any(Option::is_some) {
                 t.push_row(&[
@@ -198,7 +198,7 @@ pub fn fig13() -> Table {
                 ]);
             }
         };
-    for p in &trace.points {
+    for p in trace.points() {
         if p.t_s >= next {
             flush(&mut t, row_t, &ccs, &sums, &counts);
             ccs = vec![None; 3];

@@ -64,29 +64,38 @@ impl FleetReport {
         trace: &RunTrace,
         duration_s: f64,
     ) -> Self {
-        let w0 = 0.6 * duration_s;
-        let w1 = duration_s;
-        let n = specs.len();
+        let (w0, w1) = (0.6 * duration_s, duration_s);
+        // Per-agent goodput sum and point count inside the half-open
+        // window `[w0, w1)`, which holds exactly `(w1 - w0) /
+        // TRACE_EVERY_S` grid points (as `RunTrace::avg_mbps`).
+        let sums: Vec<(f64, usize)> = (0..specs.len())
+            .map(|a| {
+                trace
+                    .window(a, w0, w1)
+                    .fold((0.0, 0), |(sum, n), p| (sum + p.mbps, n + 1))
+            })
+            .collect();
+        Self::from_window_sums(topology, specs, trace, (w0, w1), &sums)
+    }
 
-        // One pass over the points: per-agent mean goodput and coverage
-        // inside the half-open window `[w0, w1)`, which holds exactly
-        // `(w1 - w0) / TRACE_EVERY_S` grid points (as `RunTrace::avg_mbps`).
-        let mut sum = vec![0.0f64; n];
-        let mut count = vec![0usize; n];
-        for p in &trace.points {
-            let a = p.agent as usize;
-            if a < n && p.t_s >= w0 && p.t_s < w1 {
-                sum[a] += p.mbps;
-                count[a] += 1;
-            }
-        }
+    /// The report from each transfer's goodput sum and trace-point count
+    /// inside the settle window `[w0, w1)`.
+    fn from_window_sums(
+        topology: &FleetTopology,
+        specs: &[TransferSpec],
+        trace: &RunTrace,
+        (w0, w1): (f64, f64),
+        sums: &[(f64, usize)],
+    ) -> Self {
+        let n = specs.len();
         // The runner's trace-point cadence says how much of the window an
         // agent was actually present for.
         let expected_points = ((w1 - w0) / TRACE_EVERY_S).max(1.0);
         // Rate while present (for fairness among peers)…
         let avg = |i: usize| {
-            if count[i] > 0 {
-                sum[i] / count[i] as f64
+            let (sum, count) = sums[i];
+            if count > 0 {
+                sum / count as f64
             } else {
                 0.0
             }
@@ -94,8 +103,8 @@ impl FleetReport {
         // …vs. mean over the whole window, absent samples counting as zero
         // (for utilization: a transfer active 10% of the window loads the
         // link with 10% of its rate).
-        let window_avg = |i: usize| sum[i] / expected_points;
-        let present = |i: usize| count[i] as f64 >= 0.7 * expected_points;
+        let window_avg = |i: usize| sums[i].0 / expected_points;
+        let present = |i: usize| sums[i].1 as f64 >= 0.7 * expected_points;
 
         // First convergence per agent → settle times.
         let mut settles: Vec<f64> = specs
@@ -194,6 +203,7 @@ impl FleetReport {
 
 #[cfg(test)]
 mod tests {
+    use super::FleetReport;
     use crate::campaign::{run_campaign, CampaignSpec};
     use crate::{FleetTopology, FleetTuner, Workload};
     use falcon_trace::Tracer;
@@ -217,6 +227,37 @@ mod tests {
         assert!(r.links[0].utilization > 0.99, "{}", r.summary());
         assert!(r.links[0].utilization <= 1.0, "{}", r.summary());
         assert!(r.aggregate_mbps <= 1000.0, "{}", r.summary());
+    }
+
+    #[test]
+    fn report_matches_one_pass_over_the_points() {
+        // The report as it was computed from a point-per-row trace: one
+        // pass over every point, in the runner's order, summing each
+        // transfer's goodput inside the settle window.
+        let spec = CampaignSpec {
+            duration_s: 240.0,
+            ..CampaignSpec::standard(11)
+        };
+        let out = run_campaign(&spec, Tracer::disabled());
+        let specs = crate::generate(&spec.topology, &spec.workload, spec.seed);
+        let (w0, w1) = (0.6 * spec.duration_s, spec.duration_s);
+        let mut sums = vec![(0.0f64, 0usize); specs.len()];
+        for p in out.trace.points() {
+            let a = p.agent as usize;
+            if a < specs.len() && p.t_s >= w0 && p.t_s < w1 {
+                sums[a].0 += p.mbps;
+                sums[a].1 += 1;
+            }
+        }
+        assert!(sums.iter().filter(|s| s.1 > 0).count() > 20);
+        let old =
+            FleetReport::from_window_sums(&spec.topology, &specs, &out.trace, (w0, w1), &sums);
+        assert_eq!(out.report, old);
+        assert_eq!(
+            out.report.aggregate_mbps.to_bits(),
+            old.aggregate_mbps.to_bits()
+        );
+        assert_eq!(out.report.summary(), old.summary());
     }
 
     #[test]

@@ -108,7 +108,8 @@ impl AgentPlan {
     }
 }
 
-/// One recorded point of an agent's trace (32 bytes).
+/// One point of an agent's trace, as [`RunTrace::points`] and
+/// [`RunTrace::window`] yield it.
 #[derive(Debug, Clone)]
 pub struct TracePoint {
     /// Wall-clock time (seconds).
@@ -121,12 +122,77 @@ pub struct TracePoint {
     pub settings: TransferSettings,
 }
 
+/// One agent's trace: its goodput at every trace instant from `first` on,
+/// and its settings as runs. An agent is traced at every instant from the
+/// first after its join to its completion or departure (a detached process
+/// stays traced), so one column and one start index hold it exactly.
+#[derive(Default)]
+struct Column {
+    /// Index in [`RunTrace`]'s `times` of the agent's first point.
+    first: usize,
+    /// Goodput (Mbps) at instants `first..first + mbps.len()`.
+    mbps: Vec<f64>,
+    /// `(instant, settings)` wherever the settings differ from the
+    /// previous point's, the first at `first`. A run schedules at most
+    /// `u32::MAX` instants (`trace_instants`), so the index fits.
+    runs: Vec<(u32, TransferSettings)>,
+}
+
+/// The column of an agent the run does not have: no points.
+static NO_COLUMN: Column = Column {
+    first: 0,
+    mbps: Vec::new(),
+    runs: Vec::new(),
+};
+
+impl Column {
+    /// Record the agent's point at instant `k`. `remaining` counts the
+    /// run's instants from `k` on. The first point reserves that many
+    /// goodputs and settings runs (at most one run per instant), so neither
+    /// vector ever reallocates and leaves a freed copy resident; the pages
+    /// of a reservation the agent never writes are never touched.
+    fn push(&mut self, k: usize, remaining: usize, mbps: f64, settings: TransferSettings) {
+        if self.mbps.is_empty() {
+            self.first = k;
+            // A failed reservation only leaves the vectors to grow as they go.
+            let _ = self.mbps.try_reserve_exact(remaining);
+            let _ = self.runs.try_reserve_exact(remaining);
+        }
+        if self.runs.last().is_none_or(|&(_, s)| s != settings) {
+            self.runs.push((k as u32, settings));
+        }
+        self.mbps.push(mbps);
+    }
+
+    /// The agent is traced no more: hand back what it reserved and did not
+    /// use.
+    fn close(&mut self) {
+        self.mbps.shrink_to_fit();
+        self.runs.shrink_to_fit();
+    }
+
+    /// The settings at instant `k` (which must be one of the column's).
+    fn settings_at(&self, k: usize) -> TransferSettings {
+        let run = self.runs.partition_point(|&(at, _)| at as usize <= k);
+        self.runs[run.saturating_sub(1)].1
+    }
+}
+
 /// The full record of an experiment run.
+///
+/// The 1-s grid is stored by column: one shared `times` entry per trace
+/// instant the run served, and per agent an `f64` goodput column and its
+/// settings runs, ~8 bytes per agent-point instead of a 32-byte
+/// [`TracePoint`]. A window is an index range of `times`, found by binary
+/// search.
 pub struct RunTrace {
     /// Agent labels in plan order.
     pub labels: Vec<String>,
-    /// Trace points, time-ordered.
-    pub points: Vec<TracePoint>,
+    /// Every trace instant the run served, in order (the harness clock
+    /// never goes back, so this is sorted).
+    times: Vec<f64>,
+    /// One column per agent, in plan order.
+    columns: Vec<Column>,
     /// Completion time per agent (`None` if still running at the end).
     pub completed_at: Vec<Option<f64>>,
     /// First convergence instant per agent (`None` if its concurrency
@@ -146,16 +212,47 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// One agent's points inside `[from_s, to_s)`, in time order.
-    fn window(
+    /// Every point, time-ordered, agents in plan order within an instant.
+    pub fn points(&self) -> impl Iterator<Item = TracePoint> + '_ {
+        self.times.iter().enumerate().flat_map(move |(k, &t_s)| {
+            self.columns
+                .iter()
+                .enumerate()
+                .filter_map(move |(agent, c)| {
+                    let mbps = *c.mbps.get(k.checked_sub(c.first)?)?;
+                    Some(TracePoint {
+                        t_s,
+                        agent: agent as u32,
+                        mbps,
+                        settings: c.settings_at(k),
+                    })
+                })
+        })
+    }
+
+    /// One agent's points inside `[from_s, to_s)`, in time order (none for
+    /// a NaN bound or an unknown agent).
+    pub fn window(
         &self,
         agent: usize,
         from_s: f64,
         to_s: f64,
-    ) -> impl Iterator<Item = &TracePoint> + Clone {
-        self.points
-            .iter()
-            .filter(move |p| p.agent as usize == agent && p.t_s >= from_s && p.t_s < to_s)
+    ) -> impl Iterator<Item = TracePoint> + Clone + '_ {
+        let c = self.columns.get(agent).unwrap_or(&NO_COLUMN);
+        let lo = self
+            .times
+            .partition_point(|&t| t < from_s || from_s.is_nan())
+            .max(c.first);
+        let hi = self
+            .times
+            .partition_point(|&t| t < to_s)
+            .min(c.first + c.mbps.len());
+        (lo..hi.max(lo)).map(move |k| TracePoint {
+            t_s: self.times[k],
+            agent: agent as u32,
+            mbps: c.mbps[k - c.first],
+            settings: c.settings_at(k),
+        })
     }
 
     /// Mean of `f` over one agent's window (0 when the window is empty).
@@ -168,7 +265,7 @@ impl RunTrace {
     ) -> f64 {
         let (sum, n) = self
             .window(agent, from_s, to_s)
-            .fold((0.0, 0usize), |(sum, n), p| (sum + f(p), n + 1));
+            .fold((0.0, 0usize), |(sum, n), p| (sum + f(&p), n + 1));
         if n == 0 {
             0.0
         } else {
@@ -178,9 +275,7 @@ impl RunTrace {
 
     /// Time series `(t, mbps, concurrency)` of one agent.
     pub fn series(&self, agent: usize) -> Vec<(f64, f64, u32)> {
-        self.points
-            .iter()
-            .filter(|p| p.agent as usize == agent)
+        self.window(agent, f64::NEG_INFINITY, f64::INFINITY)
             .map(|p| (p.t_s, p.mbps, p.settings.concurrency))
             .collect()
     }
@@ -200,7 +295,7 @@ impl RunTrace {
     /// time-series figures.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("t_s,agent,label,mbps,concurrency,parallelism,pipelining\n");
-        for p in &self.points {
+        for p in self.points() {
             out.push_str(&format!(
                 "{:.1},{},{},{:.1},{},{},{}\n",
                 p.t_s,
@@ -257,6 +352,45 @@ impl RunTrace {
             .collect();
         jain_index(&xs)
     }
+
+    /// Heap bytes the trace holds, counted by capacity: the grid's columns
+    /// and the per-agent labels and vectors.
+    pub fn memory_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let columns: usize = self
+            .columns
+            .iter()
+            .map(|c| bytes(&c.mbps) + bytes(&c.runs))
+            .sum();
+        let labels: usize = self.labels.iter().map(String::capacity).sum();
+        bytes(&self.times)
+            + bytes(&self.columns)
+            + columns
+            + bytes(&self.labels)
+            + labels
+            + bytes(&self.completed_at)
+            + bytes(&self.converged_at)
+            + bytes(&self.restarts)
+            + bytes(&self.discarded_probes)
+    }
+}
+
+/// How many trace instants `t0 + k·TRACE_EVERY_S ≤ end_s`, `k ≥ 1`, a run
+/// schedules: the instants form a prefix of `k`, capped at `u32::MAX` (136
+/// years at one a second) so that an instant's index fits [`Column`]'s runs.
+fn trace_instants(t0: f64, end_s: f64) -> usize {
+    let on_grid = |k: u32| t0 + f64::from(k) * TRACE_EVERY_S <= end_s;
+    // `as` saturates: NaN reads 0, anything past `u32` reads u32::MAX.
+    let mut k = ((end_s - t0) / TRACE_EVERY_S) as u32;
+    while k > 0 && !on_grid(k) {
+        k -= 1;
+    }
+    while k < u32::MAX && on_grid(k + 1) {
+        k += 1;
+    }
+    k as usize
 }
 
 /// Jain's fairness index: `(Σx)² / (n·Σx²)`; 1.0 = perfectly fair.
@@ -290,7 +424,11 @@ pub struct Runner {
     pub tracer: Tracer,
 }
 
-/// Spacing of [`RunTrace::points`] (seconds).
+/// Spacing of the trace grid (seconds): a trace instant every
+/// `TRACE_EVERY_S` after the run's start, at which every joined, unfinished
+/// agent gets a point. [`RunTrace`] holds an instant in 8 bytes and a point
+/// in about 8 more (plus 16 per settings change), so a run's trace grows by
+/// `(8 + 8·agents) / TRACE_EVERY_S` bytes a second.
 pub const TRACE_EVERY_S: f64 = 1.0;
 /// Delay before the first restart attempt on a dead process; doubles after
 /// each failed attempt (exponential backoff).
@@ -367,14 +505,17 @@ impl Runner {
         let tracers: Vec<Tracer> = (0..n).map(|i| self.tracer.for_agent(i as u32)).collect();
         let mut convergence: Vec<ConvergenceDetector> =
             (0..n).map(|_| ConvergenceDetector::default()).collect();
-        let mut points = Vec::new();
+        let t0 = harness.time_s();
+        let end_s = t0 + duration_s;
+        let instants = trace_instants(t0, end_s);
+        let mut times: Vec<f64> = Vec::new();
+        // A failed reservation only leaves `times` to grow as it goes.
+        let _ = times.try_reserve_exact(instants);
+        let mut columns: Vec<Column> = (0..n).map(|_| Column::default()).collect();
         let mut completed_at: Vec<Option<f64>> = vec![None; n];
         let mut converged_at: Vec<Option<f64>> = vec![None; n];
         let mut restarts = vec![0usize; n];
         let mut discarded_probes = vec![0usize; n];
-
-        let t0 = harness.time_s();
-        let end_s = t0 + duration_s;
 
         // The wakeup queue holds every instant the runner might need to
         // act: scheduled joins and departures, probe and warm-up-discard
@@ -412,7 +553,7 @@ impl Runner {
             });
         }
         let mut trace_k: u64 = 1;
-        if t0 + TRACE_EVERY_S <= end_s {
+        if instants >= 1 {
             wakeups.push(t0 + TRACE_EVERY_S, WAKE_TRACE, NO_AGENT);
         }
         wakeups.push(end_s, WAKE_END, NO_AGENT);
@@ -604,25 +745,31 @@ impl Runner {
                     wakeups.push(t + warmup, WAKE_AGENT, i);
                 }
             }
-            active.retain(|&i| !live[i].done);
+            active.retain(|&i| {
+                if live[i].done {
+                    columns[i].close();
+                }
+                !live[i].done
+            });
 
             // Trace.
             if trace_due {
+                let k = times.len();
+                times.push(t);
                 for &i in &active {
                     let slot = live[i].slot;
-                    points.push(TracePoint {
-                        t_s: t,
-                        agent: i as u32,
-                        mbps: harness.instantaneous_mbps(slot),
-                        settings: harness.current_settings(slot),
-                    });
+                    columns[i].push(
+                        k,
+                        instants.saturating_sub(k),
+                        harness.instantaneous_mbps(slot),
+                        harness.current_settings(slot),
+                    );
                 }
                 // Drift-free trace grid: the k-th trace instant is
                 // t0 + k·Δ, never an accumulated sum.
                 trace_k += 1;
-                let next = t0 + trace_k as f64 * TRACE_EVERY_S;
-                if next <= end_s {
-                    wakeups.push(next, WAKE_TRACE, NO_AGENT);
+                if trace_k <= instants as u64 {
+                    wakeups.push(t0 + trace_k as f64 * TRACE_EVERY_S, WAKE_TRACE, NO_AGENT);
                 }
             }
 
@@ -631,9 +778,14 @@ impl Runner {
             }
         }
 
+        // A harness that overshoots its wakeups (real time) may serve
+        // fewer instants than the grid has.
+        times.shrink_to_fit();
+        columns.iter_mut().for_each(Column::close);
         RunTrace {
             labels,
-            points,
+            times,
+            columns,
             completed_at,
             converged_at,
             restarts,
@@ -666,9 +818,54 @@ mod tests {
     }
 
     #[test]
-    fn trace_point_is_32_bytes() {
-        // A classic campaign holds tens of thousands of these.
-        assert_eq!(std::mem::size_of::<TracePoint>(), 32);
+    fn trace_grid_costs_eight_bytes_a_point() {
+        // Five agents for 12,000 s through a capacity flap, four joining at
+        // t = 0 and one later: ~60,000 points, which a 32-byte point
+        // apiece would hold in 1.9 MB.
+        use falcon_sim::{EnvironmentEvent, EventAction};
+        let mut h = harness(Environment::emulab(100.0), 7);
+        let flap = |at, factor| {
+            EnvironmentEvent::at(
+                at,
+                EventAction::LinkCapacityFactor {
+                    resource: None,
+                    factor,
+                },
+            )
+        };
+        h.sim_mut()
+            .try_add_events([flap(4000.0, 0.3), flap(8000.0, 1.0)])
+            .unwrap();
+        let endless = || Dataset::uniform_1gb(1 << 20);
+        let fixed = FixedTuner {
+            settings: TransferSettings::with_concurrency(4),
+            name: "fixed-4".into(),
+        };
+        let plans = vec![
+            AgentPlan::at_start(Box::new(FalconAgent::hill_climbing(32)), endless()),
+            AgentPlan::at_start(Box::new(FalconAgent::gradient_descent(32)), endless()),
+            AgentPlan::at_start(Box::new(FalconAgent::bayesian(32, 3)), endless()),
+            AgentPlan::joining_at(Box::new(fixed), endless(), 200.0),
+            AgentPlan::joining_at(
+                Box::new(FalconAgent::gradient_descent(32)),
+                endless(),
+                100.0,
+            ),
+        ];
+        let trace = Runner::default().run(&mut h, plans, 12_000.0);
+        let points = trace.points().count();
+        let instants = trace.times.len();
+        let runs: usize = trace.columns.iter().map(|c| c.runs.len()).sum();
+        assert_eq!(instants, 12_000);
+        assert!(points > 59_000, "{points} points");
+        // Stated slack: 256 bytes per agent for its column header, label
+        // and per-agent fields.
+        let ceiling = 8 * points + 8 * instants + 16 * runs + 256 * trace.labels.len();
+        let bytes = trace.memory_bytes();
+        assert!(
+            (8 * points..=ceiling).contains(&bytes),
+            "{bytes} B for {points} points, {instants} instants, {runs} runs (ceiling {ceiling} B)"
+        );
     }
 
     #[test]
@@ -719,8 +916,7 @@ mod tests {
         ];
         let trace = Runner::default().run(&mut h, plans, 200.0);
         let first_b = trace
-            .points
-            .iter()
+            .points()
             .find(|p| p.agent == 1)
             .map(|p| p.t_s)
             .unwrap();

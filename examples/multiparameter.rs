@@ -25,10 +25,8 @@ fn run(tuner: Box<dyn Tuner>, label: &str) {
         horizon,
     );
     let final_settings = trace
-        .points
-        .iter()
-        .rev()
-        .find(|p| p.agent == 0)
+        .window(0, f64::NEG_INFINITY, f64::INFINITY)
+        .last()
         .map(|p| p.settings)
         .expect("no trace points");
     let duration = trace.completed_at[0].unwrap_or(horizon);

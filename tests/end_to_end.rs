@@ -105,7 +105,7 @@ fn multi_parameter_agent_respects_bounds_end_to_end() {
         )],
         300.0,
     );
-    for p in &trace.points {
+    for p in trace.points() {
         assert!(
             bounds.contains(p.settings),
             "escaped bounds: {}",
